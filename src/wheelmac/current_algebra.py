@@ -19,8 +19,8 @@ import math
 from fractions import Fraction
 
 from . import partitions as pt
-from .linalg import EchelonBasis, rank_kernel_poly
-from .scalars import ParameterSpec, UniPoly, UniRatFunc
+from .linalg import EchelonBasis, _clear_upower_row, rank_kernel_poly
+from .scalars import ParameterSpec, UniRatFunc
 from .symfunc import eval_monomial_symmetric
 from .wheel_ideal import wheel_substitutions
 
@@ -192,11 +192,7 @@ def ideal_rows(k, r, n, d, p=None, field="rootofunity"):
 
 def _corank_unirat_rows(rows, ncols, N):
     """Corank of UniRatFunc rows via the certified polynomial path."""
-    cleared = []
-    for row in rows:
-        shift = max((x.den.degree() for x in row), default=0)
-        cleared.append([x.num.shift(shift - x.den.degree()) if x
-                        else UniPoly.zero(N) for x in row])
+    cleared = [_clear_upower_row(row, N) for row in rows]
     rank, _ = rank_kernel_poly(cleared, ncols, N, need_kernel=False)
     return ncols - rank
 

@@ -1,13 +1,10 @@
 """Exact rank and kernel computation for the constraint matrices.
 
-Three elimination paths:
+Two elimination paths:
 
-  * ``rank_bareiss`` -- fraction-free one-step elimination for entries in
-    an integral domain (UniPoly rows after clearing denominators, or plain
-    Fractions/ints); every division is exact by construction.
-  * ``kernel_basis`` / ``EchelonBasis`` -- ordinary Gaussian elimination
-    over a field, used where the entries are field elements anyway
-    (rational matrices, probe mode over a cyclotomic field).
+  * ``EchelonBasis`` -- incremental Gaussian elimination over a field,
+    used where the entries are field elements anyway (rational matrices,
+    probe mode over a cyclotomic field).
   * ``rank_kernel_poly`` -- the workhorse for tall matrices over
     Q(zeta_N)[u]: a numeric evaluation of u picks out candidate
     independent rows (independence at a point implies exact independence),
@@ -17,6 +14,11 @@ Three elimination paths:
     failing the certificate joins the candidates and the loop repeats, so
     the output is exact regardless of the evaluation point.
 
+UniRatFunc rows are cleared to UniPoly rows by one of two helpers:
+``_clear_upower_row`` for the constraint rows, whose denominators are
+powers of u, and ``_clear_denominators`` (scaling by the lcm of the
+denominators) for kernel vectors and ``wheel_ideal.laurent_clear``.
+
 Rows are plain lists; callers choose the entry type.
 """
 
@@ -24,65 +26,11 @@ from fractions import Fraction
 
 from .scalars import UniPoly, UniRatFunc
 
-__all__ = ["rank_bareiss", "rank_of_rows", "kernel_basis", "in_row_span",
-           "EchelonBasis", "rank_kernel_poly"]
+__all__ = ["in_row_span", "EchelonBasis", "rank_kernel_poly"]
 
 
 def _is_zero(x):
     return not x
-
-
-def rank_bareiss(rows):
-    """Rank by Bareiss fraction-free elimination; rows are consumed.
-
-    Entries must support *, -, exact / or divexact (UniPoly) and be from
-    an integral domain.
-    """
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = None
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if not _is_zero(rows[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            row = rows[i]
-            ric = row[col]
-            if _is_zero(ric):
-                if prev is not None:
-                    for j in range(col + 1, ncols):
-                        row[j] = _divide(pivot * row[j], prev)
-            else:
-                for j in range(col + 1, ncols):
-                    val = pivot * row[j] - ric * rows[rank][j]
-                    row[j] = _divide(val, prev) if prev is not None else val
-            row[col] = _zero_like(pivot)
-        rank += 1
-        prev = pivot
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _divide(a, b):
-    if hasattr(a, "divexact"):
-        return a.divexact(b)
-    return a / b
-
-
-def _zero_like(x):
-    if isinstance(x, (int, Fraction)):
-        return 0
-    return x - x
 
 
 class EchelonBasis:
@@ -129,16 +77,6 @@ class EchelonBasis:
         return False
 
 
-def rank_of_rows(rows, ncols, field=True):
-    """Rank of an iterable of rows; field=False switches to Bareiss."""
-    if not field:
-        return rank_bareiss(list(rows))
-    ech = EchelonBasis(ncols)
-    for row in rows:
-        ech.add(row)
-    return ech.rank
-
-
 def in_row_span(rows, ncols, vector):
     """True iff vector is a linear combination of the given rows."""
     ech = EchelonBasis(ncols)
@@ -147,34 +85,26 @@ def in_row_span(rows, ncols, vector):
     return all(_is_zero(x) for x in ech.reduce(vector))
 
 
-def kernel_basis(rows, ncols, one):
-    """Basis of the right kernel of the row matrix, over a field.
-
-    Returns a list of length-ncols vectors; ``one`` is the field unit used
-    to seed free variables.
-    """
-    ech = EchelonBasis(ncols)
-    for row in rows:
-        ech.add(row)
-    zero = one - one
-    pivots = ech.pivots
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for pc, prow in pivots.items():
-            coeff = prow[fc]
-            if not _is_zero(coeff):
-                vec[pc] = zero - coeff
-        basis.append(vec)
-    return basis
-
-
 # -- exact rank/kernel over Q(zeta_N)[u] with numeric row selection --------
 
 _PROBE_POINTS = (Fraction(5, 2), Fraction(7, 3), Fraction(9, 4), Fraction(3),
                  Fraction(11, 5))
+
+
+def _clear_upower_row(row, N):
+    """UniRatFunc row -> UniPoly row, when every denominator is a u-power."""
+    shift = max((x.den.degree() for x in row), default=0)
+    return [x.num.shift(shift - x.den.degree()) if x else UniPoly.zero(N)
+            for x in row]
+
+
+def _clear_denominators(row, N):
+    """UniRatFunc row -> UniPoly row, scaled by the lcm of the denominators."""
+    den = UniPoly.one(N)
+    for x in row:
+        if x:
+            den = den * x.den.divexact(den.gcd(x.den))
+    return [x.num * den.divexact(x.den) if x else UniPoly.zero(N) for x in row]
 
 
 def _strip_row_gcd(row):
@@ -240,18 +170,7 @@ def _poly_kernel_from_triangular(tri, ncols, N):
             if not acc.is_zero():
                 vec[col] = -acc / UniRatFunc(row[col], _canonical=True)
         # clear denominators so the certificate below is pure polynomial work
-        den = UniPoly.one(N)
-        for x in vec:
-            if not x.is_zero():
-                g = den.gcd(x.den)
-                den = den * x.den.divexact(g)
-        cleared = []
-        for x in vec:
-            if x.is_zero():
-                cleared.append(UniPoly.zero(N))
-            else:
-                cleared.append(x.num * den.divexact(x.den))
-        basis.append(_strip_row_gcd(cleared))
+        basis.append(_strip_row_gcd(_clear_denominators(vec, N)))
     return basis
 
 

@@ -9,7 +9,7 @@ with T_I the q-shift of the variables indexed by I, together with the
 first-order operators E_m built from the q-derivative.  Everything is
 computed on monomial expansions over a common Vandermonde denominator:
 each subset contributes a polynomial numerator and the final result is
-divided factor by factor with a zero-remainder assertion, so no rational
+divided factor by factor with a zero-remainder check, so no rational
 function arithmetic in the x variables is ever needed.
 
 P_lam itself is found from the eigenvalue problem for D_n^1 by
@@ -18,28 +18,20 @@ in the monomial-symmetric basis, always over the generic field Q(q, t);
 specializing the coefficients is a separate, final step.
 """
 
-from collections import namedtuple
-
 from . import partitions as pt
-from .scalars import (BiRatFunc, CycloNum, LaurentPoly, PoleError, QTPoly,
-                      UniRatFunc, render_scalar, parse_scalar)
+from .scalars import (BiRatFunc, CycloNum, ExactDivisionError, LaurentPoly,
+                      PoleError, QTPoly, UniRatFunc, render_scalar,
+                      parse_scalar)
 from .symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
                       monomials_to_m, sympoly_mul)
 
 __all__ = [
-    "CoeffField", "ExactDivisionError", "OperatorResult", "MacdonaldTable",
-    "apply_D", "apply_D_result", "apply_E", "eigenvalue_D", "eigenvalue_e1",
+    "CoeffField", "ExactDivisionError", "MacdonaldTable",
+    "apply_D", "apply_E", "eigenvalue_D", "eigenvalue_e1",
     "compute_P", "psi_prime", "psi_dblprime", "verify_pieri", "pieri_failures",
     "integral_form_factor", "check_integrality", "specialize_P",
     "cauchy_row_check", "qpochhammer_ratio",
 ]
-
-
-class ExactDivisionError(ArithmeticError):
-    """A Vandermonde division left a remainder: an implementation bug."""
-
-
-OperatorResult = namedtuple("OperatorResult", ["output", "division_exact"])
 
 
 class CoeffField:
@@ -92,13 +84,6 @@ class CoeffField:
         t = LaurentPoly.monomial(N, p.t_exp)
         return cls(LaurentPoly.zero(N), LaurentPoly.one(N), q, t,
                    lambda i: LaurentPoly.const(N, i))
-
-    @classmethod
-    def root_of_unity(cls, p):
-        """Q(zeta_{r-1}) at t = 1, q = tau."""
-        N = p.N
-        return cls(CycloNum.zero(N), CycloNum.one(N), p.tau,
-                   CycloNum.one(N), lambda i: CycloNum.from_rational(N, i))
 
     @classmethod
     def numeric(cls, p, u0):
@@ -257,13 +242,13 @@ def _operator_core(n, local_terms, fld):
     return total
 
 
-def apply_D_result(f, rho, fld):
-    """D_n^rho f with the exact-division witness attached."""
+def apply_D(f, rho, fld):
+    """D_n^rho f; a Vandermonde remainder raises ExactDivisionError."""
     n = f.n
     if not 0 <= rho <= n:
         raise ValueError("need 0 <= rho <= n")
     if rho == 0:
-        return OperatorResult(f, True)
+        return f
     g = m_to_monomials(f).terms
     tpref = fld.tpow(rho * (rho - 1) // 2) if rho > 1 else None
 
@@ -273,12 +258,7 @@ def apply_D_result(f, rho, fld):
             yield iset, _qshift(g, I, fld), tpref
 
     total = _operator_core(n, local(), fld)
-    out = monomials_to_m(MonomialExpansion(n, total))
-    return OperatorResult(out, True)
-
-
-def apply_D(f, rho, fld):
-    return apply_D_result(f, rho, fld).output
+    return monomials_to_m(MonomialExpansion(n, total))
 
 
 def apply_E(f, m, fld):

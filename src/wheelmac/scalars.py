@@ -22,7 +22,7 @@ from math import gcd
 
 __all__ = [
     "CycloNum", "UniPoly", "UniRatFunc", "LaurentPoly", "QTPoly", "BiRatFunc",
-    "ParameterSpec", "MixedFieldError", "PoleError",
+    "ParameterSpec", "MixedFieldError", "PoleError", "ExactDivisionError",
     "field_arithmetic", "cyclotomic_polynomial", "euler_phi",
     "qt_gcd", "qt_divexact", "render_scalar", "parse_scalar",
 ]
@@ -37,6 +37,10 @@ class MixedFieldError(TypeError):
 
 class PoleError(ZeroDivisionError):
     """Raised when a denominator vanishes identically under specialization."""
+
+
+class ExactDivisionError(ArithmeticError):
+    """An exact division left a remainder: an implementation bug."""
 
 
 def euler_phi(n):
@@ -70,27 +74,10 @@ def cyclotomic_polynomial(n):
         poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
         for d in range(1, n):
             if n % d == 0:
-                poly = _int_poly_divexact(poly, cyclotomic_polynomial(d))
+                poly = _iz_divexact(poly, cyclotomic_polynomial(d))
         poly = tuple(poly)
     _CYCLO_CACHE[n] = poly
     return poly
-
-
-def _int_poly_divexact(num, den):
-    # long division in Z[x]; the division is exact for cyclotomic factors
-    num = list(num)
-    dn = len(den) - 1
-    quot = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            q, r = divmod(c, den[dn])
-            assert r == 0, "inexact cyclotomic division"
-            quot[i - dn] = q
-            for j in range(dn + 1):
-                num[i - dn + j] -= q * den[j]
-    assert all(c == 0 for c in num), "nonzero remainder in cyclotomic division"
-    return quot
 
 
 class _CycloField:
@@ -910,9 +897,6 @@ class QTPoly:
     def is_constant(self):
         return not self.d or self.d.keys() == {(0, 0)}
 
-    def constant_value(self):
-        return self.d.get((0, 0), _ZERO)
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QTPoly.term(other)
@@ -979,13 +963,6 @@ class QTPoly:
         return QTPoly(out, _clean=True)
 
     __rmul__ = __mul__
-
-    def mul_term(self, coeff, qe=0, te=0):
-        if not coeff:
-            return QTPoly.zero()
-        coeff = Fraction(coeff)
-        return QTPoly({(kq + qe, kt + te): v * coeff
-                       for (kq, kt), v in self.d.items()}, _clean=True)
 
     def __pow__(self, e):
         result = QTPoly.one()
@@ -1120,17 +1097,20 @@ def _iz_mul(a, b):
 
 
 def _iz_divexact(a, b):
+    """Long division in Z[x] of coefficient lists; raises if inexact."""
     a = list(a)
     out = [0] * (len(a) - len(b) + 1)
     db, lb = len(b) - 1, b[-1]
     for i in range(len(a) - 1, db - 1, -1):
         if a[i]:
             q, r = divmod(a[i], lb)
-            assert r == 0, "inexact Z[t] division"
+            if r:
+                raise ExactDivisionError("inexact Z[x] division")
             out[i - db] = q
             for j in range(db + 1):
                 a[i - db + j] -= q * b[j]
-    assert all(x == 0 for x in a), "inexact Z[t] division"
+    if any(a):
+        raise ExactDivisionError("nonzero remainder in Z[x] division")
     return out
 
 
@@ -1151,10 +1131,6 @@ def _to_tq_rows(terms):
         if not row:
             del rows[a]
     return rows
-
-
-def _rows_to_terms(rows):
-    return {(a, b): c for a, row in rows.items() for b, c in enumerate(row) if c}
 
 
 def _tq_content(rows):
@@ -1285,7 +1261,7 @@ def _qt_gcd_primitive(fterms, gterms):
             if lf and lg:
                 a = [_iz_eval(fr.get(i, []), t0) for i in range(fq + 1)]
                 b = [_iz_eval(gr.get(i, []), t0) for i in range(gq + 1)]
-                if _int_poly_gcd_is_const(a, b):
+                if len(_iz_gcd(a, b)) == 1:
                     trivial_q = True
                 break
     if trivial_q:
@@ -1304,22 +1280,6 @@ def _iz_eval(row, x):
     for c in reversed(row):
         acc = acc * x + c
     return acc
-
-
-def _int_poly_gcd_is_const(a, b):
-    """True iff gcd of integer-coefficient univariate polys has degree 0."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    while b and not b[-1]:
-        b.pop()
-    while a and not a[-1]:
-        a.pop()
-    while b:
-        _, a = _frac_poly_divmod(a, b)
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    return len(a) == 1
 
 
 def _qt_positive(f):

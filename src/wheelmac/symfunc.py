@@ -64,13 +64,6 @@ class SymPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def degree_components(self):
-        """Split into homogeneous pieces: {degree: SymPoly}."""
-        out = {}
-        for lam, c in self.coeffs.items():
-            out.setdefault(pt.size(lam), {})[lam] = c
-        return {d: SymPoly(self.n, cs) for d, cs in out.items()}
-
     def map_coeffs(self, fn):
         return SymPoly(self.n, {lam: fn(c) for lam, c in self.coeffs.items()})
 
@@ -270,11 +263,19 @@ def wheel_substitute(f, sigma, p):
         raise ValueError("need at least k+1=%d variables, got %d" % (k + 1, f.n))
     tv = p.t_value()
     qv = p.q_value()
-    ratios = [tv ** i * qv ** sigma[i - 1] for i in range(1, k + 1)]
-    powcache = [{0: None} for _ in ratios]
+    return _collapse_wheel(f, [tv ** i * qv ** sigma[i - 1]
+                              for i in range(1, k + 1)])
 
+
+def _collapse_wheel(f, ratios):
+    """Expansion of f at x_{i+1} = ratios[i-1] * x_1 for i = 1..len(ratios).
+
+    The one collapse loop behind wheel_substitute and its CoeffField
+    variant in wheel_ideal; powers of each ratio are cached for the call.
+    """
+    k = len(ratios)
+    powcache = [{} for _ in ratios]
     g = m_to_monomials(f)
-    nfree = f.n - k
     out = {}
     for alpha, c in g.terms.items():
         coeff = c
@@ -293,7 +294,7 @@ def wheel_substitute(f, sigma, p):
             out[key] = w
         else:
             out.pop(key, None)
-    return MonomialExpansion(nfree, out)
+    return MonomialExpansion(f.n - k, out)
 
 
 def restrict_derivative(f, j, one=Fraction(1)):

@@ -24,10 +24,12 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import partitions as pt
-from .linalg import EchelonBasis, rank_kernel_poly
+from .linalg import (EchelonBasis, _clear_denominators, _clear_upower_row,
+                     rank_kernel_poly)
 from .macdonald import CoeffField, MacdonaldTable, apply_D, apply_E, specialize_P
-from .scalars import LaurentPoly, ParameterSpec, UniPoly, UniRatFunc
-from .symfunc import SymPoly, restrict_derivative, wheel_substitute
+from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
+from .symfunc import (SymPoly, _collapse_wheel, restrict_derivative,
+                      wheel_substitute)
 
 __all__ = [
     "wheel_substitutions", "satisfies_wheel", "dim_J", "basis_I",
@@ -61,14 +63,9 @@ def laurent_clear(f, p):
     Multiplies by the least common denominator, which changes nothing
     about membership in the wheel ideal.
     """
-    den = UniPoly.one(p.N)
-    for c in f.coeffs.values():
-        g = den.gcd(c.den)
-        den = den * c.den.divexact(g)
-    out = {}
-    for lam, c in f.coeffs.items():
-        out[lam] = LaurentPoly.from_unipoly(c.num * den.divexact(c.den))
-    return SymPoly(f.n, out)
+    cleared = _clear_denominators(f.coeffs.values(), p.N)
+    return SymPoly(f.n, {lam: LaurentPoly.from_unipoly(c)
+                         for lam, c in zip(f.coeffs, cleared)})
 
 
 def constraint_rows(k, r, n, d, p=None, fld=None):
@@ -103,40 +100,8 @@ def constraint_rows(k, r, n, d, p=None, fld=None):
 
 def _wheel_substitute_fld(f, sigma, fld, k):
     """wheel_substitute with the ratios taken from an arbitrary CoeffField."""
-    from .symfunc import MonomialExpansion, m_to_monomials
-    ratios = [fld.tpow(i) * fld.qpow(sigma[i - 1]) for i in range(1, k + 1)]
-    g = m_to_monomials(f)
-    out = {}
-    for alpha, c in g.terms.items():
-        coeff = c
-        for i in range(1, k + 1):
-            e = alpha[i]
-            if e:
-                coeff = coeff * ratios[i - 1] ** e
-        key = (sum(alpha[: k + 1]),) + alpha[k + 1:]
-        w = out.get(key)
-        w = coeff if w is None else w + coeff
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
-    return MonomialExpansion(f.n - k, out)
-
-
-def _clear_row(row, N):
-    """UniRatFunc row -> UniPoly row (denominators here are u-powers)."""
-    shift = 0
-    for x in row:
-        ddeg = x.den.degree()
-        if ddeg > shift:
-            shift = ddeg
-    out = []
-    for x in row:
-        if x.is_zero():
-            out.append(UniPoly.zero(N))
-        else:
-            out.append(x.num.shift(shift - x.den.degree()))
-    return out
+    return _collapse_wheel(f, [fld.tpow(i) * fld.qpow(sigma[i - 1])
+                              for i in range(1, k + 1)])
 
 
 def random_probe_point(rng):
@@ -166,7 +131,8 @@ def dim_J(k, r, n, d, p=None, mode="exact", seed=0):
         for _, row in constraint_rows(k, r, n, d, p, fld=fld):
             ech.add(row)
         return ncols - ech.rank
-    rows = (_clear_row(row, p.N) for _, row in constraint_rows(k, r, n, d, p))
+    rows = (_clear_upower_row(row, p.N)
+            for _, row in constraint_rows(k, r, n, d, p))
     rank, _ = rank_kernel_poly(rows, ncols, p.N, need_kernel=False)
     return ncols - rank
 
@@ -177,7 +143,8 @@ def wheel_kernel_basis(k, r, n, d, p=None):
     plist = pt.enumerate_partitions(n, d)
     if n <= k:
         return [SymPoly.m(lam, n, UniRatFunc.one(p.N)) for lam in plist]
-    rows = (_clear_row(row, p.N) for _, row in constraint_rows(k, r, n, d, p))
+    rows = (_clear_upower_row(row, p.N)
+            for _, row in constraint_rows(k, r, n, d, p))
     _, vecs = rank_kernel_poly(rows, len(plist), p.N)
     out = []
     for vec in vecs:

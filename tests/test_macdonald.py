@@ -5,7 +5,7 @@ import pytest
 
 from wheelmac import partitions as pt
 from wheelmac.macdonald import (CoeffField, ExactDivisionError, MacdonaldTable,
-                                apply_D, apply_D_result, apply_E,
+                                _divexact_linear, apply_D, apply_E,
                                 cauchy_row_check, check_integrality,
                                 eigenvalue_D, eigenvalue_e1,
                                 integral_form_factor, psi_dblprime,
@@ -30,8 +30,13 @@ def test_apply_D_examples():
     # n = 2: D_2^1 m_(1,1) = (qt + q) m_(1,1)
     out = apply_D(SymPoly.m((1, 1), 2, QTPoly.one()), 1, fldp)
     assert out == SymPoly(2, {(1, 1): QTPoly({(1, 1): 1, (1, 0): 1})})
-    witness = apply_D_result(SymPoly.m((2,), 2, QTPoly.one()), 1, fldp)
-    assert witness.division_exact
+    # the exactness witness is the raise in the Vandermonde division:
+    # (x_1^2 - x_2^2) / (x_1 - x_2) is exact, (x_1^2 + x_2^2) / (x_1 - x_2) not
+    one_qt = QTPoly.one()
+    quot = _divexact_linear({(2, 0): one_qt, (0, 2): -one_qt}, 0, 1)
+    assert quot == {(1, 0): one_qt, (0, 1): one_qt}
+    with pytest.raises(ExactDivisionError):
+        _divexact_linear({(2, 0): one_qt, (0, 2): one_qt}, 0, 1)
 
 
 def test_eigenvalue_examples():

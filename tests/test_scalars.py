@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import wheelmac
 from wheelmac.scalars import (BiRatFunc, CycloNum, LaurentPoly,
                               MixedFieldError, ParameterSpec, PoleError,
                               QTPoly, UniPoly, UniRatFunc,
@@ -194,3 +198,27 @@ def test_laurent_matches_unirat():
     assert (lq ** 2 * lt ** 3).to_unirat() == p.q_value() ** 2 * p.t_value() ** 3
     a = lq + lt * Fraction(3, 2)
     assert a.to_unirat() == p.q_value() + p.t_value() * Fraction(3, 2)
+
+
+_INEXACT_UNDER_O = """
+from wheelmac.scalars import ExactDivisionError, _iz_divexact
+try:
+    _iz_divexact(%r, %r)
+except ExactDivisionError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+@pytest.mark.parametrize("num, den", [
+    ([1, 0, 1], [1, 2]),  # (x^2 + 1) / (2x + 1): 1/2 is not an integer
+    ([1, 0, 1], [1, 1]),  # (x^2 + 1) / (x + 1): remainder 2
+])
+def test_inexact_integer_division_raises_under_O(num, den):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c",
+                           _INEXACT_UNDER_O % (num, den)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -7,8 +7,9 @@ from wheelmac import partitions as pt
 from wheelmac.linalg import EchelonBasis
 from wheelmac.macdonald import CoeffField
 from wheelmac.scalars import ParameterSpec, UniRatFunc
-from wheelmac.symfunc import SymPoly
-from wheelmac.wheel_ideal import (basis_I, constraint_rows, dim_J,
+from wheelmac.symfunc import SymPoly, wheel_substitute
+from wheelmac.wheel_ideal import (_wheel_substitute_fld, basis_I,
+                                  constraint_rows, dim_J,
                                   laurent_clear, random_probe_point,
                                   satisfies_wheel, verify_rho_inclusion,
                                   verify_stability, verify_theorem1,
@@ -36,6 +37,27 @@ def test_cumulative_vs_increment_form():
             cumulative = tuple(sum(inc[: i + 1]) for i in range(k))
             from_increments.add(cumulative)
         assert from_increments == set(wheel_substitutions(k, r))
+
+
+def test_substitution_entry_points_agree():
+    # symfunc.wheel_substitute takes its ratios from p, the CoeffField
+    # variant from fld.tpow/fld.qpow; over K the two must coincide
+    rng = random.Random(31)
+    for k, r in [(1, 2), (1, 3), (2, 2), (2, 3)]:
+        p = ParameterSpec(k, r)
+        fld = CoeffField.specialized(p)
+        u = UniRatFunc.u(p.N)
+        for sigma in wheel_substitutions(k, r):
+            for _ in range(3):
+                n = rng.randint(k + 1, k + 2)
+                coeffs = {}
+                for _ in range(rng.randint(1, 4)):
+                    plist = pt.enumerate_partitions(n, rng.randint(0, 4))
+                    coeffs[rng.choice(plist)] = \
+                        u ** rng.randint(0, 3) * rng.randint(-5, 5)
+                f = SymPoly(n, coeffs)
+                assert wheel_substitute(f, sigma, p) == \
+                    _wheel_substitute_fld(f, sigma, fld, k), (k, r, sigma, f)
 
 
 def test_satisfies_wheel_examples():
