@@ -28,16 +28,47 @@ from .symfunc import SymPoly
 __all__ = ["main", "run"]
 
 
+class UsageError(ValueError):
+    """Input the command cannot work on; reported like an argparse error."""
+
+
+def _partition(text):
+    """argparse type for --lambda: weakly decreasing non-negative parts."""
+    try:
+        return pt.parse_partition(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "not a partition: %r (want e.g. 3,1,1)" % text) from None
+
+
+def _fit(lam, n):
+    if pt.length(lam) > n:
+        raise UsageError("--lambda %s has more than %d parts"
+                         % (pt.format_partition(lam), n))
+    return lam
+
+
 def _load_table(args, n):
-    if getattr(args, "cache", None):
-        try:
-            with open(args.cache) as fh:
-                data = json.load(fh)
-            if data.get("n") == n:
-                return MacdonaldTable.from_json_dict(data)
-        except FileNotFoundError:
-            pass
-    return MacdonaldTable(n)
+    """The --cache table for n; a missing file starts an empty one.
+
+    Every loaded entry is checked against the D_n^1 eigen equation, so a
+    cache cannot inject a wrong P_lam; a bad file is a usage error.
+    """
+    if not getattr(args, "cache", None):
+        return MacdonaldTable(n)
+    try:
+        with open(args.cache) as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        return MacdonaldTable(n)
+    except (OSError, ValueError) as exc:
+        raise UsageError("cache %s: %s" % (args.cache, exc)) from None
+    try:
+        if data.get("n") != n:
+            raise ValueError("built for n=%r, not n=%d" % (data.get("n"), n))
+        return MacdonaldTable.from_json_dict(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError("cache %s: %s" % (args.cache, exc)) from None
 
 
 def _save_table(args, table):
@@ -83,8 +114,8 @@ def _emit_table(payload, indent=""):
 # ---------------------------------------------------------------------------
 
 def _cmd_macd_compute(args):
+    lam = _fit(args.lam, args.n)
     table = _load_table(args, args.n)
-    lam = pt.parse_partition(args.lam)
     f = table.compute_P(lam)
     _save_table(args, table)
     return 0, {"n": args.n, "lambda": pt.format_partition(lam),
@@ -92,8 +123,8 @@ def _cmd_macd_compute(args):
 
 
 def _cmd_macd_pieri(args):
+    lam = _fit(args.lam, args.n)
     table = _load_table(args, args.n)
-    lam = pt.parse_partition(args.lam)
     failures = pieri_failures(lam, args.n, table)
     _save_table(args, table)
     return (0 if not failures else 1), {
@@ -109,8 +140,8 @@ def _cmd_macd_cauchy(args):
 
 
 def _cmd_macd_integrality(args):
+    lam = _fit(args.lam, args.n)
     table = _load_table(args, args.n)
-    lam = pt.parse_partition(args.lam)
     ok = check_integrality(lam, args.n, table)
     _save_table(args, table)
     return (0 if ok else 1), {"n": args.n, "lambda": pt.format_partition(lam),
@@ -125,8 +156,8 @@ def _cmd_wheel_subs(args):
 
 def _cmd_wheel_check(args):
     p = ParameterSpec(args.k, args.r)
+    lam = _fit(args.lam, args.n)
     table = _load_table(args, args.n)
-    lam = pt.parse_partition(args.lam)
     f = specialize_P(lam, args.n, p, table)
     ok = wi.satisfies_wheel(f, p)
     _save_table(args, table)
@@ -293,8 +324,8 @@ def _cmd_verify_stability(args):
 def _cmd_verify_rho(args):
     p = ParameterSpec(args.k, args.r)
     n = args.n if args.n else args.k + 2
+    lam = _fit(args.lam, n)
     table = _load_table(args, n)
-    lam = pt.parse_partition(args.lam)
     ok = wi.verify_rho_inclusion(lam, args.k, args.r, n, args.j_max, p, table)
     _save_table(args, table)
     return (0 if ok else 1), {"k": args.k, "r": args.r, "n": n,
@@ -377,12 +408,12 @@ def build_parser():
     macd_sub = macd.add_subparsers(dest="cmd", required=True)
     sp = macd_sub.add_parser("compute", help="expand P_lambda in the m-basis")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", required=True)
+    sp.add_argument("--lambda", dest="lam", type=_partition, required=True)
     _add_cache(sp)
     sp.set_defaults(fn=_cmd_macd_compute)
     sp = macd_sub.add_parser("pieri", help="check the three expansion identities")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", required=True)
+    sp.add_argument("--lambda", dest="lam", type=_partition, required=True)
     _add_cache(sp)
     sp.set_defaults(fn=_cmd_macd_pieri)
     sp = macd_sub.add_parser("cauchy", help="row Cauchy identity up to a y-degree")
@@ -392,7 +423,7 @@ def build_parser():
     sp.set_defaults(fn=_cmd_macd_cauchy)
     sp = macd_sub.add_parser("integrality", help="c_lambda P_lambda is polynomial")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", required=True)
+    sp.add_argument("--lambda", dest="lam", type=_partition, required=True)
     _add_cache(sp)
     sp.set_defaults(fn=_cmd_macd_integrality)
 
@@ -404,7 +435,7 @@ def build_parser():
     sp = wheel_sub.add_parser("check", help="does specialized P_lambda satisfy the wheel")
     _add_kr(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", required=True)
+    sp.add_argument("--lambda", dest="lam", type=_partition, required=True)
     _add_cache(sp)
     sp.set_defaults(fn=_cmd_wheel_check)
     sp = wheel_sub.add_parser("dim", help="dim of the wheel subspace")
@@ -490,7 +521,7 @@ def build_parser():
     sp = ver_sub.add_parser("rho", help="restricted derivatives stay in the ideal")
     _add_kr(sp)
     sp.add_argument("--n", type=int, default=0, help="defaults to k+2")
-    sp.add_argument("--lambda", dest="lam", required=True)
+    sp.add_argument("--lambda", dest="lam", type=_partition, required=True)
     sp.add_argument("--j-max", type=int, default=2)
     _add_cache(sp)
     sp.set_defaults(fn=_cmd_verify_rho)
@@ -518,6 +549,8 @@ def run(argv=None):
             ap.error("--%s must be >= 0" % name.replace("_", "-"))
     try:
         code, payload = args.fn(args)
+    except UsageError as exc:
+        ap.error(str(exc))
     except (ExactDivisionError, AssertionError) as exc:
         print("internal assertion failed: %s" % exc, file=sys.stderr)
         return 3

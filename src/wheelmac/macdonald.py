@@ -6,17 +6,24 @@ The operator family D_n^rho acts on symmetric polynomials as
               prod_{i in I, j notin I} (t x_i - x_j)/(x_i - x_j) . T_I,
 
 with T_I the q-shift of the variables indexed by I, together with the
-first-order operators E_m built from the q-derivative.  Everything is
-computed on monomial expansions over a common Vandermonde denominator:
-each subset contributes a polynomial numerator and the final result is
-divided factor by factor with a zero-remainder check, so no rational
-function arithmetic in the x variables is ever needed.
+first-order operators E_m built from the q-derivative.  Both are applied
+by antisymmetrization (Macdonald, SFHP VI.3): A_I(x;t) = T_{t,I}(a_delta)
+/ a_delta, so a_delta Op f is a sum over w in S_n and the subsets I that
+needs no x-denominators.  It is evaluated only at the dominant exponents
+lam + delta, as integer weights on monomials of q and t, and Op f is read
+off by a unitriangular solve with +-1 entries: no Vandermonde product is
+assembled and nothing is divided.  The exactness witness is the
+antisymmetry of a_delta Op f: its weights at an exponent with the first
+two entries swapped must be exactly the negatives, or ExactDivisionError
+(a check that also runs under python -O).
 
 P_lam itself is found from the eigenvalue problem for D_n^1 by
 back-substitution against the dominance-triangular matrix of the operator
 in the monomial-symmetric basis, always over the generic field Q(q, t);
 specializing the coefficients is a separate, final step.
 """
+
+from itertools import combinations, permutations
 
 from . import partitions as pt
 from .scalars import (BiRatFunc, CycloNum, ExactDivisionError, LaurentPoly,
@@ -37,11 +44,11 @@ __all__ = [
 class CoeffField:
     """The coefficient ring an operator runs over: its 0, 1, q and t.
 
-    Power and q-integer caches are per-instance; instances are cheap and
-    callers normally create one per computation.
+    Power caches are per-instance; instances are cheap and callers
+    normally create one per computation.
     """
 
-    __slots__ = ("zero", "one", "q", "t", "from_int", "_qp", "_tp", "_qi")
+    __slots__ = ("zero", "one", "q", "t", "from_int", "_qp", "_tp")
 
     def __init__(self, zero, one, q, t, from_int):
         self.zero = zero
@@ -51,7 +58,6 @@ class CoeffField:
         self.from_int = from_int
         self._qp = {0: one, 1: q}
         self._tp = {0: one, 1: t}
-        self._qi = {0: zero, 1: one}
 
     @classmethod
     def generic_poly(cls):
@@ -105,15 +111,6 @@ class CoeffField:
             v = self._tp[e] = self.tpow(e - 1) * self.t
         return v
 
-    def qint(self, e):
-        """[e]_q = 1 + q + ... + q^(e-1) = (q^e - 1)/(q - 1), exactly."""
-        v = self._qi.get(e)
-        if v is None:
-            v = self._qi[e] = self.qint(e - 1) + self.qpow(e - 1)
-        return v
-
-
-# --- raw polynomial kernels on {exponent tuple: coefficient} dicts --------
 
 def _acc(out, key, c):
     w = out.get(key)
@@ -124,141 +121,125 @@ def _acc(out, key, c):
         out.pop(key, None)
 
 
-def _mul_tlinear(terms, i, j, t):
-    """(t*x_i - x_j) * P."""
-    out = {}
-    for a, c in terms.items():
-        hi = list(a)
-        hi[i] += 1
-        _acc(out, tuple(hi), c * t)
-        lo = list(a)
-        lo[j] += 1
-        _acc(out, tuple(lo), -c)
-    return out
+_DELTA_ORBITS = {}
 
 
-def _mul_difflinear(terms, a_idx, b_idx):
-    """(x_a - x_b) * P."""
-    out = {}
-    for a, c in terms.items():
-        hi = list(a)
-        hi[a_idx] += 1
-        _acc(out, tuple(hi), c)
-        lo = list(a)
-        lo[b_idx] += 1
-        _acc(out, tuple(lo), -c)
-    return out
+def _delta_orbit(n):
+    """[(eps(w), w.delta) for w in S_n], identity first, delta = (n-1, ..., 0).
 
-
-def _divexact_linear(terms, a_idx, b_idx):
-    """P / (x_a - x_b) by synthetic division; raises if inexact."""
-    if not terms:
-        return terms
-    by_e = {}
-    for alpha, c in terms.items():
-        by_e.setdefault(alpha[a_idx], []).append((alpha, c))
-    maxe = max(by_e)
-    quot = {}
-    carry = {}  # current Q_e, keyed with a-exponent already e
-    for e in range(maxe, 0, -1):
-        cur = {}
-        for alpha, c in by_e.get(e, ()):
-            beta = list(alpha)
-            beta[a_idx] = e - 1
-            _acc(cur, tuple(beta), c)
-        for alpha, c in carry.items():
-            beta = list(alpha)
-            beta[a_idx] = e - 1
-            beta[b_idx] += 1
-            _acc(cur, tuple(beta), c)
-        quot.update(cur)
-        carry = cur
-    rem = {}
-    for alpha, c in by_e.get(0, ()):
-        _acc(rem, alpha, c)
-    for alpha, c in carry.items():
-        beta = list(alpha)
-        beta[b_idx] += 1
-        _acc(rem, tuple(beta), c)
-    if rem:
-        raise ExactDivisionError("nonzero remainder dividing by "
-                                 "x_%d - x_%d" % (a_idx + 1, b_idx + 1))
-    return quot
-
-
-def _qshift(terms, iset, fld):
-    """T_I: multiply the coefficient of x^alpha by q^(sum_{i in I} alpha_i)."""
-    out = {}
-    for alpha, c in terms.items():
-        e = sum(alpha[i] for i in iset)
-        out[alpha] = c * fld.qpow(e) if e else c
-    return out
-
-
-def _subset_sign(iset, n):
-    """Parity of #{(a, b): a < b, a not in I, b in I}."""
-    count = 0
-    below = 0
-    for x in range(n):
-        if x in iset:
-            count += below
-        else:
-            below += 1
-    return -1 if count % 2 else 1
-
-
-def _subsets(n, rho):
-    from itertools import combinations
-    return combinations(range(n), rho)
-
-
-def _operator_core(n, local_terms, fld):
-    """Assemble sum_I A_I(x;t) h_I over the common Vandermonde denominator.
-
-    local_terms yields (iset, h) pairs where h is already T_I f (or the
-    q-derivative payload for E_m); returns the exact quotient.
+    eps(w) is the parity of the inversions of w.delta, so that
+    a_delta = prod_{i<j} (x_i - x_j) = sum_w eps(w) x^(w.delta).
     """
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    total = {}
-    for iset, h, pref in local_terms:
-        if not h:
-            continue
-        for i in iset:
-            for j in range(n):
-                if j not in iset:
-                    h = _mul_tlinear(h, i, j, fld.t)
-        for a, b in pairs:
-            if (a in iset) == (b in iset):
-                h = _mul_difflinear(h, a, b)
-        sign = _subset_sign(iset, n)
-        if pref is not None:
-            for alpha, c in h.items():
-                _acc(total, alpha, c * pref if sign > 0 else -(c * pref))
-        else:
-            for alpha, c in h.items():
-                _acc(total, alpha, c if sign > 0 else -c)
-    for a, b in pairs:
-        total = _divexact_linear(total, a, b)
-    return total
+    orbit = _DELTA_ORBITS.get(n)
+    if orbit is None:
+        orbit = []
+        for wd in permutations(range(n - 1, -1, -1)):
+            inv = sum(wd[i] < wd[j] for i in range(n) for j in range(i + 1, n))
+            orbit.append((-1 if inv % 2 else 1, wd))
+        _DELTA_ORBITS[n] = orbit
+    return orbit
+
+
+def _antisymmetrize(f, fld, tops, payload):
+    """Op f for Op = sum_I A_I(x;t) P_I, without dividing by a_delta.
+
+    A_I(x;t) = T_{t,I}(a_delta) / a_delta (Macdonald, SFHP VI.3), so
+        N = a_delta Op f = sum_w eps(w) x^(w.delta) sum_I t^<w.delta, I> P_I f.
+    payload(beta, w.delta) yields (alpha, a, b) when f has the monomial
+    x^alpha and P_I carries it to x^beta with weight t^a q^b; N is only
+    collected at the dominant exponents lam + delta, as integer weights on
+    (partition of alpha, a, b).  N is antisymmetric, so the weights at the
+    exponent with its first two entries swapped must be exactly the
+    negatives, or ExactDivisionError: a wrong sign or t-weight breaks it.
+    Then g = Op f solves N_(lam+delta) = sum_w eps(w) g_sort(lam+delta-w.delta),
+    unitriangular in decreasing lex order, by additions alone.  Op f is
+    supported in the dominance ideals of tops.
+    """
+    n = f.n
+    orbit = _delta_orbit(n)
+    coeffs = {pt.pad(nu, n): c for nu, c in f.coeffs.items()}
+    shapes = {}
+    monos = {}
+
+    def weights(e):
+        acc = {}
+        for s, wd in orbit:
+            beta = tuple([x - y for x, y in zip(e, wd)])
+            if min(beta) < 0:
+                continue
+            for alpha, a, b in payload(beta, wd):
+                nu = shapes.get(alpha)
+                if nu is None:
+                    nu = shapes[alpha] = tuple(sorted(alpha, reverse=True))
+                key = (nu, a, b)
+                v = acc.get(key, 0) + s
+                if v:
+                    acc[key] = v
+                else:
+                    del acc[key]
+        return acc
+
+    def value(acc):
+        by_nu = {}
+        for (nu, a, b), v in acc.items():
+            mono = monos.get((a, b))
+            if mono is None:
+                mono = monos[(a, b)] = fld.tpow(a) * fld.qpow(b)
+            if v != 1:
+                mono = fld.from_int(v) * mono
+            w = by_nu.get(nu)
+            by_nu[nu] = mono if w is None else w + mono
+        total = fld.zero
+        for nu, w in by_nu.items():
+            total = total + coeffs[nu] * w
+        return total
+
+    lams = set()
+    for d in {sum(top) for top in tops}:
+        below = [top for top in tops if sum(top) == d]
+        lams.update(pt.pad(lam, n) for lam in pt.enumerate_partitions(n, d)
+                    if any(pt.dominance_leq(lam, top) for top in below))
+    g = {}
+    for lam in sorted(lams, reverse=True):
+        e = tuple(x + y for x, y in zip(lam, orbit[0][1]))
+        acc = weights(e)
+        if n > 1 and weights((e[1], e[0]) + e[2:]) != {
+                key: -v for key, v in acc.items()}:
+            raise ExactDivisionError("a_delta * Op f is not antisymmetric "
+                                     "at x^%r" % (e,))
+        val = value(acc)
+        for s, wd in orbit[1:]:
+            mu = [x - y for x, y in zip(e, wd)]
+            if min(mu) < 0:
+                continue
+            gm = g.get(tuple(sorted(mu, reverse=True)))
+            if gm is not None:
+                val = val - gm if s > 0 else val + gm
+        if val:
+            g[lam] = val
+    return monomials_to_m(MonomialExpansion(n, g), check=False)
 
 
 def apply_D(f, rho, fld):
-    """D_n^rho f; a Vandermonde remainder raises ExactDivisionError."""
+    """D_n^rho f = sum_{|I|=rho} A_I(x;t) T_{q,I} f.
+
+    T_{t,I}(a_delta) already carries the t^(rho(rho-1)/2) of A_I.
+    """
     n = f.n
     if not 0 <= rho <= n:
         raise ValueError("need 0 <= rho <= n")
     if rho == 0:
         return f
-    g = m_to_monomials(f).terms
-    tpref = fld.tpow(rho * (rho - 1) // 2) if rho > 1 else None
+    terms = m_to_monomials(f).terms
+    subsets = list(combinations(range(n), rho))
 
-    def local():
-        for I in _subsets(n, rho):
-            iset = frozenset(I)
-            yield iset, _qshift(g, I, fld), tpref
+    def payload(beta, wd):
+        if beta in terms:
+            for I in subsets:
+                yield beta, sum([wd[i] for i in I]), sum([beta[i] for i in I])
 
-    total = _operator_core(n, local(), fld)
-    return monomials_to_m(MonomialExpansion(n, total))
+    return _antisymmetrize(f, fld, [pt.pad(nu, n) for nu in f.coeffs],
+                           payload)
 
 
 def apply_E(f, m, fld):
@@ -270,21 +251,24 @@ def apply_E(f, m, fld):
     if m < 0:
         raise ValueError("need m >= 0")
     n = f.n
-    g = m_to_monomials(f).terms
+    terms = m_to_monomials(f).terms
 
-    def local():
+    def payload(beta, wd):
         for i in range(n):
-            h = {}
-            for alpha, c in g.items():
-                e = alpha[i]
-                if e:
-                    beta = list(alpha)
-                    beta[i] += m - 1
-                    _acc(h, tuple(beta), c * fld.qint(e))
-            yield frozenset((i,)), h, None
+            e = beta[i] + 1 - m
+            if e > 0:
+                alpha = beta[:i] + (e,) + beta[i + 1:]
+                if alpha in terms:
+                    for j in range(e):
+                        yield alpha, wd[i], j
 
-    total = _operator_core(n, local(), fld)
-    return monomials_to_m(MonomialExpansion(n, total))
+    tops = set()
+    for nu in f.coeffs:
+        nu = pt.pad(nu, n)
+        tops.update(tuple(sorted(nu[:i] + (nu[i] + m - 1,) + nu[i + 1:],
+                                 reverse=True))
+                    for i in range(n) if nu[i])
+    return _antisymmetrize(f, fld, tops, payload)
 
 
 def eigenvalue_D(lam, n, fld=None):
@@ -394,6 +378,10 @@ class MacdonaldTable:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Load and check a cache: each entry must be unitriangular, live in
+        its dominance ideal and satisfy D_n^1 P = eps1(lam) P exactly over
+        Q(q, t), which determines P_lam; any failure raises ValueError.
+        """
         table = cls(int(data["n"]))
         for entry in data.get("entries", ()):
             lam = pt.parse_partition(entry["lambda"])
@@ -409,6 +397,13 @@ class MacdonaldTable:
                                       and pt.dominance_leq(mu, lam)):
                     raise ValueError("cache entry %r has support %r outside "
                                      "the dominance ideal" % (lam, mu))
+            _, cols = table.component_matrix(pt.size(lam))
+            image = SymPoly.zero(table.n)
+            for nu, c in coeffs.items():
+                image = image + SymPoly(table.n, cols[nu]).scale(c)
+            if image != f.scale(BiRatFunc.from_poly(table.eps1(lam))):
+                raise ValueError("cache entry %r fails the D_n^1 eigen "
+                                 "equation" % (lam,))
             table.entries[lam] = f
         return table
 

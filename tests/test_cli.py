@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wheelmac
 from wheelmac.cli import run
 
 
@@ -126,6 +130,54 @@ def test_usage_errors_exit_2(capsys):
         run(["nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
+    for lam in ("1,1,1", "2,x", "1,2"):
+        with pytest.raises(SystemExit) as exc:
+            run(["macd", "compute", "--n", "2", "--lambda", lam])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def _poisoned(path, edit):
+    with open(path) as fh:
+        data = json.load(fh)
+    edit(data)
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+
+
+def _set_value(lam, mu, value):
+    def edit(data):
+        entry = next(e for e in data["entries"] if e["lambda"] == lam)
+        item = next(c for c in entry["coefficients"] if c["mu"] == mu)
+        item["value"] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_value("2", "1,1", "7"),
+    lambda data: data.update(n=3),
+], ids=["wrong-coefficient", "other-n"])
+def test_poisoned_cache_exits_2(tmp_path, capsys, edit):
+    cache = str(tmp_path / "table.json")
+    code, _ = _run_json(capsys, ["macd", "compute", "--n", "2",
+                                 "--lambda", "2", "--cache", cache])
+    assert code == 0
+    _poisoned(cache, edit)
+    with pytest.raises(SystemExit) as exc:
+        run(["macd", "compute", "--n", "2", "--lambda", "2", "--cache", cache])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "cache" in captured.err
+
+
+def test_python_m_wheelmac():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "wheelmac", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: wheelmac" in done.stdout
 
 
 def test_failing_check_exits_one(capsys):

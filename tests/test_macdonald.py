@@ -1,18 +1,25 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import wheelmac
+from wheelmac import macdonald as md
 from wheelmac import partitions as pt
 from wheelmac.macdonald import (CoeffField, ExactDivisionError, MacdonaldTable,
-                                _divexact_linear, apply_D, apply_E,
+                                apply_D, apply_E,
                                 cauchy_row_check, check_integrality,
                                 eigenvalue_D, eigenvalue_e1,
                                 integral_form_factor, psi_dblprime,
                                 psi_prime, qpochhammer_ratio,
                                 specialize_P, verify_pieri)
 from wheelmac.scalars import BiRatFunc, ParameterSpec, QTPoly, UniRatFunc
-from wheelmac.symfunc import SymPoly
+from wheelmac.symfunc import SymPoly, eval_monomial_symmetric
 
 q = BiRatFunc.q()
 t = BiRatFunc.t()
@@ -30,13 +37,105 @@ def test_apply_D_examples():
     # n = 2: D_2^1 m_(1,1) = (qt + q) m_(1,1)
     out = apply_D(SymPoly.m((1, 1), 2, QTPoly.one()), 1, fldp)
     assert out == SymPoly(2, {(1, 1): QTPoly({(1, 1): 1, (1, 0): 1})})
-    # the exactness witness is the raise in the Vandermonde division:
-    # (x_1^2 - x_2^2) / (x_1 - x_2) is exact, (x_1^2 + x_2^2) / (x_1 - x_2) not
-    one_qt = QTPoly.one()
-    quot = _divexact_linear({(2, 0): one_qt, (0, 2): -one_qt}, 0, 1)
-    assert quot == {(1, 0): one_qt, (0, 1): one_qt}
+
+
+def _evaluate(f, xs):
+    return sum((c * eval_monomial_symmetric(lam, xs) for lam, c in
+                f.coeffs.items()), Fraction(0))
+
+
+def _A(I, xs, t0):
+    """A_I(x;t) = t^(r(r-1)/2) prod_{i in I, j notin I} (t x_i - x_j)/(x_i - x_j)."""
+    out = t0 ** (len(I) * (len(I) - 1) // 2)
+    for i in I:
+        for j in range(len(xs)):
+            if j not in I:
+                out *= (t0 * xs[i] - xs[j]) / (xs[i] - xs[j])
+    return out
+
+
+def _shifted(xs, I, q0):
+    return [q0 * x if i in I else x for i, x in enumerate(xs)]
+
+
+def test_operators_match_point_evaluation():
+    # oracle: the defining sums of rational functions, evaluated in Fractions
+    # at distinct positive integer x and rational (q, t), with no operator code
+    rng = random.Random(23)
+    for n in range(1, 5):
+        for _ in range(3):
+            q0 = Fraction(2 * rng.randint(1, 4) + 1, 2)
+            t0 = Fraction(-rng.randint(2, 7), rng.randint(1, 3))
+            xs = [Fraction(x) for x in rng.sample(range(1, 10), n)]
+            fld = CoeffField(Fraction(0), Fraction(1), q0, t0, Fraction)
+            f = SymPoly(n, {lam: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                            for d in rng.sample(range(6), 2)
+                            for lam in pt.enumerate_partitions(n, d)})
+            for rho in range(n + 1):
+                expect = sum((_A(I, xs, t0) * _evaluate(f, _shifted(xs, I, q0))
+                              for I in combinations(range(n), rho)), Fraction(0))
+                assert _evaluate(apply_D(f, rho, fld), xs) == expect, (n, rho)
+            fx = _evaluate(f, xs)
+            for m in range(3):
+                expect = sum((xs[i] ** m * _A((i,), xs, t0)
+                              * (_evaluate(f, _shifted(xs, (i,), q0)) - fx)
+                              / ((q0 - 1) * xs[i]) for i in range(n)),
+                             Fraction(0))
+                assert _evaluate(apply_E(f, m, fld), xs) == expect, (n, m)
+
+
+def _plant_wrong_sign(n):
+    """The a_delta table for n with the sign of one transposition flipped."""
+    orbit = list(md._delta_orbit(n))
+    s, wd = orbit[1]
+    orbit[1] = (-s, wd)
+    return orbit
+
+
+def _plant_wrong_weight(n):
+    """The a_delta table for n with the last two entries of one w.delta
+    exchanged, which changes its t-weights but not its sign."""
+    orbit = list(md._delta_orbit(n))
+    s, wd = orbit[3]
+    orbit[3] = (s, wd[:-2] + (wd[-1], wd[-2]))
+    return orbit
+
+
+@pytest.mark.parametrize("plant", [_plant_wrong_sign, _plant_wrong_weight])
+def test_antisymmetry_witness_catches_a_wrong_table(plant, monkeypatch):
+    fldp = CoeffField.generic_poly()
+    f = SymPoly(3, {lam: QTPoly.one() for lam in pt.enumerate_partitions(3, 4)})
+    monkeypatch.setitem(md._DELTA_ORBITS, 3, plant(3))
     with pytest.raises(ExactDivisionError):
-        _divexact_linear({(2, 0): one_qt, (0, 2): one_qt}, 0, 1)
+        apply_D(f, 1, fldp)
+    with pytest.raises(ExactDivisionError):
+        apply_E(f, 1, fldp)
+
+
+_WITNESS_UNDER_O = """
+from wheelmac import macdonald as md, partitions as pt
+from wheelmac.scalars import QTPoly
+from wheelmac.symfunc import SymPoly
+orbit = list(md._delta_orbit(3))
+s, wd = orbit[1]
+orbit[1] = (-s, wd)
+md._DELTA_ORBITS[3] = orbit
+f = SymPoly(3, {lam: QTPoly.one() for lam in pt.enumerate_partitions(3, 4)})
+try:
+    md.apply_D(f, 1, md.CoeffField.generic_poly())
+except md.ExactDivisionError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_antisymmetry_witness_survives_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", _WITNESS_UNDER_O],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_eigenvalue_examples():
@@ -241,10 +340,3 @@ def test_equal_eigenvalue_guard():
     assert plist == [(2,), (1, 1)]
     # eigenvalues must be distinct over Q(q,t) on the component
     assert table.eps1((2,)) != table.eps1((1, 1))
-
-
-def test_exact_division_error_is_loud():
-    from wheelmac.macdonald import _divexact_linear
-    terms = {(1, 0): QTPoly.one()}
-    with pytest.raises(ExactDivisionError):
-        _divexact_linear(terms, 0, 1)
