@@ -41,6 +41,19 @@ def _partition(text):
             "not a partition: %r (want e.g. 3,1,1)" % text) from None
 
 
+def _int_list(text):
+    """argparse type for comma-separated integers, e.g. 1,2."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "not a comma-separated list of integers: %r" % text) from None
+
+
+def _join(values):
+    return ",".join(map(str, values))
+
+
 def _fit(lam, n):
     if pt.length(lam) > n:
         raise UsageError("--lambda %s has more than %d parts"
@@ -157,6 +170,8 @@ def _cmd_wheel_subs(args):
 def _cmd_wheel_check(args):
     p = ParameterSpec(args.k, args.r)
     lam = _fit(args.lam, args.n)
+    if args.n < args.k + 1:
+        raise UsageError("a wheel needs --n >= k+1 = %d" % (args.k + 1))
     table = _load_table(args, args.n)
     f = specialize_P(lam, args.n, p, table)
     ok = wi.satisfies_wheel(f, p)
@@ -197,14 +212,24 @@ def _cmd_wheel_basis(args):
 
 def _cmd_current_relation(args):
     if args.field == "rootofunity":
-        nu = tuple(int(x) for x in args.profile.split(","))
+        nu = args.profile
+        if nu is None:
+            raise UsageError("--field rootofunity needs --profile")
+        if (len(nu) != args.r - 1 or min(nu) < 0
+                or sum(nu) != args.k + 1):
+            raise UsageError("--profile %s: want r-1 = %d non-negative "
+                             "entries summing to k+1 = %d"
+                             % (_join(nu), args.r - 1, args.k + 1))
         rel = ca.relation_rootofunity(args.d, nu, args.k, args.r)
-        profile = args.profile
+        profile = _join(nu)
     else:
-        sigma = tuple(int(x) for x in args.sigma.split(",")) if args.sigma else ()
+        sigma = args.sigma
+        if sigma is None or len(sigma) != args.k:
+            raise UsageError("--field generic needs --sigma with k = %d "
+                             "entries" % args.k)
         p = ParameterSpec(args.k, args.r)
         rel = ca.relation_generic(args.d, sigma, args.k, args.r, p)
-        profile = args.sigma or ""
+        profile = _join(sigma)
     terms = [{"partition": pt.format_partition(mu, args.k + 1),
               "coefficient": render_scalar(c)}
              for mu, c in sorted(rel.terms.items(), reverse=True)]
@@ -222,35 +247,47 @@ def _cmd_current_rank(args):
 
 
 def _cmd_current_reduce(args):
-    lam = tuple(int(x) for x in args.lam.split(","))
+    lam = args.lam
+    try:
+        pt.normalize(lam)
+    except ValueError as exc:
+        raise UsageError("--lambda: %s" % exc) from None
     out = ca.reduce_to_admissible(lam, args.k, args.r)
-    return 0, {"input": args.lam,
+    return 0, {"input": _join(lam),
                "terms": [{"partition": pt.format_partition(mu, len(lam)),
                           "coefficient": render_scalar(c)}
                          for mu, c in sorted(out.terms.items(), reverse=True)]}
 
 
-def _parse_profile(args):
-    return tuple(int(x) for x in args.b.split(","))
+def _profile(args):
+    """--b: r-1 prefix bounds, weakly increasing within 0..k."""
+    b = args.b
+    if (len(b) != args.r - 1 or list(b) != sorted(b) or b[0] < 0
+            or b[-1] > args.k):
+        raise UsageError("--b %s: want r-1 = %d bounds, weakly increasing "
+                         "within 0..%d" % (_join(b), args.r - 1, args.k))
+    return b
 
 
 def _cmd_char_chi(args):
-    chi = ca.chi_C(_parse_profile(args), args.k, args.r, args.d_max, args.n_max)
+    chi = ca.chi_C(_profile(args), args.k, args.r, args.d_max, args.n_max)
     coeffs = [[d, n, c] for (d, n), c in sorted(chi.coeffs.items())]
     return 0, {"d_max": args.d_max, "n_max": args.n_max, "coefficients": coeffs}
 
 
 def _cmd_char_recursion(args):
-    ok = ca.verify_recursion(_parse_profile(args), args.k, args.r,
-                             args.d_max, args.n_max)
-    return (0 if ok else 1), {"b": args.b, "ok": ok}
+    b = _profile(args)
+    if b[0] < 1:
+        raise UsageError("--b %s: the recursion needs b_0 >= 1" % _join(b))
+    ok = ca.verify_recursion(b, args.k, args.r, args.d_max, args.n_max)
+    return (0 if ok else 1), {"b": _join(b), "ok": ok}
 
 
 def _cmd_char_wdim(args):
     p = ParameterSpec(args.k, args.r)
-    dim = ca.W_space_dim(_parse_profile(args), args.k, args.r,
-                         args.n, args.d, p)
-    return 0, {"k": args.k, "r": args.r, "b": args.b, "n": args.n,
+    b = _profile(args)
+    dim = ca.W_space_dim(b, args.k, args.r, args.n, args.d, p)
+    return 0, {"k": args.k, "r": args.r, "b": _join(b), "n": args.n,
                "d": args.d, "w_dim": dim}
 
 
@@ -282,7 +319,7 @@ def _cmd_verify_theorem1(args):
 def _cmd_verify_prop302(args):
     p = ParameterSpec(args.k, args.r)
     if args.b:
-        profiles = [_parse_profile(args)]
+        profiles = [_profile(args)]
     else:
         from itertools import combinations_with_replacement
         profiles = list(combinations_with_replacement(range(args.k + 1),
@@ -292,7 +329,7 @@ def _cmd_verify_prop302(args):
     for b in profiles:
         good = ca.verify_prop302(b, args.k, args.r, args.d_max, args.n_max, p)
         ok = ok and good
-        results.append({"b": ",".join(map(str, b)), "ok": good})
+        results.append({"b": _join(b), "ok": good})
     return (0 if ok else 1), {"k": args.k, "r": args.r, "ok": ok,
                               "profiles": results}
 
@@ -459,8 +496,10 @@ def build_parser():
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--field", choices=("rootofunity", "generic"),
                     default="rootofunity")
-    sp.add_argument("--profile", help="residue profile nu, e.g. 1,2 (rootofunity)")
-    sp.add_argument("--sigma", help="cumulative exponents (generic)")
+    sp.add_argument("--profile", type=_int_list,
+                    help="residue profile nu, e.g. 1,2 (rootofunity)")
+    sp.add_argument("--sigma", type=_int_list,
+                    help="cumulative exponents (generic)")
     sp.set_defaults(fn=_cmd_current_relation)
     sp = cur_sub.add_parser("rank", help="graded quotient dimension")
     _add_kr(sp)
@@ -471,7 +510,7 @@ def build_parser():
     sp.set_defaults(fn=_cmd_current_rank)
     sp = cur_sub.add_parser("reduce", help="rewrite e_lambda into admissible terms")
     _add_kr(sp)
-    sp.add_argument("--lambda", dest="lam", required=True,
+    sp.add_argument("--lambda", dest="lam", type=_int_list, required=True,
                     help="all n parts, zeros included, e.g. 2,2,0")
     sp.set_defaults(fn=_cmd_current_reduce)
 
@@ -479,19 +518,20 @@ def build_parser():
     char_sub = char.add_subparsers(dest="cmd", required=True)
     sp = char_sub.add_parser("chi", help="chi^C coefficients")
     _add_kr(sp)
-    sp.add_argument("--b", required=True, help="prefix bounds, e.g. 1,2")
+    sp.add_argument("--b", type=_int_list, required=True,
+                    help="prefix bounds, e.g. 1,2")
     sp.add_argument("--d-max", type=int, default=8)
     sp.add_argument("--n-max", type=int, default=8)
     sp.set_defaults(fn=_cmd_char_chi)
     sp = char_sub.add_parser("recursion", help="character recursion in b_0")
     _add_kr(sp)
-    sp.add_argument("--b", required=True)
+    sp.add_argument("--b", type=_int_list, required=True)
     sp.add_argument("--d-max", type=int, default=8)
     sp.add_argument("--n-max", type=int, default=8)
     sp.set_defaults(fn=_cmd_char_recursion)
     sp = char_sub.add_parser("w-dim", help="dim of a W-space component")
     _add_kr(sp)
-    sp.add_argument("--b", required=True)
+    sp.add_argument("--b", type=_int_list, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.set_defaults(fn=_cmd_char_wdim)
@@ -507,7 +547,8 @@ def build_parser():
     sp.set_defaults(fn=_cmd_verify_theorem1)
     sp = ver_sub.add_parser("prop302", help="W-space dims match chi^C")
     _add_kr(sp)
-    sp.add_argument("--b", help="single profile; default all profiles")
+    sp.add_argument("--b", type=_int_list,
+                    help="single profile; default all profiles")
     sp.add_argument("--d-max", type=int, default=8)
     sp.add_argument("--n-max", type=int, default=4)
     sp.set_defaults(fn=_cmd_verify_prop302)

@@ -8,6 +8,14 @@ Four layers, each one a field:
   * ``UniRatFunc`` -- rational functions in one variable u over Q(zeta_N),
   * ``BiRatFunc`` -- rational functions in (q, t) over Q.
 
+``UniRatFunc`` and ``BiRatFunc`` share one core, ``_RatFunc``: it keeps
+num/den coprime with denominator leading coefficient 1 and implements
++, -, *, inverse, == and hash once, against five methods that ``UniPoly``
+and ``QTPoly`` both provide: ``is_one``, ``leading``, ``scale``, ``gcd``
+(normalized, so a trivial gcd is_one) and ``divexact``.  ``CycloNum`` and
+``_RatFunc`` take right subtraction, division and powers from ``_Field``,
+and every power is one square-and-multiply, ``_power``.
+
 On top of these sits ``ParameterSpec``, the resonant specialization
 t = u^((r-1)/m), q = omega1 * u^(-(k+1)/m) with m = gcd(k+1, r-1), which
 maps BiRatFunc values into UniRatFunc values and decides which exponent
@@ -55,6 +63,48 @@ def euler_phi(n):
     if m > 1:
         result -= result // m
     return result
+
+
+def _power(x, e, one):
+    """x^e for an integer e >= 0 by square-and-multiply; one is x^0."""
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return one if result is None else result
+
+
+class _Field:
+    """Subtraction from the right, division and integer powers, written
+    against the field's own +, -, *, inverse and _coerce (which maps an
+    int or Fraction into the field, and other values to None)."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, e):
+        base = self.inverse() if e < 0 else self
+        return _power(base, abs(e), self._coerce(1))
 
 
 _CYCLO_CACHE = {}
@@ -111,7 +161,7 @@ class _CycloField:
         return fld
 
 
-class CycloNum:
+class CycloNum(_Field):
     """An element of Q(zeta_N), stored in the power basis mod Phi_N."""
 
     __slots__ = ("N", "c")
@@ -176,12 +226,6 @@ class CycloNum:
             return NotImplemented
         return CycloNum(self.N, tuple(a - b for a, b in zip(self.c, o.c)))
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         return CycloNum(self.N, tuple(-a for a in self.c))
 
@@ -232,30 +276,6 @@ class CycloNum:
             q, r = _frac_poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = CycloNum.one(self.N)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def is_zero(self):
         return not any(self.c)
@@ -369,6 +389,12 @@ class UniPoly:
 
     def degree(self):
         return len(self.c) - 1  # -1 for the zero polynomial
+
+    def is_one(self):
+        if len(self.c) != 1:
+            return False
+        c = self.c[0].c
+        return c[0] == 1 and not any(c[1:])
 
     def leading(self):
         return self.c[-1]
@@ -621,14 +647,7 @@ class LaurentPoly:
         if len(self.d) == 1:
             (ea, ca), = self.d.items()
             return LaurentPoly(self.N, {ea * e: ca ** e}, _clean=True)
-        result = LaurentPoly.one(self.N)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, LaurentPoly.one(self.N))
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self.N == other.N
@@ -668,33 +687,125 @@ def _fracs_to_ints(fracs):
     return [v.numerator * (denlcm // v.denominator) for v in fracs]
 
 
-class UniRatFunc:
-    """num/den in Q(zeta_N)(u); canonical: coprime, monic denominator."""
+def _cancel(a, b):
+    """a and b divided by their gcd."""
+    g = a.gcd(b)
+    if g.is_one():
+        return a, b
+    return a.divexact(g), b.divexact(g)
 
-    __slots__ = ("N", "num", "den")
+
+class _RatFunc(_Field):
+    """num/den over a polynomial ring; canonical: num and den coprime and
+    the leading coefficient of den equal to 1.
+
+    The arithmetic is written once against the polynomial interface that
+    UniPoly and QTPoly share: is_zero, is_one, leading, scale(c), gcd
+    (normalized, so a trivial gcd is_one) and divexact.  A subclass adds
+    its constructors, _coerce and _poly_one(num), the ring's 1.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, _canonical=False):
-        N = num.N
         if den is None:
-            den = UniPoly.one(N)
-        if den.is_zero():
+            den = self._poly_one(num)
+        elif den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if not _canonical:
             if num.is_zero():
-                den = UniPoly.one(N)
-            else:
-                g = num.gcd(den)
-                if g.degree() > 0 or g.trailing_order():
-                    num = num.divexact(g)
-                    den = den.divexact(g)
+                den = self._poly_one(num)
+            elif not den.is_one():
+                num, den = _cancel(num, den)
                 lc = den.leading()
-                if lc != CycloNum.one(N):
-                    inv = lc.inverse()
+                if lc != 1:
+                    inv = 1 / lc
                     num = num.scale(inv)
                     den = den.scale(inv)
-        self.N = N
         self.num = num
         self.den = den
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if self.num.is_zero():
+            return o
+        if o.num.is_zero():
+            return self
+        a, b = self.den, o.den
+        if a.is_one() and b.is_one():
+            return type(self)(self.num + o.num, a, _canonical=True)
+        if a == b:
+            return type(self)(self.num + o.num, a)
+        g = a.gcd(b)
+        if g.is_one():
+            return type(self)(self.num * b + o.num * a, a * b)
+        da = a.divexact(g)
+        db = b.divexact(g)
+        return type(self)(self.num * db + o.num * da, da * b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(-self.num, self.den, _canonical=True)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if self.num.is_zero():
+            return self
+        if o.num.is_zero():
+            return o
+        if self.den.is_one() and o.den.is_one():
+            return type(self)(self.num * o.num, self.den, _canonical=True)
+        # cross-cancel before multiplying
+        n1, d2 = _cancel(self.num, o.den)
+        n2, d1 = _cancel(o.num, self.den)
+        return type(self)(n1 * n2, d1 * d2)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.num.is_zero():
+            raise ZeroDivisionError("inverse of zero rational function")
+        return type(self)(self.den, self.num)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.num == o.num and self.den == o.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+
+class UniRatFunc(_RatFunc):
+    """num/den in Q(zeta_N)(u); canonical: coprime, monic denominator."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _poly_one(num):
+        return UniPoly.one(num.N)
+
+    @property
+    def N(self):
+        return self.num.N
 
     @classmethod
     def const(cls, N, value):
@@ -725,124 +836,26 @@ class UniRatFunc:
             coeffs[e + shift] = coeffs[e + shift] + c
         return cls(UniPoly(N, coeffs), UniPoly.u_power(N, shift))
 
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num.c)
-
     def is_one(self):
-        return self.den.degree() == 0 and self.num == self.den
+        return self.den.is_one() and self.num.is_one()
 
     def _coerce(self, other):
-        if isinstance(other, UniRatFunc):
+        if isinstance(other, (UniRatFunc, CycloNum)):
             if other.N != self.N:
                 raise MixedFieldError("mixed cyclotomic orders")
-            return other
+            if isinstance(other, UniRatFunc):
+                return other
+            return UniRatFunc(UniPoly(self.N, (other,) if other else ()),
+                              _canonical=True)
         if isinstance(other, (int, Fraction)):
             return UniRatFunc.const(self.N, other)
-        if isinstance(other, CycloNum):
-            if other.N != self.N:
-                raise MixedFieldError("mixed cyclotomic orders")
-            return UniRatFunc(UniPoly(self.N, (other,) if not other.is_zero() else ()),
-                              _canonical=True)
         return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero():
-            return o
-        if o.is_zero():
-            return self
-        if self.den == o.den:
-            return UniRatFunc(self.num + o.num, self.den)
-        g = self.den.gcd(o.den)
-        if g.degree() == 0 and not g.trailing_order():
-            return UniRatFunc(self.num * o.den + o.num * self.den,
-                              self.den * o.den)
-        da = self.den.divexact(g)
-        db = o.den.divexact(g)
-        return UniRatFunc(self.num * db + o.num * da, da * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniRatFunc(-self.num, self.den, _canonical=True)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return UniRatFunc.zero(self.N)
-        # cross-cancel before multiplying
-        g1 = self.num.gcd(o.den)
-        g2 = o.num.gcd(self.den)
-        n1 = self.num if g1.degree() == 0 and not g1.trailing_order() else self.num.divexact(g1)
-        d2 = o.den if g1.degree() == 0 and not g1.trailing_order() else o.den.divexact(g1)
-        n2 = o.num if g2.degree() == 0 and not g2.trailing_order() else o.num.divexact(g2)
-        d1 = self.den if g2.degree() == 0 and not g2.trailing_order() else self.den.divexact(g2)
-        return UniRatFunc(n1 * n2, d1 * d2)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero rational function")
-        return UniRatFunc(self.den, self.num)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = UniRatFunc.one(self.N)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def evaluate(self, x):
         den = self.den.evaluate(x)
         if den.is_zero():
             raise ZeroDivisionError("pole at evaluation point")
         return self.num.evaluate(x) / den
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.N, self.num, self.den))
 
     def __repr__(self):
         return "UniRatFunc(%d, %s)" % (self.N, render_scalar(self))
@@ -938,8 +951,7 @@ class QTPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return QTPoly.zero()
-            other = Fraction(other)
-            return QTPoly({k: v * other for k, v in self.d.items()}, _clean=True)
+            return self.scale(Fraction(other))
         if not isinstance(other, QTPoly):
             return NotImplemented
         if not self.d or not other.d:
@@ -965,18 +977,24 @@ class QTPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        result = QTPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, QTPoly.one())
 
     def leading_key(self):
         """Largest monomial in graded lexicographic order with q > t."""
         return max(self.d, key=lambda k: (k[0] + k[1], k[0]))
+
+    def leading(self):
+        return self.d[self.leading_key()]
+
+    def scale(self, c):
+        """Multiply by a nonzero rational."""
+        return QTPoly({k: v * c for k, v in self.d.items()}, _clean=True)
+
+    def gcd(self, other):
+        return qt_gcd(self, other)
+
+    def divexact(self, other):
+        return qt_divexact(self, other)
 
     def substitute(self, q_val, t_val, one):
         """Evaluate at arbitrary ring elements (generic, not fast)."""
@@ -1319,35 +1337,15 @@ def qt_divexact(f, g):
     return QTPoly(out, _clean=True)
 
 
-class BiRatFunc:
-    """num/den in Q(q, t); canonical: coprime, graded-lex-positive denominator."""
+class BiRatFunc(_RatFunc):
+    """num/den in Q(q, t); canonical: coprime, graded-lex leading
+    coefficient of the denominator 1."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
-    def __init__(self, num, den=None, _canonical=False):
-        if den is None:
-            den = QTPoly.one()
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not _canonical:
-            if num.is_zero():
-                den = QTPoly.one()
-            elif not den.is_one():
-                g = qt_gcd(num, den)
-                if not g.is_one():
-                    num = qt_divexact(num, g)
-                    den = qt_divexact(den, g)
-                lk = den.leading_key()
-                lc = den.d[lk]
-                if den.is_constant():
-                    num = num * (1 / lc)
-                    den = QTPoly.one()
-                elif lc != 1:
-                    inv = 1 / lc
-                    num = num * inv
-                    den = den * inv
-        self.num = num
-        self.den = den
+    @staticmethod
+    def _poly_one(num):
+        return QTPoly.one()
 
     @classmethod
     def from_poly(cls, p):
@@ -1380,12 +1378,6 @@ class BiRatFunc:
         den = QTPoly.term(1, max(-a, 0), max(-b, 0))
         return cls(num, den, _canonical=True)
 
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num.d)
-
     def is_polynomial(self):
         return self.den.is_one()
 
@@ -1397,99 +1389,6 @@ class BiRatFunc:
         if isinstance(other, QTPoly):
             return BiRatFunc.from_poly(other)
         return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero():
-            return o
-        if o.is_zero():
-            return self
-        if self.den.is_one() and o.den.is_one():
-            return BiRatFunc(self.num + o.num, _canonical=True)
-        if self.den == o.den:
-            return BiRatFunc(self.num + o.num, self.den)
-        g = qt_gcd(self.den, o.den)
-        if g.is_one():
-            return BiRatFunc(self.num * o.den + o.num * self.den,
-                             self.den * o.den)
-        da = qt_divexact(self.den, g)
-        db = qt_divexact(o.den, g)
-        return BiRatFunc(self.num * db + o.num * da, da * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiRatFunc(-self.num, self.den, _canonical=True)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return BiRatFunc.zero()
-        if self.den.is_one() and o.den.is_one():
-            return BiRatFunc(self.num * o.num, _canonical=True)
-        g1 = qt_gcd(self.num, o.den)
-        g2 = qt_gcd(o.num, self.den)
-        n1 = self.num if g1.is_one() else qt_divexact(self.num, g1)
-        d2 = o.den if g1.is_one() else qt_divexact(o.den, g1)
-        n2 = o.num if g2.is_one() else qt_divexact(o.num, g2)
-        d1 = self.den if g2.is_one() else qt_divexact(self.den, g2)
-        return BiRatFunc(n1 * n2, d1 * d2)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero rational function")
-        return BiRatFunc(self.den, self.num)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = BiRatFunc.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __repr__(self):
         return "BiRatFunc(%s)" % render_scalar(self)
@@ -1610,10 +1509,6 @@ def field_arithmetic(a, b, op):
 # canonical string rendering and parsing
 # ---------------------------------------------------------------------------
 
-def _render_frac(v):
-    return str(v)
-
-
 def _render_terms(terms, varnames):
     """terms: list of (key-tuple, Fraction-or-CycloNum) sorted already."""
     parts = []
@@ -1626,11 +1521,11 @@ def _render_terms(terms, varnames):
                 factors.append("%s^%d" % (name, e))
         if isinstance(coeff, CycloNum):
             if coeff.is_rational():
-                cs = _render_frac(coeff.rational_value())
+                cs = str(coeff.rational_value())
             else:
                 cs = "(" + render_scalar(coeff) + ")"
         else:
-            cs = _render_frac(coeff)
+            cs = str(coeff)
         if factors:
             body = "*".join(factors)
             if cs == "1":
@@ -1677,7 +1572,7 @@ def _render_unipoly(f):
 def render_scalar(x):
     """Canonical text form shared by every module's JSON output."""
     if isinstance(x, (int, Fraction)):
-        return _render_frac(Fraction(x))
+        return str(Fraction(x))
     if isinstance(x, CycloNum):
         return _render_cyclo(x)
     if isinstance(x, QTPoly):

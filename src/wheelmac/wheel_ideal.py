@@ -46,13 +46,16 @@ def wheel_substitutions(k, r):
 def satisfies_wheel(f, p, fld=None):
     """True iff every wheel substitution annihilates f.
 
-    By default f has UniRatFunc coefficients; passing the CoeffField the
-    coefficients actually live in (Laurent or numeric) reroutes the
-    substitution through that ring.
+    By default f has UniRatFunc coefficients, and it is first cleared to
+    Laurent-polynomial ones (a nonzero scalar multiple, so membership is
+    unchanged); pass the CoeffField the coefficients already live in
+    (Laurent or numeric) to substitute in that ring directly.
     """
+    if f.n < p.k + 1:
+        raise ValueError("need at least k+1=%d variables, got %d"
+                         % (p.k + 1, f.n))
     if fld is None:
-        return all(wheel_substitute(f, sigma, p).is_zero()
-                   for sigma in wheel_substitutions(p.k, p.r))
+        f, fld = laurent_clear(f, p), CoeffField.laurent(p)
     return all(_wheel_substitute_fld(f, sigma, fld, p.k).is_zero()
                for sigma in wheel_substitutions(p.k, p.r))
 
@@ -192,10 +195,10 @@ def verify_stability(f, p, operators=None):
     does not move it in or out of the ideal but keeps the operator
     arithmetic free of rational-function normalization.
     """
-    if not satisfies_wheel(f, p):
-        raise ValueError("input does not satisfy the wheel condition")
     fld = CoeffField.laurent(p)
     g = laurent_clear(f, p)
+    if not satisfies_wheel(g, p, fld):
+        raise ValueError("input does not satisfy the wheel condition")
     n = f.n
     if operators is None:
         operators = [("D", rho) for rho in range(1, n + 1)] + \

@@ -135,6 +135,23 @@ def test_usage_errors_exit_2(capsys):
             run(["macd", "compute", "--n", "2", "--lambda", lam])
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+    for argv in (
+            "char chi --k 1 --r 2 --b x",
+            "verify prop302 --k 1 --r 2 --b 1,x",
+            "char w-dim --k 1 --r 3 --b 0,5 --n 2 --d 2",
+            "char recursion --k 1 --r 2 --b 0",
+            "current reduce --k 1 --r 2 --lambda 2,x",
+            "current reduce --k 1 --r 2 --lambda 1,3",
+            "current relation --k 1 --r 3 --d 2",
+            "current relation --k 1 --r 3 --d 2 --profile 1",
+            "current relation --k 1 --r 3 --d 2 --profile 1,y",
+            "current relation --k 2 --r 3 --d 2 --field generic --sigma 1",
+            "current relation --k 1 --r 3 --d 2 --field generic --sigma z",
+            "wheel check --k 2 --r 2 --n 2 --lambda 1"):
+        with pytest.raises(SystemExit) as exc:
+            run(argv.split())
+        assert exc.value.code == 2, argv
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def _poisoned(path, edit):

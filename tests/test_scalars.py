@@ -222,3 +222,93 @@ def test_inexact_integer_division_raises_under_O(num, den):
                            _INEXACT_UNDER_O % (num, den)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def _rand_frac(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _rand_cyclo(rng, N):
+    return CycloNum(N, [_rand_frac(rng) for _ in range(euler_phi(N))])
+
+
+def _rand_unipoly(rng, N, nonzero=False):
+    while True:
+        f = UniPoly(N, [_rand_cyclo(rng, N) if rng.random() < 0.6
+                        else CycloNum.zero(N) for _ in range(rng.randint(1, 3))])
+        if f or not nonzero:
+            return f
+
+
+def _rand_qtpoly(rng, nonzero=False):
+    while True:
+        f = QTPoly.zero()
+        for _ in range(rng.randint(1, 3)):
+            f = f + QTPoly.term(_rand_frac(rng), rng.randint(0, 2),
+                                rng.randint(0, 2))
+        if f or not nonzero:
+            return f
+
+
+def _cyclo_case(N):
+    return (lambda rng: _rand_cyclo(rng, N), CycloNum.one(N), "cyclo", N)
+
+
+def _unirat_case(N):
+    return (lambda rng: UniRatFunc(_rand_unipoly(rng, N),
+                                   _rand_unipoly(rng, N, nonzero=True)),
+            UniRatFunc.one(N), "u", N)
+
+
+_BIRAT_CASE = (lambda rng: BiRatFunc(_rand_qtpoly(rng),
+                                     _rand_qtpoly(rng, nonzero=True)),
+               BiRatFunc.one(), "qt", 1)
+
+
+def _assert_canonical(x):
+    """Coprime num/den, denominator leading coefficient 1, zero over 1."""
+    if isinstance(x, CycloNum):
+        assert len(x.c) == euler_phi(x.N)
+        return
+    if isinstance(x, UniRatFunc):
+        g = x.num.gcd(x.den)
+        assert g.degree() == 0 and g.leading() == CycloNum.one(x.N), x
+        assert x.den.leading() == CycloNum.one(x.N), x
+        if not x:
+            assert x.den == UniPoly.one(x.N)
+        return
+    assert qt_gcd(x.num, x.den) == QTPoly.one(), x
+    assert x.den.d[x.den.leading_key()] == 1, x
+    if not x:
+        assert x.den == QTPoly.one()
+
+
+@pytest.mark.parametrize("case", [
+    _cyclo_case(3), _cyclo_case(5), _cyclo_case(12),
+    _unirat_case(1), _unirat_case(2), _unirat_case(3), _BIRAT_CASE,
+], ids=["cyclo3", "cyclo5", "cyclo12", "unirat1", "unirat2", "unirat3",
+        "birat"])
+def test_field_axioms(case):
+    rand, one_, kind, N = case
+    rng = random.Random(11 * N + len(kind))
+    for _ in range(12):
+        a, b, c = rand(rng), rand(rng), rand(rng)
+        for x in (a, b, c, a + b, a * b, a - b, -c, b * c + a):
+            _assert_canonical(x)
+            text = render_scalar(x)
+            back = parse_scalar(text, kind, N)
+            assert back == x and render_scalar(back) == text, text
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a + b == b + a and a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert a - a == 0 and a + 0 == a and a * 1 == a and a * 0 == 0
+        assert a ** 0 == one_ and a ** 1 == a and a ** 3 == a * a * a
+        if a:
+            inv = a.inverse()
+            _assert_canonical(inv)
+            assert a * inv == one_ and inv * a == 1
+            assert a ** -1 == inv and a ** -2 == inv * inv
+            assert a ** -3 * a ** 3 == one_
+            assert b / a == b * inv and 1 / a == inv
+            _assert_canonical(b / a)

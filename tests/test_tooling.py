@@ -36,3 +36,27 @@ def test_benchmark_patch_targets_resolve():
             obj = getattr(obj, part)
         source = Path(inspect.getsourcefile(obj)).resolve()
         assert source.is_relative_to(SRC), (target["patch"], source)
+
+
+def test_no_class_binds_a_traced_function():
+    # the traced run replaces module attributes such as scalars.qt_gcd; a
+    # class attribute bound to the same function at import (gcd = qt_gcd)
+    # would keep calling the unwrapped original and drop out of the trace
+    traced = []
+    for target in json.loads(LAYERS.read_text())["targets"]:
+        module_name, _, path = target["patch"].partition(":")
+        if "." not in path:
+            module = importlib.import_module("wheelmac." + module_name)
+            traced.append((target["patch"], getattr(module, path)))
+    assert traced
+    modules = [importlib.import_module("wheelmac." + info.name)
+               for info in pkgutil.iter_modules(wheelmac.__path__)]
+    for module in modules:
+        for cls in vars(module).values():
+            if not (inspect.isclass(cls)
+                    and cls.__module__.startswith("wheelmac.")):
+                continue
+            for name, value in vars(cls).items():
+                value = getattr(value, "__func__", value)
+                for patch, fn in traced:
+                    assert value is not fn, (cls.__name__, name, patch)

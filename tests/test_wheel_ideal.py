@@ -5,8 +5,8 @@ import pytest
 
 from wheelmac import partitions as pt
 from wheelmac.linalg import EchelonBasis
-from wheelmac.macdonald import CoeffField
-from wheelmac.scalars import ParameterSpec, UniRatFunc
+from wheelmac.macdonald import CoeffField, specialize_P
+from wheelmac.scalars import ParameterSpec, PoleError, UniRatFunc
 from wheelmac.symfunc import SymPoly, wheel_substitute
 from wheelmac.wheel_ideal import (_wheel_substitute_fld, basis_I,
                                   constraint_rows, dim_J,
@@ -68,6 +68,29 @@ def test_satisfies_wheel_examples():
     f = SymPoly(2, {(2,): u, (1, 1): -(one + u * u)})
     assert satisfies_wheel(f, p)
     assert not satisfies_wheel(SymPoly.m((2,), 2, one), p)
+
+
+def test_satisfies_wheel_ignores_a_nonzero_scalar(tables):
+    # the default route clears denominators first; dividing by 1 + u must
+    # not move a specialized P_lam in or out of the ideal
+    verdicts = set()
+    for k, r, n in [(1, 2, 2), (1, 3, 3)]:
+        p = ParameterSpec(k, r)
+        scale = UniRatFunc.one(p.N) / (UniRatFunc.u(p.N) + 1)
+        for d in range(1, 5):
+            for lam in pt.enumerate_partitions(n, d):
+                try:
+                    f = specialize_P(lam, n, p, tables(n))
+                except PoleError:
+                    continue
+                verdict = satisfies_wheel(f, p)
+                assert satisfies_wheel(f.scale(scale), p) == verdict, lam
+                if pt.is_admissible(lam, k, r, n):
+                    assert verdict, lam
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+    with pytest.raises(ValueError):
+        satisfies_wheel(SymPoly.zero(1), ParameterSpec(1, 2))
 
 
 def test_dim_J_examples():
