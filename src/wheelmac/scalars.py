@@ -12,9 +12,24 @@ Four layers, each one a field:
 num/den coprime with denominator leading coefficient 1 and implements
 +, -, *, inverse, == and hash once, against five methods that ``UniPoly``
 and ``QTPoly`` both provide: ``is_one``, ``leading``, ``scale``, ``gcd``
-(normalized, so a trivial gcd is_one) and ``divexact``.  ``CycloNum`` and
-``_RatFunc`` take right subtraction, division and powers from ``_Field``,
-and every power is one square-and-multiply, ``_power``.
+(normalized, so a trivial gcd is_one) and ``divexact``.  Products after
+the cross-cancel and inverses are coprime by construction and skip the
+gcd.  ``CycloNum`` and ``_RatFunc`` take right subtraction, division and
+powers from ``_Field``, and every power is one square-and-multiply,
+``_power``.
+
+Exact scalars take ints and Fractions only: ``_exact`` turns an integral
+Fraction into an int and raises TypeError on a float (or any other type),
+so no binary expansion enters a value.  ``QTPoly`` stores what ``_exact``
+returns, so its coefficients are Python ints unless they are not
+integral, and every division of a coefficient stays exact.  A division
+that leaves a remainder raises ExactDivisionError.
+
+``qt_gcd`` works on the integer primitive parts in three steps, each one
+only when the one before cannot decide: an evaluation certificate that
+proves the common case of coprime inputs, the heuristic gcd of Char,
+Geddes and Gonnet (``_heu_gcd``, certified by exact division in Z[q, t]),
+and the primitive PRS as the fallback.
 
 On top of these sits ``ParameterSpec``, the resonant specialization
 t = u^((r-1)/m), q = omega1 * u^(-(k+1)/m) with m = gcd(k+1, r-1), which
@@ -26,6 +41,7 @@ everything here is safe to share between threads.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 __all__ = [
@@ -49,6 +65,20 @@ class PoleError(ZeroDivisionError):
 
 class ExactDivisionError(ArithmeticError):
     """An exact division left a remainder: an implementation bug."""
+
+
+def _exact(v):
+    """An exact rational in its stored form: an int, or a Fraction only
+    when it is not integral.  Floats and every other type raise TypeError,
+    so no binary expansion ever enters an exact scalar."""
+    if type(v) is int:
+        return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(v, int):
+        return int(v)
+    raise TypeError("exact scalars take an int or a Fraction, not %s"
+                    % type(v).__name__)
 
 
 def euler_phi(n):
@@ -177,8 +207,9 @@ class CycloNum(_Field):
     @classmethod
     def from_rational(cls, N, value):
         fld = _CycloField.get(N)
-        c = [Fraction(value)] + [_ZERO] * (fld.phi - 1)
-        return cls(N, c)
+        if type(value) is not Fraction:
+            value = Fraction(_exact(value))
+        return cls(N, [value] + [_ZERO] * (fld.phi - 1))
 
     @classmethod
     def zero(cls, N):
@@ -365,7 +396,7 @@ class UniPoly:
 
     @classmethod
     def const(cls, N, value):
-        if isinstance(value, (int, Fraction)):
+        if not isinstance(value, CycloNum):
             value = CycloNum.from_rational(N, value)
         return cls(N, [value])
 
@@ -466,7 +497,7 @@ class UniPoly:
     def divexact(self, other):
         q, r = self.divmod(other)
         if not r.is_zero():
-            raise ValueError("inexact univariate division")
+            raise ExactDivisionError("inexact univariate division")
         return q
 
     def monic(self):
@@ -557,7 +588,7 @@ class LaurentPoly:
     @classmethod
     def const(cls, N, value):
         if _CycloField.get(N).phi == 1:
-            return cls.monomial(N, 0, Fraction(value))
+            return cls.monomial(N, 0, Fraction(_exact(value)))
         return cls.monomial(N, 0, CycloNum.from_rational(N, value))
 
     @classmethod
@@ -707,7 +738,10 @@ class _RatFunc(_Field):
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _canonical=False):
+    def __init__(self, num, den=None, _canonical=False, _coprime=False):
+        """_canonical: num/den is already canonical.  _coprime: num and den
+        are coprime by construction, so only the denominator's leading
+        coefficient is normalized."""
         if den is None:
             den = self._poly_one(num)
         elif den.is_zero():
@@ -716,10 +750,11 @@ class _RatFunc(_Field):
             if num.is_zero():
                 den = self._poly_one(num)
             elif not den.is_one():
-                num, den = _cancel(num, den)
+                if not _coprime:
+                    num, den = _cancel(num, den)
                 lc = den.leading()
                 if lc != 1:
-                    inv = 1 / lc
+                    inv = Fraction(1) / lc
                     num = num.scale(inv)
                     den = den.scale(inv)
         self.num = num
@@ -772,17 +807,17 @@ class _RatFunc(_Field):
             return o
         if self.den.is_one() and o.den.is_one():
             return type(self)(self.num * o.num, self.den, _canonical=True)
-        # cross-cancel before multiplying
+        # cross-cancel before multiplying; n1 n2 and d1 d2 are then coprime
         n1, d2 = _cancel(self.num, o.den)
         n2, d1 = _cancel(o.num, self.den)
-        return type(self)(n1 * n2, d1 * d2)
+        return type(self)(n1 * n2, d1 * d2, _coprime=True)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        return type(self)(self.den, self.num)
+        return type(self)(self.den, self.num, _coprime=True)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -866,7 +901,11 @@ class UniRatFunc(_RatFunc):
 # ---------------------------------------------------------------------------
 
 class QTPoly:
-    """Sparse polynomial in (q, t) over Q: {(q_exp, t_exp): Fraction}."""
+    """Sparse polynomial in (q, t) over Q: {(q_exp, t_exp): coefficient}.
+
+    Every coefficient is stored as ``_exact`` returns it: an int, or a
+    Fraction only when it is not integral.
+    """
 
     __slots__ = ("d",)
 
@@ -874,12 +913,13 @@ class QTPoly:
         if d is None:
             d = {}
         if not _clean:
-            d = {k: Fraction(v) for k, v in d.items() if v}
+            exact = ((k, _exact(v)) for k, v in d.items())
+            d = {k: v for k, v in exact if v}
         self.d = d
 
     @classmethod
     def term(cls, coeff, qe=0, te=0):
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         return cls({(qe, te): coeff} if coeff else {}, _clean=True)
 
     @classmethod
@@ -905,7 +945,7 @@ class QTPoly:
         return bool(self.d)
 
     def is_one(self):
-        return self.d == {(0, 0): _ONE}
+        return self.d == {(0, 0): 1}
 
     def is_constant(self):
         return not self.d or self.d.keys() == {(0, 0)}
@@ -926,10 +966,12 @@ class QTPoly:
                 out[k] = v
             else:
                 w = w + v
-                if w:
+                if not w:
+                    del out[k]
+                elif type(w) is int:
                     out[k] = w
                 else:
-                    del out[k]
+                    out[k] = _exact(w)
         return QTPoly(out, _clean=True)
 
     __radd__ = __add__
@@ -951,7 +993,7 @@ class QTPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return QTPoly.zero()
-            return self.scale(Fraction(other))
+            return self.scale(other)
         if not isinstance(other, QTPoly):
             return NotImplemented
         if not self.d or not other.d:
@@ -972,6 +1014,10 @@ class QTPoly:
                         out[k] = w
                     else:
                         del out[k]
+        if not (_all_int(a) and _all_int(b)):
+            for k, w in out.items():
+                if type(w) is not int:
+                    out[k] = _exact(w)
         return QTPoly(out, _clean=True)
 
     __rmul__ = __mul__
@@ -981,14 +1027,18 @@ class QTPoly:
 
     def leading_key(self):
         """Largest monomial in graded lexicographic order with q > t."""
-        return max(self.d, key=lambda k: (k[0] + k[1], k[0]))
+        return max(self.d, key=_grlex)
 
     def leading(self):
         return self.d[self.leading_key()]
 
     def scale(self, c):
         """Multiply by a nonzero rational."""
-        return QTPoly({k: v * c for k, v in self.d.items()}, _clean=True)
+        c = _exact(c)
+        if type(c) is int and _all_int(self.d):
+            return QTPoly({k: v * c for k, v in self.d.items()}, _clean=True)
+        return QTPoly({k: _exact(v * c) for k, v in self.d.items()},
+                      _clean=True)
 
     def gcd(self, other):
         return qt_gcd(self, other)
@@ -1018,26 +1068,42 @@ class QTPoly:
         return "QTPoly(%s)" % render_scalar(self)
 
 
-def _qt_split_content(f):
-    """Monomial content (min q-exp, min t-exp) and the cleared int dict.
+def _grlex(k):
+    """Sort key of the graded lexicographic order with q > t."""
+    return k[0] + k[1], k[0]
 
-    Returns (qmin, tmin, scale, terms) with terms an integer-coefficient
-    dict such that f = scale * q^qmin * t^tmin * terms.
+
+def _all_int(d):
+    for v in d.values():
+        if type(v) is not int:
+            return False
+    return True
+
+
+def _qt_split_content(f):
+    """Monomial content (min q-exp, min t-exp) and the primitive int dict.
+
+    Returns (qmin, tmin, terms): terms has integer coefficients with gcd
+    1, and f is a rational multiple of q^qmin * t^tmin * terms.
     """
-    qmin = min(k[0] for k in f.d)
-    tmin = min(k[1] for k in f.d)
+    qmin = min([k[0] for k in f.d])
+    tmin = min([k[1] for k in f.d])
     denlcm = 1
     for v in f.d.values():
-        denlcm = denlcm * v.denominator // gcd(denlcm, v.denominator)
+        if type(v) is not int:
+            denlcm = denlcm * v.denominator // gcd(denlcm, v.denominator)
     numgcd = 0
     terms = {}
     for (a, b), v in f.d.items():
-        c = v.numerator * (denlcm // v.denominator)
+        if type(v) is int:
+            c = v * denlcm
+        else:
+            c = v.numerator * (denlcm // v.denominator)
         terms[(a - qmin, b - tmin)] = c
         numgcd = gcd(numgcd, c)
     if numgcd > 1:
         terms = {k: c // numgcd for k, c in terms.items()}
-    return qmin, tmin, Fraction(numgcd, denlcm), terms
+    return qmin, tmin, terms
 
 
 def _iz_content(c):
@@ -1050,17 +1116,12 @@ def _iz_content(c):
 
 
 def _iz_gcd(a, b):
-    """gcd in Z[t] of int coefficient lists (primitive part convention)."""
-    a = [x for x in a]
-    b = [x for x in b]
-    while a and not a[-1]:
-        a.pop()
-    while b and not b[-1]:
-        b.pop()
+    """gcd in Z[t] of int coefficient lists, leading coefficient positive."""
+    a, b = _iz_trim(a), _iz_trim(b)
     if not a:
-        return _iz_primitive(b)
+        return [-x for x in b] if b and b[-1] < 0 else b
     if not b:
-        return _iz_primitive(a)
+        return [-x for x in a] if a[-1] < 0 else a
     ca, cb = _iz_content(a), _iz_content(b)
     g0 = gcd(ca, cb)
     a = [x // ca for x in a]
@@ -1151,10 +1212,12 @@ def _to_tq_rows(terms):
     return rows
 
 
-def _tq_content(rows):
-    """gcd in Z[t] of all q-coefficients."""
+def _tq_content(*polys):
+    """gcd in Z[t] of all q-coefficients of the given row dicts, shortest
+    rows first so that a trivial gcd shows early."""
     g = []
-    for row in rows.values():
+    for row in sorted((row for rows in polys for row in rows.values()),
+                      key=len):
         g = _iz_gcd(g, row)
         if g == [1]:
             return g
@@ -1200,15 +1263,7 @@ def _tq_prem(a, b):
         a = [_iz_mul(r, lb) for r in a]
         off = len(a) - 1 - db
         for j in range(db + 1):
-            prod = _iz_mul(la, b[j])
-            row = a[off + j]
-            if len(row) < len(prod):
-                row.extend([0] * (len(prod) - len(row)))
-            for i, p in enumerate(prod):
-                row[i] -= p
-            while row and not row[-1]:
-                row.pop()
-            a[off + j] = row
+            a[off + j] = _iz_trim(_iz_sub(a[off + j], _iz_mul(la, b[j])))
         a.pop()
         while a and not a[-1]:
             a.pop()
@@ -1232,18 +1287,26 @@ _GCD_EVAL_POINTS = (2, 3, 5, -2, 7)
 def qt_gcd(f, g):
     """gcd of two QTPolys, normalized with positive graded-lex leading coeff.
 
-    Monomial content is split off first; on the primitive parts a cheap
-    evaluation certificate (t -> t0 keeps the q-degree of any common factor,
-    so a trivial specialized gcd proves triviality) avoids the PRS in the
-    common coprime case.  The PRS itself runs in whichever variable has the
-    smaller degree.
+    Monomial content is split off first.  On the primitive integer parts
+    three steps run in order, each only when the one before cannot decide:
+    a cheap evaluation certificate (t -> t0 keeps the q-degree of any
+    common factor, so a trivial specialized gcd proves triviality), the
+    heuristic gcd ``_heu_gcd`` (certified by exact division), and the
+    primitive PRS.  All of them run in whichever variable has the smaller
+    degree.
     """
     if f.is_zero():
         return _qt_positive(g)
     if g.is_zero():
         return _qt_positive(f)
-    qf, tf, _, fterms = _qt_split_content(f)
-    qg, tg, _, gterms = _qt_split_content(g)
+    if len(g.d) == 1:
+        f, g = g, f
+    if len(f.d) == 1:
+        (qf, tf), = f.d
+        return QTPoly.term(1, min(qf, min([k[0] for k in g.d])),
+                           min(tf, min([k[1] for k in g.d])))
+    qf, tf, fterms = _qt_split_content(f)
+    qg, tg, gterms = _qt_split_content(g)
     qm, tm = min(qf, qg), min(tf, tg)
     if len(fterms) == 1 or len(gterms) == 1:
         return QTPoly.term(1, qm, tm)
@@ -1253,10 +1316,12 @@ def qt_gcd(f, g):
         fterms = {(b, a): c for (a, b), c in fterms.items()}
         gterms = {(b, a): c for (a, b), c in gterms.items()}
         out = _qt_gcd_primitive(fterms, gterms)
-        result = QTPoly({(b + qm, a + tm): Fraction(c) for (a, b), c in out.items()})
+        result = QTPoly({(b + qm, a + tm): c for (a, b), c in out.items()},
+                        _clean=True)
     else:
         out = _qt_gcd_primitive(fterms, gterms)
-        result = QTPoly({(a + qm, b + tm): Fraction(c) for (a, b), c in out.items()})
+        result = QTPoly({(a + qm, b + tm): c for (a, b), c in out.items()},
+                        _clean=True)
     if result.is_zero():
         result = QTPoly.term(1, qm, tm)
     return _qt_positive(result)
@@ -1266,7 +1331,7 @@ def _qt_gcd_primitive(fterms, gterms):
     """gcd of integer term dicts, main variable first in the key."""
     fr = _to_tq_rows(fterms)
     gr = _to_tq_rows(gterms)
-    cont = _iz_gcd(_tq_content(fr), _tq_content(gr))
+    cont = _tq_content(fr, gr)
     fq = max(fr)
     gq = max(gr)
     trivial_q = False
@@ -1287,10 +1352,144 @@ def _qt_gcd_primitive(fterms, gterms):
     else:
         pf = {a: _iz_divexact(row, cont) if cont != [1] else row for a, row in fr.items()}
         pg = {a: _iz_divexact(row, cont) if cont != [1] else row for a, row in gr.items()}
-        rows = _tq_primitive_gcd(pf, pg)
+        rows = _heu_gcd(pf, pg)
+        if rows is None:
+            rows = _tq_primitive_gcd(pf, pg)
         if cont != [1]:
             rows = {a: _iz_mul(row, cont) for a, row in rows.items()}
     return {(a, b): c for a, row in rows.items() for b, c in enumerate(row) if c}
+
+
+_HEU_TRIES = 6
+
+
+def _heu_points(f_norm, g_norm):
+    """GCDHEU's _HEU_TRIES evaluation points for inputs of these max norms.
+
+    The first is 2 min(|f|, |g|) + 2, the bound under which the division
+    check certifies the candidate; each next one is about 2.73 times the
+    last, as Char, Geddes and Gonnet chose.
+    """
+    xi = 2 * min(f_norm, g_norm) + 2
+    for _ in range(_HEU_TRIES):
+        yield xi
+        xi = xi * 73794 // 27011
+
+
+def _heu_gcd(fr, gr):
+    """gcd of two primitive polynomials in (Z[t])[q] by GCDHEU, or None.
+
+    The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
+    1989): t is evaluated at an integer xi, the gcd of the two images in
+    Z[q] is found by the same method one level down, and each of its
+    coefficients is read back as a polynomial in t from its symmetric
+    xi-adic digits.  Every xi is at least 2 min(|f|, |g|) + 2 (max
+    norms); under that bound a primitive candidate that divides both
+    inputs exactly in Z[q, t] is their gcd, so the result is certified.
+    None when every point of _heu_points was rejected.
+    """
+    fd, gd = _rows_dense(fr), _rows_dense(gr)
+    for xi in _heu_points(_rows_norm(fd), _rows_norm(gd)):
+        image = _heu_gcd_univariate([_iz_eval(row, xi) for row in fd],
+                                    [_iz_eval(row, xi) for row in gd])
+        if image is not None:
+            cand = [_xi_adic(c, xi) for c in image]
+            cont = _iz_content([c for row in cand for c in row])
+            if cont > 1:
+                cand = [[c // cont for c in row] for row in cand]
+            if _tq_divides(fd, cand) and _tq_divides(gd, cand):
+                return {a: row for a, row in enumerate(cand) if row}
+    return None
+
+
+def _heu_gcd_univariate(a, b):
+    """gcd in Z[q] of two int coefficient lists by GCDHEU, or None.
+
+    The integer contents are split off; on the primitive parts the gcd of
+    their values at xi is read back as a polynomial from its symmetric
+    xi-adic digits and accepted only if it divides both exactly.
+    """
+    a, b = _iz_trim(a), _iz_trim(b)
+    if not a or not b:
+        return a or b
+    ca, cb = _iz_content(a), _iz_content(b)
+    c = gcd(ca, cb)
+    if ca > 1:
+        a = [x // ca for x in a]
+    if cb > 1:
+        b = [x // cb for x in b]
+    for xi in _heu_points(max(map(abs, a)), max(map(abs, b))):
+        cand = _iz_primitive(_xi_adic(gcd(_iz_eval(a, xi), _iz_eval(b, xi)),
+                                      xi))
+        if _iz_divides(a, cand) and _iz_divides(b, cand):
+            return [x * c for x in cand] if c > 1 else cand
+    return None
+
+
+def _xi_adic(g, xi):
+    """Coefficient list of the polynomial whose value at xi is g, with
+    every coefficient in the symmetric range (-xi/2, xi/2]."""
+    out = []
+    half = xi // 2
+    while g:
+        r = g % xi
+        if r > half:
+            r -= xi
+        out.append(r)
+        g = (g - r) // xi
+    return out
+
+
+def _rows_norm(rows):
+    return max(abs(c) for row in rows for c in row)
+
+
+def _iz_trim(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _iz_divides(a, b):
+    """True iff b divides a in Z[x] (a long division in ints)."""
+    try:
+        _iz_divexact(a, b)
+    except ExactDivisionError:
+        return False
+    return True
+
+
+def _tq_divides(a, b):
+    """True iff b divides a in (Z[t])[q]; a, b dense lists of Z[t] lists.
+
+    Long division with integer arithmetic only: each step divides the
+    leading row exactly in Z[t] and subtracts.
+    """
+    db, lb = len(b) - 1, b[-1]
+    a = list(a)
+    for i in range(len(a) - 1, db - 1, -1):
+        row = _iz_trim(a[i])
+        if not row:
+            continue
+        try:
+            c = _iz_divexact(row, lb)
+        except ExactDivisionError:
+            return False
+        for j in range(db):
+            if b[j]:
+                a[i - db + j] = _iz_sub(a[i - db + j], _iz_mul(c, b[j]))
+    return not any(any(row) for row in a[:db])
+
+
+def _iz_sub(a, b):
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    else:
+        a = list(a)
+    for i, x in enumerate(b):
+        a[i] -= x
+    return a
 
 
 def _iz_eval(row, x):
@@ -1309,7 +1508,12 @@ def _qt_positive(f):
 
 
 def qt_divexact(f, g):
-    """Exact division in Q[q, t] (graded-lex long division, remainder 0)."""
+    """Exact division in Q[q, t] (graded-lex long division, remainder 0).
+
+    A quotient coefficient is an int whenever the leading coefficient of g
+    divides exactly, a Fraction otherwise; ExactDivisionError when g does
+    not divide f.
+    """
     if g.is_one():
         return f
     if f.is_zero():
@@ -1319,21 +1523,38 @@ def qt_divexact(f, g):
     glk = g.leading_key()
     glc = g.d[glk]
     gq, gt = glk
-    while rem:
-        k = max(rem, key=lambda k: (k[0] + k[1], k[0]))
-        v = rem[k]
+    gitems = list(g.d.items())
+    # every new remainder term is below the current leading one, so a heap
+    # of the keys ever entered yields the leading terms in order
+    heap = [(-qe - te, -qe, te) for qe, te in rem]
+    heapify(heap)
+    while heap:
+        _, neg_qe, te = heappop(heap)
+        k = (-neg_qe, te)
+        v = rem.get(k)
+        if v is None:
+            continue
         a, b = k[0] - gq, k[1] - gt
         if a < 0 or b < 0:
-            raise ValueError("inexact bivariate division")
-        c = v / glc
+            raise ExactDivisionError("inexact bivariate division")
+        if type(v) is int and type(glc) is int and not v % glc:
+            c = v // glc
+        else:
+            c = _exact(Fraction(v) / glc)
         out[(a, b)] = c
-        for (q2, t2), v2 in g.d.items():
+        for (q2, t2), v2 in gitems:
             kk = (a + q2, b + t2)
-            w = rem.get(kk, _ZERO) - c * v2
-            if w:
+            w = rem.get(kk)
+            if w is None:
+                heappush(heap, (-kk[0] - kk[1], -kk[0], kk[1]))
+                w = 0
+            w = w - c * v2
+            if not w:
+                rem.pop(kk, None)
+            elif type(w) is int:
                 rem[kk] = w
             else:
-                rem.pop(kk, None)
+                rem[kk] = _exact(w)
     return QTPoly(out, _clean=True)
 
 
@@ -1549,7 +1770,7 @@ def _render_terms(terms, varnames):
 def _render_qtpoly(f):
     if f.is_zero():
         return "0"
-    keys = sorted(f.d, key=lambda k: (k[0] + k[1], k[0]), reverse=True)
+    keys = sorted(f.d, key=_grlex, reverse=True)
     return _render_terms([(k, f.d[k]) for k in keys], ("q", "t"))
 
 

@@ -211,3 +211,24 @@ def test_table_format(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "dim_J" in out and "{" not in out
+
+
+_WRONG_GCD_UNDER_O = """
+import sys
+from wheelmac import scalars
+from wheelmac.cli import run
+scalars.qt_gcd = lambda f, g: scalars.QTPoly.q() + 3  # divides neither
+sys.exit(run(["macd", "compute", "--n", "3", "--lambda", "2,1"]))
+"""
+
+
+def test_inexact_division_exits_3_under_O():
+    """A gcd that does not divide is an exactness violation: exit 3, with
+    the one-line message and no traceback, also under python -O."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", _WRONG_GCD_UNDER_O],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert "inexact" in done.stderr and "Traceback" not in done.stderr

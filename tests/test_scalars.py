@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 import wheelmac
-from wheelmac.scalars import (BiRatFunc, CycloNum, LaurentPoly,
-                              MixedFieldError, ParameterSpec, PoleError,
-                              QTPoly, UniPoly, UniRatFunc,
+from wheelmac import scalars
+from wheelmac.scalars import (BiRatFunc, CycloNum, ExactDivisionError,
+                              LaurentPoly, MixedFieldError, ParameterSpec,
+                              PoleError, QTPoly, UniPoly, UniRatFunc,
                               cyclotomic_polynomial, euler_phi,
                               field_arithmetic, parse_scalar, qt_divexact,
                               qt_gcd, render_scalar)
@@ -210,17 +211,57 @@ raise SystemExit(1)
 """
 
 
+def _run_under_O(code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("num, den", [
     ([1, 0, 1], [1, 2]),  # (x^2 + 1) / (2x + 1): 1/2 is not an integer
     ([1, 0, 1], [1, 1]),  # (x^2 + 1) / (x + 1): remainder 2
 ])
 def test_inexact_integer_division_raises_under_O(num, den):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-O", "-c",
-                           _INEXACT_UNDER_O % (num, den)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = _run_under_O(_INEXACT_UNDER_O % (num, den))
+    assert done.returncode == 0, done.stderr
+
+
+def _inexact_polynomial_divisions():
+    """Each call divides by a polynomial that does not divide."""
+    q_, t_ = QTPoly.q(), QTPoly.t()
+    u = UniPoly.u_power(1, 1)
+    return [
+        lambda: qt_divexact(q_ * q_ + 1, q_ + 1),  # remainder 2
+        lambda: qt_divexact(q_, t_),               # negative t-exponent
+        lambda: qt_divexact(q_ * t_ + 1, q_ * q_),
+        lambda: (u * u + UniPoly.one(1)).divexact(u + UniPoly.one(1)),
+    ]
+
+
+def test_inexact_polynomial_division_raises():
+    for divide in _inexact_polynomial_divisions():
+        with pytest.raises(ExactDivisionError):
+            divide()
+
+
+_INEXACT_POLY_UNDER_O = """
+import sys
+sys.path.insert(0, %r)
+from test_scalars import ExactDivisionError, _inexact_polynomial_divisions
+for divide in _inexact_polynomial_divisions():
+    try:
+        divide()
+    except ExactDivisionError:
+        continue
+    raise SystemExit(1)
+"""
+
+
+def test_inexact_polynomial_division_raises_under_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    done = _run_under_O(_INEXACT_POLY_UNDER_O % here)
     assert done.returncode == 0, done.stderr
 
 
@@ -312,3 +353,245 @@ def test_field_axioms(case):
             assert a ** -3 * a ** 3 == one_
             assert b / a == b * inv and 1 / a == inv
             _assert_canonical(b / a)
+
+
+def _one_minus(rng):
+    return one - BiRatFunc.qt_monomial(rng.randint(0, 3), rng.randint(0, 3))
+
+
+def _render_corpus():
+    """Seeded renderings of BiRatFunc arithmetic, of every P_lam with
+    n <= 4 and |lam| <= 6, and of their specializations."""
+    from wheelmac import partitions as pt
+    from wheelmac.macdonald import MacdonaldTable
+
+    rng = random.Random(2024)
+    lines = []
+    values = []
+    for _ in range(30):
+        a = BiRatFunc(_rand_qtpoly(rng), _rand_qtpoly(rng, nonzero=True))
+        b = _one_minus(rng) * _one_minus(rng) / (_one_minus(rng) + q * t)
+        for x in (a, b, a + b, a - b, a * b, b ** 2, -a * Fraction(3, 2)):
+            values.append(x)
+        if a:
+            values.append(b / a)
+    for n in range(1, 5):
+        table = MacdonaldTable(n)
+        for d in range(7):
+            for lam in pt.enumerate_partitions(n, d):
+                P = table.compute_P(lam)
+                for mu, c in sorted(P.coeffs.items(), reverse=True):
+                    lines.append("P %d %s %s %s" % (
+                        n, pt.format_partition(lam), pt.format_partition(mu),
+                        render_scalar(c)))
+                    if n == 4:
+                        values.append(c)
+    lines.extend("x " + render_scalar(x) for x in values)
+    for k, r in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 3)):
+        p = ParameterSpec(k, r)
+        for x in values[::3]:
+            try:
+                lines.append("s %d %d %s" % (k, r, render_scalar(p.specialize(x))))
+            except PoleError:
+                lines.append("s %d %d pole" % (k, r))
+    return "\n".join(lines)
+
+
+_RENDER_CORPUS_SHA256 = (
+    "a2168f5195c9168d7080e6e7d3d81fc481876f8acc8bf62ef15a52a417def903")
+
+
+def test_render_corpus_is_byte_identical():
+    """The canonical forms, and so every rendered output and --cache file,
+    are pinned: a change of representation must not change one byte."""
+    import hashlib
+
+    text = _render_corpus()
+    assert hashlib.sha256(text.encode()).hexdigest() == _RENDER_CORPUS_SHA256
+
+
+def test_exact_lane():
+    assert scalars._exact(3) == 3 and type(scalars._exact(3)) is int
+    assert type(scalars._exact(Fraction(6, 2))) is int
+    assert scalars._exact(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(scalars._exact(True)) is int
+    for bad in (0.5, 2.0, "1", None, 1j):
+        with pytest.raises(TypeError):
+            scalars._exact(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QTPoly({(0, 0): 0.1}),
+    lambda: BiRatFunc.const(0.1),
+    lambda: CycloNum.from_rational(3, 0.1),
+    lambda: UniRatFunc.const(1, 0.1),
+], ids=["QTPoly", "BiRatFunc.const", "CycloNum.from_rational",
+        "UniRatFunc.const"])
+def test_floats_are_rejected(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def _stored_exact(f):
+    """Every coefficient an int, or a Fraction that is not integral."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in f.d.values())
+
+
+def _rand_mixed_qtpoly(rng, nterms=4, dmax=3):
+    """Integer and half-integer coefficients, so that sums and products
+    of Fractions often come out integral."""
+    d = {}
+    for _ in range(nterms):
+        c = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 2)])
+        d[(rng.randint(0, dmax), rng.randint(0, dmax))] = c
+    return QTPoly(d)
+
+
+def test_coefficients_stay_in_the_integer_lane():
+    rng = random.Random(5)
+    half = Fraction(1, 2)
+    for _ in range(150):
+        a, b = _rand_mixed_qtpoly(rng), _rand_mixed_qtpoly(rng)
+        c = QTPoly.zero()
+        while c.is_zero():
+            c = _rand_mixed_qtpoly(rng, nterms=2, dmax=2)
+        produced = [a + b, a - b, a * b, (a * 2) * half, a.scale(half),
+                    a.scale(Fraction(4, 2)), a.scale(-1), -a, a + half + half,
+                    qt_divexact(a * c, c), qt_divexact(c * 2, c)]
+        if a and b:
+            produced.append(qt_gcd(a * c, b * c))
+        if b:
+            x = BiRatFunc(a * c, b * c)
+            y = x * BiRatFunc(b, a + 1) if a + 1 else x
+            for z in (x, y, x + y, x - y, x.inverse() if x else y):
+                produced += [z.num, z.den]
+        for f in produced:
+            assert _stored_exact(f), f.d
+    assert qt_divexact(QTPoly({(1, 0): half, (0, 0): half}),
+                       QTPoly({(1, 0): 1, (0, 0): 1})).d == {(0, 0): half}
+    assert qt_divexact(QTPoly({(1, 0): 2, (0, 0): 2}),
+                       QTPoly({(1, 0): half, (0, 0): half})).d == {(0, 0): 4}
+
+
+# -- the heuristic gcd against the PRS -------------------------------------
+
+def _planted_factor(rng):
+    """One common factor: a product of 1 - q^a t^b, a random integer
+    polynomial, an integer content or a monomial."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        f = QTPoly.one()
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.randint(0, 3), rng.randint(0, 3)
+            f = f * (QTPoly.one() - QTPoly.term(1, a, b if a or b else 1))
+        return f
+    if kind == 1:
+        f = QTPoly.zero()
+        while f.is_zero():
+            for _ in range(rng.randint(2, 4)):
+                f = f + QTPoly.term(rng.randint(-6, 6), rng.randint(0, 3),
+                                    rng.randint(0, 3))
+        return f
+    if kind == 2:
+        return QTPoly.term(rng.randint(2, 12))
+    return QTPoly.term(rng.choice([-1, 1]), rng.randint(0, 2),
+                       rng.randint(0, 2))
+
+
+def _planted_pairs(seed, count):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        g = QTPoly.one()
+        for _ in range(rng.randint(1, 3)):
+            g = g * _planted_factor(rng)
+        a = _planted_factor(rng) * _planted_factor(rng)
+        b = _planted_factor(rng) * _planted_factor(rng)
+        pairs.append((a * g, b * g))
+    return pairs
+
+
+def _terms(rows):
+    return {(a, b): c for a, row in rows.items() for b, c in enumerate(row)
+            if c}
+
+
+def test_heuristic_points_respect_the_certificate_bound():
+    for nf, ng in ((1, 1), (7, 300), (10 ** 6, 5)):
+        points = list(scalars._heu_points(nf, ng))
+        assert len(points) == scalars._HEU_TRIES
+        assert points[0] == 2 * min(nf, ng) + 2
+        assert points == sorted(set(points))
+
+
+def _norm(rows):
+    return max(abs(c) for row in rows.values() for c in row)
+
+
+def test_heuristic_gcd_agrees_with_prs(monkeypatch):
+    seen = {"heuristic": 0, "fallback": 0}
+    heu, points = scalars._heu_gcd, scalars._heu_points
+    norms = []
+
+    def recorded(f_norm, g_norm):
+        norms.append((f_norm, g_norm))
+        return points(f_norm, g_norm)
+
+    def checked(fr, gr):
+        del norms[:]
+        got = heu(fr, gr)
+        # the bivariate points are taken for the norms of these inputs
+        assert norms[0] == (_norm(fr), _norm(gr))
+        if got is None:
+            seen["fallback"] += 1
+            return None
+        seen["heuristic"] += 1
+        want = _terms(scalars._tq_primitive_gcd(fr, gr))
+        got_terms = _terms(got)
+        assert got_terms in (want, {k: -c for k, c in want.items()}), (fr, gr)
+        return got
+
+    monkeypatch.setattr(scalars, "_heu_gcd", checked)
+    monkeypatch.setattr(scalars, "_heu_points", recorded)
+    for f, g in _planted_pairs(17, 800):
+        h = qt_gcd(f, g)
+        assert qt_divexact(f, h) * h == f and qt_divexact(g, h) * h == g
+    # about 65 % of the pairs pass the cheaper steps before the heuristic
+    assert seen["heuristic"] >= 500 and seen["fallback"] == 0, seen
+
+
+def test_forced_heuristic_failure_reaches_prs(monkeypatch):
+    pairs = _planted_pairs(23, 60)
+    expected = [qt_gcd(f, g) for f, g in pairs]
+    calls = []
+    prs = scalars._tq_primitive_gcd
+
+    def counted(fr, gr):
+        calls.append(1)
+        return prs(fr, gr)
+
+    monkeypatch.setattr(scalars, "_HEU_TRIES", 0)
+    monkeypatch.setattr(scalars, "_tq_primitive_gcd", counted)
+    assert [qt_gcd(f, g) for f, g in pairs] == expected
+    assert len(calls) >= 20
+
+
+def test_planted_wrong_candidate_is_rejected(monkeypatch):
+    f = QTPoly.one() - QTPoly.term(1, 1, 2)
+    g = (QTPoly.one() + QTPoly.term(3, 2, 0)) * f
+    h = (QTPoly.term(1, 0, 1) - QTPoly.term(2, 1, 0)) * f
+    # the exact check itself
+    dense = scalars._rows_dense(scalars._to_tq_rows(g.d))
+    assert scalars._tq_divides(dense, scalars._rows_dense(
+        scalars._to_tq_rows(f.d)))
+    assert not scalars._tq_divides(dense, [[1], [0, 1]])
+    assert not scalars._tq_divides(dense, [[2], [], [0, 0, 1]])
+    # a wrong image one level down gives a candidate that must not pass
+    univariate = scalars._heu_gcd_univariate
+    monkeypatch.setattr(scalars, "_heu_gcd_univariate",
+                        lambda a, b: scalars._iz_mul(univariate(a, b), [1, 1]))
+    fr = scalars._to_tq_rows(g.d)
+    gr = scalars._to_tq_rows(h.d)
+    assert scalars._heu_gcd(fr, gr) is None
+    assert qt_gcd(g, h) == f or qt_gcd(g, h) == -f
