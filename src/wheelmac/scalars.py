@@ -1308,8 +1308,6 @@ def qt_gcd(f, g):
     qf, tf, fterms = _qt_split_content(f)
     qg, tg, gterms = _qt_split_content(g)
     qm, tm = min(qf, qg), min(tf, tg)
-    if len(fterms) == 1 or len(gterms) == 1:
-        return QTPoly.term(1, qm, tm)
     qdeg = max(max(k[0] for k in fterms), max(k[0] for k in gterms))
     tdeg = max(max(k[1] for k in fterms), max(k[1] for k in gterms))
     if tdeg < qdeg:
