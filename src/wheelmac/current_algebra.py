@@ -6,7 +6,10 @@ generated by Fourier coefficients of products of shifted currents
     e(z) e(c_1 z) ... e(c_k z),      c_i = t^i q^(sigma_i),
 
 whose z^d coefficient is  sum_{mu in pi_{k+1,d}} m_mu(1, c_1, ..., c_k) e_mu.
-At the root of unity t = 1, q = tau the same generators regroup by residue
+At the resonance each c_i is a monomial zeta^a u^b, so the coefficients
+are Laurent polynomials: ideal rows have u-power denominators, cleared by
+one u-shift (after any column projection) for the certified rank.  At the
+root of unity t = 1, q = tau the same generators regroup by residue
 profiles nu (counts of the exponents mod r-1) into integer combinations
 sum_{mu in K_d(nu)} C_mu e_mu with multinomial C_mu, and the quotient has
 the admissible monomials as a basis; reduce_to_admissible realizes the
@@ -17,10 +20,11 @@ the character recursion.
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from . import partitions as pt
 from .linalg import EchelonBasis, _clear_upower_row, rank_kernel_poly
-from .scalars import ParameterSpec, UniRatFunc
+from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
 from .symfunc import eval_monomial_symmetric
 from .wheel_ideal import wheel_substitutions
 
@@ -83,20 +87,10 @@ class CurrentVector:
 
 
 def residue_profiles(k, r):
-    """All nu = (nu_0..nu_{r-2}) of non-negative integers summing to k+1."""
-    out = []
-
-    def rec(slots, left, prefix):
-        if slots == 1:
-            out.append(tuple(prefix) + (left,))
-            return
-        for v in range(left + 1):
-            prefix.append(v)
-            rec(slots - 1, left - v, prefix)
-            prefix.pop()
-
-    rec(r - 1, k + 1, [])
-    return out
+    """All nu = (nu_0..nu_{r-2}) of non-negative integers summing to k+1, in
+    lex order: the gaps between r-2 bars placed among k+r-1 slots."""
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (k + r - 1,)))
+            for bars in combinations(range(k + r - 1), r - 2)]
 
 
 def K_d_nu(d, nu, k, r):
@@ -136,18 +130,19 @@ def relation_rootofunity(d, nu, k, r):
 
 
 def relation_generic(d, sigma, k, r, p=None):
-    """z^d coefficient of e(z) e(c_1 z) ... e(c_k z), c_i = t^i q^(sigma_i)."""
+    """z^d coefficient of e(z) e(c_1 z) ... e(c_k z), c_i = t^i q^(sigma_i).
+
+    m_mu(1, c_1, ..., c_k) is summed over LaurentPoly monomials c_i, then
+    made a canonical UniRatFunc once."""
     p = p or ParameterSpec(k, r)
-    tv, qv = p.t_value(), p.q_value()
-    values = [UniRatFunc.one(p.N)]
-    for i in range(1, k + 1):
-        values.append(tv ** i * qv ** sigma[i - 1])
-    one = UniRatFunc.one(p.N)
+    one = LaurentPoly.one(p.N)
+    values = [one] + [LaurentPoly.monomial(p.N, *p.qt_laurent(sigma[i - 1], i))
+                      for i in range(1, k + 1)]
     terms = {}
     for mu in pt.enumerate_partitions(k + 1, d):
         c = eval_monomial_symmetric(mu, values, one)
         if c:
-            terms[pt.pad(mu, k + 1)] = c
+            terms[pt.pad(mu, k + 1)] = c.to_unirat()
     return CurrentVector(k + 1, terms)
 
 
@@ -161,7 +156,9 @@ def ideal_rows(k, r, n, d, p=None, field="rootofunity"):
     Rows are e_nu * relation(d', .) for every internal degree d' <= d and
     every filler nu in pi_{n-k-1, d-d'}; for field="generic" the relations
     run over the wheel substitution sequences, at the root of unity over
-    the residue profiles.
+    the residue profiles.  A filler determines mu from the merged key, so
+    a row holds each coefficient once.  Generic rows are the nonzero wheel
+    constraint rows: UniRatFunc entries with u-power denominators.
     """
     if n < k + 1:
         return []
@@ -185,13 +182,14 @@ def ideal_rows(k, r, n, d, p=None, field="rootofunity"):
             row = [zero] * len(plist)
             for mu, c in rel.terms.items():
                 key = pt.normalize(_merge(mu, filler))
-                row[index[key]] = row[index[key]] + c
+                row[index[key]] = c
             rows.append(row)
     return rows
 
 
 def _corank_unirat_rows(rows, ncols, N):
-    """Corank of UniRatFunc rows via the certified polynomial path."""
+    """Corank of ideal rows, each cleared by one u-shift, via the
+    certified polynomial path."""
     cleared = [_clear_upower_row(row, N) for row in rows]
     rank, _ = rank_kernel_poly(cleared, ncols, N, need_kernel=False)
     return ncols - rank
@@ -423,7 +421,6 @@ def W_space_dim(b, k, r, n, d, p=None):
     keep = [i for i, lam in enumerate(plist) if lam not in killed]
     if not keep:
         return 0
-    keep_pos = {ci: j for j, ci in enumerate(keep)}
     rows = []
     for row in ideal_rows(k, r, n, d, p, field="generic"):
         proj = [row[ci] for ci in keep]

@@ -605,10 +605,7 @@ class LaurentPoly:
                             for e, c in enumerate(poly.c) if c}, _clean=True)
 
     def to_unirat(self):
-        terms = {e: c if isinstance(c, CycloNum)
-                 else CycloNum.from_rational(self.N, c)
-                 for e, c in self.d.items()}
-        return UniRatFunc.from_laurent(self.N, terms)
+        return UniRatFunc.from_laurent(self.N, self.d)
 
     def is_zero(self):
         return not self.d
@@ -781,7 +778,8 @@ class _RatFunc(_Field):
             return type(self)(self.num + o.num, a)
         g = a.gcd(b)
         if g.is_one():
-            return type(self)(self.num * b + o.num * a, a * b)
+            # a prime of a dividing n1 b + n2 a would divide n1 b: coprime
+            return type(self)(self.num * b + o.num * a, a * b, _coprime=True)
         da = a.divexact(g)
         db = b.divexact(g)
         return type(self)(self.num * db + o.num * da, da * b)
@@ -860,16 +858,17 @@ class UniRatFunc(_RatFunc):
 
     @classmethod
     def from_laurent(cls, N, terms):
-        """Build from a {u-exponent: CycloNum} map, exponents possibly < 0."""
+        """Build from a {u-exponent: nonzero coefficient} map, exponents
+        possibly < 0; canonical as built (u does not divide the numerator)."""
         if not terms:
             return cls.zero(N)
-        low = min(terms)
-        shift = -low if low < 0 else 0
-        zero = CycloNum.zero(N)
-        coeffs = [zero] * (max(terms) + shift + 1)
+        shift = max(0, -min(terms))
+        coeffs = [CycloNum.zero(N)] * (max(terms) + shift + 1)
         for e, c in terms.items():
-            coeffs[e + shift] = coeffs[e + shift] + c
-        return cls(UniPoly(N, coeffs), UniPoly.u_power(N, shift))
+            coeffs[e + shift] = (c if isinstance(c, CycloNum)
+                                 else CycloNum.from_rational(N, c))
+        return cls(UniPoly(N, coeffs), UniPoly.u_power(N, shift),
+                   _canonical=True)
 
     def is_one(self):
         return self.den.is_one() and self.num.is_one()
@@ -1047,10 +1046,12 @@ class QTPoly:
         return qt_divexact(self, other)
 
     def substitute(self, q_val, t_val, one):
-        """Evaluate at arbitrary ring elements (generic, not fast)."""
+        """Evaluate at arbitrary ring elements, each power computed once."""
+        qpow = {a: q_val ** a for a in {a for a, _ in self.d}}
+        tpow = {b: t_val ** b for b in {b for _, b in self.d}}
         acc = None
         for (a, b), v in self.d.items():
-            term = one * v * q_val ** a * t_val ** b
+            term = one * v * qpow[a] * tpow[b]
             acc = term if acc is None else acc + term
         return acc if acc is not None else one * 0
 

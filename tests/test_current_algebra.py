@@ -11,8 +11,9 @@ from wheelmac.current_algebra import (CurrentVector, K_d_nu,
                                       relation_generic, relation_rootofunity,
                                       residue_profiles, verify_prop302,
                                       verify_recursion)
-from wheelmac.linalg import in_row_span
+from wheelmac.linalg import _clear_upower_row, in_row_span
 from wheelmac.scalars import ParameterSpec, UniRatFunc
+from wheelmac.symfunc import eval_monomial_symmetric
 from wheelmac.wheel_ideal import constraint_rows, wheel_substitutions
 
 
@@ -83,6 +84,56 @@ def test_duality_with_wheel_rows():
                        for lam in plist]
                 row = rows.get((sigma, (d,)), [zero] * len(plist))
                 assert row == vec, (k, r, d, sigma)
+
+
+def test_duality_with_wheel_rows_every_n():
+    # beyond n = k+1 the wheel rows (sigma, free monomial) and the ideal
+    # rows (relation times filler) are the same vectors, built by the
+    # independent wheel_substitute route; cleared, they are what
+    # rank_kernel_poly sees
+    for k, r in [(1, 2), (1, 3), (2, 2), (2, 3)]:
+        p = ParameterSpec(k, r)
+        for n in range(k + 1, (5 if r == 2 else 4) + 1):
+            for d in range(7):
+                wheel = {tuple(row) for _, row
+                         in constraint_rows(k, r, n, d, p) if any(row)}
+                ideal = {tuple(row) for row in
+                         ideal_rows(k, r, n, d, p, field="generic")}
+                assert wheel == ideal, (k, r, n, d)
+                assert {tuple(_clear_upower_row(row, p.N)) for row in wheel} \
+                    == {tuple(_clear_upower_row(row, p.N)) for row in ideal}
+
+
+def _relation_unirat(d, sigma, k, r, p):
+    """m_mu(1, c_1, ..., c_k) summed in UniRatFunc, c_i = t^i q^(sigma_i)."""
+    one = UniRatFunc.one(p.N)
+    values = [one] + [p.t_value() ** i * p.q_value() ** sigma[i - 1]
+                      for i in range(1, k + 1)]
+    out = {}
+    for mu in pt.enumerate_partitions(k + 1, d):
+        c = eval_monomial_symmetric(mu, values, one)
+        if c:
+            out[pt.pad(mu, k + 1)] = c
+    return out
+
+
+def test_relation_generic_matches_unirat_evaluation():
+    for k, r in [(1, 2), (1, 3), (2, 2), (2, 3), (1, 4), (2, 4)]:
+        p = ParameterSpec(k, r)
+        for d in range(8):
+            for sigma in wheel_substitutions(k, r):
+                got = relation_generic(d, sigma, k, r, p).terms
+                want = _relation_unirat(d, sigma, k, r, p)
+                assert got == want, (k, r, d, sigma)
+
+
+def test_quotient_dim_generic_with_cyclotomic_coefficients():
+    # r = 4: N = 3, the relation coefficients live in Q(zeta_3)[u, 1/u]
+    p = ParameterSpec(1, 4)
+    for n in range(5):
+        for d in range(9):
+            assert quotient_dim(1, 4, n, d, p, field="generic") == \
+                pt.count_admissible(1, 4, n, d), (n, d)
 
 
 def test_quotient_dim_examples():

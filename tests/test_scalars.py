@@ -595,3 +595,51 @@ def test_planted_wrong_candidate_is_rejected(monkeypatch):
     gr = scalars._to_tq_rows(h.d)
     assert scalars._heu_gcd(fr, gr) is None
     assert qt_gcd(g, h) == f or qt_gcd(g, h) == -f
+
+
+@pytest.mark.parametrize("case", [_unirat_case(1), _unirat_case(3),
+                                  _BIRAT_CASE], ids=["unirat1", "unirat3",
+                                                     "birat"])
+def test_coprime_denominator_sums_are_canonical(case):
+    """A sum over coprime denominators is built without a gcd; it must equal
+    the same numerator and denominator canonicalized from scratch."""
+    rand, _, _, N = case
+    rng = random.Random(29 + N)
+    reached = 0
+    for _ in range(1000):
+        if reached == 40:
+            break
+        a, b = rand(rng), rand(rng)
+        if not (a and b) or a.den.is_one() or b.den.is_one() \
+                or not a.den.gcd(b.den).is_one():
+            continue
+        reached += 1
+        s = a + b
+        full = type(s)(a.num * b.den + b.num * a.den, a.den * b.den)
+        assert (s.num, s.den) == (full.num, full.den)
+        _assert_canonical(s)
+    assert reached == 40
+
+
+def _substitute_per_term(f, q_val, t_val, one):
+    """The defining formula, every power recomputed per term."""
+    acc = one * 0
+    for (a, b), v in f.d.items():
+        acc = acc + one * v * q_val ** a * t_val ** b
+    return acc
+
+
+def test_substitute_matches_per_term_formula():
+    rng = random.Random(31)
+    z = CycloNum.zeta(5)
+    u = UniRatFunc.u(3)
+    points = [
+        (Fraction(3, 2), Fraction(-2, 5), Fraction(1)),
+        (z ** 2 + 1, 3 * z - z ** 4, CycloNum.one(5)),
+        ((u + 1) / (u - 2), u * CycloNum.zeta(3), UniRatFunc.one(3)),
+    ]
+    for _ in range(25):
+        f = _rand_mixed_qtpoly(rng, nterms=6, dmax=5)
+        for q_val, t_val, one_ in points:
+            assert f.substitute(q_val, t_val, one_) == \
+                _substitute_per_term(f, q_val, t_val, one_)
