@@ -26,7 +26,7 @@ from . import partitions as pt
 from .linalg import EchelonBasis, _clear_upower_row, rank_kernel_poly
 from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
 from .symfunc import eval_monomial_symmetric
-from .wheel_ideal import wheel_substitutions
+from .wheel_ideal import _check_choice, wheel_substitutions
 
 __all__ = [
     "CurrentVector", "CharSeries", "relation_rootofunity", "relation_generic",
@@ -150,6 +150,9 @@ def _merge(a, b):
     return tuple(sorted(a + b, reverse=True))
 
 
+_FIELDS = ("rootofunity", "generic")
+
+
 def ideal_rows(k, r, n, d, p=None, field="rootofunity"):
     """Vectors spanning the (n, d) ideal component, over pi_{n,d}.
 
@@ -160,6 +163,7 @@ def ideal_rows(k, r, n, d, p=None, field="rootofunity"):
     a row holds each coefficient once.  Generic rows are the nonzero wheel
     constraint rows: UniRatFunc entries with u-power denominators.
     """
+    _check_choice("field", field, _FIELDS)
     if n < k + 1:
         return []
     plist = pt.enumerate_partitions(n, d)
@@ -197,6 +201,7 @@ def _corank_unirat_rows(rows, ncols, N):
 
 def quotient_dim(k, r, n, d, p=None, field="rootofunity"):
     """dim of the (n, d) component of R modulo the current relations."""
+    _check_choice("field", field, _FIELDS)
     ncols = len(pt.enumerate_partitions(n, d))
     if n < k + 1:
         return ncols

@@ -6,8 +6,10 @@ Two elimination paths:
     used where the entries are field elements anyway (rational matrices,
     probe mode over a cyclotomic field).
   * ``rank_kernel_poly`` -- the workhorse for tall matrices over
-    Q(zeta_N)[u]: a numeric evaluation of u picks out candidate
-    independent rows (independence at a point implies exact independence),
+    Q(zeta_N)[u]: repeated rows (such as rotation copies of wheel and
+    current-algebra rows) are dropped after their first occurrence, then
+    a numeric evaluation of u picks out candidate independent rows
+    (independence at a point implies exact independence),
     the candidates are triangularized exactly with row-content stripping,
     the kernel is read off by back-substitution, and every remaining row
     is certified against the kernel by polynomial dot products.  Any row
@@ -179,9 +181,10 @@ def rank_kernel_poly(rows, ncols, N, need_kernel=True):
 
     rows: iterable of UniPoly rows.  The kernel vectors come back as
     UniPoly rows (a scalar multiple of the reduced ones, which is all the
-    callers need).
+    callers need).  Only the first copy of a repeated row is kept: the
+    copies add no constraint and would pass the certificate anyway.
     """
-    rows = [list(r) for r in rows if any(r)]
+    rows = list(dict.fromkeys(tuple(r) for r in rows if any(r)))
     if not rows:
         kernel = []
         if need_kernel:

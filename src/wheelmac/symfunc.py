@@ -13,6 +13,7 @@ from itertools import permutations
 from math import factorial
 
 from . import partitions as pt
+from .scalars import LaurentPoly
 
 __all__ = [
     "SymPoly", "MonomialExpansion", "m_to_monomials", "monomials_to_m",
@@ -248,6 +249,10 @@ def wheel_substitute(f, sigma, p):
     collapse onto the line through x_1 and the rest stay free.  Returns
     the expansion in the free variables (slot 0 is x_1, then
     x_{k+2}, ..., x_n) with coefficients over the specialized field.
+
+    Each ratio is a monomial zeta^a u^b, so every m_lam of f collapses
+    over LaurentPoly (no normalization) and each of its coefficients is
+    made a canonical UniRatFunc once, then scaled by f's coefficient.
     """
     k, r = p.k, p.r
     sigma = tuple(sigma)
@@ -261,10 +266,17 @@ def wheel_substitute(f, sigma, p):
         prev = s
     if f.n < k + 1:
         raise ValueError("need at least k+1=%d variables, got %d" % (k + 1, f.n))
-    tv = p.t_value()
-    qv = p.q_value()
-    return _collapse_wheel(f, [tv ** i * qv ** sigma[i - 1]
-                              for i in range(1, k + 1)])
+    one = LaurentPoly.one(p.N)
+    ratios = [LaurentPoly.monomial(p.N, *p.qt_laurent(sigma[i - 1], i))
+              for i in range(1, k + 1)]
+    out = {}
+    for lam, c in f.coeffs.items():
+        g = _collapse_wheel(SymPoly.m(lam, f.n, one), ratios)
+        for key, v in g.terms.items():
+            v = v.to_unirat() if c == 1 else v.to_unirat() * c
+            w = out.get(key)
+            out[key] = v if w is None else w + v
+    return MonomialExpansion(f.n - k, out)
 
 
 def _collapse_wheel(f, ratios):

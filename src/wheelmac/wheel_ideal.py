@@ -38,6 +38,15 @@ __all__ = [
 ]
 
 
+_MODES = ("exact", "probe")
+
+
+def _check_choice(name, value, allowed):
+    if value not in allowed:
+        raise ValueError("%s must be one of %s, got %r"
+                         % (name, ", ".join(map(repr, allowed)), value))
+
+
 def wheel_substitutions(k, r):
     """All cumulative exponent sequences; count = C(k+r-1, k)."""
     return [tuple(c) for c in combinations_with_replacement(range(r), k)]
@@ -76,8 +85,8 @@ def constraint_rows(k, r, n, d, p=None, fld=None):
 
     Yields lists indexed like enumerate_partitions(n, d), with UniRatFunc
     entries (or entries evaluated in fld when probing).  Row provenance is
-    (sigma, free monomial); redundant rotation copies are kept, the kernel
-    does not depend on them.
+    (sigma, free monomial); redundant rotation copies are still yielded,
+    and rank_kernel_poly certifies each distinct row once.
     """
     p = p or ParameterSpec(k, r)
     plist = pt.enumerate_partitions(n, d)
@@ -123,6 +132,7 @@ def dim_J(k, r, n, d, p=None, mode="exact", seed=0):
     bound for the exact dimension (minors can only lose rank), computed in
     seconds instead of the exact path's polynomial elimination.
     """
+    _check_choice("mode", mode, _MODES)
     p = p or ParameterSpec(k, r)
     ncols = len(pt.enumerate_partitions(n, d))
     if n <= k:
@@ -166,6 +176,7 @@ def basis_I(k, r, n, d, p=None, table=None):
 
 def verify_theorem1(k, r, n, d, p=None, mode="exact", table=None, seed=0):
     """Check I = J on one component: inclusion witnesses plus dimensions."""
+    _check_choice("mode", mode, _MODES)
     p = p or ParameterSpec(k, r)
     admissible = pt.enumerate_admissible(k, r, n, d)
     witness_failures = []

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wheelmac import linalg
 from wheelmac import partitions as pt
 from wheelmac.current_algebra import (CurrentVector, K_d_nu,
                                       W_space_dim, chi_C,
@@ -12,7 +13,7 @@ from wheelmac.current_algebra import (CurrentVector, K_d_nu,
                                       residue_profiles, verify_prop302,
                                       verify_recursion)
 from wheelmac.linalg import _clear_upower_row, in_row_span
-from wheelmac.scalars import ParameterSpec, UniRatFunc
+from wheelmac.scalars import CycloNum, ParameterSpec, UniPoly, UniRatFunc
 from wheelmac.symfunc import eval_monomial_symmetric
 from wheelmac.wheel_ideal import constraint_rows, wheel_substitutions
 
@@ -102,6 +103,73 @@ def test_duality_with_wheel_rows_every_n():
                 assert wheel == ideal, (k, r, n, d)
                 assert {tuple(_clear_upower_row(row, p.N)) for row in wheel} \
                     == {tuple(_clear_upower_row(row, p.N)) for row in ideal}
+
+
+def _dot(row, vec):
+    acc = None
+    for a, b in zip(row, vec):
+        if a and b:
+            acc = a * b if acc is None else acc + a * b
+    return acc
+
+
+def test_rank_kernel_poly_certifies_each_distinct_row_once(monkeypatch):
+    # cleared wheel and ideal rows with repeated copies interleaved (and
+    # u-multiples, which are distinct rows): the numeric selection sees
+    # each distinct nonzero row once, and rank and kernel are those of the
+    # first occurrences.  A row that vanishes at the first probe point but
+    # is not in the span of the others fails the first certificate, so the
+    # offender loop runs.
+    adds, rounds = [], []
+    add, tri = linalg.EchelonBasis.add, linalg._triangularize_poly
+    monkeypatch.setattr(linalg.EchelonBasis, "add",
+                        lambda self, row: adds.append(1) or add(self, row))
+    monkeypatch.setattr(linalg, "_triangularize_poly",
+                        lambda rows, ncols: rounds.append(1) or tri(rows, ncols))
+    rng = random.Random(23)
+    for k, r, n, d in [(1, 2, 3, 7), (2, 2, 4, 6), (2, 3, 4, 7), (1, 4, 2, 6)]:
+        p = ParameterSpec(k, r)
+        N = p.N
+        ncols = len(pt.enumerate_partitions(n, d))
+        rows = [_clear_upower_row(row, N) for _, row
+                in constraint_rows(k, r, n, d, p)]
+        rows += [_clear_upower_row(row, N) for row
+                 in ideal_rows(k, r, n, d, p, field="generic")]
+        base_rank, base_kernel = linalg.rank_kernel_poly(rows, ncols, N)
+        assert base_kernel, (k, r, n, d)
+        # e_c times (u - u0) is zero at u0 and pairs nonzero with the kernel
+        col = next(c for c, x in enumerate(base_kernel[0]) if x)
+        u0 = linalg._PROBE_POINTS[0]
+        offender = [UniPoly.zero(N)] * ncols
+        offender[col] = UniPoly(N, [CycloNum.from_rational(N, -u0),
+                                    CycloNum.one(N)])
+        for extra, want_rank in (([], base_rank), ([offender], base_rank + 1)):
+            pool = rows + extra + [[x.shift(1) for x in row]
+                                   for row in rng.sample(rows, 3)]
+            mixed = list(pool)
+            for _ in range(2 * len(pool)):
+                mixed.insert(rng.randrange(len(mixed) + 1), rng.choice(pool))
+            first = [list(row) for row
+                     in dict.fromkeys(tuple(row) for row in mixed if any(row))]
+            del adds[:], rounds[:]
+            rank, kernel = linalg.rank_kernel_poly(mixed, ncols, N)
+            assert len(adds) == len(first), (k, r, n, d)
+            assert (len(rounds) > 1) == bool(extra), (k, r, n, d)
+            assert rank == want_rank and rank + len(kernel) == ncols
+            for row in first:
+                for vec in kernel:
+                    acc = _dot(row, vec)
+                    assert acc is None or acc.is_zero(), (k, r, n, d)
+            assert linalg.rank_kernel_poly(first, ncols, N) == (rank, kernel)
+
+
+def test_unknown_field_is_rejected():
+    for call in (lambda: ideal_rows(1, 2, 3, 2, field="generik"),
+                 lambda: ideal_rows(1, 2, 1, 2, field="generik"),
+                 lambda: quotient_dim(1, 2, 3, 2, field="Generic"),
+                 lambda: quotient_dim(1, 2, 1, 2, field="generik")):
+        with pytest.raises(ValueError, match="'rootofunity', 'generic'"):
+            call()
 
 
 def _relation_unirat(d, sigma, k, r, p):

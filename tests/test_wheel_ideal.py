@@ -6,7 +6,7 @@ import pytest
 from wheelmac import partitions as pt
 from wheelmac.linalg import EchelonBasis
 from wheelmac.macdonald import CoeffField, specialize_P
-from wheelmac.scalars import ParameterSpec, PoleError, UniRatFunc
+from wheelmac.scalars import ParameterSpec, PoleError, UniPoly, UniRatFunc
 from wheelmac.symfunc import SymPoly, wheel_substitute
 from wheelmac.wheel_ideal import (_wheel_substitute_fld, basis_I,
                                   constraint_rows, dim_J,
@@ -58,6 +58,57 @@ def test_substitution_entry_points_agree():
                 f = SymPoly(n, coeffs)
                 assert wheel_substitute(f, sigma, p) == \
                     _wheel_substitute_fld(f, sigma, fld, k), (k, r, sigma, f)
+
+
+def test_substitution_entry_points_agree_on_fractions():
+    # coefficients with denominators that are not powers of u, and r = 4,
+    # where N = 3 and the coefficients are genuine cyclotomic numbers
+    rng = random.Random(37)
+    for k, r in [(1, 2), (2, 3), (1, 4), (2, 4)]:
+        p = ParameterSpec(k, r)
+        fld = CoeffField.specialized(p)
+        u = UniRatFunc.u(p.N)
+        dens = [u + 1, u * u + 3, u ** 3 - 2 * u + 5]
+        for sigma in wheel_substitutions(k, r):
+            for _ in range(3):
+                n = rng.randint(k + 1, k + 2)
+                coeffs = {}
+                for _ in range(rng.randint(1, 4)):
+                    plist = pt.enumerate_partitions(n, rng.randint(0, 4))
+                    c = u ** rng.randint(-2, 3) * rng.randint(-5, 5) \
+                        * p.omega1 ** rng.randint(0, 2) / rng.choice(dens)
+                    coeffs[rng.choice(plist)] = c
+                f = SymPoly(n, coeffs)
+                assert wheel_substitute(f, sigma, p) == \
+                    _wheel_substitute_fld(f, sigma, fld, k), (k, r, sigma, f)
+
+
+def test_wheel_substitute_of_a_monomial_needs_no_gcd(monkeypatch):
+    # each m_lam collapses over Laurent monomials and is converted once
+    calls = []
+    gcd = UniPoly.gcd
+
+    def counting_gcd(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    monkeypatch.setattr(UniPoly, "gcd", counting_gcd)
+    for k, r in [(1, 2), (2, 3), (1, 4)]:
+        p = ParameterSpec(k, r)
+        one = UniRatFunc.one(p.N)
+        for n in (k + 1, k + 2):
+            for lam in pt.enumerate_partitions(n, 5):
+                for sigma in wheel_substitutions(k, r):
+                    wheel_substitute(SymPoly.m(lam, n, one), sigma, p)
+    assert not calls
+
+
+def test_unknown_mode_is_rejected():
+    for call in (lambda: dim_J(1, 2, 3, 2, mode="prob"),
+                 lambda: dim_J(1, 2, 1, 2, mode="Exact"),
+                 lambda: verify_theorem1(1, 2, 3, 2, mode="prob")):
+        with pytest.raises(ValueError, match="'exact', 'probe'"):
+            call()
 
 
 def test_satisfies_wheel_examples():
