@@ -13,6 +13,7 @@ assertion (an exactness witness broke, i.e. a bug).
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -595,7 +596,13 @@ def run(argv=None):
     except (ExactDivisionError, AssertionError) as exc:
         print("internal assertion failed: %s" % exc, file=sys.stderr)
         return 3
-    _emit(args, payload)
+    try:
+        _emit(args, payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: the verdict stands, and the interpreter's
+        # final flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

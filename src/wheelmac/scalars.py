@@ -651,10 +651,16 @@ class LaurentPoly:
             return LaurentPoly.zero(self.N)
         if len(b) == 1:
             (eb, cb), = b.items()
+            if cb == 1:  # a unit monomial only shifts the exponents
+                return LaurentPoly(self.N, {ea + eb: ca for ea, ca in a.items()},
+                                   _clean=True)
             return LaurentPoly(self.N, {ea + eb: ca * cb
                                         for ea, ca in a.items()}, _clean=True)
         if len(a) == 1:
             (ea, ca), = a.items()
+            if ca == 1:
+                return LaurentPoly(self.N, {ea + eb: cb for eb, cb in b.items()},
+                                   _clean=True)
             return LaurentPoly(self.N, {ea + eb: ca * cb
                                         for eb, cb in b.items()}, _clean=True)
         out = {}

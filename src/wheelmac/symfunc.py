@@ -283,25 +283,32 @@ def _collapse_wheel(f, ratios):
     """Expansion of f at x_{i+1} = ratios[i-1] * x_1 for i = 1..len(ratios).
 
     The one collapse loop behind wheel_substitute and its CoeffField
-    variant in wheel_ideal; powers of each ratio are cached for the call.
+    variant in wheel_ideal.  The shift prod_i ratios[i-1]^alpha_i of each
+    distinct head alpha[1:k+1] is built once per call from cached ratio
+    powers, so an orbit term costs at most one product.
     """
     k = len(ratios)
     powcache = [{} for _ in ratios]
+    shifts = {}
     g = m_to_monomials(f)
     out = {}
     for alpha, c in g.terms.items():
-        coeff = c
-        for i in range(1, k + 1):
-            e = alpha[i]
-            if e:
-                cache = powcache[i - 1]
-                pw = cache.get(e)
-                if pw is None:
-                    pw = cache[e] = ratios[i - 1] ** e
-                coeff = coeff * pw
-        key = (sum(alpha[: k + 1]),) + alpha[k + 1:]
+        head = alpha[1:k + 1]
+        if any(head):
+            pw = shifts.get(head)
+            if pw is None:
+                for i, e in enumerate(head):
+                    if e:
+                        cache = powcache[i]
+                        r = cache.get(e)
+                        if r is None:
+                            r = cache[e] = ratios[i] ** e
+                        pw = r if pw is None else pw * r
+                shifts[head] = pw
+            c = c * pw
+        key = (alpha[0] + sum(head),) + alpha[k + 1:]
         w = out.get(key)
-        w = coeff if w is None else w + coeff
+        w = c if w is None else w + c
         if w:
             out[key] = w
         else:

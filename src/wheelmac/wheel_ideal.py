@@ -8,7 +8,10 @@ condition when it vanishes under every substitution
 sigma running over the weakly increasing sequences in {0, ..., r-1}^k
 (the cumulative form of the exponents s_1, ..., s_{k+1} >= 0 with
 s_1 + ... + s_{k+1} = r - 1).  Only wheels of length k+1 are generated:
-longer resonant wheels contain one of these.
+longer resonant wheels contain one of these.  At the resonance
+t^(k+1) q^(r-1) = 1 the wheel closes into a cycle, so rotating
+(s_1, ..., s_{k+1}) gives the same condition; satisfies_wheel substitutes
+one sigma per rotation class, while constraint_rows keeps every sigma.
 
 dim J on the (n, d) component is computed exactly as the corank of the
 constraint matrix whose rows are indexed by (sigma, free monomial) and
@@ -59,14 +62,39 @@ def satisfies_wheel(f, p, fld=None):
     Laurent-polynomial ones (a nonzero scalar multiple, so membership is
     unchanged); pass the CoeffField the coefficients already live in
     (Laurent or numeric) to substitute in that ring directly.
+
+    One sigma per rotation class of its increment cycle is substituted.
+    With ratios c_i = t^i q^(sigma_i), rotating s by one step and starting
+    at y = c_1 x_1 gives the points c_1 x_1, ..., c_k x_1,
+    t^(k+1) q^(r-1) x_1 = x_1: the same multiset.  As f is symmetric and
+    c_1 is a unit, f vanishes on one wheel exactly when it vanishes on the
+    other.  This needs t^(k+1) q^(r-1) = 1 in fld; ValueError otherwise.
     """
-    if f.n < p.k + 1:
+    k, r = p.k, p.r
+    if f.n < k + 1:
         raise ValueError("need at least k+1=%d variables, got %d"
-                         % (p.k + 1, f.n))
+                         % (k + 1, f.n))
     if fld is None:
         f, fld = laurent_clear(f, p), CoeffField.laurent(p)
-    return all(_wheel_substitute_fld(f, sigma, fld, p.k).is_zero()
-               for sigma in wheel_substitutions(p.k, p.r))
+    if fld.tpow(k + 1) * fld.qpow(r - 1) != fld.one:
+        raise ValueError("the field does not satisfy t^%d q^%d = 1"
+                         % (k + 1, r - 1))
+    return all(_wheel_substitute_fld(f, sigma, fld, k).is_zero()
+               for sigma in _rotation_classes(k, r))
+
+
+def _rotation_classes(k, r):
+    """The first sigma of each rotation class of the increment cycle
+    (sigma_1, sigma_2 - sigma_1, ..., r-1 - sigma_k), in
+    wheel_substitutions order."""
+    seen, reps = set(), []
+    for sigma in wheel_substitutions(k, r):
+        inc = tuple(b - a for a, b in zip((0,) + sigma, sigma + (r - 1,)))
+        cyc = min(inc[i:] + inc[:i] for i in range(k + 1))
+        if cyc not in seen:
+            seen.add(cyc)
+            reps.append(sigma)
+    return reps
 
 
 def laurent_clear(f, p):

@@ -197,6 +197,27 @@ def test_python_m_wheelmac():
     assert "usage: wheelmac" in done.stdout
 
 
+def test_closed_stdout_keeps_the_verdict_code():
+    """A reader that closes the pipe early costs the output, not the exit
+    code: the verdict's 0 stands and no traceback reaches stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "wheelmac", "verify", "stability",
+             "--k", "2", "--r", "2", "--n", "3", "--d", "6", "--count", "4"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "BrokenPipeError" not in done.stderr
+
+
 def test_failing_check_exits_one(capsys):
     # (1,1) is not admissible and its specialized P is not in the ideal
     code = run(["wheel", "check", "--k", "1", "--r", "2", "--n", "2",

@@ -201,6 +201,19 @@ def test_laurent_matches_unirat():
     assert a.to_unirat() == p.q_value() + p.t_value() * Fraction(3, 2)
 
 
+def test_laurent_unit_monomial_shifts_the_exponents():
+    for N, c in [(1, Fraction(3, 2)), (2, Fraction(-4)),
+                 (3, CycloNum.zeta(3) * 5)]:
+        a = LaurentPoly(N, {-2: c, 0: c * 7, 3: c * c})
+        for e in (-3, 0, 4):
+            shifted = {x + e: v for x, v in a.d.items()}
+            unit = LaurentPoly.monomial(N, e)
+            for prod in (a * unit, unit * a):
+                assert prod.d == shifted
+                assert ([type(v) for v in prod.d.values()]
+                        == [type(v) for v in a.d.values()])
+
+
 _INEXACT_UNDER_O = """
 from wheelmac.scalars import ExactDivisionError, _iz_divexact
 try:

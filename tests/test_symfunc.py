@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from wheelmac import partitions as pt
+from wheelmac.macdonald import CoeffField
 from wheelmac.scalars import ParameterSpec, UniRatFunc
-from wheelmac.symfunc import (MonomialExpansion, SymPoly,
+from wheelmac.symfunc import (MonomialExpansion, SymPoly, _collapse_wheel,
                               eval_monomial_symmetric, m_to_monomials,
                               monomials_to_m, restrict_derivative,
                               sympoly_mul, wheel_substitute)
@@ -108,6 +109,36 @@ def test_wheel_substitute_linear():
         lhs = wheel_substitute(f + g, sigma, p)
         rhs = wheel_substitute(f, sigma, p) + wheel_substitute(g, sigma, p)
         assert lhs.terms == rhs.terms
+
+
+def _naive_collapse(f, ratios):
+    """One product per ratio power per orbit term, zero powers included."""
+    k = len(ratios)
+    out = {}
+    for alpha, c in m_to_monomials(f).terms.items():
+        for i in range(k):
+            c = c * ratios[i] ** alpha[i + 1]
+        key = (sum(alpha[:k + 1]),) + alpha[k + 1:]
+        out[key] = out[key] + c if key in out else c
+    return MonomialExpansion(f.n - k, out)
+
+
+def test_collapse_wheel_matches_a_per_term_loop():
+    rng = random.Random(61)
+    rings = [(Fraction(1), Fraction(1, 7), [Fraction(2), Fraction(-3, 5)])]
+    for k, r in [(1, 2), (2, 3), (1, 4), (2, 4)]:  # N = 1, 2, 3, 3
+        p = ParameterSpec(k, r)
+        for fld in (CoeffField.laurent(p), CoeffField.specialized(p)):
+            ratios = [fld.tpow(i) * fld.qpow(rng.randint(0, r - 1))
+                      for i in range(1, k + 1)]
+            rings.append((fld.one, fld.q, ratios))
+    for one, extra, ratios in rings:
+        k = len(ratios)
+        for _ in range(4):
+            n = rng.randint(k + 1, k + 2)
+            f = _random_sympoly(rng, n, 4).map_coeffs(
+                lambda c: one * c + extra * rng.randint(-2, 2))
+            assert _collapse_wheel(f, ratios) == _naive_collapse(f, ratios)
 
 
 def test_restrict_derivative_examples():

@@ -1,15 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from math import comb
 
 import pytest
 
+import wheelmac
 from wheelmac import partitions as pt
-from wheelmac.linalg import EchelonBasis
+from wheelmac import wheel_ideal
+from wheelmac.linalg import EchelonBasis, _clear_upower_row, rank_kernel_poly
 from wheelmac.macdonald import CoeffField, specialize_P
 from wheelmac.scalars import ParameterSpec, PoleError, UniPoly, UniRatFunc
 from wheelmac.symfunc import SymPoly, wheel_substitute
-from wheelmac.wheel_ideal import (_wheel_substitute_fld, basis_I,
-                                  constraint_rows, dim_J,
+from wheelmac.wheel_ideal import (_rotation_classes, _wheel_substitute_fld,
+                                  basis_I, constraint_rows, dim_J,
                                   laurent_clear, random_probe_point,
                                   satisfies_wheel, verify_rho_inclusion,
                                   verify_stability, verify_theorem1,
@@ -204,18 +209,144 @@ def _field_rank(rows, ncols):
     return ech.rank
 
 
+def _rotation_class(k, r, sigma):
+    """The least rotation of the increment cycle of sigma."""
+    inc = (sigma[0],) + tuple(sigma[i] - sigma[i - 1] for i in range(1, k)) \
+        + (r - 1 - sigma[-1],)
+    return min(inc[i:] + inc[:i] for i in range(k + 1))
+
+
 def _rotation_representatives(k, r):
     """One cumulative sequence per rotation class of the increment cycle."""
     reps = set()
     chosen = set()
     for sigma in wheel_substitutions(k, r):
-        inc = (sigma[0],) + tuple(sigma[i] - sigma[i - 1] for i in range(1, k)) \
-            + (r - 1 - sigma[-1],)
-        cyc = min(inc[i:] + inc[:i] for i in range(k + 1))
+        cyc = _rotation_class(k, r, sigma)
         if cyc not in chosen:
             chosen.add(cyc)
             reps.add(sigma)
     return reps
+
+
+def test_rotation_classes_match_the_oracle():
+    for k in range(1, 4):
+        for r in range(2, 6):
+            reps = _rotation_representatives(k, r)
+            assert _rotation_classes(k, r) == \
+                [s for s in wheel_substitutions(k, r) if s in reps], (k, r)
+
+
+def _every_sigma(f, p):
+    """The wheel condition checked on every sigma, not one per class."""
+    fld = CoeffField.laurent(p)
+    g = laurent_clear(f, p)
+    return all(_wheel_substitute_fld(g, sigma, fld, p.k).is_zero()
+               for sigma in wheel_substitutions(p.k, p.r))
+
+
+def _planted(k, r, n, d, p, rep):
+    """An f on (n, d) in the kernel of the rows of every class but rep's
+    that does not vanish on the wheel rep."""
+    plist = pt.enumerate_partitions(n, d)
+    cls = _rotation_class(k, r, rep)
+    rows = [_clear_upower_row(row, p.N)
+            for key, row in constraint_rows(k, r, n, d, p)
+            if _rotation_class(k, r, key[0]) != cls]
+    fld = CoeffField.laurent(p)
+    _, vecs = rank_kernel_poly(rows, len(plist), p.N)
+    for vec in vecs:
+        f = SymPoly(n, {lam: UniRatFunc(x, _canonical=True)
+                        for lam, x in zip(plist, vec)})
+        if not _wheel_substitute_fld(laurent_clear(f, p), rep, fld,
+                                     k).is_zero():
+            return f
+    raise AssertionError("no planted f on %r" % ((k, r, n, d, rep),))
+
+
+# (k, r) -> components with kernel elements, and one on which every rotation
+# class cuts out more than the others together
+_ROTATION_GRID = {
+    (1, 3): ([(2, 5), (3, 9)], (2, 4)),
+    (2, 3): ([(3, 5), (4, 7)], (3, 3)),
+    (1, 4): ([(2, 6), (2, 8)], (2, 4)),
+    (2, 4): ([(3, 5)], (3, 6)),
+    (3, 3): ([(4, 5), (5, 7)], (4, 4)),
+}
+
+
+def test_one_wheel_per_rotation_class_gives_the_same_verdict():
+    rng = random.Random(53)
+    for (k, r), (comps, planted_at) in _ROTATION_GRID.items():
+        p = ParameterSpec(k, r)
+        cases = []
+        for n, d in comps:
+            basis = wheel_kernel_basis(k, r, n, d, p)
+            assert basis
+            plist = pt.enumerate_partitions(n, d)
+            for _ in range(3):
+                f = SymPoly.zero(n)
+                for g in basis:
+                    f = f + g.scale(UniRatFunc.const(p.N, rng.randint(-4, 4)))
+                cases.append((f, True))
+                bump = SymPoly.m(rng.choice(plist), n, UniRatFunc.one(p.N))
+                cases.append((f + bump.scale(rng.choice([1, -2, 3])), None))
+        # vanishes on every class but one: a check that drops it says True
+        for rep in sorted(_rotation_representatives(k, r)):
+            cases.append((_planted(k, r, *planted_at, p, rep), False))
+        for f, expected in cases:
+            verdict = satisfies_wheel(f, p)
+            assert verdict == _every_sigma(f, p), (k, r, f)
+            assert expected is None or verdict == expected, (k, r, f)
+        assert not all(satisfies_wheel(f, p) for f, _ in cases)
+
+
+def test_satisfies_wheel_substitutes_once_per_class(monkeypatch):
+    calls = []
+    inner = wheel_ideal._wheel_substitute_fld
+
+    def counting(f, sigma, fld, k):
+        calls.append(sigma)
+        return inner(f, sigma, fld, k)
+
+    monkeypatch.setattr(wheel_ideal, "_wheel_substitute_fld", counting)
+    for (k, r), (comps, _) in _ROTATION_GRID.items():
+        p = ParameterSpec(k, r)
+        n, d = comps[0]
+        member = wheel_kernel_basis(k, r, n, d, p)[0]
+        del calls[:]
+        assert satisfies_wheel(member, p)
+        assert sorted(calls) == sorted(_rotation_representatives(k, r))
+
+
+def test_satisfies_wheel_needs_the_resonance():
+    # at (k, r) = (1, 3) the field has t^3 q^2 = u, not 1
+    f = SymPoly.zero(3)
+    with pytest.raises(ValueError, match="t\\^3 q\\^2"):
+        satisfies_wheel(f, ParameterSpec(2, 3),
+                        CoeffField.laurent(ParameterSpec(1, 3)))
+
+
+_RESONANCE_UNDER_O = """
+from wheelmac.macdonald import CoeffField
+from wheelmac.scalars import ParameterSpec
+from wheelmac.symfunc import SymPoly
+from wheelmac.wheel_ideal import satisfies_wheel
+try:
+    satisfies_wheel(SymPoly.zero(3), ParameterSpec(2, 3),
+                    CoeffField.laurent(ParameterSpec(1, 3)))
+except ValueError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_resonance_guard_survives_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", _RESONANCE_UNDER_O],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_r2_wheel_reduces_to_single_locus():
