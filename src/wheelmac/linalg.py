@@ -89,8 +89,7 @@ def in_row_span(rows, ncols, vector):
 
 # -- exact rank/kernel over Q(zeta_N)[u] with numeric row selection --------
 
-_PROBE_POINTS = (Fraction(5, 2), Fraction(7, 3), Fraction(9, 4), Fraction(3),
-                 Fraction(11, 5))
+_PROBE_POINT = Fraction(5, 2)
 
 
 def _clear_upower_row(row, N):
@@ -195,12 +194,7 @@ def rank_kernel_poly(rows, ncols, N, need_kernel=True):
                 vec[fc] = one
                 kernel.append(vec)
         return 0, kernel
-    for attempt, u0 in enumerate(_PROBE_POINTS):
-        try:
-            numeric = [[e.evaluate(u0) for e in row] for row in rows]
-            break
-        except ZeroDivisionError:  # pragma: no cover - entries are polynomials
-            continue
+    numeric = [[e.evaluate(_PROBE_POINT) for e in row] for row in rows]
     ech = EchelonBasis(ncols)
     chosen = [i for i, nrow in enumerate(numeric) if ech.add(nrow)]
     chosen_set = set(chosen)

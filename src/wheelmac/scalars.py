@@ -22,8 +22,10 @@ Exact scalars take ints and Fractions only: ``_exact`` turns an integral
 Fraction into an int and raises TypeError on a float (or any other type),
 so no binary expansion enters a value.  ``QTPoly`` stores what ``_exact``
 returns, so its coefficients are Python ints unless they are not
-integral, and every division of a coefficient stays exact.  A division
-that leaves a remainder raises ExactDivisionError.
+integral, and every division of a coefficient stays exact.  Over Q
+(phi(N) = 1) ``UniPoly`` multiplies, divides exactly and takes gcds in
+Z[u] on plain ints.  A division that leaves a remainder raises
+ExactDivisionError.
 
 ``qt_gcd`` works on the integer primitive parts in three steps, each one
 only when the one before cannot decide: an evaluation certificate that
@@ -383,7 +385,12 @@ def _frac_poly_sub(a, b):
 
 
 class UniPoly:
-    """Polynomial in u with CycloNum coefficients (ascending, normalized)."""
+    """Polynomial in u with CycloNum coefficients (ascending, normalized).
+
+    Over Q (phi(N) = 1) products, exact quotients and gcds run in Z[u]:
+    each operand is cleared to ints over one common denominator
+    (``_iz_from_unipoly``) and the result is rebuilt by ``_unipoly_from_iz``.
+    """
 
     __slots__ = ("N", "c")
 
@@ -455,8 +462,14 @@ class UniPoly:
         return UniPoly(self.N, [-a for a in self.c])
 
     def __mul__(self, other):
+        if self.N != other.N:
+            raise MixedFieldError("mixed cyclotomic orders")
         if self.is_zero() or other.is_zero():
             return UniPoly.zero(self.N)
+        if _CycloField.get(self.N).phi == 1:
+            ia, da = _iz_from_unipoly(self)
+            ib, db = _iz_from_unipoly(other)
+            return _unipoly_from_iz(self.N, _iz_mul(ia, ib), da * db)
         a, b = self.c, other.c
         zero = CycloNum.zero(self.N)
         out = [zero] * (len(a) + len(b) - 1)
@@ -495,6 +508,22 @@ class UniPoly:
         return UniPoly(self.N, quot), UniPoly(self.N, num[:dn])
 
     def divexact(self, other):
+        """self / other; ExactDivisionError if the division leaves a remainder.
+
+        Over Q the divisor is made primitive: by Gauss's lemma an exact
+        quotient of an integer polynomial by a primitive one lies in Z[u],
+        so the Z[u] long division raises on any remainder."""
+        if self.N != other.N:
+            raise MixedFieldError("mixed cyclotomic orders")
+        if _CycloField.get(self.N).phi == 1:
+            if other.is_zero():
+                raise ZeroDivisionError("polynomial division by zero")
+            ia, da = _iz_from_unipoly(self)
+            ib, db = _iz_from_unipoly(other)
+            cb = _iz_content(ib)
+            if cb > 1:
+                ib = [x // cb for x in ib]
+            return _unipoly_from_iz(self.N, _iz_divexact(ia, ib), da * cb, db)
         q, r = self.divmod(other)
         if not r.is_zero():
             raise ExactDivisionError("inexact univariate division")
@@ -516,6 +545,8 @@ class UniPoly:
         genuine cyclotomic field remainders are re-normalized to monic at
         every step.
         """
+        if self.N != other.N:
+            raise MixedFieldError("mixed cyclotomic orders")
         a, b = self, other
         if a.is_zero():
             return b.monic()
@@ -702,23 +733,30 @@ def _cyclo_slim(N, c):
     return CycloNum.from_rational(N, c)
 
 
-def _unipoly_gcd_rational(a, b):
-    """gcd over Q via the integer primitive-remainder sequence."""
-    N = a.N
-    fracs_a = [c.c[0] for c in a.c]
-    fracs_b = [c.c[0] for c in b.c]
-    ia = _fracs_to_ints(fracs_a)
-    ib = _fracs_to_ints(fracs_b)
-    g = _iz_gcd(ia, ib)
-    lead = Fraction(g[-1])
-    return UniPoly(N, [CycloNum.from_rational(N, Fraction(c) / lead) for c in g])
-
-
-def _fracs_to_ints(fracs):
-    denlcm = 1
+def _iz_from_unipoly(p):
+    """(ints, den) with p = ints / den, den the lcm of the coefficient
+    denominators; phi(N) = 1 only."""
+    fracs = [c.c[0] for c in p.c]
+    den = 1
     for v in fracs:
-        denlcm = denlcm * v.denominator // gcd(denlcm, v.denominator)
-    return [v.numerator * (denlcm // v.denominator) for v in fracs]
+        d = v.denominator
+        if den % d:
+            den = den * d // gcd(den, d)
+    return [v.numerator * (den // v.denominator) for v in fracs], den
+
+
+def _unipoly_from_iz(N, ints, den, scale=1):
+    """The UniPoly ints * scale / den, zero coefficients sharing one
+    CycloNum; phi(N) = 1 only."""
+    zero = CycloNum.zero(N)
+    return UniPoly(N, [CycloNum(N, (Fraction(c * scale, den),)) if c else zero
+                       for c in ints])
+
+
+def _unipoly_gcd_rational(a, b):
+    """Monic gcd over Q via the integer primitive-remainder sequence."""
+    g = _iz_gcd(_iz_from_unipoly(a)[0], _iz_from_unipoly(b)[0])
+    return _unipoly_from_iz(a.N, g, g[-1])
 
 
 def _cancel(a, b):

@@ -139,7 +139,7 @@ def test_rank_kernel_poly_certifies_each_distinct_row_once(monkeypatch):
         assert base_kernel, (k, r, n, d)
         # e_c times (u - u0) is zero at u0 and pairs nonzero with the kernel
         col = next(c for c, x in enumerate(base_kernel[0]) if x)
-        u0 = linalg._PROBE_POINTS[0]
+        u0 = linalg._PROBE_POINT
         offender = [UniPoly.zero(N)] * ncols
         offender[col] = UniPoly(N, [CycloNum.from_rational(N, -u0),
                                     CycloNum.one(N)])

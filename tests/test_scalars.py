@@ -245,11 +245,20 @@ def _inexact_polynomial_divisions():
     """Each call divides by a polynomial that does not divide."""
     q_, t_ = QTPoly.q(), QTPoly.t()
     u = UniPoly.u_power(1, 1)
+    u2 = UniPoly.u_power(2, 1)
+    # -6u - 6: content 6, negative leading coefficient
+    six = UniPoly.const(1, -6) * (u + UniPoly.one(1))
     return [
         lambda: qt_divexact(q_ * q_ + 1, q_ + 1),  # remainder 2
         lambda: qt_divexact(q_, t_),               # negative t-exponent
         lambda: qt_divexact(q_ * t_ + 1, q_ * q_),
         lambda: (u * u + UniPoly.one(1)).divexact(u + UniPoly.one(1)),
+        lambda: (u * u + UniPoly.one(1)).divexact(six),  # remainder 2
+        lambda: (u * u + UniPoly.const(1, Fraction(1, 2))).divexact(six),
+        # (u^3 - u/3 + 1) / (2u^2 - 2): remainder 2u/3 + 1 over Q(zeta_2)
+        lambda: (u2 * u2 * u2 - u2.scale(Fraction(1, 3)) + UniPoly.one(2))
+        .divexact(UniPoly.const(2, 2) * u2 * u2 - UniPoly.const(2, 2)),
+        lambda: u2.divexact(u2 * u2),  # deg a < deg b
     ]
 
 
@@ -656,3 +665,135 @@ def test_substitute_matches_per_term_formula():
         for q_val, t_val, one_ in points:
             assert f.substitute(q_val, t_val, one_) == \
                 _substitute_per_term(f, q_val, t_val, one_)
+
+
+# -- the Z[u] lane of UniPoly against a schoolbook reference ---------------
+
+def _ref_coeffs(f):
+    """Coefficients as the reference sees them: Fractions over Q, else
+    CycloNums."""
+    return [c.c[0] for c in f.c] if euler_phi(f.N) == 1 else list(f.c)
+
+
+def _ref_trim(c):
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _ref_mul(a, b, zero):
+    out = [zero] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b, zero):
+    rem = list(a)
+    quot = [zero] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        quot[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] = rem[i + j] - c * y
+    return _ref_trim(quot), _ref_trim(rem)
+
+
+def _ref_gcd(a, b, zero):
+    while b:
+        a, b = b, _ref_divmod(a, b, zero)[1]
+    return [x / a[-1] for x in a] if a else a
+
+
+def _lane_poly(rng, N, deg):
+    """Denominators, internal zeros, and a nonzero leading coefficient."""
+    coeffs = [_rand_cyclo(rng, N) if rng.random() < 0.7 else CycloNum.zero(N)
+              for _ in range(deg)]
+    lead = CycloNum.zero(N)
+    while not lead:
+        lead = _rand_cyclo(rng, N)
+    return UniPoly(N, coeffs + [lead])
+
+
+def _lane_pairs(N, seed, count=60):
+    """Random pairs, one side often zero, scaled by a negative or
+    non-integral content, or sharing a factor; plus the product
+    (1 + u)(1 - u), whose middle coefficient cancels to zero."""
+    rng = random.Random(seed)
+    u, one_ = UniPoly.u_power(N, 1), UniPoly.one(N)
+    pairs = [(one_ + u, one_ - u), (UniPoly.zero(N), UniPoly.zero(N))]
+    for _ in range(count):
+        a = _lane_poly(rng, N, rng.randint(0, 4))
+        b = _lane_poly(rng, N, rng.randint(0, 3))
+        roll = rng.random()
+        if roll < 0.15:
+            a = UniPoly.zero(N)
+        elif roll < 0.45:
+            b = b.scale(rng.choice([-6, -2, 4, Fraction(-9, 2), Fraction(6, 5)]))
+        elif roll < 0.7:
+            common = _lane_poly(rng, N, rng.randint(1, 2))
+            a, b = a * common, b * common
+        pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_unipoly_lane_matches_schoolbook_reference(N):
+    zero = Fraction(0) if euler_phi(N) == 1 else CycloNum.zero(N)
+    inexact = 0
+    for a, b in _lane_pairs(N, seed=40 + N):
+        ra, rb = _ref_coeffs(a), _ref_coeffs(b)
+        for x, y, rx, ry in ((a, b, ra, rb), (b, a, rb, ra)):
+            prod = x * y
+            assert _ref_coeffs(prod) == _ref_mul(rx, ry, zero)
+            assert all(type(c) is CycloNum and c.N == N for c in prod.c)
+            assert _ref_coeffs(x.gcd(y)) == _ref_gcd(rx, ry, zero)
+            if not y:
+                with pytest.raises(ZeroDivisionError):
+                    x.divexact(y)
+                continue
+            assert _ref_coeffs(prod.divexact(y)) == rx
+            quot, rem = _ref_divmod(rx, ry, zero)
+            if rem:
+                inexact += 1
+                with pytest.raises(ExactDivisionError):
+                    x.divexact(y)
+            else:
+                assert _ref_coeffs(x.divexact(y)) == quot
+    assert inexact > 20
+
+
+def test_unipoly_lane_makes_no_cyclonum_products(monkeypatch):
+    products = []
+    real = CycloNum.__mul__
+
+    def counted(self, other):
+        products.append(self.N)
+        return real(self, other)
+
+    monkeypatch.setattr(CycloNum, "__mul__", counted)
+    monkeypatch.setattr(CycloNum, "__rmul__", counted)
+    for N in (1, 2):
+        for a, b in _lane_pairs(N, seed=N, count=30):
+            del products[:]
+            prod = a * b
+            if b:
+                prod.divexact(b)
+                if a:
+                    prod.divexact(a)
+            assert products == [], (N, a, b)
+    a, b = _lane_pairs(3, seed=3, count=1)[-1]
+    a * b
+    assert products, "the phi(N) > 1 path multiplies CycloNums"
+
+
+def test_unipoly_mixed_orders_raise():
+    a = UniPoly(1, [CycloNum.one(1), CycloNum.from_rational(1, 2)])
+    b = UniPoly(2, [CycloNum.from_rational(2, 3), CycloNum.one(2)])
+    for op in (lambda: a.gcd(b), lambda: b.gcd(a), lambda: a * b,
+               lambda: a.divexact(b), lambda: a + b,
+               lambda: a.gcd(UniPoly.zero(2)), lambda: a * UniPoly.zero(2)):
+        with pytest.raises(MixedFieldError):
+            op()
