@@ -363,6 +363,12 @@ def _cmd_verify_rho(args):
     p = ParameterSpec(args.k, args.r)
     n = args.n if args.n else args.k + 2
     lam = _fit(args.lam, n)
+    if n < args.k + 2:
+        raise UsageError("the restriction needs --n >= k+2 = %d" % (args.k + 2))
+    if not pt.is_admissible(lam, args.k, args.r, n):
+        raise UsageError("--lambda %s is not (k=%d, r=%d)-admissible in %d "
+                         "variables" % (pt.format_partition(lam), args.k,
+                                        args.r, n))
     table = _load_table(args, n)
     ok = wi.verify_rho_inclusion(lam, args.k, args.r, n, args.j_max, p, table)
     _save_table(args, table)

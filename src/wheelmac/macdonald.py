@@ -20,15 +20,17 @@ two entries swapped must be exactly the negatives, or ExactDivisionError
 P_lam itself is found from the eigenvalue problem for D_n^1 by
 back-substitution against the dominance-triangular matrix of the operator
 in the monomial-symmetric basis, always over the generic field Q(q, t);
-specializing the coefficients is a separate, final step.
+specializing the coefficients is a separate, final step.  Each coefficient
+is summed as one numerator over a running lcm of denominators and made
+canonical once, so integrality is a division test on its denominator.
 """
 
 from itertools import combinations, permutations
 
 from . import partitions as pt
 from .scalars import (BiRatFunc, CycloNum, ExactDivisionError, LaurentPoly,
-                      PoleError, QTPoly, UniRatFunc, render_scalar,
-                      parse_scalar)
+                      PoleError, QTPoly, UniRatFunc, qt_divexact,
+                      render_scalar, parse_scalar)
 from .symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
                       monomials_to_m, sympoly_mul)
 
@@ -334,6 +336,9 @@ class MacdonaldTable:
         return cached
 
     def compute_P(self, lam):
+        """P_lam = sum_mu u_mu m_mu with u_lam = 1 and u_mu = sum_nu u_nu
+        <m_mu> D m_nu / (eps1(lam) - eps1(mu)); the sum is num/den over the
+        lcm of the u_nu denominators, made canonical once."""
         lam = pt.normalize(lam)
         if pt.length(lam) > self.n:
             raise ValueError("partition %r does not fit in %d variables"
@@ -346,19 +351,29 @@ class MacdonaldTable:
         u = {lam: BiRatFunc.one()}
         start = plist.index(lam)
         for mu in plist[start + 1:]:
-            acc = BiRatFunc.zero()
+            num = den = None
             for nu, unu in u.items():
                 entry = cols[nu].get(mu)
-                if entry is not None:
-                    acc = acc + unu * entry
-            if acc.is_zero():
+                if entry is None:
+                    continue
+                term, b = unu.num * entry, unu.den
+                if num is None:
+                    num, den = term, b
+                elif b == den:
+                    num = num + term
+                else:
+                    g = den.gcd(b)
+                    b = b.divexact(g)
+                    num = num * b + term * den.divexact(g)
+                    den = den * b
+            if num is None or num.is_zero():
                 continue
             diff = eps_lam - self.eps1(mu)
             if diff.is_zero():
                 raise ExactDivisionError(
                     "equal D_n^1 eigenvalues for %r and %r over Q(q,t)"
                     % (lam, mu))
-            u[mu] = acc / BiRatFunc.from_poly(diff)
+            u[mu] = BiRatFunc(num, den * diff)
         result = SymPoly(self.n, u)
         self.entries[lam] = result
         return result
@@ -535,11 +550,22 @@ def integral_form_factor(lam):
 
 
 def check_integrality(lam, n, table=None):
-    """True iff c_lam P_lam has polynomial coefficients (in lowest terms)."""
+    """True iff c_lam P_lam has polynomial coefficients (in lowest terms).
+
+    A stored coefficient num/den is canonical, so num and den are coprime
+    and c_lam num/den is a polynomial exactly when den divides c_lam.  If
+    den | c_lam the product is a polynomial whatever num is, so the test
+    never answers True wrongly.
+    """
     table = table if table is not None else MacdonaldTable(n)
-    c = integral_form_factor(lam)
+    c = integral_form_factor(lam).num
     P = table.compute_P(lam)
-    return all((c * coeff).is_polynomial() for coeff in P.coeffs.values())
+    try:
+        for coeff in P.coeffs.values():
+            qt_divexact(c, coeff.den)
+    except ExactDivisionError:
+        return False
+    return True
 
 
 def specialize_P(lam, n, p, table=None):

@@ -44,7 +44,7 @@ everything here is safe to share between threads.
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "CycloNum", "UniPoly", "UniRatFunc", "LaurentPoly", "QTPoly", "BiRatFunc",
@@ -1090,11 +1090,27 @@ class QTPoly:
         return qt_divexact(self, other)
 
     def substitute(self, q_val, t_val, one):
-        """Evaluate at arbitrary ring elements, each power computed once."""
-        qpow = {a: q_val ** a for a in {a for a, _ in self.d}}
-        tpow = {b: t_val ** b for b in {b for _, b in self.d}}
+        """Evaluate at (q_val, t_val), one being the ring's 1.  A rational
+        point (ints or Fractions, one == Fraction(1)) takes one integer sum
+        over qd^A td^B L, A and B the top exponents and L the lcm of the
+        coefficient denominators; other ring elements sum in the ring."""
+        d = self.d
+        if (d and type(one) is Fraction and one == 1
+                and isinstance(q_val, (int, Fraction))
+                and isinstance(t_val, (int, Fraction))):
+            (qn, qd), (tn, td) = (q_val.as_integer_ratio(),
+                                  t_val.as_integer_ratio())
+            A, B = max([a for a, _ in d]), max([b for _, b in d])
+            qw = {a: qn ** a * qd ** (A - a) for a, _ in d}
+            tw = {b: tn ** b * td ** (B - b) for _, b in d}
+            L = lcm(*[v.denominator for v in d.values()])
+            return Fraction(sum([(v * L).numerator * qw[a] * tw[b]
+                                 for (a, b), v in d.items()]),
+                            qd ** A * td ** B * L)
+        qpow = {a: q_val ** a for a in {a for a, _ in d}}
+        tpow = {b: t_val ** b for b in {b for _, b in d}}
         acc = None
-        for (a, b), v in self.d.items():
+        for (a, b), v in d.items():
             term = one * v * qpow[a] * tpow[b]
             acc = term if acc is None else acc + term
         return acc if acc is not None else one * 0
@@ -1667,7 +1683,8 @@ class ParameterSpec:
     integer multiple of ((r-1), (k+1)).
     """
 
-    __slots__ = ("k", "r", "m", "N", "omega1", "t_exp", "q_exp")
+    __slots__ = ("k", "r", "m", "N", "omega1", "t_exp", "q_exp",
+                 "_omega_powers")
 
     def __init__(self, k, r):
         if k < 1:
@@ -1679,6 +1696,7 @@ class ParameterSpec:
         self.m = gcd(k + 1, r - 1)
         self.N = r - 1
         self.omega1 = CycloNum.zeta(self.N)
+        self._omega_powers = [self.omega1 ** a for a in range(self.N)]
         self.t_exp = (r - 1) // self.m
         self.q_exp = (k + 1) // self.m
 
@@ -1699,8 +1717,8 @@ class ParameterSpec:
                           UniPoly.u_power(self.N, self.q_exp))
 
     def qt_laurent(self, a, b):
-        """q^a t^b as (u-exponent, cyclotomic coefficient)."""
-        return b * self.t_exp - a * self.q_exp, self.omega1 ** a
+        """q^a t^b as (u-exponent, cyclotomic coefficient omega1^(a mod N))."""
+        return b * self.t_exp - a * self.q_exp, self._omega_powers[a % self.N]
 
     def specialize_poly(self, f):
         """Image of a QTPoly as a {u-exponent: CycloNum} Laurent map."""

@@ -147,7 +147,10 @@ def test_usage_errors_exit_2(capsys):
             "current relation --k 1 --r 3 --d 2 --profile 1,y",
             "current relation --k 2 --r 3 --d 2 --field generic --sigma 1",
             "current relation --k 1 --r 3 --d 2 --field generic --sigma z",
-            "wheel check --k 2 --r 2 --n 2 --lambda 1"):
+            "wheel check --k 2 --r 2 --n 2 --lambda 1",
+            "verify rho --k 1 --r 3 --lambda 3,1",
+            "verify rho --k 1 --r 3 --lambda 4,1",
+            "verify rho --k 1 --r 2 --n 2 --lambda 2"):
         with pytest.raises(SystemExit) as exc:
             run(argv.split())
         assert exc.value.code == 2, argv

@@ -11,6 +11,7 @@ import pytest
 import wheelmac
 from wheelmac import macdonald as md
 from wheelmac import partitions as pt
+from wheelmac import scalars
 from wheelmac.macdonald import (CoeffField, ExactDivisionError, MacdonaldTable,
                                 apply_D, apply_E,
                                 cauchy_row_check, check_integrality,
@@ -292,6 +293,94 @@ def test_check_integrality_examples(tables):
     assert f.coeffs[(2,)] == (one - q * t) * (one - t)
     assert f.coeffs[(1, 1)] == (one - t) ** 2 * (one + q)
     assert check_integrality((2, 1), 3, tables(3))
+
+
+def test_check_integrality_on_planted_coefficients():
+    # c_(2) = (1 - qt)(1 - t) in 2 variables
+    num = BiRatFunc.from_poly(QTPoly.q() + 5)
+    for coeff, want in [(num / (one - q * q), False),
+                        (num / (one - t), True),
+                        (num / ((one - t) * (one - q * t)), True),
+                        (num / ((one - t) ** 2), False),
+                        (num * Fraction(1, 3), True)]:
+        table = MacdonaldTable(2)
+        table.entries[(2,)] = SymPoly(2, {(2,): one, (1, 1): coeff})
+        assert check_integrality((2,), 2, table) is want, coeff
+
+
+def test_check_integrality_matches_the_product_definition(tables):
+    """The division test against (c_lam * coeff).is_polynomial(), on every
+    P_lam with n <= 4 and |lam| <= 6 and on copies whose coefficients are
+    divided by a seeded 1 - q^a t^b."""
+    rng = random.Random(17)
+    seen = set()
+    for n in range(1, 5):
+        for d in range(7):
+            for lam in pt.enumerate_partitions(n, d):
+                c = integral_form_factor(lam)
+                P = tables(n).compute_P(lam)
+                a, b = rng.randint(0, 2), rng.randint(0, 3)
+                bumped = P.scale(one / (one - BiRatFunc.qt_monomial(a, b))) \
+                    if a + b else P
+                for f in (P, bumped):
+                    table = MacdonaldTable(n)
+                    table.entries[lam] = f
+                    want = all((c * coeff).is_polynomial()
+                               for coeff in f.coeffs.values())
+                    assert check_integrality(lam, n, table) is want
+                    seen.add(want)
+    assert seen == {True, False}
+
+
+def test_check_integrality_takes_no_gcd(tables, monkeypatch):
+    lams = [(3, 2, 1), (4, 2), (2, 2, 1, 1)]
+    for lam in lams:
+        tables(4).compute_P(lam)
+    calls = []
+    real = scalars.qt_gcd
+
+    def counted(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(scalars, "qt_gcd", counted)
+    for lam in lams:
+        assert check_integrality(lam, 4, tables(4))
+    assert not calls
+
+
+def _compute_P_per_term(table, lam):
+    """The defining back-substitution, one canonical BiRatFunc per step."""
+    plist, cols = table.component_matrix(pt.size(lam))
+    eps_lam = table.eps1(lam)
+    u = {lam: one}
+    for mu in plist[plist.index(lam) + 1:]:
+        acc = BiRatFunc.zero()
+        for nu, unu in u.items():
+            entry = cols[nu].get(mu)
+            if entry is not None:
+                acc = acc + unu * entry
+        if acc:
+            u[mu] = acc / BiRatFunc.from_poly(eps_lam - table.eps1(mu))
+    return u
+
+
+def test_compute_P_matches_per_term_accumulation():
+    table = MacdonaldTable(3)
+    for d in range(9):
+        for lam in pt.enumerate_partitions(3, d):
+            got = table.compute_P(lam).coeffs
+            want = _compute_P_per_term(table, lam)
+            assert got.keys() == want.keys()
+            for mu, c in want.items():
+                assert (got[mu].num, got[mu].den) == (c.num, c.den)
+
+
+def test_compute_P_refuses_equal_eigenvalues():
+    table = MacdonaldTable(2)
+    table._eps[(1, 1)] = table.eps1((2,))
+    with pytest.raises(ExactDivisionError, match="equal D_n"):
+        table.compute_P((2,))
 
 
 def test_specialize_P_examples(tables):

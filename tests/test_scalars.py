@@ -659,12 +659,34 @@ def test_substitute_matches_per_term_formula():
         (Fraction(3, 2), Fraction(-2, 5), Fraction(1)),
         (z ** 2 + 1, 3 * z - z ** 4, CycloNum.one(5)),
         ((u + 1) / (u - 2), u * CycloNum.zeta(3), UniRatFunc.one(3)),
+        (Fraction(4), Fraction(-3), Fraction(1)),
+        (7, -2, Fraction(1)),
+        (Fraction(-7, 3), Fraction(5, -4), Fraction(1)),
+        (0, Fraction(-1, 6), Fraction(1)),
+        (2, -3, 1),
     ]
-    for _ in range(25):
-        f = _rand_mixed_qtpoly(rng, nterms=6, dmax=5)
+    polys = [_rand_mixed_qtpoly(rng, nterms=6, dmax=5) for _ in range(25)]
+    polys += [QTPoly.zero(), QTPoly.term(Fraction(-5, 3)),
+              QTPoly({(4, 0): Fraction(1, 6), (0, 3): Fraction(-3, 4),
+                      (2, 2): 5}),
+              QTPoly({(3, 1): 2, (0, 2): -7})]
+    for f in polys:
         for q_val, t_val, one_ in points:
-            assert f.substitute(q_val, t_val, one_) == \
-                _substitute_per_term(f, q_val, t_val, one_)
+            got = f.substitute(q_val, t_val, one_)
+            want = _substitute_per_term(f, q_val, t_val, one_)
+            assert got == want and type(got) is type(want)
+            assert type(got) is Fraction or type(one_) is not Fraction
+
+
+def test_qt_laurent_reads_the_table_of_omega1_powers():
+    for r in range(2, 8):
+        p = ParameterSpec(2, r)
+        N = p.N
+        for a in range(-2 * N, 2 * N + 1):
+            for b in (0, 3):
+                e, c = p.qt_laurent(a, b)
+                assert e == b * p.t_exp - a * p.q_exp
+                assert c == p.omega1 ** a
 
 
 # -- the Z[u] lane of UniPoly against a schoolbook reference ---------------
