@@ -51,6 +51,23 @@ def _int_list(text):
             "not a comma-separated list of integers: %r" % text) from None
 
 
+def _at_least(low):
+    """argparse type for an integer >= low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                "want an integer >= %d, not %r" % (low, text))
+        return value
+    return parse
+
+
+_COUNT = _at_least(0)
+
+
 def _join(values):
     return ",".join(map(str, values))
 
@@ -430,14 +447,91 @@ def _cmd_verify_lemma22(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_kr(sp, r_required=True):
-    sp.add_argument("--k", type=int, required=True, help="admissibility width")
-    sp.add_argument("--r", type=int, required=r_required,
-                    help="admissibility gap (>= 2)")
+_GROUP_HELP = {"macd": "Macdonald polynomial computations",
+               "wheel": "wheel-condition ideal",
+               "current": "commuting-current relations",
+               "char": "character combinatorics",
+               "verify": "batch claim verification"}
+
+# options shared by several commands, as (flag, add_argument keywords)
+_K = ("--k", {"type": _at_least(1), "required": True,
+              "help": "admissibility width"})
+_R = ("--r", {"type": _at_least(2), "required": True,
+              "help": "admissibility gap (>= 2)"})
+_N = ("--n", {"type": _COUNT, "required": True})
+_D = ("--d", {"type": _COUNT, "required": True})
+_LAM = ("--lambda", {"dest": "lam", "type": _partition, "required": True})
+_CACHE = ("--cache", {"help": "JSON cache file for Macdonald tables"})
+_MODE = ("--mode", {"choices": ("exact", "probe"), "default": "exact"})
+_PROBE_SEED = ("--probe-seed", {"type": int, "default": 0})
+_FIELD = ("--field", {"choices": ("rootofunity", "generic"),
+                      "default": "rootofunity"})
+_B = ("--b", {"type": _int_list, "required": True})
 
 
-def _add_cache(sp):
-    sp.add_argument("--cache", help="JSON cache file for Macdonald tables")
+def _count(flag, default):
+    return (flag, {"type": _COUNT, "default": default})
+
+
+# (group, command, handler, help, options), in help order
+_COMMANDS = (
+    ("macd", "compute", _cmd_macd_compute, "expand P_lambda in the m-basis",
+     (_N, _LAM, _CACHE)),
+    ("macd", "pieri", _cmd_macd_pieri, "check the three expansion identities",
+     (_N, _LAM, _CACHE)),
+    ("macd", "cauchy", _cmd_macd_cauchy, "row Cauchy identity up to a y-degree",
+     (_N, _count("--l-max", 6), _CACHE)),
+    ("macd", "integrality", _cmd_macd_integrality,
+     "c_lambda P_lambda is polynomial", (_N, _LAM, _CACHE)),
+    ("wheel", "subs", _cmd_wheel_subs, "list the wheel substitutions",
+     (_K, _R)),
+    ("wheel", "check", _cmd_wheel_check,
+     "does specialized P_lambda satisfy the wheel", (_K, _R, _N, _LAM, _CACHE)),
+    ("wheel", "dim", _cmd_wheel_dim, "dim of the wheel subspace",
+     (_K, _R, _N, _D, _MODE, _PROBE_SEED)),
+    ("wheel", "basis", _cmd_wheel_basis, "specialized admissible Macdonald basis",
+     (_K, _R, _N, _D, _CACHE)),
+    ("current", "relation", _cmd_current_relation,
+     "one Fourier-coefficient relation",
+     (_K, _R, _D, _FIELD,
+      ("--profile", {"type": _int_list,
+                     "help": "residue profile nu, e.g. 1,2 (rootofunity)"}),
+      ("--sigma", {"type": _int_list,
+                   "help": "cumulative exponents (generic)"}))),
+    ("current", "rank", _cmd_current_rank, "graded quotient dimension",
+     (_K, _R, _N, _D, _FIELD)),
+    ("current", "reduce", _cmd_current_reduce,
+     "rewrite e_lambda into admissible terms",
+     (_K, _R, ("--lambda", {"dest": "lam", "type": _int_list, "required": True,
+                            "help": "all n parts, zeros included, e.g. 2,2,0"}))),
+    ("char", "chi", _cmd_char_chi, "chi^C coefficients",
+     (_K, _R, ("--b", dict(_B[1], help="prefix bounds, e.g. 1,2")),
+      _count("--d-max", 8), _count("--n-max", 8))),
+    ("char", "recursion", _cmd_char_recursion, "character recursion in b_0",
+     (_K, _R, _B, _count("--d-max", 8), _count("--n-max", 8))),
+    ("char", "w-dim", _cmd_char_wdim, "dim of a W-space component",
+     (_K, _R, _B, _N, _D)),
+    ("verify", "theorem1", _cmd_verify_theorem1, "I = J on a grid of components",
+     (_K, _R, _count("--n-max", 4), _count("--d-max", 8), _MODE, _PROBE_SEED)),
+    ("verify", "prop302", _cmd_verify_prop302, "W-space dims match chi^C",
+     (_K, _R, ("--b", {"type": _int_list,
+                       "help": "single profile; default all profiles"}),
+      _count("--d-max", 8), _count("--n-max", 4))),
+    ("verify", "stability", _cmd_verify_stability,
+     "operator stability of the wheel ideal",
+     (_K, _R, _N, _D, _count("--count", 20),
+      ("--seed", {"type": int, "default": 0}))),
+    ("verify", "rho", _cmd_verify_rho,
+     "restricted derivatives stay in the ideal",
+     (_K, _R, ("--n", {"type": _COUNT, "default": 0, "help": "defaults to k+2"}),
+      _LAM, _count("--j-max", 2), _CACHE)),
+    ("verify", "lemma21", _cmd_verify_lemma21,
+     "non-resonance of admissible exponents",
+     (_K, _R, _count("--n-max", 5), _count("--size-max", 12))),
+    ("verify", "lemma22", _cmd_verify_lemma22,
+     "no poles for admissible +- one node",
+     (_K, _R, _count("--n-max", 4), _count("--size-max", 8))),
+)
 
 
 def build_parser():
@@ -447,154 +541,22 @@ def build_parser():
                     "the wheel-condition ideal they span.")
     ap.add_argument("--format", choices=("json", "table"), default="json")
     top = ap.add_subparsers(dest="group", required=True)
-
-    macd = top.add_parser("macd", help="Macdonald polynomial computations")
-    macd_sub = macd.add_subparsers(dest="cmd", required=True)
-    sp = macd_sub.add_parser("compute", help="expand P_lambda in the m-basis")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", type=_partition, required=True)
-    _add_cache(sp)
-    sp.set_defaults(fn=_cmd_macd_compute)
-    sp = macd_sub.add_parser("pieri", help="check the three expansion identities")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", type=_partition, required=True)
-    _add_cache(sp)
-    sp.set_defaults(fn=_cmd_macd_pieri)
-    sp = macd_sub.add_parser("cauchy", help="row Cauchy identity up to a y-degree")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l-max", type=int, default=6)
-    _add_cache(sp)
-    sp.set_defaults(fn=_cmd_macd_cauchy)
-    sp = macd_sub.add_parser("integrality", help="c_lambda P_lambda is polynomial")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", type=_partition, required=True)
-    _add_cache(sp)
-    sp.set_defaults(fn=_cmd_macd_integrality)
-
-    wheel = top.add_parser("wheel", help="wheel-condition ideal")
-    wheel_sub = wheel.add_subparsers(dest="cmd", required=True)
-    sp = wheel_sub.add_parser("subs", help="list the wheel substitutions")
-    _add_kr(sp)
-    sp.set_defaults(fn=_cmd_wheel_subs)
-    sp = wheel_sub.add_parser("check", help="does specialized P_lambda satisfy the wheel")
-    _add_kr(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", type=_partition, required=True)
-    _add_cache(sp)
-    sp.set_defaults(fn=_cmd_wheel_check)
-    sp = wheel_sub.add_parser("dim", help="dim of the wheel subspace")
-    _add_kr(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--mode", choices=("exact", "probe"), default="exact")
-    sp.add_argument("--probe-seed", type=int, default=0)
-    sp.set_defaults(fn=_cmd_wheel_dim)
-    sp = wheel_sub.add_parser("basis", help="specialized admissible Macdonald basis")
-    _add_kr(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    _add_cache(sp)
-    sp.set_defaults(fn=_cmd_wheel_basis)
-
-    cur = top.add_parser("current", help="commuting-current relations")
-    cur_sub = cur.add_subparsers(dest="cmd", required=True)
-    sp = cur_sub.add_parser("relation", help="one Fourier-coefficient relation")
-    _add_kr(sp)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--field", choices=("rootofunity", "generic"),
-                    default="rootofunity")
-    sp.add_argument("--profile", type=_int_list,
-                    help="residue profile nu, e.g. 1,2 (rootofunity)")
-    sp.add_argument("--sigma", type=_int_list,
-                    help="cumulative exponents (generic)")
-    sp.set_defaults(fn=_cmd_current_relation)
-    sp = cur_sub.add_parser("rank", help="graded quotient dimension")
-    _add_kr(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--field", choices=("rootofunity", "generic"),
-                    default="rootofunity")
-    sp.set_defaults(fn=_cmd_current_rank)
-    sp = cur_sub.add_parser("reduce", help="rewrite e_lambda into admissible terms")
-    _add_kr(sp)
-    sp.add_argument("--lambda", dest="lam", type=_int_list, required=True,
-                    help="all n parts, zeros included, e.g. 2,2,0")
-    sp.set_defaults(fn=_cmd_current_reduce)
-
-    char = top.add_parser("char", help="character combinatorics")
-    char_sub = char.add_subparsers(dest="cmd", required=True)
-    sp = char_sub.add_parser("chi", help="chi^C coefficients")
-    _add_kr(sp)
-    sp.add_argument("--b", type=_int_list, required=True,
-                    help="prefix bounds, e.g. 1,2")
-    sp.add_argument("--d-max", type=int, default=8)
-    sp.add_argument("--n-max", type=int, default=8)
-    sp.set_defaults(fn=_cmd_char_chi)
-    sp = char_sub.add_parser("recursion", help="character recursion in b_0")
-    _add_kr(sp)
-    sp.add_argument("--b", type=_int_list, required=True)
-    sp.add_argument("--d-max", type=int, default=8)
-    sp.add_argument("--n-max", type=int, default=8)
-    sp.set_defaults(fn=_cmd_char_recursion)
-    sp = char_sub.add_parser("w-dim", help="dim of a W-space component")
-    _add_kr(sp)
-    sp.add_argument("--b", type=_int_list, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.set_defaults(fn=_cmd_char_wdim)
-
-    ver = top.add_parser("verify", help="batch claim verification")
-    ver_sub = ver.add_subparsers(dest="cmd", required=True)
-    sp = ver_sub.add_parser("theorem1", help="I = J on a grid of components")
-    _add_kr(sp)
-    sp.add_argument("--n-max", type=int, default=4)
-    sp.add_argument("--d-max", type=int, default=8)
-    sp.add_argument("--mode", choices=("exact", "probe"), default="exact")
-    sp.add_argument("--probe-seed", type=int, default=0)
-    sp.set_defaults(fn=_cmd_verify_theorem1)
-    sp = ver_sub.add_parser("prop302", help="W-space dims match chi^C")
-    _add_kr(sp)
-    sp.add_argument("--b", type=_int_list,
-                    help="single profile; default all profiles")
-    sp.add_argument("--d-max", type=int, default=8)
-    sp.add_argument("--n-max", type=int, default=4)
-    sp.set_defaults(fn=_cmd_verify_prop302)
-    sp = ver_sub.add_parser("stability", help="operator stability of the wheel ideal")
-    _add_kr(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--count", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=_cmd_verify_stability)
-    sp = ver_sub.add_parser("rho", help="restricted derivatives stay in the ideal")
-    _add_kr(sp)
-    sp.add_argument("--n", type=int, default=0, help="defaults to k+2")
-    sp.add_argument("--lambda", dest="lam", type=_partition, required=True)
-    sp.add_argument("--j-max", type=int, default=2)
-    _add_cache(sp)
-    sp.set_defaults(fn=_cmd_verify_rho)
-    sp = ver_sub.add_parser("lemma21", help="non-resonance of admissible exponents")
-    _add_kr(sp)
-    sp.add_argument("--n-max", type=int, default=5)
-    sp.add_argument("--size-max", type=int, default=12)
-    sp.set_defaults(fn=_cmd_verify_lemma21)
-    sp = ver_sub.add_parser("lemma22", help="no poles for admissible +- one node")
-    _add_kr(sp)
-    sp.add_argument("--n-max", type=int, default=4)
-    sp.add_argument("--size-max", type=int, default=8)
-    sp.set_defaults(fn=_cmd_verify_lemma22)
+    groups = {}
+    for group, cmd, fn, text, options in _COMMANDS:
+        if group not in groups:
+            groups[group] = top.add_parser(
+                group, help=_GROUP_HELP[group]).add_subparsers(
+                    dest="cmd", required=True)
+        sp = groups[group].add_parser(cmd, help=text)
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(fn=fn)
     return ap
 
 
 def run(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "k", 1) < 1 or getattr(args, "r", 2) < 2:
-        ap.error("need k >= 1 and r >= 2")
-    for name in ("n", "d", "n_max", "d_max"):
-        value = getattr(args, name, None)
-        if value is not None and value < 0:
-            ap.error("--%s must be >= 0" % name.replace("_", "-"))
     try:
         code, payload = args.fn(args)
     except UsageError as exc:

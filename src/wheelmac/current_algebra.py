@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import partitions as pt
-from .linalg import EchelonBasis, _clear_upower_row, rank_kernel_poly
+from .linalg import EchelonBasis, corank_upower
 from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
 from .symfunc import eval_monomial_symmetric
 from .wheel_ideal import _check_choice, wheel_substitutions
@@ -191,14 +191,6 @@ def ideal_rows(k, r, n, d, p=None, field="rootofunity"):
     return rows
 
 
-def _corank_unirat_rows(rows, ncols, N):
-    """Corank of ideal rows, each cleared by one u-shift, via the
-    certified polynomial path."""
-    cleared = [_clear_upower_row(row, N) for row in rows]
-    rank, _ = rank_kernel_poly(cleared, ncols, N, need_kernel=False)
-    return ncols - rank
-
-
 def quotient_dim(k, r, n, d, p=None, field="rootofunity"):
     """dim of the (n, d) component of R modulo the current relations."""
     _check_choice("field", field, _FIELDS)
@@ -212,7 +204,7 @@ def quotient_dim(k, r, n, d, p=None, field="rootofunity"):
             ech.add(row)
         return ncols - ech.rank
     p = p or ParameterSpec(k, r)
-    return _corank_unirat_rows(rows, ncols, p.N)
+    return corank_upower(rows, ncols, p.N)
 
 
 def reduce_to_admissible(lam, k, r):
@@ -433,7 +425,7 @@ def W_space_dim(b, k, r, n, d, p=None):
             rows.append(proj)
     if not rows:
         return len(keep)
-    return _corank_unirat_rows(rows, len(keep), p.N)
+    return corank_upower(rows, len(keep), p.N)
 
 
 def verify_prop302(b, k, r, d_max=8, n_max=4, p=None):

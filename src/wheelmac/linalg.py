@@ -18,8 +18,9 @@ Two elimination paths:
 
 UniRatFunc rows are cleared to UniPoly rows by one of two helpers:
 ``_clear_upower_row`` for the constraint rows, whose denominators are
-powers of u, and ``_clear_denominators`` (scaling by the lcm of the
-denominators) for kernel vectors and ``wheel_ideal.laurent_clear``.
+powers of u (``corank_upower`` ranks such rows), and
+``_clear_denominators`` (scaling by the lcm of the denominators) for
+kernel vectors and ``wheel_ideal.laurent_clear``.
 
 Rows are plain lists; callers choose the entry type.
 """
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from .scalars import UniPoly, UniRatFunc
 
-__all__ = ["in_row_span", "EchelonBasis", "rank_kernel_poly"]
+__all__ = ["in_row_span", "EchelonBasis", "rank_kernel_poly", "corank_upower"]
 
 
 def _is_zero(x):
@@ -175,7 +176,7 @@ def _poly_kernel_from_triangular(tri, ncols, N):
     return basis
 
 
-def rank_kernel_poly(rows, ncols, N, need_kernel=True):
+def rank_kernel_poly(rows, ncols, N):
     """Exact (rank, kernel basis) of a matrix over Q(zeta_N)[u].
 
     rows: iterable of UniPoly rows.  The kernel vectors come back as
@@ -185,15 +186,9 @@ def rank_kernel_poly(rows, ncols, N, need_kernel=True):
     """
     rows = list(dict.fromkeys(tuple(r) for r in rows if any(r)))
     if not rows:
-        kernel = []
-        if need_kernel:
-            one = UniPoly.one(N)
-            zero = UniPoly.zero(N)
-            for fc in range(ncols):
-                vec = [zero] * ncols
-                vec[fc] = one
-                kernel.append(vec)
-        return 0, kernel
+        one, zero = UniPoly.one(N), UniPoly.zero(N)
+        return 0, [[one if j == fc else zero for j in range(ncols)]
+                   for fc in range(ncols)]
     numeric = [[e.evaluate(_PROBE_POINT) for e in row] for row in rows]
     ech = EchelonBasis(ncols)
     chosen = [i for i, nrow in enumerate(numeric) if ech.add(nrow)]
@@ -217,6 +212,15 @@ def rank_kernel_poly(rows, ncols, N, need_kernel=True):
             if offender is not None:
                 break
         if offender is None:
-            return rank, kernel if need_kernel else []
+            return rank, kernel
         chosen.append(offender)
         chosen_set.add(offender)
+
+
+def corank_upower(rows, ncols, N):
+    """Corank of UniRatFunc rows whose denominators are powers of u: each
+    row is cleared by ``_clear_upower_row`` and ranked by
+    ``rank_kernel_poly``."""
+    rank, _ = rank_kernel_poly((_clear_upower_row(row, N) for row in rows),
+                               ncols, N)
+    return ncols - rank

@@ -435,6 +435,16 @@ def _one_minus_qt(a, b):
     return BiRatFunc.one() - BiRatFunc.qt_monomial(a, b)
 
 
+def _psi_factor(a, h, name):
+    """The factor of psi' and psi'' for a row gap a at row distance h:
+    (1 - q^(a-1) t^(h+1)) (1 - q^a t^(h-1)) over
+    (1 - q^a t^h) (1 - q^(a-1) t^h)."""
+    den = _one_minus_qt(a, h) * _one_minus_qt(a - 1, h)
+    if den.is_zero():
+        raise ExactDivisionError("vanishing denominator in %s" % name)
+    return _one_minus_qt(a - 1, h + 1) * _one_minus_qt(a, h - 1) / den
+
+
 def psi_prime(lam, j):
     """Pieri coefficient psi' for adding a node to row j of lam.
 
@@ -447,12 +457,7 @@ def psi_prime(lam, j):
     lam_j = lam[j - 1] if j <= len(lam) else 0
     out = BiRatFunc.one()
     for i in range(1, j):
-        a = lam[i - 1] - lam_j
-        num = _one_minus_qt(a - 1, j - i + 1) * _one_minus_qt(a, j - i - 1)
-        den = _one_minus_qt(a, j - i) * _one_minus_qt(a - 1, j - i)
-        if den.is_zero():
-            raise ExactDivisionError("vanishing denominator in psi'")
-        out = out * num / den
+        out = out * _psi_factor(lam[i - 1] - lam_j, j - i, "psi'")
     return out
 
 
@@ -467,12 +472,7 @@ def psi_dblprime(lam, j, n):
     lam_j = padded[j - 1]
     out = _one_minus_qt(lam_j, n - j) / _one_minus_qt(1, 0)
     for i in range(j + 1, n + 1):
-        a = lam_j - padded[i - 1]
-        num = _one_minus_qt(a - 1, i - j + 1) * _one_minus_qt(a, i - j - 1)
-        den = _one_minus_qt(a, i - j) * _one_minus_qt(a - 1, i - j)
-        if den.is_zero():
-            raise ExactDivisionError("vanishing denominator in psi''")
-        out = out * num / den
+        out = out * _psi_factor(lam_j - padded[i - 1], i - j, "psi''")
     return out
 
 

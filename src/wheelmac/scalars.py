@@ -163,25 +163,26 @@ def cyclotomic_polynomial(n):
 
 
 class _CycloField:
-    """Per-order tables: phi(N) and the reduction rows for zeta^j, j >= phi."""
+    """Per-order tables: phi(N) and ``powers``, the power-basis rows of
+    zeta^e for 0 <= e < max(N, 2 phi - 1): every power up to N-1, and the
+    rows up to 2 phi - 2 that reduce any product."""
 
     def __init__(self, N):
         self.N = N
         poly = cyclotomic_polynomial(N)
-        self.phi = len(poly) - 1
-        phi = self.phi
+        self.phi = phi = len(poly) - 1
+        # each row is zeta times the one before, reduced by
         # zeta^phi = -(a_0 + a_1 zeta + ... + a_{phi-1} zeta^{phi-1})
         base = tuple(Fraction(-c) for c in poly[:phi])
-        rows = [base]
-        # zeta^(phi+j) for j = 1..phi-2 (enough to reduce any product)
-        for _ in range(phi - 2):
-            prev = rows[-1]
-            shifted = (_ZERO,) + prev[: phi - 1]
-            top = prev[phi - 1]
+        row = (_ONE,) + (_ZERO,) * (phi - 1)
+        rows = [row]
+        for _ in range(1, max(N, 2 * phi - 1)):
+            top = row[-1]
+            row = (_ZERO,) + row[:-1]
             if top:
-                shifted = tuple(s + top * b for s, b in zip(shifted, base))
-            rows.append(shifted)
-        self.reduction = rows
+                row = tuple(s + top * b for s, b in zip(row, base))
+            rows.append(row)
+        self.powers = rows
 
     _cache = {}
 
@@ -224,16 +225,7 @@ class CycloNum(_Field):
     @classmethod
     def zeta(cls, N, power=1):
         """zeta_N^power as a field element."""
-        fld = _CycloField.get(N)
-        power %= N
-        if power < fld.phi:
-            c = [_ZERO] * fld.phi
-            c[power] = _ONE
-            return cls(N, c)
-        if fld.phi == 1:
-            # N = 1 (zeta = 1) or N = 2 (zeta = -1)
-            return cls(N, (_ONE if N == 1 or power % 2 == 0 else -_ONE,))
-        return cls.zeta(N, 1) ** power
+        return cls(N, _CycloField.get(N).powers[power % N])
 
     def _coerce(self, other):
         if isinstance(other, CycloNum):
@@ -276,12 +268,12 @@ class CycloNum(_Field):
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        rows = _CycloField.get(self.N).reduction
+        rows = _CycloField.get(self.N).powers
         out = prod[:phi]
         for j in range(phi, 2 * phi - 1):
             cj = prod[j]
             if cj:
-                row = rows[j - phi]
+                row = rows[j]
                 for i in range(phi):
                     if row[i]:
                         out[i] += cj * row[i]
@@ -618,9 +610,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, N, value):
-        if _CycloField.get(N).phi == 1:
-            return cls.monomial(N, 0, Fraction(_exact(value)))
-        return cls.monomial(N, 0, CycloNum.from_rational(N, value))
+        return cls.monomial(N, 0, value)
 
     @classmethod
     def zero(cls, N):
@@ -680,6 +670,8 @@ class LaurentPoly:
         a, b = self.d, other.d
         if not a or not b:
             return LaurentPoly.zero(self.N)
+        if len(a) == 1 and len(b) > 1:
+            a, b = b, a
         if len(b) == 1:
             (eb, cb), = b.items()
             if cb == 1:  # a unit monomial only shifts the exponents
@@ -687,13 +679,6 @@ class LaurentPoly:
                                    _clean=True)
             return LaurentPoly(self.N, {ea + eb: ca * cb
                                         for ea, ca in a.items()}, _clean=True)
-        if len(a) == 1:
-            (ea, ca), = a.items()
-            if ca == 1:
-                return LaurentPoly(self.N, {ea + eb: cb for eb, cb in b.items()},
-                                   _clean=True)
-            return LaurentPoly(self.N, {ea + eb: ca * cb
-                                        for eb, cb in b.items()}, _clean=True)
         out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -723,14 +708,11 @@ class LaurentPoly:
 
 
 def _cyclo_slim(N, c):
-    """Coefficients over Q drop the CycloNum wrapper."""
-    if isinstance(c, CycloNum):
-        if _CycloField.get(N).phi == 1:
-            return c.c[0]
-        return c
+    """A Laurent coefficient: over Q (phi(N) = 1) a Fraction, the CycloNum
+    wrapper dropped; a CycloNum otherwise.  Rationals pass ``_exact``."""
     if _CycloField.get(N).phi == 1:
-        return Fraction(c)
-    return CycloNum.from_rational(N, c)
+        return c.c[0] if isinstance(c, CycloNum) else Fraction(_exact(c))
+    return c if isinstance(c, CycloNum) else CycloNum.from_rational(N, c)
 
 
 def _iz_from_unipoly(p):
@@ -956,12 +938,16 @@ class QTPoly:
         if d is None:
             d = {}
         if not _clean:
+            if any(qe < 0 or te < 0 for qe, te in d):
+                raise ValueError("QTPoly exponents must be >= 0")
             exact = ((k, _exact(v)) for k, v in d.items())
             d = {k: v for k, v in exact if v}
         self.d = d
 
     @classmethod
     def term(cls, coeff, qe=0, te=0):
+        if qe < 0 or te < 0:
+            raise ValueError("QTPoly exponents must be >= 0")
         coeff = _exact(coeff)
         return cls({(qe, te): coeff} if coeff else {}, _clean=True)
 
@@ -1255,29 +1241,22 @@ def _iz_divexact(a, b):
 
 
 def _to_tq_rows(terms):
-    """{(qexp, texp): int} -> {qexp: Z[t] coefficient list}."""
-    rows = {}
+    """{(qexp, texp): nonzero int} -> the polynomial in (Z[t])[q] as a dense
+    list of Z[t] coefficient lists indexed by q-exponent ([] for zero)."""
+    rows = [[] for _ in range(max([a for a, _ in terms]) + 1)]
     for (a, b), c in terms.items():
-        row = rows.get(a)
-        if row is None:
-            row = rows[a] = []
+        row = rows[a]
         if len(row) <= b:
             row.extend([0] * (b + 1 - len(row)))
-        row[b] += c
-    for a in list(rows):
-        row = rows[a]
-        while row and not row[-1]:
-            row.pop()
-        if not row:
-            del rows[a]
+        row[b] = c
     return rows
 
 
 def _tq_content(*polys):
-    """gcd in Z[t] of all q-coefficients of the given row dicts, shortest
+    """gcd in Z[t] of all q-coefficients of the given row lists, shortest
     rows first so that a trivial gcd shows early."""
     g = []
-    for row in sorted((row for rows in polys for row in rows.values()),
+    for row in sorted((row for rows in polys for row in rows if row),
                       key=len):
         g = _iz_gcd(g, row)
         if g == [1]:
@@ -1285,30 +1264,13 @@ def _tq_content(*polys):
     return g
 
 
-def _tq_primitive_gcd(fr, gr):
+def _tq_primitive_gcd(a, b):
     """gcd of primitive polynomials in (Z[t])[q] via primitive PRS."""
-    if not fr:
-        return {k: list(v) for k, v in gr.items()}
-    if not gr:
-        return {k: list(v) for k, v in fr.items()}
-    a = _rows_dense(fr)
-    b = _rows_dense(gr)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a = _tq_prem(a, b)
-        a = _tq_strip_content(a)
-        a, b = b, a
-    a = _tq_strip_content(a)
-    return {i: row for i, row in enumerate(a) if row}
-
-
-def _rows_dense(rows):
-    n = max(rows) + 1
-    out = [[] for _ in range(n)]
-    for a, row in rows.items():
-        out[a] = list(row)
-    return out
+        a, b = b, _tq_strip_content(_tq_prem(a, b))
+    return _tq_strip_content(a)
 
 
 def _tq_prem(a, b):
@@ -1332,14 +1294,10 @@ def _tq_prem(a, b):
 
 
 def _tq_strip_content(a):
-    g = []
-    for row in a:
-        g = _iz_gcd(g, row)
-        if g == [1]:
-            return a
+    g = _tq_content(a)
     if not g or g == [1]:
         return a
-    return [_iz_divexact(row, g) if row else row for row in a]
+    return [_iz_divexact(row, g) for row in a]
 
 
 _GCD_EVAL_POINTS = (2, 3, 5, -2, 7)
@@ -1371,19 +1329,18 @@ def qt_gcd(f, g):
     qm, tm = min(qf, qg), min(tf, tg)
     qdeg = max(max(k[0] for k in fterms), max(k[0] for k in gterms))
     tdeg = max(max(k[1] for k in fterms), max(k[1] for k in gterms))
-    if tdeg < qdeg:
-        fterms = {(b, a): c for (a, b), c in fterms.items()}
-        gterms = {(b, a): c for (a, b), c in gterms.items()}
-        out = _qt_gcd_primitive(fterms, gterms)
-        result = QTPoly({(b + qm, a + tm): c for (a, b), c in out.items()},
-                        _clean=True)
-    else:
-        out = _qt_gcd_primitive(fterms, gterms)
-        result = QTPoly({(a + qm, b + tm): c for (a, b), c in out.items()},
-                        _clean=True)
-    if result.is_zero():
-        result = QTPoly.term(1, qm, tm)
-    return _qt_positive(result)
+    swap = tdeg < qdeg
+    if swap:
+        fterms, gterms = _qt_swap(fterms), _qt_swap(gterms)
+    out = _qt_gcd_primitive(fterms, gterms)
+    if swap:
+        out = _qt_swap(out)
+    return _qt_positive(QTPoly({(a + qm, b + tm): c for (a, b), c in out.items()},
+                               _clean=True))
+
+
+def _qt_swap(terms):
+    return {(b, a): c for (a, b), c in terms.items()}
 
 
 def _qt_gcd_primitive(fterms, gterms):
@@ -1391,32 +1348,25 @@ def _qt_gcd_primitive(fterms, gterms):
     fr = _to_tq_rows(fterms)
     gr = _to_tq_rows(gterms)
     cont = _tq_content(fr, gr)
-    fq = max(fr)
-    gq = max(gr)
-    trivial_q = False
-    if fq == 0 or gq == 0:
-        trivial_q = True
-    else:
+    trivial_q = len(fr) == 1 or len(gr) == 1
+    if not trivial_q:
         for t0 in _GCD_EVAL_POINTS:
-            lf = _iz_eval(fr[fq], t0)
-            lg = _iz_eval(gr[gq], t0)
-            if lf and lg:
-                a = [_iz_eval(fr.get(i, []), t0) for i in range(fq + 1)]
-                b = [_iz_eval(gr.get(i, []), t0) for i in range(gq + 1)]
-                if len(_iz_gcd(a, b)) == 1:
-                    trivial_q = True
+            if _iz_eval(fr[-1], t0) and _iz_eval(gr[-1], t0):
+                trivial_q = len(_iz_gcd([_iz_eval(row, t0) for row in fr],
+                                        [_iz_eval(row, t0) for row in gr])) == 1
                 break
     if trivial_q:
-        rows = {0: cont} if cont and cont != [1] else {}
+        rows = [cont]
     else:
-        pf = {a: _iz_divexact(row, cont) if cont != [1] else row for a, row in fr.items()}
-        pg = {a: _iz_divexact(row, cont) if cont != [1] else row for a, row in gr.items()}
-        rows = _heu_gcd(pf, pg)
-        if rows is None:
-            rows = _tq_primitive_gcd(pf, pg)
         if cont != [1]:
-            rows = {a: _iz_mul(row, cont) for a, row in rows.items()}
-    return {(a, b): c for a, row in rows.items() for b, c in enumerate(row) if c}
+            fr = [_iz_divexact(row, cont) for row in fr]
+            gr = [_iz_divexact(row, cont) for row in gr]
+        rows = _heu_gcd(fr, gr)
+        if rows is None:
+            rows = _tq_primitive_gcd(fr, gr)
+        if cont != [1]:
+            rows = [_iz_mul(row, cont) for row in rows]
+    return {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row) if c}
 
 
 _HEU_TRIES = 6
@@ -1447,17 +1397,16 @@ def _heu_gcd(fr, gr):
     inputs exactly in Z[q, t] is their gcd, so the result is certified.
     None when every point of _heu_points was rejected.
     """
-    fd, gd = _rows_dense(fr), _rows_dense(gr)
-    for xi in _heu_points(_rows_norm(fd), _rows_norm(gd)):
-        image = _heu_gcd_univariate([_iz_eval(row, xi) for row in fd],
-                                    [_iz_eval(row, xi) for row in gd])
+    for xi in _heu_points(_rows_norm(fr), _rows_norm(gr)):
+        image = _heu_gcd_univariate([_iz_eval(row, xi) for row in fr],
+                                    [_iz_eval(row, xi) for row in gr])
         if image is not None:
             cand = [_xi_adic(c, xi) for c in image]
             cont = _iz_content([c for row in cand for c in row])
             if cont > 1:
                 cand = [[c // cont for c in row] for row in cand]
-            if _tq_divides(fd, cand) and _tq_divides(gd, cand):
-                return {a: row for a, row in enumerate(cand) if row}
+            if _tq_divides(fr, cand) and _tq_divides(gr, cand):
+                return cand
     return None
 
 
@@ -1696,18 +1645,13 @@ class ParameterSpec:
         self.m = gcd(k + 1, r - 1)
         self.N = r - 1
         self.omega1 = CycloNum.zeta(self.N)
-        self._omega_powers = [self.omega1 ** a for a in range(self.N)]
+        self._omega_powers = [CycloNum.zeta(self.N, a) for a in range(self.N)]
         self.t_exp = (r - 1) // self.m
         self.q_exp = (k + 1) // self.m
 
     @property
     def omega(self):
-        return self.omega1 ** ((self.r - 1) // self.m)
-
-    @property
-    def tau(self):
-        """Primitive (r-1)-th root of unity for the t=1, q=tau specialization."""
-        return self.omega1
+        return CycloNum.zeta(self.N, self.t_exp)
 
     def t_value(self):
         return UniRatFunc(UniPoly.u_power(self.N, self.t_exp), _canonical=True)
@@ -1835,20 +1779,12 @@ def _render_qtpoly(f):
     return _render_terms([(k, f.d[k]) for k in keys], ("q", "t"))
 
 
-def _render_cyclo(x):
-    if not any(x.c):
-        return "0"
-    terms = [((e,), c) for e, c in enumerate(x.c) if c]
-    terms.sort(key=lambda kv: kv[0], reverse=True)
-    return _render_terms(terms, ("z",))
-
-
-def _render_unipoly(f):
-    if f.is_zero():
-        return "0"
-    terms = [((e,), c) for e, c in enumerate(f.c) if not c.is_zero()]
-    terms.sort(key=lambda kv: kv[0], reverse=True)
-    return _render_terms(terms, ("u",))
+def _render_ascending(coeffs, var):
+    """An ascending coefficient tuple (Fractions or CycloNums) as a
+    polynomial in var, highest power first."""
+    terms = [((e,), coeffs[e]) for e in range(len(coeffs) - 1, -1, -1)
+             if coeffs[e]]
+    return _render_terms(terms, (var,)) if terms else "0"
 
 
 def render_scalar(x):
@@ -1856,15 +1792,16 @@ def render_scalar(x):
     if isinstance(x, (int, Fraction)):
         return str(Fraction(x))
     if isinstance(x, CycloNum):
-        return _render_cyclo(x)
+        return _render_ascending(x.c, "z")
     if isinstance(x, QTPoly):
         return _render_qtpoly(x)
     if isinstance(x, UniPoly):
-        return _render_unipoly(x)
+        return _render_ascending(x.c, "u")
     if isinstance(x, UniRatFunc):
+        num = _render_ascending(x.num.c, "u")
         if x.den.degree() == 0:
-            return _render_unipoly(x.num)
-        return "(%s)/(%s)" % (_render_unipoly(x.num), _render_unipoly(x.den))
+            return num
+        return "(%s)/(%s)" % (num, _render_ascending(x.den.c, "u"))
     if isinstance(x, BiRatFunc):
         if x.den.is_one():
             return _render_qtpoly(x.num)
@@ -2003,4 +1940,7 @@ def parse_scalar(text, kind="qt", N=1):
         env = {"q": BiRatFunc.q(), "t": BiRatFunc.t()}
     else:
         raise ValueError("unknown scalar kind %r" % kind)
-    return _ScalarParser(text, env, one).parse()
+    try:
+        return _ScalarParser(text, env, one).parse()
+    except RecursionError:
+        raise ValueError("scalar string nested too deeply") from None

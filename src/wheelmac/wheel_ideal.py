@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement
 
 from . import partitions as pt
 from .linalg import (EchelonBasis, _clear_denominators, _clear_upower_row,
-                     rank_kernel_poly)
+                     corank_upower, rank_kernel_poly)
 from .macdonald import CoeffField, MacdonaldTable, apply_D, apply_E, specialize_P
 from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
 from .symfunc import (SymPoly, _collapse_wheel, restrict_derivative,
@@ -172,10 +172,8 @@ def dim_J(k, r, n, d, p=None, mode="exact", seed=0):
         for _, row in constraint_rows(k, r, n, d, p, fld=fld):
             ech.add(row)
         return ncols - ech.rank
-    rows = (_clear_upower_row(row, p.N)
-            for _, row in constraint_rows(k, r, n, d, p))
-    rank, _ = rank_kernel_poly(rows, ncols, p.N, need_kernel=False)
-    return ncols - rank
+    return corank_upower((row for _, row in constraint_rows(k, r, n, d, p)),
+                         ncols, p.N)
 
 
 def wheel_kernel_basis(k, r, n, d, p=None):

@@ -117,6 +117,54 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert any(e["lambda"] == "3,1" for e in data["entries"])
 
 
+_EVERY_COMMAND = [
+    ("macd compute --n 2 --lambda 2", 0, {"n", "lambda", "coefficients"}),
+    ("macd pieri --n 2 --lambda 1", 0, {"n", "lambda", "ok", "failures"}),
+    ("macd cauchy --n 2 --l-max 2", 0, {"n", "l_max", "ok"}),
+    ("macd integrality --n 2 --lambda 2,1", 0, {"n", "lambda", "ok"}),
+    ("wheel subs --k 1 --r 2", 0, {"k", "r", "count", "substitutions"}),
+    ("wheel check --k 1 --r 2 --n 2 --lambda 2", 0,
+     {"k", "r", "n", "lambda", "admissible", "satisfies_wheel"}),
+    ("wheel check --k 1 --r 2 --n 2 --lambda 1,1", 1,
+     {"k", "r", "n", "lambda", "admissible", "satisfies_wheel"}),
+    ("wheel dim --k 1 --r 3 --n 2 --d 3 --mode probe", 0,
+     {"k", "r", "n", "d", "mode", "dim_J", "dim_J_exact"}),
+    ("wheel basis --k 1 --r 2 --n 2 --d 2", 0, {"k", "r", "n", "d", "basis"}),
+    ("current relation --k 1 --r 3 --d 2 --field generic --sigma 1", 0,
+     {"degree", "profile", "field", "terms"}),
+    ("current rank --k 1 --r 3 --n 2 --d 2 --field generic", 0,
+     {"k", "r", "n", "d", "field", "quotient_dim", "admissible_count"}),
+    ("current reduce --k 1 --r 2 --lambda 1,1", 0, {"input", "terms"}),
+    ("char chi --k 1 --r 2 --b 1 --d-max 3 --n-max 2", 0,
+     {"d_max", "n_max", "coefficients"}),
+    ("char recursion --k 1 --r 2 --b 1 --d-max 3 --n-max 3", 0, {"b", "ok"}),
+    ("char w-dim --k 1 --r 2 --b 1 --n 2 --d 2", 0,
+     {"k", "r", "b", "n", "d", "w_dim"}),
+    ("verify theorem1 --k 1 --r 2 --n-max 2 --d-max 3", 0,
+     {"k", "r", "ok", "components"}),
+    ("verify prop302 --k 1 --r 2 --d-max 3 --n-max 2", 0,
+     {"k", "r", "ok", "profiles"}),
+    ("verify stability --k 1 --r 2 --n 2 --d 3 --count 2", 0,
+     {"k", "r", "n", "d", "combinations", "ok"}),
+    ("verify rho --k 1 --r 2 --lambda 4,2 --j-max 1", 0,
+     {"k", "r", "n", "lambda", "j_max", "ok"}),
+    ("verify lemma21 --k 1 --r 2 --n-max 2 --size-max 4", 0,
+     {"k", "r", "checked", "ok", "failures"}),
+    ("verify lemma22 --k 1 --r 2 --n-max 2 --size-max 3", 0,
+     {"k", "r", "checked", "ok", "failures"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, keys", _EVERY_COMMAND,
+                         ids=[argv for argv, _, _ in _EVERY_COMMAND])
+def test_every_command_runs(capsys, argv, code, keys):
+    got, payload = _run_json(capsys, argv.split())
+    assert got == code
+    assert set(payload) == keys
+    if "ok" in payload:
+        assert payload["ok"] == (code == 0)
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["wheel", "dim", "--k", "0", "--r", "2", "--n", "1", "--d", "1"])
@@ -150,7 +198,12 @@ def test_usage_errors_exit_2(capsys):
             "wheel check --k 2 --r 2 --n 2 --lambda 1",
             "verify rho --k 1 --r 3 --lambda 3,1",
             "verify rho --k 1 --r 3 --lambda 4,1",
-            "verify rho --k 1 --r 2 --n 2 --lambda 2"):
+            "verify rho --k 1 --r 2 --n 2 --lambda 2",
+            "macd cauchy --n 2 --l-max -1",
+            "verify stability --k 1 --r 2 --n 2 --d 3 --count -3",
+            "verify rho --k 1 --r 2 --lambda 4,2 --j-max -1",
+            "verify lemma21 --k 1 --r 2 --size-max -2",
+            "verify lemma22 --k 1 --r 2 --size-max -2"):
         with pytest.raises(SystemExit) as exc:
             run(argv.split())
         assert exc.value.code == 2, argv
@@ -176,7 +229,8 @@ def _set_value(lam, mu, value):
 @pytest.mark.parametrize("edit", [
     _set_value("2", "1,1", "7"),
     lambda data: data.update(n=3),
-], ids=["wrong-coefficient", "other-n"])
+    _set_value("2", "1,1", "(" * 3000 + "1" + ")" * 3000),
+], ids=["wrong-coefficient", "other-n", "deep-nesting"])
 def test_poisoned_cache_exits_2(tmp_path, capsys, edit):
     cache = str(tmp_path / "table.json")
     code, _ = _run_json(capsys, ["macd", "compute", "--n", "2",
@@ -235,6 +289,14 @@ def test_table_format(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "dim_J" in out and "{" not in out
+    # a list of dicts nests one level deeper
+    argv = "verify theorem1 --k 1 --r 2 --n-max 2 --d-max 2".split()
+    _, payload = _run_json(capsys, argv)
+    assert run(["--format", "table"] + argv) == 0
+    out = capsys.readouterr().out
+    assert "{" not in out and "[" not in out
+    assert out.startswith("components:\n")
+    assert out.count("dims_equal") == len(payload["components"])
 
 
 _WRONG_GCD_UNDER_O = """

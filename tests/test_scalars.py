@@ -65,6 +65,13 @@ def test_cyclo_arithmetic():
         CycloNum.zero(5).inverse()
 
 
+def test_zeta_table_matches_powers():
+    for N in range(1, 13):
+        z = CycloNum.zeta(N)
+        for e in range(-N, 2 * N + 1):
+            assert CycloNum.zeta(N, e) == z ** e, (N, e)
+
+
 def test_canonical_idempotence():
     x = (one - t) * (one + q) / (one - q * t)
     again = BiRatFunc(x.num, x.den)
@@ -447,11 +454,21 @@ def test_exact_lane():
     lambda: BiRatFunc.const(0.1),
     lambda: CycloNum.from_rational(3, 0.1),
     lambda: UniRatFunc.const(1, 0.1),
+    lambda: LaurentPoly.monomial(1, 0, 0.5),
+    lambda: LaurentPoly(2, {1: 0.25}),
 ], ids=["QTPoly", "BiRatFunc.const", "CycloNum.from_rational",
-        "UniRatFunc.const"])
+        "UniRatFunc.const", "LaurentPoly.monomial", "LaurentPoly"])
 def test_floats_are_rejected(make):
     with pytest.raises(TypeError):
         make()
+
+
+def test_qtpoly_refuses_negative_exponents():
+    for make in (lambda: QTPoly({(-1, 0): 1}), lambda: QTPoly({(0, -2): 3}),
+                 lambda: QTPoly.term(1, -1, 0), lambda: QTPoly.term(2, 0, -1)):
+        with pytest.raises(ValueError):
+            make()
+    assert QTPoly({(1, 2): 3}) == QTPoly.term(3, 1, 2)
 
 
 def _stored_exact(f):
@@ -535,7 +552,7 @@ def _planted_pairs(seed, count):
 
 
 def _terms(rows):
-    return {(a, b): c for a, row in rows.items() for b, c in enumerate(row)
+    return {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row)
             if c}
 
 
@@ -548,7 +565,7 @@ def test_heuristic_points_respect_the_certificate_bound():
 
 
 def _norm(rows):
-    return max(abs(c) for row in rows.values() for c in row)
+    return max(abs(c) for row in rows for c in row)
 
 
 def test_heuristic_gcd_agrees_with_prs(monkeypatch):
@@ -604,9 +621,8 @@ def test_planted_wrong_candidate_is_rejected(monkeypatch):
     g = (QTPoly.one() + QTPoly.term(3, 2, 0)) * f
     h = (QTPoly.term(1, 0, 1) - QTPoly.term(2, 1, 0)) * f
     # the exact check itself
-    dense = scalars._rows_dense(scalars._to_tq_rows(g.d))
-    assert scalars._tq_divides(dense, scalars._rows_dense(
-        scalars._to_tq_rows(f.d)))
+    dense = scalars._to_tq_rows(g.d)
+    assert scalars._tq_divides(dense, scalars._to_tq_rows(f.d))
     assert not scalars._tq_divides(dense, [[1], [0, 1]])
     assert not scalars._tq_divides(dense, [[2], [], [0, 0, 1]])
     # a wrong image one level down gives a candidate that must not pass
