@@ -79,33 +79,9 @@ def _fit(lam, n):
     return lam
 
 
-def _load_table(args, n):
-    """The --cache table for n; a missing file starts an empty one.
-
-    Every loaded entry is checked against the D_n^1 eigen equation, so a
-    cache cannot inject a wrong P_lam; a bad file is a usage error.
-    """
-    if not getattr(args, "cache", None):
-        return MacdonaldTable(n)
-    try:
-        with open(args.cache) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        return MacdonaldTable(n)
-    except (OSError, ValueError) as exc:
-        raise UsageError("cache %s: %s" % (args.cache, exc)) from None
-    try:
-        if data.get("n") != n:
-            raise ValueError("built for n=%r, not n=%d" % (data.get("n"), n))
-        return MacdonaldTable.from_json_dict(data)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError("cache %s: %s" % (args.cache, exc)) from None
-
-
-def _save_table(args, table):
-    if getattr(args, "cache", None):
-        with open(args.cache, "w") as fh:
-            json.dump(table.to_json_dict(), fh, indent=1)
+def _need_wheel(args):
+    if args.n < args.k + 1:
+        raise UsageError("a wheel needs --n >= k+1 = %d" % (args.k + 1))
 
 
 def _sympoly_json(f):
@@ -146,35 +122,27 @@ def _emit_table(payload, indent=""):
 
 def _cmd_macd_compute(args):
     lam = _fit(args.lam, args.n)
-    table = _load_table(args, args.n)
-    f = table.compute_P(lam)
-    _save_table(args, table)
+    f = MacdonaldTable(args.n).compute_P(lam)
     return 0, {"n": args.n, "lambda": pt.format_partition(lam),
                "coefficients": _sympoly_json(f)}
 
 
 def _cmd_macd_pieri(args):
     lam = _fit(args.lam, args.n)
-    table = _load_table(args, args.n)
-    failures = pieri_failures(lam, args.n, table)
-    _save_table(args, table)
+    failures = pieri_failures(lam, args.n)
     return (0 if not failures else 1), {
         "n": args.n, "lambda": pt.format_partition(lam),
         "ok": not failures, "failures": failures}
 
 
 def _cmd_macd_cauchy(args):
-    table = _load_table(args, args.n)
-    ok = cauchy_row_check(args.n, args.l_max, table)
-    _save_table(args, table)
+    ok = cauchy_row_check(args.n, args.l_max)
     return (0 if ok else 1), {"n": args.n, "l_max": args.l_max, "ok": ok}
 
 
 def _cmd_macd_integrality(args):
     lam = _fit(args.lam, args.n)
-    table = _load_table(args, args.n)
-    ok = check_integrality(lam, args.n, table)
-    _save_table(args, table)
+    ok = check_integrality(lam, args.n)
     return (0 if ok else 1), {"n": args.n, "lambda": pt.format_partition(lam),
                               "ok": ok}
 
@@ -188,12 +156,8 @@ def _cmd_wheel_subs(args):
 def _cmd_wheel_check(args):
     p = ParameterSpec(args.k, args.r)
     lam = _fit(args.lam, args.n)
-    if args.n < args.k + 1:
-        raise UsageError("a wheel needs --n >= k+1 = %d" % (args.k + 1))
-    table = _load_table(args, args.n)
-    f = specialize_P(lam, args.n, p, table)
-    ok = wi.satisfies_wheel(f, p)
-    _save_table(args, table)
+    _need_wheel(args)
+    ok = wi.satisfies_wheel(specialize_P(lam, args.n, p), p)
     return (0 if ok else 1), {
         "k": args.k, "r": args.r, "n": args.n,
         "lambda": pt.format_partition(lam),
@@ -218,10 +182,8 @@ def _cmd_wheel_dim(args):
 
 def _cmd_wheel_basis(args):
     p = ParameterSpec(args.k, args.r)
-    table = _load_table(args, args.n)
-    basis = wi.basis_I(args.k, args.r, args.n, args.d, p, table)
+    basis = wi.basis_I(args.k, args.r, args.n, args.d, p)
     labels = pt.enumerate_admissible(args.k, args.r, args.n, args.d)
-    _save_table(args, table)
     return 0, {"k": args.k, "r": args.r, "n": args.n, "d": args.d,
                "basis": [{"lambda": pt.format_partition(lam),
                           "coefficients": _sympoly_json(f)}
@@ -313,9 +275,8 @@ def _cmd_verify_theorem1(args):
     p = ParameterSpec(args.k, args.r)
     reports = []
     ok = True
-    tables = {}
     for n in range(args.n_max + 1):
-        table = tables.setdefault(n, MacdonaldTable(n))
+        table = MacdonaldTable(n)
         for d in range(args.d_max + 1):
             rep = wi.verify_theorem1(args.k, args.r, n, d, p,
                                      mode=args.mode, table=table,
@@ -353,6 +314,7 @@ def _cmd_verify_prop302(args):
 
 
 def _cmd_verify_stability(args):
+    _need_wheel(args)
     p = ParameterSpec(args.k, args.r)
     basis = wi.wheel_kernel_basis(args.k, args.r, args.n, args.d, p)
     if not basis:
@@ -386,9 +348,7 @@ def _cmd_verify_rho(args):
         raise UsageError("--lambda %s is not (k=%d, r=%d)-admissible in %d "
                          "variables" % (pt.format_partition(lam), args.k,
                                         args.r, n))
-    table = _load_table(args, n)
-    ok = wi.verify_rho_inclusion(lam, args.k, args.r, n, args.j_max, p, table)
-    _save_table(args, table)
+    ok = wi.verify_rho_inclusion(lam, args.k, args.r, n, args.j_max, p)
     return (0 if ok else 1), {"k": args.k, "r": args.r, "n": n,
                               "lambda": pt.format_partition(lam),
                               "j_max": args.j_max, "ok": ok}
@@ -412,9 +372,8 @@ def _cmd_verify_lemma22(args):
     p = ParameterSpec(args.k, args.r)
     failures = []
     checked = 0
-    tables = {}
     for n in range(1, args.n_max + 1):
-        table = tables.setdefault(n, MacdonaldTable(n))
+        table = MacdonaldTable(n)
         seen = set()
         for d in range(args.size_max + 1):
             for lam in pt.enumerate_admissible(args.k, args.r, n, d):
@@ -459,9 +418,10 @@ _K = ("--k", {"type": _at_least(1), "required": True,
 _R = ("--r", {"type": _at_least(2), "required": True,
               "help": "admissibility gap (>= 2)"})
 _N = ("--n", {"type": _COUNT, "required": True})
+# a Macdonald table needs at least one variable
+_N1 = ("--n", {"type": _at_least(1), "required": True})
 _D = ("--d", {"type": _COUNT, "required": True})
 _LAM = ("--lambda", {"dest": "lam", "type": _partition, "required": True})
-_CACHE = ("--cache", {"help": "JSON cache file for Macdonald tables"})
 _MODE = ("--mode", {"choices": ("exact", "probe"), "default": "exact"})
 _PROBE_SEED = ("--probe-seed", {"type": int, "default": 0})
 _FIELD = ("--field", {"choices": ("rootofunity", "generic"),
@@ -476,21 +436,21 @@ def _count(flag, default):
 # (group, command, handler, help, options), in help order
 _COMMANDS = (
     ("macd", "compute", _cmd_macd_compute, "expand P_lambda in the m-basis",
-     (_N, _LAM, _CACHE)),
+     (_N1, _LAM)),
     ("macd", "pieri", _cmd_macd_pieri, "check the three expansion identities",
-     (_N, _LAM, _CACHE)),
+     (_N1, _LAM)),
     ("macd", "cauchy", _cmd_macd_cauchy, "row Cauchy identity up to a y-degree",
-     (_N, _count("--l-max", 6), _CACHE)),
+     (_N1, _count("--l-max", 6))),
     ("macd", "integrality", _cmd_macd_integrality,
-     "c_lambda P_lambda is polynomial", (_N, _LAM, _CACHE)),
+     "c_lambda P_lambda is polynomial", (_N1, _LAM)),
     ("wheel", "subs", _cmd_wheel_subs, "list the wheel substitutions",
      (_K, _R)),
     ("wheel", "check", _cmd_wheel_check,
-     "does specialized P_lambda satisfy the wheel", (_K, _R, _N, _LAM, _CACHE)),
+     "does specialized P_lambda satisfy the wheel", (_K, _R, _N, _LAM)),
     ("wheel", "dim", _cmd_wheel_dim, "dim of the wheel subspace",
      (_K, _R, _N, _D, _MODE, _PROBE_SEED)),
     ("wheel", "basis", _cmd_wheel_basis, "specialized admissible Macdonald basis",
-     (_K, _R, _N, _D, _CACHE)),
+     (_K, _R, _N1, _D)),
     ("current", "relation", _cmd_current_relation,
      "one Fourier-coefficient relation",
      (_K, _R, _D, _FIELD,
@@ -524,7 +484,7 @@ _COMMANDS = (
     ("verify", "rho", _cmd_verify_rho,
      "restricted derivatives stay in the ideal",
      (_K, _R, ("--n", {"type": _COUNT, "default": 0, "help": "defaults to k+2"}),
-      _LAM, _count("--j-max", 2), _CACHE)),
+      _LAM, _count("--j-max", 2))),
     ("verify", "lemma21", _cmd_verify_lemma21,
      "non-resonance of admissible exponents",
      (_K, _R, _count("--n-max", 5), _count("--size-max", 12))),

@@ -29,8 +29,7 @@ from itertools import combinations, permutations
 
 from . import partitions as pt
 from .scalars import (BiRatFunc, CycloNum, ExactDivisionError, LaurentPoly,
-                      PoleError, QTPoly, UniRatFunc, qt_divexact,
-                      render_scalar, parse_scalar)
+                      PoleError, QTPoly, UniRatFunc, qt_divexact)
 from .symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
                       monomials_to_m, sympoly_mul)
 
@@ -377,50 +376,6 @@ class MacdonaldTable:
         result = SymPoly(self.n, u)
         self.entries[lam] = result
         return result
-
-    # -- on-disk cache ------------------------------------------------
-
-    def to_json_dict(self):
-        entries = []
-        for lam in sorted(self.entries, key=lambda l: (pt.size(l), l)):
-            f = self.entries[lam]
-            coeffs = [{"mu": pt.format_partition(mu),
-                       "value": render_scalar(c)}
-                      for mu, c in sorted(f.coeffs.items(), reverse=True)]
-            entries.append({"lambda": pt.format_partition(lam),
-                            "coefficients": coeffs})
-        return {"n": self.n, "entries": entries}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        """Load and check a cache: each entry must be unitriangular, live in
-        its dominance ideal and satisfy D_n^1 P = eps1(lam) P exactly over
-        Q(q, t), which determines P_lam; any failure raises ValueError.
-        """
-        table = cls(int(data["n"]))
-        for entry in data.get("entries", ()):
-            lam = pt.parse_partition(entry["lambda"])
-            coeffs = {}
-            for item in entry["coefficients"]:
-                mu = pt.parse_partition(item["mu"])
-                coeffs[mu] = parse_scalar(item["value"], "qt")
-            f = SymPoly(table.n, coeffs)
-            if coeffs.get(lam) != BiRatFunc.one():
-                raise ValueError("cache entry %r is not unitriangular" % (lam,))
-            for mu in coeffs:
-                if mu != lam and not (pt.size(mu) == pt.size(lam)
-                                      and pt.dominance_leq(mu, lam)):
-                    raise ValueError("cache entry %r has support %r outside "
-                                     "the dominance ideal" % (lam, mu))
-            _, cols = table.component_matrix(pt.size(lam))
-            image = SymPoly.zero(table.n)
-            for nu, c in coeffs.items():
-                image = image + SymPoly(table.n, cols[nu]).scale(c)
-            if image != f.scale(BiRatFunc.from_poly(table.eps1(lam))):
-                raise ValueError("cache entry %r fails the D_n^1 eigen "
-                                 "equation" % (lam,))
-            table.entries[lam] = f
-        return table
 
 
 def compute_P(lam, n, table=None):

@@ -1,4 +1,3 @@
-import json
 import os
 import random
 import subprocess
@@ -399,28 +398,6 @@ def test_cauchy_examples(tables):
     assert qpochhammer_ratio(1) == (one - t) / (one - q)
     assert cauchy_row_check(2, 3, tables(2))
     assert cauchy_row_check(3, 4, tables(3))
-
-
-def test_table_json_roundtrip(tables):
-    table = MacdonaldTable(2)
-    for lam in [(2,), (1, 1), (3,)]:
-        table.compute_P(lam)
-    data = json.loads(json.dumps(table.to_json_dict()))
-    back = MacdonaldTable.from_json_dict(data)
-    assert back.n == 2
-    for lam, f in table.entries.items():
-        assert back.entries[lam] == f
-
-
-def test_table_json_validation():
-    bad = {"n": 2, "entries": [{"lambda": "2",
-                                "coefficients": [{"mu": "2", "value": "q"}]}]}
-    with pytest.raises(ValueError, match="unitriangular"):
-        MacdonaldTable.from_json_dict(bad)
-    bad = {"n": 2, "entries": [{"lambda": "1,1", "coefficients": [
-        {"mu": "1,1", "value": "1"}, {"mu": "2", "value": "q"}]}]}
-    with pytest.raises(ValueError, match="dominance"):
-        MacdonaldTable.from_json_dict(bad)
 
 
 def test_equal_eigenvalue_guard():

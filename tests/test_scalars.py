@@ -191,6 +191,15 @@ def test_render_parse_roundtrip():
         assert back == value, (text, value)
 
 
+@pytest.mark.parametrize("kind, N", [("qt", 1), ("u", 2), ("cyclo", 3),
+                                     ("rational", 1)])
+def test_parse_deep_nesting_is_a_value_error(kind, N):
+    # deeper than the interpreter's recursion limit: a ValueError the
+    # caller can report, never a RecursionError
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse_scalar("(" * 3000 + "1" + ")" * 3000, kind, N)
+
+
 def test_render_format():
     assert render_scalar((one - q * t) / (q - one)) == "(-q*t + 1)/(q - 1)"
     assert render_scalar(Fraction(5, 6)) == "5/6"
@@ -431,8 +440,8 @@ _RENDER_CORPUS_SHA256 = (
 
 
 def test_render_corpus_is_byte_identical():
-    """The canonical forms, and so every rendered output and --cache file,
-    are pinned: a change of representation must not change one byte."""
+    """The canonical forms, and so every rendered output, are pinned: a
+    change of representation must not change one byte."""
     import hashlib
 
     text = _render_corpus()

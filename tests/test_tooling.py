@@ -1,20 +1,25 @@
-"""Names that tooling looks up in the package must keep resolving.
+"""Names that tooling and the docs look up must keep resolving.
 
 The benchmark's traced run (perfbench/) wraps the library functions that
 perfbench/layers.json names; a refactor that renames one of them should
-fail here, in the fast suite, rather than in the benchmark.
+fail here, in the fast suite, rather than in the benchmark.  Likewise the
+README's command examples must name only options the parser knows.
 """
 
 import importlib
 import inspect
 import json
 import pkgutil
+import shlex
 from pathlib import Path
 
 import wheelmac
+from wheelmac import cli
 
 SRC = Path(wheelmac.__file__).resolve().parent
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.json"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ROOT / "perfbench" / "layers.json"
+README = ROOT / "README.md"
 
 
 def test_every_public_name_resolves():
@@ -60,3 +65,18 @@ def test_no_class_binds_a_traced_function():
                 value = getattr(value, "__func__", value)
                 for patch, fn in traced:
                     assert value is not fn, (cls.__name__, name, patch)
+
+
+def test_readme_commands_parse():
+    # parse only: no command runs, so this costs milliseconds
+    lines = [line for line in README.read_text().splitlines()
+             if line.startswith("wheelmac ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError("README command does not parse: " + line)
+        assert callable(args.fn), line
