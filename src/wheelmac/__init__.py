@@ -10,8 +10,7 @@ reduction and character recursions.
 
 from .scalars import (BiRatFunc, CycloNum, LaurentPoly, MixedFieldError,
                       ParameterSpec, PoleError, QTPoly, UniPoly, UniRatFunc,
-                      field_arithmetic, is_resonant, parse_scalar,
-                      render_scalar, specialize_scalar)
+                      parse_scalar, render_scalar)
 from .partitions import (add_node, check_lemma21, conjugate, dominance_leq,
                          enumerate_admissible, enumerate_partitions,
                          is_admissible, remove_node)
@@ -25,7 +24,7 @@ from .macdonald import (CoeffField, ExactDivisionError, MacdonaldTable,
 from .wheel_ideal import (basis_I, dim_J, satisfies_wheel, verify_rho_inclusion,
                           verify_stability, verify_theorem1,
                           wheel_substitutions)
-from .current_algebra import (CharSeries, CurrentVector, W_space_dim, chi_C,
+from .current_algebra import (CharSeries, W_space_dim, chi_C,
                               enumerate_C_sequences, quotient_dim,
                               reduce_to_admissible, relation_generic,
                               relation_rootofunity, verify_prop302,

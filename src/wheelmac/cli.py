@@ -24,7 +24,7 @@ from .macdonald import (ExactDivisionError, MacdonaldTable,
                         cauchy_row_check, check_integrality,
                         pieri_failures, specialize_P)
 from .scalars import ParameterSpec, PoleError, UniRatFunc, render_scalar
-from .symfunc import SymPoly
+from .symfunc import SymPoly, check_sigma
 
 __all__ = ["main", "run"]
 
@@ -203,10 +203,13 @@ def _cmd_current_relation(args):
         rel = ca.relation_rootofunity(args.d, nu, args.k, args.r)
         profile = _join(nu)
     else:
-        sigma = args.sigma
-        if sigma is None or len(sigma) != args.k:
-            raise UsageError("--field generic needs --sigma with k = %d "
-                             "entries" % args.k)
+        if args.sigma is None:
+            raise UsageError("--field generic needs --sigma")
+        try:
+            sigma = check_sigma(args.sigma, args.k, args.r)
+        except ValueError as exc:
+            raise UsageError("--sigma %s: %s"
+                             % (_join(args.sigma), exc)) from None
         p = ParameterSpec(args.k, args.r)
         rel = ca.relation_generic(args.d, sigma, args.k, args.r, p)
         profile = _join(sigma)
@@ -346,7 +349,7 @@ def _cmd_verify_rho(args):
         raise UsageError("the restriction needs --n >= k+2 = %d" % (args.k + 2))
     if not pt.is_admissible(lam, args.k, args.r, n):
         raise UsageError("--lambda %s is not (k=%d, r=%d)-admissible in %d "
-                         "variables" % (pt.format_partition(lam), args.k,
+                         "variables" % (pt.format_partition(lam, n), args.k,
                                         args.r, n))
     ok = wi.verify_rho_inclusion(lam, args.k, args.r, n, args.j_max, p)
     return (0 if ok else 1), {"k": args.k, "r": args.r, "n": n,

@@ -16,74 +16,28 @@ the admissible monomials as a basis; reduce_to_admissible realizes the
 rewriting walk from the spanning proof.  On top of that sit the prefix-
 bounded quotients W_{b_0..b_{r-2}}, their monomial-counting characters and
 the character recursion.
+
+Relations and rewritten vectors are symfunc.MonomialExpansions keyed by
+partitions padded with zeros: e_0 is an honest generator, so (2, 0) is
+e_2 e_0, not e_2.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from . import partitions as pt
 from .linalg import EchelonBasis, corank_upower
 from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
-from .symfunc import eval_monomial_symmetric
+from .symfunc import MonomialExpansion, check_sigma, eval_monomial_symmetric
 from .wheel_ideal import _check_choice, wheel_substitutions
 
 __all__ = [
-    "CurrentVector", "CharSeries", "relation_rootofunity", "relation_generic",
+    "CharSeries", "relation_rootofunity", "relation_generic",
     "residue_profiles", "K_d_nu", "quotient_dim", "reduce_to_admissible",
     "enumerate_C_sequences", "chi_C", "verify_recursion", "W_space_dim",
     "verify_prop302", "ideal_rows",
 ]
-
-
-class CurrentVector:
-    """Finite combination of monomials e_lam, keys padded to n slots.
-
-    Zero parts matter: e_0 is an honest generator, so (2, 0) is e_2 e_0,
-    not e_2.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        clean = {}
-        for lam, c in (terms or {}).items():
-            lam = pt.pad(pt.normalize(lam), n)
-            if c:
-                clean[lam] = c
-        self.terms = clean
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def scale(self, s):
-        return CurrentVector(self.n, {k: c * s for k, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, CurrentVector) or other.n != self.n:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            w = out.get(k)
-            w = c if w is None else w + c
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return CurrentVector(self.n, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, CurrentVector) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        body = " + ".join("(%r)*e[%s]" % (c, ",".join(map(str, k)))
-                          for k, c in sorted(self.terms.items(), reverse=True))
-        return "CurrentVector(%d, %s)" % (self.n, body or "0")
 
 
 def residue_profiles(k, r):
@@ -126,14 +80,15 @@ def relation_rootofunity(d, nu, k, r):
         for v, m in mult.items():
             c //= math.factorial(m)
         terms[mu] = Fraction(c)
-    return CurrentVector(k + 1, terms)
+    return MonomialExpansion(k + 1, terms)
 
 
 def relation_generic(d, sigma, k, r, p=None):
     """z^d coefficient of e(z) e(c_1 z) ... e(c_k z), c_i = t^i q^(sigma_i).
 
     m_mu(1, c_1, ..., c_k) is summed over LaurentPoly monomials c_i, then
-    made a canonical UniRatFunc once."""
+    made a canonical UniRatFunc once.  sigma must pass check_sigma."""
+    sigma = check_sigma(sigma, k, r)
     p = p or ParameterSpec(k, r)
     one = LaurentPoly.one(p.N)
     values = [one] + [LaurentPoly.monomial(p.N, *p.qt_laurent(sigma[i - 1], i))
@@ -143,7 +98,7 @@ def relation_generic(d, sigma, k, r, p=None):
         c = eval_monomial_symmetric(mu, values, one)
         if c:
             terms[pt.pad(mu, k + 1)] = c.to_unirat()
-    return CurrentVector(k + 1, terms)
+    return MonomialExpansion(k + 1, terms)
 
 
 def _merge(a, b):
@@ -216,9 +171,8 @@ def reduce_to_admissible(lam, k, r):
     the lex-minimal support element.  Every replacement is lex-greater,
     so the walk terminates inside pi_{n,d}.
     """
-    lam = tuple(lam)
     n = len(lam)
-    current = CurrentVector(n, {lam: Fraction(1)})
+    current = MonomialExpansion(n, {pt.pad(pt.normalize(lam), n): Fraction(1)})
     while True:
         worklist = [key for key in current.terms
                     if not pt.is_admissible(key, k, r, n)]
@@ -236,19 +190,14 @@ def reduce_to_admissible(lam, k, r):
         if min(rel.terms) != mu:
             raise AssertionError(
                 "window %r is not the minimal element of its relation" % (mu,))
+        # e_rest times the relation, scaled to cancel the term at key;
+        # distinct mu2 merge into distinct keys
         c_mu = rel.terms[mu]
-        replacement = {}
-        for mu2, c2 in rel.terms.items():
-            if mu2 == mu:
-                continue
-            new_key = _merge(rest, mu2)
-            if new_key <= key:
-                raise AssertionError("rewriting did not increase %r" % (key,))
-            w = replacement.get(new_key, Fraction(0)) - coeff * c2 / c_mu
-            replacement[new_key] = w
-        current = CurrentVector(
-            n, {k2: c2 for k2, c2 in current.terms.items() if k2 != key}) \
-            + CurrentVector(n, replacement)
+        step = {_merge(rest, mu2): -coeff * c2 / c_mu
+                for mu2, c2 in rel.terms.items()}
+        if min(step) != key:
+            raise AssertionError("rewriting did not increase %r" % (key,))
+        current = current + MonomialExpansion(n, step)
 
 
 class CharSeries:
@@ -369,53 +318,24 @@ def verify_recursion(b, k, r, d_max=8, n_max=8):
     return True
 
 
-def _violating_monomials(b, k, r, n, d):
-    """Exponent tuples (a_0..a_{r-2}) breaking a prefix bound, inside the
-    (n, d) box.  These are the monomial generators of the W-space ideal."""
-    b = _check_profile(b, k, r)
-    out = []
-    a = [0] * (r - 1)
-
-    def rec(pos, cnt, wdeg, violated):
-        if pos == r - 1:
-            if violated:
-                out.append(tuple(a))
-            return
-        for val in range(n - cnt + 1):
-            if pos and wdeg + val * pos > d:
-                break
-            a[pos] = val
-            rec(pos + 1, cnt + val, wdeg + val * pos,
-                violated or (sum(a[: pos + 1]) > b[pos]))
-        a[pos] = 0
-
-    rec(0, 0, 0, False)
-    return out
-
-
 def W_space_dim(b, k, r, n, d, p=None):
     """dim of the (n, d) component of W_b = R / I_b over K.
 
     I_b is spanned in the component by the shifted-current relations and
-    by the multiples of the prefix-violating monomials in e_0..e_{r-2};
-    the latter are unit vectors, so their columns are deleted before the
-    relation rows are ranked.
+    by the multiples of the prefix-violating monomials in e_0..e_{r-2}.
+    e_lam is such a multiple exactly when the counts of its parts 0..r-2
+    (padded to n) already break a prefix bound; those multiples are unit
+    vectors, so their columns are deleted before the relation rows are
+    ranked.
     """
     p = p or ParameterSpec(k, r)
     b = _check_profile(b, k, r)
-    plist = pt.enumerate_partitions(n, d)
-    index = {lam: i for i, lam in enumerate(plist)}
-    killed = set()
-    for mono in _violating_monomials(b, k, r, n, d):
-        parts = []
-        for i in range(r - 2, -1, -1):
-            parts.extend([i] * mono[i])
-        cnt = len(parts)
-        wdeg = sum(parts)
-        g = tuple(parts)
-        for filler in pt.enumerate_partitions(n - cnt, d - wdeg):
-            killed.add(pt.normalize(_merge(g, pt.pad(filler, n - cnt))))
-    keep = [i for i, lam in enumerate(plist) if lam not in killed]
+    keep = []
+    for i, lam in enumerate(pt.enumerate_partitions(n, d)):
+        lam = pt.pad(lam, n)
+        prefix = accumulate(lam.count(v) for v in range(r - 1))
+        if all(c <= bound for c, bound in zip(prefix, b)):
+            keep.append(i)
     if not keep:
         return 0
     rows = []

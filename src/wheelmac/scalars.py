@@ -49,7 +49,7 @@ from math import gcd, lcm
 __all__ = [
     "CycloNum", "UniPoly", "UniRatFunc", "LaurentPoly", "QTPoly", "BiRatFunc",
     "ParameterSpec", "MixedFieldError", "PoleError", "ExactDivisionError",
-    "field_arithmetic", "cyclotomic_polynomial", "euler_phi",
+    "cyclotomic_polynomial", "euler_phi",
     "qt_gcd", "qt_divexact", "render_scalar", "parse_scalar",
 ]
 
@@ -312,7 +312,8 @@ class CycloNum(_Field):
         return not any(self.c[1:])
 
     def rational_value(self):
-        assert self.is_rational()
+        if not self.is_rational():
+            raise ValueError("%r is not rational" % (self,))
         return self.c[0]
 
     def multiplicative_order(self, bound=None):
@@ -1700,35 +1701,6 @@ class ParameterSpec:
 
     def __repr__(self):
         return "ParameterSpec(k=%d, r=%d)" % (self.k, self.r)
-
-
-def specialize_scalar(x, p):
-    return p.specialize(x)
-
-
-def is_resonant(a, b, p):
-    return p.is_resonant(a, b)
-
-
-_OPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
-        "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
-
-
-def field_arithmetic(a, b, op):
-    """Dispatch helper for the four field operations on same-field operands."""
-    if type(a) is not type(b) and not (
-            isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
-        raise MixedFieldError("operands live in different fields: %r, %r"
-                              % (type(a).__name__, type(b).__name__))
-    if op == "div":
-        zero = getattr(b, "is_zero", None)
-        if (zero() if zero else b == 0):
-            raise ZeroDivisionError("division by zero")
-    try:
-        f = _OPS[op]
-    except KeyError:
-        raise ValueError("unknown operation %r" % (op,))
-    return f(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Storage is sparse in the monomial-symmetric basis: a ``SymPoly`` maps
 partitions to coefficients, and the dense orbit expansion
 (``MonomialExpansion``) is materialized only inside operators and
-substitutions.  Coefficients can be any of the scalar types from
-``wheelmac.scalars`` (or plain ints/Fractions); the code only relies on
-ring arithmetic and truthiness for zero tests.
+substitutions; ``current_algebra`` keeps its combinations of current
+monomials e_lam in the same class.  Coefficients can be any of the scalar
+types from ``wheelmac.scalars`` (or plain ints/Fractions); the code only
+relies on ring arithmetic and truthiness for zero tests.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from .scalars import LaurentPoly
 
 __all__ = [
     "SymPoly", "MonomialExpansion", "m_to_monomials", "monomials_to_m",
-    "sympoly_mul", "wheel_substitute", "restrict_derivative",
+    "sympoly_mul", "check_sigma", "wheel_substitute", "restrict_derivative",
     "orbit_of", "eval_monomial_symmetric",
 ]
 
@@ -241,6 +242,21 @@ def sympoly_mul(f, g):
     return monomials_to_m(prod, check=False)
 
 
+def check_sigma(sigma, k, r):
+    """sigma as a tuple; ValueError unless it is a cumulative wheel
+    exponent sequence: length k, weakly increasing within 0..r-1."""
+    sigma = tuple(sigma)
+    if len(sigma) != k:
+        raise ValueError("sigma must have length k=%d" % k)
+    prev = 0
+    for s in sigma:
+        if s < prev or s > r - 1:
+            raise ValueError("sigma must be weakly increasing within 0..r-1: %r"
+                             % (sigma,))
+        prev = s
+    return sigma
+
+
 def wheel_substitute(f, sigma, p):
     """Substitute the wheel x_{i+1} = t^i q^{sigma_i} x_1, i = 1..k.
 
@@ -254,16 +270,8 @@ def wheel_substitute(f, sigma, p):
     over LaurentPoly (no normalization) and each of its coefficients is
     made a canonical UniRatFunc once, then scaled by f's coefficient.
     """
-    k, r = p.k, p.r
-    sigma = tuple(sigma)
-    if len(sigma) != k:
-        raise ValueError("sigma must have length k=%d" % k)
-    prev = 0
-    for s in sigma:
-        if s < prev or s > r - 1:
-            raise ValueError("sigma must be weakly increasing within 0..r-1: %r"
-                             % (sigma,))
-        prev = s
+    k = p.k
+    sigma = check_sigma(sigma, k, p.r)
     if f.n < k + 1:
         raise ValueError("need at least k+1=%d variables, got %d" % (k + 1, f.n))
     one = LaurentPoly.one(p.N)

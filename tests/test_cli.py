@@ -181,6 +181,8 @@ def test_usage_errors_exit_2(capsys):
             "current relation --k 1 --r 3 --d 2 --profile 1,y",
             "current relation --k 2 --r 3 --d 2 --field generic --sigma 1",
             "current relation --k 1 --r 3 --d 2 --field generic --sigma z",
+            "current relation --k 1 --r 2 --d 2 --field generic --sigma 5",
+            "current relation --k 2 --r 3 --d 2 --field generic --sigma 1,0",
             "wheel check --k 2 --r 2 --n 2 --lambda 1",
             "verify rho --k 1 --r 3 --lambda 3,1",
             "verify rho --k 1 --r 3 --lambda 4,1",
@@ -200,6 +202,12 @@ def test_usage_errors_exit_2(capsys):
             run(argv.split())
         assert exc.value.code == 2, argv
         assert "Traceback" not in capsys.readouterr().err
+    # the refused partition is shown padded to n, as current reduce shows it
+    with pytest.raises(SystemExit) as exc:
+        run("verify rho --k 1 --r 2 --lambda 0".split())
+    assert exc.value.code == 2
+    assert ("--lambda 0,0,0 is not (k=1, r=2)-admissible in 3 variables"
+            in capsys.readouterr().err)
 
 
 def test_python_m_wheelmac():

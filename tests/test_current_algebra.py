@@ -5,8 +5,7 @@ import pytest
 
 from wheelmac import linalg
 from wheelmac import partitions as pt
-from wheelmac.current_algebra import (CurrentVector, K_d_nu,
-                                      W_space_dim, chi_C,
+from wheelmac.current_algebra import (K_d_nu, W_space_dim, chi_C,
                                       enumerate_C_sequences, ideal_rows,
                                       quotient_dim, reduce_to_admissible,
                                       relation_generic, relation_rootofunity,
@@ -14,7 +13,7 @@ from wheelmac.current_algebra import (CurrentVector, K_d_nu,
                                       verify_recursion)
 from wheelmac.linalg import _clear_upower_row, in_row_span
 from wheelmac.scalars import CycloNum, ParameterSpec, UniPoly, UniRatFunc
-from wheelmac.symfunc import eval_monomial_symmetric
+from wheelmac.symfunc import MonomialExpansion, eval_monomial_symmetric
 from wheelmac.wheel_ideal import constraint_rows, wheel_substitutions
 
 
@@ -68,6 +67,11 @@ def test_relation_generic_examples():
     assert rel.terms == {(1, 0): one + u}
     rel = relation_generic(2, (0,), 1, 2, p)
     assert rel.terms == {(2, 0): one + u * u, (1, 1): u}
+    # sigma is a cumulative wheel sequence: length k, weakly increasing
+    # within 0..r-1, as wheel_substitute requires
+    for sigma, k, r in (((5,), 1, 2), ((1, 0), 2, 3), ((1,), 2, 3)):
+        with pytest.raises(ValueError, match="sigma"):
+            relation_generic(2, sigma, k, r)
 
 
 def test_duality_with_wheel_rows():
@@ -322,9 +326,13 @@ def test_prop302_examples():
 
 
 def test_current_vector_semantics():
-    v = CurrentVector(2, {(1, 1): Fraction(1)})
-    w = CurrentVector(2, {(1, 1): Fraction(-1), (2, 0): Fraction(3)})
+    # current vectors are MonomialExpansions keyed by padded partitions
+    v = MonomialExpansion(2, {(1, 1): Fraction(1)})
+    w = MonomialExpansion(2, {(1, 1): Fraction(-1), (2, 0): Fraction(3)})
     assert (v + w).terms == {(2, 0): Fraction(3)}
     assert v.scale(Fraction(2)).terms == {(1, 1): Fraction(2)}
+    assert (v + v.scale(-1)).is_zero() and v + w != v
     # zero parts are honest generators: (2,0) != (2,) as monomials
-    assert CurrentVector(2, {(2, 0): Fraction(1)}).terms == {(2, 0): Fraction(1)}
+    rel = relation_rootofunity(2, (2,), 1, 2)
+    assert isinstance(rel, MonomialExpansion) and rel.n == 2
+    assert (2, 0) in rel.terms and (2,) not in rel.terms

@@ -11,9 +11,8 @@ from wheelmac import scalars
 from wheelmac.scalars import (BiRatFunc, CycloNum, ExactDivisionError,
                               LaurentPoly, MixedFieldError, ParameterSpec,
                               PoleError, QTPoly, UniPoly, UniRatFunc,
-                              cyclotomic_polynomial, euler_phi,
-                              field_arithmetic, parse_scalar, qt_divexact,
-                              qt_gcd, render_scalar)
+                              cyclotomic_polynomial, euler_phi, parse_scalar,
+                              qt_divexact, qt_gcd, render_scalar)
 
 q = BiRatFunc.q()
 t = BiRatFunc.t()
@@ -31,29 +30,6 @@ def test_cyclotomic_polynomials():
         assert len(cyclotomic_polynomial(n)) - 1 == euler_phi(n)
 
 
-def test_field_arithmetic_examples():
-    # rational arithmetic
-    assert field_arithmetic(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
-    # root-of-unity identity in Q(zeta_3)
-    z3 = CycloNum.zeta(3)
-    assert field_arithmetic(z3, z3 ** 2, "mul") == CycloNum.one(3)
-    # inverse pair in Q(q, t)
-    a = (one - t) / (one - q * t)
-    b = (one - q * t) / (one - t)
-    assert field_arithmetic(a, b, "mul") == one
-
-
-def test_field_arithmetic_errors():
-    with pytest.raises(ZeroDivisionError):
-        field_arithmetic(one, BiRatFunc.zero(), "div")
-    with pytest.raises(MixedFieldError):
-        field_arithmetic(CycloNum.zeta(3), CycloNum.zeta(4), "add")
-    with pytest.raises(MixedFieldError):
-        field_arithmetic(one, Fraction(1), "add")
-    with pytest.raises(ValueError):
-        field_arithmetic(one, one, "pow")
-
-
 def test_cyclo_arithmetic():
     z = CycloNum.zeta(5)
     assert sum((z ** i for i in range(1, 5)), CycloNum.one(5)) == 0
@@ -61,8 +37,9 @@ def test_cyclo_arithmetic():
     assert z.multiplicative_order() == 5
     assert (z ** 2 / z ** 2) == 1
     assert CycloNum.zeta(12).multiplicative_order() == 12
-    with pytest.raises(ZeroDivisionError):
-        CycloNum.zero(5).inverse()
+    for divide in (CycloNum.zero(5).inverse, lambda: one / BiRatFunc.zero()):
+        with pytest.raises(ZeroDivisionError):
+            divide()
 
 
 def test_zeta_table_matches_powers():
@@ -254,6 +231,24 @@ def _run_under_O(code):
 ])
 def test_inexact_integer_division_raises_under_O(num, den):
     done = _run_under_O(_INEXACT_UNDER_O % (num, den))
+    assert done.returncode == 0, done.stderr
+
+
+_IRRATIONAL_UNDER_O = """
+from wheelmac.scalars import CycloNum
+try:
+    CycloNum.zeta(3).rational_value()
+except ValueError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_rational_value_refuses_irrational_under_O():
+    assert CycloNum.from_rational(3, Fraction(5, 3)).rational_value() == Fraction(5, 3)
+    with pytest.raises(ValueError):
+        CycloNum.zeta(4).rational_value()
+    done = _run_under_O(_IRRATIONAL_UNDER_O)
     assert done.returncode == 0, done.stderr
 
 
@@ -841,6 +836,7 @@ def test_unipoly_mixed_orders_raise():
     b = UniPoly(2, [CycloNum.from_rational(2, 3), CycloNum.one(2)])
     for op in (lambda: a.gcd(b), lambda: b.gcd(a), lambda: a * b,
                lambda: a.divexact(b), lambda: a + b,
-               lambda: a.gcd(UniPoly.zero(2)), lambda: a * UniPoly.zero(2)):
+               lambda: a.gcd(UniPoly.zero(2)), lambda: a * UniPoly.zero(2),
+               lambda: CycloNum.zeta(3) + CycloNum.zeta(4)):
         with pytest.raises(MixedFieldError):
             op()

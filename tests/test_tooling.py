@@ -3,10 +3,13 @@
 The benchmark's traced run (perfbench/) wraps the library functions that
 perfbench/layers.json names; a refactor that renames one of them should
 fail here, in the fast suite, rather than in the benchmark.  Likewise the
-README's command examples must name only options the parser knows.
+README's command examples must name only options the parser knows, and its
+Python quickstart must print what it says it prints.
 """
 
+import contextlib
 import importlib
+import io
 import inspect
 import json
 import pkgutil
@@ -80,3 +83,15 @@ def test_readme_commands_parse():
         except SystemExit:
             raise AssertionError("README command does not parse: " + line)
         assert callable(args.fn), line
+
+
+def test_readme_quickstart_prints_its_comments():
+    # each print in the quickstart is followed by a "# ..." line holding
+    # its output; a removed export fails here as an ImportError
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    want = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    assert want
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == want
