@@ -42,9 +42,7 @@ print("== Pieri expansion of e_1 P_(2,1) ==")
 e1 = SymPoly.m((1,), n, BiRatFunc.one())
 product = sympoly_mul(e1, P)
 for j in range(1, pt.length(lam) + 2):
-    prev = lam[j - 2] if j >= 2 else None
-    cur = lam[j - 1] if j <= len(lam) else 0
-    if j >= 2 and prev == cur:
+    if j not in pt.addable_rows(lam):
         print("  row %d: absent (psi' = %s)" % (j, render_scalar(psi_prime(lam, j))))
         continue
     mu = pt.add_node(lam, j)

@@ -24,12 +24,12 @@ from .macdonald import (ExactDivisionError, MacdonaldTable,
                         cauchy_row_check, check_integrality,
                         pieri_failures, specialize_P)
 from .scalars import ParameterSpec, PoleError, UniRatFunc, render_scalar
-from .symfunc import SymPoly, check_sigma
+from .symfunc import SymPoly, check_sigma, check_wheel_size
 
 __all__ = ["main", "run"]
 
 
-class UsageError(ValueError):
+class UsageError(Exception):
     """Input the command cannot work on; reported like an argparse error."""
 
 
@@ -72,16 +72,16 @@ def _join(values):
     return ",".join(map(str, values))
 
 
-def _fit(lam, n):
-    if pt.length(lam) > n:
-        raise UsageError("--lambda %s has more than %d parts"
-                         % (pt.format_partition(lam), n))
-    return lam
-
-
-def _need_wheel(args):
-    if args.n < args.k + 1:
-        raise UsageError("a wheel needs --n >= k+1 = %d" % (args.k + 1))
+def _checked(flag, check, value, *context):
+    """check(value, *context) for a library input rule, its ValueError
+    reported as a usage error naming flag and value.  Only such rules go
+    through here, never a computation: a ValueError raised while computing
+    is not the user's input at fault and must not exit 2."""
+    try:
+        return check(value, *context)
+    except ValueError as exc:
+        shown = _join(value) if isinstance(value, tuple) else value
+        raise UsageError("%s %s: %s" % (flag, shown, exc)) from None
 
 
 def _sympoly_json(f):
@@ -121,17 +121,17 @@ def _emit_table(payload, indent=""):
 # ---------------------------------------------------------------------------
 
 def _cmd_macd_compute(args):
-    lam = _fit(args.lam, args.n)
-    f = MacdonaldTable(args.n).compute_P(lam)
-    return 0, {"n": args.n, "lambda": pt.format_partition(lam),
+    _checked("--lambda", pt.pad, args.lam, args.n)
+    f = MacdonaldTable(args.n).compute_P(args.lam)
+    return 0, {"n": args.n, "lambda": pt.format_partition(args.lam),
                "coefficients": _sympoly_json(f)}
 
 
 def _cmd_macd_pieri(args):
-    lam = _fit(args.lam, args.n)
-    failures = pieri_failures(lam, args.n)
+    _checked("--lambda", pt.pad, args.lam, args.n)
+    failures = pieri_failures(args.lam, args.n)
     return (0 if not failures else 1), {
-        "n": args.n, "lambda": pt.format_partition(lam),
+        "n": args.n, "lambda": pt.format_partition(args.lam),
         "ok": not failures, "failures": failures}
 
 
@@ -141,10 +141,10 @@ def _cmd_macd_cauchy(args):
 
 
 def _cmd_macd_integrality(args):
-    lam = _fit(args.lam, args.n)
-    ok = check_integrality(lam, args.n)
-    return (0 if ok else 1), {"n": args.n, "lambda": pt.format_partition(lam),
-                              "ok": ok}
+    _checked("--lambda", pt.pad, args.lam, args.n)
+    ok = check_integrality(args.lam, args.n)
+    return (0 if ok else 1), {"n": args.n, "ok": ok,
+                              "lambda": pt.format_partition(args.lam)}
 
 
 def _cmd_wheel_subs(args):
@@ -155,29 +155,21 @@ def _cmd_wheel_subs(args):
 
 def _cmd_wheel_check(args):
     p = ParameterSpec(args.k, args.r)
-    lam = _fit(args.lam, args.n)
-    _need_wheel(args)
-    ok = wi.satisfies_wheel(specialize_P(lam, args.n, p), p)
+    _checked("--lambda", pt.pad, args.lam, args.n)
+    _checked("--n", check_wheel_size, args.n, args.k)
+    ok = wi.satisfies_wheel(specialize_P(args.lam, args.n, p), p)
     return (0 if ok else 1), {
         "k": args.k, "r": args.r, "n": args.n,
-        "lambda": pt.format_partition(lam),
-        "admissible": pt.is_admissible(lam, args.k, args.r, args.n),
+        "lambda": pt.format_partition(args.lam),
+        "admissible": pt.is_admissible(args.lam, args.k, args.r, args.n),
         "satisfies_wheel": ok}
 
 
 def _cmd_wheel_dim(args):
-    p = ParameterSpec(args.k, args.r)
-    dim = wi.dim_J(args.k, args.r, args.n, args.d, p,
-                   mode=args.mode, seed=args.probe_seed)
-    payload = {"k": args.k, "r": args.r, "n": args.n, "d": args.d,
-               "mode": args.mode, "dim_J": dim}
-    if args.mode == "probe":
-        exact = wi.dim_J(args.k, args.r, args.n, args.d, p)
-        payload["dim_J_exact"] = exact
-        if exact != dim:
-            payload["probe_disagreement"] = True
-            return 1, payload
-    return 0, payload
+    dim = wi.dim_J(args.k, args.r, args.n, args.d,
+                   ParameterSpec(args.k, args.r))
+    return 0, {"k": args.k, "r": args.r, "n": args.n, "d": args.d,
+               "dim_J": dim}
 
 
 def _cmd_wheel_basis(args):
@@ -192,24 +184,16 @@ def _cmd_wheel_basis(args):
 
 def _cmd_current_relation(args):
     if args.field == "rootofunity":
-        nu = args.profile
-        if nu is None:
+        if args.profile is None:
             raise UsageError("--field rootofunity needs --profile")
-        if (len(nu) != args.r - 1 or min(nu) < 0
-                or sum(nu) != args.k + 1):
-            raise UsageError("--profile %s: want r-1 = %d non-negative "
-                             "entries summing to k+1 = %d"
-                             % (_join(nu), args.r - 1, args.k + 1))
+        nu = _checked("--profile", ca.check_residue_profile, args.profile,
+                      args.k, args.r)
         rel = ca.relation_rootofunity(args.d, nu, args.k, args.r)
         profile = _join(nu)
     else:
         if args.sigma is None:
             raise UsageError("--field generic needs --sigma")
-        try:
-            sigma = check_sigma(args.sigma, args.k, args.r)
-        except ValueError as exc:
-            raise UsageError("--sigma %s: %s"
-                             % (_join(args.sigma), exc)) from None
+        sigma = _checked("--sigma", check_sigma, args.sigma, args.k, args.r)
         p = ParameterSpec(args.k, args.r)
         rel = ca.relation_generic(args.d, sigma, args.k, args.r, p)
         profile = _join(sigma)
@@ -231,10 +215,7 @@ def _cmd_current_rank(args):
 
 def _cmd_current_reduce(args):
     lam = args.lam
-    try:
-        pt.normalize(lam)
-    except ValueError as exc:
-        raise UsageError("--lambda: %s" % exc) from None
+    _checked("--lambda", pt.normalize, lam)
     out = ca.reduce_to_admissible(lam, args.k, args.r)
     return 0, {"input": _join(lam),
                "terms": [{"partition": pt.format_partition(mu, len(lam)),
@@ -242,33 +223,22 @@ def _cmd_current_reduce(args):
                          for mu, c in sorted(out.terms.items(), reverse=True)]}
 
 
-def _profile(args):
-    """--b: r-1 prefix bounds, weakly increasing within 0..k."""
-    b = args.b
-    if (len(b) != args.r - 1 or list(b) != sorted(b) or b[0] < 0
-            or b[-1] > args.k):
-        raise UsageError("--b %s: want r-1 = %d bounds, weakly increasing "
-                         "within 0..%d" % (_join(b), args.r - 1, args.k))
-    return b
-
-
 def _cmd_char_chi(args):
-    chi = ca.chi_C(_profile(args), args.k, args.r, args.d_max, args.n_max)
+    b = _checked("--b", ca.check_profile, args.b, args.k, args.r)
+    chi = ca.chi_C(b, args.k, args.r, args.d_max, args.n_max)
     coeffs = [[d, n, c] for (d, n), c in sorted(chi.coeffs.items())]
     return 0, {"d_max": args.d_max, "n_max": args.n_max, "coefficients": coeffs}
 
 
 def _cmd_char_recursion(args):
-    b = _profile(args)
-    if b[0] < 1:
-        raise UsageError("--b %s: the recursion needs b_0 >= 1" % _join(b))
+    b = _checked("--b", ca.check_recursion_profile, args.b, args.k, args.r)
     ok = ca.verify_recursion(b, args.k, args.r, args.d_max, args.n_max)
     return (0 if ok else 1), {"b": _join(b), "ok": ok}
 
 
 def _cmd_char_wdim(args):
     p = ParameterSpec(args.k, args.r)
-    b = _profile(args)
+    b = _checked("--b", ca.check_profile, args.b, args.k, args.r)
     dim = ca.W_space_dim(b, args.k, args.r, args.n, args.d, p)
     return 0, {"k": args.k, "r": args.r, "b": _join(b), "n": args.n,
                "d": args.d, "w_dim": dim}
@@ -281,17 +251,8 @@ def _cmd_verify_theorem1(args):
     for n in range(args.n_max + 1):
         table = MacdonaldTable(n)
         for d in range(args.d_max + 1):
-            rep = wi.verify_theorem1(args.k, args.r, n, d, p,
-                                     mode=args.mode, table=table,
-                                     seed=args.probe_seed)
-            if args.mode == "probe":
-                exact = wi.dim_J(args.k, args.r, n, d, p)
-                if exact != rep["dim_J"]:
-                    rep["probe_disagreement"] = True
-                    rep["dim_J_exact"] = exact
-                    rep["dims_equal"] = exact == rep["admissible_count"]
-            if not (rep["inclusion_ok"] and rep["dims_equal"]
-                    and not rep.get("probe_disagreement")):
+            rep = wi.verify_theorem1(args.k, args.r, n, d, p, table=table)
+            if not (rep["inclusion_ok"] and rep["dims_equal"]):
                 ok = False
             reports.append(rep)
     return (0 if ok else 1), {"k": args.k, "r": args.r, "ok": ok,
@@ -301,7 +262,7 @@ def _cmd_verify_theorem1(args):
 def _cmd_verify_prop302(args):
     p = ParameterSpec(args.k, args.r)
     if args.b:
-        profiles = [_profile(args)]
+        profiles = [_checked("--b", ca.check_profile, args.b, args.k, args.r)]
     else:
         from itertools import combinations_with_replacement
         profiles = list(combinations_with_replacement(range(args.k + 1),
@@ -317,7 +278,7 @@ def _cmd_verify_prop302(args):
 
 
 def _cmd_verify_stability(args):
-    _need_wheel(args)
+    _checked("--n", check_wheel_size, args.n, args.k)
     p = ParameterSpec(args.k, args.r)
     basis = wi.wheel_kernel_basis(args.k, args.r, args.n, args.d, p)
     if not basis:
@@ -344,9 +305,9 @@ def _cmd_verify_stability(args):
 def _cmd_verify_rho(args):
     p = ParameterSpec(args.k, args.r)
     n = args.n if args.n else args.k + 2
-    lam = _fit(args.lam, n)
-    if n < args.k + 2:
-        raise UsageError("the restriction needs --n >= k+2 = %d" % (args.k + 2))
+    lam = args.lam
+    _checked("--lambda", pt.pad, lam, n)
+    _checked("--n", wi.check_restriction_size, n, args.k)
     if not pt.is_admissible(lam, args.k, args.r, n):
         raise UsageError("--lambda %s is not (k=%d, r=%d)-admissible in %d "
                          "variables" % (pt.format_partition(lam, n), args.k,
@@ -381,18 +342,12 @@ def _cmd_verify_lemma22(args):
         for d in range(args.size_max + 1):
             for lam in pt.enumerate_admissible(args.k, args.r, n, d):
                 cases = {lam}
-                for j in range(1, pt.length(lam) + 2):
-                    try:
-                        mu = pt.add_node(lam, j)
-                        if pt.length(mu) <= n:
-                            cases.add(mu)
-                    except ValueError:
-                        pass
-                for j in range(1, pt.length(lam) + 1):
-                    try:
-                        cases.add(pt.remove_node(lam, j))
-                    except ValueError:
-                        pass
+                for j in pt.addable_rows(lam):
+                    mu = pt.add_node(lam, j)
+                    if pt.length(mu) <= n:
+                        cases.add(mu)
+                cases.update(pt.remove_node(lam, j)
+                             for j in pt.removable_rows(lam))
                 for mu in cases - seen:
                     seen.add(mu)
                     checked += 1
@@ -425,8 +380,6 @@ _N = ("--n", {"type": _COUNT, "required": True})
 _N1 = ("--n", {"type": _at_least(1), "required": True})
 _D = ("--d", {"type": _COUNT, "required": True})
 _LAM = ("--lambda", {"dest": "lam", "type": _partition, "required": True})
-_MODE = ("--mode", {"choices": ("exact", "probe"), "default": "exact"})
-_PROBE_SEED = ("--probe-seed", {"type": int, "default": 0})
 _FIELD = ("--field", {"choices": ("rootofunity", "generic"),
                       "default": "rootofunity"})
 _B = ("--b", {"type": _int_list, "required": True})
@@ -451,7 +404,7 @@ _COMMANDS = (
     ("wheel", "check", _cmd_wheel_check,
      "does specialized P_lambda satisfy the wheel", (_K, _R, _N, _LAM)),
     ("wheel", "dim", _cmd_wheel_dim, "dim of the wheel subspace",
-     (_K, _R, _N, _D, _MODE, _PROBE_SEED)),
+     (_K, _R, _N, _D)),
     ("wheel", "basis", _cmd_wheel_basis, "specialized admissible Macdonald basis",
      (_K, _R, _N1, _D)),
     ("current", "relation", _cmd_current_relation,
@@ -475,7 +428,7 @@ _COMMANDS = (
     ("char", "w-dim", _cmd_char_wdim, "dim of a W-space component",
      (_K, _R, _B, _N, _D)),
     ("verify", "theorem1", _cmd_verify_theorem1, "I = J on a grid of components",
-     (_K, _R, _count("--n-max", 4), _count("--d-max", 8), _MODE, _PROBE_SEED)),
+     (_K, _R, _count("--n-max", 4), _count("--d-max", 8))),
     ("verify", "prop302", _cmd_verify_prop302, "W-space dims match chi^C",
      (_K, _R, ("--b", {"type": _int_list,
                        "help": "single profile; default all profiles"}),

@@ -34,7 +34,8 @@ from .wheel_ideal import _check_choice, wheel_substitutions
 
 __all__ = [
     "CharSeries", "relation_rootofunity", "relation_generic",
-    "residue_profiles", "K_d_nu", "quotient_dim", "reduce_to_admissible",
+    "residue_profiles", "check_residue_profile", "K_d_nu", "quotient_dim",
+    "reduce_to_admissible", "check_profile", "check_recursion_profile",
     "enumerate_C_sequences", "chi_C", "verify_recursion", "W_space_dim",
     "verify_prop302", "ideal_rows",
 ]
@@ -45,6 +46,16 @@ def residue_profiles(k, r):
     lex order: the gaps between r-2 bars placed among k+r-1 slots."""
     return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (k + r - 1,)))
             for bars in combinations(range(k + r - 1), r - 2)]
+
+
+def check_residue_profile(nu, k, r):
+    """nu as a tuple; ValueError unless it is a residue profile: r-1
+    non-negative entries summing to k+1."""
+    nu = tuple(nu)
+    if len(nu) != r - 1 or min(nu, default=0) < 0 or sum(nu) != k + 1:
+        raise ValueError("want r-1 = %d non-negative entries summing to "
+                         "k+1 = %d" % (r - 1, k + 1))
+    return nu
 
 
 def K_d_nu(d, nu, k, r):
@@ -67,8 +78,7 @@ def relation_rootofunity(d, nu, k, r):
     Supported on K_d(nu) with positive integer multinomial coefficients
     C_mu = prod_a nu_a! / prod_{v = a mod r-1} mult_mu(v)!.
     """
-    if len(nu) != r - 1 or sum(nu) != k + 1:
-        raise ValueError("profile must have r-1 entries summing to k+1")
+    nu = check_residue_profile(nu, k, r)
     terms = {}
     for mu in K_d_nu(d, nu, k, r):
         mult = {}
@@ -225,22 +235,30 @@ class CharSeries:
             self.d_max, self.n_max, len(self.coeffs))
 
 
-def _check_profile(b, k, r):
+def check_profile(b, k, r):
+    """b as a tuple; ValueError unless it is a prefix-bound profile: r-1
+    bounds, weakly increasing within 0..k."""
     b = tuple(b)
-    if len(b) != r - 1:
-        raise ValueError("profile must have r-1 entries")
-    prev = 0
-    for x in b:
-        if x < prev or x > k:
-            raise ValueError("profile must be weakly increasing within 0..k")
-        prev = x
+    if len(b) != r - 1 or list(b) != sorted(b) or min(b, default=0) < 0 \
+            or max(b, default=0) > k:
+        raise ValueError("want r-1 = %d bounds, weakly increasing within 0..%d"
+                         % (r - 1, k))
+    return b
+
+
+def check_recursion_profile(b, k, r):
+    """b as a tuple; ValueError unless it passes check_profile with
+    b_0 >= 1, as the recursion in b_0 needs."""
+    b = check_profile(b, k, r)
+    if b[0] < 1:
+        raise ValueError("the recursion needs b_0 >= 1")
     return b
 
 
 def enumerate_C_sequences(b, k, r, n, d):
     """Degree sequences a with sum a_i = n, sum i a_i = d, sliding window
     sums a_i + ... + a_{i+r-1} <= k, and prefix sums bounded by b."""
-    b = _check_profile(b, k, r)
+    b = check_profile(b, k, r)
     out = []
     a = []
 
@@ -299,9 +317,7 @@ def verify_recursion(b, k, r, d_max=8, n_max=8):
     The (v, vz) substitution sends coefficient (d, n) to (d + n, n); the
     shifted profile is (b_1 - b_0, ..., b_{r-2} - b_0, k - b_0).
     """
-    b = _check_profile(b, k, r)
-    if b[0] < 1:
-        raise ValueError("recursion needs b_0 >= 1")
+    b = check_recursion_profile(b, k, r)
     lhs = chi_C(b, k, r, d_max, n_max)
     first = chi_C((b[0] - 1,) + b[1:], k, r, d_max, n_max)
     shifted = tuple(x - b[0] for x in b[1:]) + (k - b[0],)
@@ -329,7 +345,7 @@ def W_space_dim(b, k, r, n, d, p=None):
     ranked.
     """
     p = p or ParameterSpec(k, r)
-    b = _check_profile(b, k, r)
+    b = check_profile(b, k, r)
     keep = []
     for i, lam in enumerate(pt.enumerate_partitions(n, d)):
         lam = pt.pad(lam, n)

@@ -435,17 +435,13 @@ def _pieri_sum_up(lam, n, table, weight=None):
     """sum_j weight(j) psi'_j P_(lam + node at j), inside Lambda_n."""
     acc = SymPoly.zero(n)
     lam = pt.normalize(lam)
-    for j in range(1, pt.length(lam) + 2):
-        prev = lam[j - 2] if j >= 2 else None
-        cur = lam[j - 1] if j <= len(lam) else 0
-        if j >= 2 and prev == cur:
-            continue  # psi' = 0, the term is absent
+    for j in pt.addable_rows(lam):  # psi' = 0 at every other row
         mu = pt.add_node(lam, j)
         if pt.length(mu) > n:
             continue  # P_mu = 0 in n variables
         coeff = psi_prime(lam, j)
         if weight is not None:
-            coeff = coeff * weight(j, cur)
+            coeff = coeff * weight(j, (lam + (0,))[j - 1])
         acc = acc + table.compute_P(mu).scale(coeff)
     return acc
 
@@ -472,9 +468,7 @@ def pieri_failures(lam, n, table=None):
         failures.append("e1")
 
     acc = SymPoly.zero(n)
-    for j in range(1, pt.length(lam) + 1):
-        if j < len(lam) and lam[j - 1] == lam[j]:
-            continue  # psi'' = 0
+    for j in pt.removable_rows(lam):  # psi'' = 0 at every other row
         mu = pt.remove_node(lam, j)
         acc = acc + table.compute_P(mu).scale(psi_dblprime(lam, j, n))
     if apply_E(P, 0, fld) != acc:

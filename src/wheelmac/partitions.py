@@ -11,9 +11,9 @@ from .scalars import ParameterSpec
 
 __all__ = [
     "normalize", "pad", "size", "length", "conjugate", "dominance_leq",
-    "add_node", "remove_node", "is_admissible", "enumerate_partitions",
-    "enumerate_admissible", "count_admissible", "check_lemma21",
-    "parse_partition", "format_partition",
+    "addable_rows", "removable_rows", "add_node", "remove_node",
+    "is_admissible", "enumerate_partitions", "enumerate_admissible",
+    "count_admissible", "check_lemma21", "parse_partition", "format_partition",
 ]
 
 
@@ -71,30 +71,37 @@ def dominance_leq(mu, lam):
     return True
 
 
+def addable_rows(lam):
+    """Rows j (1-based) that can take one more node: j = 1, or
+    lam_{j-1} > lam_j (so j runs up to l(lam) + 1)."""
+    lam = normalize(lam) + (0,)
+    return [j for j in range(1, len(lam) + 1)
+            if j == 1 or lam[j - 2] > lam[j - 1]]
+
+
+def removable_rows(lam):
+    """Rows j (1-based) that can lose a node: lam_j > lam_{j+1}."""
+    lam = normalize(lam) + (0,)
+    return [j for j in range(1, len(lam)) if lam[j - 1] > lam[j]]
+
+
 def add_node(lam, j):
     """lam^(j): add one node to row j (1-based); error if not a partition."""
     lam = normalize(lam)
-    if j < 1:
-        raise ValueError("row index must be >= 1")
-    padded = list(pad(lam, max(len(lam), j)))
-    padded[j - 1] += 1
-    if j > 1 and padded[j - 2] < padded[j - 1]:
+    if j not in addable_rows(lam):
         raise ValueError("undefined corner: cannot add a node to row %d of %r"
                          % (j, lam))
-    return normalize(padded)
+    parts = lam + (0,)
+    return normalize(parts[:j - 1] + (parts[j - 1] + 1,) + parts[j:])
 
 
 def remove_node(lam, j):
     """lam_(j): remove one node from row j (1-based)."""
     lam = normalize(lam)
-    if j < 1 or j > len(lam):
-        raise ValueError("undefined corner: row %d of %r is empty" % (j, lam))
-    parts = list(lam)
-    parts[j - 1] -= 1
-    if j < len(lam) and parts[j - 1] < parts[j]:
-        raise ValueError("undefined corner: cannot remove a node from row %d of %r"
-                         % (j, lam))
-    return normalize(parts)
+    if j not in removable_rows(lam):
+        raise ValueError("undefined corner: cannot remove a node from row %d "
+                         "of %r" % (j, lam))
+    return normalize(lam[:j - 1] + (lam[j - 1] - 1,) + lam[j:])
 
 
 def is_admissible(lam, k, r, n):

@@ -287,20 +287,24 @@ class CycloNum(_Field):
         phi = len(self.c)
         if phi == 1:
             return CycloNum(self.N, (1 / self.c[0],))
-        # extended Euclid against Phi_N over Q
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.N)]
-        r0, r1 = mod, list(self.c)
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                c = [x * inv for x in s1] + [_ZERO] * phi
-                return CycloNum(self.N, c[:phi])
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
+        # x^-1 = y / (x y): y is the product of the other Galois conjugates
+        # zeta -> zeta^j of x, so x y is the norm of x, a rational
+        N, rows = self.N, _CycloField.get(self.N).powers
+        y = None
+        for j in range(2, N):
+            if gcd(j, N) == 1:
+                conj = [_ZERO] * phi
+                for i, c in enumerate(self.c):
+                    if c:
+                        for m, v in enumerate(rows[i * j % N]):
+                            if v:
+                                conj[m] += c * v
+                conj = CycloNum(N, conj)
+                y = conj if y is None else y * conj
+        norm = self * y
+        if not norm.is_rational():
+            raise ExactDivisionError("norm of %r is not rational" % (self,))
+        return CycloNum(N, [v / norm.c[0] for v in y.c])
 
     def is_zero(self):
         return not any(self.c)
@@ -338,43 +342,6 @@ class CycloNum(_Field):
 
     def __repr__(self):
         return "CycloNum(%d, %s)" % (self.N, render_scalar(self))
-
-
-def _frac_poly_divmod(num, den):
-    num = list(num)
-    while num and not num[-1]:
-        num.pop()
-    dn = len(den) - 1
-    while den[dn] == 0:
-        dn -= 1
-    inv = 1 / den[dn]
-    quot = [_ZERO] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            q = c * inv
-            quot[i - dn] = q
-            for j in range(dn + 1):
-                num[i - dn + j] -= q * den[j]
-    return quot, num[:dn]
-
-
-def _frac_poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    for j, bj in enumerate(b):
-        a[j] -= bj
-    return a
 
 
 class UniPoly:

@@ -18,8 +18,8 @@ from .scalars import LaurentPoly
 
 __all__ = [
     "SymPoly", "MonomialExpansion", "m_to_monomials", "monomials_to_m",
-    "sympoly_mul", "check_sigma", "wheel_substitute", "restrict_derivative",
-    "orbit_of", "eval_monomial_symmetric",
+    "sympoly_mul", "check_sigma", "check_wheel_size", "wheel_substitute",
+    "restrict_derivative", "orbit_of", "eval_monomial_symmetric",
 ]
 
 _ORBITS = {}
@@ -257,6 +257,13 @@ def check_sigma(sigma, k, r):
     return sigma
 
 
+def check_wheel_size(n, k):
+    """n; ValueError unless n variables hold a wheel of k+1 points."""
+    if n < k + 1:
+        raise ValueError("need at least k+1=%d variables, got %d" % (k + 1, n))
+    return n
+
+
 def wheel_substitute(f, sigma, p):
     """Substitute the wheel x_{i+1} = t^i q^{sigma_i} x_1, i = 1..k.
 
@@ -272,8 +279,7 @@ def wheel_substitute(f, sigma, p):
     """
     k = p.k
     sigma = check_sigma(sigma, k, p.r)
-    if f.n < k + 1:
-        raise ValueError("need at least k+1=%d variables, got %d" % (k + 1, f.n))
+    check_wheel_size(f.n, k)
     one = LaurentPoly.one(p.N)
     ratios = [LaurentPoly.monomial(p.N, *p.qt_laurent(sigma[i - 1], i))
               for i in range(1, k + 1)]

@@ -18,8 +18,8 @@ constraint matrix whose rows are indexed by (sigma, free monomial) and
 whose columns are the monomial-symmetric basis of the component; rows are
 cleared to polynomial entries in u and eliminated fraction-free.  The
 probe mode evaluates u at a random non-resonant rational first, which can
-only overestimate the kernel, so a probe equality that matches the
-admissible count is confirmed by the exact path on demand.
+only overestimate the kernel: it gives an upper bound for dim J, not a
+certified value, and only the exact mode certifies a dimension.
 """
 
 import random
@@ -31,13 +31,14 @@ from .linalg import (EchelonBasis, _clear_denominators, _clear_upower_row,
                      corank_upower, rank_kernel_poly)
 from .macdonald import CoeffField, MacdonaldTable, apply_D, apply_E, specialize_P
 from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
-from .symfunc import (SymPoly, _collapse_wheel, restrict_derivative,
-                      wheel_substitute)
+from .symfunc import (SymPoly, _collapse_wheel, check_wheel_size,
+                      restrict_derivative, wheel_substitute)
 
 __all__ = [
     "wheel_substitutions", "satisfies_wheel", "dim_J", "basis_I",
     "wheel_kernel_basis", "verify_theorem1", "verify_stability",
-    "verify_rho_inclusion", "constraint_rows", "random_probe_point",
+    "check_restriction_size", "verify_rho_inclusion", "constraint_rows",
+    "random_probe_point",
 ]
 
 
@@ -71,9 +72,7 @@ def satisfies_wheel(f, p, fld=None):
     other.  This needs t^(k+1) q^(r-1) = 1 in fld; ValueError otherwise.
     """
     k, r = p.k, p.r
-    if f.n < k + 1:
-        raise ValueError("need at least k+1=%d variables, got %d"
-                         % (k + 1, f.n))
+    check_wheel_size(f.n, k)
     if fld is None:
         f, fld = laurent_clear(f, p), CoeffField.laurent(p)
     if fld.tpow(k + 1) * fld.qpow(r - 1) != fld.one:
@@ -247,11 +246,18 @@ def verify_stability(f, p, operators=None):
     return True
 
 
+def check_restriction_size(n, k):
+    """n; ValueError unless the restriction to n-1 variables still holds a
+    wheel, i.e. n >= k+2."""
+    if n < k + 2:
+        raise ValueError("the restriction needs n >= k+2 = %d" % (k + 2))
+    return n
+
+
 def verify_rho_inclusion(lam, k, r, n, j_max, p=None, table=None):
     """rho(d^j/dx_n^j P_lam) lies in J^(k,r)_{n-1} for 0 <= j <= j_max."""
+    check_restriction_size(n, k)
     p = p or ParameterSpec(k, r)
-    if n < k + 2:
-        raise ValueError("need n >= k+2 so the restriction still has a wheel")
     table = table if table is not None else MacdonaldTable(n)
     fld = CoeffField.laurent(p)
     f = laurent_clear(specialize_P(lam, n, p, table), p)

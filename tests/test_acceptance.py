@@ -121,18 +121,12 @@ def test_criterion_5_regularity(tables):
             for d in range(9):
                 for lam in pt.enumerate_admissible(k, r, n, d):
                     cases.add(lam)
-                    for j in range(1, pt.length(lam) + 2):
-                        try:
-                            mu = pt.add_node(lam, j)
-                        except ValueError:
-                            continue
+                    for j in pt.addable_rows(lam):
+                        mu = pt.add_node(lam, j)
                         if pt.length(mu) <= n:
                             cases.add(mu)
-                    for j in range(1, pt.length(lam) + 1):
-                        try:
-                            cases.add(pt.remove_node(lam, j))
-                        except ValueError:
-                            pass
+                    for j in pt.removable_rows(lam):
+                        cases.add(pt.remove_node(lam, j))
             for mu in cases:
                 specialize_P(mu, n, p, tables(n))  # PoleError would fail us
                 checked += 1

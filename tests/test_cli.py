@@ -6,7 +6,19 @@ import sys
 import pytest
 
 import wheelmac
-from wheelmac.cli import run
+from wheelmac import current_algebra as ca
+from wheelmac import wheel_ideal as wi
+from wheelmac.cli import UsageError, run
+
+
+def _python(args, **kwargs):
+    """Run this interpreter on args with this checkout's wheelmac first on
+    the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable] + args, env=env, text=True,
+                          timeout=60, **kwargs)
 
 
 def _run_json(capsys, argv):
@@ -38,14 +50,6 @@ def test_verify_theorem1_small_exit_zero(capsys):
     assert code == 0 and payload["ok"]
     assert all(c["dims_equal"] and c["inclusion_ok"]
                for c in payload["components"])
-
-
-def test_verify_theorem1_probe_reports_exact_check(capsys):
-    code, payload = _run_json(capsys, ["verify", "theorem1", "--k", "1",
-                                       "--r", "2", "--n-max", "2",
-                                       "--d-max", "3", "--mode", "probe"])
-    assert code == 0 and payload["ok"]
-    assert not any(c.get("probe_disagreement") for c in payload["components"])
 
 
 def test_current_and_char_commands(capsys):
@@ -113,8 +117,7 @@ _EVERY_COMMAND = [
      {"k", "r", "n", "lambda", "admissible", "satisfies_wheel"}),
     ("wheel check --k 1 --r 2 --n 2 --lambda 1,1", 1,
      {"k", "r", "n", "lambda", "admissible", "satisfies_wheel"}),
-    ("wheel dim --k 1 --r 3 --n 2 --d 3 --mode probe", 0,
-     {"k", "r", "n", "d", "mode", "dim_J", "dim_J_exact"}),
+    ("wheel dim --k 1 --r 3 --n 2 --d 3", 0, {"k", "r", "n", "d", "dim_J"}),
     ("wheel basis --k 1 --r 2 --n 2 --d 2", 0, {"k", "r", "n", "d", "basis"}),
     ("current relation --k 1 --r 3 --d 2 --field generic --sigma 1", 0,
      {"degree", "profile", "field", "terms"}),
@@ -151,57 +154,69 @@ def test_every_command_runs(capsys, argv, code, keys):
         assert payload["ok"] == (code == 0)
 
 
+_USAGE_ERRORS = [
+    "nonsense",
+    "wheel dim --k 0 --r 2 --n 1 --d 1",
+    "wheel dim --k 1 --r 1 --n 1 --d 1",
+    "macd compute --n 2 --lambda 1,1,1",
+    "macd compute --n 2 --lambda 2,x",
+    "macd compute --n 2 --lambda 1,2",
+    "char chi --k 1 --r 2 --b x",
+    "verify prop302 --k 1 --r 2 --b 1,x",
+    "char w-dim --k 1 --r 3 --b 0,5 --n 2 --d 2",
+    "char recursion --k 1 --r 2 --b 0",
+    "current reduce --k 1 --r 2 --lambda 2,x",
+    "current reduce --k 1 --r 2 --lambda 1,3",
+    "current relation --k 1 --r 3 --d 2",
+    "current relation --k 1 --r 3 --d 2 --profile 1",
+    "current relation --k 1 --r 3 --d 2 --profile 1,y",
+    "current relation --k 2 --r 3 --d 2 --field generic --sigma 1",
+    "current relation --k 1 --r 3 --d 2 --field generic --sigma z",
+    "current relation --k 1 --r 2 --d 2 --field generic --sigma 5",
+    "current relation --k 2 --r 3 --d 2 --field generic --sigma 1,0",
+    "wheel check --k 2 --r 2 --n 2 --lambda 1",
+    "verify rho --k 1 --r 3 --lambda 3,1",
+    "verify rho --k 1 --r 3 --lambda 4,1",
+    "verify rho --k 1 --r 2 --n 2 --lambda 2",
+    "macd cauchy --n 2 --l-max -1",
+    "verify stability --k 1 --r 2 --n 2 --d 3 --count -3",
+    "verify rho --k 1 --r 2 --lambda 4,2 --j-max -1",
+    "verify lemma21 --k 1 --r 2 --size-max -2",
+    "verify lemma22 --k 1 --r 2 --size-max -2",
+    "macd compute --n 0 --lambda 0",
+    "macd pieri --n 0 --lambda 0",
+    "macd cauchy --n 0",
+    "macd integrality --n 0 --lambda 0",
+    "wheel basis --k 1 --r 2 --n 0 --d 0",
+    "verify stability --k 1 --r 2 --n 1 --d 2",
+    "current relation --k 2 --r 3 --d 2 --profile 4,-1",
+    "wheel dim --k 1 --r 3 --n 2 --d 3 --mode probe",
+    "verify theorem1 --k 1 --r 2 --n-max 2 --d-max 3 --mode exact",
+    "verify theorem1 --k 1 --r 2 --probe-seed 1",
+]
+
+
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["wheel", "dim", "--k", "0", "--r", "2", "--n", "1", "--d", "1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        run(["wheel", "dim", "--k", "1", "--r", "1", "--n", "1", "--d", "1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        run(["nonsense"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    for lam in ("1,1,1", "2,x", "1,2"):
-        with pytest.raises(SystemExit) as exc:
-            run(["macd", "compute", "--n", "2", "--lambda", lam])
-        assert exc.value.code == 2
-        assert "Traceback" not in capsys.readouterr().err
-    for argv in (
-            "char chi --k 1 --r 2 --b x",
-            "verify prop302 --k 1 --r 2 --b 1,x",
-            "char w-dim --k 1 --r 3 --b 0,5 --n 2 --d 2",
-            "char recursion --k 1 --r 2 --b 0",
-            "current reduce --k 1 --r 2 --lambda 2,x",
-            "current reduce --k 1 --r 2 --lambda 1,3",
-            "current relation --k 1 --r 3 --d 2",
-            "current relation --k 1 --r 3 --d 2 --profile 1",
-            "current relation --k 1 --r 3 --d 2 --profile 1,y",
-            "current relation --k 2 --r 3 --d 2 --field generic --sigma 1",
-            "current relation --k 1 --r 3 --d 2 --field generic --sigma z",
-            "current relation --k 1 --r 2 --d 2 --field generic --sigma 5",
-            "current relation --k 2 --r 3 --d 2 --field generic --sigma 1,0",
-            "wheel check --k 2 --r 2 --n 2 --lambda 1",
-            "verify rho --k 1 --r 3 --lambda 3,1",
-            "verify rho --k 1 --r 3 --lambda 4,1",
-            "verify rho --k 1 --r 2 --n 2 --lambda 2",
-            "macd cauchy --n 2 --l-max -1",
-            "verify stability --k 1 --r 2 --n 2 --d 3 --count -3",
-            "verify rho --k 1 --r 2 --lambda 4,2 --j-max -1",
-            "verify lemma21 --k 1 --r 2 --size-max -2",
-            "verify lemma22 --k 1 --r 2 --size-max -2",
-            "macd compute --n 0 --lambda 0",
-            "macd pieri --n 0 --lambda 0",
-            "macd cauchy --n 0",
-            "macd integrality --n 0 --lambda 0",
-            "wheel basis --k 1 --r 2 --n 0 --d 0",
-            "verify stability --k 1 --r 2 --n 1 --d 2"):
+    for argv in _USAGE_ERRORS:
         with pytest.raises(SystemExit) as exc:
             run(argv.split())
         assert exc.value.code == 2, argv
         assert "Traceback" not in capsys.readouterr().err
+    # a library input rule is reported on the flag and value it refused
+    for argv, shown in [
+            ("current relation --k 2 --r 3 --d 2 --profile 4,-1",
+             "--profile 4,-1: want r-1 = 2 non-negative entries"),
+            ("char w-dim --k 1 --r 3 --b 0,5 --n 2 --d 2",
+             "--b 0,5: want r-1 = 2 bounds"),
+            ("char recursion --k 1 --r 2 --b 0", "--b 0: the recursion"),
+            ("verify stability --k 1 --r 2 --n 1 --d 2", "--n 1: need at"),
+            ("verify rho --k 1 --r 2 --n 2 --lambda 2", "--n 2: the restr"),
+            ("macd compute --n 2 --lambda 1,1,1", "--lambda 1,1,1: "),
+            ("current relation --k 1 --r 2 --d 2 --field generic --sigma 5",
+             "--sigma 5: sigma must be")]:
+        with pytest.raises(SystemExit):
+            run(argv.split())
+        assert shown in capsys.readouterr().err, argv
     # the refused partition is shown padded to n, as current reduce shows it
     with pytest.raises(SystemExit) as exc:
         run("verify rho --k 1 --r 2 --lambda 0".split())
@@ -210,12 +225,46 @@ def test_usage_errors_exit_2(capsys):
             in capsys.readouterr().err)
 
 
+_USAGE_ERRORS_UNDER_O = """
+import sys
+from wheelmac.cli import run
+for argv in sys.argv[1:]:
+    try:
+        run(argv.split())
+    except SystemExit as exc:
+        if exc.code != 2:
+            sys.exit("%s: exit %r" % (argv, exc.code))
+    else:
+        sys.exit("%s: no usage error" % argv)
+"""
+
+
+def test_usage_errors_exit_2_under_O():
+    done = _python(["-O", "-c", _USAGE_ERRORS_UNDER_O] + _USAGE_ERRORS,
+                   capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_value_error_while_computing_is_not_a_usage_error(monkeypatch):
+    """Only the library's input rules become exit 2: the same ValueError
+    raised by the computation after them escapes run() as a bug (exit 1)."""
+    def broken(*args, **kwargs):
+        raise ValueError("raised while computing")
+    for module, name, argv in [
+            (ca, "chi_C", "char chi --k 1 --r 2 --b 1"),
+            (wi, "satisfies_wheel", "wheel check --k 1 --r 2 --n 2 --lambda 2"),
+            (ca, "relation_rootofunity",
+             "current relation --k 1 --r 2 --d 2 --profile 2")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, broken)
+            with pytest.raises(ValueError, match="while computing") as exc:
+                run(argv.split())
+        assert not isinstance(exc.value, UsageError), argv
+
+
 def test_python_m_wheelmac():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "wheelmac", "--help"],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = _python(["-m", "wheelmac", "--help"], capture_output=True)
     assert done.returncode == 0, done.stderr
     assert "usage: wheelmac" in done.stdout
 
@@ -223,17 +272,13 @@ def test_python_m_wheelmac():
 def test_closed_stdout_keeps_the_verdict_code():
     """A reader that closes the pipe early costs the output, not the exit
     code: the verdict's 0 stands and no traceback reaches stderr."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "wheelmac", "verify", "stability",
+        done = _python(
+            ["-m", "wheelmac", "verify", "stability",
              "--k", "2", "--r", "2", "--n", "3", "--d", "6", "--count", "4"],
-            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
-            timeout=60)
+            stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert done.returncode == 0, done.stderr
@@ -277,10 +322,6 @@ sys.exit(run(["macd", "compute", "--n", "3", "--lambda", "2,1"]))
 def test_inexact_division_exits_3_under_O():
     """A gcd that does not divide is an exactness violation: exit 3, with
     the one-line message and no traceback, also under python -O."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-O", "-c", _WRONG_GCD_UNDER_O],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = _python(["-O", "-c", _WRONG_GCD_UNDER_O], capture_output=True)
     assert done.returncode == 3, done.stderr
     assert "inexact" in done.stderr and "Traceback" not in done.stderr

@@ -34,6 +34,13 @@ def test_relation_rootofunity_examples():
     assert relation_rootofunity(1, (0, 2), 1, 3).is_zero()
 
 
+def test_relation_rootofunity_rejects_bad_profiles():
+    # (3, -1) has the right length and sum but is no residue profile
+    for nu in [(3, -1), (2,), (2, 1), (1, 1, 0)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            relation_rootofunity(2, nu, 1, 3)
+
+
 def test_relation_positivity_and_integrality():
     for k, r in [(1, 2), (1, 3), (2, 3), (2, 4)]:
         for d in range(9):
@@ -279,8 +286,11 @@ def test_chi_examples():
 def test_recursion_examples():
     assert verify_recursion((1,), 1, 2, 6, 6)
     assert verify_recursion((1, 2), 2, 3, 6, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="b_0 >= 1"):
         verify_recursion((0,), 1, 2)
+    for b in [(1, 0), (-1, 1), (1, 3), (1,)]:
+        with pytest.raises(ValueError, match="weakly increasing"):
+            chi_C(b, 2, 3, 2, 2)
 
 
 def test_recursion_grid():
@@ -316,6 +326,15 @@ def test_W_space_monotone_in_b():
             assert W_space_dim((0, 0), 1, 3, n, d, p13) \
                 <= W_space_dim((0, 1), 1, 3, n, d, p13) \
                 <= W_space_dim((1, 1), 1, 3, n, d, p13)
+
+
+@pytest.mark.xfail(strict=True, reason="W_space_dim ranks the generic "
+                   "relation rows and undercounts at (k, r) = (2, 3), where "
+                   "chi_C gives 1; ROADMAP item 1")
+def test_W_space_dim_matches_chi_C_at_2_3():
+    p = ParameterSpec(2, 3)
+    assert W_space_dim((2, 2), 2, 3, 3, 3, p) == 1
+    assert W_space_dim((1, 1), 2, 3, 3, 5, p) == 1
 
 
 def test_prop302_examples():

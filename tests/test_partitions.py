@@ -41,6 +41,30 @@ def test_add_remove_node():
         pt.remove_node((2,), 2)
 
 
+def test_addable_and_removable_rows():
+    assert pt.addable_rows(()) == [1]
+    assert pt.removable_rows(()) == []
+    assert pt.addable_rows((2, 2, 1)) == [1, 3, 4]
+    assert pt.removable_rows((2, 2, 1)) == [2, 3]
+    for j in (0, -1, 5):
+        with pytest.raises(ValueError):
+            pt.add_node((2, 2, 1), j)
+    # a row is addable (removable) exactly when one more (one less) node
+    # there leaves the parts weakly decreasing
+    for d in range(7):
+        for lam in pt.enumerate_partitions(d, d):
+            for j in range(1, len(lam) + 3):
+                parts = list(lam) + [0, 0]
+                parts[j - 1] += 1
+                assert (j in pt.addable_rows(lam)) == (parts == sorted(
+                    parts, reverse=True)), (lam, j)
+            for j in range(1, len(lam) + 1):
+                parts = list(lam)
+                parts[j - 1] -= 1
+                assert (j in pt.removable_rows(lam)) == (parts == sorted(
+                    parts, reverse=True)), (lam, j)
+
+
 def test_add_remove_inverse():
     rng = random.Random(5)
     for _ in range(200):

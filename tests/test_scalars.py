@@ -252,6 +252,31 @@ def test_rational_value_refuses_irrational_under_O():
     assert done.returncode == 0, done.stderr
 
 
+def test_cyclo_inverse_by_conjugates():
+    rng = random.Random(11)
+    for N in range(3, 16):
+        phi = euler_phi(N)
+        for _ in range(6):
+            x = CycloNum(N, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                             for _ in range(phi)])
+            if x:
+                assert x * x.inverse() == CycloNum.one(N), (N, x)
+    done = _run_under_O(_WRONG_CONJUGATE_UNDER_O)
+    assert done.returncode == 0, done.stderr
+
+
+_WRONG_CONJUGATE_UNDER_O = """
+from wheelmac.scalars import CycloNum, ExactDivisionError, _CycloField
+rows = _CycloField.get(5).powers
+rows[1], rows[2] = rows[2], rows[1]  # zeta -> zeta^2 now reads zeta
+try:
+    (CycloNum.one(5) + CycloNum(5, [0, 1, 0, 0])).inverse()
+except ExactDivisionError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
 def _inexact_polynomial_divisions():
     """Each call divides by a polynomial that does not divide."""
     q_, t_ = QTPoly.q(), QTPoly.t()
