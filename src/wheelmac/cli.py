@@ -304,10 +304,10 @@ def _cmd_verify_stability(args):
 
 def _cmd_verify_rho(args):
     p = ParameterSpec(args.k, args.r)
-    n = args.n if args.n else args.k + 2
+    n = args.k + 2 if args.n is None else args.n
     lam = args.lam
-    _checked("--lambda", pt.pad, lam, n)
     _checked("--n", wi.check_restriction_size, n, args.k)
+    _checked("--lambda", pt.pad, lam, n)
     if not pt.is_admissible(lam, args.k, args.r, n):
         raise UsageError("--lambda %s is not (k=%d, r=%d)-admissible in %d "
                          "variables" % (pt.format_partition(lam, n), args.k,
@@ -439,7 +439,7 @@ _COMMANDS = (
       ("--seed", {"type": int, "default": 0}))),
     ("verify", "rho", _cmd_verify_rho,
      "restricted derivatives stay in the ideal",
-     (_K, _R, ("--n", {"type": _COUNT, "default": 0, "help": "defaults to k+2"}),
+     (_K, _R, ("--n", {"type": _COUNT, "help": "defaults to k+2"}),
       _LAM, _count("--j-max", 2))),
     ("verify", "lemma21", _cmd_verify_lemma21,
      "non-resonance of admissible exponents",

@@ -28,8 +28,8 @@ from itertools import accumulate, combinations
 
 from . import partitions as pt
 from .linalg import EchelonBasis, corank_upower
-from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
-from .symfunc import MonomialExpansion, check_sigma, eval_monomial_symmetric
+from .scalars import ParameterSpec, UniRatFunc
+from .symfunc import MonomialExpansion, check_sigma, wheel_collapse
 from .wheel_ideal import _check_choice, wheel_substitutions
 
 __all__ = [
@@ -96,18 +96,16 @@ def relation_rootofunity(d, nu, k, r):
 def relation_generic(d, sigma, k, r, p=None):
     """z^d coefficient of e(z) e(c_1 z) ... e(c_k z), c_i = t^i q^(sigma_i).
 
-    m_mu(1, c_1, ..., c_k) is summed over LaurentPoly monomials c_i, then
-    made a canonical UniRatFunc once.  sigma must pass check_sigma."""
+    m_mu(1, c_1, ..., c_k) is the (d,) entry of symfunc.wheel_collapse(mu,
+    k+1, sigma), orbit counts per q^a t^b, specialized and made a canonical
+    UniRatFunc once.  sigma must pass check_sigma."""
     sigma = check_sigma(sigma, k, r)
     p = p or ParameterSpec(k, r)
-    one = LaurentPoly.one(p.N)
-    values = [one] + [LaurentPoly.monomial(p.N, *p.qt_laurent(sigma[i - 1], i))
-                      for i in range(1, k + 1)]
     terms = {}
     for mu in pt.enumerate_partitions(k + 1, d):
-        c = eval_monomial_symmetric(mu, values, one)
+        c = p.specialize_poly(wheel_collapse(mu, k + 1, sigma)[(d,)])
         if c:
-            terms[pt.pad(mu, k + 1)] = c.to_unirat()
+            terms[pt.pad(mu, k + 1)] = UniRatFunc.from_laurent(p.N, c)
     return MonomialExpansion(k + 1, terms)
 
 

@@ -11,7 +11,8 @@ Two elimination paths:
     a numeric evaluation of u picks out candidate independent rows
     (independence at a point implies exact independence),
     the candidates are triangularized exactly with row-content stripping,
-    the kernel is read off by back-substitution, and every remaining row
+    the kernel is read off by fraction-free back-substitution (UniPoly
+    entries throughout, no rational functions), and every remaining row
     is certified against the kernel by polynomial dot products.  Any row
     failing the certificate joins the candidates and the loop repeats, so
     the output is exact regardless of the evaluation point.
@@ -20,14 +21,14 @@ UniRatFunc rows are cleared to UniPoly rows by one of two helpers:
 ``_clear_upower_row`` for the constraint rows, whose denominators are
 powers of u (``corank_upower`` ranks such rows), and
 ``_clear_denominators`` (scaling by the lcm of the denominators) for
-kernel vectors and ``wheel_ideal.laurent_clear``.
+``wheel_ideal.laurent_clear``.
 
 Rows are plain lists; callers choose the entry type.
 """
 
 from fractions import Fraction
 
-from .scalars import UniPoly, UniRatFunc
+from .scalars import UniPoly
 
 __all__ = ["in_row_span", "EchelonBasis", "rank_kernel_poly", "corank_upower"]
 
@@ -153,35 +154,50 @@ def _triangularize_poly(rows, ncols):
 
 
 def _poly_kernel_from_triangular(tri, ncols, N):
-    """Back-substitute the kernel, cleared to UniPoly coordinates."""
-    one = UniRatFunc.one(N)
-    zero = one - one
-    pivcols = [c for c, _ in tri]
-    pivset = set(pivcols)
-    free_cols = [c for c in range(ncols) if c not in pivset]
+    """Back-substitute the kernel fraction-free over Q(zeta_N)[u].
+
+    A row fixes its pivot entry as -s/p (s: its later terms): p and s are
+    divided by their gcd, and the vector is scaled by what is left of p
+    unless that is a constant.  So the entries never share a factor, and
+    a monic free coordinate fixes the vector among its multiples.
+    """
+    one, zero = UniPoly.one(N), UniPoly.zero(N)
+    pivset = {c for c, _ in tri}
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(ncols) if c not in pivset):
         vec = [zero] * ncols
         vec[fc] = one
         for col, row in reversed(tri):
             acc = zero
             for j in range(col + 1, ncols):
-                vj = vec[j]
-                if row[j] and not vj.is_zero():
-                    acc = acc + UniRatFunc(row[j], _canonical=True) * vj
-            if not acc.is_zero():
-                vec[col] = -acc / UniRatFunc(row[col], _canonical=True)
-        # clear denominators so the certificate below is pure polynomial work
-        basis.append(_strip_row_gcd(_clear_denominators(vec, N)))
+                if row[j] and vec[j]:
+                    acc = acc + row[j] * vec[j]
+            if not acc:
+                continue
+            piv = row[col]
+            if piv.degree() > 0:
+                g = piv.gcd(acc)
+                if not g.is_one():
+                    piv, acc = piv.divexact(g), acc.divexact(g)
+            if piv.degree() > 0:
+                vec = [x * piv for x in vec]
+                vec[col] = -acc
+            else:
+                vec[col] = acc.scale(-piv.c[0].inverse())
+        lead = vec[fc].leading()
+        if lead != 1:
+            lead = lead.inverse()
+            vec = [x.scale(lead) for x in vec]
+        basis.append(vec)
     return basis
 
 
 def rank_kernel_poly(rows, ncols, N):
     """Exact (rank, kernel basis) of a matrix over Q(zeta_N)[u].
 
-    rows: iterable of UniPoly rows.  The kernel vectors come back as
-    UniPoly rows (a scalar multiple of the reduced ones, which is all the
-    callers need).  Only the first copy of a repeated row is kept: the
+    rows: iterable of UniPoly rows.  Each kernel vector comes back as a
+    UniPoly row with no common factor and a monic free coordinate (its
+    last nonzero entry).  Only the first copy of a repeated row is kept: the
     copies add no constraint and would pass the certificate anyway.
     """
     rows = list(dict.fromkeys(tuple(r) for r in rows if any(r)))

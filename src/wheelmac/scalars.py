@@ -530,8 +530,17 @@ class UniPoly:
         return g.shift(shared)
 
     def evaluate(self, x):
-        """Horner evaluation at a CycloNum (or rational) point."""
+        """Horner evaluation at a CycloNum (or rational) point; over Q at a
+        rational point, one integer Horner over the Z[u] form."""
         if isinstance(x, (int, Fraction)):
+            if self.c and _CycloField.get(self.N).phi == 1:
+                ints, den = _iz_from_unipoly(self)
+                xn, xd = x.as_integer_ratio()
+                acc, pw = 0, 1
+                for c in reversed(ints):
+                    acc = acc * xn + c * pw
+                    pw *= xd
+                return CycloNum(self.N, (Fraction(acc, den * pw // xd),))
             x = CycloNum.from_rational(self.N, x)
         acc = CycloNum.zero(self.N)
         for c in reversed(self.c):
@@ -1633,8 +1642,16 @@ class ParameterSpec:
         return b * self.t_exp - a * self.q_exp, self._omega_powers[a % self.N]
 
     def specialize_poly(self, f):
-        """Image of a QTPoly as a {u-exponent: CycloNum} Laurent map."""
+        """Image of a QTPoly as a {u-exponent: nonzero coefficient} Laurent
+        map.  Over Q (N <= 2, omega1 = +-1) the coefficients are rationals,
+        summed as ints and Fractions; otherwise they are CycloNums."""
         terms = {}
+        if self.N <= 2:
+            t_exp, q_exp, N = self.t_exp, self.q_exp, self.N
+            for (a, b), v in f.d.items():
+                e = b * t_exp - a * q_exp
+                terms[e] = terms.get(e, 0) + (-v if a % N else v)
+            return {e: v for e, v in terms.items() if v}
         for (a, b), v in f.d.items():
             e, c = self.qt_laurent(a, b)
             c = c * v

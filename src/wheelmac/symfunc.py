@@ -12,14 +12,16 @@ relies on ring arithmetic and truthiness for zero tests.
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from operator import mul
 
 from . import partitions as pt
-from .scalars import LaurentPoly
+from .scalars import QTPoly, UniRatFunc
 
 __all__ = [
     "SymPoly", "MonomialExpansion", "m_to_monomials", "monomials_to_m",
-    "sympoly_mul", "check_sigma", "check_wheel_size", "wheel_substitute",
-    "restrict_derivative", "orbit_of", "eval_monomial_symmetric",
+    "sympoly_mul", "check_sigma", "check_wheel_size", "wheel_collapse",
+    "wheel_substitute", "restrict_derivative", "orbit_of",
+    "eval_monomial_symmetric",
 ]
 
 _ORBITS = {}
@@ -264,6 +266,25 @@ def check_wheel_size(n, k):
     return n
 
 
+def wheel_collapse(lam, n, sigma):
+    """m_lam in n variables at x_{i+1} = t^i q^(sigma_i) x_1, i = 1..k.
+
+    Keys are those of wheel_substitute.  An orbit term alpha of m_lam
+    becomes one monomial q^a t^b, a = sum sigma_i alpha_i, b = sum i alpha_i,
+    so each key maps to a QTPoly of integer counts per (a, b).
+    """
+    k = len(sigma)
+    steps = range(1, k + 1)
+    counts = {}
+    for alpha in orbit_of(lam, n):
+        head = alpha[1:k + 1]
+        key = (alpha[0] + sum(head),) + alpha[k + 1:]
+        ab = (sum(map(mul, sigma, head)), sum(map(mul, steps, head)))
+        row = counts.setdefault(key, {})
+        row[ab] = row.get(ab, 0) + 1
+    return {key: QTPoly(row, _clean=True) for key, row in counts.items()}
+
+
 def wheel_substitute(f, sigma, p):
     """Substitute the wheel x_{i+1} = t^i q^{sigma_i} x_1, i = 1..k.
 
@@ -273,21 +294,23 @@ def wheel_substitute(f, sigma, p):
     the expansion in the free variables (slot 0 is x_1, then
     x_{k+2}, ..., x_n) with coefficients over the specialized field.
 
-    Each ratio is a monomial zeta^a u^b, so every m_lam of f collapses
-    over LaurentPoly (no normalization) and each of its coefficients is
-    made a canonical UniRatFunc once, then scaled by f's coefficient.
+    Each m_lam of f collapses to integer tables (wheel_collapse); a table
+    is specialized to a {u-exponent: coefficient} map and made a canonical
+    UniRatFunc once, then scaled by f's coefficient.
     """
     k = p.k
     sigma = check_sigma(sigma, k, p.r)
     check_wheel_size(f.n, k)
-    one = LaurentPoly.one(p.N)
-    ratios = [LaurentPoly.monomial(p.N, *p.qt_laurent(sigma[i - 1], i))
-              for i in range(1, k + 1)]
     out = {}
     for lam, c in f.coeffs.items():
-        g = _collapse_wheel(SymPoly.m(lam, f.n, one), ratios)
-        for key, v in g.terms.items():
-            v = v.to_unirat() if c == 1 else v.to_unirat() * c
+        scaled = c != 1
+        for key, counts in wheel_collapse(lam, f.n, sigma).items():
+            terms = p.specialize_poly(counts)
+            if not terms:
+                continue
+            v = UniRatFunc.from_laurent(p.N, terms)
+            if scaled:
+                v = v * c
             w = out.get(key)
             out[key] = v if w is None else w + v
     return MonomialExpansion(f.n - k, out)
@@ -296,10 +319,13 @@ def wheel_substitute(f, sigma, p):
 def _collapse_wheel(f, ratios):
     """Expansion of f at x_{i+1} = ratios[i-1] * x_1 for i = 1..len(ratios).
 
-    The one collapse loop behind wheel_substitute and its CoeffField
-    variant in wheel_ideal.  The shift prod_i ratios[i-1]^alpha_i of each
-    distinct head alpha[1:k+1] is built once per call from cached ratio
-    powers, so an orbit term costs at most one product.
+    The collapse for general coefficients, behind the CoeffField variant
+    of wheel_substitute in wheel_ideal.  The shift prod_i ratios[i-1]^alpha_i
+    of each distinct head alpha[1:k+1] is built once per call from cached
+    ratio powers, so an orbit term costs at most one product.  The
+    integer counts of wheel_collapse would need a full product of f's
+    coefficient and each key's value instead, which costs more when the
+    coefficients are long Laurent polynomials.
     """
     k = len(ratios)
     powcache = [{} for _ in ratios]

@@ -178,6 +178,7 @@ _USAGE_ERRORS = [
     "verify rho --k 1 --r 3 --lambda 3,1",
     "verify rho --k 1 --r 3 --lambda 4,1",
     "verify rho --k 1 --r 2 --n 2 --lambda 2",
+    "verify rho --k 1 --r 2 --n 0 --lambda 4,2",
     "macd cauchy --n 2 --l-max -1",
     "verify stability --k 1 --r 2 --n 2 --d 3 --count -3",
     "verify rho --k 1 --r 2 --lambda 4,2 --j-max -1",
@@ -211,6 +212,7 @@ def test_usage_errors_exit_2(capsys):
             ("char recursion --k 1 --r 2 --b 0", "--b 0: the recursion"),
             ("verify stability --k 1 --r 2 --n 1 --d 2", "--n 1: need at"),
             ("verify rho --k 1 --r 2 --n 2 --lambda 2", "--n 2: the restr"),
+            ("verify rho --k 1 --r 2 --n 0 --lambda 4,2", "--n 0: the restr"),
             ("macd compute --n 2 --lambda 1,1,1", "--lambda 1,1,1: "),
             ("current relation --k 1 --r 2 --d 2 --field generic --sigma 5",
              "--sigma 5: sigma must be")]:

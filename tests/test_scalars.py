@@ -185,6 +185,51 @@ def test_render_format():
     assert render_scalar(-(u ** 2) / (u + 1)) == "(-u^2)/(u + 1)"
 
 
+def _specialize_by_products(p, f):
+    """The CycloNum route: each q^a t^b as p.qt_laurent(a, b), times v."""
+    terms = {}
+    for (a, b), v in f.d.items():
+        e, c = p.qt_laurent(a, b)
+        terms[e] = terms[e] + c * v if e in terms else c * v
+    return {e: c for e, c in terms.items() if c}
+
+
+def test_specialize_poly_sums_rationals_over_Q():
+    rng = random.Random(43)
+    for k, r in [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4), (1, 5)]:
+        p = ParameterSpec(k, r)  # N = 1, 1, 2, 2, 3, 4
+        for _ in range(25):
+            f = QTPoly({(rng.randint(0, 6), rng.randint(0, 6)):
+                        Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                        for _ in range(rng.randint(0, 8))})
+            got = p.specialize_poly(f)
+            if p.N <= 2:
+                assert all(type(c) in (int, Fraction) and c
+                           for c in got.values())
+                got = {e: CycloNum.from_rational(p.N, c)
+                       for e, c in got.items()}
+            else:
+                assert all(type(c) is CycloNum for c in got.values())
+            assert got == _specialize_by_products(p, f), (k, r, f)
+    # omega1 = -1 at N = 2: 1 + q t has u-exponents 0 and 0, signs + and -
+    assert ParameterSpec(1, 3).specialize_poly(
+        QTPoly.one() + QTPoly.term(1, 1, 1)) == {}
+
+
+def test_unipoly_evaluate_at_a_rational_point():
+    # over Q the integer Horner must match Horner over CycloNum
+    rng = random.Random(47)
+    for N in (1, 2):
+        for _ in range(30):
+            f = UniPoly(N, [CycloNum.from_rational(
+                N, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                for _ in range(rng.randint(0, 6))])
+            for x in (0, -3, Fraction(5, 2), Fraction(-7, 12)):
+                got = f.evaluate(x)
+                assert type(got) is CycloNum and got.N == N
+                assert got == f.evaluate(CycloNum.from_rational(N, x))
+
+
 def test_laurent_matches_unirat():
     p = ParameterSpec(2, 3)
     lq = LaurentPoly.monomial(p.N, -p.q_exp, p.omega1)

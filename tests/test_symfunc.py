@@ -9,7 +9,7 @@ from wheelmac.scalars import ParameterSpec, UniRatFunc
 from wheelmac.symfunc import (MonomialExpansion, SymPoly, _collapse_wheel,
                               eval_monomial_symmetric, m_to_monomials,
                               monomials_to_m, restrict_derivative,
-                              sympoly_mul, wheel_substitute)
+                              sympoly_mul, wheel_collapse, wheel_substitute)
 
 
 def test_m_to_monomials_examples():
@@ -123,22 +123,47 @@ def _naive_collapse(f, ratios):
     return MonomialExpansion(f.n - k, out)
 
 
+def _count_collapse(f, sigma, value):
+    """The collapse through wheel_collapse; value turns one key's table of
+    orbit counts into a coefficient."""
+    out = {}
+    for lam, c in f.coeffs.items():
+        for key, counts in wheel_collapse(lam, f.n, sigma).items():
+            v = c * value(counts)
+            out[key] = out[key] + v if key in out else v
+    return MonomialExpansion(f.n - len(sigma), out)
+
+
 def test_collapse_wheel_matches_a_per_term_loop():
+    # every route against the naive loop: _collapse_wheel on its ratios,
+    # and for a wheel sigma the integer counts of wheel_collapse, read
+    # through fld.qpow/fld.tpow or, over K, specialize_poly + from_laurent
     rng = random.Random(61)
-    rings = [(Fraction(1), Fraction(1, 7), [Fraction(2), Fraction(-3, 5)])]
+    rings = [(Fraction(1), Fraction(1, 7), [Fraction(2), Fraction(-3, 5)], [])]
     for k, r in [(1, 2), (2, 3), (1, 4), (2, 4)]:  # N = 1, 2, 3, 3
         p = ParameterSpec(k, r)
         for fld in (CoeffField.laurent(p), CoeffField.specialized(p)):
-            ratios = [fld.tpow(i) * fld.qpow(rng.randint(0, r - 1))
+            sigma = [rng.randint(0, r - 1) for _ in range(k)]
+            ratios = [fld.tpow(i) * fld.qpow(sigma[i - 1])
                       for i in range(1, k + 1)]
-            rings.append((fld.one, fld.q, ratios))
-    for one, extra, ratios in rings:
+            values = [lambda counts, fld=fld: sum(
+                (fld.qpow(a) * fld.tpow(b) * v
+                 for (a, b), v in counts.d.items()), fld.zero)]
+            if isinstance(fld.one, UniRatFunc):
+                values.append(lambda counts, p=p: UniRatFunc.from_laurent(
+                    p.N, p.specialize_poly(counts)))
+            rings.append((fld.one, fld.q, ratios,
+                          [(sigma, value) for value in values]))
+    for one, extra, ratios, routes in rings:
         k = len(ratios)
         for _ in range(4):
             n = rng.randint(k + 1, k + 2)
             f = _random_sympoly(rng, n, 4).map_coeffs(
                 lambda c: one * c + extra * rng.randint(-2, 2))
-            assert _collapse_wheel(f, ratios) == _naive_collapse(f, ratios)
+            want = _naive_collapse(f, ratios)
+            assert _collapse_wheel(f, ratios) == want
+            for sigma, value in routes:
+                assert _count_collapse(f, sigma, value) == want, (k, sigma)
 
 
 def test_restrict_derivative_examples():

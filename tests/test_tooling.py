@@ -1,8 +1,9 @@
 """Names that tooling and the docs look up must keep resolving.
 
 The benchmark's traced run (perfbench/) wraps the library functions that
-perfbench/layers.json names; a refactor that renames one of them should
-fail here, in the fast suite, rather than in the benchmark.  Likewise the
+perfbench/layers.json names; a refactor that renames one of them, or stops
+calling one on a workload that layers.json says calls it, should fail here,
+in the fast suite, rather than in the benchmark.  Likewise the
 README's command examples must name only options the parser knows, and its
 Python quickstart must print what it says it prints.
 """
@@ -14,7 +15,11 @@ import inspect
 import json
 import pkgutil
 import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import wheelmac
 from wheelmac import cli
@@ -95,3 +100,15 @@ def test_readme_quickstart_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines() == want
+
+
+@pytest.mark.parametrize("workload", ["theorem", "dual"])
+def test_traced_benchmark_pass_keeps_every_layer(workload):
+    # one traced pass checks each used_on/zero_on prediction of layers.json
+    # and exits 1 if one breaks; seed 1 leaves the seed-7 reference traces
+    # under .bench_trace/ alone
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]

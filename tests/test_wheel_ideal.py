@@ -2,16 +2,19 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 import wheelmac
+from wheelmac import linalg
 from wheelmac import partitions as pt
 from wheelmac import wheel_ideal
 from wheelmac.linalg import EchelonBasis, _clear_upower_row, rank_kernel_poly
 from wheelmac.macdonald import CoeffField, specialize_P
-from wheelmac.scalars import ParameterSpec, PoleError, UniPoly, UniRatFunc
+from wheelmac.scalars import (CycloNum, ParameterSpec, PoleError, UniPoly,
+                              UniRatFunc, euler_phi)
 from wheelmac.symfunc import SymPoly, wheel_substitute
 from wheelmac.wheel_ideal import (_rotation_classes, _wheel_substitute_fld,
                                   basis_I, constraint_rows, dim_J,
@@ -366,6 +369,91 @@ def test_kernel_basis_is_homogeneous_and_in_J():
         for f in wheel_kernel_basis(1, 3, 3, d, p):
             assert satisfies_wheel(f, p)
             assert {pt.size(lam) for lam in f.coeffs} == {d}
+
+
+def _random_rank_deficient(rng, N, nrows, ncols, rank):
+    """nrows UniPoly rows, each a combination of `rank` random rows."""
+    phi = euler_phi(N)
+
+    def poly(deg):
+        return UniPoly(N, [CycloNum(N, [Fraction(rng.randint(-3, 3))
+                                        for _ in range(phi)])
+                           for _ in range(deg + 1)])
+
+    base = [[poly(rng.randint(0, 2)) if rng.random() < 0.7
+             else UniPoly.zero(N) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        mult = [poly(rng.randint(0, 1)) for _ in range(rank)]
+        rows.append([sum((m * b[j] for m, b in zip(mult, base)),
+                         UniPoly.zero(N)) for j in range(ncols)])
+    return rows
+
+
+def _rational_kernel_from_triangular(tri, ncols, N):
+    """Back-substitution over UniRatFunc, cleared by the lcm of the
+    denominators and stripped of the row gcd: the reference normalization."""
+    one = UniRatFunc.one(N)
+    zero = one - one
+    pivset = {c for c, _ in tri}
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivset):
+        vec = [zero] * ncols
+        vec[fc] = one
+        for col, row in reversed(tri):
+            acc = zero
+            for j in range(col + 1, ncols):
+                if row[j] and vec[j]:
+                    acc = acc + UniRatFunc(row[j], _canonical=True) * vec[j]
+            if acc:
+                vec[col] = -acc / UniRatFunc(row[col], _canonical=True)
+        basis.append(linalg._strip_row_gcd(
+            linalg._clear_denominators(vec, N)))
+    return basis
+
+
+def test_rank_kernel_poly_vectors_are_primitive_with_a_monic_free_entry():
+    rng = random.Random(53)
+    for N in (1, 2, 3, 4):
+        for _ in range(6):
+            ncols = rng.randint(3, 6)
+            rows = _random_rank_deficient(rng, N, rng.randint(2, 7), ncols,
+                                          rng.randint(1, ncols - 1))
+            ech = EchelonBasis(ncols)
+            for row in rows:
+                ech.add([UniRatFunc(x, _canonical=True) for x in row])
+            rank, kernel = rank_kernel_poly(rows, ncols, N)
+            assert rank == ech.rank and len(kernel) == ncols - rank
+            free = set()
+            for vec in kernel:
+                for row in rows:
+                    assert sum((a * b for a, b in zip(row, vec)),
+                               UniPoly.zero(N)).is_zero()
+                g = UniPoly.zero(N)
+                for x in vec:
+                    g = g.gcd(x)
+                assert g.is_one(), vec
+                # the free coordinate is the last nonzero entry
+                fc = max(j for j, x in enumerate(vec) if x)
+                assert vec[fc].leading() == 1
+                free.add(fc)
+            assert len(free) == len(kernel)
+            tri = linalg._triangularize_poly(rows, ncols)
+            assert linalg._poly_kernel_from_triangular(tri, ncols, N) == \
+                _rational_kernel_from_triangular(tri, ncols, N)
+
+
+def test_wheel_kernel_basis_matches_the_rational_back_substitution(
+        monkeypatch):
+    # the kernel vectors are a library result (and the stability
+    # benchmark's input): the fraction-free route must give the same ones
+    cases = [(1, 2, 3, 4), (2, 3, 4, 6), (1, 4, 3, 5), (1, 2, 3, 8),
+             (2, 3, 4, 8), (1, 4, 2, 6), (1, 5, 2, 8)]  # N = 1, 2, 3, 4
+    got = [wheel_kernel_basis(*case) for case in cases]
+    assert sum(map(len, got)) == 10
+    monkeypatch.setattr(linalg, "_poly_kernel_from_triangular",
+                        _rational_kernel_from_triangular)
+    assert got == [wheel_kernel_basis(*case) for case in cases]
 
 
 def test_basis_I_examples(tables):
