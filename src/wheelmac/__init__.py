@@ -10,7 +10,7 @@ reduction and character recursions.
 
 from .scalars import (BiRatFunc, CycloNum, LaurentPoly, MixedFieldError,
                       ParameterSpec, PoleError, QTPoly, UniPoly, UniRatFunc,
-                      parse_scalar, render_scalar)
+                      render_scalar)
 from .partitions import (add_node, check_lemma21, conjugate, dominance_leq,
                          enumerate_admissible, enumerate_partitions,
                          is_admissible, remove_node)

@@ -50,7 +50,7 @@ __all__ = [
     "CycloNum", "UniPoly", "UniRatFunc", "LaurentPoly", "QTPoly", "BiRatFunc",
     "ParameterSpec", "MixedFieldError", "PoleError", "ExactDivisionError",
     "cyclotomic_polynomial", "euler_phi",
-    "qt_gcd", "qt_divexact", "render_scalar", "parse_scalar",
+    "qt_gcd", "qt_divexact", "render_scalar",
 ]
 
 _ZERO = Fraction(0)
@@ -99,6 +99,8 @@ def euler_phi(n):
 
 def _power(x, e, one):
     """x^e for an integer e >= 0 by square-and-multiply; one is x^0."""
+    if e < 0:
+        raise ValueError("negative exponent %d for a polynomial" % e)
     result = None
     while e:
         if e & 1:
@@ -614,6 +616,8 @@ class LaurentPoly:
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if other.N != self.N:
+            raise MixedFieldError("mixed cyclotomic orders")
         if not self.d:
             return other
         if not other.d:
@@ -644,6 +648,8 @@ class LaurentPoly:
             other = LaurentPoly.const(self.N, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if other.N != self.N:
+            raise MixedFieldError("mixed cyclotomic orders")
         a, b = self.d, other.d
         if not a or not b:
             return LaurentPoly.zero(self.N)
@@ -1688,7 +1694,7 @@ class ParameterSpec:
 
 
 # ---------------------------------------------------------------------------
-# canonical string rendering and parsing
+# canonical string rendering
 # ---------------------------------------------------------------------------
 
 def _render_terms(terms, varnames):
@@ -1764,139 +1770,3 @@ def render_scalar(x):
         return "(%s)/(%s)" % (_render_qtpoly(x.num), _render_qtpoly(x.den))
     raise TypeError("cannot render %r" % (type(x).__name__,))
 
-
-class _ScalarParser:
-    """Recursive-descent parser for the canonical scalar grammar."""
-
-    def __init__(self, text, env, one):
-        self.tokens = self._tokenize(text)
-        self.pos = 0
-        self.env = env
-        self.one = one
-
-    @staticmethod
-    def _tokenize(text):
-        tokens = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                tokens.append(("int", int(text[i:j])))
-                i = j
-            elif ch.isalpha():
-                j = i
-                while j < len(text) and text[j].isalnum():
-                    j += 1
-                tokens.append(("var", text[i:j]))
-                i = j
-            elif text.startswith("**", i):
-                tokens.append(("op", "^"))
-                i += 2
-            elif ch in "+-*/^()":
-                tokens.append(("op", ch))
-                i += 1
-            else:
-                raise ValueError("bad character %r in scalar string" % ch)
-        tokens.append(("end", None))
-        return tokens
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        value = self.expr()
-        if self.peek()[0] != "end":
-            raise ValueError("trailing input in scalar string")
-        return value
-
-    def expr(self):
-        value = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self):
-        value = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.next()[1]
-            rhs = self.unary()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.next()
-            return -self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            kind, v = self.next()
-            if kind != "int":
-                raise ValueError("exponent must be a literal integer")
-            return base ** v
-        return base
-
-    def atom(self):
-        kind, v = self.next()
-        if kind == "int":
-            return self.one * v
-        if kind == "var":
-            try:
-                return self.env[v]
-            except KeyError:
-                raise ValueError("unknown variable %r" % v)
-        if (kind, v) == ("op", "("):
-            value = self.expr()
-            if self.next() != ("op", ")"):
-                raise ValueError("unbalanced parentheses")
-            return value
-        raise ValueError("unexpected token %r" % ((kind, v),))
-
-
-def parse_scalar(text, kind="qt", N=1):
-    """Parse the rendering grammar back into a scalar.
-
-    kind: "rational", "cyclo" (needs N), "u" (UniRatFunc over Q(zeta_N)),
-    or "qt" (BiRatFunc).
-    """
-    if kind == "rational":
-        one = Fraction(1)
-        env = {}
-    elif kind == "cyclo":
-        one = CycloNum.one(N)
-        env = {"z": CycloNum.zeta(N)}
-    elif kind == "u":
-        one = UniRatFunc.one(N)
-        env = {"u": UniRatFunc.u(N)}
-        if euler_phi(N) > 1:
-            zeta = UniRatFunc(UniPoly.const(N, 1).scale(CycloNum.zeta(N)),
-                              _canonical=True)
-            env["z"] = zeta
-        elif N == 2:
-            env["z"] = -one
-        else:
-            env["z"] = one
-    elif kind == "qt":
-        one = BiRatFunc.one()
-        env = {"q": BiRatFunc.q(), "t": BiRatFunc.t()}
-    else:
-        raise ValueError("unknown scalar kind %r" % kind)
-    try:
-        return _ScalarParser(text, env, one).parse()
-    except RecursionError:
-        raise ValueError("scalar string nested too deeply") from None

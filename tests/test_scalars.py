@@ -11,8 +11,8 @@ from wheelmac import scalars
 from wheelmac.scalars import (BiRatFunc, CycloNum, ExactDivisionError,
                               LaurentPoly, MixedFieldError, ParameterSpec,
                               PoleError, QTPoly, UniPoly, UniRatFunc,
-                              cyclotomic_polynomial, euler_phi, parse_scalar,
-                              qt_divexact, qt_gcd, render_scalar)
+                              cyclotomic_polynomial, euler_phi, qt_divexact,
+                              qt_gcd, render_scalar)
 
 q = BiRatFunc.q()
 t = BiRatFunc.t()
@@ -150,39 +150,23 @@ def test_is_resonant_examples():
     assert not p13.is_resonant(2, 1)
 
 
-def test_render_parse_roundtrip():
-    samples = [
-        ((one - t) * (one + q) / (one - q * t), "qt", 1),
-        (q ** 3 - t * 2 + one * Fraction(5, 2), "qt", 1),
-        (BiRatFunc.zero(), "qt", 1),
-        (CycloNum.zeta(5) ** 3 - 2, "cyclo", 5),
-        (Fraction(-22, 7), "rational", 1),
-    ]
-    p = ParameterSpec(2, 3)
-    samples.append((p.specialize((one - t) / (one - q * t)), "u", 2))
-    samples.append((UniRatFunc.u(3) ** 2 / (UniRatFunc.u(3) + CycloNum.zeta(3)),
-                    "u", 3))
-    for value, kind, N in samples:
-        text = render_scalar(value)
-        back = parse_scalar(text, kind, N)
-        assert back == value, (text, value)
-
-
-@pytest.mark.parametrize("kind, N", [("qt", 1), ("u", 2), ("cyclo", 3),
-                                     ("rational", 1)])
-def test_parse_deep_nesting_is_a_value_error(kind, N):
-    # deeper than the interpreter's recursion limit: a ValueError the
-    # caller can report, never a RecursionError
-    with pytest.raises(ValueError, match="nested too deeply"):
-        parse_scalar("(" * 3000 + "1" + ")" * 3000, kind, N)
-
-
 def test_render_format():
     assert render_scalar((one - q * t) / (q - one)) == "(-q*t + 1)/(q - 1)"
     assert render_scalar(Fraction(5, 6)) == "5/6"
     assert render_scalar(CycloNum.zeta(3)) == "z"
     u = UniRatFunc.u(1)
     assert render_scalar(-(u ** 2) / (u + 1)) == "(-u^2)/(u + 1)"
+    assert render_scalar((one - t) * (one + q) / (one - q * t)) \
+        == "(q*t - q + t - 1)/(q*t - 1)"
+    assert render_scalar(q ** 3 - t * 2 + one * Fraction(5, 2)) \
+        == "q^3 - 2*t + 5/2"
+    assert render_scalar(BiRatFunc.zero()) == "0"
+    assert render_scalar(CycloNum.zeta(5) ** 3 - 2) == "z^3 - 2"
+    assert render_scalar(Fraction(-22, 7)) == "-22/7"
+    p = ParameterSpec(2, 3)
+    assert render_scalar(p.specialize((one - t) / (one - q * t))) == "-u^2 + u"
+    u3 = UniRatFunc.u(3)
+    assert render_scalar(u3 ** 2 / (u3 + CycloNum.zeta(3))) == "(u^2)/(u + (z))"
 
 
 def _specialize_by_products(p, f):
@@ -310,6 +294,28 @@ def test_cyclo_inverse_by_conjugates():
     assert done.returncode == 0, done.stderr
 
 
+_NEGATIVE_POWER_UNDER_O = """
+from wheelmac.scalars import LaurentPoly, QTPoly
+for base in (QTPoly.q(), LaurentPoly(1, {0: 1, 1: 1})):
+    try:
+        base ** -1
+    except ValueError:
+        continue
+    raise SystemExit(1)
+"""
+
+
+def test_negative_power_of_a_polynomial_raises_under_O():
+    done = _run_under_O(_NEGATIVE_POWER_UNDER_O)
+    assert done.returncode == 0, done.stderr
+    # a monomial and a field element still take negative powers
+    z = CycloNum.zeta(3)
+    assert LaurentPoly.monomial(3, 2, z) ** -2 == LaurentPoly.monomial(3, -4, z ** -2)
+    assert LaurentPoly.monomial(1, 1, 2) ** -1 \
+        == LaurentPoly.monomial(1, -1, Fraction(1, 2))
+    assert (one + q) ** -1 == one / (one + q)
+
+
 _WRONG_CONJUGATE_UNDER_O = """
 from wheelmac.scalars import CycloNum, ExactDivisionError, _CycloField
 rows = _CycloField.get(5).powers
@@ -435,13 +441,12 @@ def _assert_canonical(x):
 def test_field_axioms(case):
     rand, one_, kind, N = case
     rng = random.Random(11 * N + len(kind))
+    renders = {}
     for _ in range(12):
         a, b, c = rand(rng), rand(rng), rand(rng)
         for x in (a, b, c, a + b, a * b, a - b, -c, b * c + a):
             _assert_canonical(x)
-            text = render_scalar(x)
-            back = parse_scalar(text, kind, N)
-            assert back == x and render_scalar(back) == text, text
+            renders.setdefault(render_scalar(x), set()).add(x)
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a + b == b + a and a * b == b * a
@@ -456,6 +461,9 @@ def test_field_axioms(case):
             assert a ** -3 * a ** 3 == one_
             assert b / a == b * inv and 1 / a == inv
             _assert_canonical(b / a)
+    # the rendering is injective: one text, one value
+    for text, values in renders.items():
+        assert len(values) == 1, (text, values)
 
 
 def _one_minus(rng):
@@ -907,6 +915,11 @@ def test_unipoly_mixed_orders_raise():
     for op in (lambda: a.gcd(b), lambda: b.gcd(a), lambda: a * b,
                lambda: a.divexact(b), lambda: a + b,
                lambda: a.gcd(UniPoly.zero(2)), lambda: a * UniPoly.zero(2),
-               lambda: CycloNum.zeta(3) + CycloNum.zeta(4)):
+               lambda: CycloNum.zeta(3) + CycloNum.zeta(4),
+               lambda: LaurentPoly.one(1) + LaurentPoly.monomial(3, 0, CycloNum.zeta(3)),
+               lambda: LaurentPoly.monomial(3, 0, CycloNum.zeta(3)) - LaurentPoly.one(1),
+               lambda: LaurentPoly.zero(1) + LaurentPoly.one(2),
+               lambda: LaurentPoly.one(2) * LaurentPoly(1, {0: 1, 1: 1}),
+               lambda: LaurentPoly.zero(1) * LaurentPoly.one(3)):
         with pytest.raises(MixedFieldError):
             op()

@@ -31,10 +31,14 @@ README = ROOT / "README.md"
 
 
 def test_every_public_name_resolves():
-    modules = [wheelmac] + [importlib.import_module("wheelmac." + info.name)
-                            for info in pkgutil.iter_modules(wheelmac.__path__)]
-    for module in modules:
-        for name in getattr(module, "__all__", ()):
+    # every library module declares __all__, and a deletion that leaves a
+    # stale entry there would make `from wheelmac.<module> import *` raise
+    for info in pkgutil.iter_modules(wheelmac.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module("wheelmac." + info.name)
+        assert module.__all__, module.__name__
+        for name in module.__all__:
             assert hasattr(module, name), (module.__name__, name)
 
 
