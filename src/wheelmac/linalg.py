@@ -28,7 +28,7 @@ Rows are plain lists; callers choose the entry type.
 
 from fractions import Fraction
 
-from .scalars import UniPoly
+from .scalars import ExactDivisionError, UniPoly
 
 __all__ = ["in_row_span", "EchelonBasis", "rank_kernel_poly", "corank_upower"]
 
@@ -111,13 +111,25 @@ def _clear_denominators(row, N):
 
 
 def _strip_row_gcd(row):
-    g = None
-    for x in row:
-        if x:
-            g = x if g is None else g.gcd(x)
-            if g.degree() == 0 and not g.trailing_order():
-                return row
-    if g is None or (g.degree() == 0 and not g.trailing_order()):
+    """The row divided by the gcd of its entries (by the entry itself when
+    there is one).  The gcd is tried first as gcd(x_1, x_2 + 2 x_3 + ...),
+    a multiple of the true gcd that equals it exactly when it divides every
+    entry, which the divisions check; otherwise it is reduced against each
+    entry in turn."""
+    nz = [x for x in row if x]
+    if not nz:
+        return row
+    g = nz[0]
+    if len(nz) > 1:
+        g = g.gcd(sum((x.scale(k) for k, x in enumerate(nz[2:], 2)), nz[1]))
+        if g.degree() == 0:
+            return row
+        try:
+            return [x.divexact(g) if x else x for x in row]
+        except ExactDivisionError:
+            for x in nz[1:]:
+                g = g.gcd(x)
+    if g.degree() == 0:
         return row
     return [x.divexact(g) if x else x for x in row]
 
@@ -183,10 +195,10 @@ def _poly_kernel_from_triangular(tri, ncols, N):
                 vec = [x * piv for x in vec]
                 vec[col] = -acc
             else:
-                vec[col] = acc.scale(-piv.c[0].inverse())
+                vec[col] = (-acc).divexact(piv)
         lead = vec[fc].leading()
         if lead != 1:
-            lead = lead.inverse()
+            lead = 1 / lead
             vec = [x.scale(lead) for x in vec]
         basis.append(vec)
     return basis

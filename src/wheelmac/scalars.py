@@ -23,9 +23,9 @@ Fraction into an int and raises TypeError on a float (or any other type),
 so no binary expansion enters a value.  ``QTPoly`` stores what ``_exact``
 returns, so its coefficients are Python ints unless they are not
 integral, and every division of a coefficient stays exact.  Over Q
-(phi(N) = 1) ``UniPoly`` multiplies, divides exactly and takes gcds in
-Z[u] on plain ints.  A division that leaves a remainder raises
-ExactDivisionError.
+(phi(N) = 1) ``UniPoly`` is stored in Z[u], as ints over one denominator,
+and all its arithmetic runs on plain ints.  A division that leaves a
+remainder raises ExactDivisionError.
 
 ``qt_gcd`` works on the integer primitive parts in three steps, each one
 only when the one before cannot decide: an evaluation certificate that
@@ -347,31 +347,37 @@ class CycloNum(_Field):
 
 
 class UniPoly:
-    """Polynomial in u with CycloNum coefficients (ascending, normalized).
-
-    Over Q (phi(N) = 1) products, exact quotients and gcds run in Z[u]:
-    each operand is cleared to ints over one common denominator
-    (``_iz_from_unipoly``) and the result is rebuilt by ``_unipoly_from_iz``.
+    """Polynomial in u over Q(zeta_N), stored as c / den: c ascending with
+    trailing zeros trimmed.  Over Q (phi(N) = 1, N <= 2) c holds Python ints
+    and den is a positive int coprime to their content, a canonical Z[u]
+    form that all arithmetic works on; otherwise c holds CycloNums and den
+    is 1.  ``coeffs`` gives Fractions over Q, CycloNums otherwise.
     """
 
-    __slots__ = ("N", "c")
+    __slots__ = ("N", "c", "den")
 
     def __init__(self, N, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.N = N
-        self.c = tuple(coeffs)
+        """coeffs: CycloNums or rationals, ascending; converted once."""
+        den = 1
+        if N <= 2:
+            fr = [c.c[0] if isinstance(c, CycloNum) else _exact(c)
+                  for c in coeffs]
+            den = lcm(*[v.denominator for v in fr])
+            c = [v.numerator * (den // v.denominator) for v in fr]
+        else:
+            c = [x if isinstance(x, CycloNum) else CycloNum.from_rational(N, x)
+                 for x in coeffs]
+        while c and not c[-1]:
+            c.pop()
+        self.N, self.c, self.den = N, tuple(c), den
 
     @classmethod
     def const(cls, N, value):
-        if not isinstance(value, CycloNum):
-            value = CycloNum.from_rational(N, value)
         return cls(N, [value])
 
     @classmethod
     def zero(cls, N):
-        return cls(N, [])
+        return _unipoly(N, (), 1)
 
     @classmethod
     def one(cls, N):
@@ -379,7 +385,7 @@ class UniPoly:
 
     @classmethod
     def u_power(cls, N, e):
-        return cls(N, [CycloNum.zero(N)] * e + [CycloNum.one(N)])
+        return cls.one(N).shift(e)
 
     def is_zero(self):
         return not self.c
@@ -390,83 +396,90 @@ class UniPoly:
     def degree(self):
         return len(self.c) - 1  # -1 for the zero polynomial
 
+    def coeffs(self):
+        """The coefficients, ascending: Fractions over Q, else CycloNums."""
+        if self.N <= 2:
+            return tuple(Fraction(x, self.den) for x in self.c)
+        return self.c
+
     def is_one(self):
-        if len(self.c) != 1:
+        if len(self.c) != 1 or self.den != 1:
             return False
-        c = self.c[0].c
-        return c[0] == 1 and not any(c[1:])
+        c = self.c[0]
+        return c == 1 if type(c) is int else c.c[0] == 1 and not any(c.c[1:])
 
     def leading(self):
-        return self.c[-1]
+        """The leading coefficient: a Fraction over Q, else a CycloNum."""
+        return Fraction(self.c[-1], self.den) if self.N <= 2 else self.c[-1]
 
     def trailing_order(self):
         """Multiplicity of the root u = 0."""
         for i, ci in enumerate(self.c):
-            if not ci.is_zero():
+            if ci:
                 return i
         return None
 
     def __add__(self, other):
         if self.N != other.N:
             raise MixedFieldError("mixed cyclotomic orders")
-        a, b = self.c, other.c
+        a, b, den = self.c, other.c, self.den
+        if not b:
+            return self
+        if not a:
+            return other
+        if den != other.den:
+            den = lcm(den, other.den)
+            a = [x * (den // self.den) for x in a]
+            b = [x * (den // other.den) for x in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, bi in enumerate(b):
-            out[i] = out[i] + bi
-        return UniPoly(self.N, out)
+        for i, x in enumerate(b):
+            out[i] = out[i] + x
+        return _zpoly(self.N, out, den) if self.N <= 2 else UniPoly(self.N, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return UniPoly(self.N, [-a for a in self.c])
+        return _unipoly(self.N, tuple(-x for x in self.c), self.den)
 
     def __mul__(self, other):
         if self.N != other.N:
             raise MixedFieldError("mixed cyclotomic orders")
-        if self.is_zero() or other.is_zero():
+        if not self.c or not other.c:
             return UniPoly.zero(self.N)
-        if _CycloField.get(self.N).phi == 1:
-            ia, da = _iz_from_unipoly(self)
-            ib, db = _iz_from_unipoly(other)
-            return _unipoly_from_iz(self.N, _iz_mul(ia, ib), da * db)
-        a, b = self.c, other.c
-        zero = CycloNum.zero(self.N)
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai.is_zero():
-                for j, bj in enumerate(b):
-                    if not bj.is_zero():
-                        out[i + j] = out[i + j] + ai * bj
+        out = _iz_mul(self.c, other.c)  # ring-generic: CycloNums too
+        if self.N <= 2:
+            return _zpoly(self.N, out, self.den * other.den)
         return UniPoly(self.N, out)
 
     def scale(self, s):
-        return UniPoly(self.N, [a * s for a in self.c])
+        """Multiply by a rational, or by a CycloNum of the same field."""
+        if self.N > 2:
+            return UniPoly(self.N, [a * s for a in self.c])
+        s = s.c[0] if isinstance(s, CycloNum) else _exact(s)
+        n, d = s.as_integer_ratio()
+        return _zpoly(self.N, [x * n for x in self.c], self.den * d)
 
     def shift(self, e):
         """Multiply by u^e."""
-        if self.is_zero() or e == 0:
+        if not self.c or e == 0:
             return self
-        zero = CycloNum.zero(self.N)
-        return UniPoly(self.N, [zero] * e + list(self.c))
+        zero = 0 if self.N <= 2 else CycloNum.zero(self.N)
+        return _unipoly(self.N, (zero,) * e + self.c, self.den)
 
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        num = list(self.c)
-        dn = other.degree()
-        inv = other.leading().inverse()
-        zero = CycloNum.zero(self.N)
-        quot = [zero] * max(len(num) - dn, 0)
+        num, oc, dn = list(self.coeffs()), other.coeffs(), other.degree()
+        inv = 1 / other.leading()
+        quot = [0] * max(len(num) - dn, 0)
         for i in range(len(num) - 1, dn - 1, -1):
-            c = num[i]
-            if not c.is_zero():
-                q = c * inv
-                quot[i - dn] = q
+            if num[i]:
+                q = quot[i - dn] = num[i] * inv
                 for j in range(dn + 1):
-                    num[i - dn + j] = num[i - dn + j] - q * other.c[j]
+                    num[i - dn + j] -= q * oc[j]
         return UniPoly(self.N, quot), UniPoly(self.N, num[:dn])
 
     def divexact(self, other):
@@ -477,86 +490,97 @@ class UniPoly:
         so the Z[u] long division raises on any remainder."""
         if self.N != other.N:
             raise MixedFieldError("mixed cyclotomic orders")
-        if _CycloField.get(self.N).phi == 1:
-            if other.is_zero():
+        if self.N <= 2:
+            if not other.c:
                 raise ZeroDivisionError("polynomial division by zero")
-            ia, da = _iz_from_unipoly(self)
-            ib, db = _iz_from_unipoly(other)
-            cb = _iz_content(ib)
-            if cb > 1:
-                ib = [x // cb for x in ib]
-            return _unipoly_from_iz(self.N, _iz_divexact(ia, ib), da * cb, db)
+            cb = _iz_content(other.c)
+            quot = _iz_divexact(self.c, [x // cb for x in other.c])
+            return _zpoly(self.N, [x * other.den for x in quot], self.den * cb)
         q, r = self.divmod(other)
         if not r.is_zero():
             raise ExactDivisionError("inexact univariate division")
         return q
 
     def monic(self):
-        if self.is_zero():
+        if not self.c or self.leading() == 1:
             return self
-        lc = self.leading()
-        if lc == CycloNum.one(self.N):
-            return self
-        return self.scale(lc.inverse())
+        return self.scale(1 / self.leading())
 
     def gcd(self, other):
-        """Monic gcd (u-power fast path, then integer PRS or Euclid).
-
-        Over Q (phi(N) = 1) the polynomials are cleared to integers and the
-        primitive-remainder sequence keeps the coefficients small; over a
-        genuine cyclotomic field remainders are re-normalized to monic at
-        every step.
-        """
+        """Monic gcd, a shared power of u split off first.  Over Q the
+        heuristic ``_heu_gcd_univariate`` runs on the Z[u] forms and its
+        answer is kept if it divides both, else the primitive PRS
+        ``_iz_gcd`` decides; otherwise Euclid with monic remainders."""
         if self.N != other.N:
             raise MixedFieldError("mixed cyclotomic orders")
-        a, b = self, other
-        if a.is_zero():
-            return b.monic()
-        if b.is_zero():
-            return a.monic()
-        # shared power of u can be split off cheaply
-        ta, tb = a.trailing_order(), b.trailing_order()
-        shared = min(ta, tb)
-        if shared:
-            a = UniPoly(a.N, a.c[shared:])
-            b = UniPoly(b.N, b.c[shared:])
-        if a.degree() == 0 or b.degree() == 0:
+        if not self.c or not other.c:
+            return (self or other).monic()
+        shared = min(self.trailing_order(), other.trailing_order())
+        a, b = self.c[shared:], other.c[shared:]
+        if len(a) == 1 or len(b) == 1:
             g = UniPoly.one(self.N)
-        elif _CycloField.get(self.N).phi == 1:
-            g = _unipoly_gcd_rational(a, b)
+        elif self.N <= 2:
+            g = _heu_gcd_univariate(a, b)
+            if g is None or not (_iz_divides(a, g) and _iz_divides(b, g)):
+                g = _iz_gcd(a, b)
+            g = _unipoly(self.N, tuple(g), 1).monic()
         else:
-            while not b.is_zero():
+            a, b = _unipoly(self.N, a, 1), _unipoly(self.N, b, 1)
+            while b:
                 b = b.monic()
                 a, b = b, a.divmod(b)[1]
             g = a.monic()
         return g.shift(shared)
 
     def evaluate(self, x):
-        """Horner evaluation at a CycloNum (or rational) point; over Q at a
-        rational point, one integer Horner over the Z[u] form."""
-        if isinstance(x, (int, Fraction)):
-            if self.c and _CycloField.get(self.N).phi == 1:
-                ints, den = _iz_from_unipoly(self)
-                xn, xd = x.as_integer_ratio()
-                acc, pw = 0, 1
-                for c in reversed(ints):
-                    acc = acc * xn + c * pw
-                    pw *= xd
-                return CycloNum(self.N, (Fraction(acc, den * pw // xd),))
-            x = CycloNum.from_rational(self.N, x)
-        acc = CycloNum.zero(self.N)
+        """Horner evaluation at a CycloNum or rational point, as a CycloNum;
+        over Q one integer Horner over the stored Z[u] form."""
+        if not self.c:
+            return CycloNum.zero(self.N)
+        if self.N > 2:
+            if not isinstance(x, CycloNum):
+                x = CycloNum.from_rational(self.N, x)
+            return _iz_eval(self.c, x)  # ring-generic: CycloNums too
+        x = x.c[0] if isinstance(x, CycloNum) else _exact(x)
+        xn, xd = x.as_integer_ratio()
+        acc, pw = 0, 1
         for c in reversed(self.c):
-            acc = acc * x + c
-        return acc
+            acc = acc * xn + c * pw
+            pw *= xd
+        return CycloNum(self.N, (Fraction(acc, self.den * pw // xd),))
 
     def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.N == other.N and self.c == other.c
+        return (isinstance(other, UniPoly) and self.N == other.N
+                and self.c == other.c and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.N, self.c))
+        return hash((self.N, self.c, self.den))
 
     def __repr__(self):
         return "UniPoly(%d, %s)" % (self.N, render_scalar(self))
+
+
+def _unipoly(N, c, den):
+    """A UniPoly from a stored form that is canonical already."""
+    p = object.__new__(UniPoly)
+    p.N, p.c, p.den = N, c, den
+    return p
+
+
+def _zpoly(N, ints, den=1):
+    """The UniPoly ints/den over Q for an int den > 0, made canonical: the
+    list ints trimmed, both divided by the gcd of den and their content."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if den != 1:
+        g = den
+        for x in ints:
+            g = gcd(g, x)
+            if g == 1:
+                break
+        if g > 1:
+            ints, den = [x // g for x in ints], den // g
+    return _unipoly(N, tuple(ints), den)
 
 
 class LaurentPoly:
@@ -601,8 +625,8 @@ class LaurentPoly:
 
     @classmethod
     def from_unipoly(cls, poly, shift=0):
-        return cls(poly.N, {e + shift: _cyclo_slim(poly.N, c)
-                            for e, c in enumerate(poly.c) if c}, _clean=True)
+        return cls(poly.N, {e + shift: c for e, c in enumerate(poly.coeffs())
+                            if c}, _clean=True)
 
     def to_unirat(self):
         return UniRatFunc.from_laurent(self.N, self.d)
@@ -696,32 +720,6 @@ def _cyclo_slim(N, c):
     if _CycloField.get(N).phi == 1:
         return c.c[0] if isinstance(c, CycloNum) else Fraction(_exact(c))
     return c if isinstance(c, CycloNum) else CycloNum.from_rational(N, c)
-
-
-def _iz_from_unipoly(p):
-    """(ints, den) with p = ints / den, den the lcm of the coefficient
-    denominators; phi(N) = 1 only."""
-    fracs = [c.c[0] for c in p.c]
-    den = 1
-    for v in fracs:
-        d = v.denominator
-        if den % d:
-            den = den * d // gcd(den, d)
-    return [v.numerator * (den // v.denominator) for v in fracs], den
-
-
-def _unipoly_from_iz(N, ints, den, scale=1):
-    """The UniPoly ints * scale / den, zero coefficients sharing one
-    CycloNum; phi(N) = 1 only."""
-    zero = CycloNum.zero(N)
-    return UniPoly(N, [CycloNum(N, (Fraction(c * scale, den),)) if c else zero
-                       for c in ints])
-
-
-def _unipoly_gcd_rational(a, b):
-    """Monic gcd over Q via the integer primitive-remainder sequence."""
-    g = _iz_gcd(_iz_from_unipoly(a)[0], _iz_from_unipoly(b)[0])
-    return _unipoly_from_iz(a.N, g, g[-1])
 
 
 def _cancel(a, b):
@@ -872,10 +870,9 @@ class UniRatFunc(_RatFunc):
         if not terms:
             return cls.zero(N)
         shift = max(0, -min(terms))
-        coeffs = [CycloNum.zero(N)] * (max(terms) + shift + 1)
+        coeffs = [0] * (max(terms) + shift + 1)
         for e, c in terms.items():
-            coeffs[e + shift] = (c if isinstance(c, CycloNum)
-                                 else CycloNum.from_rational(N, c))
+            coeffs[e + shift] = c
         return cls(UniPoly(N, coeffs), UniPoly.u_power(N, shift),
                    _canonical=True)
 
@@ -888,8 +885,7 @@ class UniRatFunc(_RatFunc):
                 raise MixedFieldError("mixed cyclotomic orders")
             if isinstance(other, UniRatFunc):
                 return other
-            return UniRatFunc(UniPoly(self.N, (other,) if other else ()),
-                              _canonical=True)
+            return UniRatFunc(UniPoly.const(self.N, other), _canonical=True)
         if isinstance(other, (int, Fraction)):
             return UniRatFunc.const(self.N, other)
         return None
@@ -1758,12 +1754,12 @@ def render_scalar(x):
     if isinstance(x, QTPoly):
         return _render_qtpoly(x)
     if isinstance(x, UniPoly):
-        return _render_ascending(x.c, "u")
+        return _render_ascending(x.coeffs(), "u")
     if isinstance(x, UniRatFunc):
-        num = _render_ascending(x.num.c, "u")
+        num = _render_ascending(x.num.coeffs(), "u")
         if x.den.degree() == 0:
             return num
-        return "(%s)/(%s)" % (num, _render_ascending(x.den.c, "u"))
+        return "(%s)/(%s)" % (num, _render_ascending(x.den.coeffs(), "u"))
     if isinstance(x, BiRatFunc):
         if x.den.is_one():
             return _render_qtpoly(x.num)

@@ -10,7 +10,6 @@ relies on ring arithmetic and truthiness for zero tests.
 """
 
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 from operator import mul
 
@@ -28,11 +27,26 @@ _ORBITS = {}
 
 
 def orbit_of(lam, n):
-    """Distinct permutations of lam padded to n slots (the S_n orbit)."""
+    """Distinct permutations of lam padded to n slots (the S_n orbit), in
+    ascending order: the lexicographic successors of the ascending sort,
+    so the work is proportional to the orbit, not to n!."""
     key = (tuple(lam), n)
     orb = _ORBITS.get(key)
     if orb is None:
-        orb = _ORBITS[key] = sorted(set(permutations(pt.pad(lam, n))))
+        a = sorted(pt.pad(lam, n))
+        orb = _ORBITS[key] = [tuple(a)]
+        while True:
+            i = n - 2
+            while i >= 0 and a[i] >= a[i + 1]:
+                i -= 1
+            if i < 0:
+                return orb
+            j = n - 1
+            while a[j] <= a[i]:
+                j -= 1
+            a[i], a[j] = a[j], a[i]
+            a[i + 1:] = a[:i:-1]
+            orb.append(tuple(a))
     return orb
 
 

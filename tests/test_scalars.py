@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -212,6 +213,9 @@ def test_unipoly_evaluate_at_a_rational_point():
                 got = f.evaluate(x)
                 assert type(got) is CycloNum and got.N == N
                 assert got == f.evaluate(CycloNum.from_rational(N, x))
+                want = sum(c * Fraction(x) ** i
+                           for i, c in enumerate(f.coeffs()))
+                assert got == CycloNum.from_rational(N, want)
 
 
 def test_laurent_matches_unirat():
@@ -792,7 +796,7 @@ def test_qt_laurent_reads_the_table_of_omega1_powers():
 def _ref_coeffs(f):
     """Coefficients as the reference sees them: Fractions over Q, else
     CycloNums."""
-    return [c.c[0] for c in f.c] if euler_phi(f.N) == 1 else list(f.c)
+    return list(f.coeffs())
 
 
 def _ref_trim(c):
@@ -868,7 +872,9 @@ def test_unipoly_lane_matches_schoolbook_reference(N):
         for x, y, rx, ry in ((a, b, ra, rb), (b, a, rb, ra)):
             prod = x * y
             assert _ref_coeffs(prod) == _ref_mul(rx, ry, zero)
-            assert all(type(c) is CycloNum and c.N == N for c in prod.c)
+            assert all(type(c) is Fraction if euler_phi(N) == 1
+                       else type(c) is CycloNum and c.N == N
+                       for c in prod.coeffs())
             assert _ref_coeffs(x.gcd(y)) == _ref_gcd(rx, ry, zero)
             if not y:
                 with pytest.raises(ZeroDivisionError):
@@ -886,27 +892,112 @@ def test_unipoly_lane_matches_schoolbook_reference(N):
 
 
 def test_unipoly_lane_makes_no_cyclonum_products(monkeypatch):
-    products = []
-    real = CycloNum.__mul__
+    products, made = [], []
+    real_mul, real_init = CycloNum.__mul__, CycloNum.__init__
 
     def counted(self, other):
         products.append(self.N)
-        return real(self, other)
+        return real_mul(self, other)
 
-    monkeypatch.setattr(CycloNum, "__mul__", counted)
-    monkeypatch.setattr(CycloNum, "__rmul__", counted)
+    def constructed(self, N, coeffs):
+        made.append(N)
+        real_init(self, N, coeffs)
+
     for N in (1, 2):
         for a, b in _lane_pairs(N, seed=N, count=30):
-            del products[:]
+            terms = {e - 2: c for e, c in enumerate(a.coeffs()) if c}
+            monkeypatch.setattr(CycloNum, "__mul__", counted)
+            monkeypatch.setattr(CycloNum, "__rmul__", counted)
+            monkeypatch.setattr(CycloNum, "__init__", constructed)
             prod = a * b
+            a + b, a - b, a.gcd(b), b.gcd(a), a.shift(3)
+            a.scale(Fraction(-3, 4)), UniRatFunc.from_laurent(N, terms)
             if b:
                 prod.divexact(b)
                 if a:
                     prod.divexact(a)
-            assert products == [], (N, a, b)
+            monkeypatch.undo()
+            assert products == [] and made == [], (N, a, b)
     a, b = _lane_pairs(3, seed=3, count=1)[-1]
+    monkeypatch.setattr(CycloNum, "__mul__", counted)
     a * b
     assert products, "the phi(N) > 1 path multiplies CycloNums"
+
+
+def _assert_z_form(f):
+    """Over Q the stored form is ints over a positive int denominator
+    coprime to their content, with no trailing zero."""
+    assert all(type(x) is int for x in f.c) and type(f.den) is int
+    assert f.den > 0 and (not f.c or f.c[-1])
+    content = 0
+    for x in f.c:
+        content = gcd(content, x)
+    assert gcd(content, f.den) == 1 and (f.c or f.den == 1)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_q_lane_routes_give_one_stored_form(N):
+    rng = random.Random(60 + N)
+    zero = UniPoly.zero(N)
+    for _ in range(40):
+        # u does not divide f, so from_laurent keeps it as the numerator
+        c = [Fraction(rng.choice([-3, 1, 4]), rng.randint(1, 4))]
+        c += [_rand_frac(rng) for _ in range(rng.randint(0, 3))]
+        c.append(Fraction(rng.choice([-5, -1, 2, 7]), rng.randint(1, 6)))
+        f = UniPoly(N, c)
+        h = _lane_poly(rng, N, rng.randint(0, 3))
+        s = rng.choice([Fraction(-4, 3), Fraction(6, 5), 3, -1])
+        terms = {e - 2: x for e, x in enumerate(c) if x}
+        routes = [
+            # mixed types, denominators not yet common, trailing zeros
+            UniPoly(N, [CycloNum.from_rational(N, x) if i % 2 else
+                        Fraction(x.numerator * 6, x.denominator * 6)
+                        for i, x in enumerate(c)] + [0, Fraction(0, 5)]),
+            UniPoly(N, [x / s for x in c]).scale(s),
+            UniPoly(N, c[2:]).shift(2) + UniPoly(N, c[:2]),
+            (f + h) - h, f + (h - h), f - zero,
+            (f * h).divexact(h), (f * f).divexact(f) * UniPoly.one(N),
+            UniRatFunc.from_laurent(N, terms).num,
+            LaurentPoly.from_unipoly(f, shift=-3).to_unirat().num,
+        ]
+        for g in routes + [f]:
+            _assert_z_form(g)
+            assert g == f and hash(g) == hash(f), (f, g)
+            assert g.coeffs() == tuple(_ref_trim(c))
+        assert len(set(routes)) == 1
+        assert f.shift(2) == UniPoly(N, [0, 0] + c)
+        assert hash(f.shift(2)) == hash(UniPoly(N, [0, 0] + c))
+        for g in (h - h, f + (-f), f.scale(0), zero.shift(2),
+                  (f - f).divexact(h or UniPoly.one(N))):
+            _assert_z_form(g)
+            assert g == zero and hash(g) == hash(zero) and g.den == 1
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_unipoly_gcd_fallback_needs_no_heuristic(N, monkeypatch):
+    prs_calls = []
+    prs, heu = scalars._iz_gcd, scalars._heu_gcd_univariate
+
+    def counted_prs(a, b):
+        prs_calls.append(1)
+        return prs(a, b)
+
+    def wrong_by_one_plus_u(a, b):
+        g = heu(a, b)
+        return None if g is None else scalars._iz_mul(g, [1, 1])
+
+    pairs = _lane_pairs(N, seed=70 + N)
+    monkeypatch.setattr(scalars, "_iz_gcd", counted_prs)
+    for planted in ({"_HEU_TRIES": 0},
+                    {"_heu_gcd_univariate": wrong_by_one_plus_u}):
+        with monkeypatch.context() as m:
+            for name, value in planted.items():
+                m.setattr(scalars, name, value)
+            del prs_calls[:]
+            for a, b in pairs:
+                want = _ref_gcd(_ref_coeffs(a), _ref_coeffs(b), Fraction(0))
+                assert _ref_coeffs(a.gcd(b)) == want, (planted, a, b)
+            assert len(prs_calls) >= 20, planted
 
 
 def test_unipoly_mixed_orders_raise():

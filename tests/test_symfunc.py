@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -8,8 +9,20 @@ from wheelmac.macdonald import CoeffField
 from wheelmac.scalars import ParameterSpec, UniRatFunc
 from wheelmac.symfunc import (MonomialExpansion, SymPoly, _collapse_wheel,
                               eval_monomial_symmetric, m_to_monomials,
-                              monomials_to_m, restrict_derivative,
+                              monomials_to_m, orbit_of, restrict_derivative,
                               sympoly_mul, wheel_collapse, wheel_substitute)
+
+
+def test_orbit_of_matches_distinct_permutations():
+    # the ascending order fixes the dict order of every expansion
+    for n in range(7):
+        for d in range(7):
+            for lam in pt.enumerate_partitions(n, d):
+                want = sorted(set(permutations(pt.pad(lam, n))))
+                assert orbit_of(lam, n) == want, (lam, n)
+    assert orbit_of((2, 0, 0), 3) == orbit_of((2,), 3)
+    # 12 * 11 arrangements of (2, 1, 0, ..., 0); n! = 479001600
+    assert len(orbit_of((2, 1), 12)) == 132
 
 
 def test_m_to_monomials_examples():

@@ -106,7 +106,7 @@ def test_readme_quickstart_prints_its_comments():
     assert out.getvalue().splitlines() == want
 
 
-@pytest.mark.parametrize("workload", ["theorem", "dual"])
+@pytest.mark.parametrize("workload", ["macd", "theorem", "stability", "dual"])
 def test_traced_benchmark_pass_keeps_every_layer(workload):
     # one traced pass checks each used_on/zero_on prediction of layers.json
     # and exits 1 if one breaks; seed 1 leaves the seed-7 reference traces

@@ -390,6 +390,50 @@ def _random_rank_deficient(rng, N, nrows, ncols, rank):
     return rows
 
 
+def _strip_entry_by_entry(row):
+    """The reference row gcd: one gcd per entry, or the entry itself when
+    it is the only one."""
+    nz = [x for x in row if x]
+    g = nz[0] if nz else None
+    for x in nz[1:]:
+        g = g.gcd(x)
+    if g is None or (g.degree() == 0 and not g.trailing_order()):
+        return row
+    return [x.divexact(g) if x else x for x in row]
+
+
+def test_strip_row_gcd_matches_entry_by_entry(monkeypatch):
+    calls = []
+    gcd = UniPoly.gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    rng = random.Random(59)
+    for N in (1, 2, 3):
+        u, one, zero = UniPoly.u_power(N, 1), UniPoly.one(N), UniPoly.zero(N)
+        h = u * u + UniPoly.const(N, 3)
+        # x_2 + 2 x_3 = h (u - 1) shares u - 1 with x_1, the row gcd is h
+        planted = [h * (u - one), zero, h * (u + one), -h]
+        rows = [planted, [zero, h], [zero, zero], [one, u], [u * h, u * u]]
+        for _ in range(30):
+            common = _random_rank_deficient(rng, N, 1, 1, 1)[0][0] or one
+            rows.append([common * x for x in
+                         _random_rank_deficient(rng, N, 1, 5, 1)[0]])
+        for row in rows:
+            want = _strip_entry_by_entry(row)
+            del calls[:]
+            with monkeypatch.context() as m:
+                m.setattr(UniPoly, "gcd", counted)
+                got = linalg._strip_row_gcd(row)
+            assert got == want, (N, row)
+            if row is planted:
+                assert len(calls) == 3  # the combination, then entry by entry
+            elif sum(1 for x in row if x) > 1:
+                assert len(calls) == 1
+
+
 def _rational_kernel_from_triangular(tri, ncols, N):
     """Back-substitution over UniRatFunc, cleared by the lcm of the
     denominators and stripped of the row gcd: the reference normalization."""
