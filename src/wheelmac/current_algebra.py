@@ -100,7 +100,7 @@ def relation_generic(d, sigma, k, r, p=None):
     k+1, sigma), orbit counts per q^a t^b, specialized and made a canonical
     UniRatFunc once.  sigma must pass check_sigma."""
     sigma = check_sigma(sigma, k, r)
-    p = p or ParameterSpec(k, r)
+    p = ParameterSpec.matching(p, k, r)
     terms = {}
     for mu in pt.enumerate_partitions(k + 1, d):
         c = p.specialize_poly(wheel_collapse(mu, k + 1, sigma)[(d,)])
@@ -136,7 +136,7 @@ def ideal_rows(k, r, n, d, p=None, field="rootofunity"):
         gens = [(dd, relation_rootofunity(dd, nu, k, r))
                 for dd in range(d + 1) for nu in residue_profiles(k, r)]
     else:
-        p = p or ParameterSpec(k, r)
+        p = ParameterSpec.matching(p, k, r)
         zero = UniRatFunc.zero(p.N)
         gens = [(dd, relation_generic(dd, sigma, k, r, p))
                 for dd in range(d + 1) for sigma in wheel_substitutions(k, r)]
@@ -166,7 +166,7 @@ def quotient_dim(k, r, n, d, p=None, field="rootofunity"):
         for row in rows:
             ech.add(row)
         return ncols - ech.rank
-    p = p or ParameterSpec(k, r)
+    p = ParameterSpec.matching(p, k, r)
     return corank_upower(rows, ncols, p.N)
 
 
@@ -258,37 +258,41 @@ def enumerate_C_sequences(b, k, r, n, d):
     sums a_i + ... + a_{i+r-1} <= k, and prefix sums bounded by b."""
     b = check_profile(b, k, r)
     out = []
-    a = []
-
-    def window_ok(val, pos):
-        lo = max(0, pos - (r - 1))
-        for start in range(lo, pos + 1):
-            s = val + sum(a[j] for j in range(start, min(pos, len(a))))
-            if s > k:
-                return False
-        return True
-
-    def rec(pos, left_n, left_d):
-        if left_n == 0 and left_d == 0:
-            out.append(tuple(a))
-            return
-        if left_n == 0 or pos > left_d:
-            return
-        # a_pos can be at most what the window and the weighted degree allow
-        top = left_n if pos == 0 else min(left_n, left_d // pos)
-        for val in range(top + 1):
-            if pos <= r - 2:
-                prefix = sum(a) + val
-                if prefix > b[pos]:
-                    break
-            if val and not window_ok(val, pos):
-                break
-            a.append(val)
-            rec(pos + 1, left_n - val, left_d - val * pos)
-            a.pop()
-
-    rec(0, n, d)
+    _extend_C_sequences(out, [], n, d, b, k, r)
     return [_trim(seq) for seq in out]
+
+
+def _extend_C_sequences(out, a, left_n, left_d, b, k, r):
+    """Append to out each sequence of enumerate_C_sequences that extends
+    the prefix a, with left_n and left_d still to place."""
+    if left_n == 0 and left_d == 0:
+        out.append(tuple(a))
+        return
+    pos = len(a)
+    if left_n == 0 or pos > left_d:
+        return
+    # a_pos can be at most what the window and the weighted degree allow
+    top = left_n if pos == 0 else min(left_n, left_d // pos)
+    for val in range(top + 1):
+        if pos <= r - 2:
+            prefix = sum(a) + val
+            if prefix > b[pos]:
+                break
+        if val and not _window_ok(a, val, k, r):
+            break
+        a.append(val)
+        _extend_C_sequences(out, a, left_n - val, left_d - val * pos, b, k, r)
+        a.pop()
+
+
+def _window_ok(a, val, k, r):
+    """True iff val at position len(a) keeps every window of r entries
+    ending there at sum <= k."""
+    pos = len(a)
+    for start in range(max(0, pos - (r - 1)), pos + 1):
+        if val + sum(a[start:pos]) > k:
+            return False
+    return True
 
 
 def _trim(seq):
@@ -342,7 +346,7 @@ def W_space_dim(b, k, r, n, d, p=None):
     vectors, so their columns are deleted before the relation rows are
     ranked.
     """
-    p = p or ParameterSpec(k, r)
+    p = ParameterSpec.matching(p, k, r)
     b = check_profile(b, k, r)
     keep = []
     for i, lam in enumerate(pt.enumerate_partitions(n, d)):
@@ -364,7 +368,7 @@ def W_space_dim(b, k, r, n, d, p=None):
 
 def verify_prop302(b, k, r, d_max=8, n_max=4, p=None):
     """W_space_dim matches the chi_C coefficient on the whole truncation."""
-    p = p or ParameterSpec(k, r)
+    p = ParameterSpec.matching(p, k, r)
     chi = chi_C(b, k, r, d_max, n_max)
     for n in range(n_max + 1):
         for d in range(d_max + 1):

@@ -116,23 +116,25 @@ def is_admissible(lam, k, r, n):
 def enumerate_partitions(n, d):
     """All partitions of d with at most n parts, decreasing lex order."""
     out = []
-
-    def rec(remaining, slots, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if slots == 0:
-            return
-        top = min(cap, remaining)
-        # smallest admissible first part so that the rest fits
-        low = -(-remaining // slots)  # ceil
-        for p in range(top, low - 1, -1):
-            prefix.append(p)
-            rec(remaining - p, slots - 1, p, prefix)
-            prefix.pop()
-
-    rec(d, n, d, [])
+    _extend_partitions(out, [], d, n, d)
     return out
+
+
+def _extend_partitions(out, prefix, remaining, slots, cap):
+    """Append to out, in decreasing lex order, prefix followed by each
+    partition of remaining into at most slots parts no larger than cap."""
+    if remaining == 0:
+        out.append(tuple(prefix))
+        return
+    if slots == 0:
+        return
+    top = min(cap, remaining)
+    # smallest admissible first part so that the rest fits
+    low = -(-remaining // slots)  # ceil
+    for p in range(top, low - 1, -1):
+        prefix.append(p)
+        _extend_partitions(out, prefix, remaining - p, slots - 1, p)
+        prefix.pop()
 
 
 def enumerate_admissible(k, r, n, d):

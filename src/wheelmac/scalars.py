@@ -27,11 +27,13 @@ integral, and every division of a coefficient stays exact.  Over Q
 and all its arithmetic runs on plain ints.  A division that leaves a
 remainder raises ExactDivisionError.
 
-``qt_gcd`` works on the integer primitive parts in three steps, each one
-only when the one before cannot decide: an evaluation certificate that
-proves the common case of coprime inputs, the heuristic gcd of Char,
-Geddes and Gonnet (``_heu_gcd``, certified by exact division in Z[q, t]),
-and the primitive PRS as the fallback.
+Every gcd is one design.  Where the coefficients are integers the
+heuristic gcd of Char, Geddes and Gonnet runs first (``_heu_gcd`` on the
+whole (Z[t])[q] rows of ``qt_gcd``, ``_heu_gcd_univariate`` for
+``UniPoly`` over Q), certified by exact division; the one fallback is the
+primitive PRS ``_prs``, with a primitive step per lane: the integer
+content in Z[u], the leading entry over Q(zeta_N) (Euclid with monic
+remainders), the monic gcd of the entries in (Q[t])[q].
 
 On top of these sits ``ParameterSpec``, the resonant specialization
 t = u^((r-1)/m), q = omega1 * u^(-(k+1)/m) with m = gcd(k+1, r-1), which
@@ -324,7 +326,8 @@ class CycloNum(_Field):
 
     def multiplicative_order(self, bound=None):
         """Smallest e >= 1 with self^e = 1, or None up to the bound."""
-        bound = bound or 4 * self.N
+        if bound is None:
+            bound = 4 * self.N
         acc = self
         one = CycloNum.one(self.N)
         for e in range(1, bound + 1):
@@ -469,19 +472,6 @@ class UniPoly:
         zero = 0 if self.N <= 2 else CycloNum.zero(self.N)
         return _unipoly(self.N, (zero,) * e + self.c, self.den)
 
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        num, oc, dn = list(self.coeffs()), other.coeffs(), other.degree()
-        inv = 1 / other.leading()
-        quot = [0] * max(len(num) - dn, 0)
-        for i in range(len(num) - 1, dn - 1, -1):
-            if num[i]:
-                q = quot[i - dn] = num[i] * inv
-                for j in range(dn + 1):
-                    num[i - dn + j] -= q * oc[j]
-        return UniPoly(self.N, quot), UniPoly(self.N, num[:dn])
-
     def divexact(self, other):
         """self / other; ExactDivisionError if the division leaves a remainder.
 
@@ -490,16 +480,23 @@ class UniPoly:
         so the Z[u] long division raises on any remainder."""
         if self.N != other.N:
             raise MixedFieldError("mixed cyclotomic orders")
+        if not other.c:
+            raise ZeroDivisionError("polynomial division by zero")
         if self.N <= 2:
-            if not other.c:
-                raise ZeroDivisionError("polynomial division by zero")
             cb = _iz_content(other.c)
             quot = _iz_divexact(self.c, [x // cb for x in other.c])
             return _zpoly(self.N, [x * other.den for x in quot], self.den * cb)
-        q, r = self.divmod(other)
-        if not r.is_zero():
+        num, b, db = list(self.c), other.c, other.degree()
+        inv = b[-1].inverse()
+        quot = [0] * max(len(num) - db, 0)
+        for i in range(len(num) - 1, db - 1, -1):
+            if num[i]:
+                q = quot[i - db] = num[i] * inv
+                for j in range(db + 1):
+                    num[i - db + j] -= q * b[j]
+        if any(num):
             raise ExactDivisionError("inexact univariate division")
-        return q
+        return UniPoly(self.N, quot)
 
     def monic(self):
         if not self.c or self.leading() == 1:
@@ -509,8 +506,8 @@ class UniPoly:
     def gcd(self, other):
         """Monic gcd, a shared power of u split off first.  Over Q the
         heuristic ``_heu_gcd_univariate`` runs on the Z[u] forms and its
-        answer is kept if it divides both, else the primitive PRS
-        ``_iz_gcd`` decides; otherwise Euclid with monic remainders."""
+        answer is kept if it divides both; otherwise, and over Q(zeta_N),
+        the primitive PRS ``_prs`` decides."""
         if self.N != other.N:
             raise MixedFieldError("mixed cyclotomic orders")
         if not self.c or not other.c:
@@ -518,19 +515,14 @@ class UniPoly:
         shared = min(self.trailing_order(), other.trailing_order())
         a, b = self.c[shared:], other.c[shared:]
         if len(a) == 1 or len(b) == 1:
-            g = UniPoly.one(self.N)
-        elif self.N <= 2:
+            return UniPoly.one(self.N).shift(shared)
+        if self.N <= 2:
             g = _heu_gcd_univariate(a, b)
             if g is None or not (_iz_divides(a, g) and _iz_divides(b, g)):
-                g = _iz_gcd(a, b)
-            g = _unipoly(self.N, tuple(g), 1).monic()
+                g = _prs(a, b, _iz_primitive)
         else:
-            a, b = _unipoly(self.N, a, 1), _unipoly(self.N, b, 1)
-            while b:
-                b = b.monic()
-                a, b = b, a.divmod(b)[1]
-            g = a.monic()
-        return g.shift(shared)
+            g = _prs(a, b, _monic_row)
+        return _unipoly(self.N, tuple(g), 1).monic().shift(shared)
 
     def evaluate(self, x):
         """Horner evaluation at a CycloNum or rational point, as a CycloNum;
@@ -1141,52 +1133,12 @@ def _iz_content(c):
     return g
 
 
-def _iz_gcd(a, b):
-    """gcd in Z[t] of int coefficient lists, leading coefficient positive."""
-    a, b = _iz_trim(a), _iz_trim(b)
-    if not a:
-        return [-x for x in b] if b and b[-1] < 0 else b
-    if not b:
-        return [-x for x in a] if a[-1] < 0 else a
-    ca, cb = _iz_content(a), _iz_content(b)
-    g0 = gcd(ca, cb)
-    a = [x // ca for x in a]
-    b = [x // cb for x in b]
-    while b:
-        a = _iz_prem(a, b)
-        if a:
-            c = _iz_content(a)
-            if c > 1:
-                a = [x // c for x in a]
-        a, b = b, a
-    return [x * g0 for x in _iz_primitive(a)]
-
-
 def _iz_primitive(a):
     c = _iz_content(a)
     if c > 1:
         a = [x // c for x in a]
     if a and a[-1] < 0:
         a = [-x for x in a]
-    return a
-
-
-def _iz_prem(a, b):
-    """Pseudo-remainder of a by b in Z[t]."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        la = a[-1]
-        a = [x * lb for x in a]
-        off = len(a) - 1 - db
-        for j in range(db + 1):
-            a[off + j] -= la * b[j]
-        a.pop()
-        while a and not a[-1]:
-            a.pop()
     return a
 
 
@@ -1231,67 +1183,13 @@ def _to_tq_rows(terms):
     return rows
 
 
-def _tq_content(*polys):
-    """gcd in Z[t] of all q-coefficients of the given row lists, shortest
-    rows first so that a trivial gcd shows early."""
-    g = []
-    for row in sorted((row for rows in polys for row in rows if row),
-                      key=len):
-        g = _iz_gcd(g, row)
-        if g == [1]:
-            return g
-    return g
-
-
-def _tq_primitive_gcd(a, b):
-    """gcd of primitive polynomials in (Z[t])[q] via primitive PRS."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _tq_strip_content(_tq_prem(a, b))
-    return _tq_strip_content(a)
-
-
-def _tq_prem(a, b):
-    """Pseudo-remainder in (Z[t])[q]; a, b dense lists of Z[t] polys."""
-    a = [list(r) for r in a]
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db:
-        if not a[-1]:
-            a.pop()
-            continue
-        la = a[-1]
-        a = [_iz_mul(r, lb) for r in a]
-        off = len(a) - 1 - db
-        for j in range(db + 1):
-            a[off + j] = _iz_trim(_iz_sub(a[off + j], _iz_mul(la, b[j])))
-        a.pop()
-        while a and not a[-1]:
-            a.pop()
-    return a
-
-
-def _tq_strip_content(a):
-    g = _tq_content(a)
-    if not g or g == [1]:
-        return a
-    return [_iz_divexact(row, g) for row in a]
-
-
-_GCD_EVAL_POINTS = (2, 3, 5, -2, 7)
-
-
 def qt_gcd(f, g):
     """gcd of two QTPolys, normalized with positive graded-lex leading coeff.
 
-    Monomial content is split off first.  On the primitive integer parts
-    three steps run in order, each only when the one before cannot decide:
-    a cheap evaluation certificate (t -> t0 keeps the q-degree of any
-    common factor, so a trivial specialized gcd proves triviality), the
-    heuristic gcd ``_heu_gcd`` (certified by exact division), and the
-    primitive PRS.  All of them run in whichever variable has the smaller
-    degree.
+    Monomial and integer content are split off first.  On the integer
+    parts the heuristic gcd ``_heu_gcd`` runs on the whole (Z[t])[q] rows,
+    certified by exact division, and the primitive PRS ``_qt_prs_gcd`` is
+    the fallback.  Both run in whichever variable has the smaller degree.
     """
     if f.is_zero():
         return _qt_positive(g)
@@ -1311,7 +1209,9 @@ def qt_gcd(f, g):
     swap = tdeg < qdeg
     if swap:
         fterms, gterms = _qt_swap(fterms), _qt_swap(gterms)
-    out = _qt_gcd_primitive(fterms, gterms)
+    fr, gr = _to_tq_rows(fterms), _to_tq_rows(gterms)
+    rows = _heu_gcd(fr, gr) or _qt_prs_gcd(fr, gr)
+    out = {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row) if c}
     if swap:
         out = _qt_swap(out)
     return _qt_positive(QTPoly({(a + qm, b + tm): c for (a, b), c in out.items()},
@@ -1322,30 +1222,65 @@ def _qt_swap(terms):
     return {(b, a): c for (a, b), c in terms.items()}
 
 
-def _qt_gcd_primitive(fterms, gterms):
-    """gcd of integer term dicts, main variable first in the key."""
-    fr = _to_tq_rows(fterms)
-    gr = _to_tq_rows(gterms)
-    cont = _tq_content(fr, gr)
-    trivial_q = len(fr) == 1 or len(gr) == 1
-    if not trivial_q:
-        for t0 in _GCD_EVAL_POINTS:
-            if _iz_eval(fr[-1], t0) and _iz_eval(gr[-1], t0):
-                trivial_q = len(_iz_gcd([_iz_eval(row, t0) for row in fr],
-                                        [_iz_eval(row, t0) for row in gr])) == 1
-                break
-    if trivial_q:
-        rows = [cont]
-    else:
-        if cont != [1]:
-            fr = [_iz_divexact(row, cont) for row in fr]
-            gr = [_iz_divexact(row, cont) for row in gr]
-        rows = _heu_gcd(fr, gr)
-        if rows is None:
-            rows = _tq_primitive_gcd(fr, gr)
-        if cont != [1]:
-            rows = [_iz_mul(row, cont) for row in rows]
-    return {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row) if c}
+def _qt_prs_gcd(fr, gr):
+    """gcd of two (Z[t])[q] row lists of integer content 1, as primitive
+    int rows, by the primitive PRS over (Q[t])[q]: the rows are UniPolys
+    over Q, and the gcd of the two Q[t] contents is multiplied back."""
+    f = [UniPoly(1, row) for row in fr]
+    g = [UniPoly(1, row) for row in gr]
+    cont = _row_content(f).gcd(_row_content(g))
+    h = [x * cont for x in _prs(f, g, _qt_primitive)]
+    den = lcm(*[x.den for x in h])
+    return _rows_primitive([[c * (den // x.den) for c in x.c] for x in h])
+
+
+def _row_content(p):
+    """Monic gcd of the UniPoly entries of p."""
+    g = UniPoly.zero(1)
+    for x in p:
+        g = g.gcd(x)
+        if g.is_one():
+            break
+    return g
+
+
+def _qt_primitive(p):
+    """p, with UniPoly entries, divided by their monic gcd."""
+    c = _row_content(p)
+    return p if c.is_one() else [x.divexact(c) for x in p]
+
+
+def _monic_row(p):
+    """p, with field entries, divided by its top entry."""
+    inv = p[-1].inverse()
+    return [x * inv for x in p]
+
+
+def _prs(a, b, primitive):
+    """gcd of two nonzero polynomials, ascending coefficient lists over an
+    integral domain, by the primitive pseudo-remainder sequence.
+
+    primitive(p) divides a nonzero p by the content its lane takes out;
+    the gcd is primitive(last nonzero remainder), up to a unit of the lane.
+    """
+    a, b = primitive(a), primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        # a <- lb^e a - Q b, of degree below that of b
+        db, lb = len(b) - 1, b[-1]
+        a = list(a)
+        while len(a) > db:
+            la = a.pop()
+            if la:
+                a = [x * lb for x in a]
+                off = len(a) - db
+                for j in range(db):
+                    a[off + j] -= la * b[j]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, primitive(a) if a else a
+    return a
 
 
 _HEU_TRIES = 6
@@ -1365,7 +1300,8 @@ def _heu_points(f_norm, g_norm):
 
 
 def _heu_gcd(fr, gr):
-    """gcd of two primitive polynomials in (Z[t])[q] by GCDHEU, or None.
+    """gcd of two polynomials in (Z[t])[q] of integer content 1 by GCDHEU,
+    or None.
 
     The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
     1989): t is evaluated at an integer xi, the gcd of the two images in
@@ -1380,10 +1316,7 @@ def _heu_gcd(fr, gr):
         image = _heu_gcd_univariate([_iz_eval(row, xi) for row in fr],
                                     [_iz_eval(row, xi) for row in gr])
         if image is not None:
-            cand = [_xi_adic(c, xi) for c in image]
-            cont = _iz_content([c for row in cand for c in row])
-            if cont > 1:
-                cand = [[c // cont for c in row] for row in cand]
+            cand = _rows_primitive([_xi_adic(c, xi) for c in image])
             if _tq_divides(fr, cand) and _tq_divides(gr, cand):
                 return cand
     return None
@@ -1425,6 +1358,12 @@ def _xi_adic(g, xi):
         out.append(r)
         g = (g - r) // xi
     return out
+
+
+def _rows_primitive(rows):
+    """Int rows divided by the integer content of all their entries."""
+    cont = _iz_content([c for row in rows for c in row])
+    return rows if cont == 1 else [[c // cont for c in row] for row in rows]
 
 
 def _rows_norm(rows):
@@ -1627,6 +1566,16 @@ class ParameterSpec:
         self._omega_powers = [CycloNum.zeta(self.N, a) for a in range(self.N)]
         self.t_exp = (r - 1) // self.m
         self.q_exp = (k + 1) // self.m
+
+    @classmethod
+    def matching(cls, p, k, r):
+        """p, or ParameterSpec(k, r) when p is None; ValueError when p was
+        made for another (k, r)."""
+        if p is None:
+            return cls(k, r)
+        if (p.k, p.r) != (k, r):
+            raise ValueError("%r does not match (k=%d, r=%d)" % (p, k, r))
+        return p
 
     @property
     def omega(self):

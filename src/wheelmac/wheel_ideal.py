@@ -115,7 +115,7 @@ def constraint_rows(k, r, n, d, p=None, fld=None):
     (sigma, free monomial); redundant rotation copies are still yielded,
     and rank_kernel_poly certifies each distinct row once.
     """
-    p = p or ParameterSpec(k, r)
+    p = ParameterSpec.matching(p, k, r)
     plist = pt.enumerate_partitions(n, d)
     index = {lam: i for i, lam in enumerate(plist)}
     one = UniRatFunc.one(p.N) if fld is None else fld.one
@@ -160,7 +160,7 @@ def dim_J(k, r, n, d, p=None, mode="exact", seed=0):
     seconds instead of the exact path's polynomial elimination.
     """
     _check_choice("mode", mode, _MODES)
-    p = p or ParameterSpec(k, r)
+    p = ParameterSpec.matching(p, k, r)
     ncols = len(pt.enumerate_partitions(n, d))
     if n <= k:
         return ncols
@@ -177,7 +177,7 @@ def dim_J(k, r, n, d, p=None, mode="exact", seed=0):
 
 def wheel_kernel_basis(k, r, n, d, p=None):
     """Exact basis of J_{n,d} as SymPolys over K (monomial-basis kernel)."""
-    p = p or ParameterSpec(k, r)
+    p = ParameterSpec.matching(p, k, r)
     plist = pt.enumerate_partitions(n, d)
     if n <= k:
         return [SymPoly.m(lam, n, UniRatFunc.one(p.N)) for lam in plist]
@@ -193,7 +193,7 @@ def wheel_kernel_basis(k, r, n, d, p=None):
 
 def basis_I(k, r, n, d, p=None, table=None):
     """Specialized Macdonald polynomials over the admissible labels."""
-    p = p or ParameterSpec(k, r)
+    p = ParameterSpec.matching(p, k, r)
     table = table if table is not None else MacdonaldTable(n)
     return [specialize_P(lam, n, p, table)
             for lam in pt.enumerate_admissible(k, r, n, d)]
@@ -202,7 +202,7 @@ def basis_I(k, r, n, d, p=None, table=None):
 def verify_theorem1(k, r, n, d, p=None, mode="exact", table=None, seed=0):
     """Check I = J on one component: inclusion witnesses plus dimensions."""
     _check_choice("mode", mode, _MODES)
-    p = p or ParameterSpec(k, r)
+    p = ParameterSpec.matching(p, k, r)
     admissible = pt.enumerate_admissible(k, r, n, d)
     witness_failures = []
     if n > k:
@@ -257,7 +257,7 @@ def check_restriction_size(n, k):
 def verify_rho_inclusion(lam, k, r, n, j_max, p=None, table=None):
     """rho(d^j/dx_n^j P_lam) lies in J^(k,r)_{n-1} for 0 <= j <= j_max."""
     check_restriction_size(n, k)
-    p = p or ParameterSpec(k, r)
+    p = ParameterSpec.matching(p, k, r)
     table = table if table is not None else MacdonaldTable(n)
     fld = CoeffField.laurent(p)
     f = laurent_clear(specialize_P(lam, n, p, table), p)

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -270,6 +271,29 @@ def test_enumerate_sequences_examples():
     # b = 0 prefix forces the support past the prefix window
     for seq in enumerate_C_sequences((0, 0), 1, 3, 2, 6):
         assert len(seq) > 2 and seq[0] == seq[1] == 0 if seq else True
+
+
+def test_enumerate_sequences_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        for d in range(10):
+            enumerate_C_sequences((1, 2), 2, 3, 4, d)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_parameter_spec_for_another_k_r_is_refused():
+    wrong = ParameterSpec(1, 3)
+    calls = [lambda: relation_generic(2, (1,), 1, 2, wrong),
+             lambda: ideal_rows(1, 2, 3, 4, wrong, field="generic"),
+             lambda: quotient_dim(1, 2, 3, 4, wrong, field="generic"),
+             lambda: W_space_dim((1,), 1, 2, 3, 4, wrong),
+             lambda: verify_prop302((1,), 1, 2, p=wrong)]
+    for call in calls:
+        with pytest.raises(ValueError, match="does not match"):
+            call()
 
 
 def test_chi_examples():

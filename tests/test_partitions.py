@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -94,6 +95,17 @@ def test_enumerate_partitions():
     for n, d in [(4, 6), (5, 8)]:
         plist = [pt.pad(x, n) for x in pt.enumerate_partitions(n, d)]
         assert plist == sorted(plist, reverse=True)
+
+
+def test_enumerate_partitions_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        for d in range(10):
+            pt.enumerate_partitions(4, d)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_admissible():

@@ -38,6 +38,9 @@ def test_cyclo_arithmetic():
     assert z.multiplicative_order() == 5
     assert (z ** 2 / z ** 2) == 1
     assert CycloNum.zeta(12).multiplicative_order() == 12
+    # an explicit bound is honoured, 0 included
+    for bound, order in ((0, None), (4, None), (5, 5)):
+        assert z.multiplicative_order(bound=bound) == order
     for divide in (CycloNum.zero(5).inverse, lambda: one / BiRatFunc.zero()):
         with pytest.raises(ZeroDivisionError):
             divide()
@@ -672,34 +675,62 @@ def test_heuristic_gcd_agrees_with_prs(monkeypatch):
             seen["fallback"] += 1
             return None
         seen["heuristic"] += 1
-        want = _terms(scalars._tq_primitive_gcd(fr, gr))
+        want = _terms(scalars._qt_prs_gcd(fr, gr))
         got_terms = _terms(got)
         assert got_terms in (want, {k: -c for k, c in want.items()}), (fr, gr)
         return got
 
     monkeypatch.setattr(scalars, "_heu_gcd", checked)
     monkeypatch.setattr(scalars, "_heu_points", recorded)
-    for f, g in _planted_pairs(17, 800):
+    pairs = _planted_pairs(17, 800)
+    for f, g in pairs:
         h = qt_gcd(f, g)
         assert qt_divexact(f, h) * h == f and qt_divexact(g, h) * h == g
-    # about 65 % of the pairs pass the cheaper steps before the heuristic
-    assert seen["heuristic"] >= 500 and seen["fallback"] == 0, seen
+    # every pair without a monomial reaches the heuristic, and none needs
+    # the fallback
+    several = sum(len(f.d) > 1 and len(g.d) > 1 for f, g in pairs)
+    assert several >= 600
+    assert seen == {"heuristic": several, "fallback": 0}, seen
 
 
 def test_forced_heuristic_failure_reaches_prs(monkeypatch):
     pairs = _planted_pairs(23, 60)
     expected = [qt_gcd(f, g) for f, g in pairs]
     calls = []
-    prs = scalars._tq_primitive_gcd
+    prs = scalars._prs
 
-    def counted(fr, gr):
-        calls.append(1)
-        return prs(fr, gr)
+    def counted(a, b, primitive):
+        calls.append(primitive)
+        return prs(a, b, primitive)
 
     monkeypatch.setattr(scalars, "_HEU_TRIES", 0)
-    monkeypatch.setattr(scalars, "_tq_primitive_gcd", counted)
+    monkeypatch.setattr(scalars, "_prs", counted)
     assert [qt_gcd(f, g) for f, g in pairs] == expected
-    assert len(calls) >= 20
+    assert calls.count(scalars._qt_primitive) >= 20
+
+
+def test_prs_fallback_keeps_every_content(monkeypatch):
+    """A gcd with a Z[t] content, an integer content and a monomial factor,
+    found once by the heuristic and once by the PRS alone."""
+    q, t, one = QTPoly.q(), QTPoly.t(), QTPoly.one()
+    common = (one + t) * q.scale(2)
+    f = common * (one - q * t)
+    g = common * (one + q)
+    want = qt_gcd(f, g)
+    assert want == (one + t) * q
+    calls = []
+    prs = scalars._prs
+
+    def counted(a, b, primitive):
+        calls.append(primitive)
+        return prs(a, b, primitive)
+
+    monkeypatch.setattr(scalars, "_HEU_TRIES", 0)
+    monkeypatch.setattr(scalars, "_prs", counted)
+    for a, b, h in ((f, g, want), (g, f, want), (f * t, g * t, want * t)):
+        assert qt_gcd(a, b) == h, (a, b)
+        assert qt_divexact(a, h) * h == a and qt_divexact(b, h) * h == b
+    assert calls.count(scalars._qt_primitive) == 3
 
 
 def test_planted_wrong_candidate_is_rejected(monkeypatch):
@@ -976,18 +1007,18 @@ def test_q_lane_routes_give_one_stored_form(N):
 @pytest.mark.parametrize("N", [1, 2])
 def test_unipoly_gcd_fallback_needs_no_heuristic(N, monkeypatch):
     prs_calls = []
-    prs, heu = scalars._iz_gcd, scalars._heu_gcd_univariate
+    prs, heu = scalars._prs, scalars._heu_gcd_univariate
 
-    def counted_prs(a, b):
-        prs_calls.append(1)
-        return prs(a, b)
+    def counted_prs(a, b, primitive):
+        prs_calls.append(primitive)
+        return prs(a, b, primitive)
 
     def wrong_by_one_plus_u(a, b):
         g = heu(a, b)
         return None if g is None else scalars._iz_mul(g, [1, 1])
 
     pairs = _lane_pairs(N, seed=70 + N)
-    monkeypatch.setattr(scalars, "_iz_gcd", counted_prs)
+    monkeypatch.setattr(scalars, "_prs", counted_prs)
     for planted in ({"_HEU_TRIES": 0},
                     {"_heu_gcd_univariate": wrong_by_one_plus_u}):
         with monkeypatch.context() as m:

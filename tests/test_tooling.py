@@ -8,6 +8,7 @@ README's command examples must name only options the parser knows, and its
 Python quickstart must print what it says it prints.
 """
 
+import ast
 import contextlib
 import importlib
 import io
@@ -77,6 +78,47 @@ def test_no_class_binds_a_traced_function():
                 value = getattr(value, "__func__", value)
                 for patch, fn in traced:
                     assert value is not fn, (cls.__name__, name, patch)
+
+
+def _private_definitions(tree):
+    """(name, node) of each module-level function, class and constant of
+    tree whose name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _loaded_names(node):
+    return [n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)]
+
+
+def test_every_private_name_is_used():
+    # a deletion that strands a helper (one only its own body names) fails
+    # here; a name from another module counts as an attribute or an import
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    foreign = {n.attr for tree in trees.values() for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute)}
+    foreign |= {n.name for tree in trees.values() for n in ast.walk(tree)
+                if isinstance(n, ast.alias)}
+    unused = []
+    for module, tree in trees.items():
+        loaded = _loaded_names(tree)
+        for name, node in _private_definitions(tree):
+            if (loaded.count(name) == _loaded_names(node).count(name)
+                    and name not in foreign):
+                unused.append((module, name))
+    assert not unused
 
 
 def test_readme_commands_parse():

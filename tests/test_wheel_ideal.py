@@ -24,6 +24,24 @@ from wheelmac.wheel_ideal import (_rotation_classes, _wheel_substitute_fld,
                                   wheel_kernel_basis, wheel_substitutions)
 
 
+def test_a_parameter_spec_for_another_k_r_is_refused():
+    # with the spec of (1, 3), dim_J(1, 2, 3, 6) read 0 where the true
+    # dimension and the admissible count are 1
+    right, wrong = ParameterSpec(1, 2), ParameterSpec(1, 3)
+    assert ParameterSpec.matching(right, 1, 2) is right
+    assert dim_J(1, 2, 3, 6, right) == 1 == pt.count_admissible(1, 2, 3, 6)
+    calls = [lambda: dim_J(1, 2, 3, 6, wrong),
+             lambda: verify_theorem1(1, 2, 3, 6, wrong),
+             lambda: list(constraint_rows(1, 2, 3, 6, wrong)),
+             lambda: wheel_kernel_basis(1, 2, 3, 6, wrong),
+             lambda: basis_I(1, 2, 3, 6, wrong),
+             lambda: verify_rho_inclusion((4, 2), 1, 2, 3, 1, wrong)]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=r"k=1, r=3\) does not match \(k=1, r=2\)"):
+            call()
+
+
 def test_wheel_substitutions_examples():
     assert wheel_substitutions(2, 2) == [(0, 0), (0, 1), (1, 1)]
     assert wheel_substitutions(1, 3) == [(0,), (1,), (2,)]
