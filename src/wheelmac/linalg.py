@@ -102,11 +102,12 @@ def _clear_upower_row(row, N):
 
 
 def _clear_denominators(row, N):
-    """UniRatFunc row -> UniPoly row, scaled by the lcm of the denominators."""
+    """UniRatFunc row -> UniPoly row, scaled by the lcm of the denominators
+    (each new denominator extends it by its cofactor against the gcd)."""
     den = UniPoly.one(N)
     for x in row:
         if x:
-            den = den * x.den.divexact(den.gcd(x.den))
+            den = den * den.gcd(x.den)[2]
     return [x.num * den.divexact(x.den) if x else UniPoly.zero(N) for x in row]
 
 
@@ -114,21 +115,23 @@ def _strip_row_gcd(row):
     """The row divided by the gcd of its entries (by the entry itself when
     there is one).  The gcd is tried first as gcd(x_1, x_2 + 2 x_3 + ...),
     a multiple of the true gcd that equals it exactly when it divides every
-    entry, which the divisions check; otherwise it is reduced against each
-    entry in turn."""
+    entry; only that gcd is kept, not its cofactors, and the division of
+    each entry is the check.  Otherwise it is reduced against each entry
+    in turn."""
     nz = [x for x in row if x]
     if not nz:
         return row
     g = nz[0]
     if len(nz) > 1:
-        g = g.gcd(sum((x.scale(k) for k, x in enumerate(nz[2:], 2)), nz[1]))
+        g = g.gcd(sum((x.scale(k) for k, x in enumerate(nz[2:], 2)),
+                      nz[1]))[0]
         if g.degree() == 0:
             return row
         try:
             return [x.divexact(g) if x else x for x in row]
         except ExactDivisionError:
             for x in nz[1:]:
-                g = g.gcd(x)
+                g = g.gcd(x)[0]
     if g.degree() == 0:
         return row
     return [x.divexact(g) if x else x for x in row]
@@ -169,9 +172,10 @@ def _poly_kernel_from_triangular(tri, ncols, N):
     """Back-substitute the kernel fraction-free over Q(zeta_N)[u].
 
     A row fixes its pivot entry as -s/p (s: its later terms): p and s are
-    divided by their gcd, and the vector is scaled by what is left of p
-    unless that is a constant.  So the entries never share a factor, and
-    a monic free coordinate fixes the vector among its multiples.
+    replaced by the cofactors of their gcd, and the vector is scaled by
+    what is left of p unless that is a constant.  So the entries never
+    share a factor, and a monic free coordinate fixes the vector among its
+    multiples.
     """
     one, zero = UniPoly.one(N), UniPoly.zero(N)
     pivset = {c for c, _ in tri}
@@ -188,9 +192,7 @@ def _poly_kernel_from_triangular(tri, ncols, N):
                 continue
             piv = row[col]
             if piv.degree() > 0:
-                g = piv.gcd(acc)
-                if not g.is_one():
-                    piv, acc = piv.divexact(g), acc.divexact(g)
+                _, piv, acc = piv.gcd(acc)
             if piv.degree() > 0:
                 vec = [x * piv for x in vec]
                 vec[col] = -acc

@@ -361,9 +361,8 @@ class MacdonaldTable:
                 elif b == den:
                     num = num + term
                 else:
-                    g = den.gcd(b)
-                    b = b.divexact(g)
-                    num = num * b + term * den.divexact(g)
+                    _, dg, b = den.gcd(b)
+                    num = num * b + term * dg
                     den = den * b
             if num is None or num.is_zero():
                 continue

@@ -10,13 +10,13 @@ Four layers, each one a field:
 
 ``UniRatFunc`` and ``BiRatFunc`` share one core, ``_RatFunc``: it keeps
 num/den coprime with denominator leading coefficient 1 and implements
-+, -, *, inverse, == and hash once, against five methods that ``UniPoly``
-and ``QTPoly`` both provide: ``is_one``, ``leading``, ``scale``, ``gcd``
-(normalized, so a trivial gcd is_one) and ``divexact``.  Products after
-the cross-cancel and inverses are coprime by construction and skip the
-gcd.  ``CycloNum`` and ``_RatFunc`` take right subtraction, division and
-powers from ``_Field``, and every power is one square-and-multiply,
-``_power``.
++, -, *, inverse, == and hash once, against four methods that ``UniPoly``
+and ``QTPoly`` both provide: ``is_one``, ``leading``, ``scale`` and
+``gcd`` (returning (g, a/g, b/g), g normalized so a trivial gcd is_one).
+Products after the cross-cancel and inverses are coprime by construction
+and skip the gcd.  ``CycloNum`` and ``_RatFunc`` take right subtraction,
+division and powers from ``_Field``, and every power is one
+square-and-multiply, ``_power``.
 
 Exact scalars take ints and Fractions only: ``_exact`` turns an integral
 Fraction into an int and raises TypeError on a float (or any other type),
@@ -27,13 +27,14 @@ integral, and every division of a coefficient stays exact.  Over Q
 and all its arithmetic runs on plain ints.  A division that leaves a
 remainder raises ExactDivisionError.
 
-Every gcd is one design.  Where the coefficients are integers the
-heuristic gcd of Char, Geddes and Gonnet runs first (``_heu_gcd`` on the
-whole (Z[t])[q] rows of ``qt_gcd``, ``_heu_gcd_univariate`` for
-``UniPoly`` over Q), certified by exact division; the one fallback is the
-primitive PRS ``_prs``, with a primitive step per lane: the integer
-content in Z[u], the leading entry over Q(zeta_N) (Euclid with monic
-remainders), the monic gcd of the entries in (Q[t])[q].
+Every gcd is one design and returns its cofactors, the quotients of the
+exact division that certifies it.  Where the coefficients are integers
+the heuristic gcd of Char, Geddes and Gonnet runs first (``_heu_gcd`` on
+the whole (Z[t])[q] rows of ``qt_gcd``, ``_heu_gcd_univariate`` for
+``UniPoly`` over Q); the one fallback is the primitive PRS ``_prs``, with
+a primitive step per lane: the integer content in Z[u], the leading entry
+over Q(zeta_N) (Euclid with monic remainders), the monic gcd of the
+entries in (Q[t])[q].
 
 On top of these sits ``ParameterSpec``, the resonant specialization
 t = u^((r-1)/m), q = omega1 * u^(-(k+1)/m) with m = gcd(k+1, r-1), which
@@ -504,25 +505,34 @@ class UniPoly:
         return self.scale(1 / self.leading())
 
     def gcd(self, other):
-        """Monic gcd, a shared power of u split off first.  Over Q the
-        heuristic ``_heu_gcd_univariate`` runs on the Z[u] forms and its
-        answer is kept if it divides both; otherwise, and over Q(zeta_N),
-        the primitive PRS ``_prs`` decides."""
-        if self.N != other.N:
+        """(h, self/h, other/h), h the monic gcd and gcd(0, b) = (b.monic(),
+        0, lc(b)); a shared power of u is split off first.  Over Q the
+        cofactors are those of the certifying division of the heuristic
+        ``_heu_gcd_univariate`` on the Z[u] forms; otherwise, and over
+        Q(zeta_N), each input is divided once by the primitive PRS ``_prs``."""
+        N = self.N
+        if N != other.N:
             raise MixedFieldError("mixed cyclotomic orders")
         if not self.c or not other.c:
-            return (self or other).monic()
+            x = self or other
+            h, unit = x.monic(), UniPoly.const(N, x.leading()) if x else x
+            return (h, self, unit) if not self.c else (h, unit, other)
         shared = min(self.trailing_order(), other.trailing_order())
-        a, b = self.c[shared:], other.c[shared:]
-        if len(a) == 1 or len(b) == 1:
-            return UniPoly.one(self.N).shift(shared)
-        if self.N <= 2:
-            g = _heu_gcd_univariate(a, b)
-            if g is None or not (_iz_divides(a, g) and _iz_divides(b, g)):
-                g = _prs(a, b, _iz_primitive)
-        else:
-            g = _prs(a, b, _monic_row)
-        return _unipoly(self.N, tuple(g), 1).monic().shift(shared)
+        a, b = [_unipoly(N, x.c[shared:], x.den) for x in (self, other)]
+        got = None
+        if len(a.c) > 1 < len(b.c):
+            got = _heu_gcd_univariate(a.c, b.c) if N <= 2 else None
+            if got is None:
+                h = _unipoly(N, tuple(_prs(a.c, b.c, _iz_primitive if N <= 2
+                                           else _monic_row)), 1).monic()
+                return h.shift(shared), a.divexact(h), b.divexact(h)
+        if got is None or len(got[0]) == 1:
+            return UniPoly.one(N).shift(shared), a, b
+        g, qa, qb = got
+        lc = g[-1]  # > 0; h = g / lc, so a/h = qa lc / a.den
+        return (_zpoly(N, list(g), lc).shift(shared),
+                _zpoly(N, [x * lc for x in qa], a.den),
+                _zpoly(N, [x * lc for x in qb], b.den))
 
     def evaluate(self, x):
         """Horner evaluation at a CycloNum or rational point, as a CycloNum;
@@ -715,11 +725,8 @@ def _cyclo_slim(N, c):
 
 
 def _cancel(a, b):
-    """a and b divided by their gcd."""
-    g = a.gcd(b)
-    if g.is_one():
-        return a, b
-    return a.divexact(g), b.divexact(g)
+    """a and b divided by their gcd: its cofactors."""
+    return a.gcd(b)[1:]
 
 
 class _RatFunc(_Field):
@@ -727,9 +734,9 @@ class _RatFunc(_Field):
     the leading coefficient of den equal to 1.
 
     The arithmetic is written once against the polynomial interface that
-    UniPoly and QTPoly share: is_zero, is_one, leading, scale(c), gcd
-    (normalized, so a trivial gcd is_one) and divexact.  A subclass adds
-    its constructors, _coerce and _poly_one(num), the ring's 1.
+    UniPoly and QTPoly share: is_zero, is_one, leading, scale(c) and gcd,
+    which returns (g, a/g, b/g), g normalized so a trivial gcd is_one.  A
+    subclass adds its constructors, _coerce and _poly_one(num), the ring's 1.
     """
 
     __slots__ = ("num", "den")
@@ -775,13 +782,10 @@ class _RatFunc(_Field):
             return type(self)(self.num + o.num, a, _canonical=True)
         if a == b:
             return type(self)(self.num + o.num, a)
-        g = a.gcd(b)
-        if g.is_one():
-            # a prime of a dividing n1 b + n2 a would divide n1 b: coprime
-            return type(self)(self.num * b + o.num * a, a * b, _coprime=True)
-        da = a.divexact(g)
-        db = b.divexact(g)
-        return type(self)(self.num * db + o.num * da, da * b)
+        g, da, db = a.gcd(b)
+        # coprime a, b: a prime of a dividing n1 b + n2 a would divide n1 b
+        return type(self)(self.num * db + o.num * da, da * b,
+                          _coprime=g.is_one())
 
     __radd__ = __add__
 
@@ -1043,9 +1047,6 @@ class QTPoly:
     def gcd(self, other):
         return qt_gcd(self, other)
 
-    def divexact(self, other):
-        return qt_divexact(self, other)
-
     def substitute(self, q_val, t_val, one):
         """Evaluate at (q_val, t_val), one being the ring's 1.  A rational
         point (ints or Fractions, one == Fraction(1)) takes one integer sum
@@ -1099,29 +1100,18 @@ def _all_int(d):
 
 
 def _qt_split_content(f):
-    """Monomial content (min q-exp, min t-exp) and the primitive int dict.
-
-    Returns (qmin, tmin, terms): terms has integer coefficients with gcd
-    1, and f is a rational multiple of q^qmin * t^tmin * terms.
-    """
+    """(qmin, tmin, scale, terms) with f = scale q^qmin t^tmin terms, and
+    terms a dict of integer coefficients with gcd 1."""
     qmin = min([k[0] for k in f.d])
     tmin = min([k[1] for k in f.d])
-    denlcm = 1
-    for v in f.d.values():
-        if type(v) is not int:
-            denlcm = denlcm * v.denominator // gcd(denlcm, v.denominator)
-    numgcd = 0
-    terms = {}
-    for (a, b), v in f.d.items():
-        if type(v) is int:
-            c = v * denlcm
-        else:
-            c = v.numerator * (denlcm // v.denominator)
-        terms[(a - qmin, b - tmin)] = c
-        numgcd = gcd(numgcd, c)
-    if numgcd > 1:
-        terms = {k: c // numgcd for k, c in terms.items()}
-    return qmin, tmin, terms
+    den = lcm(*[v.denominator for v in f.d.values() if type(v) is not int])
+    terms = {(a - qmin, b - tmin): v * den if type(v) is int
+             else v.numerator * (den // v.denominator)
+             for (a, b), v in f.d.items()}
+    num = _iz_content(terms.values())
+    if num > 1:
+        terms = {k: c // num for k, c in terms.items()}
+    return qmin, tmin, _exact(Fraction(num, den)), terms
 
 
 def _iz_content(c):
@@ -1167,13 +1157,16 @@ def _iz_divexact(a, b):
             for j in range(db + 1):
                 a[i - db + j] -= q * b[j]
     if any(a):
-        raise ExactDivisionError("nonzero remainder in Z[x] division")
+        raise ExactDivisionError("inexact Z[x] division: nonzero remainder")
     return out
 
 
-def _to_tq_rows(terms):
+def _to_tq_rows(terms, swap=False):
     """{(qexp, texp): nonzero int} -> the polynomial in (Z[t])[q] as a dense
-    list of Z[t] coefficient lists indexed by q-exponent ([] for zero)."""
+    list of Z[t] coefficient lists indexed by q-exponent ([] for zero); in
+    (Z[q])[t] when swap."""
+    if swap:
+        terms = {(b, a): c for (a, b), c in terms.items()}
     rows = [[] for _ in range(max([a for a, _ in terms]) + 1)]
     for (a, b), c in terms.items():
         row = rows[a]
@@ -1184,42 +1177,55 @@ def _to_tq_rows(terms):
 
 
 def qt_gcd(f, g):
-    """gcd of two QTPolys, normalized with positive graded-lex leading coeff.
+    """(h, f/h, g/h), h the gcd of two QTPolys normalized with positive
+    graded-lex leading coeff; gcd(0, g) is (+-g, 0, +-1).
 
     Monomial and integer content are split off first.  On the integer
     parts the heuristic gcd ``_heu_gcd`` runs on the whole (Z[t])[q] rows,
-    certified by exact division, and the primitive PRS ``_qt_prs_gcd`` is
-    the fallback.  Both run in whichever variable has the smaller degree.
+    and the primitive PRS ``_qt_prs_gcd`` is the fallback; the cofactors
+    are the quotients of the division that certifies either.  Both run in
+    whichever variable has the smaller degree.
     """
-    if f.is_zero():
-        return _qt_positive(g)
-    if g.is_zero():
-        return _qt_positive(f)
-    if len(g.d) == 1:
-        f, g = g, f
-    if len(f.d) == 1:
-        (qf, tf), = f.d
-        return QTPoly.term(1, min(qf, min([k[0] for k in g.d])),
-                           min(tf, min([k[1] for k in g.d])))
-    qf, tf, fterms = _qt_split_content(f)
-    qg, tg, gterms = _qt_split_content(g)
+    if not (f.d and g.d):
+        x = f or g
+        s = -1 if x and x.leading() < 0 else 1
+        h, unit = x.scale(s), QTPoly.term(s) if x else x
+        return (h, f, unit) if not f.d else (h, unit, g)
+    if len(f.d) == 1 or len(g.d) == 1:
+        keys = [*f.d, *g.d]
+        qm, tm = min([k[0] for k in keys]), min([k[1] for k in keys])
+        return (QTPoly.term(1, qm, tm), _qt_shift(f, qm, tm),
+                _qt_shift(g, qm, tm))
+    qf, tf, sf, fterms = _qt_split_content(f)
+    qg, tg, sg, gterms = _qt_split_content(g)
     qm, tm = min(qf, qg), min(tf, tg)
     qdeg = max(max(k[0] for k in fterms), max(k[0] for k in gterms))
     tdeg = max(max(k[1] for k in fterms), max(k[1] for k in gterms))
     swap = tdeg < qdeg
-    if swap:
-        fterms, gterms = _qt_swap(fterms), _qt_swap(gterms)
-    fr, gr = _to_tq_rows(fterms), _to_tq_rows(gterms)
-    rows = _heu_gcd(fr, gr) or _qt_prs_gcd(fr, gr)
-    out = {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row) if c}
-    if swap:
-        out = _qt_swap(out)
-    return _qt_positive(QTPoly({(a + qm, b + tm): c for (a, b), c in out.items()},
-                               _clean=True))
+    fr, gr = _to_tq_rows(fterms, swap), _to_tq_rows(gterms, swap)
+    got = _heu_gcd(fr, gr) or _tq_cofactors(fr, gr, _qt_prs_gcd(fr, gr))
+    if got is None:
+        raise ExactDivisionError("inexact (Z[t])[q] division by a gcd")
+    h = _qt_from_rows(got[0], swap, qm, tm, 1)
+    if h.leading() < 0:
+        h, sf, sg = -h, -sf, -sg
+    return (h, _qt_from_rows(got[1], swap, qf - qm, tf - tm, sf),
+            _qt_from_rows(got[2], swap, qg - qm, tg - tm, sg))
 
 
-def _qt_swap(terms):
-    return {(b, a): c for (a, b), c in terms.items()}
+def _qt_shift(f, qe, te):
+    """f / (q^qe t^te), for a monomial that divides f."""
+    return QTPoly({(a - qe, b - te): c for (a, b), c in f.d.items()},
+                  _clean=True)
+
+
+def _qt_from_rows(rows, swap, qe, te, s):
+    """s q^qe t^te rows for int rows in (Z[t])[q] ((Z[q])[t] if swap)."""
+    d = {(b + qe, a + te) if swap else (a + qe, b + te): c * s
+         for a, row in enumerate(rows) for b, c in enumerate(row) if c}
+    if type(s) is not int:
+        d = {k: _exact(c) for k, c in d.items()}
+    return QTPoly(d, _clean=True)
 
 
 def _qt_prs_gcd(fr, gr):
@@ -1228,7 +1234,7 @@ def _qt_prs_gcd(fr, gr):
     over Q, and the gcd of the two Q[t] contents is multiplied back."""
     f = [UniPoly(1, row) for row in fr]
     g = [UniPoly(1, row) for row in gr]
-    cont = _row_content(f).gcd(_row_content(g))
+    cont = _row_content(f).gcd(_row_content(g))[0]
     h = [x * cont for x in _prs(f, g, _qt_primitive)]
     den = lcm(*[x.den for x in h])
     return _rows_primitive([[c * (den // x.den) for c in x.c] for x in h])
@@ -1238,7 +1244,7 @@ def _row_content(p):
     """Monic gcd of the UniPoly entries of p."""
     g = UniPoly.zero(1)
     for x in p:
-        g = g.gcd(x)
+        g = g.gcd(x)[0]
         if g.is_one():
             break
     return g
@@ -1300,8 +1306,8 @@ def _heu_points(f_norm, g_norm):
 
 
 def _heu_gcd(fr, gr):
-    """gcd of two polynomials in (Z[t])[q] of integer content 1 by GCDHEU,
-    or None.
+    """(h, f/h, g/h) in (Z[t])[q] for two polynomials of integer content 1
+    by GCDHEU, or None.
 
     The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
     1989): t is evaluated at an integer xi, the gcd of the two images in
@@ -1309,40 +1315,45 @@ def _heu_gcd(fr, gr):
     coefficients is read back as a polynomial in t from its symmetric
     xi-adic digits.  Every xi is at least 2 min(|f|, |g|) + 2 (max
     norms); under that bound a primitive candidate that divides both
-    inputs exactly in Z[q, t] is their gcd, so the result is certified.
-    None when every point of _heu_points was rejected.
+    inputs exactly in Z[q, t] is their gcd, and the quotients are its
+    cofactors.  None when every point of _heu_points was rejected.
     """
     for xi in _heu_points(_rows_norm(fr), _rows_norm(gr)):
         image = _heu_gcd_univariate([_iz_eval(row, xi) for row in fr],
                                     [_iz_eval(row, xi) for row in gr])
         if image is not None:
-            cand = _rows_primitive([_xi_adic(c, xi) for c in image])
-            if _tq_divides(fr, cand) and _tq_divides(gr, cand):
-                return cand
+            got = _tq_cofactors(fr, gr, _rows_primitive(
+                [_xi_adic(c, xi) for c in image[0]]))
+            if got is not None:
+                return got
     return None
 
 
 def _heu_gcd_univariate(a, b):
-    """gcd in Z[q] of two int coefficient lists by GCDHEU, or None.
+    """(g, a/g, b/g) in Z[q] for two int coefficient lists by GCDHEU, or
+    None (also when one is zero).
 
-    The integer contents are split off; on the primitive parts the gcd of
-    their values at xi is read back as a polynomial from its symmetric
-    xi-adic digits and accepted only if it divides both exactly.
+    The gcd of the values of the primitive parts at xi is read back as a
+    polynomial from its symmetric xi-adic digits; that times the gcd of the
+    contents is accepted only if it divides both exactly, and then its
+    primitive part divides both primitive parts, the certificate.
     """
     a, b = _iz_trim(a), _iz_trim(b)
     if not a or not b:
-        return a or b
+        return None
     ca, cb = _iz_content(a), _iz_content(b)
     c = gcd(ca, cb)
-    if ca > 1:
-        a = [x // ca for x in a]
-    if cb > 1:
-        b = [x // cb for x in b]
-    for xi in _heu_points(max(map(abs, a)), max(map(abs, b))):
-        cand = _iz_primitive(_xi_adic(gcd(_iz_eval(a, xi), _iz_eval(b, xi)),
-                                      xi))
-        if _iz_divides(a, cand) and _iz_divides(b, cand):
-            return [x * c for x in cand] if c > 1 else cand
+    pa = [x // ca for x in a] if ca > 1 else a
+    pb = [x // cb for x in b] if cb > 1 else b
+    for xi in _heu_points(max(map(abs, pa)), max(map(abs, pb))):
+        g = _iz_primitive(_xi_adic(gcd(_iz_eval(pa, xi), _iz_eval(pb, xi)),
+                                   xi))
+        if c > 1:
+            g = [x * c for x in g]
+        try:
+            return g, _iz_divexact(a, g), _iz_divexact(b, g)
+        except ExactDivisionError:
+            pass
     return None
 
 
@@ -1377,35 +1388,32 @@ def _iz_trim(a):
     return a
 
 
-def _iz_divides(a, b):
-    """True iff b divides a in Z[x] (a long division in ints)."""
-    try:
-        _iz_divexact(a, b)
-    except ExactDivisionError:
-        return False
-    return True
-
-
-def _tq_divides(a, b):
-    """True iff b divides a in (Z[t])[q]; a, b dense lists of Z[t] lists.
-
-    Long division with integer arithmetic only: each step divides the
-    leading row exactly in Z[t] and subtracts.
-    """
+def _tq_quotient(a, b):
+    """a / b in (Z[t])[q] for dense lists of Z[t] lists, or None when b
+    does not divide a.  Long division with integer arithmetic only: each
+    step divides the leading row exactly in Z[t] and subtracts."""
     db, lb = len(b) - 1, b[-1]
     a = list(a)
+    out = [[] for _ in range(len(a) - db)]
     for i in range(len(a) - 1, db - 1, -1):
         row = _iz_trim(a[i])
         if not row:
             continue
         try:
-            c = _iz_divexact(row, lb)
+            c = out[i - db] = _iz_divexact(row, lb)
         except ExactDivisionError:
-            return False
+            return None
         for j in range(db):
             if b[j]:
                 a[i - db + j] = _iz_sub(a[i - db + j], _iz_mul(c, b[j]))
-    return not any(any(row) for row in a[:db])
+    return None if any(any(row) for row in a[:db]) else out
+
+
+def _tq_cofactors(fr, gr, hr):
+    """(hr, fr/hr, gr/hr) in (Z[t])[q], or None unless hr divides both."""
+    fq = _tq_quotient(fr, hr)
+    gq = None if fq is None else _tq_quotient(gr, hr)
+    return None if gq is None else (hr, fq, gq)
 
 
 def _iz_sub(a, b):
@@ -1423,14 +1431,6 @@ def _iz_eval(row, x):
     for c in reversed(row):
         acc = acc * x + c
     return acc
-
-
-def _qt_positive(f):
-    if f.is_zero():
-        return f
-    if f.d[f.leading_key()] < 0:
-        return -f
-    return f
 
 
 def qt_divexact(f, g):

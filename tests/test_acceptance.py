@@ -38,7 +38,7 @@ def _cleared_poly(P):
     """Scale P_lam by its coefficient lcm: an exact Q[q,t] representative."""
     den = QTPoly.one()
     for c in P.coeffs.values():
-        g = qt_gcd(den, c.den)
+        g = qt_gcd(den, c.den)[0]
         den = qt_divexact(den, g) * c.den
     out = {}
     for lam, c in P.coeffs.items():

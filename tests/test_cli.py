@@ -316,7 +316,8 @@ _WRONG_GCD_UNDER_O = """
 import sys
 from wheelmac import scalars
 from wheelmac.cli import run
-scalars.qt_gcd = lambda f, g: scalars.QTPoly.q() + 3  # divides neither
+scalars._HEU_TRIES = 0
+scalars._qt_prs_gcd = lambda fr, gr: [[3], [1]]  # q + 3 divides neither
 sys.exit(run(["macd", "compute", "--n", "3", "--lambda", "2,1"]))
 """
 

@@ -82,10 +82,10 @@ def test_qt_gcd_random_products():
         if a.is_zero() or b.is_zero() or g.is_zero():
             continue
         f1, f2 = a * g, b * g
-        h = qt_gcd(f1, f2)
+        h = qt_gcd(f1, f2)[0]
         assert qt_divexact(f1, h) * h == f1
         assert qt_divexact(f2, h) * h == f2
-        assert qt_divexact(g, qt_gcd(h, g)).is_constant()
+        assert qt_divexact(g, qt_gcd(h, g)[0]).is_constant()
 
 
 @pytest.mark.parametrize("k,r,m,N", [(1, 2, 1, 1), (1, 3, 2, 2), (2, 2, 1, 1),
@@ -428,13 +428,13 @@ def _assert_canonical(x):
         assert len(x.c) == euler_phi(x.N)
         return
     if isinstance(x, UniRatFunc):
-        g = x.num.gcd(x.den)
+        g = x.num.gcd(x.den)[0]
         assert g.degree() == 0 and g.leading() == CycloNum.one(x.N), x
         assert x.den.leading() == CycloNum.one(x.N), x
         if not x:
             assert x.den == UniPoly.one(x.N)
         return
-    assert qt_gcd(x.num, x.den) == QTPoly.one(), x
+    assert qt_gcd(x.num, x.den)[0] == QTPoly.one(), x
     assert x.den.d[x.den.leading_key()] == 1, x
     if not x:
         assert x.den == QTPoly.one()
@@ -588,7 +588,7 @@ def test_coefficients_stay_in_the_integer_lane():
                     a.scale(Fraction(4, 2)), a.scale(-1), -a, a + half + half,
                     qt_divexact(a * c, c), qt_divexact(c * 2, c)]
         if a and b:
-            produced.append(qt_gcd(a * c, b * c))
+            produced.append(qt_gcd(a * c, b * c)[0])
         if b:
             x = BiRatFunc(a * c, b * c)
             y = x * BiRatFunc(b, a + 1) if a + 1 else x
@@ -676,7 +676,7 @@ def test_heuristic_gcd_agrees_with_prs(monkeypatch):
             return None
         seen["heuristic"] += 1
         want = _terms(scalars._qt_prs_gcd(fr, gr))
-        got_terms = _terms(got)
+        got_terms = _terms(got[0])
         assert got_terms in (want, {k: -c for k, c in want.items()}), (fr, gr)
         return got
 
@@ -684,7 +684,7 @@ def test_heuristic_gcd_agrees_with_prs(monkeypatch):
     monkeypatch.setattr(scalars, "_heu_points", recorded)
     pairs = _planted_pairs(17, 800)
     for f, g in pairs:
-        h = qt_gcd(f, g)
+        h = qt_gcd(f, g)[0]
         assert qt_divexact(f, h) * h == f and qt_divexact(g, h) * h == g
     # every pair without a monomial reaches the heuristic, and none needs
     # the fallback
@@ -695,7 +695,7 @@ def test_heuristic_gcd_agrees_with_prs(monkeypatch):
 
 def test_forced_heuristic_failure_reaches_prs(monkeypatch):
     pairs = _planted_pairs(23, 60)
-    expected = [qt_gcd(f, g) for f, g in pairs]
+    expected = [qt_gcd(f, g)[0] for f, g in pairs]
     calls = []
     prs = scalars._prs
 
@@ -705,7 +705,7 @@ def test_forced_heuristic_failure_reaches_prs(monkeypatch):
 
     monkeypatch.setattr(scalars, "_HEU_TRIES", 0)
     monkeypatch.setattr(scalars, "_prs", counted)
-    assert [qt_gcd(f, g) for f, g in pairs] == expected
+    assert [qt_gcd(f, g)[0] for f, g in pairs] == expected
     assert calls.count(scalars._qt_primitive) >= 20
 
 
@@ -716,7 +716,7 @@ def test_prs_fallback_keeps_every_content(monkeypatch):
     common = (one + t) * q.scale(2)
     f = common * (one - q * t)
     g = common * (one + q)
-    want = qt_gcd(f, g)
+    want = qt_gcd(f, g)[0]
     assert want == (one + t) * q
     calls = []
     prs = scalars._prs
@@ -728,7 +728,7 @@ def test_prs_fallback_keeps_every_content(monkeypatch):
     monkeypatch.setattr(scalars, "_HEU_TRIES", 0)
     monkeypatch.setattr(scalars, "_prs", counted)
     for a, b, h in ((f, g, want), (g, f, want), (f * t, g * t, want * t)):
-        assert qt_gcd(a, b) == h, (a, b)
+        assert qt_gcd(a, b)[0] == h, (a, b)
         assert qt_divexact(a, h) * h == a and qt_divexact(b, h) * h == b
     assert calls.count(scalars._qt_primitive) == 3
 
@@ -737,19 +737,38 @@ def test_planted_wrong_candidate_is_rejected(monkeypatch):
     f = QTPoly.one() - QTPoly.term(1, 1, 2)
     g = (QTPoly.one() + QTPoly.term(3, 2, 0)) * f
     h = (QTPoly.term(1, 0, 1) - QTPoly.term(2, 1, 0)) * f
-    # the exact check itself
+    # the exact check itself, which returns the quotient
     dense = scalars._to_tq_rows(g.d)
-    assert scalars._tq_divides(dense, scalars._to_tq_rows(f.d))
-    assert not scalars._tq_divides(dense, [[1], [0, 1]])
-    assert not scalars._tq_divides(dense, [[2], [], [0, 0, 1]])
+    quot = scalars._tq_quotient(dense, scalars._to_tq_rows(f.d))
+    assert _terms(quot) == {(0, 0): 1, (2, 0): 3}
+    assert scalars._tq_quotient(dense, [[1], [0, 1]]) is None
+    assert scalars._tq_quotient(dense, [[2], [], [0, 0, 1]]) is None
     # a wrong image one level down gives a candidate that must not pass
     univariate = scalars._heu_gcd_univariate
-    monkeypatch.setattr(scalars, "_heu_gcd_univariate",
-                        lambda a, b: scalars._iz_mul(univariate(a, b), [1, 1]))
+
+    def wrong_image(a, b):
+        image, qa, qb = univariate(a, b)
+        return scalars._iz_mul(image, [1, 1]), qa, qb
+
     fr = scalars._to_tq_rows(g.d)
     gr = scalars._to_tq_rows(h.d)
-    assert scalars._heu_gcd(fr, gr) is None
-    assert qt_gcd(g, h) == f or qt_gcd(g, h) == -f
+    heu, rejected = scalars._heu_gcd, []
+
+    def planted(fr, gr):
+        with monkeypatch.context() as m:
+            m.setattr(scalars, "_heu_gcd_univariate", wrong_image)
+            got = heu(fr, gr)
+        rejected.append(got is None)
+        return got
+
+    monkeypatch.setattr(scalars, "_heu_gcd", planted)
+    assert planted(fr, gr) is None
+    # qt_gcd falls back to the PRS, whose Z[u] gcds are not planted
+    for got in (qt_gcd(g, h), qt_gcd(h, g)):
+        assert got[0] == f or got[0] == -f
+    assert rejected == [True] * 3
+    hh, gq, hq = qt_gcd(g, h)
+    assert hh * gq == g and hh * hq == h
 
 
 @pytest.mark.parametrize("case", [_unirat_case(1), _unirat_case(3),
@@ -766,7 +785,7 @@ def test_coprime_denominator_sums_are_canonical(case):
             break
         a, b = rand(rng), rand(rng)
         if not (a and b) or a.den.is_one() or b.den.is_one() \
-                or not a.den.gcd(b.den).is_one():
+                or not a.den.gcd(b.den)[0].is_one():
             continue
         reached += 1
         s = a + b
@@ -906,7 +925,7 @@ def test_unipoly_lane_matches_schoolbook_reference(N):
             assert all(type(c) is Fraction if euler_phi(N) == 1
                        else type(c) is CycloNum and c.N == N
                        for c in prod.coeffs())
-            assert _ref_coeffs(x.gcd(y)) == _ref_gcd(rx, ry, zero)
+            assert _ref_coeffs(x.gcd(y)[0]) == _ref_gcd(rx, ry, zero)
             if not y:
                 with pytest.raises(ZeroDivisionError):
                     x.divexact(y)
@@ -1007,27 +1026,26 @@ def test_q_lane_routes_give_one_stored_form(N):
 @pytest.mark.parametrize("N", [1, 2])
 def test_unipoly_gcd_fallback_needs_no_heuristic(N, monkeypatch):
     prs_calls = []
-    prs, heu = scalars._prs, scalars._heu_gcd_univariate
+    prs, xi_adic = scalars._prs, scalars._xi_adic
 
     def counted_prs(a, b, primitive):
         prs_calls.append(primitive)
         return prs(a, b, primitive)
 
-    def wrong_by_one_plus_u(a, b):
-        g = heu(a, b)
-        return None if g is None else scalars._iz_mul(g, [1, 1])
+    def wrong_by_one_plus_u(g, xi):
+        # the heuristic's candidate, before its certifying division
+        return scalars._iz_mul(xi_adic(g, xi), [1, 1])
 
     pairs = _lane_pairs(N, seed=70 + N)
     monkeypatch.setattr(scalars, "_prs", counted_prs)
-    for planted in ({"_HEU_TRIES": 0},
-                    {"_heu_gcd_univariate": wrong_by_one_plus_u}):
+    for planted in ({"_HEU_TRIES": 0}, {"_xi_adic": wrong_by_one_plus_u}):
         with monkeypatch.context() as m:
             for name, value in planted.items():
                 m.setattr(scalars, name, value)
             del prs_calls[:]
             for a, b in pairs:
                 want = _ref_gcd(_ref_coeffs(a), _ref_coeffs(b), Fraction(0))
-                assert _ref_coeffs(a.gcd(b)) == want, (planted, a, b)
+                assert _ref_coeffs(a.gcd(b)[0]) == want, (planted, a, b)
             assert len(prs_calls) >= 20, planted
 
 
@@ -1045,3 +1063,163 @@ def test_unipoly_mixed_orders_raise():
                lambda: LaurentPoly.zero(1) * LaurentPoly.one(3)):
         with pytest.raises(MixedFieldError):
             op()
+
+
+# -- gcd cofactors ---------------------------------------------------------
+
+def _qt_cofactor_pairs():
+    """Seeded QTPoly pairs in every lane: planted common factors (integer
+    contents and monomials among them), Fraction coefficients, monomial
+    operands, negative leading coefficients, gcds that run in q and in t,
+    and zeros."""
+    rng = random.Random(83)
+    q, t, one = QTPoly.q(), QTPoly.t(), QTPoly.one()
+    pairs = _planted_pairs(83, 120)
+    for _ in range(40):
+        common = QTPoly.zero()
+        while common.is_zero():
+            common = _rand_mixed_qtpoly(rng, nterms=2, dmax=2)
+        a, b = _rand_mixed_qtpoly(rng), _rand_mixed_qtpoly(rng)
+        if a and b:
+            pairs.append((a * common, b * common))
+    pairs += [
+        ((one - q * t).scale(Fraction(3, 2)) * q,
+         (one - q * t) * (one + t).scale(Fraction(-5, 7))),
+        (q ** 4 * (one + t), q * (one + t) ** 2 * (q + 2)),  # q-degree > t
+        (t ** 4 * (one + q), t * (one + q) ** 2 * (t + 2)),  # t-degree > q
+        (QTPoly.term(-4, 2, 1), (one + q) * t * q),
+        (QTPoly.term(Fraction(3, 5), 0, 2), QTPoly.term(-6, 1, 1)),
+        (-(q * q + t) * (one + t), (q * q + t) * (one - t) * 3),
+        (QTPoly.zero(), (one - q) * -2), ((one + t) * q, QTPoly.zero()),
+        (QTPoly.zero(), QTPoly.zero()),
+    ]
+    return pairs
+
+
+def _assert_qt_cofactors(f, g):
+    h, fh, gh = qt_gcd(f, g)
+    assert h * fh == f and h * gh == g, (f, g)
+    assert all(_stored_exact(x) for x in (h, fh, gh)), (f, g)
+    if f.is_zero() and g.is_zero():
+        assert h.is_zero() and fh.is_zero() and gh.is_zero()
+    elif f.is_zero() or g.is_zero():
+        # gcd(0, g) = (+-g, 0, +-1)
+        x, zero_side, unit = (g, fh, gh) if f.is_zero() else (f, gh, fh)
+        assert zero_side.is_zero() and unit in (QTPoly.one(), -QTPoly.one())
+        assert h == x.scale(unit.leading())
+    if h:
+        assert h.leading() > 0
+    return h
+
+
+@pytest.mark.parametrize("tries", [None, 0], ids=["heuristic", "prs"])
+def test_qt_gcd_cofactors(tries, monkeypatch):
+    """(h, f/h, g/h) multiplies back on both paths, with the same h."""
+    pairs = _qt_cofactor_pairs()
+    expected = [_assert_qt_cofactors(f, g) for f, g in pairs]
+    calls = []
+    prs = scalars._prs
+
+    def counted(a, b, primitive):
+        calls.append(primitive)
+        return prs(a, b, primitive)
+
+    monkeypatch.setattr(scalars, "_prs", counted)
+    if tries is not None:
+        monkeypatch.setattr(scalars, "_HEU_TRIES", tries)
+    for (f, g), want in zip(pairs, expected):
+        assert _assert_qt_cofactors(f, g) == want, (f, g)
+        assert _assert_qt_cofactors(g, f) == want, (f, g)
+    qt_prs = calls.count(scalars._qt_primitive)
+    assert qt_prs == 0 if tries is None else qt_prs >= 200
+
+
+def _unipoly_cofactor_pairs(N):
+    """The lane pairs, plus shared powers of u and constant operands."""
+    pairs = _lane_pairs(N, seed=90 + N)
+    rng = random.Random(91 + N)
+    for a, b in pairs[2:22]:
+        pairs.append((a.shift(rng.randint(1, 3)), b.shift(rng.randint(1, 3))))
+    for a, _ in pairs[2:12]:
+        c = UniPoly.const(N, rng.choice([Fraction(-3, 2), 5, -1]))
+        pairs += [(c, a), (a.shift(1), c.shift(rng.randint(0, 3)))]
+    return pairs
+
+
+@pytest.mark.parametrize("tries", [None, 0], ids=["heuristic", "prs"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_unipoly_gcd_cofactors(N, tries, monkeypatch):
+    zero = Fraction(0) if euler_phi(N) == 1 else CycloNum.zero(N)
+    calls = []
+    prs = scalars._prs
+
+    def counted(a, b, primitive):
+        calls.append(primitive)
+        return prs(a, b, primitive)
+
+    monkeypatch.setattr(scalars, "_prs", counted)
+    if tries is not None:
+        monkeypatch.setattr(scalars, "_HEU_TRIES", tries)
+    for a, b in _unipoly_cofactor_pairs(N):
+        for x, y in ((a, b), (b, a)):
+            h, xh, yh = x.gcd(y)
+            assert h * xh == x and h * yh == y, (x, y)
+            assert _ref_coeffs(h) == _ref_gcd(_ref_coeffs(x), _ref_coeffs(y),
+                                              zero), (x, y)
+            if N <= 2:
+                for p in (h, xh, yh):
+                    _assert_z_form(p)
+            if not x and not y:
+                assert not h and not xh and not yh
+            elif not x or not y:
+                # gcd(0, b) = (b.monic(), 0, lc(b))
+                nz, zero_side, unit = (y, xh, yh) if not x else (x, yh, xh)
+                assert not zero_side and unit == UniPoly.const(N, nz.leading())
+    lane = calls.count(scalars._iz_primitive)
+    if N > 2:
+        assert calls.count(scalars._monic_row) >= 40
+    elif tries is None:
+        assert lane == 0
+    else:
+        assert lane >= 40
+
+
+def test_cancellation_divides_by_no_gcd(monkeypatch):
+    """compute_P over n = 3, |lam| <= 8 and n = 4, |lam| <= 7 and sums of
+    UniRatFuncs over denominators with a common factor take every
+    quotient from the gcd's cofactors: no qt_divexact, no
+    UniPoly.divexact."""
+    divisions = []
+    real_qt, real_uni = scalars.qt_divexact, UniPoly.divexact
+
+    def counted_qt(f, g):
+        divisions.append("qt")
+        return real_qt(f, g)
+
+    def counted_uni(self, other):
+        divisions.append("uni")
+        return real_uni(self, other)
+
+    from wheelmac import partitions as pt
+    from wheelmac.macdonald import MacdonaldTable
+    rng = random.Random(97)
+    sums = []
+    for N in (1, 2):
+        u, one = UniPoly.u_power(N, 1), UniPoly.one(N)
+        while len(sums) < 20 * N:
+            common = _lane_poly(rng, N, rng.randint(1, 2))
+            a = UniRatFunc(_rand_unipoly(rng, N), common * _lane_poly(rng, N, 1))
+            b = UniRatFunc(_rand_unipoly(rng, N), common * (u + one))
+            if a and b and not a.den.gcd(b.den)[0].is_one():
+                sums.append((a, b, UniRatFunc(a.num * b.den + b.num * a.den,
+                                              a.den * b.den)))
+    monkeypatch.setattr(scalars, "qt_divexact", counted_qt)
+    monkeypatch.setattr(UniPoly, "divexact", counted_uni)
+    for n, dmax in ((3, 8), (4, 7)):
+        table = MacdonaldTable(n)
+        for d in range(dmax + 1):
+            for lam in pt.enumerate_partitions(n, d):
+                table.compute_P(lam)
+    for a, b, want in sums:
+        assert a + b == want and b + a == want
+    assert divisions == []

@@ -414,7 +414,7 @@ def _strip_entry_by_entry(row):
     nz = [x for x in row if x]
     g = nz[0] if nz else None
     for x in nz[1:]:
-        g = g.gcd(x)
+        g = g.gcd(x)[0]
     if g is None or (g.degree() == 0 and not g.trailing_order()):
         return row
     return [x.divexact(g) if x else x for x in row]
@@ -493,7 +493,7 @@ def test_rank_kernel_poly_vectors_are_primitive_with_a_monic_free_entry():
                                UniPoly.zero(N)).is_zero()
                 g = UniPoly.zero(N)
                 for x in vec:
-                    g = g.gcd(x)
+                    g = g.gcd(x)[0]
                 assert g.is_one(), vec
                 # the free coordinate is the last nonzero entry
                 fc = max(j for j, x in enumerate(vec) if x)
