@@ -157,12 +157,20 @@ def _cmd_wheel_check(args):
     p = ParameterSpec(args.k, args.r)
     _checked("--lambda", pt.pad, args.lam, args.n)
     _checked("--n", check_wheel_size, args.n, args.k)
-    ok = wi.satisfies_wheel(specialize_P(args.lam, args.n, p), p)
+    admissible = pt.is_admissible(args.lam, args.k, args.r, args.n)
+    try:
+        f = specialize_P(args.lam, args.n, p)
+    except PoleError as exc:
+        if admissible:  # the regularity lemma says this cannot happen
+            raise
+        raise UsageError("--lambda %s is not (k=%d, r=%d)-admissible and has "
+                         "no specialization: %s" % (pt.format_partition(
+                             args.lam), args.k, args.r, exc)) from None
+    ok = wi.satisfies_wheel(f, p)
     return (0 if ok else 1), {
         "k": args.k, "r": args.r, "n": args.n,
         "lambda": pt.format_partition(args.lam),
-        "admissible": pt.is_admissible(args.lam, args.k, args.r, args.n),
-        "satisfies_wheel": ok}
+        "admissible": admissible, "satisfies_wheel": ok}
 
 
 def _cmd_wheel_dim(args):

@@ -84,7 +84,10 @@ class CoeffField:
         """Same specialization over Laurent polynomials in u (no fractions).
 
         Only usable on inputs already cleared of denominators; this is the
-        fast lane for the stability and restriction checks.
+        fast lane for the stability and restriction checks.  Over Q
+        (omega1 = +-1) q, t and the coefficients laurent_clear gives are
+        LaurentPolys of ints over one denominator, so the kernels run on
+        plain ints.
         """
         N = p.N
         q = LaurentPoly.monomial(N, -p.q_exp, p.omega1)

@@ -23,9 +23,11 @@ Fraction into an int and raises TypeError on a float (or any other type),
 so no binary expansion enters a value.  ``QTPoly`` stores what ``_exact``
 returns, so its coefficients are Python ints unless they are not
 integral, and every division of a coefficient stays exact.  Over Q
-(phi(N) = 1) ``UniPoly`` is stored in Z[u], as ints over one denominator,
-and all its arithmetic runs on plain ints.  A division that leaves a
-remainder raises ExactDivisionError.
+(phi(N) = 1) ``UniPoly`` (dense) and ``LaurentPoly`` (sparse, exponents
+of either sign) store ints over one positive denominator coprime to their
+content, and all their arithmetic runs on plain ints; ``LaurentPoly.d``
+still shows Fractions.  A division that leaves a remainder raises
+ExactDivisionError.
 
 Every gcd is one design and returns its cofactors, the quotients of the
 exact division that certifies it.  Where the coefficients are integers
@@ -574,44 +576,34 @@ def _zpoly(N, ints, den=1):
     list ints trimmed, both divided by the gcd of den and their content."""
     while ints and not ints[-1]:
         ints.pop()
-    if den != 1:
-        g = den
-        for x in ints:
-            g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            ints, den = [x // g for x in ints], den // g
+    g = _iz_content(ints, den) if den != 1 else 1
+    if g > 1:
+        ints, den = [x // g for x in ints], den // g
     return _unipoly(N, tuple(ints), den)
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in u over Q(zeta_N): {exponent: coeff}.
+    """Sparse Laurent polynomial in u over Q(zeta_N): c / den, with
+    c = {exponent: nonzero coefficient} stored as UniPoly stores its list:
+    over Q (phi(N) = 1, N <= 2) ints, den > 0 coprime to their content, so
+    + and * run on plain ints; otherwise CycloNums, den = 1.
 
-    The operator kernels run over this ring when everything has been
-    cleared of denominators: multiplication by q brings in negative
-    u-exponents, and staying Laurent avoids all gcd work.  When the
-    cyclotomic field is just Q (phi(N) = 1, i.e. N <= 2) coefficients are
-    stored as plain Fractions, which is what makes this the fast lane.
+    The operator kernels run over this ring once denominators are cleared:
+    q brings in negative u-exponents, and staying Laurent avoids all gcd
+    work.  ``d`` is the {exponent: value} view, Fractions over Q.
     """
 
-    __slots__ = ("N", "d")
+    __slots__ = ("N", "c", "den")
 
-    def __init__(self, N, d=None, _clean=False):
-        if not _clean:
-            d = {e: _cyclo_slim(N, c) for e, c in (d or {}).items() if c}
-        self.N = N
-        self.d = d or {}
+    def __init__(self, N, d=None):
+        """d: {exponent: CycloNum or rational}, converted as by UniPoly."""
+        d = {e: v for e, v in (d or {}).items() if v}
+        z = UniPoly(N, list(d.values()))  # nonzero values: nothing trimmed
+        self.N, self.c, self.den = N, dict(zip(d, z.c)), z.den
 
     @classmethod
-    def monomial(cls, N, e, coeff=None):
-        if coeff is None:
-            coeff = _ONE if _CycloField.get(N).phi == 1 else CycloNum.one(N)
-        else:
-            coeff = _cyclo_slim(N, coeff)
-        if not coeff:
-            return cls(N, {}, _clean=True)
-        return cls(N, {e: coeff}, _clean=True)
+    def monomial(cls, N, e, coeff=1):
+        return cls(N, {e: coeff})
 
     @classmethod
     def const(cls, N, value):
@@ -619,7 +611,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, N):
-        return cls(N, {}, _clean=True)
+        return _lpoly(N, {})
 
     @classmethod
     def one(cls, N):
@@ -627,40 +619,50 @@ class LaurentPoly:
 
     @classmethod
     def from_unipoly(cls, poly, shift=0):
-        return cls(poly.N, {e + shift: c for e, c in enumerate(poly.coeffs())
-                            if c}, _clean=True)
+        return _lpoly(poly.N, {e + shift: c for e, c in enumerate(poly.c) if c},
+                      poly.den)
+
+    @property
+    def d(self):
+        """{exponent: coefficient}: Fractions over Q, CycloNums otherwise."""
+        if self.N > 2:
+            return dict(self.c)
+        return {e: Fraction(x, self.den) for e, x in self.c.items()}
 
     def to_unirat(self):
         return UniRatFunc.from_laurent(self.N, self.d)
 
     def is_zero(self):
-        return not self.d
+        return not self.c
 
     def __bool__(self):
-        return bool(self.d)
+        return bool(self.c)
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if other.N != self.N:
             raise MixedFieldError("mixed cyclotomic orders")
-        if not self.d:
+        if not self.c:
             return other
-        if not other.d:
+        if not other.c:
             return self
-        out = dict(self.d)
-        for e, c in other.d.items():
+        a, b, den = self.c, other.c, lcm(self.den, other.den)
+        if self.den != other.den:
+            a, b = [{e: x * (den // p.den) for e, x in p.c.items()}
+                    for p in (self, other)]
+        out = dict(a)
+        for e, x in b.items():
             w = out.get(e)
-            w = c if w is None else w + c
+            w = x if w is None else w + x
             if w:
                 out[e] = w
             else:
-                out.pop(e, None)
-        return LaurentPoly(self.N, out, _clean=True)
+                del out[e]
+        return _lpoly(self.N, out, den)
 
     def __neg__(self):
-        return LaurentPoly(self.N, {e: -c for e, c in self.d.items()},
-                           _clean=True)
+        return _lpoly(self.N, {e: -x for e, x in self.c.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -676,18 +678,16 @@ class LaurentPoly:
             return NotImplemented
         if other.N != self.N:
             raise MixedFieldError("mixed cyclotomic orders")
-        a, b = self.d, other.d
+        N, a, b, den = self.N, self.c, other.c, self.den * other.den
         if not a or not b:
-            return LaurentPoly.zero(self.N)
+            return LaurentPoly.zero(N)
         if len(a) == 1 and len(b) > 1:
             a, b = b, a
         if len(b) == 1:
             (eb, cb), = b.items()
             if cb == 1:  # a unit monomial only shifts the exponents
-                return LaurentPoly(self.N, {ea + eb: ca for ea, ca in a.items()},
-                                   _clean=True)
-            return LaurentPoly(self.N, {ea + eb: ca * cb
-                                        for ea, ca in a.items()}, _clean=True)
+                return _lpoly(N, {ea + eb: ca for ea, ca in a.items()}, den)
+            return _lpoly(N, {ea + eb: ca * cb for ea, ca in a.items()}, den)
         out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -697,36 +697,36 @@ class LaurentPoly:
                 if w:
                     out[e] = w
                 else:
-                    out.pop(e, None)
-        return LaurentPoly(self.N, out, _clean=True)
+                    del out[e]
+        return _lpoly(N, out, den)
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        if len(self.d) == 1:
-            (ea, ca), = self.d.items()
-            return LaurentPoly(self.N, {ea * e: ca ** e}, _clean=True)
+        if len(self.c) == 1:
+            (ea, ca), = self.c.items()
+            if self.N > 2:
+                return _lpoly(self.N, {ea * e: ca ** e})
+            v = Fraction(ca, self.den) ** e
+            return _lpoly(self.N, {ea * e: v.numerator}, v.denominator)
         return _power(self, e, LaurentPoly.one(self.N))
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self.N == other.N
-                and self.d == other.d)
+                and self.den == other.den and self.c == other.c)
 
     def __repr__(self):
         return "LaurentPoly(%d, %s)" % (self.N, render_scalar(self.to_unirat()))
 
 
-def _cyclo_slim(N, c):
-    """A Laurent coefficient: over Q (phi(N) = 1) a Fraction, the CycloNum
-    wrapper dropped; a CycloNum otherwise.  Rationals pass ``_exact``."""
-    if _CycloField.get(N).phi == 1:
-        return c.c[0] if isinstance(c, CycloNum) else Fraction(_exact(c))
-    return c if isinstance(c, CycloNum) else CycloNum.from_rational(N, c)
-
-
-def _cancel(a, b):
-    """a and b divided by their gcd: its cofactors."""
-    return a.gcd(b)[1:]
+def _lpoly(N, c, den=1):
+    """The LaurentPoly c/den of nonzero values, canonical as by _zpoly."""
+    g = _iz_content(c.values(), den) if den != 1 else 1
+    if g > 1:
+        c, den = {e: x // g for e, x in c.items()}, den // g
+    p = object.__new__(LaurentPoly)
+    p.N, p.c, p.den = N, c, den
+    return p
 
 
 class _RatFunc(_Field):
@@ -754,7 +754,7 @@ class _RatFunc(_Field):
                 den = self._poly_one(num)
             elif not den.is_one():
                 if not _coprime:
-                    num, den = _cancel(num, den)
+                    _, num, den = num.gcd(den)
                 lc = den.leading()
                 if lc != 1:
                     inv = Fraction(1) / lc
@@ -809,8 +809,8 @@ class _RatFunc(_Field):
         if self.den.is_one() and o.den.is_one():
             return type(self)(self.num * o.num, self.den, _canonical=True)
         # cross-cancel before multiplying; n1 n2 and d1 d2 are then coprime
-        n1, d2 = _cancel(self.num, o.den)
-        n2, d1 = _cancel(o.num, self.den)
+        _, n1, d2 = self.num.gcd(o.den)
+        _, n2, d1 = o.num.gcd(self.den)
         return type(self)(n1 * n2, d1 * d2, _coprime=True)
 
     __rmul__ = __mul__
@@ -1114,8 +1114,8 @@ def _qt_split_content(f):
     return qmin, tmin, _exact(Fraction(num, den)), terms
 
 
-def _iz_content(c):
-    g = 0
+def _iz_content(c, g=0):
+    """gcd of g and the ints c: their content when g is 0."""
     for x in c:
         g = gcd(g, x)
         if g == 1:

@@ -338,8 +338,9 @@ def _collapse_wheel(f, ratios):
     of each distinct head alpha[1:k+1] is built once per call from cached
     ratio powers, so an orbit term costs at most one product.  The
     integer counts of wheel_collapse would need a full product of f's
-    coefficient and each key's value instead, which costs more when the
-    coefficients are long Laurent polynomials.
+    coefficient and each key's value instead.  On the int Laurent
+    coefficients of phi(N) = 1 the two routes take the same time within
+    noise, so either could become the one route.
     """
     k = len(ratios)
     powcache = [{} for _ in ratios]

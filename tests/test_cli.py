@@ -175,6 +175,7 @@ _USAGE_ERRORS = [
     "current relation --k 1 --r 2 --d 2 --field generic --sigma 5",
     "current relation --k 2 --r 3 --d 2 --field generic --sigma 1,0",
     "wheel check --k 2 --r 2 --n 2 --lambda 1",
+    "wheel check --k 1 --r 3 --n 3 --lambda 3,1",
     "verify rho --k 1 --r 3 --lambda 3,1",
     "verify rho --k 1 --r 3 --lambda 4,1",
     "verify rho --k 1 --r 2 --n 2 --lambda 2",
@@ -214,6 +215,10 @@ def test_usage_errors_exit_2(capsys):
             ("verify rho --k 1 --r 2 --n 2 --lambda 2", "--n 2: the restr"),
             ("verify rho --k 1 --r 2 --n 0 --lambda 4,2", "--n 0: the restr"),
             ("macd compute --n 2 --lambda 1,1,1", "--lambda 1,1,1: "),
+            # a non-admissible lambda whose P_lam has a pole in K
+            ("wheel check --k 1 --r 3 --n 3 --lambda 3,1",
+             "--lambda 3,1 is not (k=1, r=3)-admissible and has no "
+             "specialization: coefficient of m_2,1,1 in P_3,1 has a pole"),
             ("current relation --k 1 --r 2 --d 2 --field generic --sigma 5",
              "--sigma 5: sigma must be")]:
         with pytest.raises(SystemExit):

@@ -243,6 +243,69 @@ def test_laurent_unit_monomial_shifts_the_exponents():
                         == [type(v) for v in a.d.values()])
 
 
+def _ref_laurent_mul(a, b, zero):
+    out = {}
+    for ea, x in a.items():
+        for eb, y in b.items():
+            out[ea + eb] = out.get(ea + eb, zero) + x * y
+    return {e: v for e, v in out.items() if v}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_laurent_poly_contract(N):
+    """+, -, * and ** against a schoolbook {exponent: value} reference.
+    Over Q the stored form is ints over one positive denominator coprime
+    to their content, and d shows Fractions; otherwise CycloNums over 1."""
+    rng = random.Random(80 + N)
+    zero, unit = ((Fraction(0), Fraction(1)) if N <= 2
+                  else (CycloNum.zero(N), CycloNum.one(N)))
+
+    def rand():
+        terms = {e: _rand_cyclo(rng, N)
+                 for e in rng.sample(range(-4, 5), rng.randint(0, 4))}
+        ref = {e: Fraction(v.c[0]) if N <= 2 else v
+               for e, v in terms.items() if v}
+        return LaurentPoly(N, terms), ref
+
+    def check(f, ref):
+        assert f.d == ref
+        if N <= 2:
+            assert all(type(x) is int and x for x in f.c.values())
+            assert type(f.den) is int and f.den > 0
+            assert gcd(f.den, *f.c.values()) == 1
+            assert all(type(v) is Fraction for v in f.d.values())
+        else:
+            assert f.den == 1
+            assert all(type(v) is CycloNum and v for v in f.c.values())
+        assert f == LaurentPoly(N, ref)  # equal values compare equal
+
+    with_den = 0
+    for _ in range(60):
+        (a, ra), (b, rb) = rand(), rand()
+        with_den += a.den != 1
+        check(a, ra)
+        check(a + b, {e: v for e in {*ra, *rb}
+                      if (v := ra.get(e, zero) + rb.get(e, zero))})
+        check(a - b, {e: v for e in {*ra, *rb}
+                      if (v := ra.get(e, zero) - rb.get(e, zero))})
+        check(a * b, _ref_laurent_mul(ra, rb, zero))
+        assert a * b == b * a and a + b == b + a
+        check(a - a, {})
+        s = Fraction(rng.choice([-3, 2, 5]), rng.randint(1, 4))
+        check(a * s, {e: v * s for e, v in ra.items()})
+        check(s * a, {e: v * s for e, v in ra.items()})
+        e, want = rng.randint(0, 3), {0: unit}
+        for _ in range(e):
+            want = _ref_laurent_mul(want, ra, zero)
+        check(a ** e, want)
+        if len(ra) == 1:  # a monomial also takes a negative power
+            (ea, x), = ra.items()
+            e = -rng.randint(1, 3)
+            check(a ** e, {ea * e: x ** e})
+    if N <= 2:
+        assert with_den >= 10
+
+
 _INEXACT_UNDER_O = """
 from wheelmac.scalars import ExactDivisionError, _iz_divexact
 try:

@@ -560,6 +560,25 @@ def test_stability_random_combination(tables):
     assert verify_stability(f, p)
 
 
+@pytest.mark.parametrize("k, r, n, d", [(1, 5, 2, 8), (2, 4, 3, 6)])
+def test_stability_over_a_cyclotomic_field(k, r, n, d):
+    """apply_D, apply_E and the wheel collapse over Laurent coefficients
+    in Q(zeta_N) with phi(N) = 2, where they are CycloNums, not ints."""
+    p = ParameterSpec(k, r)
+    assert euler_phi(p.N) == 2
+    basis = wheel_kernel_basis(k, r, n, d, p)
+    assert basis
+    rng = random.Random(10 * k + r)
+    f = SymPoly.zero(n)
+    for g in basis:
+        f = f + g.scale(UniRatFunc.const(p.N, rng.choice([-3, -1, 2, 5])))
+    cleared = laurent_clear(f, p)
+    assert all(type(x) is CycloNum for c in cleared.coeffs.values()
+               for x in c.c.values())
+    assert verify_stability(f, p)
+    assert not satisfies_wheel(SymPoly.m((d,), n, UniRatFunc.one(p.N)), p)
+
+
 def test_rho_inclusion_examples(tables):
     p = ParameterSpec(1, 2)
     # j = 0 reduces to P in one fewer variable, wheel-satisfying
