@@ -29,7 +29,8 @@ from itertools import accumulate, combinations
 from . import partitions as pt
 from .linalg import EchelonBasis, corank_upower
 from .scalars import ParameterSpec, UniRatFunc
-from .symfunc import MonomialExpansion, check_sigma, wheel_collapse
+from .symfunc import (MonomialExpansion, check_sigma, specialized_reader,
+                      wheel_collapse)
 from .wheel_ideal import _check_choice, wheel_substitutions
 
 __all__ = [
@@ -97,15 +98,16 @@ def relation_generic(d, sigma, k, r, p=None):
     """z^d coefficient of e(z) e(c_1 z) ... e(c_k z), c_i = t^i q^(sigma_i).
 
     m_mu(1, c_1, ..., c_k) is the (d,) entry of symfunc.wheel_collapse(mu,
-    k+1, sigma), orbit counts per q^a t^b, specialized and made a canonical
-    UniRatFunc once.  sigma must pass check_sigma."""
+    k+1, sigma), orbit counts per q^a t^b, read by specialized_reader.
+    sigma must pass check_sigma."""
     sigma = check_sigma(sigma, k, r)
     p = ParameterSpec.matching(p, k, r)
+    read = specialized_reader(p)
     terms = {}
     for mu in pt.enumerate_partitions(k + 1, d):
-        c = p.specialize_poly(wheel_collapse(mu, k + 1, sigma)[(d,)])
+        c = read(wheel_collapse(mu, k + 1, sigma)[(d,)])
         if c:
-            terms[pt.pad(mu, k + 1)] = UniRatFunc.from_laurent(p.N, c)
+            terms[pt.pad(mu, k + 1)] = c
     return MonomialExpansion(k + 1, terms)
 
 

@@ -29,9 +29,9 @@ from itertools import combinations, permutations
 
 from . import partitions as pt
 from .scalars import (BiRatFunc, CycloNum, ExactDivisionError, LaurentPoly,
-                      PoleError, QTPoly, UniRatFunc, qt_divexact)
+                      PoleError, QTPoly, UniRatFunc, _lpoly, qt_divexact)
 from .symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
-                      monomials_to_m, sympoly_mul)
+                      monomials_to_m, specialized_reader, sympoly_mul)
 
 __all__ = [
     "CoeffField", "ExactDivisionError", "MacdonaldTable",
@@ -43,20 +43,23 @@ __all__ = [
 
 
 class CoeffField:
-    """The coefficient ring an operator runs over: its 0, 1, q and t.
-
+    """The coefficient ring an operator runs over: its 0, 1, q and t, the
+    map from_int of ints into it, its reader of wheel_collapse tables and
+    the ParameterSpec spec it specializes (None for Q(q, t) and Q[q, t]).
     Power caches are per-instance; instances are cheap and callers
     normally create one per computation.
     """
 
-    __slots__ = ("zero", "one", "q", "t", "from_int", "_qp", "_tp")
+    __slots__ = ("zero", "one", "q", "t", "from_int", "spec", "_read",
+                 "_qp", "_tp")
 
-    def __init__(self, zero, one, q, t, from_int):
+    def __init__(self, zero, one, q, t, from_int, read=None, spec=None):
         self.zero = zero
         self.one = one
         self.q = q
         self.t = t
         self.from_int = from_int
+        self.spec, self._read = spec, read
         self._qp = {0: one, 1: q}
         self._tp = {0: one, 1: t}
 
@@ -77,7 +80,8 @@ class CoeffField:
         """K = Q(zeta_{r-1})(u) at t = u^((r-1)/m), q = omega1 u^(-(k+1)/m)."""
         N = p.N
         return cls(UniRatFunc.zero(N), UniRatFunc.one(N), p.q_value(),
-                   p.t_value(), lambda i: UniRatFunc.const(N, i))
+                   p.t_value(), lambda i: UniRatFunc.const(N, i),
+                   specialized_reader(p), p)
 
     @classmethod
     def laurent(cls, p):
@@ -87,13 +91,15 @@ class CoeffField:
         fast lane for the stability and restriction checks.  Over Q
         (omega1 = +-1) q, t and the coefficients laurent_clear gives are
         LaurentPolys of ints over one denominator, so the kernels run on
-        plain ints.
+        plain ints.  A specialized table (ints over 1, or CycloNums) is
+        already canonical, so it becomes a LaurentPoly as it stands.
         """
         N = p.N
         q = LaurentPoly.monomial(N, -p.q_exp, p.omega1)
         t = LaurentPoly.monomial(N, p.t_exp)
         return cls(LaurentPoly.zero(N), LaurentPoly.one(N), q, t,
-                   lambda i: LaurentPoly.const(N, i))
+                   lambda i: LaurentPoly.const(N, i),
+                   lambda counts: _lpoly(N, p.specialize_poly(counts)), p)
 
     @classmethod
     def numeric(cls, p, u0):
@@ -101,7 +107,14 @@ class CoeffField:
         N = p.N
         return cls(CycloNum.zero(N), CycloNum.one(N),
                    p.q_value().evaluate(u0), p.t_value().evaluate(u0),
-                   lambda i: CycloNum.from_rational(N, i))
+                   lambda i: CycloNum.from_rational(N, i), spec=p)
+
+    def table_reader(self):
+        """The map from a wheel_collapse table to its value in this ring:
+        the constructor's, or the sum of from_int(v) q^a t^b."""
+        return self._read or (lambda counts: sum(
+            (self.from_int(v) * self.qpow(a) * self.tpow(b)
+             for (a, b), v in counts.d.items()), self.zero))
 
     def qpow(self, e):
         v = self._qp.get(e)

@@ -7,6 +7,9 @@ substitutions; ``current_algebra`` keeps its combinations of current
 monomials e_lam in the same class.  Coefficients can be any of the scalar
 types from ``wheelmac.scalars`` (or plain ints/Fractions); the code only
 relies on ring arithmetic and truthiness for zero tests.
+
+Every wheel substitution is one collapse (wheel_expansion) into integer
+orbit counts per q^a t^b, which a reader turns into coefficients.
 """
 
 from fractions import Fraction
@@ -19,7 +22,8 @@ from .scalars import QTPoly, UniRatFunc
 __all__ = [
     "SymPoly", "MonomialExpansion", "m_to_monomials", "monomials_to_m",
     "sympoly_mul", "check_sigma", "check_wheel_size", "wheel_collapse",
-    "wheel_substitute", "restrict_derivative", "orbit_of",
+    "wheel_expansion", "wheel_substitute", "specialized_reader",
+    "restrict_derivative", "orbit_of",
     "eval_monomial_symmetric",
 ]
 
@@ -307,67 +311,40 @@ def wheel_substitute(f, sigma, p):
     collapse onto the line through x_1 and the rest stay free.  Returns
     the expansion in the free variables (slot 0 is x_1, then
     x_{k+2}, ..., x_n) with coefficients over the specialized field.
-
-    Each m_lam of f collapses to integer tables (wheel_collapse); a table
-    is specialized to a {u-exponent: coefficient} map and made a canonical
-    UniRatFunc once, then scaled by f's coefficient.
     """
-    k = p.k
-    sigma = check_sigma(sigma, k, p.r)
+    return wheel_expansion(f, sigma, specialized_reader(p), p)
+
+
+def specialized_reader(p):
+    """Reads a wheel_collapse table into K: specialized, then made a
+    canonical UniRatFunc once, with no gcd."""
+    N = p.N
+    return lambda counts: UniRatFunc.from_laurent(N, p.specialize_poly(counts))
+
+
+def wheel_expansion(f, sigma, read, p=None):
+    """The one wheel collapse: f at x_{i+1} = t^i q^(sigma_i) x_1, i = 1..k.
+
+    Each m_lam of f collapses to integer tables (wheel_collapse), one per
+    key; read turns a table into a coefficient, which is scaled by f's
+    coefficient and summed per key, zeros skipped.  sigma must pass
+    check_sigma when the ParameterSpec p is given; f needs n >= k+1.
+    """
+    if p is not None:
+        sigma = check_sigma(sigma, p.k, p.r)
+    k = len(sigma)
     check_wheel_size(f.n, k)
     out = {}
     for lam, c in f.coeffs.items():
         scaled = c != 1
         for key, counts in wheel_collapse(lam, f.n, sigma).items():
-            terms = p.specialize_poly(counts)
-            if not terms:
+            v = read(counts)
+            if not v:
                 continue
-            v = UniRatFunc.from_laurent(p.N, terms)
             if scaled:
                 v = v * c
             w = out.get(key)
             out[key] = v if w is None else w + v
-    return MonomialExpansion(f.n - k, out)
-
-
-def _collapse_wheel(f, ratios):
-    """Expansion of f at x_{i+1} = ratios[i-1] * x_1 for i = 1..len(ratios).
-
-    The collapse for general coefficients, behind the CoeffField variant
-    of wheel_substitute in wheel_ideal.  The shift prod_i ratios[i-1]^alpha_i
-    of each distinct head alpha[1:k+1] is built once per call from cached
-    ratio powers, so an orbit term costs at most one product.  The
-    integer counts of wheel_collapse would need a full product of f's
-    coefficient and each key's value instead.  On the int Laurent
-    coefficients of phi(N) = 1 the two routes take the same time within
-    noise, so either could become the one route.
-    """
-    k = len(ratios)
-    powcache = [{} for _ in ratios]
-    shifts = {}
-    g = m_to_monomials(f)
-    out = {}
-    for alpha, c in g.terms.items():
-        head = alpha[1:k + 1]
-        if any(head):
-            pw = shifts.get(head)
-            if pw is None:
-                for i, e in enumerate(head):
-                    if e:
-                        cache = powcache[i]
-                        r = cache.get(e)
-                        if r is None:
-                            r = cache[e] = ratios[i] ** e
-                        pw = r if pw is None else pw * r
-                shifts[head] = pw
-            c = c * pw
-        key = (alpha[0] + sum(head),) + alpha[k + 1:]
-        w = out.get(key)
-        w = c if w is None else w + c
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
     return MonomialExpansion(f.n - k, out)
 
 

@@ -12,6 +12,8 @@ longer resonant wheels contain one of these.  At the resonance
 t^(k+1) q^(r-1) = 1 the wheel closes into a cycle, so rotating
 (s_1, ..., s_{k+1}) gives the same condition; satisfies_wheel substitutes
 one sigma per rotation class, while constraint_rows keeps every sigma.
+Both substitutions, over K (wheel_substitute) and over a CoeffField
+(_wheel_substitute_fld), are the one collapse symfunc.wheel_expansion.
 
 dim J on the (n, d) component is computed exactly as the corank of the
 constraint matrix whose rows are indexed by (sigma, free monomial) and
@@ -31,8 +33,8 @@ from .linalg import (EchelonBasis, _clear_denominators, _clear_upower_row,
                      corank_upower, rank_kernel_poly)
 from .macdonald import CoeffField, MacdonaldTable, apply_D, apply_E, specialize_P
 from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
-from .symfunc import (SymPoly, _collapse_wheel, check_wheel_size,
-                      restrict_derivative, wheel_substitute)
+from .symfunc import (SymPoly, restrict_derivative, wheel_expansion,
+                      wheel_substitute)
 
 __all__ = [
     "wheel_substitutions", "satisfies_wheel", "dim_J", "basis_I",
@@ -72,13 +74,12 @@ def satisfies_wheel(f, p, fld=None):
     other.  This needs t^(k+1) q^(r-1) = 1 in fld; ValueError otherwise.
     """
     k, r = p.k, p.r
-    check_wheel_size(f.n, k)
     if fld is None:
         f, fld = laurent_clear(f, p), CoeffField.laurent(p)
     if fld.tpow(k + 1) * fld.qpow(r - 1) != fld.one:
         raise ValueError("the field does not satisfy t^%d q^%d = 1"
                          % (k + 1, r - 1))
-    return all(_wheel_substitute_fld(f, sigma, fld, k).is_zero()
+    return all(_wheel_substitute_fld(f, sigma, fld).is_zero()
                for sigma in _rotation_classes(k, r))
 
 
@@ -113,7 +114,8 @@ def constraint_rows(k, r, n, d, p=None, fld=None):
     Yields lists indexed like enumerate_partitions(n, d), with UniRatFunc
     entries (or entries evaluated in fld when probing).  Row provenance is
     (sigma, free monomial); redundant rotation copies are still yielded,
-    and rank_kernel_poly certifies each distinct row once.
+    and rank_kernel_poly certifies each distinct row once.  Both branches
+    raise ValueError when drained with n <= k: there is no wheel.
     """
     p = ParameterSpec.matching(p, k, r)
     plist = pt.enumerate_partitions(n, d)
@@ -127,7 +129,7 @@ def constraint_rows(k, r, n, d, p=None, fld=None):
             if fld is None:
                 expansion = wheel_substitute(f, sigma, p)
             else:
-                expansion = _wheel_substitute_fld(f, sigma, fld, k)
+                expansion = _wheel_substitute_fld(f, sigma, fld)
             for mono, c in expansion.terms.items():
                 row = by_monomial.get(mono)
                 if row is None:
@@ -137,10 +139,10 @@ def constraint_rows(k, r, n, d, p=None, fld=None):
             yield (sigma, mono), by_monomial[mono]
 
 
-def _wheel_substitute_fld(f, sigma, fld, k):
-    """wheel_substitute with the ratios taken from an arbitrary CoeffField."""
-    return _collapse_wheel(f, [fld.tpow(i) * fld.qpow(sigma[i - 1])
-                              for i in range(1, k + 1)])
+def _wheel_substitute_fld(f, sigma, fld):
+    """wheel_substitute over a CoeffField, reading each table with fld's
+    reader; sigma is checked against fld.spec when fld has one."""
+    return wheel_expansion(f, sigma, fld.table_reader(), fld.spec)
 
 
 def random_probe_point(rng):

@@ -185,7 +185,7 @@ def test_criterion_7_stability():
             per_op = []
             for kind, a in ops:
                 img = apply_D(f, a, fld) if kind == "D" else apply_E(f, a, fld)
-                per_op.append([_wheel_substitute_fld(img, s, fld, k)
+                per_op.append([_wheel_substitute_fld(img, s, fld)
                                for s in subs])
             images.append(per_op)
         for _ in range(20):

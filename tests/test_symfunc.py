@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
 from wheelmac import partitions as pt
 from wheelmac.macdonald import CoeffField
-from wheelmac.scalars import ParameterSpec, UniRatFunc
-from wheelmac.symfunc import (MonomialExpansion, SymPoly, _collapse_wheel,
+from wheelmac.scalars import CycloNum, LaurentPoly, ParameterSpec, UniRatFunc
+from wheelmac.symfunc import (MonomialExpansion, SymPoly,
                               eval_monomial_symmetric, m_to_monomials,
                               monomials_to_m, orbit_of, restrict_derivative,
                               sympoly_mul, wheel_collapse, wheel_substitute)
+from wheelmac.wheel_ideal import _wheel_substitute_fld
 
 
 def test_orbit_of_matches_distinct_permutations():
@@ -101,15 +102,25 @@ def test_wheel_substitute_examples():
 
 
 def test_wheel_substitute_validation():
+    # both entry points share the one collapse and its input checks
     p = ParameterSpec(2, 3)
-    one = UniRatFunc.one(2)
-    f = SymPoly.m((1,), 3, one)
-    with pytest.raises(ValueError):
-        wheel_substitute(f, (1, 0), p)  # not weakly increasing
-    with pytest.raises(ValueError):
-        wheel_substitute(f, (0, 5), p)  # out of range
-    with pytest.raises(ValueError):
-        wheel_substitute(SymPoly.m((1,), 2, one), (0, 0), p)  # too few vars
+    fld = CoeffField.laurent(p)
+    for one, subs in [(UniRatFunc.one(2), lambda f, s: wheel_substitute(f, s, p)),
+                      (fld.one, lambda f, s: _wheel_substitute_fld(f, s, fld))]:
+        f = SymPoly.m((1,), 3, one)
+        with pytest.raises(ValueError):
+            subs(f, (1, 0))  # not weakly increasing
+        with pytest.raises(ValueError):
+            subs(f, (0, 5))  # out of range
+        with pytest.raises(ValueError):
+            subs(f, (0,))  # too short
+        with pytest.raises(ValueError):
+            subs(SymPoly.m((1,), 2, one), (0, 0))  # too few vars
+    # the CoeffField route checks sigma against the field's spec
+    p = ParameterSpec(1, 2)
+    fld = CoeffField.laurent(p)
+    with pytest.raises(ValueError, match="0..r-1"):
+        _wheel_substitute_fld(SymPoly.m((1,), 2, fld.one), (7,), fld)
 
 
 def test_wheel_substitute_linear():
@@ -148,35 +159,55 @@ def _count_collapse(f, sigma, value):
 
 
 def test_collapse_wheel_matches_a_per_term_loop():
-    # every route against the naive loop: _collapse_wheel on its ratios,
-    # and for a wheel sigma the integer counts of wheel_collapse, read
-    # through fld.qpow/fld.tpow or, over K, specialize_poly + from_laurent
+    # the integer counts of wheel_collapse against the naive loop on the
+    # ratios t^i q^(sigma_i), read through fld.qpow/fld.tpow and through
+    # each CoeffField's own table reader
     rng = random.Random(61)
-    rings = [(Fraction(1), Fraction(1, 7), [Fraction(2), Fraction(-3, 5)], [])]
-    for k, r in [(1, 2), (2, 3), (1, 4), (2, 4)]:  # N = 1, 2, 3, 3
+    fields = []
+    for k, r in [(1, 2), (2, 3), (1, 4), (2, 5)]:  # N = 1, 2, 3, 4
         p = ParameterSpec(k, r)
-        for fld in (CoeffField.laurent(p), CoeffField.specialized(p)):
-            sigma = [rng.randint(0, r - 1) for _ in range(k)]
-            ratios = [fld.tpow(i) * fld.qpow(sigma[i - 1])
-                      for i in range(1, k + 1)]
-            values = [lambda counts, fld=fld: sum(
-                (fld.qpow(a) * fld.tpow(b) * v
-                 for (a, b), v in counts.d.items()), fld.zero)]
-            if isinstance(fld.one, UniRatFunc):
-                values.append(lambda counts, p=p: UniRatFunc.from_laurent(
-                    p.N, p.specialize_poly(counts)))
-            rings.append((fld.one, fld.q, ratios,
-                          [(sigma, value) for value in values]))
-    for one, extra, ratios, routes in rings:
-        k = len(ratios)
+        fields += [CoeffField.laurent(p), CoeffField.specialized(p)]
+    for k, r in [(1, 2), (2, 3)]:
+        fields.append(CoeffField.numeric(ParameterSpec(k, r), Fraction(7, 3)))
+    for fld in fields:
+        k, r = fld.spec.k, fld.spec.r
+        sigma = [rng.randint(0, r - 1) for _ in range(k)]
+        ratios = [fld.tpow(i) * fld.qpow(sigma[i - 1]) for i in range(1, k + 1)]
+        values = [lambda counts: sum(
+            (fld.qpow(a) * fld.tpow(b) * v for (a, b), v in counts.d.items()),
+            fld.zero), fld.table_reader()]
         for _ in range(4):
             n = rng.randint(k + 1, k + 2)
             f = _random_sympoly(rng, n, 4).map_coeffs(
-                lambda c: one * c + extra * rng.randint(-2, 2))
+                lambda c: fld.one * c + fld.q * rng.randint(-2, 2))
             want = _naive_collapse(f, ratios)
-            assert _collapse_wheel(f, ratios) == want
-            for sigma, value in routes:
-                assert _count_collapse(f, sigma, value) == want, (k, sigma)
+            for value in values:
+                assert _count_collapse(f, sigma, value) == want, (k, r, sigma)
+
+
+def test_laurent_reader_gives_the_canonical_laurent_poly():
+    # the reader builds the LaurentPoly straight from the specialized int
+    # (or CycloNum) map; it must be the one the constructor makes
+    cyclo = set()
+    for k, r in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 5)]:  # N = 1, 2, 2, 3, 4
+        p = ParameterSpec(k, r)
+        read = CoeffField.laurent(p).table_reader()
+        for sigma in combinations_with_replacement(range(r), k):
+            for n in (k + 1, k + 2):
+                for d in range(5):
+                    for lam in pt.enumerate_partitions(n, d):
+                        for table in wheel_collapse(lam, n, sigma).values():
+                            v = read(table)
+                            assert v == LaurentPoly(p.N, p.specialize_poly(table))
+                            cyclo.update(p.N for x in v.c.values()
+                                         if isinstance(x, CycloNum))
+    assert cyclo == {3, 4}
+    # at (k, r) = (1, 3), omega1 = -1: m_1(x, t q x) = (1 + t q) x = 0
+    p = ParameterSpec(1, 3)
+    fld = CoeffField.laurent(p)
+    (table,) = wheel_collapse((1,), 2, (1,)).values()
+    assert len(table.d) == 2 and fld.table_reader()(table).c == {}
+    assert _wheel_substitute_fld(SymPoly.m((1,), 2, fld.one), (1,), fld).terms == {}
 
 
 def test_restrict_derivative_examples():

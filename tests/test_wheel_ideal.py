@@ -23,6 +23,8 @@ from wheelmac.wheel_ideal import (_rotation_classes, _wheel_substitute_fld,
                                   verify_stability, verify_theorem1,
                                   wheel_kernel_basis, wheel_substitutions)
 
+from test_symfunc import _naive_collapse
+
 
 def test_a_parameter_spec_for_another_k_r_is_refused():
     # with the spec of (1, 3), dim_J(1, 2, 3, 6) read 0 where the true
@@ -65,9 +67,15 @@ def test_cumulative_vs_increment_form():
         assert from_increments == set(wheel_substitutions(k, r))
 
 
+def _per_term(f, sigma, fld):
+    """The naive per-term collapse on the ratios t^i q^(sigma_i)."""
+    return _naive_collapse(f, [fld.tpow(i) * fld.qpow(s)
+                               for i, s in enumerate(sigma, 1)])
+
+
 def test_substitution_entry_points_agree():
-    # symfunc.wheel_substitute takes its ratios from p, the CoeffField
-    # variant from fld.tpow/fld.qpow; over K the two must coincide
+    # symfunc.wheel_substitute reads its tables through p, the CoeffField
+    # variant through fld; over K both must give the per-term collapse
     rng = random.Random(31)
     for k, r in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         p = ParameterSpec(k, r)
@@ -82,8 +90,10 @@ def test_substitution_entry_points_agree():
                     coeffs[rng.choice(plist)] = \
                         u ** rng.randint(0, 3) * rng.randint(-5, 5)
                 f = SymPoly(n, coeffs)
-                assert wheel_substitute(f, sigma, p) == \
-                    _wheel_substitute_fld(f, sigma, fld, k), (k, r, sigma, f)
+                want = _per_term(f, sigma, fld)
+                assert wheel_substitute(f, sigma, p) == want, (k, r, sigma, f)
+                assert _wheel_substitute_fld(f, sigma, fld) == want, \
+                    (k, r, sigma, f)
 
 
 def test_substitution_entry_points_agree_on_fractions():
@@ -105,8 +115,10 @@ def test_substitution_entry_points_agree_on_fractions():
                         * p.omega1 ** rng.randint(0, 2) / rng.choice(dens)
                     coeffs[rng.choice(plist)] = c
                 f = SymPoly(n, coeffs)
-                assert wheel_substitute(f, sigma, p) == \
-                    _wheel_substitute_fld(f, sigma, fld, k), (k, r, sigma, f)
+                want = _per_term(f, sigma, fld)
+                assert wheel_substitute(f, sigma, p) == want, (k, r, sigma, f)
+                assert _wheel_substitute_fld(f, sigma, fld) == want, \
+                    (k, r, sigma, f)
 
 
 def test_wheel_substitute_of_a_monomial_needs_no_gcd(monkeypatch):
@@ -175,6 +187,12 @@ def test_dim_J_examples():
     assert dim_J(2, 3, 2, 4) == len(pt.enumerate_partitions(2, 4))
     assert dim_J(1, 2, 2, 2) == 1
     assert dim_J(1, 2, 2, 1) == 0
+    # ... and no wheel to build rows from: both branches of
+    # constraint_rows refuse such a component
+    p = ParameterSpec(1, 2)
+    for fld in (None, CoeffField.numeric(p, Fraction(5, 2))):
+        with pytest.raises(ValueError, match=r"k\+1=2 variables"):
+            list(constraint_rows(1, 2, 1, 2, p, fld=fld))
 
 
 def test_dim_J_oracle_small():
@@ -261,7 +279,7 @@ def _every_sigma(f, p):
     """The wheel condition checked on every sigma, not one per class."""
     fld = CoeffField.laurent(p)
     g = laurent_clear(f, p)
-    return all(_wheel_substitute_fld(g, sigma, fld, p.k).is_zero()
+    return all(_wheel_substitute_fld(g, sigma, fld).is_zero()
                for sigma in wheel_substitutions(p.k, p.r))
 
 
@@ -278,8 +296,8 @@ def _planted(k, r, n, d, p, rep):
     for vec in vecs:
         f = SymPoly(n, {lam: UniRatFunc(x, _canonical=True)
                         for lam, x in zip(plist, vec)})
-        if not _wheel_substitute_fld(laurent_clear(f, p), rep, fld,
-                                     k).is_zero():
+        if not _wheel_substitute_fld(laurent_clear(f, p), rep,
+                                     fld).is_zero():
             return f
     raise AssertionError("no planted f on %r" % ((k, r, n, d, rep),))
 
@@ -325,9 +343,9 @@ def test_satisfies_wheel_substitutes_once_per_class(monkeypatch):
     calls = []
     inner = wheel_ideal._wheel_substitute_fld
 
-    def counting(f, sigma, fld, k):
+    def counting(f, sigma, fld):
         calls.append(sigma)
-        return inner(f, sigma, fld, k)
+        return inner(f, sigma, fld)
 
     monkeypatch.setattr(wheel_ideal, "_wheel_substitute_fld", counting)
     for (k, r), (comps, _) in _ROTATION_GRID.items():
