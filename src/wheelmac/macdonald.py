@@ -20,9 +20,12 @@ two entries swapped must be exactly the negatives, or ExactDivisionError
 P_lam itself is found from the eigenvalue problem for D_n^1 by
 back-substitution against the dominance-triangular matrix of the operator
 in the monomial-symmetric basis, always over the generic field Q(q, t);
-specializing the coefficients is a separate, final step.  Each coefficient
-is summed as one numerator over a running lcm of denominators and made
-canonical once, so integrality is a division test on its denominator.
+specializing the coefficients is a separate, final step.  The matrix of
+one (n, d) component comes from one antisymmetrization of the generic
+element sum_nu m_nu (x) e_nu, whose coefficients are the unit columns.
+Each coefficient is summed as one numerator over a running lcm of
+denominators and made canonical once, so integrality is a division test
+on its denominator.
 """
 
 from itertools import combinations, permutations
@@ -336,17 +339,27 @@ class MacdonaldTable:
     def component_matrix(self, d):
         """Decreasing-lex partition list of size d and the D_n^1 columns.
 
-        Column nu maps each mu to the QTPoly entry <m_mu> D_n^1 m_nu.
+        Column nu maps each mu to the QTPoly entry <m_mu> D_n^1 m_nu.  All
+        columns come from one antisymmetrization of the generic element
+        sum_nu m_nu (x) e_nu, whose coefficient at nu is the unit column
+        m_nu: the kernel keys its weights by the partition of the source
+        monomial, so columns never mix, and the antisymmetry witness checks
+        every column in the same pass.  D_0^1 is the empty sum.
         """
         cached = self._matrices.get(d)
         if cached is not None:
             return cached
-        plist = pt.enumerate_partitions(self.n, d)
-        fld = CoeffField.generic_poly()
-        cols = {}
-        for nu in plist:
-            image = apply_D(SymPoly.m(nu, self.n, QTPoly.one()), 1, fld)
-            cols[nu] = image.coeffs
+        n = self.n
+        plist = pt.enumerate_partitions(n, d)
+        cols = {nu: {} for nu in plist}
+        if n:
+            one = QTPoly.one()
+            fld = CoeffField(SymPoly.zero(n), one, QTPoly.q(), QTPoly.t(),
+                             QTPoly.term)
+            generic = SymPoly(n, {nu: SymPoly.m(nu, n, one) for nu in plist})
+            for mu, row in apply_D(generic, 1, fld).coeffs.items():
+                for nu, entry in row.coeffs.items():
+                    cols[nu][mu] = entry
         cached = self._matrices[d] = (plist, cols)
         return cached
 

@@ -20,6 +20,7 @@ from wheelmac.macdonald import (CoeffField, ExactDivisionError, MacdonaldTable,
                                 specialize_P, verify_pieri)
 from wheelmac.scalars import BiRatFunc, ParameterSpec, QTPoly, UniRatFunc
 from wheelmac.symfunc import SymPoly, eval_monomial_symmetric
+from wheelmac.wheel_ideal import basis_I, wheel_kernel_basis
 
 q = BiRatFunc.q()
 t = BiRatFunc.t()
@@ -110,6 +111,8 @@ def test_antisymmetry_witness_catches_a_wrong_table(plant, monkeypatch):
         apply_D(f, 1, fldp)
     with pytest.raises(ExactDivisionError):
         apply_E(f, 1, fldp)
+    with pytest.raises(ExactDivisionError):
+        MacdonaldTable(3).component_matrix(4)
 
 
 _WITNESS_UNDER_O = """
@@ -122,20 +125,29 @@ orbit[1] = (-s, wd)
 md._DELTA_ORBITS[3] = orbit
 f = SymPoly(3, {lam: QTPoly.one() for lam in pt.enumerate_partitions(3, 4)})
 try:
-    md.apply_D(f, 1, md.CoeffField.generic_poly())
+    %s
 except md.ExactDivisionError:
     raise SystemExit(0)
 raise SystemExit(1)
 """
 
 
-def test_antisymmetry_witness_survives_O():
+def _run_under_O(call):
     src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-O", "-c", _WITNESS_UNDER_O],
+    done = subprocess.run([sys.executable, "-O", "-c",
+                           _WITNESS_UNDER_O % call],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_antisymmetry_witness_survives_O():
+    _run_under_O("md.apply_D(f, 1, md.CoeffField.generic_poly())")
+
+
+def test_antisymmetry_witness_survives_O_in_compute_P():
+    _run_under_O("md.MacdonaldTable(3).compute_P((4,))")
 
 
 def test_eigenvalue_examples():
@@ -219,6 +231,46 @@ def test_diagonal_entry_is_eigenvalue():
         for nu in pt.enumerate_partitions(n, d):
             image = apply_D(SymPoly.m(nu, n, QTPoly.one()), 1, fldp)
             assert image.coeffs[nu] == eigenvalue_e1(nu, n)
+
+
+def test_component_matrix_matches_the_per_column_images():
+    fldp = CoeffField.generic_poly()
+    grid = [(n, d) for n in range(1, 6) for d in range(9)] + [(6, 10), (7, 8)]
+    for n, d in grid:
+        plist, cols = MacdonaldTable(n).component_matrix(d)
+        assert plist == pt.enumerate_partitions(n, d)
+        assert list(cols) == plist, (n, d)
+        for nu in plist:
+            image = apply_D(SymPoly.m(nu, n, QTPoly.one()), 1, fldp)
+            assert cols[nu] == image.coeffs, (n, d, nu)
+
+
+def test_component_matrix_applies_D_once_per_component(monkeypatch):
+    calls = []
+
+    def counted(f, rho, fld):
+        calls.append((f.n, rho))
+        return apply_D(f, rho, fld)
+
+    monkeypatch.setattr(md, "apply_D", counted)
+    for n in (2, 3, 4):
+        table = MacdonaldTable(n)
+        for d in range(1, 7):
+            table.component_matrix(d)
+            for lam in pt.enumerate_partitions(n, d):
+                table.compute_P(lam)
+            table.component_matrix(d)
+        assert calls == [(n, 1)] * 6, n
+        del calls[:]
+
+
+def test_P_of_the_empty_partition_in_no_variables():
+    p = ParameterSpec(1, 2)
+    m0 = SymPoly.m((), 0, UniRatFunc.one(p.N))
+    assert MacdonaldTable(0).component_matrix(0) == ([()], {(): {}})
+    assert md.compute_P((), 0) == SymPoly.m((), 0, one)
+    assert specialize_P((), 0, p) == m0
+    assert basis_I(1, 2, 0, 0) == wheel_kernel_basis(1, 2, 0, 0) == [m0]
 
 
 def test_apply_E_examples():
