@@ -31,7 +31,7 @@ from .linalg import EchelonBasis, corank_upower
 from .scalars import ParameterSpec, UniRatFunc
 from .symfunc import (MonomialExpansion, check_sigma, specialized_reader,
                       wheel_collapse)
-from .wheel_ideal import _check_choice, wheel_substitutions
+from .wheel_ideal import _check_choice, _rotation_classes, wheel_substitutions
 
 __all__ = [
     "CharSeries", "relation_rootofunity", "relation_generic",
@@ -118,15 +118,18 @@ def _merge(a, b):
 _FIELDS = ("rootofunity", "generic")
 
 
-def ideal_rows(k, r, n, d, p=None, field="rootofunity"):
+def ideal_rows(k, r, n, d, p=None, field="rootofunity", sigmas=None):
     """Vectors spanning the (n, d) ideal component, over pi_{n,d}.
 
     Rows are e_nu * relation(d', .) for every internal degree d' <= d and
     every filler nu in pi_{n-k-1, d-d'}; for field="generic" the relations
-    run over the wheel substitution sequences, at the root of unity over
-    the residue profiles.  A filler determines mu from the merged key, so
-    a row holds each coefficient once.  Generic rows are the nonzero wheel
-    constraint rows: UniRatFunc entries with u-power denominators.
+    run over the wheel substitution sequences sigmas (None: every one,
+    rotation copies included), at the root of unity over the residue
+    profiles (sigmas is not read).  A rotated sigma's relation is c^d
+    times its class representative's for a unit c, so the ranks pass
+    _rotation_classes(k, r).  A filler determines mu from the merged key,
+    so a row holds each coefficient once.  Generic rows are the nonzero
+    wheel constraint rows: UniRatFunc entries with u-power denominators.
     """
     _check_choice("field", field, _FIELDS)
     if n < k + 1:
@@ -140,8 +143,10 @@ def ideal_rows(k, r, n, d, p=None, field="rootofunity"):
     else:
         p = ParameterSpec.matching(p, k, r)
         zero = UniRatFunc.zero(p.N)
+        if sigmas is None:
+            sigmas = wheel_substitutions(k, r)
         gens = [(dd, relation_generic(dd, sigma, k, r, p))
-                for dd in range(d + 1) for sigma in wheel_substitutions(k, r)]
+                for dd in range(d + 1) for sigma in sigmas]
     rows = []
     for dd, rel in gens:
         if rel.is_zero():
@@ -157,18 +162,20 @@ def ideal_rows(k, r, n, d, p=None, field="rootofunity"):
 
 
 def quotient_dim(k, r, n, d, p=None, field="rootofunity"):
-    """dim of the (n, d) component of R modulo the current relations."""
+    """dim of the (n, d) component of R modulo the current relations.
+
+    The generic relations come from one sigma per rotation class."""
     _check_choice("field", field, _FIELDS)
     ncols = len(pt.enumerate_partitions(n, d))
     if n < k + 1:
         return ncols
-    rows = ideal_rows(k, r, n, d, p, field)
     if field == "rootofunity":
         ech = EchelonBasis(ncols)
-        for row in rows:
+        for row in ideal_rows(k, r, n, d, p, field):
             ech.add(row)
         return ncols - ech.rank
     p = ParameterSpec.matching(p, k, r)
+    rows = ideal_rows(k, r, n, d, p, field, _rotation_classes(k, r))
     return corank_upower(rows, ncols, p.N)
 
 
@@ -346,7 +353,10 @@ def W_space_dim(b, k, r, n, d, p=None):
     e_lam is such a multiple exactly when the counts of its parts 0..r-2
     (padded to n) already break a prefix bound; those multiples are unit
     vectors, so their columns are deleted before the relation rows are
-    ranked.
+    ranked.  The relations are those of one sigma per rotation class: a
+    rotated sigma's rows are unit multiples of its representative's, so
+    the span is that of every sigma (and so is the undercount against
+    chi_C at (k, r) = (2, 3), which the generic rows themselves cause).
     """
     p = ParameterSpec.matching(p, k, r)
     b = check_profile(b, k, r)
@@ -359,7 +369,7 @@ def W_space_dim(b, k, r, n, d, p=None):
     if not keep:
         return 0
     rows = []
-    for row in ideal_rows(k, r, n, d, p, field="generic"):
+    for row in ideal_rows(k, r, n, d, p, "generic", _rotation_classes(k, r)):
         proj = [row[ci] for ci in keep]
         if any(proj):
             rows.append(proj)

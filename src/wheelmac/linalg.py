@@ -6,9 +6,11 @@ Two elimination paths:
     used where the entries are field elements anyway (rational matrices,
     probe mode over a cyclotomic field).
   * ``rank_kernel_poly`` -- the workhorse for tall matrices over
-    Q(zeta_N)[u]: repeated rows (such as rotation copies of wheel and
-    current-algebra rows) are dropped after their first occurrence, then
-    a numeric evaluation of u picks out candidate independent rows
+    Q(zeta_N)[u]: repeated rows are dropped after their first occurrence
+    (the wheel and current-algebra callers pass one sigma per rotation
+    class, so the rotation copies, unit multiples of their class's rows,
+    never reach it), then a numeric evaluation of u picks out candidate
+    independent rows
     (independence at a point implies exact independence),
     the candidates are triangularized exactly with row-content stripping,
     the kernel is read off by fraction-free back-substitution (UniPoly

@@ -59,8 +59,13 @@ class SymPoly:
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n, coeffs=None):
+    def __init__(self, n, coeffs=None, _clean=False):
+        """_clean: coeffs is kept as given, so its keys must already be
+        normal partitions with <= n parts and its coefficients nonzero."""
         self.n = n
+        if _clean:
+            self.coeffs = coeffs
+            return
         clean = {}
         for lam, c in (coeffs or {}).items():
             lam = pt.normalize(lam)
@@ -101,14 +106,15 @@ class SymPoly:
                     out[lam] = w
                 else:
                     out.pop(lam, None)
-            return SymPoly(self.n, out)
+            return SymPoly(self.n, out, _clean=True)
         return NotImplemented
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, s):
-        return SymPoly(self.n, {lam: c * s for lam, c in self.coeffs.items()})
+        return SymPoly(self.n, {lam: w for lam, c in self.coeffs.items()
+                                if (w := c * s)}, _clean=True)
 
     def __mul__(self, other):
         if isinstance(other, SymPoly):

@@ -10,9 +10,13 @@ sigma running over the weakly increasing sequences in {0, ..., r-1}^k
 s_1 + ... + s_{k+1} = r - 1).  Only wheels of length k+1 are generated:
 longer resonant wheels contain one of these.  At the resonance
 t^(k+1) q^(r-1) = 1 the wheel closes into a cycle, so rotating
-(s_1, ..., s_{k+1}) gives the same condition; satisfies_wheel substitutes
-one sigma per rotation class, while constraint_rows keeps every sigma.
-Both substitutions, over K (wheel_substitute) and over a CoeffField
+(s_1, ..., s_{k+1}) gives the same condition.  Every membership test and
+every rank (satisfies_wheel, dim_J, wheel_kernel_basis) uses the first
+sigma of each rotation class (_rotation_classes) only: a rotated sigma's
+row at each key is c^a times the representative's, with c a monomial
+t^i q^j (a unit of K) and a the x_1 degree, so the row span is the same.
+constraint_rows keeps every sigma unless it is given a sigma list.  Both
+substitutions, over K (wheel_substitute) and over a CoeffField
 (_wheel_substitute_fld), are the one collapse symfunc.wheel_expansion.
 
 dim J on the (n, d) component is computed exactly as the corank of the
@@ -108,13 +112,14 @@ def laurent_clear(f, p):
                          for lam, c in zip(f.coeffs, cleared)})
 
 
-def constraint_rows(k, r, n, d, p=None, fld=None):
+def constraint_rows(k, r, n, d, p=None, fld=None, sigmas=None):
     """Rows of the wheel constraint matrix on the (n, d) component.
 
     Yields lists indexed like enumerate_partitions(n, d), with UniRatFunc
     entries (or entries evaluated in fld when probing).  Row provenance is
-    (sigma, free monomial); redundant rotation copies are still yielded,
-    and rank_kernel_poly certifies each distinct row once.  Both branches
+    (sigma, free monomial), for each sigma of sigmas in order; None means
+    every wheel substitution, rotation copies included.  The ranks pass
+    _rotation_classes(k, r), which spans the same rows.  Both branches
     raise ValueError when drained with n <= k: there is no wheel.
     """
     p = ParameterSpec.matching(p, k, r)
@@ -122,7 +127,9 @@ def constraint_rows(k, r, n, d, p=None, fld=None):
     index = {lam: i for i, lam in enumerate(plist)}
     one = UniRatFunc.one(p.N) if fld is None else fld.one
     zero = UniRatFunc.zero(p.N) if fld is None else fld.zero
-    for sigma in wheel_substitutions(k, r):
+    if sigmas is None:
+        sigmas = wheel_substitutions(k, r)
+    for sigma in sigmas:
         by_monomial = {}
         for lam in plist:
             f = SymPoly.m(lam, n, one)
@@ -157,34 +164,41 @@ def random_probe_point(rng):
 def dim_J(k, r, n, d, p=None, mode="exact", seed=0):
     """dim over K of the wheel-condition subspace of Lambda_{n,d}.
 
-    mode="probe" evaluates u at a random rational; the result is an upper
-    bound for the exact dimension (minors can only lose rank), computed in
-    seconds instead of the exact path's polynomial elimination.
+    Both modes rank the rows of one sigma per rotation class, which span
+    the rows of every sigma (see the module docstring).  mode="probe"
+    evaluates u at a random rational; the result is an upper bound for the
+    exact dimension (minors can only lose rank), computed in seconds
+    instead of the exact path's polynomial elimination.
     """
     _check_choice("mode", mode, _MODES)
     p = ParameterSpec.matching(p, k, r)
     ncols = len(pt.enumerate_partitions(n, d))
     if n <= k:
         return ncols
+    sigmas = _rotation_classes(k, r)
     if mode == "probe":
         rng = random.Random(seed)
         fld = CoeffField.numeric(p, random_probe_point(rng))
         ech = EchelonBasis(ncols)
-        for _, row in constraint_rows(k, r, n, d, p, fld=fld):
+        for _, row in constraint_rows(k, r, n, d, p, fld=fld, sigmas=sigmas):
             ech.add(row)
         return ncols - ech.rank
-    return corank_upower((row for _, row in constraint_rows(k, r, n, d, p)),
-                         ncols, p.N)
+    return corank_upower((row for _, row in constraint_rows(
+        k, r, n, d, p, sigmas=sigmas)), ncols, p.N)
 
 
 def wheel_kernel_basis(k, r, n, d, p=None):
-    """Exact basis of J_{n,d} as SymPolys over K (monomial-basis kernel)."""
+    """Exact basis of J_{n,d} as SymPolys over K (monomial-basis kernel).
+
+    The rows are those of one sigma per rotation class; rank_kernel_poly's
+    kernel depends only on their span, which is that of every sigma.
+    """
     p = ParameterSpec.matching(p, k, r)
     plist = pt.enumerate_partitions(n, d)
     if n <= k:
         return [SymPoly.m(lam, n, UniRatFunc.one(p.N)) for lam in plist]
-    rows = (_clear_upower_row(row, p.N)
-            for _, row in constraint_rows(k, r, n, d, p))
+    rows = (_clear_upower_row(row, p.N) for _, row in constraint_rows(
+        k, r, n, d, p, sigmas=_rotation_classes(k, r)))
     _, vecs = rank_kernel_poly(rows, len(plist), p.N)
     out = []
     for vec in vecs:

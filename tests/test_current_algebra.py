@@ -1,10 +1,11 @@
 import gc
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from wheelmac import linalg
+from wheelmac import current_algebra, linalg
 from wheelmac import partitions as pt
 from wheelmac.current_algebra import (K_d_nu, W_space_dim, chi_C,
                                       enumerate_C_sequences, ideal_rows,
@@ -12,10 +13,11 @@ from wheelmac.current_algebra import (K_d_nu, W_space_dim, chi_C,
                                       relation_generic, relation_rootofunity,
                                       residue_profiles, verify_prop302,
                                       verify_recursion)
-from wheelmac.linalg import _clear_upower_row, in_row_span
+from wheelmac.linalg import _clear_upower_row, corank_upower, in_row_span
 from wheelmac.scalars import CycloNum, ParameterSpec, UniPoly, UniRatFunc
 from wheelmac.symfunc import MonomialExpansion, eval_monomial_symmetric
-from wheelmac.wheel_ideal import constraint_rows, wheel_substitutions
+from wheelmac.wheel_ideal import (_rotation_classes, constraint_rows,
+                                  wheel_substitutions)
 
 
 def test_residue_profiles():
@@ -350,6 +352,49 @@ def test_W_space_monotone_in_b():
             assert W_space_dim((0, 0), 1, 3, n, d, p13) \
                 <= W_space_dim((0, 1), 1, 3, n, d, p13) \
                 <= W_space_dim((1, 1), 1, 3, n, d, p13)
+
+
+def test_generic_ranks_over_rotation_classes_match_every_sigma():
+    # the reference ranks the relations of every sigma (ideal_rows with
+    # sigmas=None), deleting the prefix-violating columns itself
+    for k, r in [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)]:
+        p = ParameterSpec(k, r)
+        for n in range(5):
+            for d in range(8):
+                plist = [pt.pad(lam, n) for lam in pt.enumerate_partitions(n, d)]
+                rows = ideal_rows(k, r, n, d, p, field="generic")
+                full = corank_upower(rows, len(plist), p.N) if rows \
+                    else len(plist)
+                assert quotient_dim(k, r, n, d, p, "generic") == full, \
+                    (k, r, n, d)
+                for b in combinations_with_replacement(range(k + 1), r - 1):
+                    keep = [i for i, lam in enumerate(plist)
+                            if all(sum(lam.count(v) for v in range(a + 1))
+                                   <= b[a] for a in range(r - 1))]
+                    proj = [[row[i] for i in keep] for row in rows]
+                    proj = [row for row in proj if any(row)]
+                    ref = corank_upower(proj, len(keep), p.N) if proj \
+                        else len(keep)
+                    assert W_space_dim(b, k, r, n, d, p) == ref, \
+                        (k, r, b, n, d)
+
+
+def test_generic_ranks_take_one_relation_per_class(monkeypatch):
+    calls = []
+    inner = current_algebra.relation_generic
+
+    def counting(d, sigma, k, r, p=None):
+        calls.append(tuple(sigma))
+        return inner(d, sigma, k, r, p)
+
+    monkeypatch.setattr(current_algebra, "relation_generic", counting)
+    for k, r in [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)]:
+        p = ParameterSpec(k, r)
+        for rank in (lambda: quotient_dim(k, r, k + 2, 6, p, "generic"),
+                     lambda: W_space_dim((k,) * (r - 1), k, r, k + 2, 6, p)):
+            del calls[:]
+            rank()
+            assert set(calls) == set(_rotation_classes(k, r)), (k, r)
 
 
 @pytest.mark.xfail(strict=True, reason="W_space_dim ranks the generic "

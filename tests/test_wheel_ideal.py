@@ -357,6 +357,82 @@ def test_satisfies_wheel_substitutes_once_per_class(monkeypatch):
         assert sorted(calls) == sorted(_rotation_representatives(k, r))
 
 
+# (k, r) of the rotation-class rank grid; components n <= 4, d <= 7
+_RANK_KR = [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)]
+_PROBE_SEED = 3
+
+
+def _rank_components(k):
+    return [(n, d) for n in range(k + 1, 5) for d in range(8)]
+
+
+def _every_sigma_ranks(k, r, n, d, p):
+    """Exact dim, probe dim and kernel basis from the rows of every sigma
+    (constraint_rows with sigmas=None), ranked here."""
+    plist = pt.enumerate_partitions(n, d)
+    ncols = len(plist)
+    rows = [_clear_upower_row(row, p.N)
+            for _, row in constraint_rows(k, r, n, d, p)]
+    rank, vecs = rank_kernel_poly(rows, ncols, p.N)
+    basis = [SymPoly(n, {lam: UniRatFunc(x, _canonical=True)
+                         for lam, x in zip(plist, vec)}) for vec in vecs]
+    fld = CoeffField.numeric(
+        p, random_probe_point(random.Random(_PROBE_SEED)))
+    probe = ncols - _field_rank(
+        (row for _, row in constraint_rows(k, r, n, d, p, fld=fld)), ncols)
+    return ncols - rank, probe, basis
+
+
+def test_ranks_over_rotation_classes_match_every_sigma():
+    for k, r in _RANK_KR:
+        p = ParameterSpec(k, r)
+        for n, d in _rank_components(k):
+            exact, probe, basis = _every_sigma_ranks(k, r, n, d, p)
+            assert dim_J(k, r, n, d, p) == exact, (k, r, n, d)
+            assert dim_J(k, r, n, d, p, mode="probe",
+                         seed=_PROBE_SEED) == probe, (k, r, n, d)
+            assert wheel_kernel_basis(k, r, n, d, p) == basis, (k, r, n, d)
+
+
+def test_a_class_list_missing_a_class_changes_dim_J(monkeypatch):
+    # the equivalence above has teeth: ranking all classes but the last
+    # loses rows that no other class spans
+    reference = {(k, r, n, d): _every_sigma_ranks(k, r, n, d,
+                                                  ParameterSpec(k, r))[0]
+                 for k, r in [(1, 3), (2, 3)] for n, d in _rank_components(k)}
+    inner = wheel_ideal._rotation_classes
+    monkeypatch.setattr(wheel_ideal, "_rotation_classes",
+                        lambda k, r: inner(k, r)[:-1])
+    differ = [key for key, dim in reference.items()
+              if dim_J(*key, ParameterSpec(*key[:2])) != dim]
+    assert differ
+    assert dim_J(1, 3, 2, 4) != reference[(1, 3, 2, 4)]
+
+
+def test_ranks_substitute_one_sigma_per_class(monkeypatch):
+    calls = []
+
+    def counting(inner):
+        def wrapper(f, sigma, *args):
+            calls.append(tuple(sigma))
+            return inner(f, sigma, *args)
+        return wrapper
+
+    monkeypatch.setattr(wheel_ideal, "wheel_substitute",
+                        counting(wheel_ideal.wheel_substitute))
+    monkeypatch.setattr(wheel_ideal, "_wheel_substitute_fld",
+                        counting(wheel_ideal._wheel_substitute_fld))
+    for k, r in _RANK_KR:
+        p = ParameterSpec(k, r)
+        n, d = k + 2, 4
+        for rank in (lambda: dim_J(k, r, n, d, p),
+                     lambda: dim_J(k, r, n, d, p, mode="probe"),
+                     lambda: wheel_kernel_basis(k, r, n, d, p)):
+            del calls[:]
+            rank()
+            assert set(calls) == set(_rotation_classes(k, r)), (k, r)
+
+
 def test_satisfies_wheel_needs_the_resonance():
     # at (k, r) = (1, 3) the field has t^3 q^2 = u, not 1
     f = SymPoly.zero(3)
