@@ -10,9 +10,10 @@ first-order operators E_m built from the q-derivative.  Both are applied
 by antisymmetrization (Macdonald, SFHP VI.3): A_I(x;t) = T_{t,I}(a_delta)
 / a_delta, so a_delta Op f is a sum over w in S_n and the subsets I that
 needs no x-denominators.  It is evaluated only at the dominant exponents
-lam + delta, as integer weights on monomials of q and t, and Op f is read
-off by a unitriangular solve with +-1 entries: no Vandermonde product is
-assembled and nothing is divided.  The exactness witness is the
+lam + delta, as one integer q^a t^b table per source partition that the
+field's table reader reads (as it reads wheel_collapse's), and Op f is
+read off by a unitriangular solve with +-1 entries: no Vandermonde
+product is assembled and nothing is divided.  The exactness witness is the
 antisymmetry of a_delta Op f: its weights at an exponent with the first
 two entries swapped must be exactly the negatives, or ExactDivisionError
 (a check that also runs under python -O).
@@ -32,7 +33,8 @@ from itertools import combinations, permutations
 
 from . import partitions as pt
 from .scalars import (BiRatFunc, CycloNum, ExactDivisionError, LaurentPoly,
-                      PoleError, QTPoly, UniRatFunc, _lpoly, qt_divexact)
+                      PoleError, QTPoly, UniRatFunc, _lpoly, qt_divexact,
+                      sum_of_products)
 from .symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
                       monomials_to_m, specialized_reader, sympoly_mul)
 
@@ -47,7 +49,7 @@ __all__ = [
 
 class CoeffField:
     """The coefficient ring an operator runs over: its 0, 1, q and t, the
-    map from_int of ints into it, its reader of wheel_collapse tables and
+    map from_int of ints into it, its reader of integer q^a t^b tables and
     the ParameterSpec spec it specializes (None for Q(q, t) and Q[q, t]).
     Power caches are per-instance; instances are cheap and callers
     normally create one per computation.
@@ -70,13 +72,13 @@ class CoeffField:
     def generic_poly(cls):
         """Q[q, t] -- enough for operator application and eigenvalues."""
         return cls(QTPoly.zero(), QTPoly.one(), QTPoly.q(), QTPoly.t(),
-                   lambda i: QTPoly.term(i))
+                   QTPoly.term, lambda counts: counts)
 
     @classmethod
     def generic(cls):
         """Q(q, t)."""
         return cls(BiRatFunc.zero(), BiRatFunc.one(), BiRatFunc.q(),
-                   BiRatFunc.t(), BiRatFunc.const)
+                   BiRatFunc.t(), BiRatFunc.const, BiRatFunc.from_poly)
 
     @classmethod
     def specialized(cls, p):
@@ -113,8 +115,8 @@ class CoeffField:
                    lambda i: CycloNum.from_rational(N, i), spec=p)
 
     def table_reader(self):
-        """The map from a wheel_collapse table to its value in this ring:
-        the constructor's, or the sum of from_int(v) q^a t^b."""
+        """The map from a QTPoly of integer counts per q^a t^b to its value
+        in this ring: the constructor's, or the sum of from_int(v) q^a t^b."""
         return self._read or (lambda counts: sum(
             (self.from_int(v) * self.qpow(a) * self.tpow(b)
              for (a, b), v in counts.d.items()), self.zero))
@@ -168,8 +170,10 @@ def _antisymmetrize(f, fld, tops, payload):
     payload(beta, w.delta) yields (alpha, a, b) when f has the monomial
     x^alpha and P_I carries it to x^beta with weight t^a q^b; N is only
     collected at the dominant exponents lam + delta, as integer weights on
-    (partition of alpha, a, b).  N is antisymmetric, so the weights at the
-    exponent with its first two entries swapped must be exactly the
+    (partition of alpha, a, b): one table of counts per q^b t^a for each
+    partition, read once by fld.table_reader() and summed against f's
+    coefficients by sum_of_products.  N is antisymmetric, so the weights
+    at the exponent with its first two entries swapped must be exactly the
     negatives, or ExactDivisionError: a wrong sign or t-weight breaks it.
     Then g = Op f solves N_(lam+delta) = sum_w eps(w) g_sort(lam+delta-w.delta),
     unitriangular in decreasing lex order, by additions alone.  Op f is
@@ -179,7 +183,7 @@ def _antisymmetrize(f, fld, tops, payload):
     orbit = _delta_orbit(n)
     coeffs = {pt.pad(nu, n): c for nu, c in f.coeffs.items()}
     shapes = {}
-    monos = {}
+    read = fld.table_reader()
 
     def weights(e):
         acc = {}
@@ -200,19 +204,11 @@ def _antisymmetrize(f, fld, tops, payload):
         return acc
 
     def value(acc):
-        by_nu = {}
+        tables = {}
         for (nu, a, b), v in acc.items():
-            mono = monos.get((a, b))
-            if mono is None:
-                mono = monos[(a, b)] = fld.tpow(a) * fld.qpow(b)
-            if v != 1:
-                mono = fld.from_int(v) * mono
-            w = by_nu.get(nu)
-            by_nu[nu] = mono if w is None else w + mono
-        total = fld.zero
-        for nu, w in by_nu.items():
-            total = total + coeffs[nu] * w
-        return total
+            tables.setdefault(nu, {})[(b, a)] = v
+        return sum_of_products([(read(QTPoly(table, _clean=True)), coeffs[nu])
+                                for nu, table in tables.items()], fld.zero)
 
     lams = set()
     for d in {sum(top) for top in tops}:
@@ -355,7 +351,7 @@ class MacdonaldTable:
         if n:
             one = QTPoly.one()
             fld = CoeffField(SymPoly.zero(n), one, QTPoly.q(), QTPoly.t(),
-                             QTPoly.term)
+                             QTPoly.term, lambda counts: counts)
             generic = SymPoly(n, {nu: SymPoly.m(nu, n, one) for nu in plist})
             for mu, row in apply_D(generic, 1, fld).coeffs.items():
                 for nu, entry in row.coeffs.items():
@@ -377,6 +373,7 @@ class MacdonaldTable:
         plist, cols = self.component_matrix(pt.size(lam))
         eps_lam = self.eps1(lam)
         u = {lam: BiRatFunc.one()}
+        merges = {}  # (den, b) -> (den / g, b / g, lcm), g = gcd(den, b)
         start = plist.index(lam)
         for mu in plist[start + 1:]:
             num = den = None
@@ -390,9 +387,12 @@ class MacdonaldTable:
                 elif b == den:
                     num = num + term
                 else:
-                    _, dg, b = den.gcd(b)
+                    got = merges.get((den, b))
+                    if got is None:
+                        _, dg, b2 = den.gcd(b)
+                        got = merges[den, b] = (dg, b2, den * b2)
+                    dg, b, den = got
                     num = num * b + term * dg
-                    den = den * b
             if num is None or num.is_zero():
                 continue
             diff = eps_lam - self.eps1(mu)

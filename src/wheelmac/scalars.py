@@ -55,7 +55,7 @@ __all__ = [
     "CycloNum", "UniPoly", "UniRatFunc", "LaurentPoly", "QTPoly", "BiRatFunc",
     "ParameterSpec", "MixedFieldError", "PoleError", "ExactDivisionError",
     "cyclotomic_polynomial", "euler_phi",
-    "qt_gcd", "qt_divexact", "render_scalar",
+    "qt_gcd", "qt_divexact", "render_scalar", "sum_of_products",
 ]
 
 _ZERO = Fraction(0)
@@ -727,6 +727,28 @@ def _lpoly(N, c, den=1):
     p = object.__new__(LaurentPoly)
     p.N, p.c, p.den = N, c, den
     return p
+
+
+def sum_of_products(pairs, zero):
+    """The sum of a * b over a list of pairs (a, b), b = None standing for
+    1, or zero (the ring's 0) if the list is empty.  LaurentPolys a over Q
+    sum in one int dict over the lcm of the denominators (a rational b read
+    as a constant), made canonical once by _lpoly; other rings sum a * b."""
+    first = pairs[0][0] if pairs else zero
+    if type(first) is not LaurentPoly or first.N > 2:
+        terms = [a if b is None else a * b for a, b in pairs] or [zero]
+        return sum(terms[1:], terms[0])
+    N, out = first.N, {}
+    pairs = [(a, b if type(b) is LaurentPoly else LaurentPoly.const(
+        N, 1 if b is None else b)) for a, b in pairs]
+    den = lcm(*[a.den * b.den for a, b in pairs])
+    for a, b in pairs:
+        s = den // (a.den * b.den)
+        for eb, y in b.c.items():
+            y *= s
+            for ea, x in a.c.items():
+                out[ea + eb] = out.get(ea + eb, 0) + x * y
+    return _lpoly(N, {e: v for e, v in out.items() if v}, den)
 
 
 class _RatFunc(_Field):

@@ -17,7 +17,7 @@ from math import factorial
 from operator import mul
 
 from . import partitions as pt
-from .scalars import QTPoly, UniRatFunc
+from .scalars import QTPoly, UniRatFunc, sum_of_products
 
 __all__ = [
     "SymPoly", "MonomialExpansion", "m_to_monomials", "monomials_to_m",
@@ -332,26 +332,24 @@ def wheel_expansion(f, sigma, read, p=None):
     """The one wheel collapse: f at x_{i+1} = t^i q^(sigma_i) x_1, i = 1..k.
 
     Each m_lam of f collapses to integer tables (wheel_collapse), one per
-    key; read turns a table into a coefficient, which is scaled by f's
-    coefficient and summed per key, zeros skipped.  sigma must pass
+    key; read turns a table into a coefficient, and its products with f's
+    coefficients (no product for a coefficient 1) are summed per key by
+    sum_of_products, zero readings skipped.  sigma must pass
     check_sigma when the ParameterSpec p is given; f needs n >= k+1.
     """
     if p is not None:
         sigma = check_sigma(sigma, p.k, p.r)
     k = len(sigma)
     check_wheel_size(f.n, k)
-    out = {}
+    pairs = {}
     for lam, c in f.coeffs.items():
-        scaled = c != 1
+        c = None if c == 1 else c
         for key, counts in wheel_collapse(lam, f.n, sigma).items():
             v = read(counts)
-            if not v:
-                continue
-            if scaled:
-                v = v * c
-            w = out.get(key)
-            out[key] = v if w is None else w + v
-    return MonomialExpansion(f.n - k, out)
+            if v:
+                pairs.setdefault(key, []).append((v, c))
+    return MonomialExpansion(f.n - k, {key: sum_of_products(ps, None)
+                                       for key, ps in pairs.items()})
 
 
 def restrict_derivative(f, j, one=Fraction(1)):

@@ -18,7 +18,8 @@ from wheelmac.macdonald import (CoeffField, ExactDivisionError, MacdonaldTable,
                                 integral_form_factor, psi_dblprime,
                                 psi_prime, qpochhammer_ratio,
                                 specialize_P, verify_pieri)
-from wheelmac.scalars import BiRatFunc, ParameterSpec, QTPoly, UniRatFunc
+from wheelmac.scalars import (BiRatFunc, CycloNum, LaurentPoly, ParameterSpec,
+                              QTPoly, UniRatFunc)
 from wheelmac.symfunc import SymPoly, eval_monomial_symmetric
 from wheelmac.wheel_ideal import basis_I, wheel_kernel_basis
 
@@ -243,6 +244,54 @@ def test_component_matrix_matches_the_per_column_images():
         for nu in plist:
             image = apply_D(SymPoly.m(nu, n, QTPoly.one()), 1, fldp)
             assert cols[nu] == image.coeffs, (n, d, nu)
+
+
+def _per_weight_field(fld):
+    """fld with a reference reader: each weight v q^a t^b of a table read
+    on its own, as from_int(v) * q**a * t**b."""
+    return CoeffField(fld.zero, fld.one, fld.q, fld.t, fld.from_int,
+                      lambda counts: sum((fld.from_int(v) * fld.q ** a
+                                          * fld.t ** b for (a, b), v in
+                                          counts.d.items()), fld.zero))
+
+
+def test_operators_match_a_per_weight_reference(monkeypatch):
+    # each field's table reader and sum_of_products against reading every
+    # weight on its own and summing the products plainly; the Laurent
+    # fields cover N = 1, 2 (omega1 = -1) and 3, with coefficients over
+    # unequal denominators
+    rng = random.Random(47)
+
+    def rand_frac():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    fields = [(CoeffField.laurent(ParameterSpec(k, r)), lambda fld: sum(
+        (LaurentPoly.monomial(fld.spec.N, e, rand_frac())
+         for e in rng.sample(range(-3, 4), 2)), fld.zero))
+        for k, r in [(1, 2), (1, 3), (2, 3), (1, 4)]]
+    fields.append((CoeffField(Fraction(0), Fraction(1), Fraction(5, 2),
+                              Fraction(-3), Fraction), lambda fld: rand_frac()))
+    fields.append((CoeffField.generic(), lambda fld: BiRatFunc.const(
+        rand_frac()) + fld.q * rand_frac() / (fld.one - fld.t)))
+    fields.append((CoeffField.numeric(ParameterSpec(1, 4), Fraction(7, 3)),
+                   lambda fld: CycloNum.zeta(3) * rand_frac() + rand_frac()))
+    for fld, coeff in fields:
+        ref = _per_weight_field(fld)
+        for n in (1, 2, 3):
+            f = SymPoly(n, {lam: coeff(fld) for d in (2, 3)
+                            for lam in pt.enumerate_partitions(n, d)})
+            ops = [(apply_D, rho) for rho in range(1, n + 1)] + \
+                  [(apply_E, m) for m in range(3)]
+            got = [op(f, arg, fld) for op, arg in ops]
+            with monkeypatch.context() as mp:
+                mp.setattr(md, "sum_of_products", lambda pairs, zero: sum(
+                    (a if b is None else a * b for a, b in pairs), zero))
+                want = [op(f, arg, ref) for op, arg in ops]
+            assert got == want, (fld.zero, n)
+    table = QTPoly({(2, 1): 3, (0, 4): -1})
+    assert CoeffField.generic_poly().table_reader()(table) is table
+    assert CoeffField.generic().table_reader()(table) == \
+        BiRatFunc.from_poly(table)
 
 
 def test_component_matrix_applies_D_once_per_component(monkeypatch):

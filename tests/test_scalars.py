@@ -13,7 +13,7 @@ from wheelmac.scalars import (BiRatFunc, CycloNum, ExactDivisionError,
                               LaurentPoly, MixedFieldError, ParameterSpec,
                               PoleError, QTPoly, UniPoly, UniRatFunc,
                               cyclotomic_polynomial, euler_phi, qt_divexact,
-                              qt_gcd, render_scalar)
+                              qt_gcd, render_scalar, sum_of_products)
 
 q = BiRatFunc.q()
 t = BiRatFunc.t()
@@ -304,6 +304,44 @@ def test_laurent_poly_contract(N):
             check(a ** e, {ea * e: x ** e})
     if N <= 2:
         assert with_den >= 10
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_sum_of_products_matches_the_plain_sum(N, monkeypatch):
+    """The fused int lane (N <= 2) and the ring-generic one (CycloNums,
+    N = 3, 4) against sum(a * b): unequal denominators, b = None (no
+    product) and rational b, total cancellation and the empty list."""
+    rng = random.Random(90 + N)
+    zero = LaurentPoly.zero(N)
+
+    def rand():
+        return LaurentPoly(N, {e: _rand_cyclo(rng, N) for e in
+                               rng.sample(range(-4, 5), rng.randint(1, 4))})
+
+    assert sum_of_products([], zero) == zero
+    products, mul = [], LaurentPoly.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    mixed = 0
+    for _ in range(40):
+        pairs = [(rand(), rng.choice([
+            rand(), None, Fraction(rng.choice([-3, 2, 5]), rng.randint(1, 4))]))
+            for _ in range(rng.randint(1, 4))]
+        mixed += len({a.den for a, _ in pairs}) > 1
+        want = sum((a if b is None else a * b for a, b in pairs), zero)
+        del products[:]
+        got = sum_of_products(pairs, zero)
+        assert (got.den, got.c) == (want.den, want.c)
+        assert not products if N <= 2 else len(products) == sum(
+            b is not None for _, b in pairs)
+        gone = sum_of_products(pairs + [(-a, b) for a, b in pairs], zero)
+        assert (gone.den, gone.c) == (1, {})
+    if N <= 2:
+        assert mixed >= 10
 
 
 _INEXACT_UNDER_O = """
