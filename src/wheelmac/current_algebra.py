@@ -29,9 +29,9 @@ from itertools import accumulate, combinations
 from . import partitions as pt
 from .linalg import EchelonBasis, corank_upower
 from .scalars import ParameterSpec, UniRatFunc
-from .symfunc import (MonomialExpansion, check_sigma, specialized_reader,
-                      wheel_collapse)
-from .wheel_ideal import _check_choice, _rotation_classes, wheel_substitutions
+from .symfunc import MonomialExpansion, check_sigma, specialized_reader
+from .wheel_ideal import (_check_choice, _merge, _relation, _relation_rows,
+                          _rotation_classes, dim_J, wheel_substitutions)
 
 __all__ = [
     "CharSeries", "relation_rootofunity", "relation_generic",
@@ -97,22 +97,12 @@ def relation_rootofunity(d, nu, k, r):
 def relation_generic(d, sigma, k, r, p=None):
     """z^d coefficient of e(z) e(c_1 z) ... e(c_k z), c_i = t^i q^(sigma_i).
 
-    m_mu(1, c_1, ..., c_k) is the (d,) entry of symfunc.wheel_collapse(mu,
-    k+1, sigma), orbit counts per q^a t^b, read by specialized_reader.
+    The wheel_ideal relation reader over K: m_mu(1, c_1, ..., c_k) read
+    from the orbit counts of symfunc.wheel_collapse by specialized_reader.
     sigma must pass check_sigma."""
     sigma = check_sigma(sigma, k, r)
     p = ParameterSpec.matching(p, k, r)
-    read = specialized_reader(p)
-    terms = {}
-    for mu in pt.enumerate_partitions(k + 1, d):
-        c = read(wheel_collapse(mu, k + 1, sigma)[(d,)])
-        if c:
-            terms[pt.pad(mu, k + 1)] = c
-    return MonomialExpansion(k + 1, terms)
-
-
-def _merge(a, b):
-    return tuple(sorted(a + b, reverse=True))
+    return _relation(d, sigma, specialized_reader(p))
 
 
 _FIELDS = ("rootofunity", "generic")
@@ -122,61 +112,42 @@ def ideal_rows(k, r, n, d, p=None, field="rootofunity", sigmas=None):
     """Vectors spanning the (n, d) ideal component, over pi_{n,d}.
 
     Rows are e_nu * relation(d', .) for every internal degree d' <= d and
-    every filler nu in pi_{n-k-1, d-d'}; for field="generic" the relations
-    run over the wheel substitution sequences sigmas (None: every one,
-    rotation copies included), at the root of unity over the residue
-    profiles (sigmas is not read).  A rotated sigma's relation is c^d
-    times its class representative's for a unit c, so the ranks pass
-    _rotation_classes(k, r).  A filler determines mu from the merged key,
-    so a row holds each coefficient once.  Generic rows are the nonzero
-    wheel constraint rows: UniRatFunc entries with u-power denominators.
+    every filler nu in pi_{n-k-1, d-d'} (wheel_ideal._relation_rows); for
+    field="generic" the relations run over the wheel substitution
+    sequences sigmas (None: every one, rotation copies included), at the
+    root of unity over the residue profiles (sigmas is not read).  A
+    rotated sigma's relation is c^d times its class representative's for
+    a unit c, so the ranks pass _rotation_classes(k, r).  Generic rows are
+    the wheel constraint rows, with u-power denominators.
     """
     _check_choice("field", field, _FIELDS)
     if n < k + 1:
         return []
-    plist = pt.enumerate_partitions(n, d)
-    index = {lam: i for i, lam in enumerate(plist)}
     if field == "rootofunity":
         zero = Fraction(0)
-        gens = [(dd, relation_rootofunity(dd, nu, k, r))
+        gens = [(nu, dd, relation_rootofunity(dd, nu, k, r))
                 for dd in range(d + 1) for nu in residue_profiles(k, r)]
     else:
         p = ParameterSpec.matching(p, k, r)
         zero = UniRatFunc.zero(p.N)
         if sigmas is None:
             sigmas = wheel_substitutions(k, r)
-        gens = [(dd, relation_generic(dd, sigma, k, r, p))
+        gens = [(sigma, dd, relation_generic(dd, sigma, k, r, p))
                 for dd in range(d + 1) for sigma in sigmas]
-    rows = []
-    for dd, rel in gens:
-        if rel.is_zero():
-            continue
-        for filler in pt.enumerate_partitions(n - k - 1, d - dd):
-            filler = pt.pad(filler, n - k - 1)
-            row = [zero] * len(plist)
-            for mu, c in rel.terms.items():
-                key = pt.normalize(_merge(mu, filler))
-                row[index[key]] = c
-            rows.append(row)
-    return rows
+    return [row for _, row in _relation_rows(gens, n, d, zero)]
 
 
 def quotient_dim(k, r, n, d, p=None, field="rootofunity"):
-    """dim of the (n, d) component of R modulo the current relations.
-
-    The generic relations come from one sigma per rotation class."""
+    """dim of the (n, d) component of R modulo the current relations; the
+    generic ones times fillers are the wheel rows, so that one is dim_J."""
     _check_choice("field", field, _FIELDS)
+    if field == "generic":
+        return dim_J(k, r, n, d, p)
     ncols = len(pt.enumerate_partitions(n, d))
-    if n < k + 1:
-        return ncols
-    if field == "rootofunity":
-        ech = EchelonBasis(ncols)
-        for row in ideal_rows(k, r, n, d, p, field):
-            ech.add(row)
-        return ncols - ech.rank
-    p = ParameterSpec.matching(p, k, r)
-    rows = ideal_rows(k, r, n, d, p, field, _rotation_classes(k, r))
-    return corank_upower(rows, ncols, p.N)
+    ech = EchelonBasis(ncols)
+    for row in ideal_rows(k, r, n, d, p, field):
+        ech.add(row)
+    return ncols - ech.rank
 
 
 def reduce_to_admissible(lam, k, r):

@@ -7,10 +7,10 @@ Two elimination paths:
     probe mode over a cyclotomic field).
   * ``rank_kernel_poly`` -- the workhorse for tall matrices over
     Q(zeta_N)[u]: repeated rows are dropped after their first occurrence
-    (the wheel and current-algebra callers pass one sigma per rotation
-    class, so the rotation copies, unit multiples of their class's rows,
-    never reach it), then a numeric evaluation of u picks out candidate
-    independent rows
+    (the wheel matrix holds one row per relation and filler, and its
+    callers pass one sigma per rotation class, so the rotation copies,
+    unit multiples of their class's rows, never reach it), then a numeric
+    evaluation of u picks out candidate independent rows
     (independence at a point implies exact independence),
     the candidates are triangularized exactly with row-content stripping,
     the kernel is read off by fraction-free back-substitution (UniPoly

@@ -730,17 +730,17 @@ def _lpoly(N, c, den=1):
 
 
 def sum_of_products(pairs, zero):
-    """The sum of a * b over a list of pairs (a, b), b = None standing for
-    1, or zero (the ring's 0) if the list is empty.  LaurentPolys a over Q
-    sum in one int dict over the lcm of the denominators (a rational b read
-    as a constant), made canonical once by _lpoly; other rings sum a * b."""
+    """The sum of a * b over a list of pairs (a, b), or zero (the ring's 0)
+    if the list is empty.  LaurentPolys a over Q sum in one int dict over
+    the lcm of the denominators (a rational b read as a constant), made
+    canonical once by _lpoly; other rings sum a * b."""
     first = pairs[0][0] if pairs else zero
     if type(first) is not LaurentPoly or first.N > 2:
-        terms = [a if b is None else a * b for a, b in pairs] or [zero]
+        terms = [a * b for a, b in pairs] or [zero]
         return sum(terms[1:], terms[0])
     N, out = first.N, {}
-    pairs = [(a, b if type(b) is LaurentPoly else LaurentPoly.const(
-        N, 1 if b is None else b)) for a, b in pairs]
+    pairs = [(a, b if type(b) is LaurentPoly else LaurentPoly.const(N, b))
+             for a, b in pairs]
     den = lcm(*[a.den * b.den for a, b in pairs])
     for a, b in pairs:
         s = den // (a.den * b.den)
@@ -749,6 +749,11 @@ def sum_of_products(pairs, zero):
             for ea, x in a.c.items():
                 out[ea + eb] = out.get(ea + eb, 0) + x * y
     return _lpoly(N, {e: v for e, v in out.items() if v}, den)
+
+
+def _cofactors(a, b):
+    """a/g and b/g for g = gcd(a, b); no gcd is taken when a or b is 1."""
+    return (a, b) if a.is_one() or b.is_one() else a.gcd(b)[1:]
 
 
 class _RatFunc(_Field):
@@ -831,8 +836,8 @@ class _RatFunc(_Field):
         if self.den.is_one() and o.den.is_one():
             return type(self)(self.num * o.num, self.den, _canonical=True)
         # cross-cancel before multiplying; n1 n2 and d1 d2 are then coprime
-        _, n1, d2 = self.num.gcd(o.den)
-        _, n2, d1 = o.num.gcd(self.den)
+        n1, d2 = _cofactors(self.num, o.den)
+        n2, d1 = _cofactors(o.num, self.den)
         return type(self)(n1 * n2, d1 * d2, _coprime=True)
 
     __rmul__ = __mul__

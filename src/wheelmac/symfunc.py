@@ -8,7 +8,7 @@ monomials e_lam in the same class.  Coefficients can be any of the scalar
 types from ``wheelmac.scalars`` (or plain ints/Fractions); the code only
 relies on ring arithmetic and truthiness for zero tests.
 
-Every wheel substitution is one collapse (wheel_expansion) into integer
+Every wheel substitution is one collapse (wheel_substitute) into integer
 orbit counts per q^a t^b, which a reader turns into coefficients.
 """
 
@@ -22,7 +22,7 @@ from .scalars import QTPoly, UniRatFunc, sum_of_products
 __all__ = [
     "SymPoly", "MonomialExpansion", "m_to_monomials", "monomials_to_m",
     "sympoly_mul", "check_sigma", "check_wheel_size", "wheel_collapse",
-    "wheel_expansion", "wheel_substitute", "specialized_reader",
+    "wheel_substitute", "specialized_reader",
     "restrict_derivative", "orbit_of",
     "eval_monomial_symmetric",
 ]
@@ -309,18 +309,6 @@ def wheel_collapse(lam, n, sigma):
     return {key: QTPoly(row, _clean=True) for key, row in counts.items()}
 
 
-def wheel_substitute(f, sigma, p):
-    """Substitute the wheel x_{i+1} = t^i q^{sigma_i} x_1, i = 1..k.
-
-    sigma is the cumulative exponent sequence (sigma_i = s_1 + ... + s_i),
-    weakly increasing inside {0, ..., r-1}; the first k+1 variables
-    collapse onto the line through x_1 and the rest stay free.  Returns
-    the expansion in the free variables (slot 0 is x_1, then
-    x_{k+2}, ..., x_n) with coefficients over the specialized field.
-    """
-    return wheel_expansion(f, sigma, specialized_reader(p), p)
-
-
 def specialized_reader(p):
     """Reads a wheel_collapse table into K: specialized, then made a
     canonical UniRatFunc once, with no gcd."""
@@ -328,22 +316,30 @@ def specialized_reader(p):
     return lambda counts: UniRatFunc.from_laurent(N, p.specialize_poly(counts))
 
 
-def wheel_expansion(f, sigma, read, p=None):
-    """The one wheel collapse: f at x_{i+1} = t^i q^(sigma_i) x_1, i = 1..k.
+def wheel_substitute(f, sigma, p=None, read=None):
+    """Substitute the wheel x_{i+1} = t^i q^{sigma_i} x_1, i = 1..k.
 
-    Each m_lam of f collapses to integer tables (wheel_collapse), one per
-    key; read turns a table into a coefficient, and its products with f's
-    coefficients (no product for a coefficient 1) are summed per key by
-    sum_of_products, zero readings skipped.  sigma must pass
-    check_sigma when the ParameterSpec p is given; f needs n >= k+1.
+    sigma is the cumulative exponent sequence (sigma_i = s_1 + ... + s_i),
+    weakly increasing inside {0, ..., r-1}; the first k+1 variables
+    collapse onto the line through x_1 and the rest stay free.  Returns
+    the expansion in the free variables (slot 0 is x_1, then
+    x_{k+2}, ..., x_n).  Each m_lam of f collapses to integer tables
+    (wheel_collapse), one per key; read turns a table into a coefficient
+    (by default specialized_reader(p), into K), and its products with f's
+    coefficients are summed per key by sum_of_products, zero readings
+    skipped.  sigma must pass check_sigma when the ParameterSpec p is
+    given; f needs n >= k+1.
     """
     if p is not None:
         sigma = check_sigma(sigma, p.k, p.r)
+    if read is None:
+        if p is None:
+            raise TypeError("wheel_substitute needs p or read")
+        read = specialized_reader(p)
     k = len(sigma)
     check_wheel_size(f.n, k)
     pairs = {}
     for lam, c in f.coeffs.items():
-        c = None if c == 1 else c
         for key, counts in wheel_collapse(lam, f.n, sigma).items():
             v = read(counts)
             if v:

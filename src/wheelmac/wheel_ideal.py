@@ -13,19 +13,19 @@ t^(k+1) q^(r-1) = 1 the wheel closes into a cycle, so rotating
 (s_1, ..., s_{k+1}) gives the same condition.  Every membership test and
 every rank (satisfies_wheel, dim_J, wheel_kernel_basis) uses the first
 sigma of each rotation class (_rotation_classes) only: a rotated sigma's
-row at each key is c^a times the representative's, with c a monomial
-t^i q^j (a unit of K) and a the x_1 degree, so the row span is the same.
-constraint_rows keeps every sigma unless it is given a sigma list.  Both
-substitutions, over K (wheel_substitute) and over a CoeffField
-(_wheel_substitute_fld), are the one collapse symfunc.wheel_expansion.
+relation of internal degree dd is c^dd times the representative's, with
+c a monomial t^i q^j (a unit of K), so the row span is the same.
+Membership substitutes f itself (symfunc.wheel_substitute, over a
+CoeffField through _wheel_substitute_fld).
 
-dim J on the (n, d) component is computed exactly as the corank of the
-constraint matrix whose rows are indexed by (sigma, free monomial) and
-whose columns are the monomial-symmetric basis of the component; rows are
-cleared to polynomial entries in u and eliminated fraction-free.  The
-probe mode evaluates u at a random non-resonant rational first, which can
-only overestimate the kernel: it gives an upper bound for dim J, not a
-certified value, and only the exact mode certifies a dimension.
+The wheel fixes x_{k+2}, ..., x_n, so the constraint matrix is built once,
+as current relations in k+1 variables (_relation) times filler monomials
+in the free variables (_relation_rows), which current_algebra.ideal_rows
+shares.  dim J on the (n, d) component is its exact corank over the
+monomial-symmetric basis; rows are cleared to polynomial entries in u and
+eliminated fraction-free.  The probe mode evaluates u at a random
+non-resonant rational first, which can only overestimate the kernel: it
+gives an upper bound for dim J, not a certified value.
 """
 
 import random
@@ -37,8 +37,9 @@ from .linalg import (EchelonBasis, _clear_denominators, _clear_upower_row,
                      corank_upower, rank_kernel_poly)
 from .macdonald import CoeffField, MacdonaldTable, apply_D, apply_E, specialize_P
 from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
-from .symfunc import (SymPoly, restrict_derivative, wheel_expansion,
-                      wheel_substitute)
+from .symfunc import (MonomialExpansion, SymPoly, check_sigma,
+                      check_wheel_size, restrict_derivative,
+                      specialized_reader, wheel_collapse, wheel_substitute)
 
 __all__ = [
     "wheel_substitutions", "satisfies_wheel", "dim_J", "basis_I",
@@ -112,44 +113,69 @@ def laurent_clear(f, p):
                          for lam, c in zip(f.coeffs, cleared)})
 
 
+def _merge(a, b):
+    return tuple(sorted(a + b, reverse=True))
+
+
+def _relation(dd, sigma, read):
+    """The z^dd coefficient of e(z) e(c_1 z) ... e(c_k z), c_i =
+    t^i q^(sigma_i): m_mu(1, c_1, ..., c_k) is the (dd,) table of
+    wheel_collapse(mu, k+1, sigma), read by read; keys padded to k+1."""
+    k1 = len(sigma) + 1
+    return MonomialExpansion(k1, {
+        pt.pad(mu, k1): read(wheel_collapse(mu, k1, sigma)[(dd,)])
+        for mu in pt.enumerate_partitions(k1, dd)})
+
+
+def _relation_rows(gens, n, d, zero):
+    """((label, (dd,) + nu), row) for each (label, dd, rel) of gens and
+    each filler nu in pi_{n-k-1, d-dd}, padded: the row of e_nu * rel over
+    pi_{n,d}.  nu fixes mu from merge(mu, nu), so a row holds each
+    coefficient of rel once; a zero rel yields nothing."""
+    plist = pt.enumerate_partitions(n, d)
+    index = {lam: i for i, lam in enumerate(plist)}
+    for label, dd, rel in gens:
+        if rel.is_zero():
+            continue
+        m = n - rel.n
+        for filler in pt.enumerate_partitions(m, d - dd):
+            filler = pt.pad(filler, m)
+            row = [zero] * len(plist)
+            for mu, c in rel.terms.items():
+                row[index[pt.normalize(_merge(mu, filler))]] = c
+            yield (label, (dd,) + filler), row
+
+
 def constraint_rows(k, r, n, d, p=None, fld=None, sigmas=None):
     """Rows of the wheel constraint matrix on the (n, d) component.
 
-    Yields lists indexed like enumerate_partitions(n, d), with UniRatFunc
-    entries (or entries evaluated in fld when probing).  Row provenance is
-    (sigma, free monomial), for each sigma of sigmas in order; None means
-    every wheel substitution, rotation copies included.  The ranks pass
-    _rotation_classes(k, r), which spans the same rows.  Both branches
-    raise ValueError when drained with n <= k: there is no wheel.
+    Yields ((sigma, (dd,) + nu), row), row a list indexed like
+    enumerate_partitions(n, d) with UniRatFunc entries (or entries in fld
+    when probing): the relation of sigma in internal degree dd times the
+    filler nu, each row once.  Degrees ascend, and within one the sigmas
+    (None: every wheel substitution, rotation copies included) keep their
+    order, so the ranks' row selection meets the low-degree rows first.
+    The ranks pass _rotation_classes(k, r), which spans the same rows.
+    Drained, it raises ValueError when n <= k (no wheel) or on a bad sigma.
     """
     p = ParameterSpec.matching(p, k, r)
-    plist = pt.enumerate_partitions(n, d)
-    index = {lam: i for i, lam in enumerate(plist)}
-    one = UniRatFunc.one(p.N) if fld is None else fld.one
-    zero = UniRatFunc.zero(p.N) if fld is None else fld.zero
+    check_wheel_size(n, k)
+    if fld is None:
+        read, zero = specialized_reader(p), UniRatFunc.zero(p.N)
+    else:
+        read, zero = fld.table_reader(), fld.zero
     if sigmas is None:
         sigmas = wheel_substitutions(k, r)
-    for sigma in sigmas:
-        by_monomial = {}
-        for lam in plist:
-            f = SymPoly.m(lam, n, one)
-            if fld is None:
-                expansion = wheel_substitute(f, sigma, p)
-            else:
-                expansion = _wheel_substitute_fld(f, sigma, fld)
-            for mono, c in expansion.terms.items():
-                row = by_monomial.get(mono)
-                if row is None:
-                    row = by_monomial[mono] = [zero] * len(plist)
-                row[index[lam]] = c
-        for mono in sorted(by_monomial):
-            yield (sigma, mono), by_monomial[mono]
+    sigmas = [check_sigma(sigma, k, r) for sigma in sigmas]
+    yield from _relation_rows(((sigma, dd, _relation(dd, sigma, read))
+                               for dd in range(d + 1) for sigma in sigmas),
+                              n, d, zero)
 
 
 def _wheel_substitute_fld(f, sigma, fld):
     """wheel_substitute over a CoeffField, reading each table with fld's
     reader; sigma is checked against fld.spec when fld has one."""
-    return wheel_expansion(f, sigma, fld.table_reader(), fld.spec)
+    return wheel_substitute(f, sigma, fld.spec, fld.table_reader())
 
 
 def random_probe_point(rng):

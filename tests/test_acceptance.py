@@ -21,10 +21,11 @@ from wheelmac.macdonald import (CoeffField, apply_D, apply_E, cauchy_row_check,
 from wheelmac.scalars import (BiRatFunc, ParameterSpec, QTPoly, UniRatFunc,
                               qt_divexact, qt_gcd)
 from wheelmac.symfunc import SymPoly
-from wheelmac.wheel_ideal import (_wheel_substitute_fld, constraint_rows,
-                                  laurent_clear, verify_rho_inclusion,
-                                  verify_theorem1, wheel_kernel_basis,
-                                  wheel_substitutions)
+from wheelmac.wheel_ideal import (_wheel_substitute_fld, laurent_clear,
+                                  verify_rho_inclusion, verify_theorem1,
+                                  wheel_kernel_basis, wheel_substitutions)
+
+from test_wheel_ideal import _reference_rows
 
 KR_GRID = [(1, 2), (1, 3), (2, 2), (2, 3)]
 
@@ -284,8 +285,9 @@ def test_criterion_11_duality():
         zero = UniRatFunc.zero(p.N)
         for d in range(7):
             plist = pt.enumerate_partitions(k + 1, d)
-            rows = {key: row
-                    for key, row in constraint_rows(k, r, k + 1, d, p)}
+            # the wheel rows by the per-m_lam substitution, not by the
+            # relation reader that relation_generic and constraint_rows share
+            rows = _reference_rows(k, r, k + 1, d, p)
             for sigma in wheel_substitutions(k, r):
                 rel = relation_generic(d, sigma, k, r, p)
                 vec = [rel.terms.get(pt.pad(lam, k + 1), zero)

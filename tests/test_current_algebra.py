@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from wheelmac import current_algebra, linalg
+from wheelmac import current_algebra, linalg, wheel_ideal
 from wheelmac import partitions as pt
 from wheelmac.current_algebra import (K_d_nu, W_space_dim, chi_C,
                                       enumerate_C_sequences, ideal_rows,
@@ -18,6 +18,8 @@ from wheelmac.scalars import CycloNum, ParameterSpec, UniPoly, UniRatFunc
 from wheelmac.symfunc import MonomialExpansion, eval_monomial_symmetric
 from wheelmac.wheel_ideal import (_rotation_classes, constraint_rows,
                                   wheel_substitutions)
+
+from test_wheel_ideal import _reference_rows
 
 
 def test_residue_profiles():
@@ -86,32 +88,35 @@ def test_relation_generic_examples():
 
 def test_duality_with_wheel_rows():
     # the sigma-relation coefficients are exactly the wheel constraint row
-    # on the n = k+1 component (single free monomial x_1^d)
-    for k, r in [(1, 2), (1, 3), (2, 2), (2, 3)]:
+    # on the n = k+1 component (single free monomial x_1^d), computed by
+    # the per-m_lam substitution of the reference
+    for k, r in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (1, 4), (2, 4)]:
         p = ParameterSpec(k, r)
         zero = UniRatFunc.zero(p.N)
         for d in range(7):
             plist = pt.enumerate_partitions(k + 1, d)
-            rows = {key: row for key, row in constraint_rows(k, r, k + 1, d, p)}
+            ref = _reference_rows(k, r, k + 1, d, p)
+            got = dict(constraint_rows(k, r, k + 1, d, p))
             for sigma in wheel_substitutions(k, r):
                 rel = relation_generic(d, sigma, k, r, p)
                 vec = [rel.terms.get(pt.pad(lam, k + 1), zero)
                        for lam in plist]
-                row = rows.get((sigma, (d,)), [zero] * len(plist))
+                row = ref.get((sigma, (d,)), [zero] * len(plist))
                 assert row == vec, (k, r, d, sigma)
+                assert got.get((sigma, (d,)), [zero] * len(plist)) == vec
 
 
 def test_duality_with_wheel_rows_every_n():
-    # beyond n = k+1 the wheel rows (sigma, free monomial) and the ideal
-    # rows (relation times filler) are the same vectors, built by the
-    # independent wheel_substitute route; cleared, they are what
+    # beyond n = k+1 the ideal rows (relation times filler) are the wheel
+    # rows (sigma, free monomial) of the per-m_lam substitution, without
+    # the copies for permuted free monomials; cleared, they are what
     # rank_kernel_poly sees
-    for k, r in [(1, 2), (1, 3), (2, 2), (2, 3)]:
+    for k, r in [(1, 2), (1, 3), (2, 2), (2, 3), (1, 4)]:
         p = ParameterSpec(k, r)
         for n in range(k + 1, (5 if r == 2 else 4) + 1):
             for d in range(7):
-                wheel = {tuple(row) for _, row
-                         in constraint_rows(k, r, n, d, p) if any(row)}
+                wheel = {tuple(row) for row
+                         in _reference_rows(k, r, n, d, p).values()}
                 ideal = {tuple(row) for row in
                          ideal_rows(k, r, n, d, p, field="generic")}
                 assert wheel == ideal, (k, r, n, d)
@@ -380,14 +385,21 @@ def test_generic_ranks_over_rotation_classes_match_every_sigma():
 
 
 def test_generic_ranks_take_one_relation_per_class(monkeypatch):
+    # W_space_dim reads relation_generic; quotient_dim is dim_J, which
+    # reads the wheel_ideal relation reader
     calls = []
-    inner = current_algebra.relation_generic
+    inner, reader = current_algebra.relation_generic, wheel_ideal._relation
 
     def counting(d, sigma, k, r, p=None):
         calls.append(tuple(sigma))
         return inner(d, sigma, k, r, p)
 
+    def counting_reader(dd, sigma, read):
+        calls.append(tuple(sigma))
+        return reader(dd, sigma, read)
+
     monkeypatch.setattr(current_algebra, "relation_generic", counting)
+    monkeypatch.setattr(wheel_ideal, "_relation", counting_reader)
     for k, r in [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)]:
         p = ParameterSpec(k, r)
         for rank in (lambda: quotient_dim(k, r, k + 2, 6, p, "generic"),

@@ -137,13 +137,18 @@ def test_specialize_is_ring_homomorphism():
         assert p.specialize(a * b) == p.specialize(a) * p.specialize(b)
 
 
-@pytest.mark.parametrize("k,r", [(1, 2), (1, 3), (2, 3), (3, 3)])
+@pytest.mark.parametrize("k,r", [(1, 2), (1, 3), (2, 3), (3, 3), (1, 4),
+                                 (2, 4), (1, 5), (2, 5), (3, 4)])
 def test_is_resonant_matches_exact_evaluation(k, r):
+    # r >= 4 runs over Q(zeta_{r-1}), phi(N) >= 2; qt_laurent is the
+    # monomial table the specialization reads, and (0, 1) is 1
     p = ParameterSpec(k, r)
     for a in range(-8, 9):
         for b in range(-8, 9):
             value = p.specialize(BiRatFunc.qt_monomial(a, b))
             assert p.is_resonant(a, b) == (value == UniRatFunc.one(p.N)), (a, b)
+            assert p.is_resonant(a, b) == (p.qt_laurent(a, b) == (0, 1)), \
+                (a, b)
 
 
 def test_is_resonant_examples():
@@ -309,8 +314,8 @@ def test_laurent_poly_contract(N):
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_sum_of_products_matches_the_plain_sum(N, monkeypatch):
     """The fused int lane (N <= 2) and the ring-generic one (CycloNums,
-    N = 3, 4) against sum(a * b): unequal denominators, b = None (no
-    product) and rational b, total cancellation and the empty list."""
+    N = 3, 4) against sum(a * b): unequal denominators, rational b, total
+    cancellation and the empty list."""
     rng = random.Random(90 + N)
     zero = LaurentPoly.zero(N)
 
@@ -329,15 +334,14 @@ def test_sum_of_products_matches_the_plain_sum(N, monkeypatch):
     mixed = 0
     for _ in range(40):
         pairs = [(rand(), rng.choice([
-            rand(), None, Fraction(rng.choice([-3, 2, 5]), rng.randint(1, 4))]))
+            rand(), Fraction(rng.choice([-3, 2, 5]), rng.randint(1, 4))]))
             for _ in range(rng.randint(1, 4))]
         mixed += len({a.den for a, _ in pairs}) > 1
-        want = sum((a if b is None else a * b for a, b in pairs), zero)
+        want = sum((a * b for a, b in pairs), zero)
         del products[:]
         got = sum_of_products(pairs, zero)
         assert (got.den, got.c) == (want.den, want.c)
-        assert not products if N <= 2 else len(products) == sum(
-            b is not None for _, b in pairs)
+        assert not products if N <= 2 else len(products) == len(pairs)
         gone = sum_of_products(pairs + [(-a, b) for a, b in pairs], zero)
         assert (gone.den, gone.c) == (1, {})
     if N <= 2:

@@ -121,6 +121,9 @@ def test_wheel_substitute_validation():
     fld = CoeffField.laurent(p)
     with pytest.raises(ValueError, match="0..r-1"):
         _wheel_substitute_fld(SymPoly.m((1,), 2, fld.one), (7,), fld)
+    # with neither a ParameterSpec nor a reader there is no ring to read into
+    with pytest.raises(TypeError, match="p or read"):
+        wheel_substitute(SymPoly.m((1,), 2, fld.one), (0,))
 
 
 def test_wheel_substitute_linear():

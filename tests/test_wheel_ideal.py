@@ -195,6 +195,69 @@ def test_dim_J_examples():
             list(constraint_rows(1, 2, 1, 2, p, fld=fld))
 
 
+def _reference_rows(k, r, n, d, p, fld=None):
+    """{(sigma, free monomial): row} for every sigma, by the wheel
+    substituted into each m_lam over its whole n-variable orbit (over K,
+    or in fld through _wheel_substitute_fld): one row per free monomial,
+    so each distinct row once per permutation of the free exponents."""
+    plist = pt.enumerate_partitions(n, d)
+    one = UniRatFunc.one(p.N) if fld is None else fld.one
+    rows = {}
+    for sigma in wheel_substitutions(k, r):
+        for i, lam in enumerate(plist):
+            f = SymPoly.m(lam, n, one)
+            image = wheel_substitute(f, sigma, p) if fld is None \
+                else _wheel_substitute_fld(f, sigma, fld)
+            for mono, c in image.terms.items():
+                rows.setdefault((sigma, mono), [one - one] * len(plist))[i] = c
+    return rows
+
+
+# (k, r) -> largest n of the constraint-row reference grid (d <= 6)
+_REFERENCE_GRID = {(1, 2): 5, (2, 2): 5, (3, 2): 5, (1, 3): 5, (2, 3): 5,
+                   (1, 4): 4, (2, 4): 4}
+
+
+def test_constraint_rows_match_the_per_monomial_substitution():
+    # over K and in the probe field, the row of (sigma, (dd,) + nu) is the
+    # reference row of every permutation of the free exponents nu, and
+    # nothing else is yielded
+    for (k, r), n_max in _REFERENCE_GRID.items():
+        p = ParameterSpec(k, r)
+        for fld in (None, CoeffField.numeric(p, Fraction(7, 3))):
+            for n in range(k + 1, n_max + 1):
+                for d in range(7):
+                    ref = _reference_rows(k, r, n, d, p, fld)
+                    got = dict(constraint_rows(k, r, n, d, p, fld=fld))
+                    for (sigma, mono), row in ref.items():
+                        free = tuple(sorted(mono[1:], reverse=True))
+                        assert got[(sigma, mono[:1] + free)] == row, \
+                            (k, r, n, d, sigma, mono)
+                    distinct = {(sigma, mono[0], *sorted(mono[1:]))
+                                for sigma, mono in ref}
+                    assert len(got) == len(distinct), (k, r, n, d)
+
+
+def test_constraint_rows_yield_each_row_once():
+    # one row per filler, not one per permuted free monomial: no sigma
+    # repeats a row or a provenance
+    checked = 0
+    for (k, r), n_max in _REFERENCE_GRID.items():
+        p = ParameterSpec(k, r)
+        for n in range(k + 1, n_max + 1):
+            for d in range(7):
+                seen = {}
+                for (sigma, key), row in constraint_rows(k, r, n, d, p):
+                    seen.setdefault(sigma, []).append((key, tuple(row)))
+                for sigma, items in seen.items():
+                    keys = [key for key, _ in items]
+                    rows = [row for _, row in items]
+                    assert len(set(keys)) == len(keys), (k, r, n, d, sigma)
+                    assert len(set(rows)) == len(rows), (k, r, n, d, sigma)
+                    checked += len(rows)
+    assert checked
+
+
 def test_dim_J_oracle_small():
     # independent oracle for (1,2,2,2): solve the single constraint
     # a(1 + t^2) + b t = 0 on a m_(2) + b m_(11) by hand
@@ -410,18 +473,15 @@ def test_a_class_list_missing_a_class_changes_dim_J(monkeypatch):
 
 
 def test_ranks_substitute_one_sigma_per_class(monkeypatch):
+    # every rank reads its wheel rows through the one relation reader
     calls = []
+    inner = wheel_ideal._relation
 
-    def counting(inner):
-        def wrapper(f, sigma, *args):
-            calls.append(tuple(sigma))
-            return inner(f, sigma, *args)
-        return wrapper
+    def counting(dd, sigma, read):
+        calls.append(tuple(sigma))
+        return inner(dd, sigma, read)
 
-    monkeypatch.setattr(wheel_ideal, "wheel_substitute",
-                        counting(wheel_ideal.wheel_substitute))
-    monkeypatch.setattr(wheel_ideal, "_wheel_substitute_fld",
-                        counting(wheel_ideal._wheel_substitute_fld))
+    monkeypatch.setattr(wheel_ideal, "_relation", counting)
     for k, r in _RANK_KR:
         p = ParameterSpec(k, r)
         n, d = k + 2, 4
