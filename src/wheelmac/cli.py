@@ -26,7 +26,7 @@ from .macdonald import (ExactDivisionError, MacdonaldTable,
 from .scalars import ParameterSpec, PoleError, UniRatFunc, render_scalar
 from .symfunc import SymPoly, check_sigma, check_wheel_size
 
-__all__ = ["main", "run"]
+__all__ = ["main", "run", "build_parser", "UsageError"]
 
 
 class UsageError(Exception):

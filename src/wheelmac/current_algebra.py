@@ -59,18 +59,20 @@ def check_residue_profile(nu, k, r):
     return nu
 
 
+def _residue_profile(mu, r):
+    """The residue-class multiplicities of mu's parts mod r-1, as a tuple."""
+    counts = [0] * (r - 1)
+    for v in mu:
+        counts[v % (r - 1)] += 1
+    return tuple(counts)
+
+
 def K_d_nu(d, nu, k, r):
     """Partitions of d with exactly k+1 parts (zeros allowed) whose
-    residue-class multiplicities mod r-1 match nu."""
-    out = []
-    for mu in pt.enumerate_partitions(k + 1, d):
-        mu = pt.pad(mu, k + 1)
-        counts = [0] * (r - 1)
-        for v in mu:
-            counts[v % (r - 1)] += 1
-        if tuple(counts) == tuple(nu):
-            out.append(mu)
-    return out
+    residue profile (_residue_profile) is nu."""
+    nu = tuple(nu)
+    padded = (pt.pad(mu, k + 1) for mu in pt.enumerate_partitions(k + 1, d))
+    return [mu for mu in padded if _residue_profile(mu, r) == nu]
 
 
 def relation_rootofunity(d, nu, k, r):
@@ -114,10 +116,12 @@ def ideal_rows(k, r, n, d, p=None, field="rootofunity", sigmas=None):
     Rows are e_nu * relation(d', .) for every internal degree d' <= d and
     every filler nu in pi_{n-k-1, d-d'} (wheel_ideal._relation_rows); for
     field="generic" the relations run over the wheel substitution
-    sequences sigmas (None: every one, rotation copies included), at the
-    root of unity over the residue profiles (sigmas is not read).  A
-    rotated sigma's relation is c^d times its class representative's for
-    a unit c, so the ranks pass _rotation_classes(k, r).  Generic rows are
+    sequences sigmas (None: every one, rotation copies included), except
+    that the degree-0 relation, 1 for every sigma, comes from the first
+    sigma only; at the root of unity they run over the residue profiles
+    (sigmas is not read).  A rotated sigma's relation is c^d times its
+    class representative's for a unit c, so the ranks pass
+    _rotation_classes(k, r).  Generic rows are
     the wheel constraint rows, with u-power denominators.
     """
     _check_choice("field", field, _FIELDS)
@@ -133,7 +137,8 @@ def ideal_rows(k, r, n, d, p=None, field="rootofunity", sigmas=None):
         if sigmas is None:
             sigmas = wheel_substitutions(k, r)
         gens = [(sigma, dd, relation_generic(dd, sigma, k, r, p))
-                for dd in range(d + 1) for sigma in sigmas]
+                for dd in range(d + 1)
+                for sigma in (sigmas if dd else sigmas[:1])]
     return [row for _, row in _relation_rows(gens, n, d, zero)]
 
 
@@ -155,8 +160,9 @@ def reduce_to_admissible(lam, k, r):
 
     Repeatedly takes the lexicographically largest non-admissible term,
     extracts its first violating window mu (k+1 consecutive parts with
-    spread <= r-1), and eliminates e_mu by the relation in which mu is
-    the lex-minimal support element.  Every replacement is lex-greater,
+    spread <= r-1, pt.violating_window), and eliminates e_mu by the
+    relation of its residue profile, in which mu is the lex-minimal
+    support element.  Every replacement is lex-greater,
     so the walk terminates inside pi_{n,d}.
     """
     n = len(lam)
@@ -168,13 +174,10 @@ def reduce_to_admissible(lam, k, r):
             return current
         key = max(worklist)
         coeff = current.terms[key]
-        i = next(i for i in range(n - k) if key[i] - key[i + k] <= r - 1)
+        i = pt.violating_window(key, k, r, n)
         mu = key[i: i + k + 1]
         rest = key[:i] + key[i + k + 1:]
-        nu = [0] * (r - 1)
-        for v in mu:
-            nu[v % (r - 1)] += 1
-        rel = relation_rootofunity(sum(mu), tuple(nu), k, r)
+        rel = relation_rootofunity(sum(mu), _residue_profile(mu, r), k, r)
         if min(rel.terms) != mu:
             raise AssertionError(
                 "window %r is not the minimal element of its relation" % (mu,))
@@ -234,52 +237,30 @@ def check_recursion_profile(b, k, r):
 
 
 def enumerate_C_sequences(b, k, r, n, d):
-    """Degree sequences a with sum a_i = n, sum i a_i = d, sliding window
-    sums a_i + ... + a_{i+r-1} <= k, and prefix sums bounded by b."""
+    """The C-sequences of (n, d) under the prefix bounds b, sorted.
+
+    A C-sequence a = (a_0, a_1, ...) is the multiplicity vector of a
+    (k,r,n)-admissible partition of d padded to n (a_v parts equal v, up
+    to the largest part): sum a_i = n, sum i a_i = d, and every window sum
+    a_i + ... + a_{i+r-1} is at most k, which is admissibility.  The
+    partition must also pass _prefix_ok(lam, b, r).
+    """
     b = check_profile(b, k, r)
     out = []
-    _extend_C_sequences(out, [], n, d, b, k, r)
-    return [_trim(seq) for seq in out]
+    for lam in pt.enumerate_admissible(k, r, n, d):
+        lam = pt.pad(lam, n)
+        if _prefix_ok(lam, b, r):
+            top = max(lam, default=-1)
+            out.append(tuple(lam.count(v) for v in range(top + 1)))
+    return sorted(out)
 
 
-def _extend_C_sequences(out, a, left_n, left_d, b, k, r):
-    """Append to out each sequence of enumerate_C_sequences that extends
-    the prefix a, with left_n and left_d still to place."""
-    if left_n == 0 and left_d == 0:
-        out.append(tuple(a))
-        return
-    pos = len(a)
-    if left_n == 0 or pos > left_d:
-        return
-    # a_pos can be at most what the window and the weighted degree allow
-    top = left_n if pos == 0 else min(left_n, left_d // pos)
-    for val in range(top + 1):
-        if pos <= r - 2:
-            prefix = sum(a) + val
-            if prefix > b[pos]:
-                break
-        if val and not _window_ok(a, val, k, r):
-            break
-        a.append(val)
-        _extend_C_sequences(out, a, left_n - val, left_d - val * pos, b, k, r)
-        a.pop()
-
-
-def _window_ok(a, val, k, r):
-    """True iff val at position len(a) keeps every window of r entries
-    ending there at sum <= k."""
-    pos = len(a)
-    for start in range(max(0, pos - (r - 1)), pos + 1):
-        if val + sum(a[start:pos]) > k:
-            return False
-    return True
-
-
-def _trim(seq):
-    seq = tuple(seq)
-    while seq and seq[-1] == 0:
-        seq = seq[:-1]
-    return seq
+def _prefix_ok(lam, b, r):
+    """True iff lam (padded to its n) has at most b_j parts <= j for every
+    j <= r-2: the prefix sums a_0 + ... + a_j of its multiplicity vector
+    stay within b, the bounds of W_b."""
+    prefix = accumulate(lam.count(v) for v in range(r - 1))
+    return all(c <= b[j] for j, c in enumerate(prefix))
 
 
 def chi_C(b, k, r, d_max, n_max):
@@ -321,8 +302,8 @@ def W_space_dim(b, k, r, n, d, p=None):
 
     I_b is spanned in the component by the shifted-current relations and
     by the multiples of the prefix-violating monomials in e_0..e_{r-2}.
-    e_lam is such a multiple exactly when the counts of its parts 0..r-2
-    (padded to n) already break a prefix bound; those multiples are unit
+    e_lam is such a multiple exactly when lam (padded to n) fails
+    _prefix_ok, the bound the C-sequences obey; those multiples are unit
     vectors, so their columns are deleted before the relation rows are
     ranked.  The relations are those of one sigma per rotation class: a
     rotated sigma's rows are unit multiples of its representative's, so
@@ -331,12 +312,8 @@ def W_space_dim(b, k, r, n, d, p=None):
     """
     p = ParameterSpec.matching(p, k, r)
     b = check_profile(b, k, r)
-    keep = []
-    for i, lam in enumerate(pt.enumerate_partitions(n, d)):
-        lam = pt.pad(lam, n)
-        prefix = accumulate(lam.count(v) for v in range(r - 1))
-        if all(c <= bound for c, bound in zip(prefix, b)):
-            keep.append(i)
+    keep = [i for i, lam in enumerate(pt.enumerate_partitions(n, d))
+            if _prefix_ok(pt.pad(lam, n), b, r)]
     if not keep:
         return 0
     rows = []

@@ -12,8 +12,9 @@ from .scalars import ParameterSpec
 __all__ = [
     "normalize", "pad", "size", "length", "conjugate", "dominance_leq",
     "addable_rows", "removable_rows", "add_node", "remove_node",
-    "is_admissible", "enumerate_partitions", "enumerate_admissible",
-    "count_admissible", "check_lemma21", "parse_partition", "format_partition",
+    "violating_window", "is_admissible", "enumerate_partitions",
+    "enumerate_admissible", "count_admissible", "check_lemma21",
+    "parse_partition", "format_partition",
 ]
 
 
@@ -104,13 +105,16 @@ def remove_node(lam, j):
     return normalize(lam[:j - 1] + (lam[j - 1] - 1,) + lam[j:])
 
 
+def violating_window(lam, k, r, n):
+    """The first 0-based i with lam_i - lam_{i+k} < r, lam padded to length
+    n (k+1 consecutive parts within a spread of r-1), or None."""
+    lam = pad(normalize(lam), n)
+    return next((i for i in range(n - k) if lam[i] - lam[i + k] < r), None)
+
+
 def is_admissible(lam, k, r, n):
     """lam_i - lam_{i+k} >= r for all 1 <= i <= n-k, lam padded to length n."""
-    lam = pad(normalize(lam), n)
-    for i in range(n - k):
-        if lam[i] - lam[i + k] < r:
-            return False
-    return True
+    return violating_window(lam, k, r, n) is None
 
 
 def enumerate_partitions(n, d):

@@ -239,7 +239,7 @@ def _differing_pair(alpha, beta):
     return idx[0], idx[-1]
 
 
-def expansion_mul(g, h):
+def _expansion_mul(g, h):
     """Product of two expansions over the same variables."""
     if g.n != h.n:
         raise ValueError("variable counts differ")
@@ -263,7 +263,7 @@ def sympoly_mul(f, g):
     """Product in Lambda_n via the monomial-expansion round trip."""
     if f.n != g.n:
         raise ValueError("variable counts differ: %d vs %d" % (f.n, g.n))
-    prod = expansion_mul(m_to_monomials(f), m_to_monomials(g))
+    prod = _expansion_mul(m_to_monomials(f), m_to_monomials(g))
     # product of symmetric polynomials is symmetric; skip the scan
     return monomials_to_m(prod, check=False)
 

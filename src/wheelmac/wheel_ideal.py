@@ -45,7 +45,7 @@ __all__ = [
     "wheel_substitutions", "satisfies_wheel", "dim_J", "basis_I",
     "wheel_kernel_basis", "verify_theorem1", "verify_stability",
     "check_restriction_size", "verify_rho_inclusion", "constraint_rows",
-    "random_probe_point",
+    "random_probe_point", "laurent_clear",
 ]
 
 
@@ -155,6 +155,8 @@ def constraint_rows(k, r, n, d, p=None, fld=None, sigmas=None):
     filler nu, each row once.  Degrees ascend, and within one the sigmas
     (None: every wheel substitution, rotation copies included) keep their
     order, so the ranks' row selection meets the low-degree rows first.
+    The degree-0 relation is 1 for every sigma, so only the first sigma
+    yields its rows.
     The ranks pass _rotation_classes(k, r), which spans the same rows.
     Drained, it raises ValueError when n <= k (no wheel) or on a bad sigma.
     """
@@ -168,7 +170,8 @@ def constraint_rows(k, r, n, d, p=None, fld=None, sigmas=None):
         sigmas = wheel_substitutions(k, r)
     sigmas = [check_sigma(sigma, k, r) for sigma in sigmas]
     yield from _relation_rows(((sigma, dd, _relation(dd, sigma, read))
-                               for dd in range(d + 1) for sigma in sigmas),
+                               for dd in range(d + 1)
+                               for sigma in (sigmas if dd else sigmas[:1])),
                               n, d, zero)
 
 

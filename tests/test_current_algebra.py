@@ -89,21 +89,26 @@ def test_relation_generic_examples():
 def test_duality_with_wheel_rows():
     # the sigma-relation coefficients are exactly the wheel constraint row
     # on the n = k+1 component (single free monomial x_1^d), computed by
-    # the per-m_lam substitution of the reference
+    # the per-m_lam substitution of the reference; the degree-0 relation,
+    # 1 for every sigma, is yielded once, under the first sigma
     for k, r in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (1, 4), (2, 4)]:
         p = ParameterSpec(k, r)
         zero = UniRatFunc.zero(p.N)
+        sigmas = wheel_substitutions(k, r)
         for d in range(7):
             plist = pt.enumerate_partitions(k + 1, d)
             ref = _reference_rows(k, r, k + 1, d, p)
             got = dict(constraint_rows(k, r, k + 1, d, p))
-            for sigma in wheel_substitutions(k, r):
+            for sigma in sigmas:
                 rel = relation_generic(d, sigma, k, r, p)
                 vec = [rel.terms.get(pt.pad(lam, k + 1), zero)
                        for lam in plist]
                 row = ref.get((sigma, (d,)), [zero] * len(plist))
                 assert row == vec, (k, r, d, sigma)
-                assert got.get((sigma, (d,)), [zero] * len(plist)) == vec
+                if d or sigma == sigmas[0]:
+                    assert got.get((sigma, (d,)), [zero] * len(plist)) == vec
+                else:
+                    assert (sigma, (d,)) not in got, (k, r, sigma)
 
 
 def test_duality_with_wheel_rows_every_n():
@@ -280,6 +285,37 @@ def test_enumerate_sequences_examples():
         assert len(seq) > 2 and seq[0] == seq[1] == 0 if seq else True
 
 
+def _C_sequences_by_definition(b, k, r, n, d):
+    """The count vectors a of the n-element multisets of 0..d summing to d
+    whose windows a_i + ... + a_{i+r-1} stay within k and whose prefix
+    sums a_0 + ... + a_j stay within b_j for j <= r-2, sorted."""
+    out = []
+    for parts in combinations_with_replacement(range(d + 1), n):
+        if sum(parts) != d:
+            continue
+        a = [parts.count(v) for v in range(max(parts, default=-1) + 1)]
+        if all(sum(a[i:i + r]) <= k for i in range(len(a))) and \
+                all(sum(a[:j + 1]) <= b[j] for j in range(r - 1)):
+            out.append(tuple(a))
+    return sorted(out)
+
+
+def test_enumerate_sequences_match_the_definition():
+    # built from the window and prefix sums alone, with no admissible
+    # partition and no _prefix_ok; the order is part of the contract
+    cases = 0
+    for k in (1, 2, 3):
+        for r in (2, 3, 4, 5):
+            for b in combinations_with_replacement(range(k + 1), r - 1):
+                for n in range(6):
+                    for d in range(9):
+                        assert enumerate_C_sequences(b, k, r, n, d) == \
+                            _C_sequences_by_definition(b, k, r, n, d), \
+                            (b, k, r, n, d)
+                        cases += 1
+    assert cases == 117 * 6 * 9
+
+
 def test_enumerate_sequences_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
@@ -325,9 +361,8 @@ def test_recursion_examples():
 
 
 def test_recursion_grid():
-    from itertools import combinations_with_replacement
-    for k in (1, 2):
-        for r in (2, 3):
+    for k in (1, 2, 3):
+        for r in (2, 3, 4, 5):
             for b in combinations_with_replacement(range(k + 1), r - 1):
                 if b[0] >= 1:
                     assert verify_recursion(b, k, r, 8, 8), (k, r, b)

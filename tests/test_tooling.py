@@ -43,6 +43,23 @@ def test_every_public_name_resolves():
             assert hasattr(module, name), (module.__name__, name)
 
 
+def test_every_public_definition_is_exported():
+    # a public module-level function or class that __all__ leaves out is
+    # either an export to declare or a helper to mark private
+    missing = []
+    for info in pkgutil.iter_modules(wheelmac.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module("wheelmac." + info.name)
+        for name, obj in vars(module).items():
+            if (not name.startswith("_")
+                    and (inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == module.__name__
+                    and name not in module.__all__):
+                missing.append((module.__name__, name))
+    assert not missing
+
+
 def test_benchmark_patch_targets_resolve():
     targets = json.loads(LAYERS.read_text())["targets"]
     assert targets

@@ -221,9 +221,11 @@ _REFERENCE_GRID = {(1, 2): 5, (2, 2): 5, (3, 2): 5, (1, 3): 5, (2, 3): 5,
 def test_constraint_rows_match_the_per_monomial_substitution():
     # over K and in the probe field, the row of (sigma, (dd,) + nu) is the
     # reference row of every permutation of the free exponents nu, and
-    # nothing else is yielded
+    # nothing else is yielded; the degree-0 relation is 1 for every sigma,
+    # so each sigma's degree-0 reference row is the first sigma's row
     for (k, r), n_max in _REFERENCE_GRID.items():
         p = ParameterSpec(k, r)
+        first = wheel_substitutions(k, r)[0]
         for fld in (None, CoeffField.numeric(p, Fraction(7, 3))):
             for n in range(k + 1, n_max + 1):
                 for d in range(7):
@@ -231,16 +233,21 @@ def test_constraint_rows_match_the_per_monomial_substitution():
                     got = dict(constraint_rows(k, r, n, d, p, fld=fld))
                     for (sigma, mono), row in ref.items():
                         free = tuple(sorted(mono[1:], reverse=True))
-                        assert got[(sigma, mono[:1] + free)] == row, \
+                        label = sigma if mono[0] else first
+                        assert got[(label, mono[:1] + free)] == row, \
                             (k, r, n, d, sigma, mono)
-                    distinct = {(sigma, mono[0], *sorted(mono[1:]))
-                                for sigma, mono in ref}
+                    distinct = {(sigma if mono[0] else first, mono[0],
+                                 *sorted(mono[1:])) for sigma, mono in ref}
                     assert len(got) == len(distinct), (k, r, n, d)
 
 
 def test_constraint_rows_yield_each_row_once():
     # one row per filler, not one per permuted free monomial: no sigma
-    # repeats a row or a provenance
+    # repeats a row or a provenance.  Nor do the class representatives
+    # that the ranks use repeat a row between them, so the degree-0 rows
+    # (the relation 1 times a filler) come once, not once per sigma; the
+    # rotation copies of a sigma may (a relation c^dd times its
+    # representative's, with c^dd = 1)
     checked = 0
     for (k, r), n_max in _REFERENCE_GRID.items():
         p = ParameterSpec(k, r)
@@ -255,6 +262,9 @@ def test_constraint_rows_yield_each_row_once():
                     assert len(set(keys)) == len(keys), (k, r, n, d, sigma)
                     assert len(set(rows)) == len(rows), (k, r, n, d, sigma)
                     checked += len(rows)
+                reps = [tuple(row) for _, row in constraint_rows(
+                    k, r, n, d, p, sigmas=_rotation_classes(k, r))]
+                assert len(set(reps)) == len(reps), (k, r, n, d)
     assert checked
 
 
