@@ -13,10 +13,13 @@ needs no x-denominators.  It is evaluated only at the dominant exponents
 lam + delta, as one integer q^a t^b table per source partition that the
 field's table reader reads (as it reads wheel_collapse's), and Op f is
 read off by a unitriangular solve with +-1 entries: no Vandermonde
-product is assembled and nothing is divided.  The exactness witness is the
-antisymmetry of a_delta Op f: its weights at an exponent with the first
-two entries swapped must be exactly the negatives, or ExactDivisionError
-(a check that also runs under python -O).
+product is assembled and nothing is divided.  At a rational point (q, t)
+the tables and their sum against f's coefficients go through the
+rational lane of sum_of_products: one integer numerator over the lcm of
+the denominators per sum, made one canonical Fraction.  The exactness
+witness is the antisymmetry of a_delta Op f: its weights at an exponent
+with the first two entries swapped must be exactly the negatives, or
+ExactDivisionError (a check that also runs under python -O).
 
 P_lam itself is found from the eigenvalue problem for D_n^1 by
 back-substitution against the dominance-triangular matrix of the operator
@@ -26,7 +29,7 @@ one (n, d) component comes from one antisymmetrization of the generic
 element sum_nu m_nu (x) e_nu, whose coefficients are the unit columns.
 Each coefficient is summed as one numerator over a running lcm of
 denominators and made canonical once, so integrality is a division test
-on its denominator.
+on its denominator, run once per distinct denominator.
 """
 
 from itertools import combinations, permutations
@@ -51,12 +54,15 @@ class CoeffField:
     """The coefficient ring an operator runs over: its 0, 1, q and t, the
     map from_int of ints into it, its reader of integer q^a t^b tables and
     the ParameterSpec spec it specializes (None for Q(q, t) and Q[q, t]).
-    Power caches are per-instance; instances are cheap and callers
-    normally create one per computation.
+    A ring built without a reader (numeric, or Fractions at a rational
+    point) gets the one default, which multiplies each integer count by a
+    cached q^a t^b, so its elements must take an int factor.  Power caches
+    are per-instance; instances are cheap and callers normally create one
+    per computation.
     """
 
     __slots__ = ("zero", "one", "q", "t", "from_int", "spec", "_read",
-                 "_qp", "_tp")
+                 "_qp", "_tp", "_qtp")
 
     def __init__(self, zero, one, q, t, from_int, read=None, spec=None):
         self.zero = zero
@@ -67,6 +73,7 @@ class CoeffField:
         self.spec, self._read = spec, read
         self._qp = {0: one, 1: q}
         self._tp = {0: one, 1: t}
+        self._qtp = {}
 
     @classmethod
     def generic_poly(cls):
@@ -116,10 +123,12 @@ class CoeffField:
 
     def table_reader(self):
         """The map from a QTPoly of integer counts per q^a t^b to its value
-        in this ring: the constructor's, or the sum of from_int(v) q^a t^b."""
-        return self._read or (lambda counts: sum(
-            (self.from_int(v) * self.qpow(a) * self.tpow(b)
-             for (a, b), v in counts.d.items()), self.zero))
+        in this ring: the constructor's, or the one default, which sums each
+        count against the cached q^a t^b by sum_of_products (over Q, one
+        integer numerator over one denominator)."""
+        return self._read or (lambda counts: sum_of_products(
+            [(v, self.qtpow(a, b)) for (a, b), v in counts.d.items()],
+            self.zero))
 
     def qpow(self, e):
         v = self._qp.get(e)
@@ -131,6 +140,12 @@ class CoeffField:
         v = self._tp.get(e)
         if v is None:
             v = self._tp[e] = self.tpow(e - 1) * self.t
+        return v
+
+    def qtpow(self, a, b):
+        v = self._qtp.get((a, b))
+        if v is None:
+            v = self._qtp[a, b] = self.qpow(a) * self.tpow(b)
         return v
 
 
@@ -293,7 +308,7 @@ def eigenvalue_D(lam, n, fld=None):
     lam = pt.pad(pt.normalize(lam), n)
     coeffs = [fld.one]
     for i in range(n):
-        v = fld.qpow(lam[i]) * fld.tpow(n - 1 - i)
+        v = fld.qtpow(lam[i], n - 1 - i)
         nxt = [fld.zero] * (len(coeffs) + 1)
         for e, c in enumerate(coeffs):
             nxt[e] = nxt[e] + c
@@ -308,7 +323,7 @@ def eigenvalue_e1(lam, n, fld=None):
     lam = pt.pad(pt.normalize(lam), n)
     acc = fld.zero
     for i in range(n):
-        acc = acc + fld.qpow(lam[i]) * fld.tpow(n - 1 - i)
+        acc = acc + fld.qtpow(lam[i], n - 1 - i)
     return acc
 
 
@@ -532,14 +547,14 @@ def check_integrality(lam, n, table=None):
     A stored coefficient num/den is canonical, so num and den are coprime
     and c_lam num/den is a polynomial exactly when den divides c_lam.  If
     den | c_lam the product is a polynomial whatever num is, so the test
-    never answers True wrongly.
+    never answers True wrongly.  c_lam is divided once per distinct den.
     """
     table = table if table is not None else MacdonaldTable(n)
     c = integral_form_factor(lam).num
     P = table.compute_P(lam)
     try:
-        for coeff in P.coeffs.values():
-            qt_divexact(c, coeff.den)
+        for den in {coeff.den for coeff in P.coeffs.values()}:
+            qt_divexact(c, den)
     except ExactDivisionError:
         return False
     return True

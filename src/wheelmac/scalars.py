@@ -731,9 +731,17 @@ def _lpoly(N, c, den=1):
 
 def sum_of_products(pairs, zero):
     """The sum of a * b over a list of pairs (a, b), or zero (the ring's 0)
-    if the list is empty.  LaurentPolys a over Q sum in one int dict over
-    the lcm of the denominators (a rational b read as a constant), made
-    canonical once by _lpoly; other rings sum a * b."""
+    if the list is empty.  Over Q the sum runs on ints over the lcm of the
+    denominators and is made canonical once: int and Fraction pairs when
+    zero is a Fraction, LaurentPolys a (a rational b read as a constant)
+    in one int dict; other rings sum a * b."""
+    if type(zero) is Fraction:
+        dens = [a.denominator * b.denominator for a, b in pairs]
+        den = lcm(*dens)
+        if den == 1:
+            return Fraction(sum([a.numerator * b.numerator for a, b in pairs]))
+        return Fraction(sum([a.numerator * b.numerator * (den // d)
+                             for (a, b), d in zip(pairs, dens)]), den)
     first = pairs[0][0] if pairs else zero
     if type(first) is not LaurentPoly or first.N > 2:
         terms = [a * b for a, b in pairs] or [zero]

@@ -269,6 +269,10 @@ def test_operators_match_a_per_weight_reference(monkeypatch):
         (LaurentPoly.monomial(fld.spec.N, e, rand_frac())
          for e in rng.sample(range(-3, 4), 2)), fld.zero))
         for k, r in [(1, 2), (1, 3), (2, 3), (1, 4)]]
+    # the Fraction fields read through sum_of_products' rational lane: the
+    # macd certificate's at an integer point and one at (5/2, -3)
+    fields.append((CoeffField(Fraction(0), Fraction(1), Fraction(27),
+                              Fraction(25), Fraction), lambda fld: rand_frac()))
     fields.append((CoeffField(Fraction(0), Fraction(1), Fraction(5, 2),
                               Fraction(-3), Fraction), lambda fld: rand_frac()))
     fields.append((CoeffField.generic(), lambda fld: BiRatFunc.const(
@@ -406,6 +410,33 @@ def test_check_integrality_on_planted_coefficients():
         table = MacdonaldTable(2)
         table.entries[(2,)] = SymPoly(2, {(2,): one, (1, 1): coeff})
         assert check_integrality((2,), 2, table) is want, coeff
+
+
+def test_check_integrality_divides_once_per_denominator(tables, monkeypatch):
+    calls = []
+    real = md.qt_divexact
+
+    def counted(f, g):
+        calls.append(g)
+        return real(f, g)
+
+    monkeypatch.setattr(md, "qt_divexact", counted)
+    shared = 0
+    for n, lam in [(3, (3, 2, 1)), (4, (4, 2)), (4, (2, 2, 1, 1)), (3, (4, 1))]:
+        dens = [c.den for c in tables(n).compute_P(lam).coeffs.values()]
+        del calls[:]
+        assert check_integrality(lam, n, tables(n))
+        assert len(calls) == len(set(calls)) and set(calls) == set(dens)
+        shared += len(dens) - len(set(dens))
+    assert shared
+    # one bad denominator on two coefficients still fails
+    num = BiRatFunc.from_poly(QTPoly.q() + 5)
+    bad = num / (one - q * q)
+    table = MacdonaldTable(2)
+    table.entries[(2,)] = SymPoly(2, {(2,): bad, (1, 1): bad * 3})
+    del calls[:]
+    assert check_integrality((2,), 2, table) is False
+    assert calls == [bad.den]
 
 
 def test_check_integrality_matches_the_product_definition(tables):

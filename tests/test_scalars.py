@@ -348,6 +348,41 @@ def test_sum_of_products_matches_the_plain_sum(N, monkeypatch):
         assert mixed >= 10
 
 
+def test_sum_of_products_rational_lane_matches_the_plain_sum():
+    """Over Q (zero a Fraction): int and Fraction pairs over unequal
+    denominators, integral and non-integral totals, total cancellation and
+    the empty list, each one Fraction in lowest terms."""
+    zero = Fraction(0)
+
+    def check(pairs, want=None):
+        got = sum_of_products(pairs, zero)
+        assert type(got) is Fraction
+        assert got == sum((a * b for a, b in pairs), zero)
+        assert gcd(got.numerator, got.denominator) == 1
+        if want is not None:
+            assert got == want
+        return got
+
+    assert check([], zero) == zero
+    assert check([(3, 4), (-2, 5)], 2).denominator == 1
+    assert check([(Fraction(1, 6), 3), (2, Fraction(3, 10))], Fraction(11, 10))
+    assert check([(Fraction(1, 4), Fraction(2, 3)), (Fraction(-5, 6), 1)],
+                 Fraction(-2, 3))
+    gone = check([(Fraction(1, 6), 4), (-2, Fraction(1, 3))], zero)
+    assert (gone.numerator, gone.denominator) == (0, 1)
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(200):
+        pairs = [(rng.choice([rng.randint(-9, 9), Fraction(
+            rng.randint(-9, 9), rng.randint(1, 12))]),
+            rng.choice([rng.randint(-9, 9), Fraction(
+                rng.randint(-9, 9), rng.randint(1, 12))]))
+            for _ in range(rng.randint(1, 5))]
+        seen.add(check(pairs).denominator == 1)
+        check(pairs + [(-a, b) for a, b in pairs], zero)
+    assert seen == {True, False}
+
+
 _INEXACT_UNDER_O = """
 from wheelmac.scalars import ExactDivisionError, _iz_divexact
 try:
