@@ -28,10 +28,11 @@ from itertools import accumulate, combinations
 
 from . import partitions as pt
 from .linalg import EchelonBasis, corank_upower
-from .scalars import ParameterSpec, UniRatFunc
-from .symfunc import MonomialExpansion, check_sigma, specialized_reader
-from .wheel_ideal import (_check_choice, _merge, _relation, _relation_rows,
-                          _rotation_classes, dim_J, wheel_substitutions)
+from .scalars import ParameterSpec
+from .symfunc import MonomialExpansion
+from .wheel_ideal import (_check_choice, _merge, _relation_rows,
+                          _rotation_classes, constraint_rows, dim_J,
+                          relation_generic)
 
 __all__ = [
     "CharSeries", "relation_rootofunity", "relation_generic",
@@ -96,17 +97,6 @@ def relation_rootofunity(d, nu, k, r):
     return MonomialExpansion(k + 1, terms)
 
 
-def relation_generic(d, sigma, k, r, p=None):
-    """z^d coefficient of e(z) e(c_1 z) ... e(c_k z), c_i = t^i q^(sigma_i).
-
-    The wheel_ideal relation reader over K: m_mu(1, c_1, ..., c_k) read
-    from the orbit counts of symfunc.wheel_collapse by specialized_reader.
-    sigma must pass check_sigma."""
-    sigma = check_sigma(sigma, k, r)
-    p = ParameterSpec.matching(p, k, r)
-    return _relation(d, sigma, specialized_reader(p))
-
-
 _FIELDS = ("rootofunity", "generic")
 
 
@@ -114,32 +104,24 @@ def ideal_rows(k, r, n, d, p=None, field="rootofunity", sigmas=None):
     """Vectors spanning the (n, d) ideal component, over pi_{n,d}.
 
     Rows are e_nu * relation(d', .) for every internal degree d' <= d and
-    every filler nu in pi_{n-k-1, d-d'} (wheel_ideal._relation_rows); for
-    field="generic" the relations run over the wheel substitution
-    sequences sigmas (None: every one, rotation copies included), except
-    that the degree-0 relation, 1 for every sigma, comes from the first
-    sigma only; at the root of unity they run over the residue profiles
-    (sigmas is not read).  A rotated sigma's relation is c^d times its
+    every filler nu in pi_{n-k-1, d-d'} (wheel_ideal._relation_rows).  For
+    field="generic" they are the wheel constraint rows,
+    wheel_ideal.constraint_rows(k, r, n, d, p, sigmas), with u-power
+    denominators: relation_generic over the sigmas (None: every one,
+    rotation copies included), the degree-0 relation, 1 for every sigma,
+    from the first sigma only.  A rotated sigma's relation is c^d times its
     class representative's for a unit c, so the ranks pass
-    _rotation_classes(k, r).  Generic rows are
-    the wheel constraint rows, with u-power denominators.
+    _rotation_classes(k, r).  At the root of unity the relations run over
+    the residue profiles (sigmas is not read).
     """
     _check_choice("field", field, _FIELDS)
     if n < k + 1:
         return []
-    if field == "rootofunity":
-        zero = Fraction(0)
-        gens = [(nu, dd, relation_rootofunity(dd, nu, k, r))
-                for dd in range(d + 1) for nu in residue_profiles(k, r)]
-    else:
-        p = ParameterSpec.matching(p, k, r)
-        zero = UniRatFunc.zero(p.N)
-        if sigmas is None:
-            sigmas = wheel_substitutions(k, r)
-        gens = [(sigma, dd, relation_generic(dd, sigma, k, r, p))
-                for dd in range(d + 1)
-                for sigma in (sigmas if dd else sigmas[:1])]
-    return [row for _, row in _relation_rows(gens, n, d, zero)]
+    if field == "generic":
+        return [row for _, row in constraint_rows(k, r, n, d, p, sigmas)]
+    gens = [(nu, dd, relation_rootofunity(dd, nu, k, r))
+            for dd in range(d + 1) for nu in residue_profiles(k, r)]
+    return [row for _, row in _relation_rows(gens, n, d, Fraction(0))]
 
 
 def quotient_dim(k, r, n, d, p=None, field="rootofunity"):

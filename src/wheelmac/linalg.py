@@ -4,7 +4,7 @@ Two elimination paths:
 
   * ``EchelonBasis`` -- incremental Gaussian elimination over a field,
     used where the entries are field elements anyway (rational matrices,
-    probe mode over a cyclotomic field).
+    and the numeric row selection below over Q(zeta_N)).
   * ``rank_kernel_poly`` -- the workhorse for tall matrices over
     Q(zeta_N)[u]: repeated rows are dropped after their first occurrence
     (the wheel matrix holds one row per relation and filler, and its

@@ -35,8 +35,8 @@ on its denominator, run once per distinct denominator.
 from itertools import combinations, permutations
 
 from . import partitions as pt
-from .scalars import (BiRatFunc, CycloNum, ExactDivisionError, LaurentPoly,
-                      PoleError, QTPoly, UniRatFunc, _lpoly, qt_divexact,
+from .scalars import (BiRatFunc, ExactDivisionError, LaurentPoly, PoleError,
+                      QTPoly, UniRatFunc, _lpoly, qt_divexact,
                       sum_of_products)
 from .symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
                       monomials_to_m, specialized_reader, sympoly_mul)
@@ -54,9 +54,9 @@ class CoeffField:
     """The coefficient ring an operator runs over: its 0, 1, q and t, the
     map from_int of ints into it, its reader of integer q^a t^b tables and
     the ParameterSpec spec it specializes (None for Q(q, t) and Q[q, t]).
-    A ring built without a reader (numeric, or Fractions at a rational
-    point) gets the one default, which multiplies each integer count by a
-    cached q^a t^b, so its elements must take an int factor.  Power caches
+    A ring built without a reader (such as Fractions at a rational point)
+    gets the one default, which multiplies each integer count by a cached
+    q^a t^b, so its elements must take an int factor.  Power caches
     are per-instance; instances are cheap and callers normally create one
     per computation.
     """
@@ -112,14 +112,6 @@ class CoeffField:
         return cls(LaurentPoly.zero(N), LaurentPoly.one(N), q, t,
                    lambda i: LaurentPoly.const(N, i),
                    lambda counts: _lpoly(N, p.specialize_poly(counts)), p)
-
-    @classmethod
-    def numeric(cls, p, u0):
-        """Probe field: u evaluated at a rational point, over Q(zeta_{r-1})."""
-        N = p.N
-        return cls(CycloNum.zero(N), CycloNum.one(N),
-                   p.q_value().evaluate(u0), p.t_value().evaluate(u0),
-                   lambda i: CycloNum.from_rational(N, i), spec=p)
 
     def table_reader(self):
         """The map from a QTPoly of integer counts per q^a t^b to its value
@@ -340,6 +332,17 @@ class MacdonaldTable:
         self._matrices = {}
         self._eps = {}
 
+    @classmethod
+    def matching(cls, table, n):
+        """table, or MacdonaldTable(n) when table is None; ValueError when
+        table was built for another n."""
+        if table is None:
+            return cls(n)
+        if table.n != n:
+            raise ValueError("table was built for n=%d, not n=%d"
+                             % (table.n, n))
+        return table
+
     def eps1(self, lam):
         lam = pt.normalize(lam)
         v = self._eps.get(lam)
@@ -422,10 +425,7 @@ class MacdonaldTable:
 
 
 def compute_P(lam, n, table=None):
-    table = table if table is not None else MacdonaldTable(n)
-    if table.n != n:
-        raise ValueError("table was built for n=%d" % table.n)
-    return table.compute_P(lam)
+    return MacdonaldTable.matching(table, n).compute_P(lam)
 
 
 def _one_minus_qt(a, b):
@@ -498,7 +498,7 @@ def pieri_failures(lam, n, table=None):
       E2  : E_2 P_lam            = t^(n-1)/(1-q) sum_j (1 - q^(lam_j) t^(1-j))
                                    psi' P_(add node j)
     """
-    table = table if table is not None else MacdonaldTable(n)
+    table = MacdonaldTable.matching(table, n)
     lam = pt.normalize(lam)
     if pt.length(lam) > n:
         raise ValueError("partition does not fit")
@@ -549,7 +549,7 @@ def check_integrality(lam, n, table=None):
     den | c_lam the product is a polynomial whatever num is, so the test
     never answers True wrongly.  c_lam is divided once per distinct den.
     """
-    table = table if table is not None else MacdonaldTable(n)
+    table = MacdonaldTable.matching(table, n)
     c = integral_form_factor(lam).num
     P = table.compute_P(lam)
     try:
@@ -567,7 +567,7 @@ def specialize_P(lam, n, p, table=None):
     vanishes; by the regularity lemma this cannot happen for admissible
     partitions or admissible ones changed by a single node.
     """
-    table = table if table is not None else MacdonaldTable(n)
+    table = MacdonaldTable.matching(table, n)
     P = table.compute_P(lam)
     out = {}
     for mu, c in P.coeffs.items():
@@ -598,7 +598,7 @@ def cauchy_row_check(n, l_max, table=None):
     prod_i (t x_i y; q)_inf / (x_i y; q)_inf expanded through y^l_max via
     the q-binomial series (t z; q)_inf/(z; q)_inf = sum_m (t;q)_m/(q;q)_m z^m.
     """
-    table = table if table is not None else MacdonaldTable(n)
+    table = MacdonaldTable.matching(table, n)
     ratios = [qpochhammer_ratio(m) for m in range(l_max + 1)]
     # right-hand side: product over variables of the one-variable series
     rhs = [dict() for _ in range(l_max + 1)]

@@ -19,22 +19,19 @@ Membership substitutes f itself (symfunc.wheel_substitute, over a
 CoeffField through _wheel_substitute_fld).
 
 The wheel fixes x_{k+2}, ..., x_n, so the constraint matrix is built once,
-as current relations in k+1 variables (_relation) times filler monomials
-in the free variables (_relation_rows), which current_algebra.ideal_rows
-shares.  dim J on the (n, d) component is its exact corank over the
-monomial-symmetric basis; rows are cleared to polynomial entries in u and
-eliminated fraction-free.  The probe mode evaluates u at a random
-non-resonant rational first, which can only overestimate the kernel: it
-gives an upper bound for dim J, not a certified value.
+as current relations in k+1 variables (relation_generic, which
+current_algebra re-exports) times filler monomials in the free variables
+(_relation_rows, which current_algebra.ideal_rows shares for its
+root-of-unity rows).  dim J on the (n, d) component is its exact corank
+over the monomial-symmetric basis; rows are cleared to polynomial entries
+in u and eliminated fraction-free.
 """
 
-import random
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import partitions as pt
-from .linalg import (EchelonBasis, _clear_denominators, _clear_upower_row,
-                     corank_upower, rank_kernel_poly)
+from .linalg import (_clear_denominators, _clear_upower_row, corank_upower,
+                     rank_kernel_poly)
 from .macdonald import CoeffField, MacdonaldTable, apply_D, apply_E, specialize_P
 from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
 from .symfunc import (MonomialExpansion, SymPoly, check_sigma,
@@ -45,11 +42,12 @@ __all__ = [
     "wheel_substitutions", "satisfies_wheel", "dim_J", "basis_I",
     "wheel_kernel_basis", "verify_theorem1", "verify_stability",
     "check_restriction_size", "verify_rho_inclusion", "constraint_rows",
-    "random_probe_point", "laurent_clear",
+    "relation_generic", "laurent_clear",
 ]
 
 
-_MODES = ("exact", "probe")
+# verify_theorem1 has one mode; the benchmark's workloads still name it
+_MODES = ("exact",)
 
 
 def _check_choice(name, value, allowed):
@@ -69,7 +67,7 @@ def satisfies_wheel(f, p, fld=None):
     By default f has UniRatFunc coefficients, and it is first cleared to
     Laurent-polynomial ones (a nonzero scalar multiple, so membership is
     unchanged); pass the CoeffField the coefficients already live in
-    (Laurent or numeric) to substitute in that ring directly.
+    (CoeffField.laurent, say) to substitute in that ring directly.
 
     One sigma per rotation class of its increment cycle is substituted.
     With ratios c_i = t^i q^(sigma_i), rotating s by one step and starting
@@ -117,14 +115,16 @@ def _merge(a, b):
     return tuple(sorted(a + b, reverse=True))
 
 
-def _relation(dd, sigma, read):
-    """The z^dd coefficient of e(z) e(c_1 z) ... e(c_k z), c_i =
-    t^i q^(sigma_i): m_mu(1, c_1, ..., c_k) is the (dd,) table of
-    wheel_collapse(mu, k+1, sigma), read by read; keys padded to k+1."""
-    k1 = len(sigma) + 1
-    return MonomialExpansion(k1, {
-        pt.pad(mu, k1): read(wheel_collapse(mu, k1, sigma)[(dd,)])
-        for mu in pt.enumerate_partitions(k1, dd)})
+def relation_generic(d, sigma, k, r, p=None):
+    """The z^d coefficient of e(z) e(c_1 z) ... e(c_k z), c_i =
+    t^i q^(sigma_i), over K: m_mu(1, c_1, ..., c_k) is the (d,) table of
+    wheel_collapse(mu, k+1, sigma), read by specialized_reader; keys
+    padded to k+1.  sigma must pass check_sigma."""
+    sigma = check_sigma(sigma, k, r)
+    read = specialized_reader(ParameterSpec.matching(p, k, r))
+    return MonomialExpansion(k + 1, {
+        pt.pad(mu, k + 1): read(wheel_collapse(mu, k + 1, sigma)[(d,)])
+        for mu in pt.enumerate_partitions(k + 1, d)})
 
 
 def _relation_rows(gens, n, d, zero):
@@ -146,15 +146,15 @@ def _relation_rows(gens, n, d, zero):
             yield (label, (dd,) + filler), row
 
 
-def constraint_rows(k, r, n, d, p=None, fld=None, sigmas=None):
+def constraint_rows(k, r, n, d, p=None, sigmas=None):
     """Rows of the wheel constraint matrix on the (n, d) component.
 
     Yields ((sigma, (dd,) + nu), row), row a list indexed like
-    enumerate_partitions(n, d) with UniRatFunc entries (or entries in fld
-    when probing): the relation of sigma in internal degree dd times the
-    filler nu, each row once.  Degrees ascend, and within one the sigmas
-    (None: every wheel substitution, rotation copies included) keep their
-    order, so the ranks' row selection meets the low-degree rows first.
+    enumerate_partitions(n, d) with UniRatFunc entries: relation_generic
+    of sigma in internal degree dd times the filler nu, each row once.
+    Degrees ascend, and within one the sigmas (None: every wheel
+    substitution, rotation copies included) keep their order, so the
+    ranks' row selection meets the low-degree rows first.
     The degree-0 relation is 1 for every sigma, so only the first sigma
     yields its rows.
     The ranks pass _rotation_classes(k, r), which spans the same rows.
@@ -162,17 +162,12 @@ def constraint_rows(k, r, n, d, p=None, fld=None, sigmas=None):
     """
     p = ParameterSpec.matching(p, k, r)
     check_wheel_size(n, k)
-    if fld is None:
-        read, zero = specialized_reader(p), UniRatFunc.zero(p.N)
-    else:
-        read, zero = fld.table_reader(), fld.zero
     if sigmas is None:
         sigmas = wheel_substitutions(k, r)
     sigmas = [check_sigma(sigma, k, r) for sigma in sigmas]
-    yield from _relation_rows(((sigma, dd, _relation(dd, sigma, read))
-                               for dd in range(d + 1)
-                               for sigma in (sigmas if dd else sigmas[:1])),
-                              n, d, zero)
+    gens = ((sigma, dd, relation_generic(dd, sigma, k, r, p))
+            for dd in range(d + 1) for sigma in (sigmas if dd else sigmas[:1]))
+    yield from _relation_rows(gens, n, d, UniRatFunc.zero(p.N))
 
 
 def _wheel_substitute_fld(f, sigma, fld):
@@ -181,39 +176,16 @@ def _wheel_substitute_fld(f, sigma, fld):
     return wheel_substitute(f, sigma, fld.spec, fld.table_reader())
 
 
-def random_probe_point(rng):
-    """A rational u0 with |u0| not 0 or 1, so no extra resonances appear."""
-    while True:
-        num = rng.randint(2, 40)
-        den = rng.randint(1, 40)
-        if num != den:
-            return Fraction(num, den)
-
-
-def dim_J(k, r, n, d, p=None, mode="exact", seed=0):
-    """dim over K of the wheel-condition subspace of Lambda_{n,d}.
-
-    Both modes rank the rows of one sigma per rotation class, which span
-    the rows of every sigma (see the module docstring).  mode="probe"
-    evaluates u at a random rational; the result is an upper bound for the
-    exact dimension (minors can only lose rank), computed in seconds
-    instead of the exact path's polynomial elimination.
-    """
-    _check_choice("mode", mode, _MODES)
+def dim_J(k, r, n, d, p=None):
+    """dim over K of the wheel-condition subspace of Lambda_{n,d}: the
+    exact corank of the rows of one sigma per rotation class, which span
+    the rows of every sigma (see the module docstring)."""
     p = ParameterSpec.matching(p, k, r)
     ncols = len(pt.enumerate_partitions(n, d))
     if n <= k:
         return ncols
-    sigmas = _rotation_classes(k, r)
-    if mode == "probe":
-        rng = random.Random(seed)
-        fld = CoeffField.numeric(p, random_probe_point(rng))
-        ech = EchelonBasis(ncols)
-        for _, row in constraint_rows(k, r, n, d, p, fld=fld, sigmas=sigmas):
-            ech.add(row)
-        return ncols - ech.rank
     return corank_upower((row for _, row in constraint_rows(
-        k, r, n, d, p, sigmas=sigmas)), ncols, p.N)
+        k, r, n, d, p, sigmas=_rotation_classes(k, r))), ncols, p.N)
 
 
 def wheel_kernel_basis(k, r, n, d, p=None):
@@ -239,25 +211,26 @@ def wheel_kernel_basis(k, r, n, d, p=None):
 def basis_I(k, r, n, d, p=None, table=None):
     """Specialized Macdonald polynomials over the admissible labels."""
     p = ParameterSpec.matching(p, k, r)
-    table = table if table is not None else MacdonaldTable(n)
+    table = MacdonaldTable.matching(table, n)
     return [specialize_P(lam, n, p, table)
             for lam in pt.enumerate_admissible(k, r, n, d)]
 
 
-def verify_theorem1(k, r, n, d, p=None, mode="exact", table=None, seed=0):
-    """Check I = J on one component: inclusion witnesses plus dimensions."""
+def verify_theorem1(k, r, n, d, p=None, mode="exact", table=None):
+    """Check I = J on one component: inclusion witnesses plus the exact
+    dim_J.  mode must be "exact"; there is no other."""
     _check_choice("mode", mode, _MODES)
     p = ParameterSpec.matching(p, k, r)
     admissible = pt.enumerate_admissible(k, r, n, d)
     witness_failures = []
     if n > k:
-        table = table if table is not None else MacdonaldTable(n)
+        table = MacdonaldTable.matching(table, n)
         fld = CoeffField.laurent(p)
         for lam in admissible:
             f = laurent_clear(specialize_P(lam, n, p, table), p)
             if not satisfies_wheel(f, p, fld):
                 witness_failures.append(pt.format_partition(lam))
-    dim = dim_J(k, r, n, d, p, mode=mode, seed=seed)
+    dim = dim_J(k, r, n, d, p)
     return {
         "k": k, "r": r, "n": n, "d": d,
         "dim_J": dim,
@@ -303,7 +276,7 @@ def verify_rho_inclusion(lam, k, r, n, j_max, p=None, table=None):
     """rho(d^j/dx_n^j P_lam) lies in J^(k,r)_{n-1} for 0 <= j <= j_max."""
     check_restriction_size(n, k)
     p = ParameterSpec.matching(p, k, r)
-    table = table if table is not None else MacdonaldTable(n)
+    table = MacdonaldTable.matching(table, n)
     fld = CoeffField.laurent(p)
     f = laurent_clear(specialize_P(lam, n, p, table), p)
     for j in range(j_max + 1):

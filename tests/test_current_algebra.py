@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from wheelmac import current_algebra, linalg, wheel_ideal
+from wheelmac import linalg, wheel_ideal
 from wheelmac import partitions as pt
 from wheelmac.current_algebra import (K_d_nu, W_space_dim, chi_C,
                                       enumerate_C_sequences, ideal_rows,
@@ -420,21 +420,16 @@ def test_generic_ranks_over_rotation_classes_match_every_sigma():
 
 
 def test_generic_ranks_take_one_relation_per_class(monkeypatch):
-    # W_space_dim reads relation_generic; quotient_dim is dim_J, which
-    # reads the wheel_ideal relation reader
+    # W_space_dim and quotient_dim (which is dim_J) both read their rows
+    # through constraint_rows and the one relation reader
     calls = []
-    inner, reader = current_algebra.relation_generic, wheel_ideal._relation
+    inner = wheel_ideal.relation_generic
 
     def counting(d, sigma, k, r, p=None):
         calls.append(tuple(sigma))
         return inner(d, sigma, k, r, p)
 
-    def counting_reader(dd, sigma, read):
-        calls.append(tuple(sigma))
-        return reader(dd, sigma, read)
-
-    monkeypatch.setattr(current_algebra, "relation_generic", counting)
-    monkeypatch.setattr(wheel_ideal, "_relation", counting_reader)
+    monkeypatch.setattr(wheel_ideal, "relation_generic", counting)
     for k, r in [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)]:
         p = ParameterSpec(k, r)
         for rank in (lambda: quotient_dim(k, r, k + 2, 6, p, "generic"),
@@ -446,7 +441,7 @@ def test_generic_ranks_take_one_relation_per_class(monkeypatch):
 
 @pytest.mark.xfail(strict=True, reason="W_space_dim ranks the generic "
                    "relation rows and undercounts at (k, r) = (2, 3), where "
-                   "chi_C gives 1; ROADMAP item 1")
+                   "chi_C gives 1; ROADMAP item 2")
 def test_W_space_dim_matches_chi_C_at_2_3():
     p = ParameterSpec(2, 3)
     assert W_space_dim((2, 2), 2, 3, 3, 3, p) == 1

@@ -23,6 +23,8 @@ from wheelmac.scalars import (BiRatFunc, CycloNum, LaurentPoly, ParameterSpec,
 from wheelmac.symfunc import SymPoly, eval_monomial_symmetric
 from wheelmac.wheel_ideal import basis_I, wheel_kernel_basis
 
+from test_symfunc import _zeta3_point_field
+
 q = BiRatFunc.q()
 t = BiRatFunc.t()
 one = BiRatFunc.one()
@@ -277,7 +279,7 @@ def test_operators_match_a_per_weight_reference(monkeypatch):
                               Fraction(-3), Fraction), lambda fld: rand_frac()))
     fields.append((CoeffField.generic(), lambda fld: BiRatFunc.const(
         rand_frac()) + fld.q * rand_frac() / (fld.one - fld.t)))
-    fields.append((CoeffField.numeric(ParameterSpec(1, 4), Fraction(7, 3)),
+    fields.append((_zeta3_point_field(),
                    lambda fld: CycloNum.zeta(3) * rand_frac() + rand_frac()))
     for fld, coeff in fields:
         ref = _per_weight_field(fld)

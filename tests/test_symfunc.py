@@ -161,6 +161,16 @@ def _count_collapse(f, sigma, value):
     return MonomialExpansion(f.n - len(sigma), out)
 
 
+def _zeta3_point_field():
+    """Q(zeta_3) with u = 7/3 in the (k, r) = (1, 4) specialization, built
+    from five arguments and no reader, so it reads every table through
+    CoeffField's default reader and sum_of_products' generic lane."""
+    p, u0 = ParameterSpec(1, 4), Fraction(7, 3)
+    return CoeffField(CycloNum.zero(3), CycloNum.one(3),
+                      p.q_value().evaluate(u0), p.t_value().evaluate(u0),
+                      lambda i: CycloNum.from_rational(3, i))
+
+
 def test_collapse_wheel_matches_a_per_term_loop():
     # the integer counts of wheel_collapse against the naive loop on the
     # ratios t^i q^(sigma_i), read through fld.qpow/fld.tpow and through
@@ -169,11 +179,10 @@ def test_collapse_wheel_matches_a_per_term_loop():
     fields = []
     for k, r in [(1, 2), (2, 3), (1, 4), (2, 5)]:  # N = 1, 2, 3, 4
         p = ParameterSpec(k, r)
-        fields += [CoeffField.laurent(p), CoeffField.specialized(p)]
-    for k, r in [(1, 2), (2, 3)]:
-        fields.append(CoeffField.numeric(ParameterSpec(k, r), Fraction(7, 3)))
-    for fld in fields:
-        k, r = fld.spec.k, fld.spec.r
+        fields += [(CoeffField.laurent(p), k, r),
+                   (CoeffField.specialized(p), k, r)]
+    fields.append((_zeta3_point_field(), 1, 4))
+    for fld, k, r in fields:
         sigma = [rng.randint(0, r - 1) for _ in range(k)]
         ratios = [fld.tpow(i) * fld.qpow(sigma[i - 1]) for i in range(1, k + 1)]
         values = [lambda counts: sum(

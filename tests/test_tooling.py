@@ -119,11 +119,12 @@ def _loaded_names(node):
             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)]
 
 
-def test_every_private_name_is_used():
-    # a deletion that strands a helper (one only its own body names) fails
-    # here; a name from another module counts as an attribute or an import
+def _unused_private_names(folder):
+    """(file, name) of each private module-level name of folder/*.py that
+    only its own definition names; a name from another file of folder
+    counts as used through an attribute or an import."""
     trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py"))}
+             for path in sorted(folder.glob("*.py"))}
     foreign = {n.attr for tree in trees.values() for n in ast.walk(tree)
                if isinstance(n, ast.Attribute)}
     foreign |= {n.name for tree in trees.values() for n in ast.walk(tree)
@@ -135,7 +136,19 @@ def test_every_private_name_is_used():
             if (loaded.count(name) == _loaded_names(node).count(name)
                     and name not in foreign):
                 unused.append((module, name))
-    assert not unused
+    return unused
+
+
+def test_every_private_name_is_used():
+    # a deletion that strands a helper (one only its own body names) fails
+    # here
+    assert not _unused_private_names(SRC)
+
+
+def test_every_private_test_helper_is_used():
+    # the same for the test modules: a deleted test must not leave behind
+    # the helper or constant only it read
+    assert not _unused_private_names(ROOT / "tests")
 
 
 def test_readme_commands_parse():

@@ -12,14 +12,16 @@ from wheelmac import linalg
 from wheelmac import partitions as pt
 from wheelmac import wheel_ideal
 from wheelmac.linalg import EchelonBasis, _clear_upower_row, rank_kernel_poly
-from wheelmac.macdonald import CoeffField, specialize_P
+from wheelmac.macdonald import (CoeffField, MacdonaldTable, cauchy_row_check,
+                                check_integrality, compute_P, pieri_failures,
+                                specialize_P)
 from wheelmac.scalars import (CycloNum, ParameterSpec, PoleError, UniPoly,
                               UniRatFunc, euler_phi)
 from wheelmac.symfunc import SymPoly, wheel_substitute
 from wheelmac.wheel_ideal import (_rotation_classes, _wheel_substitute_fld,
                                   basis_I, constraint_rows, dim_J,
-                                  laurent_clear, random_probe_point,
-                                  satisfies_wheel, verify_rho_inclusion,
+                                  laurent_clear, satisfies_wheel,
+                                  verify_rho_inclusion,
                                   verify_stability, verify_theorem1,
                                   wheel_kernel_basis, wheel_substitutions)
 
@@ -41,6 +43,29 @@ def test_a_parameter_spec_for_another_k_r_is_refused():
     for call in calls:
         with pytest.raises(ValueError,
                            match=r"k=1, r=3\) does not match \(k=1, r=2\)"):
+            call()
+
+
+def test_a_table_for_another_n_is_refused():
+    # with MacdonaldTable(2), verify_theorem1(1, 2, 3, 6) reported the
+    # admissible 4,2 as a witness failure, and specialize_P((3, 1), 3, ...)
+    # returned 2 of the 3 terms of P_31
+    p = ParameterSpec(1, 2)
+    right, wrong = MacdonaldTable(3), MacdonaldTable(2)
+    assert MacdonaldTable.matching(right, 3) is right
+    assert MacdonaldTable.matching(None, 3).n == 3
+    assert verify_theorem1(1, 2, 3, 6, p, table=right)["inclusion_ok"]
+    calls = [lambda: compute_P((3, 1), 3, wrong),
+             lambda: pieri_failures((3, 1), 3, wrong),
+             lambda: check_integrality((3, 1), 3, wrong),
+             lambda: specialize_P((3, 1), 3, p, wrong),
+             lambda: cauchy_row_check(3, 2, wrong),
+             lambda: basis_I(1, 2, 3, 6, p, wrong),
+             lambda: verify_theorem1(1, 2, 3, 6, p, table=wrong),
+             lambda: verify_rho_inclusion((4, 2), 1, 2, 3, 1, p, wrong)]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match="table was built for n=2, not n=3"):
             call()
 
 
@@ -142,11 +167,11 @@ def test_wheel_substitute_of_a_monomial_needs_no_gcd(monkeypatch):
 
 
 def test_unknown_mode_is_rejected():
-    for call in (lambda: dim_J(1, 2, 3, 2, mode="prob"),
-                 lambda: dim_J(1, 2, 1, 2, mode="Exact"),
-                 lambda: verify_theorem1(1, 2, 3, 2, mode="prob")):
-        with pytest.raises(ValueError, match="'exact', 'probe'"):
-            call()
+    # the exact dim_J is the only one verify_theorem1 runs
+    for mode in ("probe", "prob", "Exact"):
+        with pytest.raises(ValueError,
+                           match="mode must be one of 'exact', got"):
+            verify_theorem1(1, 2, 3, 2, mode=mode)
 
 
 def test_satisfies_wheel_examples():
@@ -187,27 +212,23 @@ def test_dim_J_examples():
     assert dim_J(2, 3, 2, 4) == len(pt.enumerate_partitions(2, 4))
     assert dim_J(1, 2, 2, 2) == 1
     assert dim_J(1, 2, 2, 1) == 0
-    # ... and no wheel to build rows from: both branches of
-    # constraint_rows refuse such a component
-    p = ParameterSpec(1, 2)
-    for fld in (None, CoeffField.numeric(p, Fraction(5, 2))):
-        with pytest.raises(ValueError, match=r"k\+1=2 variables"):
-            list(constraint_rows(1, 2, 1, 2, p, fld=fld))
+    # ... and no wheel to build rows from: constraint_rows refuses such a
+    # component
+    with pytest.raises(ValueError, match=r"k\+1=2 variables"):
+        list(constraint_rows(1, 2, 1, 2, ParameterSpec(1, 2)))
 
 
-def _reference_rows(k, r, n, d, p, fld=None):
+def _reference_rows(k, r, n, d, p):
     """{(sigma, free monomial): row} for every sigma, by the wheel
-    substituted into each m_lam over its whole n-variable orbit (over K,
-    or in fld through _wheel_substitute_fld): one row per free monomial,
-    so each distinct row once per permutation of the free exponents."""
+    substituted into each m_lam over its whole n-variable orbit, over K:
+    one row per free monomial, so each distinct row once per permutation
+    of the free exponents."""
     plist = pt.enumerate_partitions(n, d)
-    one = UniRatFunc.one(p.N) if fld is None else fld.one
+    one = UniRatFunc.one(p.N)
     rows = {}
     for sigma in wheel_substitutions(k, r):
         for i, lam in enumerate(plist):
-            f = SymPoly.m(lam, n, one)
-            image = wheel_substitute(f, sigma, p) if fld is None \
-                else _wheel_substitute_fld(f, sigma, fld)
+            image = wheel_substitute(SymPoly.m(lam, n, one), sigma, p)
             for mono, c in image.terms.items():
                 rows.setdefault((sigma, mono), [one - one] * len(plist))[i] = c
     return rows
@@ -219,26 +240,25 @@ _REFERENCE_GRID = {(1, 2): 5, (2, 2): 5, (3, 2): 5, (1, 3): 5, (2, 3): 5,
 
 
 def test_constraint_rows_match_the_per_monomial_substitution():
-    # over K and in the probe field, the row of (sigma, (dd,) + nu) is the
-    # reference row of every permutation of the free exponents nu, and
-    # nothing else is yielded; the degree-0 relation is 1 for every sigma,
-    # so each sigma's degree-0 reference row is the first sigma's row
+    # the row of (sigma, (dd,) + nu) is the reference row of every
+    # permutation of the free exponents nu, and nothing else is yielded;
+    # the degree-0 relation is 1 for every sigma, so each sigma's degree-0
+    # reference row is the first sigma's row
     for (k, r), n_max in _REFERENCE_GRID.items():
         p = ParameterSpec(k, r)
         first = wheel_substitutions(k, r)[0]
-        for fld in (None, CoeffField.numeric(p, Fraction(7, 3))):
-            for n in range(k + 1, n_max + 1):
-                for d in range(7):
-                    ref = _reference_rows(k, r, n, d, p, fld)
-                    got = dict(constraint_rows(k, r, n, d, p, fld=fld))
-                    for (sigma, mono), row in ref.items():
-                        free = tuple(sorted(mono[1:], reverse=True))
-                        label = sigma if mono[0] else first
-                        assert got[(label, mono[:1] + free)] == row, \
-                            (k, r, n, d, sigma, mono)
-                    distinct = {(sigma if mono[0] else first, mono[0],
-                                 *sorted(mono[1:])) for sigma, mono in ref}
-                    assert len(got) == len(distinct), (k, r, n, d)
+        for n in range(k + 1, n_max + 1):
+            for d in range(7):
+                ref = _reference_rows(k, r, n, d, p)
+                got = dict(constraint_rows(k, r, n, d, p))
+                for (sigma, mono), row in ref.items():
+                    free = tuple(sorted(mono[1:], reverse=True))
+                    label = sigma if mono[0] else first
+                    assert got[(label, mono[:1] + free)] == row, \
+                        (k, r, n, d, sigma, mono)
+                distinct = {(sigma if mono[0] else first, mono[0],
+                             *sorted(mono[1:])) for sigma, mono in ref}
+                assert len(got) == len(distinct), (k, r, n, d)
 
 
 def test_constraint_rows_yield_each_row_once():
@@ -279,21 +299,6 @@ def test_dim_J_oracle_small():
     kernel = SymPoly(2, {(2,): coeff_m11, (1, 1): -coeff_m2})
     assert satisfies_wheel(kernel, p)
     assert dim_J(1, 2, 2, 2, p) == 1
-
-
-def test_dim_J_probe_agrees_with_exact():
-    for (k, r, n, d) in [(1, 2, 3, 4), (1, 3, 3, 5), (2, 2, 3, 4)]:
-        p = ParameterSpec(k, r)
-        exact = dim_J(k, r, n, d, p)
-        for seed in (0, 1, 2):
-            assert dim_J(k, r, n, d, p, mode="probe", seed=seed) == exact
-
-
-def test_probe_point_never_unit():
-    rng = random.Random(0)
-    for _ in range(50):
-        u0 = random_probe_point(rng)
-        assert u0 != 0 and abs(u0) != 1
 
 
 def test_dim_J_row_order_and_rotation_dedup_invariance():
@@ -432,7 +437,6 @@ def test_satisfies_wheel_substitutes_once_per_class(monkeypatch):
 
 # (k, r) of the rotation-class rank grid; components n <= 4, d <= 7
 _RANK_KR = [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)]
-_PROBE_SEED = 3
 
 
 def _rank_components(k):
@@ -440,30 +444,23 @@ def _rank_components(k):
 
 
 def _every_sigma_ranks(k, r, n, d, p):
-    """Exact dim, probe dim and kernel basis from the rows of every sigma
+    """Exact dim and kernel basis from the rows of every sigma
     (constraint_rows with sigmas=None), ranked here."""
     plist = pt.enumerate_partitions(n, d)
-    ncols = len(plist)
     rows = [_clear_upower_row(row, p.N)
             for _, row in constraint_rows(k, r, n, d, p)]
-    rank, vecs = rank_kernel_poly(rows, ncols, p.N)
+    rank, vecs = rank_kernel_poly(rows, len(plist), p.N)
     basis = [SymPoly(n, {lam: UniRatFunc(x, _canonical=True)
                          for lam, x in zip(plist, vec)}) for vec in vecs]
-    fld = CoeffField.numeric(
-        p, random_probe_point(random.Random(_PROBE_SEED)))
-    probe = ncols - _field_rank(
-        (row for _, row in constraint_rows(k, r, n, d, p, fld=fld)), ncols)
-    return ncols - rank, probe, basis
+    return len(plist) - rank, basis
 
 
 def test_ranks_over_rotation_classes_match_every_sigma():
     for k, r in _RANK_KR:
         p = ParameterSpec(k, r)
         for n, d in _rank_components(k):
-            exact, probe, basis = _every_sigma_ranks(k, r, n, d, p)
+            exact, basis = _every_sigma_ranks(k, r, n, d, p)
             assert dim_J(k, r, n, d, p) == exact, (k, r, n, d)
-            assert dim_J(k, r, n, d, p, mode="probe",
-                         seed=_PROBE_SEED) == probe, (k, r, n, d)
             assert wheel_kernel_basis(k, r, n, d, p) == basis, (k, r, n, d)
 
 
@@ -485,18 +482,17 @@ def test_a_class_list_missing_a_class_changes_dim_J(monkeypatch):
 def test_ranks_substitute_one_sigma_per_class(monkeypatch):
     # every rank reads its wheel rows through the one relation reader
     calls = []
-    inner = wheel_ideal._relation
+    inner = wheel_ideal.relation_generic
 
-    def counting(dd, sigma, read):
+    def counting(d, sigma, k, r, p=None):
         calls.append(tuple(sigma))
-        return inner(dd, sigma, read)
+        return inner(d, sigma, k, r, p)
 
-    monkeypatch.setattr(wheel_ideal, "_relation", counting)
+    monkeypatch.setattr(wheel_ideal, "relation_generic", counting)
     for k, r in _RANK_KR:
         p = ParameterSpec(k, r)
         n, d = k + 2, 4
         for rank in (lambda: dim_J(k, r, n, d, p),
-                     lambda: dim_J(k, r, n, d, p, mode="probe"),
                      lambda: wheel_kernel_basis(k, r, n, d, p)):
             del calls[:]
             rank()
