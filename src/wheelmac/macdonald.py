@@ -39,7 +39,7 @@ from .scalars import (BiRatFunc, ExactDivisionError, LaurentPoly, PoleError,
                       QTPoly, UniRatFunc, _lpoly, qt_divexact,
                       sum_of_products)
 from .symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
-                      monomials_to_m, specialized_reader, sympoly_mul)
+                      monomials_to_m, sympoly_mul)
 
 __all__ = [
     "CoeffField", "ExactDivisionError", "MacdonaldTable",
@@ -89,27 +89,30 @@ class CoeffField:
 
     @classmethod
     def specialized(cls, p):
-        """K = Q(zeta_{r-1})(u) at t = u^((r-1)/m), q = omega1 u^(-(k+1)/m)."""
+        """K = Q(zeta_{r-1})(u), read through p.specialize: p alone knows
+        how q and t become u."""
         N = p.N
         return cls(UniRatFunc.zero(N), UniRatFunc.one(N), p.q_value(),
                    p.t_value(), lambda i: UniRatFunc.const(N, i),
-                   specialized_reader(p), p)
+                   p.specialize, p)
 
     @classmethod
     def laurent(cls, p):
         """Same specialization over Laurent polynomials in u (no fractions).
 
         Only usable on inputs already cleared of denominators; this is the
-        fast lane for the stability and restriction checks.  Over Q
-        (omega1 = +-1) q, t and the coefficients laurent_clear gives are
-        LaurentPolys of ints over one denominator, so the kernels run on
-        plain ints.  A specialized table (ints over 1, or CycloNums) is
-        already canonical, so it becomes a LaurentPoly as it stands.
+        fast lane for the stability and restriction checks.  q and t are
+        p.qt_laurent(1, 0) and p.qt_laurent(0, 1), and a table reads as
+        p.specialize_poly gives it.  Over Q (phi(N) = 1) q, t and the
+        coefficients laurent_clear gives are LaurentPolys of ints over one
+        denominator, so the kernels run on plain ints.  A specialized
+        table (ints over 1, or CycloNums) is already canonical, so it
+        becomes a LaurentPoly as it stands.
         """
         N = p.N
-        q = LaurentPoly.monomial(N, -p.q_exp, p.omega1)
-        t = LaurentPoly.monomial(N, p.t_exp)
-        return cls(LaurentPoly.zero(N), LaurentPoly.one(N), q, t,
+        return cls(LaurentPoly.zero(N), LaurentPoly.one(N),
+                   LaurentPoly.monomial(N, *p.qt_laurent(1, 0)),
+                   LaurentPoly.monomial(N, *p.qt_laurent(0, 1)),
                    lambda i: LaurentPoly.const(N, i),
                    lambda counts: _lpoly(N, p.specialize_poly(counts)), p)
 

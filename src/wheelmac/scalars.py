@@ -39,9 +39,13 @@ over Q(zeta_N) (Euclid with monic remainders), the monic gcd of the
 entries in (Q[t])[q].
 
 On top of these sits ``ParameterSpec``, the resonant specialization
-t = u^((r-1)/m), q = omega1 * u^(-(k+1)/m) with m = gcd(k+1, r-1), which
-maps BiRatFunc values into UniRatFunc values and decides which exponent
-pairs (a, b) satisfy q^a t^b = 1.
+t = u^((r-1)/m), q = omega1 * u^(-(k+1)/m) with m = gcd(k+1, r-1), and
+the one place that knows it: its table of omega1^a, in the coefficients'
+own ring (ints when phi(N) = 1), gives q^a t^b (``qt_laurent``) and the
+image of a QTPoly (``specialize_poly``).  ``specialize`` is the one reader
+into K = Q(zeta_N)(u): a QTPoly goes straight to a canonical UniRatFunc,
+a BiRatFunc as num over den.  ``is_resonant`` decides which exponent pairs
+(a, b) satisfy q^a t^b = 1.
 
 All values are immutable and all operations are pure functions, so
 everything here is safe to share between threads.
@@ -986,9 +990,6 @@ class QTPoly:
     def is_one(self):
         return self.d == {(0, 0): 1}
 
-    def is_constant(self):
-        return not self.d or self.d.keys() == {(0, 0)}
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QTPoly.term(other)
@@ -1582,11 +1583,13 @@ class ParameterSpec:
     Fixes omega1 = zeta_{r-1}, so a single cyclotomic field Q(zeta_{r-1})
     carries every scalar; then t = u^((r-1)/m), q = omega1 u^(-(k+1)/m)
     with m = gcd(k+1, r-1), and q^a t^b = 1 exactly when (a, b) is an
-    integer multiple of ((r-1), (k+1)).
+    integer multiple of ((r-1), (k+1)).  Only this class knows the rule:
+    the table _omega_powers holds omega1^a in the coefficients' own ring,
+    the ints 1 and -1 when phi(N) = 1 (N <= 2) and CycloNums otherwise,
+    and every value in K is read through specialize_poly.
     """
 
-    __slots__ = ("k", "r", "m", "N", "omega1", "t_exp", "q_exp",
-                 "_omega_powers")
+    __slots__ = ("k", "r", "m", "N", "t_exp", "q_exp", "_omega_powers")
 
     def __init__(self, k, r):
         if k < 1:
@@ -1596,9 +1599,10 @@ class ParameterSpec:
         self.k = k
         self.r = r
         self.m = gcd(k + 1, r - 1)
-        self.N = r - 1
-        self.omega1 = CycloNum.zeta(self.N)
-        self._omega_powers = [CycloNum.zeta(self.N, a) for a in range(self.N)]
+        N = self.N = r - 1
+        # zeta_1 = 1 and zeta_2 = -1 stay ints, so Q runs on plain ints
+        self._omega_powers = ([(-1) ** a for a in range(N)] if N <= 2 else
+                              [CycloNum.zeta(N, a) for a in range(N)])
         self.t_exp = (r - 1) // self.m
         self.q_exp = (k + 1) // self.m
 
@@ -1612,49 +1616,36 @@ class ParameterSpec:
             raise ValueError("%r does not match (k=%d, r=%d)" % (p, k, r))
         return p
 
-    @property
-    def omega(self):
-        return CycloNum.zeta(self.N, self.t_exp)
-
     def t_value(self):
-        return UniRatFunc(UniPoly.u_power(self.N, self.t_exp), _canonical=True)
+        return UniRatFunc.from_laurent(self.N, dict([self.qt_laurent(0, 1)]))
 
     def q_value(self):
-        return UniRatFunc(UniPoly.const(self.N, 1).scale(self.omega1),
-                          UniPoly.u_power(self.N, self.q_exp))
+        return UniRatFunc.from_laurent(self.N, dict([self.qt_laurent(1, 0)]))
 
     def qt_laurent(self, a, b):
-        """q^a t^b as (u-exponent, cyclotomic coefficient omega1^(a mod N))."""
+        """q^a t^b as (u-exponent, coefficient omega1^(a mod N))."""
         return b * self.t_exp - a * self.q_exp, self._omega_powers[a % self.N]
 
     def specialize_poly(self, f):
         """Image of a QTPoly as a {u-exponent: nonzero coefficient} Laurent
-        map.  Over Q (N <= 2, omega1 = +-1) the coefficients are rationals,
-        summed as ints and Fractions; otherwise they are CycloNums."""
+        map: each q^a t^b is qt_laurent(a, b), read off the table in the
+        loop.  Over Q the coefficients stay ints and Fractions; otherwise
+        they are CycloNums."""
+        t_exp, q_exp, N, w = self.t_exp, self.q_exp, self.N, self._omega_powers
         terms = {}
-        if self.N <= 2:
-            t_exp, q_exp, N = self.t_exp, self.q_exp, self.N
-            for (a, b), v in f.d.items():
-                e = b * t_exp - a * q_exp
-                terms[e] = terms.get(e, 0) + (-v if a % N else v)
-            return {e: v for e, v in terms.items() if v}
         for (a, b), v in f.d.items():
-            e, c = self.qt_laurent(a, b)
-            c = c * v
-            w = terms.get(e)
-            w = c if w is None else w + c
-            if w.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = w
-        return terms
+            e, c = b * t_exp - a * q_exp, w[a % N] * v
+            terms[e] = terms[e] + c if e in terms else c
+        return {e: c for e, c in terms.items() if c}
 
     def specialize(self, x):
-        """Map a BiRatFunc into Q(zeta_{r-1})(u); PoleError if den -> 0."""
+        """Map a QTPoly or BiRatFunc into K = Q(zeta_{r-1})(u); PoleError
+        if den -> 0.  A QTPoly (a table of counts, say) is read straight
+        into a canonical UniRatFunc, with no gcd and no division."""
         if isinstance(x, (int, Fraction)):
             return UniRatFunc.const(self.N, x)
         if isinstance(x, QTPoly):
-            x = BiRatFunc.from_poly(x)
+            return UniRatFunc.from_laurent(self.N, self.specialize_poly(x))
         den = self.specialize_poly(x.den)
         if not den:
             raise PoleError("pole at specialization (k=%d, r=%d)" % (self.k, self.r))

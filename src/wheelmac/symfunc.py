@@ -9,7 +9,8 @@ types from ``wheelmac.scalars`` (or plain ints/Fractions); the code only
 relies on ring arithmetic and truthiness for zero tests.
 
 Every wheel substitution is one collapse (wheel_substitute) into integer
-orbit counts per q^a t^b, which a reader turns into coefficients.
+orbit counts per q^a t^b, which a reader turns into coefficients (by
+default ParameterSpec.specialize, into K), so no field type is named here.
 """
 
 from fractions import Fraction
@@ -17,13 +18,12 @@ from math import factorial
 from operator import mul
 
 from . import partitions as pt
-from .scalars import QTPoly, UniRatFunc, sum_of_products
+from .scalars import QTPoly, sum_of_products
 
 __all__ = [
     "SymPoly", "MonomialExpansion", "m_to_monomials", "monomials_to_m",
     "sympoly_mul", "check_sigma", "check_wheel_size", "wheel_collapse",
-    "wheel_substitute", "specialized_reader",
-    "restrict_derivative", "orbit_of",
+    "wheel_substitute", "restrict_derivative", "orbit_of",
     "eval_monomial_symmetric",
 ]
 
@@ -90,9 +90,6 @@ class SymPoly:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def map_coeffs(self, fn):
-        return SymPoly(self.n, {lam: fn(c) for lam, c in self.coeffs.items()})
 
     def __add__(self, other):
         if isinstance(other, SymPoly):
@@ -309,13 +306,6 @@ def wheel_collapse(lam, n, sigma):
     return {key: QTPoly(row, _clean=True) for key, row in counts.items()}
 
 
-def specialized_reader(p):
-    """Reads a wheel_collapse table into K: specialized, then made a
-    canonical UniRatFunc once, with no gcd."""
-    N = p.N
-    return lambda counts: UniRatFunc.from_laurent(N, p.specialize_poly(counts))
-
-
 def wheel_substitute(f, sigma, p=None, read=None):
     """Substitute the wheel x_{i+1} = t^i q^{sigma_i} x_1, i = 1..k.
 
@@ -325,7 +315,7 @@ def wheel_substitute(f, sigma, p=None, read=None):
     the expansion in the free variables (slot 0 is x_1, then
     x_{k+2}, ..., x_n).  Each m_lam of f collapses to integer tables
     (wheel_collapse), one per key; read turns a table into a coefficient
-    (by default specialized_reader(p), into K), and its products with f's
+    (by default p.specialize, into K), and its products with f's
     coefficients are summed per key by sum_of_products, zero readings
     skipped.  sigma must pass check_sigma when the ParameterSpec p is
     given; f needs n >= k+1.
@@ -335,7 +325,7 @@ def wheel_substitute(f, sigma, p=None, read=None):
     if read is None:
         if p is None:
             raise TypeError("wheel_substitute needs p or read")
-        read = specialized_reader(p)
+        read = p.specialize
     k = len(sigma)
     check_wheel_size(f.n, k)
     pairs = {}

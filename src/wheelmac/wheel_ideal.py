@@ -35,8 +35,8 @@ from .linalg import (_clear_denominators, _clear_upower_row, corank_upower,
 from .macdonald import CoeffField, MacdonaldTable, apply_D, apply_E, specialize_P
 from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
 from .symfunc import (MonomialExpansion, SymPoly, check_sigma,
-                      check_wheel_size, restrict_derivative,
-                      specialized_reader, wheel_collapse, wheel_substitute)
+                      check_wheel_size, restrict_derivative, wheel_collapse,
+                      wheel_substitute)
 
 __all__ = [
     "wheel_substitutions", "satisfies_wheel", "dim_J", "basis_I",
@@ -118,10 +118,10 @@ def _merge(a, b):
 def relation_generic(d, sigma, k, r, p=None):
     """The z^d coefficient of e(z) e(c_1 z) ... e(c_k z), c_i =
     t^i q^(sigma_i), over K: m_mu(1, c_1, ..., c_k) is the (d,) table of
-    wheel_collapse(mu, k+1, sigma), read by specialized_reader; keys
-    padded to k+1.  sigma must pass check_sigma."""
+    wheel_collapse(mu, k+1, sigma), read by p.specialize; keys padded to
+    k+1.  sigma must pass check_sigma."""
     sigma = check_sigma(sigma, k, r)
-    read = specialized_reader(ParameterSpec.matching(p, k, r))
+    read = ParameterSpec.matching(p, k, r).specialize
     return MonomialExpansion(k + 1, {
         pt.pad(mu, k + 1): read(wheel_collapse(mu, k + 1, sigma)[(d,)])
         for mu in pt.enumerate_partitions(k + 1, d)})

@@ -85,7 +85,7 @@ def test_qt_gcd_random_products():
         h = qt_gcd(f1, f2)[0]
         assert qt_divexact(f1, h) * h == f1
         assert qt_divexact(f2, h) * h == f2
-        assert qt_divexact(g, qt_gcd(h, g)[0]).is_constant()
+        assert qt_divexact(g, qt_gcd(h, g)[0]).d.keys() <= {(0, 0)}
 
 
 @pytest.mark.parametrize("k,r,m,N", [(1, 2, 1, 1), (1, 3, 2, 2), (2, 2, 1, 1),
@@ -95,8 +95,9 @@ def test_parameter_spec_consistency(k, r, m, N):
     assert p.m == m and p.N == N
     # t^((k+1)/m) q^((r-1)/m) = omega, and omega has multiplicative order m
     val = p.t_value() ** ((k + 1) // m) * p.q_value() ** ((r - 1) // m)
-    omega = p.omega
-    assert omega.multiplicative_order() == m
+    e, omega = p.qt_laurent((r - 1) // m, (k + 1) // m)
+    omega = CycloNum.one(N) * omega
+    assert e == 0 and omega.multiplicative_order() == m
     assert val == UniRatFunc(UniPoly.const(p.N, 1).scale(omega), _canonical=True)
     # the defining resonance
     assert p.specialize(q ** (r - 1) * t ** (k + 1)) == UniRatFunc.one(N)
@@ -179,7 +180,8 @@ def test_render_format():
 
 
 def _specialize_by_products(p, f):
-    """The CycloNum route: each q^a t^b as p.qt_laurent(a, b), times v."""
+    """One qt_laurent call per term: each q^a t^b as p.qt_laurent(a, b),
+    times v."""
     terms = {}
     for (a, b), v in f.d.items():
         e, c = p.qt_laurent(a, b)
@@ -199,14 +201,42 @@ def test_specialize_poly_sums_rationals_over_Q():
             if p.N <= 2:
                 assert all(type(c) in (int, Fraction) and c
                            for c in got.values())
-                got = {e: CycloNum.from_rational(p.N, c)
-                       for e, c in got.items()}
             else:
                 assert all(type(c) is CycloNum for c in got.values())
             assert got == _specialize_by_products(p, f), (k, r, f)
     # omega1 = -1 at N = 2: 1 + q t has u-exponents 0 and 0, signs + and -
     assert ParameterSpec(1, 3).specialize_poly(
         QTPoly.one() + QTPoly.term(1, 1, 1)) == {}
+
+
+def _substitution_mismatches(p, polys, u0=Fraction(7, 3)):
+    """The polys whose specialize_poly, evaluated at u = u0, differs from
+    substituting t0 = u0^((r-1)/m), q0 = zeta_{r-1} u0^(-(k+1)/m) into
+    them, with m and zeta worked out here and not read off p."""
+    k, r = p.k, p.r
+    m, N = gcd(k + 1, r - 1), r - 1
+    t0 = u0 ** ((r - 1) // m)
+    q0 = CycloNum.zeta(N) * u0 ** (-((k + 1) // m))
+    return [f for f in polys
+            if f.substitute(q0, t0, CycloNum.one(N))
+            != sum(c * u0 ** e for e, c in p.specialize_poly(f).items())]
+
+
+def test_specialize_poly_matches_an_independent_substitution(monkeypatch):
+    # _specialize_by_products shares qt_laurent with specialize_poly; this
+    # oracle evaluates at u0 = 7/3 instead and knows no ParameterSpec table
+    rng = random.Random(59)
+    polys = [QTPoly({(rng.randint(0, 7), rng.randint(0, 7)):
+                     Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                     for _ in range(rng.randint(0, 8))}) for _ in range(30)]
+    polys.append(QTPoly.one() - QTPoly.term(1, 6, 2))  # 1 - q^6 t^2: 0 at (1,7)
+    for k, r in [(1, 2), (1, 3), (2, 4), (1, 5), (1, 7)]:  # N = 1, 2, 3, 4, 6
+        p = ParameterSpec(k, r)
+        assert _substitution_mismatches(p, polys) == [], (k, r)
+    # a wrong table, omega1 = 1 at N = 2, must be caught
+    p = ParameterSpec(1, 3)
+    monkeypatch.setattr(p, "_omega_powers", [1, 1])
+    assert _substitution_mismatches(p, polys)
 
 
 def test_unipoly_evaluate_at_a_rational_point():
@@ -228,8 +258,8 @@ def test_unipoly_evaluate_at_a_rational_point():
 
 def test_laurent_matches_unirat():
     p = ParameterSpec(2, 3)
-    lq = LaurentPoly.monomial(p.N, -p.q_exp, p.omega1)
-    lt = LaurentPoly.monomial(p.N, p.t_exp)
+    lq = LaurentPoly.monomial(p.N, *p.qt_laurent(1, 0))
+    lt = LaurentPoly.monomial(p.N, *p.qt_laurent(0, 1))
     assert (lq ** 2 * lt ** 3).to_unirat() == p.q_value() ** 2 * p.t_value() ** 3
     a = lq + lt * Fraction(3, 2)
     assert a.to_unirat() == p.q_value() + p.t_value() * Fraction(3, 2)
@@ -978,7 +1008,9 @@ def test_qt_laurent_reads_the_table_of_omega1_powers():
             for b in (0, 3):
                 e, c = p.qt_laurent(a, b)
                 assert e == b * p.t_exp - a * p.q_exp
-                assert c == p.omega1 ** a
+                # the table holds omega1^a in the coefficients' own ring
+                assert c == CycloNum.zeta(N, a)
+                assert type(c) is (int if N <= 2 else CycloNum)
 
 
 # -- the Z[u] lane of UniPoly against a schoolbook reference ---------------

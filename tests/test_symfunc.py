@@ -131,8 +131,8 @@ def test_wheel_substitute_linear():
     p = ParameterSpec(1, 3)
     one = UniRatFunc.one(2)
     for sigma in [(0,), (1,), (2,)]:
-        f = _random_sympoly(rng, 3, 4).map_coeffs(lambda c: one * c)
-        g = _random_sympoly(rng, 3, 4).map_coeffs(lambda c: one * c)
+        f = _random_sympoly(rng, 3, 4).scale(one)
+        g = _random_sympoly(rng, 3, 4).scale(one)
         lhs = wheel_substitute(f + g, sigma, p)
         rhs = wheel_substitute(f, sigma, p) + wheel_substitute(g, sigma, p)
         assert lhs.terms == rhs.terms
@@ -190,8 +190,9 @@ def test_collapse_wheel_matches_a_per_term_loop():
             fld.zero), fld.table_reader()]
         for _ in range(4):
             n = rng.randint(k + 1, k + 2)
-            f = _random_sympoly(rng, n, 4).map_coeffs(
-                lambda c: fld.one * c + fld.q * rng.randint(-2, 2))
+            g = _random_sympoly(rng, n, 4)
+            f = SymPoly(n, {lam: fld.one * c + fld.q * rng.randint(-2, 2)
+                            for lam, c in g.coeffs.items()})
             want = _naive_collapse(f, ratios)
             for value in values:
                 assert _count_collapse(f, sigma, value) == want, (k, r, sigma)

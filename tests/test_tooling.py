@@ -151,6 +151,31 @@ def test_every_private_test_helper_is_used():
     assert not _unused_private_names(ROOT / "tests")
 
 
+_SPECIALIZATION_ATTRS = {"omega1", "q_exp", "t_exp", "_omega_powers"}
+
+
+def _specialization_reads(folder):
+    """(file, line, attribute) of each use of the specialization rule's
+    attributes in folder/*.py outside the body of class ParameterSpec."""
+    found = []
+    for path in sorted(folder.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(n) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef)
+                  and cls.name == "ParameterSpec" for n in ast.walk(cls)}
+        found += [(path.name, n.lineno, n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)
+                  and n.attr in _SPECIALIZATION_ATTRS and id(n) not in inside]
+    return found
+
+
+def test_only_parameter_spec_knows_the_specialization():
+    # t = u^(t_exp), q = omega1 u^(-q_exp): every other module reads values
+    # in K through specialize, specialize_poly or qt_laurent, so the rule
+    # and the omega1^a table have one home
+    assert not _specialization_reads(SRC)
+
+
 def test_readme_commands_parse():
     # parse only: no command runs, so this costs milliseconds
     lines = [line for line in README.read_text().splitlines()

@@ -137,7 +137,8 @@ def test_substitution_entry_points_agree_on_fractions():
                 for _ in range(rng.randint(1, 4)):
                     plist = pt.enumerate_partitions(n, rng.randint(0, 4))
                     c = u ** rng.randint(-2, 3) * rng.randint(-5, 5) \
-                        * p.omega1 ** rng.randint(0, 2) / rng.choice(dens)
+                        * CycloNum.zeta(p.N, rng.randint(0, 2)) \
+                        / rng.choice(dens)
                     coeffs[rng.choice(plist)] = c
                 f = SymPoly(n, coeffs)
                 want = _per_term(f, sigma, fld)
