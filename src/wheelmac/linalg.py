@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .scalars import ExactDivisionError, UniPoly
 
-__all__ = ["in_row_span", "EchelonBasis", "rank_kernel_poly", "corank_upower"]
+__all__ = ["EchelonBasis", "rank_kernel_poly", "corank_upower"]
 
 
 def _is_zero(x):
@@ -81,14 +81,6 @@ class EchelonBasis:
                 self.pivots[col] = row
                 return True
         return False
-
-
-def in_row_span(rows, ncols, vector):
-    """True iff vector is a linear combination of the given rows."""
-    ech = EchelonBasis(ncols)
-    for row in rows:
-        ech.add(row)
-    return all(_is_zero(x) for x in ech.reduce(vector))
 
 
 # -- exact rank/kernel over Q(zeta_N)[u] with numeric row selection --------

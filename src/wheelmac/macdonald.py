@@ -9,24 +9,27 @@ with T_I the q-shift of the variables indexed by I, together with the
 first-order operators E_m built from the q-derivative.  Both are applied
 by antisymmetrization (Macdonald, SFHP VI.3): A_I(x;t) = T_{t,I}(a_delta)
 / a_delta, so a_delta Op f is a sum over w in S_n and the subsets I that
-needs no x-denominators.  It is evaluated only at the dominant exponents
-lam + delta, as one integer q^a t^b table per source partition that the
-field's table reader reads (as it reads wheel_collapse's), and Op f is
-read off by a unitriangular solve with +-1 entries: no Vandermonde
-product is assembled and nothing is divided.  At a rational point (q, t)
-the tables and their sum against f's coefficients go through the
-rational lane of sum_of_products: one integer numerator over the lcm of
-the denominators per sum, made one canonical Fraction.  The exactness
-witness is the antisymmetry of a_delta Op f: its weights at an exponent
-with the first two entries swapped must be exactly the negatives, or
-ExactDivisionError (a check that also runs under python -O).
+needs no x-denominators.  A CoeffField builds each operator's matrix on
+degree d once, the first time it applies the operator there, from the
+generic element sum_nu m_nu (x) e_nu: a_delta Op is evaluated only at the
+dominant exponents lam + delta, as integer q^a t^b counts per source
+partition nu, Op is read off by a unitriangular solve with +-1 entries on
+those counts, and each entry is read once by the field's table reader (as
+it reads wheel_collapse's): no Vandermonde product is assembled and
+nothing is divided.  Applying Op to f is then one sum_of_products per
+target against f's coefficients on its support; at a rational point
+(q, t) that is the rational lane, one integer numerator over the lcm of
+the denominators, made one canonical Fraction.  The exactness witness is
+the antisymmetry of a_delta Op: its counts at an exponent with the first
+two entries swapped must be exactly the negatives, or ExactDivisionError
+(a check that also runs under python -O, at every target of every build).
 
 P_lam itself is found from the eigenvalue problem for D_n^1 by
 back-substitution against the dominance-triangular matrix of the operator
 in the monomial-symmetric basis, always over the generic field Q(q, t);
 specializing the coefficients is a separate, final step.  The matrix of
-one (n, d) component comes from one antisymmetrization of the generic
-element sum_nu m_nu (x) e_nu, whose coefficients are the unit columns.
+one (n, d) component is D_n^1 applied to the generic element over
+Q[q, t], whose coefficients are the unit columns.
 Each coefficient is summed as one numerator over a running lcm of
 denominators and made canonical once, so integrality is a division test
 on its denominator, run once per distinct denominator.
@@ -56,13 +59,15 @@ class CoeffField:
     the ParameterSpec spec it specializes (None for Q(q, t) and Q[q, t]).
     A ring built without a reader (such as Fractions at a rational point)
     gets the one default, which multiplies each integer count by a cached
-    q^a t^b, so its elements must take an int factor.  Power caches
-    are per-instance; instances are cheap and callers normally create one
-    per computation.
+    q^a t^b, so its elements must take an int factor.  The q^a t^b powers
+    and the operator matrices (matrix) are cached on the instance and live
+    and die with it: share an instance only under external serialization,
+    or give each thread its own.  Instances are cheap; callers normally
+    create one per computation.
     """
 
     __slots__ = ("zero", "one", "q", "t", "from_int", "spec", "_read",
-                 "_qp", "_tp", "_qtp")
+                 "_qp", "_tp", "_qtp", "_ops")
 
     def __init__(self, zero, one, q, t, from_int, read=None, spec=None):
         self.zero = zero
@@ -74,6 +79,7 @@ class CoeffField:
         self._qp = {0: one, 1: q}
         self._tp = {0: one, 1: t}
         self._qtp = {}
+        self._ops = {}
 
     @classmethod
     def generic_poly(cls):
@@ -125,6 +131,26 @@ class CoeffField:
             [(v, self.qtpow(a, b)) for (a, b), v in counts.d.items()],
             self.zero))
 
+    def matrix(self, n, d, op):
+        """{lam: {nu: <m_lam> op m_nu}} in this ring for op = ("D", rho) or
+        ("E", m) on degree d in n variables, nonzero entries only.  Built
+        the first time this instance asks for it: one _operator_tables run,
+        each count table then read once by table_reader()."""
+        rows = self._ops.get((n, d, op))
+        if rows is None:
+            read = self.table_reader()
+            rows = {}
+            for lam, counts in _operator_tables(n, d, op).coeffs.items():
+                tables = {}
+                for (nu, a, b), v in counts.items():
+                    tables.setdefault(nu, {})[b, a] = v
+                row = {nu: e for nu, table in tables.items()
+                       if (e := read(QTPoly(table, _clean=True)))}
+                if row:
+                    rows[lam] = row
+            self._ops[n, d, op] = rows
+        return rows
+
     def qpow(self, e):
         v = self._qp.get(e)
         if v is None:
@@ -172,39 +198,36 @@ def _delta_orbit(n):
     return orbit
 
 
-def _antisymmetrize(f, fld, tops, payload):
-    """Op f for Op = sum_I A_I(x;t) P_I, without dividing by a_delta.
+def _antisymmetrize(n, d, payload):
+    """The integer matrix of Op = sum_I A_I(x;t) P_I onto degree d, without
+    dividing by a_delta.
 
     A_I(x;t) = T_{t,I}(a_delta) / a_delta (Macdonald, SFHP VI.3), so
         N = a_delta Op f = sum_w eps(w) x^(w.delta) sum_I t^<w.delta, I> P_I f.
-    payload(beta, w.delta) yields (alpha, a, b) when f has the monomial
-    x^alpha and P_I carries it to x^beta with weight t^a q^b; N is only
-    collected at the dominant exponents lam + delta, as integer weights on
-    (partition of alpha, a, b): one table of counts per q^b t^a for each
-    partition, read once by fld.table_reader() and summed against f's
-    coefficients by sum_of_products.  N is antisymmetric, so the weights
-    at the exponent with its first two entries swapped must be exactly the
+    payload(beta, w.delta) yields (alpha, a, b) when the source has the
+    monomial x^alpha and P_I carries it to x^beta with weight t^a q^b; N is
+    only collected at the dominant exponents lam + delta, as integer counts
+    on (partition nu of alpha, a, b).  N is antisymmetric, so the counts at
+    the exponent with its first two entries swapped must be exactly the
     negatives, or ExactDivisionError: a wrong sign or t-weight breaks it.
     Then g = Op f solves N_(lam+delta) = sum_w eps(w) g_sort(lam+delta-w.delta),
-    unitriangular in decreasing lex order, by additions alone.  Op f is
-    supported in the dominance ideals of tops.
+    unitriangular in decreasing lex order, by integer additions alone.
+    Returns the SymPoly whose coefficient at lam is g_lam's nonzero counts.
     """
-    n = f.n
     orbit = _delta_orbit(n)
-    coeffs = {pt.pad(nu, n): c for nu, c in f.coeffs.items()}
     shapes = {}
-    read = fld.table_reader()
 
     def weights(e):
         acc = {}
         for s, wd in orbit:
             beta = tuple([x - y for x, y in zip(e, wd)])
-            if min(beta) < 0:
+            if min(beta, default=0) < 0:
                 continue
             for alpha, a, b in payload(beta, wd):
                 nu = shapes.get(alpha)
                 if nu is None:
-                    nu = shapes[alpha] = tuple(sorted(alpha, reverse=True))
+                    nu = shapes[alpha] = tuple(
+                        [x for x in sorted(alpha, reverse=True) if x])
                 key = (nu, a, b)
                 v = acc.get(key, 0) + s
                 if v:
@@ -213,37 +236,76 @@ def _antisymmetrize(f, fld, tops, payload):
                     del acc[key]
         return acc
 
-    def value(acc):
-        tables = {}
-        for (nu, a, b), v in acc.items():
-            tables.setdefault(nu, {})[(b, a)] = v
-        return sum_of_products([(read(QTPoly(table, _clean=True)), coeffs[nu])
-                                for nu, table in tables.items()], fld.zero)
-
-    lams = set()
-    for d in {sum(top) for top in tops}:
-        below = [top for top in tops if sum(top) == d]
-        lams.update(pt.pad(lam, n) for lam in pt.enumerate_partitions(n, d)
-                    if any(pt.dominance_leq(lam, top) for top in below))
     g = {}
-    for lam in sorted(lams, reverse=True):
+    for lam in pt.enumerate_partitions(n, d):
+        lam = pt.pad(lam, n)
         e = tuple(x + y for x, y in zip(lam, orbit[0][1]))
-        acc = weights(e)
+        val = weights(e)
         if n > 1 and weights((e[1], e[0]) + e[2:]) != {
-                key: -v for key, v in acc.items()}:
+                key: -v for key, v in val.items()}:
             raise ExactDivisionError("a_delta * Op f is not antisymmetric "
                                      "at x^%r" % (e,))
-        val = value(acc)
         for s, wd in orbit[1:]:
             mu = [x - y for x, y in zip(e, wd)]
             if min(mu) < 0:
                 continue
-            gm = g.get(tuple(sorted(mu, reverse=True)))
-            if gm is not None:
-                val = val - gm if s > 0 else val + gm
-        if val:
-            g[lam] = val
+            for key, v in g.get(tuple(sorted(mu, reverse=True)), {}).items():
+                v = val.get(key, 0) - s * v
+                if v:
+                    val[key] = v
+                else:
+                    del val[key]
+        g[lam] = val
     return monomials_to_m(MonomialExpansion(n, g), check=False)
+
+
+def _operator_tables(n, d, op):
+    """_antisymmetrize of op = ("D", rho) or ("E", m) on the generic element
+    sum_nu m_nu (x) e_nu of degree d, whose support is every monomial of
+    degree d: the counts of each source partition nu stay apart."""
+    kind, arg = op
+    plist = pt.enumerate_partitions(n, d)
+    terms = m_to_monomials(SymPoly(n, dict.fromkeys(plist, 1))).terms
+    if kind == "D":
+        subsets = list(combinations(range(n), arg))
+
+        def payload(beta, wd):
+            if beta in terms:
+                for I in subsets:
+                    yield (beta, sum([wd[i] for i in I]),
+                           sum([beta[i] for i in I]))
+
+        return _antisymmetrize(n, d, payload)
+
+    def payload(beta, wd):
+        # the q-derivative of x^alpha is [e]_q x^(alpha - e_i)
+        for i in range(n):
+            e = beta[i] + 1 - arg
+            if e > 0:
+                alpha = beta[:i] + (e,) + beta[i + 1:]
+                if alpha in terms:
+                    for j in range(e):
+                        yield alpha, wd[i], j
+
+    return _antisymmetrize(n, d + arg - 1, payload)
+
+
+def _apply(f, op, fld):
+    """op f, one sum_of_products per target against f's coefficients on its
+    support, from fld.matrix of each degree of f."""
+    n = f.n
+    parts = {}
+    for nu, c in f.coeffs.items():
+        parts.setdefault(sum(nu), {})[nu] = c
+    out = {}
+    for d, part in parts.items():
+        for lam, row in fld.matrix(n, d, op).items():
+            pairs = [(e, part[nu]) for nu, e in row.items() if nu in part]
+            if pairs:
+                v = sum_of_products(pairs, fld.zero)
+                if v:
+                    out[lam] = v
+    return SymPoly(n, out, _clean=True)
 
 
 def apply_D(f, rho, fld):
@@ -251,21 +313,11 @@ def apply_D(f, rho, fld):
 
     T_{t,I}(a_delta) already carries the t^(rho(rho-1)/2) of A_I.
     """
-    n = f.n
-    if not 0 <= rho <= n:
+    if not 0 <= rho <= f.n:
         raise ValueError("need 0 <= rho <= n")
     if rho == 0:
         return f
-    terms = m_to_monomials(f).terms
-    subsets = list(combinations(range(n), rho))
-
-    def payload(beta, wd):
-        if beta in terms:
-            for I in subsets:
-                yield beta, sum([wd[i] for i in I]), sum([beta[i] for i in I])
-
-    return _antisymmetrize(f, fld, [pt.pad(nu, n) for nu in f.coeffs],
-                           payload)
+    return _apply(f, ("D", rho), fld)
 
 
 def apply_E(f, m, fld):
@@ -276,25 +328,7 @@ def apply_E(f, m, fld):
     """
     if m < 0:
         raise ValueError("need m >= 0")
-    n = f.n
-    terms = m_to_monomials(f).terms
-
-    def payload(beta, wd):
-        for i in range(n):
-            e = beta[i] + 1 - m
-            if e > 0:
-                alpha = beta[:i] + (e,) + beta[i + 1:]
-                if alpha in terms:
-                    for j in range(e):
-                        yield alpha, wd[i], j
-
-    tops = set()
-    for nu in f.coeffs:
-        nu = pt.pad(nu, n)
-        tops.update(tuple(sorted(nu[:i] + (nu[i] + m - 1,) + nu[i + 1:],
-                                 reverse=True))
-                    for i in range(n) if nu[i])
-    return _antisymmetrize(f, fld, tops, payload)
+    return _apply(f, ("E", m), fld)
 
 
 def eigenvalue_D(lam, n, fld=None):
@@ -357,11 +391,12 @@ class MacdonaldTable:
         """Decreasing-lex partition list of size d and the D_n^1 columns.
 
         Column nu maps each mu to the QTPoly entry <m_mu> D_n^1 m_nu.  All
-        columns come from one antisymmetrization of the generic element
+        columns come from one apply_D to the generic element
         sum_nu m_nu (x) e_nu, whose coefficient at nu is the unit column
-        m_nu: the kernel keys its weights by the partition of the source
-        monomial, so columns never mix, and the antisymmetry witness checks
-        every column in the same pass.  D_0^1 is the empty sum.
+        m_nu, over a fresh field: its one matrix build keys the counts by
+        the partition of the source monomial, so columns never mix, and
+        the antisymmetry witness checks every column.  D_0^1 is the empty
+        sum.
         """
         cached = self._matrices.get(d)
         if cached is not None:

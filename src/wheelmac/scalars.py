@@ -58,7 +58,7 @@ from math import gcd, lcm
 __all__ = [
     "CycloNum", "UniPoly", "UniRatFunc", "LaurentPoly", "QTPoly", "BiRatFunc",
     "ParameterSpec", "MixedFieldError", "PoleError", "ExactDivisionError",
-    "cyclotomic_polynomial", "euler_phi",
+    "cyclotomic_polynomial",
     "qt_gcd", "qt_divexact", "render_scalar", "sum_of_products",
 ]
 
@@ -90,20 +90,6 @@ def _exact(v):
         return int(v)
     raise TypeError("exact scalars take an int or a Fraction, not %s"
                     % type(v).__name__)
-
-
-def euler_phi(n):
-    result = n
-    p, m = 2, n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def _power(x, e, one):
@@ -330,18 +316,6 @@ class CycloNum(_Field):
         if not self.is_rational():
             raise ValueError("%r is not rational" % (self,))
         return self.c[0]
-
-    def multiplicative_order(self, bound=None):
-        """Smallest e >= 1 with self^e = 1, or None up to the bound."""
-        if bound is None:
-            bound = 4 * self.N
-        acc = self
-        one = CycloNum.one(self.N)
-        for e in range(1, bound + 1):
-            if acc == one:
-                return e
-            acc = acc * self
-        return None
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -24,7 +24,6 @@ __all__ = [
     "SymPoly", "MonomialExpansion", "m_to_monomials", "monomials_to_m",
     "sympoly_mul", "check_sigma", "check_wheel_size", "wheel_collapse",
     "wheel_substitute", "restrict_derivative", "orbit_of",
-    "eval_monomial_symmetric",
 ]
 
 _ORBITS = {}
@@ -359,22 +358,3 @@ def restrict_derivative(f, j, one=Fraction(1)):
         raise AssertionError("restriction of a symmetric polynomial "
                              "came out asymmetric") from exc
 
-
-def eval_monomial_symmetric(lam, values, one=Fraction(1)):
-    """m_lam evaluated at a concrete list of scalars."""
-    n = len(values)
-    lam = pt.normalize(lam)
-    if len(lam) > n:
-        return one * 0
-    total = one * 0
-    powcache = {}
-    for alpha in orbit_of(lam, n):
-        prod = one
-        for i, e in enumerate(alpha):
-            if e:
-                pw = powcache.get((i, e))
-                if pw is None:
-                    pw = powcache[(i, e)] = values[i] ** e
-                prod = prod * pw
-        total = total + prod
-    return total

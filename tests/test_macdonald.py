@@ -20,9 +20,10 @@ from wheelmac.macdonald import (CoeffField, ExactDivisionError, MacdonaldTable,
                                 specialize_P, verify_pieri)
 from wheelmac.scalars import (BiRatFunc, CycloNum, LaurentPoly, ParameterSpec,
                               QTPoly, UniRatFunc)
-from wheelmac.symfunc import SymPoly, eval_monomial_symmetric
+from wheelmac.symfunc import SymPoly
 from wheelmac.wheel_ideal import basis_I, wheel_kernel_basis
 
+from oracles import eval_monomial_symmetric
 from test_symfunc import _zeta3_point_field
 
 q = BiRatFunc.q()
@@ -62,30 +63,106 @@ def _shifted(xs, I, q0):
     return [q0 * x if i in I else x for i, x in enumerate(xs)]
 
 
+def _defining_D(f, rho, xs, q0, t0):
+    """D_n^rho f at xs from its defining sum, in Fractions."""
+    return sum((_A(I, xs, t0) * _evaluate(f, _shifted(xs, I, q0))
+                for I in combinations(range(len(xs)), rho)), Fraction(0))
+
+
+def _defining_E(f, m, xs, q0, t0):
+    """E_m f at xs from its defining sum, in Fractions."""
+    fx = _evaluate(f, xs)
+    return sum((xs[i] ** m * _A((i,), xs, t0)
+                * (_evaluate(f, _shifted(xs, (i,), q0)) - fx)
+                / ((q0 - 1) * xs[i]) for i in range(len(xs))), Fraction(0))
+
+
+def _supports(rng, n):
+    """Partition supports for an f in n variables: every partition of two
+    degrees, a single m_nu, and a random half of three degrees with gaps."""
+    two = [lam for d in rng.sample(range(6), 2)
+           for lam in pt.enumerate_partitions(n, d)]
+    single = [rng.choice(pt.enumerate_partitions(n, rng.randint(1, 5)))]
+    gapped = [lam for d in rng.sample([0, 2, 3, 5, 6], 3)
+              for lam in pt.enumerate_partitions(n, d)]
+    return [two, single, rng.sample(gapped, max(1, len(gapped) // 2))]
+
+
 def test_operators_match_point_evaluation():
     # oracle: the defining sums of rational functions, evaluated in Fractions
-    # at distinct positive integer x and rational (q, t), with no operator code
+    # at distinct positive integer x and rational (q, t), with no operator
+    # code; f on full degrees, on one m_nu and on a subset with degree gaps,
+    # so a restriction of an operator matrix to f's support is checked too
     rng = random.Random(23)
-    for n in range(1, 5):
-        for _ in range(3):
+    for n in range(1, 6):
+        for _ in range(2):
             q0 = Fraction(2 * rng.randint(1, 4) + 1, 2)
             t0 = Fraction(-rng.randint(2, 7), rng.randint(1, 3))
             xs = [Fraction(x) for x in rng.sample(range(1, 10), n)]
             fld = CoeffField(Fraction(0), Fraction(1), q0, t0, Fraction)
-            f = SymPoly(n, {lam: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                            for d in rng.sample(range(6), 2)
-                            for lam in pt.enumerate_partitions(n, d)})
-            for rho in range(n + 1):
-                expect = sum((_A(I, xs, t0) * _evaluate(f, _shifted(xs, I, q0))
-                              for I in combinations(range(n), rho)), Fraction(0))
-                assert _evaluate(apply_D(f, rho, fld), xs) == expect, (n, rho)
-            fx = _evaluate(f, xs)
-            for m in range(3):
-                expect = sum((xs[i] ** m * _A((i,), xs, t0)
-                              * (_evaluate(f, _shifted(xs, (i,), q0)) - fx)
-                              / ((q0 - 1) * xs[i]) for i in range(n)),
-                             Fraction(0))
-                assert _evaluate(apply_E(f, m, fld), xs) == expect, (n, m)
+            for support in _supports(rng, n):
+                f = SymPoly(n, {lam: Fraction(rng.randint(1, 5),
+                                              rng.randint(1, 3))
+                                for lam in support})
+                for rho in range(n + 1):
+                    assert _evaluate(apply_D(f, rho, fld), xs) == \
+                        _defining_D(f, rho, xs, q0, t0), (n, rho, support)
+                for m in range(3):
+                    assert _evaluate(apply_E(f, m, fld), xs) == \
+                        _defining_E(f, m, xs, q0, t0), (n, m, support)
+
+
+def test_a_field_builds_each_operator_matrix_once(monkeypatch):
+    builds = []
+    real = md._operator_tables
+
+    def counted(n, d, op):
+        builds.append((n, d, op))
+        return real(n, d, op)
+
+    monkeypatch.setattr(md, "_operator_tables", counted)
+    fld = CoeffField.generic_poly()
+    plist = pt.enumerate_partitions(3, 3) + pt.enumerate_partitions(3, 5)
+    f = SymPoly(3, {lam: QTPoly.term(i + 1) for i, lam in enumerate(plist)})
+    g = SymPoly(3, {(2, 1): QTPoly.q()})
+    ops = [(apply_D, 1), (apply_D, 2), (apply_D, 3),
+           (apply_E, 0), (apply_E, 1), (apply_E, 2)]
+    first = [op(f, arg, fld) for op, arg in ops]
+    for h in (g, f, g):
+        for op, arg in ops:
+            op(h, arg, fld)
+    # one build per (degree, operator), whatever the support of the input
+    assert len(builds) == len(set(builds)) == 2 * len(ops)
+    assert {(n, d) for n, d, _ in builds} == {(3, 3), (3, 5)}
+    assert [op(f, arg, fld) for op, arg in ops] == first
+    # a fresh field builds its own matrices, with equal results
+    del builds[:]
+    fresh = CoeffField.generic_poly()
+    assert [op(f, arg, fresh) for op, arg in ops] == first
+    assert len(builds) == 2 * len(ops)
+
+
+def test_fields_at_two_points_keep_their_own_matrices():
+    # a matrix cached anywhere but on its field would give the second point
+    # the first point's entries; alternate the fields to catch it
+    rng = random.Random(29)
+    xs = [Fraction(x) for x in (2, 5, 7)]
+    fields = [CoeffField(Fraction(0), Fraction(1), Fraction(3, 2),
+                         Fraction(-2), Fraction),
+              CoeffField(Fraction(0), Fraction(1), Fraction(5),
+                         Fraction(1, 3), Fraction)]
+    f = SymPoly(3, {lam: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                    for d in (2, 4) for lam in pt.enumerate_partitions(3, d)})
+    for fld in fields + fields:
+        for rho in range(1, 4):
+            assert _evaluate(apply_D(f, rho, fld), xs) == \
+                _defining_D(f, rho, xs, fld.q, fld.t), (fld.q, rho)
+        for m in range(3):
+            assert _evaluate(apply_E(f, m, fld), xs) == \
+                _defining_E(f, m, xs, fld.q, fld.t), (fld.q, m)
+    a, b = (fld.matrix(3, 4, ("D", 1)) for fld in fields)
+    assert a.keys() == b.keys()
+    assert all(a[lam][nu] != b[lam][nu] for lam in a for nu in a[lam])
 
 
 def _plant_wrong_sign(n):
@@ -107,15 +184,22 @@ def _plant_wrong_weight(n):
 
 @pytest.mark.parametrize("plant", [_plant_wrong_sign, _plant_wrong_weight])
 def test_antisymmetry_witness_catches_a_wrong_table(plant, monkeypatch):
-    fldp = CoeffField.generic_poly()
+    warm = CoeffField.generic_poly()
     f = SymPoly(3, {lam: QTPoly.one() for lam in pt.enumerate_partitions(3, 4)})
+    want = apply_D(f, 1, warm), apply_E(f, 1, warm)
     monkeypatch.setitem(md._DELTA_ORBITS, 3, plant(3))
-    with pytest.raises(ExactDivisionError):
-        apply_D(f, 1, fldp)
-    with pytest.raises(ExactDivisionError):
-        apply_E(f, 1, fldp)
+    # a fresh field builds its matrices on the planted table, and a failed
+    # build leaves nothing behind, so it raises again
+    fldp = CoeffField.generic_poly()
+    for _ in range(2):
+        with pytest.raises(ExactDivisionError):
+            apply_D(f, 1, fldp)
+        with pytest.raises(ExactDivisionError):
+            apply_E(f, 1, fldp)
     with pytest.raises(ExactDivisionError):
         MacdonaldTable(3).component_matrix(4)
+    # matrices built before the plant stay on their field
+    assert (apply_D(f, 1, warm), apply_E(f, 1, warm)) == want
 
 
 _WITNESS_UNDER_O = """
@@ -147,6 +231,10 @@ def _run_under_O(call):
 
 def test_antisymmetry_witness_survives_O():
     _run_under_O("md.apply_D(f, 1, md.CoeffField.generic_poly())")
+
+
+def test_antisymmetry_witness_survives_O_in_apply_E():
+    _run_under_O("md.apply_E(f, 1, md.CoeffField.generic_poly())")
 
 
 def test_antisymmetry_witness_survives_O_in_compute_P():
@@ -236,16 +324,28 @@ def test_diagonal_entry_is_eigenvalue():
             assert image.coeffs[nu] == eigenvalue_e1(nu, n)
 
 
-def test_component_matrix_matches_the_per_column_images():
-    fldp = CoeffField.generic_poly()
+def test_component_matrix_matches_the_defining_sum():
+    # oracle: D_n^1 m_nu from its defining sum at one rational point per
+    # (n, d), against sum_mu <m_mu> D_n^1 m_nu m_mu at the same point; the
+    # per-column images of apply_D would read the very matrix under test
+    rng = random.Random(31)
     grid = [(n, d) for n in range(1, 6) for d in range(9)] + [(6, 10), (7, 8)]
     for n, d in grid:
         plist, cols = MacdonaldTable(n).component_matrix(d)
         assert plist == pt.enumerate_partitions(n, d)
         assert list(cols) == plist, (n, d)
+        q0 = Fraction(rng.randint(2, 9), rng.randint(1, 4))
+        t0 = Fraction(-rng.randint(2, 9), rng.randint(1, 4))
+        xs = [Fraction(x) for x in rng.sample(range(1, 12), n)]
+        m_at = {mu: eval_monomial_symmetric(mu, xs) for mu in plist}
+        A = [_A((i,), xs, t0) for i in range(n)]
         for nu in plist:
-            image = apply_D(SymPoly.m(nu, n, QTPoly.one()), 1, fldp)
-            assert cols[nu] == image.coeffs, (n, d, nu)
+            assert all(pt.dominance_leq(mu, nu) for mu in cols[nu]), (n, nu)
+            got = sum((c.substitute(q0, t0, Fraction(1)) * m_at[mu]
+                       for mu, c in cols[nu].items()), Fraction(0))
+            want = sum((A[i] * eval_monomial_symmetric(
+                nu, _shifted(xs, (i,), q0)) for i in range(n)), Fraction(0))
+            assert got == want, (n, d, nu)
 
 
 def _per_weight_field(fld):
@@ -330,10 +430,11 @@ def test_P_of_the_empty_partition_in_no_variables():
 
 def test_apply_E_examples():
     fldp = CoeffField.generic_poly()
-    # E_m kills constants
-    const = SymPoly.m((), 2, QTPoly.term(5))
-    for m in range(3):
-        assert apply_E(const, m, fldp).is_zero()
+    # E_m kills constants, in no variables too
+    for n in (0, 2):
+        const = SymPoly.m((), n, QTPoly.term(5))
+        for m in range(3):
+            assert apply_E(const, m, fldp).is_zero()
     # n = 1: E_0 m_(d) = [d]_q m_(d-1)
     out = apply_E(SymPoly.m((3,), 1, QTPoly.one()), 0, fldp)
     assert out == SymPoly(1, {(2,): QTPoly({(0, 0): 1, (1, 0): 1, (2, 0): 1})})

@@ -7,11 +7,12 @@ import pytest
 from wheelmac import partitions as pt
 from wheelmac.macdonald import CoeffField
 from wheelmac.scalars import CycloNum, LaurentPoly, ParameterSpec, UniRatFunc
-from wheelmac.symfunc import (MonomialExpansion, SymPoly,
-                              eval_monomial_symmetric, m_to_monomials,
+from wheelmac.symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
                               monomials_to_m, orbit_of, restrict_derivative,
                               sympoly_mul, wheel_collapse, wheel_substitute)
 from wheelmac.wheel_ideal import _wheel_substitute_fld
+
+from oracles import eval_monomial_symmetric
 
 
 def test_orbit_of_matches_distinct_permutations():

@@ -24,6 +24,9 @@ import pytest
 
 import wheelmac
 from wheelmac import cli
+from wheelmac import macdonald as md
+from wheelmac.scalars import QTPoly
+from wheelmac.symfunc import SymPoly
 
 SRC = Path(wheelmac.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -174,6 +177,35 @@ def test_only_parameter_spec_knows_the_specialization():
     # in K through specialize, specialize_poly or qt_laurent, so the rule
     # and the omega1^a table have one home
     assert not _specialization_reads(SRC)
+
+
+def _container_sizes(module):
+    """len of each dict, list and set held by module or by a class it
+    defines, keyed by where it is held."""
+    holders = [(module.__name__, vars(module))]
+    holders += [(name, vars(cls)) for name, cls in vars(module).items()
+                if inspect.isclass(cls) and cls.__module__ == module.__name__]
+    return {(where, name): len(value) for where, space in holders
+            for name, value in space.items()
+            if not name.startswith("__")
+            and isinstance(value, (dict, list, set))}
+
+
+def test_operator_matrices_stay_on_their_field():
+    # an operator matrix cached on the module would carry one pass's work
+    # into the next, so the benchmark would time warm passes only; a new
+    # field applying the operators at a new degree must leave every
+    # container of macdonald as it was (_DELTA_ORBITS, keyed by n, warmed)
+    n, d = 2, 23
+    md._delta_orbit(n)
+    before = _container_sizes(md)
+    fld = md.CoeffField.generic_poly()
+    f = SymPoly(n, {(d - 9, 9): QTPoly.one(), (d,): QTPoly.q()})
+    for rho in range(1, n + 1):
+        assert md.apply_D(f, rho, fld)
+    for m in range(3):
+        assert md.apply_E(f, m, fld)
+    assert _container_sizes(md) == before
 
 
 def test_readme_commands_parse():

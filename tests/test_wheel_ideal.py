@@ -16,7 +16,7 @@ from wheelmac.macdonald import (CoeffField, MacdonaldTable, cauchy_row_check,
                                 check_integrality, compute_P, pieri_failures,
                                 specialize_P)
 from wheelmac.scalars import (CycloNum, ParameterSpec, PoleError, UniPoly,
-                              UniRatFunc, euler_phi)
+                              UniRatFunc)
 from wheelmac.symfunc import SymPoly, wheel_substitute
 from wheelmac.wheel_ideal import (_rotation_classes, _wheel_substitute_fld,
                                   basis_I, constraint_rows, dim_J,
@@ -25,6 +25,7 @@ from wheelmac.wheel_ideal import (_rotation_classes, _wheel_substitute_fld,
                                   verify_stability, verify_theorem1,
                                   wheel_kernel_basis, wheel_substitutions)
 
+from oracles import euler_phi
 from test_symfunc import _naive_collapse
 
 
