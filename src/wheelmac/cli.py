@@ -20,7 +20,7 @@ import sys
 from . import current_algebra as ca
 from . import partitions as pt
 from . import wheel_ideal as wi
-from .macdonald import (ExactDivisionError, MacdonaldTable,
+from .macdonald import (CoeffField, ExactDivisionError, MacdonaldTable,
                         cauchy_row_check, check_integrality,
                         pieri_failures, specialize_P)
 from .scalars import ParameterSpec, PoleError, UniRatFunc, render_scalar
@@ -295,14 +295,14 @@ def _cmd_verify_stability(args):
     rng = random.Random(args.seed)
     ops = [("D", 1), ("D", 2), ("E", 0), ("E", 1), ("E", 2)]
     ops = [(kind, a) for kind, a in ops if not (kind == "D" and a > args.n)]
-    ok = True
+    ok, fld = True, CoeffField.laurent(p)
     for _ in range(args.count):
         f = SymPoly.zero(args.n)
         while f.is_zero():
             f = SymPoly.zero(args.n)
             for g in basis:
                 f = f + g.scale(UniRatFunc.const(p.N, rng.randint(-5, 5)))
-        if not wi.verify_stability(f, p, ops):
+        if not wi.verify_stability(wi.laurent_clear(f, p), p, ops, fld):
             ok = False
             break
     return (0 if ok else 1), {"k": args.k, "r": args.r, "n": args.n,

@@ -31,15 +31,16 @@ specializing the coefficients is a separate, final step.  The matrix of
 one (n, d) component is D_n^1 applied to the generic element over
 Q[q, t], whose coefficients are the unit columns.
 Each coefficient is summed as one numerator over a running lcm of
-denominators and made canonical once, so integrality is a division test
-on its denominator, run once per distinct denominator.
+denominators, a packed integer decoded once (scalars._qt_fold), and made
+canonical once, so integrality is a division test on its denominator, run
+once per distinct denominator.
 """
 
 from itertools import combinations, permutations
 
 from . import partitions as pt
 from .scalars import (BiRatFunc, ExactDivisionError, LaurentPoly, PoleError,
-                      QTPoly, UniRatFunc, _lpoly, qt_divexact,
+                      QTPoly, UniRatFunc, _lpoly, _qt_fold, qt_divexact,
                       sum_of_products)
 from .symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
                       monomials_to_m, sympoly_mul)
@@ -432,24 +433,12 @@ class MacdonaldTable:
         merges = {}  # (den, b) -> (den / g, b / g, lcm), g = gcd(den, b)
         start = plist.index(lam)
         for mu in plist[start + 1:]:
-            num = den = None
-            for nu, unu in u.items():
-                entry = cols[nu].get(mu)
-                if entry is None:
-                    continue
-                term, b = unu.num * entry, unu.den
-                if num is None:
-                    num, den = term, b
-                elif b == den:
-                    num = num + term
-                else:
-                    got = merges.get((den, b))
-                    if got is None:
-                        _, dg, b2 = den.gcd(b)
-                        got = merges[den, b] = (dg, b2, den * b2)
-                    dg, b, den = got
-                    num = num * b + term * dg
-            if num is None or num.is_zero():
+            pairs = [(unu, e) for nu, unu in u.items()
+                     if (e := cols[nu].get(mu)) is not None]
+            if not pairs:
+                continue
+            num, den = _lcm_sum(pairs, merges)
+            if num.is_zero():
                 continue
             diff = eps_lam - self.eps1(mu)
             if diff.is_zero():
@@ -460,6 +449,27 @@ class MacdonaldTable:
         result = SymPoly(self.n, u)
         self.entries[lam] = result
         return result
+
+
+def _lcm_sum(pairs, merges):
+    """(num, den) with num/den = sum of x * e over the (BiRatFunc x, QTPoly
+    e) pairs and den the running lcm of the x.den: a new den extends it by
+    one gcd, kept in merges under (den, x.den) for the next call.  The
+    numerator is one _qt_fold, so over ints one packed sum."""
+    steps, den = [], None
+    for x, e in pairs:
+        b = x.den
+        if den is None or b == den:
+            den = b
+            steps.append((None, (x.num, e)))
+        else:
+            got = merges.get((den, b))
+            if got is None:
+                _, dg, b2 = den.gcd(b)
+                got = merges[den, b] = (dg, b2, den * b2)
+            dg, b2, den = got
+            steps.append((b2, (x.num, e, dg)))
+    return _qt_fold(steps), den
 
 
 def compute_P(lam, n, table=None):
@@ -572,11 +582,12 @@ def integral_form_factor(lam):
     """c_lam(q, t) = prod over cells (i,j) of (1 - q^(arm) t^(leg+1))."""
     lam = pt.normalize(lam)
     conj = pt.conjugate(lam)
-    out = QTPoly.one()
-    for i, li in enumerate(lam, start=1):
-        for j in range(1, li + 1):
-            out = out * (QTPoly.one() - QTPoly.term(1, li - j, conj[j - 1] - i + 1))
-    return BiRatFunc.from_poly(out)
+    cells = tuple([QTPoly({(0, 0): 1, (li - j, conj[j - 1] - i + 1): -1},
+                          _clean=True)  # leg + 1 > 0: two terms
+                   for i, li in enumerate(lam, start=1)
+                   for j in range(1, li + 1)])
+    return BiRatFunc.from_poly(_qt_fold([(None, cells)]) if cells
+                               else QTPoly.one())
 
 
 def check_integrality(lam, n, table=None):

@@ -29,6 +29,13 @@ content, and all their arithmetic runs on plain ints; ``LaurentPoly.d``
 still shows Fractions.  A division that leaves a remainder raises
 ExactDivisionError.
 
+A sum of products of integer polynomials -- the Laurent lane of
+``sum_of_products``, and ``_qt_fold`` for the numerators of compute_P and
+the integral form -- is one packed integer (Kronecker substitution): each
+polynomial is evaluated at a power of two wide enough for a proven bound
+on the result, the products and sums run on Python ints, and the result
+is read back once.
+
 Every gcd is one design and returns its cofactors, the quotients of the
 exact division that certifies it.  Where the coefficients are integers
 the heuristic gcd of Char, Geddes and Gonnet runs first (``_heu_gcd`` on
@@ -656,27 +663,7 @@ class LaurentPoly:
             return NotImplemented
         if other.N != self.N:
             raise MixedFieldError("mixed cyclotomic orders")
-        N, a, b, den = self.N, self.c, other.c, self.den * other.den
-        if not a or not b:
-            return LaurentPoly.zero(N)
-        if len(a) == 1 and len(b) > 1:
-            a, b = b, a
-        if len(b) == 1:
-            (eb, cb), = b.items()
-            if cb == 1:  # a unit monomial only shifts the exponents
-                return _lpoly(N, {ea + eb: ca for ea, ca in a.items()}, den)
-            return _lpoly(N, {ea + eb: ca * cb for ea, ca in a.items()}, den)
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                w = out.get(e)
-                w = ca * cb if w is None else w + ca * cb
-                if w:
-                    out[e] = w
-                else:
-                    del out[e]
-        return _lpoly(N, out, den)
+        return _lmul(self.N, self, other)
 
     __rmul__ = __mul__
 
@@ -697,6 +684,31 @@ class LaurentPoly:
         return "LaurentPoly(%d, %s)" % (self.N, render_scalar(self.to_unirat()))
 
 
+def _lmul(N, x, y):
+    """The LaurentPoly x * y, by one pass over the pairs of terms."""
+    a, b, den = x.c, y.c, x.den * y.den
+    if not a or not b:
+        return LaurentPoly.zero(N)
+    if len(a) == 1 and len(b) > 1:
+        a, b = b, a
+    if len(b) == 1:
+        (eb, cb), = b.items()
+        if cb == 1:  # a unit monomial only shifts the exponents
+            return _lpoly(N, {ea + eb: ca for ea, ca in a.items()}, den)
+        return _lpoly(N, {ea + eb: ca * cb for ea, ca in a.items()}, den)
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            w = out.get(e)
+            w = ca * cb if w is None else w + ca * cb
+            if w:
+                out[e] = w
+            else:
+                del out[e]
+    return _lpoly(N, out, den)
+
+
 def _lpoly(N, c, den=1):
     """The LaurentPoly c/den of nonzero values, canonical as by _zpoly."""
     g = _iz_content(c.values(), den) if den != 1 else 1
@@ -711,8 +723,9 @@ def sum_of_products(pairs, zero):
     """The sum of a * b over a list of pairs (a, b), or zero (the ring's 0)
     if the list is empty.  Over Q the sum runs on ints over the lcm of the
     denominators and is made canonical once: int and Fraction pairs when
-    zero is a Fraction, LaurentPolys a (a rational b read as a constant)
-    in one int dict; other rings sum a * b."""
+    zero is a Fraction; LaurentPolys a (a rational b read as a constant)
+    as one packed integer (_pack), decoded once, one pair as a * b.
+    Other rings sum a * b."""
     if type(zero) is Fraction:
         dens = [a.denominator * b.denominator for a, b in pairs]
         den = lcm(*dens)
@@ -724,17 +737,79 @@ def sum_of_products(pairs, zero):
     if type(first) is not LaurentPoly or first.N > 2:
         terms = [a * b for a, b in pairs] or [zero]
         return sum(terms[1:], terms[0])
-    N, out = first.N, {}
-    pairs = [(a, b if type(b) is LaurentPoly else LaurentPoly.const(N, b))
-             for a, b in pairs]
-    den = lcm(*[a.den * b.den for a, b in pairs])
+    N = first.N
+    if len(pairs) == 1:
+        a, b = pairs[0]
+        return _lmul(N, a, b if type(b) is LaurentPoly
+                     else LaurentPoly.const(N, b))
+    terms = []
     for a, b in pairs:
-        s = den // (a.den * b.den)
-        for eb, y in b.c.items():
-            y *= s
-            for ea, x in a.c.items():
-                out[ea + eb] = out.get(ea + eb, 0) + x * y
-    return _lpoly(N, {e: v for e, v in out.items() if v}, den)
+        if type(b) is not LaurentPoly:
+            b = LaurentPoly.const(N, b)
+        if a.c and b.c:
+            terms.append((a.c, b.c, a.den * b.den))
+    if not terms:
+        return LaurentPoly.zero(N)
+    den = lcm(*[d for _, _, d in terms])
+    # exponents shifted by their minimum: u^e of the sum sits in slot
+    # e - amin - bmin, and |slot| <= sum ||a||_1 ||b||_1 den / d
+    amin = min([min(a) for a, _, _ in terms])
+    bmin = min([min(b) for _, b, _ in terms])
+    count = (max([max(a) for a, _, _ in terms]) - amin
+             + max([max(b) for _, b, _ in terms]) - bmin + 1)
+    nb = _slot_bytes(sum([_norm1(a) * _norm1(b) * (den // d)
+                          for a, b, d in terms]))
+    total = sum([_pack(a, nb, amin) * _pack(b, nb, bmin) * (den // d)
+                 for a, b, d in terms])
+    return _lpoly(N, {e + amin + bmin: v
+                      for e, v in _unpack(total, nb, count).items()}, den)
+
+
+# ---------------------------------------------------------------------------
+# packed integer sums (Kronecker substitution)
+#
+# A polynomial with int coefficients c_s in slots s = 0, 1, ... becomes the
+# integer sum_s c_s X^s at X = 2^B, B = 8 nb; a sum of products of such
+# polynomials is then a sum of products of Python ints (von zur Gathen and
+# Gerhard, Modern Computer Algebra, 8.4).  The result is read back once: if
+# every slot value v_s of the result has |v_s| < 2^(B-1), adding 2^(B-1)
+# to every slot makes each an unsigned base-X digit, so one to_bytes gives
+# all of them.  The callers size nb from the bound
+# |v_s| <= sum over products of the product of the factors' 1-norms.
+# ---------------------------------------------------------------------------
+
+def _norm1(c):
+    """The 1-norm of a {key: int} polynomial."""
+    return sum(map(abs, c.values()))
+
+
+def _slot_bytes(bound):
+    """The bytes per slot nb that hold every |v| <= bound with a sign:
+    bound < 2^(8 nb - 1)."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(c, nb, m=0):
+    """sum_e c_e X^(e - m) over the {e: int c_e} dict c, X = 2^(8 nb)."""
+    B = 8 * nb
+    return sum([x << (B * (e - m)) for e, x in c.items()])
+
+
+def _unpack(total, nb, count):
+    """{s: v_s} of the nonzero values of total = sum_{s < count} v_s X^s,
+    X = 2^(8 nb), every |v_s| < X / 2: one int.to_bytes of total plus X / 2
+    in every slot, then one slice per slot.  The to_bytes raises
+    OverflowError when that sum does not fit in count slots."""
+    half = bytes(nb - 1) + b"\x80"  # X / 2, the offset of one slot
+    raw = (total + int.from_bytes(half * count, "little")).to_bytes(
+        nb * count, "little")
+    offset = 1 << (8 * nb - 1)
+    out = {}
+    for s in range(count):
+        digit = raw[s * nb:(s + 1) * nb]
+        if digit != half:
+            out[s] = int.from_bytes(digit, "little") - offset
+    return out
 
 
 def _cofactors(a, b):
@@ -1107,6 +1182,55 @@ def _all_int(d):
         if type(v) is not int:
             return False
     return True
+
+
+def _qt_fold(steps):
+    """acc = acc * s + prod(factors) over the (s, factors) of steps, from
+    acc = 0, as a QTPoly; s is a QTPoly or None for 1.  The whole sum is
+    one packed integer (q^a t^b in slot a T + b, T above the result's
+    t-degree), decoded once, unless steps is one product of at most two
+    factors or a coefficient is a Fraction: then the QTPolys multiply and
+    add."""
+    polys = [f for s, fs in steps
+             for f in fs + (() if s is None else (s,))]
+    if ((len(steps) == 1 and len(steps[0][1]) <= 2)
+            or not all([_all_int(f.d) for f in polys])):
+        acc = None
+        for s, fs in steps:
+            term = fs[0]
+            for f in fs[1:]:
+                term = term * f
+            acc = term if acc is None else (
+                acc if s is None else acc * s) + term
+        return acc
+
+    def size(f):  # 1-norm, q-degree, t-degree
+        return (_norm1(f.d), max(f.d, default=(0, 0))[0],
+                max([b for _, b in f.d], default=0))
+
+    bound = qd = td = 0  # the same for the result
+    for s, fs in steps:
+        tb, tq, tt = 1, 0, 0
+        for f in fs:
+            fb, fq, ft = size(f)
+            tb, tq, tt = tb * fb, tq + fq, tt + ft
+        if s is not None:
+            sb, sq, st = size(s)
+            bound, qd, td = bound * sb, qd + sq, td + st
+        bound, qd, td = bound + tb, max(qd, tq), max(td, tt)
+    T, nb = td + 1, _slot_bytes(bound)
+
+    def pack(f):
+        return _pack({a * T + b: c for (a, b), c in f.d.items()}, nb)
+
+    acc = 0
+    for s, fs in steps:
+        term = 1
+        for f in fs:
+            term *= pack(f)
+        acc = (acc if s is None else acc * pack(s)) + term
+    return QTPoly({divmod(e, T): v for e, v in
+                   _unpack(acc, nb, (qd + 1) * T).items()}, _clean=True)
 
 
 def _qt_split_content(f):

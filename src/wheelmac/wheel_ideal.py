@@ -241,24 +241,28 @@ def verify_theorem1(k, r, n, d, p=None, mode="exact", table=None):
     }
 
 
-def verify_stability(f, p, operators=None):
+def verify_stability(f, p, operators=None, fld=None):
     """Images of f under the Macdonald-type operators stay in J.
 
-    Checks D_n^rho for 1 <= rho <= n and E_m for 0 <= m <= 2.  The input
-    (over K) is first rescaled to Laurent-polynomial coefficients, which
-    does not move it in or out of the ideal but keeps the operator
-    arithmetic free of rational-function normalization.
+    Checks D_n^rho for 1 <= rho <= n and E_m for 0 <= m <= 2.  By default
+    the input (over K) is first rescaled to Laurent-polynomial
+    coefficients, which does not move it in or out of the ideal but keeps
+    the operator arithmetic free of rational-function normalization; as
+    in satisfies_wheel, pass the CoeffField the coefficients already live
+    in (CoeffField.laurent, say) to run in that ring directly.  The field
+    keeps every operator matrix it builds, so one field shared by several
+    calls builds each matrix once.
     """
-    fld = CoeffField.laurent(p)
-    g = laurent_clear(f, p)
-    if not satisfies_wheel(g, p, fld):
+    if fld is None:
+        f, fld = laurent_clear(f, p), CoeffField.laurent(p)
+    if not satisfies_wheel(f, p, fld):
         raise ValueError("input does not satisfy the wheel condition")
     n = f.n
     if operators is None:
         operators = [("D", rho) for rho in range(1, n + 1)] + \
                     [("E", m) for m in range(3)]
     for kind, arg in operators:
-        image = apply_D(g, arg, fld) if kind == "D" else apply_E(g, arg, fld)
+        image = apply_D(f, arg, fld) if kind == "D" else apply_E(f, arg, fld)
         if not satisfies_wheel(image, p, fld):
             return False
     return True

@@ -2,8 +2,10 @@
 against, kept out of the library because no library code needs them."""
 
 from fractions import Fraction
+from math import lcm
 
 from wheelmac import partitions as pt
+from wheelmac.scalars import LaurentPoly, _lpoly
 from wheelmac.symfunc import orbit_of
 
 
@@ -40,3 +42,42 @@ def eval_monomial_symmetric(lam, values, one=Fraction(1)):
                 prod = prod * pw
         total = total + prod
     return total
+
+
+def laurent_sum_of_products(pairs):
+    """sum a * b over a nonempty list of pairs of LaurentPolys over Q
+    (N <= 2), a rational b read as a constant: one int dict over the lcm
+    of the denominators, made canonical once."""
+    N, out = pairs[0][0].N, {}
+    pairs = [(a, b if type(b) is LaurentPoly else LaurentPoly.const(N, b))
+             for a, b in pairs]
+    den = lcm(*[a.den * b.den for a, b in pairs])
+    for a, b in pairs:
+        s = den // (a.den * b.den)
+        for eb, y in b.c.items():
+            y *= s
+            for ea, x in a.c.items():
+                out[ea + eb] = out.get(ea + eb, 0) + x * y
+    return _lpoly(N, {e: v for e, v in out.items() if v}, den)
+
+
+def lcm_sum(pairs, merges):
+    """(num, den) with num/den = sum of x * e over a nonempty list of
+    (BiRatFunc x, QTPoly e) pairs, by QTPoly products and sums over the
+    running lcm den of the x.den; a new den extends it by one gcd, kept in
+    merges under (den, x.den)."""
+    num = den = None
+    for x, entry in pairs:
+        term, b = x.num * entry, x.den
+        if num is None:
+            num, den = term, b
+        elif b == den:
+            num = num + term
+        else:
+            got = merges.get((den, b))
+            if got is None:
+                _, dg, b2 = den.gcd(b)
+                got = merges[den, b] = (dg, b2, den * b2)
+            dg, b, den = got
+            num = num * b + term * dg
+    return num, den

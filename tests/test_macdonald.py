@@ -23,7 +23,7 @@ from wheelmac.scalars import (BiRatFunc, CycloNum, LaurentPoly, ParameterSpec,
 from wheelmac.symfunc import SymPoly
 from wheelmac.wheel_ideal import basis_I, wheel_kernel_basis
 
-from oracles import eval_monomial_symmetric
+from oracles import eval_monomial_symmetric, lcm_sum
 from test_symfunc import _zeta3_point_field
 
 q = BiRatFunc.q()
@@ -484,6 +484,19 @@ def test_verify_pieri_examples(lam, n, tables):
     assert verify_pieri(lam, n, tables(n))
 
 
+def test_integral_form_is_the_product_of_its_cells():
+    # the packed product against one BiRatFunc factor per cell
+    for d in range(10):
+        for lam in pt.enumerate_partitions(4, d):
+            want = one
+            conj = pt.conjugate(lam)
+            for i, li in enumerate(lam, start=1):
+                for j in range(1, li + 1):
+                    want = want * (one - BiRatFunc.qt_monomial(
+                        li - j, conj[j - 1] - i + 1))
+            assert integral_form_factor(lam) == want
+
+
 def test_integral_form_examples():
     assert integral_form_factor(()) == one
     assert integral_form_factor((1,)) == one - t
@@ -608,6 +621,88 @@ def test_compute_P_matches_per_term_accumulation():
             assert got.keys() == want.keys()
             for mu, c in want.items():
                 assert (got[mu].num, got[mu].den) == (c.num, c.den)
+
+
+def _counted_gcds(monkeypatch):
+    calls = []
+    real = scalars.qt_gcd
+
+    def counted(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(scalars, "qt_gcd", counted)
+    return calls
+
+
+def test_lcm_sum_matches_the_loop(monkeypatch):
+    """compute_P's numerator, one _qt_fold, against the QTPoly products and
+    sums it replaced (oracles.lcm_sum): equal num and den and the same
+    qt_gcd calls, on seeded pairs whose denominators share factors of
+    1 - q^a t^b, with negative and above-2^64 coefficients, numerators that
+    cancel, and a Fraction coefficient (which takes the QTPoly arithmetic)."""
+    rng = random.Random(29)
+    factors = [QTPoly({(0, 0): 1, (a, b): -1})
+               for a, b in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]]
+
+    def rand(big):
+        d = {(rng.randint(0, 3), rng.randint(0, 3)):
+             rng.choice([-1, 1]) * rng.randint(1, 2 ** 70 if big else 9)
+             for _ in range(rng.randint(1, 5))}
+        return QTPoly(d)
+
+    calls = _counted_gcds(monkeypatch)
+    seen = set()
+    for _ in range(120):
+        big, pairs = rng.random() < 0.3, []
+        for _ in range(rng.randint(1, 6)):
+            den = QTPoly.one()
+            for f in rng.sample(factors, rng.randint(0, 3)):
+                den = den * f
+            num = rand(big)
+            if rng.random() < 0.05:
+                num = num + QTPoly.term(Fraction(1, 2), 4, 4)
+            pairs.append((BiRatFunc(num, den), rand(big)))
+        if rng.random() < 0.2:  # the second half cancels the first
+            pairs += [(-x, e) for x, e in pairs]
+        del calls[:]
+        got = md._lcm_sum(pairs, {})
+        packed_calls = calls[:]
+        del calls[:]
+        want = lcm_sum(pairs, {})
+        assert got == want and packed_calls == calls
+        seen |= {("cancel", not want[0]), ("merge", bool(calls)),
+                 ("fraction", not all(type(v) is int
+                                      for x, _ in pairs
+                                      for v in x.num.d.values()))}
+    assert seen >= {("cancel", True), ("merge", True), ("fraction", True)}
+
+
+def test_compute_P_matches_the_loop(monkeypatch):
+    """Every P_lam with n <= 4 and |lam| <= 7 (n = 4 at |lam| <= 6) through
+    the packed numerator equals, by repr, the one through oracles.lcm_sum,
+    with the same qt_gcd calls; so does a table whose D_n^1 columns carry
+    a Fraction coefficient."""
+    calls, packed = _counted_gcds(monkeypatch), md._lcm_sum
+
+    def run(fold, planted):
+        monkeypatch.setattr(md, "_lcm_sum", fold)
+        del calls[:]
+        out = []
+        for n, dmax in ((2, 7), (3, 7), (4, 6)):
+            table = MacdonaldTable(n)
+            for d in range(dmax + 1):
+                if planted and d:
+                    plist, cols = table.component_matrix(d)
+                    cols[plist[0]] = {mu: e * Fraction(1, 2)
+                                      for mu, e in cols[plist[0]].items()}
+                for lam in pt.enumerate_partitions(n, d):
+                    out.append(repr(table.compute_P(lam)))
+        return out, len(calls)
+
+    for planted in (False, True):
+        assert run(packed, planted) == run(lcm_sum, planted)
+    assert run(packed, True)[0] != run(packed, False)[0]
 
 
 def test_compute_P_refuses_equal_eigenvalues():

@@ -15,7 +15,7 @@ from wheelmac.scalars import (BiRatFunc, CycloNum, ExactDivisionError,
                               cyclotomic_polynomial, qt_divexact,
                               qt_gcd, render_scalar, sum_of_products)
 
-from oracles import euler_phi
+from oracles import euler_phi, laurent_sum_of_products
 
 q = BiRatFunc.q()
 t = BiRatFunc.t()
@@ -426,6 +426,91 @@ def test_sum_of_products_rational_lane_matches_the_plain_sum():
         seen.add(check(pairs).denominator == 1)
         check(pairs + [(-a, b) for a, b in pairs], zero)
     assert seen == {True, False}
+
+
+def _rand_int(rng, big):
+    """A nonzero int of either sign, above 2^64 in absolute value when big."""
+    return rng.choice([-1, 1]) * (rng.randint(2 ** 64 + 1, 2 ** 200) if big
+                                  else rng.randint(1, 9))
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_packed_laurent_sum_matches_the_loop(N):
+    """The packed Laurent lane of sum_of_products against the int-dict loop
+    it replaced (oracles.laurent_sum_of_products), equal in den and c:
+    negative coefficients and exponents, denominators other than 1,
+    coefficients above 2^64, one pair, zero polynomials, rational b and
+    sums that cancel to 0."""
+    rng = random.Random(400 + N)
+    zero = LaurentPoly.zero(N)
+
+    def rand(big):
+        if rng.random() < 0.1:
+            return zero
+        return LaurentPoly(N, {e: Fraction(_rand_int(rng, big),
+                                           rng.choice([1, 1, 2, 3, 6]))
+                               for e in rng.sample(range(-7, 8),
+                                                   rng.randint(1, 6))})
+
+    seen = set()
+    for _ in range(300):
+        big = rng.random() < 0.3
+        pairs = [(rand(big), rng.choice([rand(big), Fraction(
+            _rand_int(rng, big), rng.randint(1, 5))]))
+            for _ in range(rng.randint(1, 5))]
+        want = laurent_sum_of_products(pairs)
+        got = sum_of_products(pairs, zero)
+        assert (got.den, got.c) == (want.den, want.c)
+        gone = sum_of_products(pairs + [(-a, b) for a, b in pairs], None)
+        assert (gone.den, gone.c) == (1, {})
+        polys = [x for pair in pairs for x in pair
+                 if type(x) is LaurentPoly]
+        seen |= {("one pair", len(pairs) == 1), ("den", want.den > 1),
+                 ("big", big and bool(want.c)),
+                 ("zero", not all(polys)), ("zero sum", not want.c),
+                 ("negative exponent", min(want.c, default=0) < 0)}
+    assert all((flag, True) in seen for flag, _ in seen)
+
+
+def test_packed_qt_fold_matches_the_loop():
+    """_qt_fold, acc = acc * s + prod(factors), against QTPoly products and
+    sums: negative and above-2^64 coefficients, zero factors and
+    multipliers, many factors in one step, sums that cancel to 0, and a
+    Fraction coefficient (which takes the QTPoly arithmetic)."""
+    rng = random.Random(83)
+
+    def rand(big):
+        if rng.random() < 0.08:
+            return QTPoly.zero()
+        d = {(rng.randint(0, 4), rng.randint(0, 4)): _rand_int(rng, big)
+             for _ in range(rng.randint(1, 6))}
+        if rng.random() < 0.03:
+            d[next(iter(d))] = Fraction(1, 3)
+        return QTPoly(d)
+
+    seen = set()
+    for _ in range(200):
+        big = rng.random() < 0.3
+        steps = [(None if i == 0 or rng.random() < 0.4 else rand(big),
+                  tuple(rand(big) for _ in range(rng.randint(1, 4))))
+                 for i in range(rng.randint(1, 4))]
+        want = None
+        for s, fs in steps:
+            term = QTPoly.one()
+            for f in fs:
+                term = term * f
+            want = term if want is None else (
+                want if s is None else want * s) + term
+        assert scalars._qt_fold(steps) == want
+        assert scalars._qt_fold(steps + [(None, (-want,))]) == QTPoly.zero()
+        polys = [f for s, fs in steps
+                 for f in fs + (() if s is None else (s,))]
+        seen |= {("fraction", not all(
+            type(v) is int for f in polys for v in f.d.values())),
+            ("big", big and bool(want)), ("zero", not all(polys)),
+            ("many factors", max(len(fs) for _, fs in steps) > 2),
+            ("negative", min(want.d.values(), default=0) < 0)}
+    assert all((flag, True) in seen for flag, _ in seen)
 
 
 _INEXACT_UNDER_O = """

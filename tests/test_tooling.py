@@ -25,6 +25,7 @@ import pytest
 import wheelmac
 from wheelmac import cli
 from wheelmac import macdonald as md
+from wheelmac import partitions as pt
 from wheelmac.scalars import QTPoly
 from wheelmac.symfunc import SymPoly
 
@@ -152,6 +153,66 @@ def test_every_private_test_helper_is_used():
     # the same for the test modules: a deleted test must not leave behind
     # the helper or constant only it read
     assert not _unused_private_names(ROOT / "tests")
+
+
+def _names_read(tree):
+    """Every name tree loads, as a Name or as an attribute; inside a
+    module-level def its own name does not count (a recursive call is no
+    caller)."""
+    names = set()
+    for node in tree.body:
+        own = {node.name} if isinstance(node, ast.FunctionDef) else set()
+        names |= {n.attr if isinstance(n, ast.Attribute) else n.id
+                  for n in ast.walk(node)
+                  if isinstance(n, ast.Attribute) or (
+                      isinstance(n, ast.Name)
+                      and not isinstance(n.ctx, ast.Store))} - own
+    return names
+
+
+def _uncalled_public_functions():
+    """(module, name) of each public module-level function of the library
+    that nothing in src/, demos/, perfbench/ or the README's Python
+    examples names."""
+    names = set()
+    for folder in (SRC, ROOT / "demos", ROOT / "perfbench"):
+        for path in sorted(folder.glob("*.py")):
+            names |= _names_read(ast.parse(path.read_text()))
+    for block in README.read_text().split("```python\n")[1:]:
+        names |= _names_read(ast.parse(block.split("```", 1)[0]))
+    uncalled = []
+    for info in pkgutil.iter_modules(wheelmac.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module("wheelmac." + info.name)
+        for name, obj in vars(module).items():
+            if (not name.startswith("_") and inspect.isfunction(obj)
+                    and obj.__module__ == module.__name__
+                    and name not in names):
+                uncalled.append((info.name, name))
+    return uncalled
+
+
+def test_every_public_function_has_a_caller():
+    # a public function that only tests call belongs in the tests
+    # (tests/oracles.py when several modules share it); a CLI command's
+    # library function is named by its handler in cli.py
+    assert not _uncalled_public_functions()
+
+
+def test_the_public_function_guard_sees_a_stranded_function(monkeypatch):
+    # its own recursion does not count as a caller, another function does
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n")
+    assert "f" not in _names_read(tree)
+    tree.body += ast.parse("def g():\n    return f(2)\n").body
+    assert "f" in _names_read(tree)
+
+    def stranded():
+        return 0
+
+    stranded.__module__ = "wheelmac.partitions"
+    monkeypatch.setattr(pt, "stranded", stranded, raising=False)
+    assert _uncalled_public_functions() == [("partitions", "stranded")]
 
 
 _SPECIALIZATION_ATTRS = {"omega1", "q_exp", "t_exp", "_omega_powers"}

@@ -9,6 +9,7 @@ import pytest
 
 import wheelmac
 from wheelmac import linalg
+from wheelmac import macdonald as md
 from wheelmac import partitions as pt
 from wheelmac import wheel_ideal
 from wheelmac.linalg import EchelonBasis, _clear_upower_row, rank_kernel_poly
@@ -720,6 +721,34 @@ def test_stability_random_combination(tables):
     for g in basis:
         f = f + g.scale(UniRatFunc.const(p.N, rng.randint(-4, 4)))
     assert verify_stability(f, p)
+
+
+def test_stability_on_one_field_builds_each_matrix_once(monkeypatch):
+    """verify_stability with a shared CoeffField.laurent (the input already
+    cleared, as satisfies_wheel takes it) answers as a fresh field per
+    call does, and builds each (n, d, operator) matrix once in all."""
+    builds = []
+    real = md._operator_tables
+
+    def counted(n, d, op):
+        builds.append((n, d, op))
+        return real(n, d, op)
+
+    monkeypatch.setattr(md, "_operator_tables", counted)
+    rng = random.Random(5)
+    p = ParameterSpec(2, 2)
+    basis = wheel_kernel_basis(2, 2, 4, 8, p)
+    combos = [sum((g.scale(UniRatFunc.const(p.N, rng.randint(1, 5)))
+                   for g in basis), SymPoly.zero(4)) for _ in range(3)]
+    fresh = [verify_stability(f, p) for f in combos]
+    assert fresh == [True] * 3 and len(builds) == 3 * len(set(builds))
+    del builds[:]
+    fld = CoeffField.laurent(p)
+    assert [verify_stability(laurent_clear(f, p), p, fld=fld)
+            for f in combos] == fresh
+    assert len(builds) == len(set(builds)) > 0
+    with pytest.raises(ValueError):
+        verify_stability(SymPoly.m((8,), 4, fld.one), p, fld=fld)
 
 
 @pytest.mark.parametrize("k, r, n, d", [(1, 5, 2, 8), (2, 4, 3, 6)])
