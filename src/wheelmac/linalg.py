@@ -70,8 +70,8 @@ class EchelonBasis:
         row = self.reduce(row)
         for col in range(self.ncols):
             if not _is_zero(row[col]):
-                inv = row[col]
-                row = [x / inv for x in row]
+                inv = 1 / row[col]
+                row = [x if _is_zero(x) else x * inv for x in row]
                 for prow in self.pivots.values():
                     c = prow[col]
                     if not _is_zero(c):
@@ -89,7 +89,13 @@ _PROBE_POINT = Fraction(5, 2)
 
 
 def _clear_upower_row(row, N):
-    """UniRatFunc row -> UniPoly row, when every denominator is a u-power."""
+    """UniRatFunc row -> UniPoly row, when every (monic) denominator is a
+    u-power; any other raises ExactDivisionError, since shifting its
+    numerator would drop the rest of the denominator."""
+    for x in row:
+        if x.den.trailing_order() != x.den.degree():
+            raise ExactDivisionError("denominator %r is not a power of u"
+                                     % (x.den,))
     shift = max((x.den.degree() for x in row), default=0)
     return [x.num.shift(shift - x.den.degree()) if x else UniPoly.zero(N)
             for x in row]

@@ -40,8 +40,7 @@ from itertools import combinations, permutations
 
 from . import partitions as pt
 from .scalars import (BiRatFunc, ExactDivisionError, LaurentPoly, PoleError,
-                      QTPoly, UniRatFunc, _lpoly, _qt_fold, qt_divexact,
-                      sum_of_products)
+                      QTPoly, _lpoly, _qt_fold, qt_divexact, sum_of_products)
 from .symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
                       monomials_to_m, sympoly_mul)
 
@@ -93,15 +92,6 @@ class CoeffField:
         """Q(q, t)."""
         return cls(BiRatFunc.zero(), BiRatFunc.one(), BiRatFunc.q(),
                    BiRatFunc.t(), BiRatFunc.const, BiRatFunc.from_poly)
-
-    @classmethod
-    def specialized(cls, p):
-        """K = Q(zeta_{r-1})(u), read through p.specialize: p alone knows
-        how q and t become u."""
-        N = p.N
-        return cls(UniRatFunc.zero(N), UniRatFunc.one(N), p.q_value(),
-                   p.t_value(), lambda i: UniRatFunc.const(N, i),
-                   p.specialize, p)
 
     @classmethod
     def laurent(cls, p):

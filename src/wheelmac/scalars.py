@@ -1685,9 +1685,14 @@ class ParameterSpec:
     the table _omega_powers holds omega1^a in the coefficients' own ring,
     the ints 1 and -1 when phi(N) = 1 (N <= 2) and CycloNums otherwise,
     and every value in K is read through specialize_poly.
+
+    An instance also keeps the wheel relations read through it (relation,
+    for wheel_ideal.relation_generic): each is built once and lives and
+    dies with the instance.
     """
 
-    __slots__ = ("k", "r", "m", "N", "t_exp", "q_exp", "_omega_powers")
+    __slots__ = ("k", "r", "m", "N", "t_exp", "q_exp", "_omega_powers",
+                 "_relations")
 
     def __init__(self, k, r):
         if k < 1:
@@ -1703,6 +1708,7 @@ class ParameterSpec:
                               [CycloNum.zeta(N, a) for a in range(N)])
         self.t_exp = (r - 1) // self.m
         self.q_exp = (k + 1) // self.m
+        self._relations = {}
 
     @classmethod
     def matching(cls, p, k, r):
@@ -1713,6 +1719,15 @@ class ParameterSpec:
         if (p.k, p.r) != (k, r):
             raise ValueError("%r does not match (k=%d, r=%d)" % (p, k, r))
         return p
+
+    def relation(self, key, build):
+        """The value build() gives, built on the first call with key and
+        kept on this instance: every later call returns the same object,
+        which callers share and must not modify."""
+        rel = self._relations.get(key)
+        if rel is None:
+            rel = self._relations[key] = build()
+        return rel
 
     def t_value(self):
         return UniRatFunc.from_laurent(self.N, dict([self.qt_laurent(0, 1)]))

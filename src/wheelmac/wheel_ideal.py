@@ -119,12 +119,17 @@ def relation_generic(d, sigma, k, r, p=None):
     """The z^d coefficient of e(z) e(c_1 z) ... e(c_k z), c_i =
     t^i q^(sigma_i), over K: m_mu(1, c_1, ..., c_k) is the (d,) table of
     wheel_collapse(mu, k+1, sigma), read by p.specialize; keys padded to
-    k+1.  sigma must pass check_sigma."""
+    k+1.  sigma must pass check_sigma.
+
+    p keeps the relation (ParameterSpec.relation): the first call with a
+    given (d, sigma) builds it, and every later call with the same p
+    returns that MonomialExpansion, shared and read-only.
+    """
     sigma = check_sigma(sigma, k, r)
-    read = ParameterSpec.matching(p, k, r).specialize
-    return MonomialExpansion(k + 1, {
-        pt.pad(mu, k + 1): read(wheel_collapse(mu, k + 1, sigma)[(d,)])
-        for mu in pt.enumerate_partitions(k + 1, d)})
+    p = ParameterSpec.matching(p, k, r)
+    return p.relation((d, sigma), lambda: MonomialExpansion(k + 1, {
+        pt.pad(mu, k + 1): p.specialize(wheel_collapse(mu, k + 1, sigma)[(d,)])
+        for mu in pt.enumerate_partitions(k + 1, d)}))
 
 
 def _relation_rows(gens, n, d, zero):

@@ -5,7 +5,8 @@ from fractions import Fraction
 from math import lcm
 
 from wheelmac import partitions as pt
-from wheelmac.scalars import LaurentPoly, _lpoly
+from wheelmac.macdonald import CoeffField
+from wheelmac.scalars import LaurentPoly, UniRatFunc, _lpoly
 from wheelmac.symfunc import orbit_of
 
 
@@ -81,3 +82,12 @@ def lcm_sum(pairs, merges):
             dg, b, den = got
             num = num * b + term * dg
     return num, den
+
+
+def specialized_field(p):
+    """The CoeffField K = Q(zeta_{r-1})(u), each table read through
+    p.specialize: p alone knows how q and t become u."""
+    N = p.N
+    return CoeffField(UniRatFunc.zero(N), UniRatFunc.one(N), p.q_value(),
+                      p.t_value(), lambda i: UniRatFunc.const(N, i),
+                      p.specialize, p)

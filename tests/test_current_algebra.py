@@ -95,6 +95,60 @@ def test_relation_generic_examples():
             relation_generic(2, sigma, k, r)
 
 
+def test_relation_generic_is_kept_on_its_parameter_spec():
+    # the first call with a given (d, sigma) builds the relation and p keeps
+    # it: a second call with the same p returns that object, a fresh p
+    # builds its own
+    p = ParameterSpec(2, 3)
+    rel = relation_generic(4, (0, 1), 2, 3, p)
+    assert relation_generic(4, [0, 1], 2, 3, p) is rel
+    assert relation_generic(4, (0, 1), 2, 3, ParameterSpec(2, 3)) is not rel
+
+
+def test_a_reused_parameter_spec_gives_the_fresh_relations():
+    # p warmed with every (d, sigma) and asked again in the reverse order
+    # returns what a fresh ParameterSpec builds
+    for k in range(1, 4):
+        for r in range(2, 5):
+            keys = [(d, sigma) for d in range(9)
+                    for sigma in wheel_substitutions(k, r)]
+            p = ParameterSpec(k, r)
+            for d, sigma in keys:
+                relation_generic(d, sigma, k, r, p)
+            for d, sigma in reversed(keys):
+                fresh = relation_generic(d, sigma, k, r, ParameterSpec(k, r))
+                assert relation_generic(d, sigma, k, r, p) == fresh, \
+                    (k, r, d, sigma)
+
+
+def test_a_warmed_parameter_spec_still_checks_its_arguments():
+    # the checks run before the lookup, so a kept (d, sigma) does not let
+    # a bad sigma or another (k, r) through
+    p = ParameterSpec(1, 2)
+    relation_generic(2, (1,), 1, 2, p)
+    with pytest.raises(ValueError, match="sigma"):
+        relation_generic(2, (5,), 1, 2, p)
+    with pytest.raises(ValueError, match="does not match"):
+        relation_generic(2, (1,), 1, 3, p)
+
+
+def test_verify_prop302_reads_each_relation_table_once(monkeypatch):
+    # one p across every (n, d) component: each wheel_collapse table a
+    # relation reads is built once in the run
+    calls = []
+    inner = wheel_ideal.wheel_collapse
+
+    def counting(lam, n, sigma):
+        calls.append((lam, n, tuple(sigma)))
+        return inner(lam, n, sigma)
+
+    monkeypatch.setattr(wheel_ideal, "wheel_collapse", counting)
+    for b, k, r in [((1,), 1, 2), ((0, 1), 1, 3)]:
+        del calls[:]
+        assert verify_prop302(b, k, r, 8, 4, ParameterSpec(k, r))
+        assert calls and len(calls) == len(set(calls)), (b, k, r)
+
+
 def test_duality_with_wheel_rows():
     # the sigma-relation coefficients are exactly the wheel constraint row
     # on the n = k+1 component (single free monomial x_1^d), computed by

@@ -12,7 +12,7 @@ from wheelmac.symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
                               sympoly_mul, wheel_collapse, wheel_substitute)
 from wheelmac.wheel_ideal import _wheel_substitute_fld
 
-from oracles import eval_monomial_symmetric
+from oracles import eval_monomial_symmetric, specialized_field
 
 
 def test_orbit_of_matches_distinct_permutations():
@@ -181,7 +181,7 @@ def test_collapse_wheel_matches_a_per_term_loop():
     for k, r in [(1, 2), (2, 3), (1, 4), (2, 5)]:  # N = 1, 2, 3, 4
         p = ParameterSpec(k, r)
         fields += [(CoeffField.laurent(p), k, r),
-                   (CoeffField.specialized(p), k, r)]
+                   (specialized_field(p), k, r)]
     fields.append((_zeta3_point_field(), 1, 4))
     for fld, k, r in fields:
         sigma = [rng.randint(0, r - 1) for _ in range(k)]

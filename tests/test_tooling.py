@@ -23,10 +23,10 @@ from pathlib import Path
 import pytest
 
 import wheelmac
-from wheelmac import cli
+from wheelmac import cli, current_algebra, scalars, symfunc, wheel_ideal
 from wheelmac import macdonald as md
 from wheelmac import partitions as pt
-from wheelmac.scalars import QTPoly
+from wheelmac.scalars import ParameterSpec, QTPoly
 from wheelmac.symfunc import SymPoly
 
 SRC = Path(wheelmac.__file__).resolve().parent
@@ -215,7 +215,8 @@ def test_the_public_function_guard_sees_a_stranded_function(monkeypatch):
     assert _uncalled_public_functions() == [("partitions", "stranded")]
 
 
-_SPECIALIZATION_ATTRS = {"omega1", "q_exp", "t_exp", "_omega_powers"}
+_SPECIALIZATION_ATTRS = {"omega1", "q_exp", "t_exp", "_omega_powers",
+                         "_relations"}
 
 
 def _specialization_reads(folder):
@@ -267,6 +268,24 @@ def test_operator_matrices_stay_on_their_field():
     for m in range(3):
         assert md.apply_E(f, m, fld)
     assert _container_sizes(md) == before
+
+
+def test_relations_stay_on_their_parameter_spec():
+    # likewise for the wheel relations: a relation cached on a module would
+    # warm every later pass; a fresh ParameterSpec reading relations at a
+    # new degree must leave every container of these modules as it was
+    # (the degree's orbits, _CYCLO_CACHE and the CycloNum field cache warmed)
+    k, r, d = 1, 4, 23
+    modules = (wheel_ideal, current_algebra, symfunc, scalars)
+    p = ParameterSpec(k, r)
+    scalars._CycloField.get(p.N)
+    for mu in pt.enumerate_partitions(k + 1, d):
+        symfunc.orbit_of(mu, k + 1)
+    before = [_container_sizes(module) for module in modules]
+    for sigma in wheel_ideal.wheel_substitutions(k, r):
+        rel = wheel_ideal.relation_generic(d, sigma, k, r, p)
+        assert rel and wheel_ideal.relation_generic(d, sigma, k, r, p) is rel
+    assert [_container_sizes(module) for module in modules] == before
 
 
 def test_readme_commands_parse():

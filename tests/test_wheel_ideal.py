@@ -12,12 +12,13 @@ from wheelmac import linalg
 from wheelmac import macdonald as md
 from wheelmac import partitions as pt
 from wheelmac import wheel_ideal
-from wheelmac.linalg import EchelonBasis, _clear_upower_row, rank_kernel_poly
+from wheelmac.linalg import (EchelonBasis, _clear_upower_row, corank_upower,
+                             rank_kernel_poly)
 from wheelmac.macdonald import (CoeffField, MacdonaldTable, cauchy_row_check,
                                 check_integrality, compute_P, pieri_failures,
                                 specialize_P)
-from wheelmac.scalars import (CycloNum, ParameterSpec, PoleError, UniPoly,
-                              UniRatFunc)
+from wheelmac.scalars import (CycloNum, ExactDivisionError, ParameterSpec,
+                              PoleError, UniPoly, UniRatFunc)
 from wheelmac.symfunc import SymPoly, wheel_substitute
 from wheelmac.wheel_ideal import (_rotation_classes, _wheel_substitute_fld,
                                   basis_I, constraint_rows, dim_J,
@@ -26,7 +27,7 @@ from wheelmac.wheel_ideal import (_rotation_classes, _wheel_substitute_fld,
                                   verify_stability, verify_theorem1,
                                   wheel_kernel_basis, wheel_substitutions)
 
-from oracles import euler_phi
+from oracles import euler_phi, specialized_field
 from test_symfunc import _naive_collapse
 
 
@@ -106,7 +107,7 @@ def test_substitution_entry_points_agree():
     rng = random.Random(31)
     for k, r in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         p = ParameterSpec(k, r)
-        fld = CoeffField.specialized(p)
+        fld = specialized_field(p)
         u = UniRatFunc.u(p.N)
         for sigma in wheel_substitutions(k, r):
             for _ in range(3):
@@ -129,7 +130,7 @@ def test_substitution_entry_points_agree_on_fractions():
     rng = random.Random(37)
     for k, r in [(1, 2), (2, 3), (1, 4), (2, 4)]:
         p = ParameterSpec(k, r)
-        fld = CoeffField.specialized(p)
+        fld = specialized_field(p)
         u = UniRatFunc.u(p.N)
         dens = [u + 1, u * u + 3, u ** 3 - 2 * u + 5]
         for sigma in wheel_substitutions(k, r):
@@ -524,13 +525,41 @@ raise SystemExit(1)
 """
 
 
-def test_resonance_guard_survives_python_O():
+def _run_under_O(code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-O", "-c", _RESONANCE_UNDER_O],
+    done = subprocess.run([sys.executable, "-O", "-c", code],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_resonance_guard_survives_python_O():
+    _run_under_O(_RESONANCE_UNDER_O)
+
+
+# row 1 times 1 + u is row 2, so the rank is 1; shifting the numerator of
+# 1/(1 + u) as if 1 + u were a power of u would give [u, 1] and rank 2
+_UPOWER_ROWS = """
+from wheelmac.linalg import corank_upower
+from wheelmac.scalars import ExactDivisionError, UniRatFunc
+one, u = UniRatFunc.one(1), UniRatFunc.u(1)
+try:
+    corank_upower([[one, one / (one + u)], [one + u, one]], 2, 1)
+except ExactDivisionError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_a_denominator_that_is_no_u_power_is_refused():
+    # corank_upower clears each row by one u-shift; a planted 1 + u
+    # denominator raises instead of giving a wrong rank, also under -O
+    one, u = UniRatFunc.one(1), UniRatFunc.u(1)
+    assert corank_upower([[one, one / (u * u)], [u, one / u]], 2, 1) == 1
+    with pytest.raises(ExactDivisionError, match="not a power of u"):
+        corank_upower([[one, one / (one + u)], [one + u, one]], 2, 1)
+    _run_under_O(_UPOWER_ROWS)
 
 
 def test_r2_wheel_reduces_to_single_locus():
