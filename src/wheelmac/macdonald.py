@@ -34,6 +34,10 @@ Each coefficient is summed as one numerator over a running lcm of
 denominators, a packed integer decoded once (scalars._qt_fold), and made
 canonical once, so integrality is a division test on its denominator, run
 once per distinct denominator.
+
+Every q^a t^b value a CoeffField needs, the operator weights and the
+eigenvalues alike, is an integer QTPoly table read once by the field's
+table reader; a field built without one reads it with QTPoly.substitute.
 """
 
 from itertools import combinations, permutations
@@ -57,17 +61,17 @@ class CoeffField:
     """The coefficient ring an operator runs over: its 0, 1, q and t, the
     map from_int of ints into it, its reader of integer q^a t^b tables and
     the ParameterSpec spec it specializes (None for Q(q, t) and Q[q, t]).
-    A ring built without a reader (such as Fractions at a rational point)
-    gets the one default, which multiplies each integer count by a cached
-    q^a t^b, so its elements must take an int factor.  The q^a t^b powers
-    and the operator matrices (matrix) are cached on the instance and live
-    and die with it: share an instance only under external serialization,
-    or give each thread its own.  Instances are cheap; callers normally
-    create one per computation.
+    Every q^a t^b value the ring needs is such a table read once.  A ring
+    built without a reader (such as Fractions at a rational point) reads
+    each table with QTPoly.substitute at (q, t).  Only the operator
+    matrices (matrix) are cached on the instance, and they live and die
+    with it: share an instance only under external serialization, or give
+    each thread its own.  Instances are cheap; callers normally create one
+    per computation.
     """
 
     __slots__ = ("zero", "one", "q", "t", "from_int", "spec", "_read",
-                 "_qp", "_tp", "_qtp", "_ops")
+                 "_ops")
 
     def __init__(self, zero, one, q, t, from_int, read=None, spec=None):
         self.zero = zero
@@ -76,16 +80,7 @@ class CoeffField:
         self.t = t
         self.from_int = from_int
         self.spec, self._read = spec, read
-        self._qp = {0: one, 1: q}
-        self._tp = {0: one, 1: t}
-        self._qtp = {}
         self._ops = {}
-
-    @classmethod
-    def generic_poly(cls):
-        """Q[q, t] -- enough for operator application and eigenvalues."""
-        return cls(QTPoly.zero(), QTPoly.one(), QTPoly.q(), QTPoly.t(),
-                   QTPoly.term, lambda counts: counts)
 
     @classmethod
     def generic(cls):
@@ -115,12 +110,11 @@ class CoeffField:
 
     def table_reader(self):
         """The map from a QTPoly of integer counts per q^a t^b to its value
-        in this ring: the constructor's, or the one default, which sums each
-        count against the cached q^a t^b by sum_of_products (over Q, one
-        integer numerator over one denominator)."""
-        return self._read or (lambda counts: sum_of_products(
-            [(v, self.qtpow(a, b)) for (a, b), v in counts.d.items()],
-            self.zero))
+        in this ring: the constructor's, or the one default, QTPoly.substitute
+        at (q, t) (at a rational point, one integer sum over one
+        denominator)."""
+        return self._read or (lambda counts: counts.substitute(
+            self.q, self.t, self.one))
 
     def matrix(self, n, d, op):
         """{lam: {nu: <m_lam> op m_nu}} in this ring for op = ("D", rho) or
@@ -141,24 +135,6 @@ class CoeffField:
                     rows[lam] = row
             self._ops[n, d, op] = rows
         return rows
-
-    def qpow(self, e):
-        v = self._qp.get(e)
-        if v is None:
-            v = self._qp[e] = self.qpow(e - 1) * self.q
-        return v
-
-    def tpow(self, e):
-        v = self._tp.get(e)
-        if v is None:
-            v = self._tp[e] = self.tpow(e - 1) * self.t
-        return v
-
-    def qtpow(self, a, b):
-        v = self._qtp.get((a, b))
-        if v is None:
-            v = self._qtp[a, b] = self.qpow(a) * self.tpow(b)
-        return v
 
 
 def _acc(out, key, c):
@@ -322,29 +298,30 @@ def apply_E(f, m, fld):
     return _apply(f, ("E", m), fld)
 
 
-def eigenvalue_D(lam, n, fld=None):
-    """Coefficient list of prod_i (1 + X q^(lam_i) t^(n-i)) in X."""
-    fld = fld or CoeffField.generic_poly()
+def _eigen_exponents(lam, n):
+    """The exponents (lam_i, n-1-i) of the monomials q^(lam_i) t^(n-1-i),
+    i < n: distinct, as their t-exponents are."""
     lam = pt.pad(pt.normalize(lam), n)
-    coeffs = [fld.one]
-    for i in range(n):
-        v = fld.qtpow(lam[i], n - 1 - i)
-        nxt = [fld.zero] * (len(coeffs) + 1)
-        for e, c in enumerate(coeffs):
-            nxt[e] = nxt[e] + c
-            nxt[e + 1] = nxt[e + 1] + c * v
-        coeffs = nxt
-    return coeffs
+    return [(lam[i], n - 1 - i) for i in range(n)]
+
+
+def eigenvalue_D(lam, n, fld=None):
+    """Coefficient list of prod_i (1 + X q^(lam_i) t^(n-i)) in X: e_j of the
+    monomials, each an integer table read by fld's table reader (the
+    QTPolys themselves when fld is None)."""
+    coeffs = [QTPoly.one()]
+    for a, b in _eigen_exponents(lam, n):
+        v = QTPoly.term(1, a, b)
+        coeffs = [x + y * v for x, y in
+                  zip(coeffs + [QTPoly.zero()], [QTPoly.zero()] + coeffs)]
+    return coeffs if fld is None else list(map(fld.table_reader(), coeffs))
 
 
 def eigenvalue_e1(lam, n, fld=None):
-    """The D_n^1 eigenvalue sum_i q^(lam_i) t^(n-i)."""
-    fld = fld or CoeffField.generic_poly()
-    lam = pt.pad(pt.normalize(lam), n)
-    acc = fld.zero
-    for i in range(n):
-        acc = acc + fld.qtpow(lam[i], n - 1 - i)
-    return acc
+    """The D_n^1 eigenvalue sum_i q^(lam_i) t^(n-i), an integer table read
+    by fld's table reader (the QTPoly itself when fld is None)."""
+    table = QTPoly(dict.fromkeys(_eigen_exponents(lam, n), 1), _clean=True)
+    return table if fld is None else fld.table_reader()(table)
 
 
 class MacdonaldTable:

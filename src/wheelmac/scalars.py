@@ -944,10 +944,6 @@ class UniRatFunc(_RatFunc):
         return cls.const(N, 1)
 
     @classmethod
-    def u(cls, N):
-        return cls(UniPoly.u_power(N, 1), _canonical=True)
-
-    @classmethod
     def from_laurent(cls, N, terms):
         """Build from a {u-exponent: nonzero coefficient} map, exponents
         possibly < 0; canonical as built (u does not divide the numerator)."""

@@ -9,8 +9,9 @@ types from ``wheelmac.scalars`` (or plain ints/Fractions); the code only
 relies on ring arithmetic and truthiness for zero tests.
 
 Every wheel substitution is one collapse (wheel_substitute) into integer
-orbit counts per q^a t^b, which a reader turns into coefficients (by
-default ParameterSpec.specialize, into K), so no field type is named here.
+orbit counts per q^a t^b, which the caller's reader turns into
+coefficients (ParameterSpec.specialize into K, or a CoeffField's
+table_reader()), so no field type is named here.
 """
 
 from fractions import Fraction
@@ -305,7 +306,7 @@ def wheel_collapse(lam, n, sigma):
     return {key: QTPoly(row, _clean=True) for key, row in counts.items()}
 
 
-def wheel_substitute(f, sigma, p=None, read=None):
+def wheel_substitute(f, sigma, p, read):
     """Substitute the wheel x_{i+1} = t^i q^{sigma_i} x_1, i = 1..k.
 
     sigma is the cumulative exponent sequence (sigma_i = s_1 + ... + s_i),
@@ -314,17 +315,13 @@ def wheel_substitute(f, sigma, p=None, read=None):
     the expansion in the free variables (slot 0 is x_1, then
     x_{k+2}, ..., x_n).  Each m_lam of f collapses to integer tables
     (wheel_collapse), one per key; read turns a table into a coefficient
-    (by default p.specialize, into K), and its products with f's
-    coefficients are summed per key by sum_of_products, zero readings
-    skipped.  sigma must pass check_sigma when the ParameterSpec p is
-    given; f needs n >= k+1.
+    (p.specialize, into K, or a CoeffField's table_reader()), and its
+    products with f's coefficients are summed per key by sum_of_products,
+    zero readings skipped.  sigma must pass check_sigma when the
+    ParameterSpec p is not None; f needs n >= k+1.
     """
     if p is not None:
         sigma = check_sigma(sigma, p.k, p.r)
-    if read is None:
-        if p is None:
-            raise TypeError("wheel_substitute needs p or read")
-        read = p.specialize
     k = len(sigma)
     check_wheel_size(f.n, k)
     pairs = {}

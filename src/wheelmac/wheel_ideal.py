@@ -79,7 +79,7 @@ def satisfies_wheel(f, p, fld=None):
     k, r = p.k, p.r
     if fld is None:
         f, fld = laurent_clear(f, p), CoeffField.laurent(p)
-    if fld.tpow(k + 1) * fld.qpow(r - 1) != fld.one:
+    if fld.t ** (k + 1) * fld.q ** (r - 1) != fld.one:
         raise ValueError("the field does not satisfy t^%d q^%d = 1"
                          % (k + 1, r - 1))
     return all(_wheel_substitute_fld(f, sigma, fld).is_zero()

@@ -6,7 +6,7 @@ from math import lcm
 
 from wheelmac import partitions as pt
 from wheelmac.macdonald import CoeffField
-from wheelmac.scalars import LaurentPoly, UniRatFunc, _lpoly
+from wheelmac.scalars import LaurentPoly, QTPoly, UniRatFunc, _lpoly
 from wheelmac.symfunc import orbit_of
 
 
@@ -91,3 +91,15 @@ def specialized_field(p):
     return CoeffField(UniRatFunc.zero(N), UniRatFunc.one(N), p.q_value(),
                       p.t_value(), lambda i: UniRatFunc.const(N, i),
                       p.specialize, p)
+
+
+def poly_field():
+    """The CoeffField Q[q, t], reading each table as itself: enough for
+    operator application and eigenvalues."""
+    return CoeffField(QTPoly.zero(), QTPoly.one(), QTPoly.q(), QTPoly.t(),
+                      QTPoly.term, lambda counts: counts)
+
+
+def unirat_u(N):
+    """u in K = Q(zeta_N)(u)."""
+    return UniRatFunc.from_laurent(N, {1: 1})

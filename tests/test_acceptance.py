@@ -25,6 +25,7 @@ from wheelmac.wheel_ideal import (_wheel_substitute_fld, laurent_clear,
                                   verify_rho_inclusion, verify_theorem1,
                                   wheel_kernel_basis, wheel_substitutions)
 
+from oracles import poly_field
 from test_wheel_ideal import _reference_rows
 
 KR_GRID = [(1, 2), (1, 3), (2, 2), (2, 3)]
@@ -51,7 +52,7 @@ def _cleared_poly(P):
 
 def test_criterion_1_defining_properties(tables):
     """Unitriangularity and the full D_n(X) eigenvalue equation."""
-    fldp = CoeffField.generic_poly()
+    fldp = poly_field()
     ok = True
     for n in range(1, 5):
         table = tables(n)

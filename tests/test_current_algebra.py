@@ -19,7 +19,7 @@ from wheelmac.symfunc import MonomialExpansion
 from wheelmac.wheel_ideal import (_rotation_classes, constraint_rows,
                                   wheel_substitutions)
 
-from oracles import eval_monomial_symmetric
+from oracles import eval_monomial_symmetric, unirat_u
 from test_wheel_ideal import _reference_rows
 
 
@@ -81,7 +81,7 @@ def test_minimal_element_uniqueness():
 def test_relation_generic_examples():
     p = ParameterSpec(1, 2)
     one = UniRatFunc.one(1)
-    u = UniRatFunc.u(1)
+    u = unirat_u(1)
     rel = relation_generic(0, (0,), 1, 2, p)
     assert rel.terms == {(0, 0): one}
     rel = relation_generic(1, (0,), 1, 2, p)

@@ -3,7 +3,9 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -23,7 +25,7 @@ from wheelmac.scalars import (BiRatFunc, CycloNum, LaurentPoly, ParameterSpec,
 from wheelmac.symfunc import SymPoly
 from wheelmac.wheel_ideal import basis_I, wheel_kernel_basis
 
-from oracles import eval_monomial_symmetric, lcm_sum
+from oracles import eval_monomial_symmetric, lcm_sum, poly_field, unirat_u
 from test_symfunc import _zeta3_point_field
 
 q = BiRatFunc.q()
@@ -32,7 +34,7 @@ one = BiRatFunc.one()
 
 
 def test_apply_D_examples():
-    fldp = CoeffField.generic_poly()
+    fldp = poly_field()
     # D_n^0 is the identity
     f = SymPoly(2, {(2,): QTPoly.term(3), (1, 1): QTPoly.q()})
     assert apply_D(f, 0, fldp) == f
@@ -121,7 +123,7 @@ def test_a_field_builds_each_operator_matrix_once(monkeypatch):
         return real(n, d, op)
 
     monkeypatch.setattr(md, "_operator_tables", counted)
-    fld = CoeffField.generic_poly()
+    fld = poly_field()
     plist = pt.enumerate_partitions(3, 3) + pt.enumerate_partitions(3, 5)
     f = SymPoly(3, {lam: QTPoly.term(i + 1) for i, lam in enumerate(plist)})
     g = SymPoly(3, {(2, 1): QTPoly.q()})
@@ -137,7 +139,7 @@ def test_a_field_builds_each_operator_matrix_once(monkeypatch):
     assert [op(f, arg, fld) for op, arg in ops] == first
     # a fresh field builds its own matrices, with equal results
     del builds[:]
-    fresh = CoeffField.generic_poly()
+    fresh = poly_field()
     assert [op(f, arg, fresh) for op, arg in ops] == first
     assert len(builds) == 2 * len(ops)
 
@@ -184,13 +186,13 @@ def _plant_wrong_weight(n):
 
 @pytest.mark.parametrize("plant", [_plant_wrong_sign, _plant_wrong_weight])
 def test_antisymmetry_witness_catches_a_wrong_table(plant, monkeypatch):
-    warm = CoeffField.generic_poly()
+    warm = poly_field()
     f = SymPoly(3, {lam: QTPoly.one() for lam in pt.enumerate_partitions(3, 4)})
     want = apply_D(f, 1, warm), apply_E(f, 1, warm)
     monkeypatch.setitem(md._DELTA_ORBITS, 3, plant(3))
     # a fresh field builds its matrices on the planted table, and a failed
     # build leaves nothing behind, so it raises again
-    fldp = CoeffField.generic_poly()
+    fldp = poly_field()
     for _ in range(2):
         with pytest.raises(ExactDivisionError):
             apply_D(f, 1, fldp)
@@ -206,6 +208,7 @@ _WITNESS_UNDER_O = """
 from wheelmac import macdonald as md, partitions as pt
 from wheelmac.scalars import QTPoly
 from wheelmac.symfunc import SymPoly
+from oracles import poly_field
 orbit = list(md._delta_orbit(3))
 s, wd = orbit[1]
 orbit[1] = (-s, wd)
@@ -221,8 +224,9 @@ raise SystemExit(1)
 
 def _run_under_O(call):
     src = os.path.dirname(os.path.dirname(os.path.abspath(wheelmac.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-O", "-c",
                            _WITNESS_UNDER_O % call],
                           env=env, capture_output=True, text=True, timeout=60)
@@ -230,11 +234,11 @@ def _run_under_O(call):
 
 
 def test_antisymmetry_witness_survives_O():
-    _run_under_O("md.apply_D(f, 1, md.CoeffField.generic_poly())")
+    _run_under_O("md.apply_D(f, 1, poly_field())")
 
 
 def test_antisymmetry_witness_survives_O_in_apply_E():
-    _run_under_O("md.apply_E(f, 1, md.CoeffField.generic_poly())")
+    _run_under_O("md.apply_E(f, 1, poly_field())")
 
 
 def test_antisymmetry_witness_survives_O_in_compute_P():
@@ -255,6 +259,38 @@ def test_eigenvalue_examples():
     coeffs = eigenvalue_D((2,), 2)
     assert coeffs[1] == QTPoly({(2, 1): 1, (0, 0): 1})
     assert coeffs[2] == QTPoly({(2, 1): 1})
+
+
+def test_eigenvalues_are_tables_read_through_each_field():
+    # e_j of the monomials q^(lam_i) t^(n-1-i), and their sum, read by each
+    # field's table reader, against one product of powers of fld.q and
+    # fld.t per subset I, summed in the ring
+    fields = [None, CoeffField.generic()]
+    fields += [CoeffField.laurent(ParameterSpec(k, r))
+               for k, r in [(1, 2), (2, 3), (1, 4)]]
+    fields += [CoeffField(Fraction(0), Fraction(1), Fraction(27),
+                          Fraction(25), Fraction),
+               CoeffField(Fraction(0), Fraction(1), Fraction(5, 2),
+                          Fraction(-3), Fraction),
+               _zeta3_point_field()]
+    for fld in fields:
+        ring = fld or poly_field()
+        for n in range(5):
+            for d in range(4):
+                for lam in pt.enumerate_partitions(n, d):
+                    mono = [ring.q ** e * ring.t ** (n - 1 - i)
+                            for i, e in enumerate(pt.pad(lam, n))]
+                    want = [sum((reduce(mul, [mono[i] for i in I], ring.one)
+                                 for I in combinations(range(n), j)),
+                                ring.zero) for j in range(n + 1)]
+                    assert eigenvalue_D(lam, n, fld) == want, (fld, lam, n)
+                    assert eigenvalue_e1(lam, n, fld) == (
+                        want[1] if n else ring.zero), (fld, lam, n)
+        assert eigenvalue_D((), 0, fld) == [ring.one]
+        assert eigenvalue_e1((), 0, fld) == ring.zero
+        for eigenvalue in (eigenvalue_D, eigenvalue_e1):
+            with pytest.raises(ValueError):
+                eigenvalue((2, 1, 1), 2, fld)
 
 
 def test_compute_P_examples(tables):
@@ -279,7 +315,7 @@ def test_compute_P_eigen_equation(tables):
 
 def test_operator_commutativity():
     rng = random.Random(9)
-    fldp = CoeffField.generic_poly()
+    fldp = poly_field()
     for _ in range(5):
         n = 3
         d = rng.randint(1, 4)
@@ -293,7 +329,7 @@ def test_operator_commutativity():
 
 def test_operator_linearity():
     rng = random.Random(13)
-    fldp = CoeffField.generic_poly()
+    fldp = poly_field()
     for _ in range(5):
         d = rng.randint(1, 4)
         plist = pt.enumerate_partitions(3, d)
@@ -308,7 +344,7 @@ def test_operator_linearity():
 
 
 def test_triangularity_of_D1():
-    fldp = CoeffField.generic_poly()
+    fldp = poly_field()
     for n, d in [(3, 4), (4, 5)]:
         for nu in pt.enumerate_partitions(n, d):
             image = apply_D(SymPoly.m(nu, n, QTPoly.one()), 1, fldp)
@@ -317,7 +353,7 @@ def test_triangularity_of_D1():
 
 
 def test_diagonal_entry_is_eigenvalue():
-    fldp = CoeffField.generic_poly()
+    fldp = poly_field()
     for n, d in [(3, 3), (4, 4)]:
         for nu in pt.enumerate_partitions(n, d):
             image = apply_D(SymPoly.m(nu, n, QTPoly.one()), 1, fldp)
@@ -371,8 +407,9 @@ def test_operators_match_a_per_weight_reference(monkeypatch):
         (LaurentPoly.monomial(fld.spec.N, e, rand_frac())
          for e in rng.sample(range(-3, 4), 2)), fld.zero))
         for k, r in [(1, 2), (1, 3), (2, 3), (1, 4)]]
-    # the Fraction fields read through sum_of_products' rational lane: the
-    # macd certificate's at an integer point and one at (5/2, -3)
+    # the Fraction fields read each table through QTPoly.substitute and sum
+    # through sum_of_products' rational lane: the macd certificate's at an
+    # integer point and one at (5/2, -3)
     fields.append((CoeffField(Fraction(0), Fraction(1), Fraction(27),
                               Fraction(25), Fraction), lambda fld: rand_frac()))
     fields.append((CoeffField(Fraction(0), Fraction(1), Fraction(5, 2),
@@ -395,7 +432,7 @@ def test_operators_match_a_per_weight_reference(monkeypatch):
                 want = [op(f, arg, ref) for op, arg in ops]
             assert got == want, (fld.zero, n)
     table = QTPoly({(2, 1): 3, (0, 4): -1})
-    assert CoeffField.generic_poly().table_reader()(table) is table
+    assert poly_field().table_reader()(table) is table
     assert CoeffField.generic().table_reader()(table) == \
         BiRatFunc.from_poly(table)
 
@@ -429,7 +466,7 @@ def test_P_of_the_empty_partition_in_no_variables():
 
 
 def test_apply_E_examples():
-    fldp = CoeffField.generic_poly()
+    fldp = poly_field()
     # E_m kills constants, in no variables too
     for n in (0, 2):
         const = SymPoly.m((), n, QTPoly.term(5))
@@ -717,7 +754,7 @@ def test_specialize_P_examples(tables):
     sp = specialize_P((1,), 2, p, tables(2))
     assert sp == SymPoly.m((1,), 2, UniRatFunc.one(1))
     sp = specialize_P((2,), 2, p, tables(2))
-    u = UniRatFunc.u(1)
+    u = unirat_u(1)
     assert sp.coeffs[(1, 1)] == -(u * u + 1) / u
     # (1,3), n=3, lam=(3,0,0): admissible, no pole
     specialize_P((3,), 3, ParameterSpec(1, 3), tables(3))

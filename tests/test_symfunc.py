@@ -12,7 +12,7 @@ from wheelmac.symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
                               sympoly_mul, wheel_collapse, wheel_substitute)
 from wheelmac.wheel_ideal import _wheel_substitute_fld
 
-from oracles import eval_monomial_symmetric, specialized_field
+from oracles import eval_monomial_symmetric, specialized_field, unirat_u
 
 
 def test_orbit_of_matches_distinct_permutations():
@@ -88,25 +88,28 @@ def test_mul_properties():
 def test_wheel_substitute_examples():
     p = ParameterSpec(1, 2)
     one = UniRatFunc.one(1)
-    u = UniRatFunc.u(1)
+    u = unirat_u(1)
     f = SymPoly.m((1,), 2, one)
-    out = wheel_substitute(f, (0,), p)
+    out = wheel_substitute(f, (0,), p, p.specialize)
     assert out.terms == {(1,): one + u}
     # constants pass through
     const = SymPoly.m((), 2, one * 7)
-    assert wheel_substitute(const, (1,), p).terms == {(0,): one * 7}
+    assert wheel_substitute(const, (1,), p, p.specialize).terms == {
+        (0,): one * 7}
     # the kernel element a*m_(2) + b*m_(11) with a(1+t^2) + b t = 0
     f = SymPoly(2, {(2,): u, (1, 1): -(one + u * u)})
     for sigma in [(0,), (1,)]:
-        assert wheel_substitute(f, sigma, p).is_zero()
-    assert not wheel_substitute(SymPoly.m((2,), 2, one), (0,), p).is_zero()
+        assert wheel_substitute(f, sigma, p, p.specialize).is_zero()
+    assert not wheel_substitute(SymPoly.m((2,), 2, one), (0,), p,
+                                p.specialize).is_zero()
 
 
 def test_wheel_substitute_validation():
     # both entry points share the one collapse and its input checks
     p = ParameterSpec(2, 3)
     fld = CoeffField.laurent(p)
-    for one, subs in [(UniRatFunc.one(2), lambda f, s: wheel_substitute(f, s, p)),
+    for one, subs in [(UniRatFunc.one(2),
+                       lambda f, s: wheel_substitute(f, s, p, p.specialize)),
                       (fld.one, lambda f, s: _wheel_substitute_fld(f, s, fld))]:
         f = SymPoly.m((1,), 3, one)
         with pytest.raises(ValueError):
@@ -122,9 +125,6 @@ def test_wheel_substitute_validation():
     fld = CoeffField.laurent(p)
     with pytest.raises(ValueError, match="0..r-1"):
         _wheel_substitute_fld(SymPoly.m((1,), 2, fld.one), (7,), fld)
-    # with neither a ParameterSpec nor a reader there is no ring to read into
-    with pytest.raises(TypeError, match="p or read"):
-        wheel_substitute(SymPoly.m((1,), 2, fld.one), (0,))
 
 
 def test_wheel_substitute_linear():
@@ -134,8 +134,9 @@ def test_wheel_substitute_linear():
     for sigma in [(0,), (1,), (2,)]:
         f = _random_sympoly(rng, 3, 4).scale(one)
         g = _random_sympoly(rng, 3, 4).scale(one)
-        lhs = wheel_substitute(f + g, sigma, p)
-        rhs = wheel_substitute(f, sigma, p) + wheel_substitute(g, sigma, p)
+        lhs = wheel_substitute(f + g, sigma, p, p.specialize)
+        rhs = (wheel_substitute(f, sigma, p, p.specialize)
+               + wheel_substitute(g, sigma, p, p.specialize))
         assert lhs.terms == rhs.terms
 
 
@@ -165,7 +166,7 @@ def _count_collapse(f, sigma, value):
 def _zeta3_point_field():
     """Q(zeta_3) with u = 7/3 in the (k, r) = (1, 4) specialization, built
     from five arguments and no reader, so it reads every table through
-    CoeffField's default reader and sum_of_products' generic lane."""
+    CoeffField's default reader, QTPoly.substitute's ring lane."""
     p, u0 = ParameterSpec(1, 4), Fraction(7, 3)
     return CoeffField(CycloNum.zero(3), CycloNum.one(3),
                       p.q_value().evaluate(u0), p.t_value().evaluate(u0),
@@ -174,8 +175,8 @@ def _zeta3_point_field():
 
 def test_collapse_wheel_matches_a_per_term_loop():
     # the integer counts of wheel_collapse against the naive loop on the
-    # ratios t^i q^(sigma_i), read through fld.qpow/fld.tpow and through
-    # each CoeffField's own table reader
+    # ratios t^i q^(sigma_i), read through powers of fld.q and fld.t and
+    # through each CoeffField's own table reader
     rng = random.Random(61)
     fields = []
     for k, r in [(1, 2), (2, 3), (1, 4), (2, 5)]:  # N = 1, 2, 3, 4
@@ -185,9 +186,9 @@ def test_collapse_wheel_matches_a_per_term_loop():
     fields.append((_zeta3_point_field(), 1, 4))
     for fld, k, r in fields:
         sigma = [rng.randint(0, r - 1) for _ in range(k)]
-        ratios = [fld.tpow(i) * fld.qpow(sigma[i - 1]) for i in range(1, k + 1)]
+        ratios = [fld.t ** i * fld.q ** sigma[i - 1] for i in range(1, k + 1)]
         values = [lambda counts: sum(
-            (fld.qpow(a) * fld.tpow(b) * v for (a, b), v in counts.d.items()),
+            (fld.q ** a * fld.t ** b * v for (a, b), v in counts.d.items()),
             fld.zero), fld.table_reader()]
         for _ in range(4):
             n = rng.randint(k + 1, k + 2)

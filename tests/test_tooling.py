@@ -29,6 +29,8 @@ from wheelmac import partitions as pt
 from wheelmac.scalars import ParameterSpec, QTPoly
 from wheelmac.symfunc import SymPoly
 
+from oracles import poly_field
+
 SRC = Path(wheelmac.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ROOT / "perfbench" / "layers.json"
@@ -155,42 +157,70 @@ def test_every_private_test_helper_is_used():
     assert not _unused_private_names(ROOT / "tests")
 
 
-def _names_read(tree):
-    """Every name tree loads, as a Name or as an attribute; inside a
-    module-level def its own name does not count (a recursive call is no
-    caller)."""
+def _names_read(tree, attributes_only=False):
+    """Every name tree loads, as a Name or as an attribute (as an attribute
+    only, with attributes_only); inside a module-level def, or a def in a
+    module-level class, its own name does not count (a recursive call is
+    no caller)."""
     names = set()
     for node in tree.body:
-        own = {node.name} if isinstance(node, ast.FunctionDef) else set()
-        names |= {n.attr if isinstance(n, ast.Attribute) else n.id
-                  for n in ast.walk(node)
-                  if isinstance(n, ast.Attribute) or (
-                      isinstance(n, ast.Name)
-                      and not isinstance(n.ctx, ast.Store))} - own
+        units = [node]
+        if isinstance(node, ast.ClassDef):
+            units = (node.bases + node.keywords + node.decorator_list
+                     + node.body)
+        for unit in units:
+            own = {unit.name} if isinstance(unit, ast.FunctionDef) else set()
+            names |= {n.attr if isinstance(n, ast.Attribute) else n.id
+                      for n in ast.walk(unit)
+                      if isinstance(n, ast.Attribute) or (
+                          isinstance(n, ast.Name) and not attributes_only
+                          and not isinstance(n.ctx, ast.Store))} - own
     return names
+
+
+def _caller_names(attributes_only=False):
+    """Every name (_names_read) that src/, demos/, perfbench/ or the
+    README's Python examples read."""
+    names = set()
+    for folder in (SRC, ROOT / "demos", ROOT / "perfbench"):
+        for path in sorted(folder.glob("*.py")):
+            names |= _names_read(ast.parse(path.read_text()),
+                                 attributes_only)
+    for block in README.read_text().split("```python\n")[1:]:
+        names |= _names_read(ast.parse(block.split("```", 1)[0]),
+                             attributes_only)
+    return names
+
+
+def _library_modules():
+    for info in pkgutil.iter_modules(wheelmac.__path__):
+        if info.name != "__main__":
+            yield info.name, importlib.import_module("wheelmac." + info.name)
 
 
 def _uncalled_public_functions():
     """(module, name) of each public module-level function of the library
-    that nothing in src/, demos/, perfbench/ or the README's Python
-    examples names."""
-    names = set()
-    for folder in (SRC, ROOT / "demos", ROOT / "perfbench"):
-        for path in sorted(folder.glob("*.py")):
-            names |= _names_read(ast.parse(path.read_text()))
-    for block in README.read_text().split("```python\n")[1:]:
-        names |= _names_read(ast.parse(block.split("```", 1)[0]))
-    uncalled = []
-    for info in pkgutil.iter_modules(wheelmac.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module("wheelmac." + info.name)
-        for name, obj in vars(module).items():
-            if (not name.startswith("_") and inspect.isfunction(obj)
-                    and obj.__module__ == module.__name__
-                    and name not in names):
-                uncalled.append((info.name, name))
-    return uncalled
+    that no caller (_caller_names) names."""
+    names = _caller_names()
+    return [(short, name) for short, module in _library_modules()
+            for name, obj in vars(module).items()
+            if not name.startswith("_") and inspect.isfunction(obj)
+            and obj.__module__ == module.__name__ and name not in names]
+
+
+def _uncalled_public_methods():
+    """(module, "Class.name") of each public method or property of a class
+    the library defines whose name no caller (_caller_names) reads as an
+    attribute: a method is reached through one."""
+    names = _caller_names(attributes_only=True)
+    return [(short, "%s.%s" % (cname, name))
+            for short, module in _library_modules()
+            for cname, cls in vars(module).items()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__
+            for name, obj in vars(cls).items()
+            if not name.startswith("_") and name not in names
+            and (inspect.isfunction(obj) or isinstance(
+                obj, (property, classmethod, staticmethod)))]
 
 
 def test_every_public_function_has_a_caller():
@@ -198,6 +228,12 @@ def test_every_public_function_has_a_caller():
     # (tests/oracles.py when several modules share it); a CLI command's
     # library function is named by its handler in cli.py
     assert not _uncalled_public_functions()
+
+
+def test_every_public_method_has_a_caller():
+    # the same for the public methods and properties of the library's
+    # classes
+    assert not _uncalled_public_methods()
 
 
 def test_the_public_function_guard_sees_a_stranded_function(monkeypatch):
@@ -213,6 +249,29 @@ def test_the_public_function_guard_sees_a_stranded_function(monkeypatch):
     stranded.__module__ = "wheelmac.partitions"
     monkeypatch.setattr(pt, "stranded", stranded, raising=False)
     assert _uncalled_public_functions() == [("partitions", "stranded")]
+
+
+def test_the_public_method_guard_sees_a_stranded_method(monkeypatch):
+    # a method's own body is no caller, another method's is
+    tree = ast.parse("class A:\n    def f(self, n):\n"
+                     "        return self.f(n - 1)\n")
+    assert "f" not in _names_read(tree, attributes_only=True)
+    tree.body[0].body += ast.parse("def g(self):\n    return self.f(2)\n").body
+    assert "f" in _names_read(tree, attributes_only=True)
+    # a bare name is no call of a method
+    assert "f" not in _names_read(ast.parse("f = 1\nprint(f)\n"),
+                                  attributes_only=True)
+
+    def stranded_method(self):
+        return 0
+
+    monkeypatch.setattr(QTPoly, "stranded_method", stranded_method,
+                        raising=False)
+    monkeypatch.setattr(QTPoly, "stranded_property",
+                        property(stranded_method), raising=False)
+    assert _uncalled_public_methods() == [
+        ("scalars", "QTPoly.stranded_method"),
+        ("scalars", "QTPoly.stranded_property")]
 
 
 _SPECIALIZATION_ATTRS = {"omega1", "q_exp", "t_exp", "_omega_powers",
@@ -261,7 +320,7 @@ def test_operator_matrices_stay_on_their_field():
     n, d = 2, 23
     md._delta_orbit(n)
     before = _container_sizes(md)
-    fld = md.CoeffField.generic_poly()
+    fld = poly_field()
     f = SymPoly(n, {(d - 9, 9): QTPoly.one(), (d,): QTPoly.q()})
     for rho in range(1, n + 1):
         assert md.apply_D(f, rho, fld)
