@@ -154,6 +154,24 @@ def test_every_command_runs(capsys, argv, code, keys):
         assert payload["ok"] == (code == 0)
 
 
+_EVERY_COMMAND_SHA256 = (
+    "2ff9332e313ad1ec56d3186f190d6c9f60b640ee6e5bf5752817a10a3b408288")
+
+
+def test_every_command_output_is_pinned(capsys):
+    """The exit code and stdout of every command in both formats, pinned
+    by one sha256: a change of representation must not change one byte."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for argv, _, _ in _EVERY_COMMAND:
+        for fmt in ("json", "table"):
+            code = run(["--format", fmt] + argv.split())
+            digest.update(("%s %s\n%d\n%s" % (
+                fmt, argv, code, capsys.readouterr().out)).encode())
+    assert digest.hexdigest() == _EVERY_COMMAND_SHA256
+
+
 _USAGE_ERRORS = [
     "nonsense",
     "wheel dim --k 0 --r 2 --n 1 --d 1",
