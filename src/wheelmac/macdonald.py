@@ -29,7 +29,7 @@ back-substitution against the dominance-triangular matrix of the operator
 in the monomial-symmetric basis, always over the generic field Q(q, t);
 specializing the coefficients is a separate, final step.  The matrix of
 one (n, d) component is D_n^1 applied to the generic element over
-Q[q, t], whose coefficients are the unit columns.
+Z[q, t], whose coefficients are the unit columns.
 Each coefficient is summed as one numerator over a running lcm of
 denominators, a packed integer decoded once (scalars._qt_fold), and made
 canonical once, so integrality is a division test on its denominator, run
@@ -41,6 +41,7 @@ table reader; a field built without one reads it with QTPoly.substitute.
 """
 
 from itertools import combinations, permutations
+from math import gcd
 
 from . import partitions as pt
 from .scalars import (BiRatFunc, ExactDivisionError, LaurentPoly, PoleError,
@@ -60,7 +61,7 @@ __all__ = [
 class CoeffField:
     """The coefficient ring an operator runs over: its 0, 1, q and t, the
     map from_int of ints into it, its reader of integer q^a t^b tables and
-    the ParameterSpec spec it specializes (None for Q(q, t) and Q[q, t]).
+    the ParameterSpec spec it specializes (None for Q(q, t) and Z[q, t]).
     Every q^a t^b value the ring needs is such a table read once.  A ring
     built without a reader (such as Fractions at a rational point) reads
     each table with QTPoly.substitute at (q, t).  Only the operator
@@ -558,19 +559,21 @@ def integral_form_factor(lam):
 
 
 def check_integrality(lam, n, table=None):
-    """True iff c_lam P_lam has polynomial coefficients (in lowest terms).
+    """True iff c_lam P_lam has coefficients in Q[q, t] (in lowest terms).
 
-    A stored coefficient num/den is canonical, so num and den are coprime
-    and c_lam num/den is a polynomial exactly when den divides c_lam.  If
-    den | c_lam the product is a polynomial whatever num is, so the test
-    never answers True wrongly.  c_lam is divided once per distinct den.
+    A stored coefficient num/den is coprime in Z[q, t], so c_lam num/den
+    lies in Q[q, t] exactly when the primitive part of den divides c_lam
+    (in Q[q, t], so by Gauss's lemma in Z[q, t]); the test never answers
+    True wrongly.  c_lam is divided once per distinct den.
     """
     table = MacdonaldTable.matching(table, n)
     c = integral_form_factor(lam).num
     P = table.compute_P(lam)
     try:
         for den in {coeff.den for coeff in P.coeffs.values()}:
-            qt_divexact(c, den)
+            content = gcd(*den.d.values())
+            qt_divexact(c, QTPoly({k: v // content
+                                   for k, v in den.d.items()}))
     except ExactDivisionError:
         return False
     return True

@@ -6,23 +6,26 @@ Four layers, each one a field:
   * cyclotomic numbers ``CycloNum`` -- elements of Q(zeta_N) in the power
     basis modulo the N-th cyclotomic polynomial,
   * ``UniRatFunc`` -- rational functions in one variable u over Q(zeta_N),
-  * ``BiRatFunc`` -- rational functions in (q, t) over Q.
+  * ``BiRatFunc`` -- rational functions in (q, t) over Q, the fraction
+    field Frac(Z[q, t]) of the ring ``QTPoly``.
 
 ``UniRatFunc`` and ``BiRatFunc`` share one core, ``_RatFunc``: it keeps
-num/den coprime with denominator leading coefficient 1 and implements
-+, -, *, inverse, == and hash once, against four methods that ``UniPoly``
-and ``QTPoly`` both provide: ``is_one``, ``leading``, ``scale`` and
-``gcd`` (returning (g, a/g, b/g), g normalized so a trivial gcd is_one).
-Products after the cross-cancel and inverses are coprime by construction
-and skip the gcd.  ``CycloNum`` and ``_RatFunc`` take right subtraction,
-division and powers from ``_Field``, and every power is one
-square-and-multiply, ``_power``.
+num/den coprime with the denominator normalized by the ring's unit
+(leading coefficient 1 over the field Q(zeta_N), positive graded-lex
+leading coefficient over Z) and implements +, -, *, inverse, == and hash
+once, against four methods that ``UniPoly`` and ``QTPoly`` both provide:
+``is_one``, ``unit_inverse``, ``scale`` and ``gcd`` (returning
+(g, a/g, b/g), g normalized so a trivial gcd is_one).  Products after the
+cross-cancel and inverses are coprime by construction and skip the gcd.
+``CycloNum`` and ``_RatFunc`` take right subtraction, division and powers
+from ``_Field``, and every power is one square-and-multiply, ``_power``.
 
 Exact scalars take ints and Fractions only: ``_exact`` turns an integral
 Fraction into an int and raises TypeError on a float (or any other type),
-so no binary expansion enters a value.  ``QTPoly`` stores what ``_exact``
-returns, so its coefficients are Python ints unless they are not
-integral, and every division of a coefficient stays exact.  Over Q
+so no binary expansion enters a value.  ``QTPoly`` is Z[q, t]: its
+coefficients are Python ints, and its constructors refuse a rational that
+is not an integer (ValueError, ``_integer``), so every rational in (q, t)
+is a ``BiRatFunc`` num/den.  Over Q
 (phi(N) = 1) ``UniPoly`` (dense) and ``LaurentPoly`` (sparse, exponents
 of either sign) store ints over one positive denominator coprime to their
 content, and all their arithmetic runs on plain ints; ``LaurentPoly.d``
@@ -61,6 +64,7 @@ everything here is safe to share between threads.
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from numbers import Rational
 
 __all__ = [
     "CycloNum", "UniPoly", "UniRatFunc", "LaurentPoly", "QTPoly", "BiRatFunc",
@@ -97,6 +101,15 @@ def _exact(v):
         return int(v)
     raise TypeError("exact scalars take an int or a Fraction, not %s"
                     % type(v).__name__)
+
+
+def _integer(v):
+    """v as an int, for a coefficient in Z: ValueError when v is a rational
+    that is not an integer, and TypeError as from _exact."""
+    v = _exact(v)
+    if type(v) is not int:
+        raise ValueError("%s is not an integer" % v)
+    return v
 
 
 def _power(x, e, one):
@@ -402,6 +415,11 @@ class UniPoly:
     def leading(self):
         """The leading coefficient: a Fraction over Q, else a CycloNum."""
         return Fraction(self.c[-1], self.den) if self.N <= 2 else self.c[-1]
+
+    def unit_inverse(self):
+        """1/lc, the unit that makes a nonzero polynomial monic."""
+        lc = self.leading()
+        return lc if lc == 1 else 1 / lc
 
     def trailing_order(self):
         """Multiplicity of the root u = 0."""
@@ -819,20 +837,22 @@ def _cofactors(a, b):
 
 class _RatFunc(_Field):
     """num/den over a polynomial ring; canonical: num and den coprime and
-    the leading coefficient of den equal to 1.
+    den normalized, den.unit_inverse() == 1.
 
     The arithmetic is written once against the polynomial interface that
-    UniPoly and QTPoly share: is_zero, is_one, leading, scale(c) and gcd,
-    which returns (g, a/g, b/g), g normalized so a trivial gcd is_one.  A
-    subclass adds its constructors, _coerce and _poly_one(num), the ring's 1.
+    UniPoly and QTPoly share: is_zero, is_one, unit_inverse (the inverse of
+    the unit part of a polynomial: 1/lc over a field, the sign of the
+    leading coefficient over Z), scale(c) and gcd, which returns
+    (g, a/g, b/g), g normalized so a trivial gcd is_one.  A subclass adds
+    its constructors, _coerce and _poly_one(num), the ring's 1.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, _canonical=False, _coprime=False):
         """_canonical: num/den is already canonical.  _coprime: num and den
-        are coprime by construction, so only the denominator's leading
-        coefficient is normalized."""
+        are coprime by construction, so only the denominator is
+        normalized."""
         if den is None:
             den = self._poly_one(num)
         elif den.is_zero():
@@ -843,9 +863,8 @@ class _RatFunc(_Field):
             elif not den.is_one():
                 if not _coprime:
                     _, num, den = num.gcd(den)
-                lc = den.leading()
-                if lc != 1:
-                    inv = Fraction(1) / lc
+                inv = den.unit_inverse()
+                if inv != 1:
                     num = num.scale(inv)
                     den = den.scale(inv)
         self.num = num
@@ -985,10 +1004,10 @@ class UniRatFunc(_RatFunc):
 # ---------------------------------------------------------------------------
 
 class QTPoly:
-    """Sparse polynomial in (q, t) over Q: {(q_exp, t_exp): coefficient}.
+    """Sparse polynomial in (q, t) over Z: {(q_exp, t_exp): nonzero int}.
 
-    Every coefficient is stored as ``_exact`` returns it: an int, or a
-    Fraction only when it is not integral.
+    Every coefficient given to it passes ``_integer``, so a rational that
+    is not an integer is refused; a rational function is a BiRatFunc.
     """
 
     __slots__ = ("d",)
@@ -999,15 +1018,14 @@ class QTPoly:
         if not _clean:
             if any(qe < 0 or te < 0 for qe, te in d):
                 raise ValueError("QTPoly exponents must be >= 0")
-            exact = ((k, _exact(v)) for k, v in d.items())
-            d = {k: v for k, v in exact if v}
+            d = {k: c for k, v in d.items() if (c := _integer(v))}
         self.d = d
 
     @classmethod
     def term(cls, coeff, qe=0, te=0):
         if qe < 0 or te < 0:
             raise ValueError("QTPoly exponents must be >= 0")
-        coeff = _exact(coeff)
+        coeff = _integer(coeff)
         return cls({(qe, te): coeff} if coeff else {}, _clean=True)
 
     @classmethod
@@ -1036,10 +1054,10 @@ class QTPoly:
         return self.d == {(0, 0): 1}
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QTPoly.term(other)
         if not isinstance(other, QTPoly):
-            return NotImplemented
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = QTPoly.term(other)
         if not self.d:
             return other
         if not other.d:
@@ -1049,14 +1067,10 @@ class QTPoly:
             w = out.get(k)
             if w is None:
                 out[k] = v
+            elif w := w + v:
+                out[k] = w
             else:
-                w = w + v
-                if not w:
-                    del out[k]
-                elif type(w) is int:
-                    out[k] = w
-                else:
-                    out[k] = _exact(w)
+                del out[k]
         return QTPoly(out, _clean=True)
 
     __radd__ = __add__
@@ -1065,9 +1079,7 @@ class QTPoly:
         return QTPoly({k: -v for k, v in self.d.items()}, _clean=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QTPoly.term(other)
-        if not isinstance(other, QTPoly):
+        if not isinstance(other, (QTPoly, Rational)):
             return NotImplemented
         return self + (-other)
 
@@ -1075,12 +1087,10 @@ class QTPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return QTPoly.zero()
-            return self.scale(other)
         if not isinstance(other, QTPoly):
-            return NotImplemented
+            if not isinstance(other, Rational):
+                return NotImplemented
+            return self.scale(other) if other else QTPoly.zero()
         if not self.d or not other.d:
             return QTPoly.zero()
         a, b = self.d, other.d
@@ -1099,10 +1109,6 @@ class QTPoly:
                         out[k] = w
                     else:
                         del out[k]
-        if not (_all_int(a) and _all_int(b)):
-            for k, w in out.items():
-                if type(w) is not int:
-                    out[k] = _exact(w)
         return QTPoly(out, _clean=True)
 
     __rmul__ = __mul__
@@ -1117,13 +1123,15 @@ class QTPoly:
     def leading(self):
         return self.d[self.leading_key()]
 
+    def unit_inverse(self):
+        """The sign of the leading coefficient, the unit of Z that makes a
+        nonzero polynomial's leading coefficient positive."""
+        return -1 if self.leading() < 0 else 1
+
     def scale(self, c):
-        """Multiply by a nonzero rational."""
-        c = _exact(c)
-        if type(c) is int and _all_int(self.d):
-            return QTPoly({k: v * c for k, v in self.d.items()}, _clean=True)
-        return QTPoly({k: _exact(v * c) for k, v in self.d.items()},
-                      _clean=True)
+        """Multiply by a nonzero integer."""
+        c = _integer(c)
+        return QTPoly({k: v * c for k, v in self.d.items()}, _clean=True)
 
     def gcd(self, other):
         return qt_gcd(self, other)
@@ -1131,8 +1139,8 @@ class QTPoly:
     def substitute(self, q_val, t_val, one):
         """Evaluate at (q_val, t_val), one being the ring's 1.  A rational
         point (ints or Fractions, one == Fraction(1)) takes one integer sum
-        over qd^A td^B L, A and B the top exponents and L the lcm of the
-        coefficient denominators; other ring elements sum in the ring."""
+        over qd^A td^B, A and B the top exponents; other ring elements sum
+        in the ring."""
         d = self.d
         if (d and type(one) is Fraction and one == 1
                 and isinstance(q_val, (int, Fraction))
@@ -1142,10 +1150,8 @@ class QTPoly:
             A, B = max([a for a, _ in d]), max([b for _, b in d])
             qw = {a: qn ** a * qd ** (A - a) for a, _ in d}
             tw = {b: tn ** b * td ** (B - b) for _, b in d}
-            L = lcm(*[v.denominator for v in d.values()])
-            return Fraction(sum([(v * L).numerator * qw[a] * tw[b]
-                                 for (a, b), v in d.items()]),
-                            qd ** A * td ** B * L)
+            return Fraction(sum([v * qw[a] * tw[b] for (a, b), v in d.items()]),
+                            qd ** A * td ** B)
         qpow = {a: q_val ** a for a in {a for a, _ in d}}
         tpow = {b: t_val ** b for b in {b for _, b in d}}
         acc = None
@@ -1155,10 +1161,12 @@ class QTPoly:
         return acc if acc is not None else one * 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QTPoly.term(other)
         if not isinstance(other, QTPoly):
-            return NotImplemented
+            if not isinstance(other, Rational):
+                return NotImplemented
+            if other.denominator != 1:
+                return False
+            other = QTPoly.term(other)
         return self.d == other.d
 
     def __hash__(self):
@@ -1173,24 +1181,13 @@ def _grlex(k):
     return k[0] + k[1], k[0]
 
 
-def _all_int(d):
-    for v in d.values():
-        if type(v) is not int:
-            return False
-    return True
-
-
 def _qt_fold(steps):
     """acc = acc * s + prod(factors) over the (s, factors) of steps, from
     acc = 0, as a QTPoly; s is a QTPoly or None for 1.  The whole sum is
     one packed integer (q^a t^b in slot a T + b, T above the result's
     t-degree), decoded once, unless steps is one product of at most two
-    factors or a coefficient is a Fraction: then the QTPolys multiply and
-    add."""
-    polys = [f for s, fs in steps
-             for f in fs + (() if s is None else (s,))]
-    if ((len(steps) == 1 and len(steps[0][1]) <= 2)
-            or not all([_all_int(f.d) for f in polys])):
+    factors: then the QTPolys multiply."""
+    if len(steps) == 1 and len(steps[0][1]) <= 2:
         acc = None
         for s, fs in steps:
             term = fs[0]
@@ -1230,18 +1227,14 @@ def _qt_fold(steps):
 
 
 def _qt_split_content(f):
-    """(qmin, tmin, scale, terms) with f = scale q^qmin t^tmin terms, and
-    terms a dict of integer coefficients with gcd 1."""
+    """(qmin, tmin, c, terms) with f = c q^qmin t^tmin terms, c > 0 the
+    integer content of f and terms a dict of integer coefficients with
+    gcd 1."""
     qmin = min([k[0] for k in f.d])
     tmin = min([k[1] for k in f.d])
-    den = lcm(*[v.denominator for v in f.d.values() if type(v) is not int])
-    terms = {(a - qmin, b - tmin): v * den if type(v) is int
-             else v.numerator * (den // v.denominator)
-             for (a, b), v in f.d.items()}
-    num = _iz_content(terms.values())
-    if num > 1:
-        terms = {k: c // num for k, c in terms.items()}
-    return qmin, tmin, _exact(Fraction(num, den)), terms
+    c = _iz_content(f.d.values())
+    return qmin, tmin, c, {(a - qmin, b - tmin): v // c
+                           for (a, b), v in f.d.items()}
 
 
 def _iz_content(c, g=0):
@@ -1307,10 +1300,11 @@ def _to_tq_rows(terms, swap=False):
 
 
 def qt_gcd(f, g):
-    """(h, f/h, g/h), h the gcd of two QTPolys normalized with positive
-    graded-lex leading coeff; gcd(0, g) is (+-g, 0, +-1).
+    """(h, f/h, g/h), h the gcd of two QTPolys in Z[q, t], integer content
+    included, normalized with positive graded-lex leading coeff; gcd(0, g)
+    is (+-g, 0, +-1).
 
-    Monomial and integer content are split off first.  On the integer
+    Monomial and integer content are split off first.  On the primitive
     parts the heuristic gcd ``_heu_gcd`` runs on the whole (Z[t])[q] rows,
     and the primitive PRS ``_qt_prs_gcd`` is the fallback; the cofactors
     are the quotients of the division that certifies either.  Both run in
@@ -1318,16 +1312,19 @@ def qt_gcd(f, g):
     """
     if not (f.d and g.d):
         x = f or g
-        s = -1 if x and x.leading() < 0 else 1
+        s = x.unit_inverse() if x else 1
         h, unit = x.scale(s), QTPoly.term(s) if x else x
         return (h, f, unit) if not f.d else (h, unit, g)
     if len(f.d) == 1 or len(g.d) == 1:
         keys = [*f.d, *g.d]
         qm, tm = min([k[0] for k in keys]), min([k[1] for k in keys])
-        return (QTPoly.term(1, qm, tm), _qt_shift(f, qm, tm),
-                _qt_shift(g, qm, tm))
-    qf, tf, sf, fterms = _qt_split_content(f)
-    qg, tg, sg, gterms = _qt_split_content(g)
+        c = _iz_content([*f.d.values(), *g.d.values()])
+        return (QTPoly.term(c, qm, tm), _qt_shift(f, qm, tm, c),
+                _qt_shift(g, qm, tm, c))
+    qf, tf, cf, fterms = _qt_split_content(f)
+    qg, tg, cg, gterms = _qt_split_content(g)
+    c = gcd(cf, cg)
+    sf, sg = cf // c, cg // c
     qm, tm = min(qf, qg), min(tf, tg)
     qdeg = max(max(k[0] for k in fterms), max(k[0] for k in gterms))
     tdeg = max(max(k[1] for k in fterms), max(k[1] for k in gterms))
@@ -1336,26 +1333,24 @@ def qt_gcd(f, g):
     got = _heu_gcd(fr, gr) or _tq_cofactors(fr, gr, _qt_prs_gcd(fr, gr))
     if got is None:
         raise ExactDivisionError("inexact (Z[t])[q] division by a gcd")
-    h = _qt_from_rows(got[0], swap, qm, tm, 1)
+    h = _qt_from_rows(got[0], swap, qm, tm, c)
     if h.leading() < 0:
         h, sf, sg = -h, -sf, -sg
     return (h, _qt_from_rows(got[1], swap, qf - qm, tf - tm, sf),
             _qt_from_rows(got[2], swap, qg - qm, tg - tm, sg))
 
 
-def _qt_shift(f, qe, te):
-    """f / (q^qe t^te), for a monomial that divides f."""
-    return QTPoly({(a - qe, b - te): c for (a, b), c in f.d.items()},
+def _qt_shift(f, qe, te, c):
+    """f / (c q^qe t^te), for a monomial that divides f."""
+    return QTPoly({(a - qe, b - te): v // c for (a, b), v in f.d.items()},
                   _clean=True)
 
 
 def _qt_from_rows(rows, swap, qe, te, s):
     """s q^qe t^te rows for int rows in (Z[t])[q] ((Z[q])[t] if swap)."""
-    d = {(b + qe, a + te) if swap else (a + qe, b + te): c * s
-         for a, row in enumerate(rows) for b, c in enumerate(row) if c}
-    if type(s) is not int:
-        d = {k: _exact(c) for k, c in d.items()}
-    return QTPoly(d, _clean=True)
+    return QTPoly({(b + qe, a + te) if swap else (a + qe, b + te): c * s
+                   for a, row in enumerate(rows) for b, c in enumerate(row)
+                   if c}, _clean=True)
 
 
 def _qt_prs_gcd(fr, gr):
@@ -1564,11 +1559,8 @@ def _iz_eval(row, x):
 
 
 def qt_divexact(f, g):
-    """Exact division in Q[q, t] (graded-lex long division, remainder 0).
-
-    A quotient coefficient is an int whenever the leading coefficient of g
-    divides exactly, a Fraction otherwise; ExactDivisionError when g does
-    not divide f.
+    """Exact division in Z[q, t] (graded-lex long division, remainder 0);
+    ExactDivisionError when g does not divide f in Z[q, t].
     """
     if g.is_one():
         return f
@@ -1591,13 +1583,9 @@ def qt_divexact(f, g):
         if v is None:
             continue
         a, b = k[0] - gq, k[1] - gt
-        if a < 0 or b < 0:
+        if a < 0 or b < 0 or v % glc:
             raise ExactDivisionError("inexact bivariate division")
-        if type(v) is int and type(glc) is int and not v % glc:
-            c = v // glc
-        else:
-            c = _exact(Fraction(v) / glc)
-        out[(a, b)] = c
+        c = out[(a, b)] = v // glc
         for (q2, t2), v2 in gitems:
             kk = (a + q2, b + t2)
             w = rem.get(kk)
@@ -1605,18 +1593,17 @@ def qt_divexact(f, g):
                 heappush(heap, (-kk[0] - kk[1], -kk[0], kk[1]))
                 w = 0
             w = w - c * v2
-            if not w:
-                rem.pop(kk, None)
-            elif type(w) is int:
+            if w:
                 rem[kk] = w
             else:
-                rem[kk] = _exact(w)
+                rem.pop(kk, None)
     return QTPoly(out, _clean=True)
 
 
 class BiRatFunc(_RatFunc):
-    """num/den in Q(q, t); canonical: coprime, graded-lex leading
-    coefficient of the denominator 1."""
+    """num/den in Q(q, t) = Frac(Z[q, t]), num and den QTPolys; canonical:
+    coprime in Z[q, t] (integer content included), graded-lex leading
+    coefficient of the denominator positive."""
 
     __slots__ = ()
 
@@ -1630,7 +1617,9 @@ class BiRatFunc(_RatFunc):
 
     @classmethod
     def const(cls, value):
-        return cls(QTPoly.term(value), _canonical=True)
+        """A rational as num/den, both integers."""
+        num, den = _exact(value).as_integer_ratio()
+        return cls(QTPoly.term(num), QTPoly.term(den), _canonical=True)
 
     @classmethod
     def zero(cls):
@@ -1656,7 +1645,8 @@ class BiRatFunc(_RatFunc):
         return cls(num, den, _canonical=True)
 
     def is_polynomial(self):
-        return self.den.is_one()
+        """True iff self lies in Q[q, t]: its denominator is a constant."""
+        return self.den.leading_key() == (0, 0)
 
     def _coerce(self, other):
         if isinstance(other, BiRatFunc):
@@ -1738,8 +1728,8 @@ class ParameterSpec:
     def specialize_poly(self, f):
         """Image of a QTPoly as a {u-exponent: nonzero coefficient} Laurent
         map: each q^a t^b is qt_laurent(a, b), read off the table in the
-        loop.  Over Q the coefficients stay ints and Fractions; otherwise
-        they are CycloNums."""
+        loop.  Over Q the coefficients stay ints; otherwise they are
+        CycloNums."""
         t_exp, q_exp, N, w = self.t_exp, self.q_exp, self.N, self._omega_powers
         terms = {}
         for (a, b), v in f.d.items():
@@ -1814,11 +1804,13 @@ def _render_terms(terms, varnames):
     return out
 
 
-def _render_qtpoly(f):
+def _render_qtpoly(f, lc=1):
+    """f / lc, its coefficients shown as rationals."""
     if f.is_zero():
         return "0"
     keys = sorted(f.d, key=_grlex, reverse=True)
-    return _render_terms([(k, f.d[k]) for k in keys], ("q", "t"))
+    return _render_terms([(k, f.d[k] if lc == 1 else Fraction(f.d[k], lc))
+                          for k in keys], ("q", "t"))
 
 
 def _render_ascending(coeffs, var):
@@ -1845,8 +1837,11 @@ def render_scalar(x):
             return num
         return "(%s)/(%s)" % (num, _render_ascending(x.den.coeffs(), "u"))
     if isinstance(x, BiRatFunc):
-        if x.den.is_one():
-            return _render_qtpoly(x.num)
-        return "(%s)/(%s)" % (_render_qtpoly(x.num), _render_qtpoly(x.den))
+        # monic over Q: num and den over the leading coefficient of den
+        lc = x.den.leading()
+        if x.is_polynomial():
+            return _render_qtpoly(x.num, lc)
+        return "(%s)/(%s)" % (_render_qtpoly(x.num, lc),
+                              _render_qtpoly(x.den, lc))
     raise TypeError("cannot render %r" % (type(x).__name__,))
 

@@ -1,8 +1,12 @@
-"""The Jack limit of the specialized Macdonald polynomials at r = 2.
+"""The Jack limit of the specialized Macdonald polynomials.
 
 At r = 2 the specialization is t = u, q = u^(-(k+1)), so q = t^alpha with
 alpha = -(k+1), and u -> 1 sends the specialized P_lam to the Jack
-polynomial P_lam^(alpha) (Macdonald, SFHP VI.10).  The Jack side here
+polynomial P_lam^(alpha) (Macdonald, SFHP VI.10).  For r > 2 with
+m = gcd(k+1, r-1) = 1 the same limit holds at t = u^(r-1),
+q = u^(-(k+1)), the point with omega = 1 rather than ParameterSpec's
+omega = zeta_{r-1}: there q = t^alpha with alpha = -(k+1)/(r-1).  The
+Jack side here
 comes from a different operator over a different field: the
 Laplace-Beltrami operator
 
@@ -18,7 +22,7 @@ from itertools import permutations
 
 from wheelmac import partitions as pt
 from wheelmac.macdonald import MacdonaldTable, specialize_P
-from wheelmac.scalars import ParameterSpec
+from wheelmac.scalars import ParameterSpec, UniRatFunc
 from wheelmac.symfunc import SymPoly
 
 
@@ -117,3 +121,47 @@ def test_specialized_P_at_r_2_tends_to_the_jack_polynomial(tables):
                             (k, n, lam)
                         moved += 1
     assert (checked, moved) == (230, 176)
+
+
+def _at_omega_1(f, k, r):
+    """The QTPoly f at q = u^(-(k+1)), t = u^(r-1), as a Laurent
+    {u-exponent: int} map."""
+    terms = {}
+    for (a, b), v in f.d.items():
+        e = b * (r - 1) - a * (k + 1)
+        terms[e] = terms.get(e, 0) + v
+    return {e: v for e, v in terms.items() if v}
+
+
+def _jack_limit(P, k, r):
+    """P's coefficients at omega = 1, each num and den a Laurent polynomial
+    in u, then u -> 1 (a pole there raises)."""
+    out = {}
+    for mu, c in P.coeffs.items():
+        num, den = [UniRatFunc.from_laurent(1, _at_omega_1(f, k, r))
+                    for f in (c.num, c.den)]
+        v = (num / den).evaluate(1).rational_value()
+        if v:
+            out[mu] = v
+    return out
+
+
+def test_P_at_omega_1_tends_to_the_jack_polynomial(tables):
+    """Every admissible lam for each (k, r) with m = 1 and 2 < r <= 6,
+    n <= 4 and d <= 8; with alpha off by 1/7 every lam whose Jack
+    polynomial has more than one term mismatches."""
+    checked = moved = 0
+    for k, r in ((2, 3), (4, 3), (1, 4), (3, 4), (2, 5), (1, 6)):
+        alpha = Fraction(-(k + 1), r - 1)
+        for n in range(1, 5):
+            for d in range(9):
+                for lam in pt.enumerate_admissible(k, r, n, d):
+                    got = _jack_limit(tables(n).compute_P(lam), k, r)
+                    want = jack_P(lam, n, alpha)
+                    assert got == want, (k, r, n, lam)
+                    checked += 1
+                    if len(want) > 1:
+                        assert jack_P(lam, n, alpha + Fraction(1, 7)) != got, \
+                            (k, r, n, lam)
+                        moved += 1
+    assert (checked, moved) == (366, 249)

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import gcd
 from operator import mul
 
 import pytest
@@ -559,7 +560,9 @@ def test_check_integrality_on_planted_coefficients():
                         (num / (one - t), True),
                         (num / ((one - t) * (one - q * t)), True),
                         (num / ((one - t) ** 2), False),
-                        (num * Fraction(1, 3), True)]:
+                        (num * Fraction(1, 3), True),
+                        (num / ((one - t) * 3), True),
+                        (num / ((one - q * q) * 3), False)]:
         table = MacdonaldTable(2)
         table.entries[(2,)] = SymPoly(2, {(2,): one, (1, 1): coeff})
         assert check_integrality((2,), 2, table) is want, coeff
@@ -677,7 +680,7 @@ def test_lcm_sum_matches_the_loop(monkeypatch):
     sums it replaced (oracles.lcm_sum): equal num and den and the same
     qt_gcd calls, on seeded pairs whose denominators share factors of
     1 - q^a t^b, with negative and above-2^64 coefficients, numerators that
-    cancel, and a Fraction coefficient (which takes the QTPoly arithmetic)."""
+    cancel, and denominators with an integer content."""
     rng = random.Random(29)
     factors = [QTPoly({(0, 0): 1, (a, b): -1})
                for a, b in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]]
@@ -696,10 +699,11 @@ def test_lcm_sum_matches_the_loop(monkeypatch):
             den = QTPoly.one()
             for f in rng.sample(factors, rng.randint(0, 3)):
                 den = den * f
-            num = rand(big)
+            x = BiRatFunc(rand(big), den)
             if rng.random() < 0.05:
-                num = num + QTPoly.term(Fraction(1, 2), 4, 4)
-            pairs.append((BiRatFunc(num, den), rand(big)))
+                x = x + BiRatFunc.const(Fraction(1, 2)) \
+                    * BiRatFunc.qt_monomial(4, 4)
+            pairs.append((x, rand(big)))
         if rng.random() < 0.2:  # the second half cancels the first
             pairs += [(-x, e) for x, e in pairs]
         del calls[:]
@@ -709,17 +713,16 @@ def test_lcm_sum_matches_the_loop(monkeypatch):
         want = lcm_sum(pairs, {})
         assert got == want and packed_calls == calls
         seen |= {("cancel", not want[0]), ("merge", bool(calls)),
-                 ("fraction", not all(type(v) is int
-                                      for x, _ in pairs
-                                      for v in x.num.d.values()))}
-    assert seen >= {("cancel", True), ("merge", True), ("fraction", True)}
+                 ("content", any(gcd(*x.den.d.values()) > 1
+                                 for x, _ in pairs))}
+    assert seen >= {("cancel", True), ("merge", True), ("content", True)}
 
 
 def test_compute_P_matches_the_loop(monkeypatch):
     """Every P_lam with n <= 4 and |lam| <= 7 (n = 4 at |lam| <= 6) through
     the packed numerator equals, by repr, the one through oracles.lcm_sum,
     with the same qt_gcd calls; so does a table whose D_n^1 columns carry
-    a Fraction coefficient."""
+    a planted factor 2."""
     calls, packed = _counted_gcds(monkeypatch), md._lcm_sum
 
     def run(fold, planted):
@@ -731,7 +734,7 @@ def test_compute_P_matches_the_loop(monkeypatch):
             for d in range(dmax + 1):
                 if planted and d:
                     plist, cols = table.component_matrix(d)
-                    cols[plist[0]] = {mu: e * Fraction(1, 2)
+                    cols[plist[0]] = {mu: e * 2
                                       for mu, e in cols[plist[0]].items()}
                 for lam in pt.enumerate_partitions(n, d):
                     out.append(repr(table.compute_P(lam)))
@@ -773,3 +776,37 @@ def test_equal_eigenvalue_guard():
     assert plist == [(2,), (1, 1)]
     # eigenvalues must be distinct over Q(q,t) on the component
     assert table.eps1((2,)) != table.eps1((1, 1))
+
+
+def test_every_qtpoly_built_stores_ints(monkeypatch, capsys):
+    """QTPoly is Z[q, t], and the _clean=True paths skip the constructor's
+    check: every QTPoly built while the macd commands and verify_theorem1
+    run on a small grid must store only ints."""
+    from wheelmac.cli import run
+    from wheelmac.wheel_ideal import verify_theorem1
+
+    built, bad = [0], []
+    init = QTPoly.__init__
+
+    def recorded(self, d=None, _clean=False):
+        init(self, d, _clean)
+        built[0] += 1
+        if not all(type(v) is int for v in self.d.values()):
+            bad.append(self.d)
+
+    monkeypatch.setattr(QTPoly, "__init__", recorded)
+    for argv in ("macd compute --n 3 --lambda 3,1", "macd pieri --n 3 --lambda 2,1",
+                 "macd cauchy --n 2 --l-max 3",
+                 "macd integrality --n 3 --lambda 2,2"):
+        assert run(argv.split()) == 0, argv
+    capsys.readouterr()
+    checked = 0
+    tables = {n: MacdonaldTable(n) for n in (2, 3)}
+    for k, r in ((1, 2), (2, 2), (1, 3), (2, 3)):
+        for n, table in tables.items():
+            for d in range(9):
+                got = verify_theorem1(k, r, n, d, table=table)
+                assert got["dims_equal"] and got["inclusion_ok"], (k, r, n, d)
+                checked += got["admissible_count"]
+    assert checked == 139
+    assert built[0] > 4000 and bad == []

@@ -205,20 +205,25 @@ def _specialize_by_products(p, f):
 
 
 def test_specialize_poly_sums_rationals_over_Q():
+    """A rational f = num/den, den an integer, is read as specialize_poly of
+    num over den: ints over Q, CycloNums otherwise."""
     rng = random.Random(43)
     for k, r in [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4), (1, 5)]:
         p = ParameterSpec(k, r)  # N = 1, 1, 2, 2, 3, 4
         for _ in range(25):
-            f = QTPoly({(rng.randint(0, 6), rng.randint(0, 6)):
-                        Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                        for _ in range(rng.randint(0, 8))})
-            got = p.specialize_poly(f)
+            f = BiRatFunc.zero()
+            for _ in range(rng.randint(0, 8)):
+                f = f + BiRatFunc.const(Fraction(
+                    rng.randint(-6, 6), rng.randint(1, 4))) \
+                    * BiRatFunc.qt_monomial(rng.randint(0, 6), rng.randint(0, 6))
+            got = p.specialize_poly(f.num)
             if p.N <= 2:
-                assert all(type(c) in (int, Fraction) and c
-                           for c in got.values())
+                assert all(type(c) is int and c for c in got.values())
             else:
                 assert all(type(c) is CycloNum for c in got.values())
-            assert got == _specialize_by_products(p, f), (k, r, f)
+            assert got == _specialize_by_products(p, f.num), (k, r, f)
+            (_, den), = f.den.d.items()
+            assert p.specialize(f) == UniRatFunc.from_laurent(p.N, got) / den
     # omega1 = -1 at N = 2: 1 + q t has u-exponents 0 and 0, signs + and -
     assert ParameterSpec(1, 3).specialize_poly(
         QTPoly.one() + QTPoly.term(1, 1, 1)) == {}
@@ -242,8 +247,8 @@ def test_specialize_poly_matches_an_independent_substitution(monkeypatch):
     # oracle evaluates at u0 = 7/3 instead and knows no ParameterSpec table
     rng = random.Random(59)
     polys = [QTPoly({(rng.randint(0, 7), rng.randint(0, 7)):
-                     Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                     for _ in range(rng.randint(0, 8))}) for _ in range(30)]
+                     rng.randint(-24, 24) for _ in range(rng.randint(0, 8))})
+             for _ in range(30)]
     polys.append(QTPoly.one() - QTPoly.term(1, 6, 2))  # 1 - q^6 t^2: 0 at (1,7)
     for k, r in [(1, 2), (1, 3), (2, 4), (1, 5), (1, 7)]:  # N = 1, 2, 3, 4, 6
         p = ParameterSpec(k, r)
@@ -475,18 +480,14 @@ def test_packed_laurent_sum_matches_the_loop(N):
 def test_packed_qt_fold_matches_the_loop():
     """_qt_fold, acc = acc * s + prod(factors), against QTPoly products and
     sums: negative and above-2^64 coefficients, zero factors and
-    multipliers, many factors in one step, sums that cancel to 0, and a
-    Fraction coefficient (which takes the QTPoly arithmetic)."""
+    multipliers, many factors in one step and sums that cancel to 0."""
     rng = random.Random(83)
 
     def rand(big):
         if rng.random() < 0.08:
             return QTPoly.zero()
-        d = {(rng.randint(0, 4), rng.randint(0, 4)): _rand_int(rng, big)
-             for _ in range(rng.randint(1, 6))}
-        if rng.random() < 0.03:
-            d[next(iter(d))] = Fraction(1, 3)
-        return QTPoly(d)
+        return QTPoly({(rng.randint(0, 4), rng.randint(0, 4)):
+                       _rand_int(rng, big) for _ in range(rng.randint(1, 6))})
 
     seen = set()
     for _ in range(200):
@@ -505,9 +506,7 @@ def test_packed_qt_fold_matches_the_loop():
         assert scalars._qt_fold(steps + [(None, (-want,))]) == QTPoly.zero()
         polys = [f for s, fs in steps
                  for f in fs + (() if s is None else (s,))]
-        seen |= {("fraction", not all(
-            type(v) is int for f in polys for v in f.d.values())),
-            ("big", big and bool(want)), ("zero", not all(polys)),
+        seen |= {("big", big and bool(want)), ("zero", not all(polys)),
             ("many factors", max(len(fs) for _, fs in steps) > 2),
             ("negative", min(want.d.values(), default=0) < 0)}
     assert all((flag, True) in seen for flag, _ in seen)
@@ -626,6 +625,18 @@ def _inexact_polynomial_divisions():
     ]
 
 
+def _non_integral_qtpolys():
+    """Each call gives a QTPoly a coefficient that is not an integer."""
+    half, q_ = Fraction(1, 2), QTPoly.q()
+    return [lambda: QTPoly({(1, 0): 3, (0, 0): half}),
+            lambda: QTPoly.term(half, 1, 2),
+            lambda: q_.scale(half),
+            lambda: q_ + half,
+            lambda: half + q_,
+            lambda: q_ - half,
+            lambda: q_ * half]
+
+
 def test_inexact_polynomial_division_raises():
     for divide in _inexact_polynomial_divisions():
         with pytest.raises(ExactDivisionError):
@@ -635,13 +646,16 @@ def test_inexact_polynomial_division_raises():
 _INEXACT_POLY_UNDER_O = """
 import sys
 sys.path.insert(0, %r)
-from test_scalars import ExactDivisionError, _inexact_polynomial_divisions
-for divide in _inexact_polynomial_divisions():
-    try:
-        divide()
-    except ExactDivisionError:
-        continue
-    raise SystemExit(1)
+from test_scalars import (ExactDivisionError, _inexact_polynomial_divisions,
+                          _non_integral_qtpolys)
+for error, calls in [(ExactDivisionError, _inexact_polynomial_divisions()),
+                     (ValueError, _non_integral_qtpolys())]:
+    for call in calls:
+        try:
+            call()
+        except error:
+            continue
+        raise SystemExit(1)
 """
 
 
@@ -667,12 +681,13 @@ def _rand_unipoly(rng, N, nonzero=False):
             return f
 
 
-def _rand_qtpoly(rng, nonzero=False):
+def _rand_qt_polynomial(rng, nonzero=False):
+    """A polynomial in (q, t) with rational coefficients, as a BiRatFunc."""
     while True:
-        f = QTPoly.zero()
+        f = BiRatFunc.zero()
         for _ in range(rng.randint(1, 3)):
-            f = f + QTPoly.term(_rand_frac(rng), rng.randint(0, 2),
-                                rng.randint(0, 2))
+            f = f + BiRatFunc.const(_rand_frac(rng)) * BiRatFunc.qt_monomial(
+                rng.randint(0, 2), rng.randint(0, 2))
         if f or not nonzero:
             return f
 
@@ -687,13 +702,14 @@ def _unirat_case(N):
             UniRatFunc.one(N), "u", N)
 
 
-_BIRAT_CASE = (lambda rng: BiRatFunc(_rand_qtpoly(rng),
-                                     _rand_qtpoly(rng, nonzero=True)),
+_BIRAT_CASE = (lambda rng: (_rand_qt_polynomial(rng)
+                             / _rand_qt_polynomial(rng, nonzero=True)),
                BiRatFunc.one(), "qt", 1)
 
 
 def _assert_canonical(x):
-    """Coprime num/den, denominator leading coefficient 1, zero over 1."""
+    """Coprime num/den, denominator leading coefficient 1 (positive in
+    Z[q, t]), zero over 1."""
     if isinstance(x, CycloNum):
         assert len(x.c) == euler_phi(x.N)
         return
@@ -705,7 +721,8 @@ def _assert_canonical(x):
             assert x.den == UniPoly.one(x.N)
         return
     assert qt_gcd(x.num, x.den)[0] == QTPoly.one(), x
-    assert x.den.d[x.den.leading_key()] == 1, x
+    assert x.den.leading() > 0, x
+    assert all(type(v) is int for f in (x.num, x.den) for v in f.d.values())
     if not x:
         assert x.den == QTPoly.one()
 
@@ -757,7 +774,7 @@ def _render_corpus():
     lines = []
     values = []
     for _ in range(30):
-        a = BiRatFunc(_rand_qtpoly(rng), _rand_qtpoly(rng, nonzero=True))
+        a = _rand_qt_polynomial(rng) / _rand_qt_polynomial(rng, nonzero=True)
         b = _one_minus(rng) * _one_minus(rng) / (_one_minus(rng) + q * t)
         for x in (a, b, a + b, a - b, a * b, b ** 2, -a * Fraction(3, 2)):
             values.append(x)
@@ -830,46 +847,62 @@ def test_qtpoly_refuses_negative_exponents():
     assert QTPoly({(1, 2): 3}) == QTPoly.term(3, 1, 2)
 
 
-def _stored_exact(f):
-    """Every coefficient an int, or a Fraction that is not integral."""
-    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
-               for v in f.d.values())
+def test_qtpoly_refuses_a_non_integral_coefficient():
+    """QTPoly is Z[q, t]: a rational that is not an integer is refused with
+    ValueError (also under python -O, in the division test's subprocess),
+    an integral one is stored as an int, and == with one is False."""
+    for make in _non_integral_qtpolys():
+        with pytest.raises(ValueError):
+            make()
+    f = QTPoly({(0, 0): Fraction(4, 2), (1, 0): True})
+    assert f.d == {(0, 0): 2, (1, 0): 1} and _all_int(f)
+    assert _all_int(QTPoly.q().scale(Fraction(-6, 3)) + Fraction(3))
+    assert (QTPoly.one() == Fraction(1, 2)) is False
+    assert (Fraction(1, 2) == QTPoly.one()) is False
+    assert QTPoly.term(2) == Fraction(2) and QTPoly.zero() == 0
 
 
-def _rand_mixed_qtpoly(rng, nterms=4, dmax=3):
-    """Integer and half-integer coefficients, so that sums and products
-    of Fractions often come out integral."""
-    d = {}
+def _all_int(f):
+    return all(type(v) is int for v in f.d.values())
+
+
+def _rand_mixed_qt(rng, nterms=4, dmax=3):
+    """A polynomial in (q, t) with integer and half-integer coefficients,
+    as a BiRatFunc, so that sums and products often come out integral."""
+    f = BiRatFunc.zero()
     for _ in range(nterms):
         c = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 2)])
-        d[(rng.randint(0, dmax), rng.randint(0, dmax))] = c
-    return QTPoly(d)
+        f = f + BiRatFunc.const(c) * BiRatFunc.qt_monomial(
+            rng.randint(0, dmax), rng.randint(0, dmax))
+    return f
 
 
 def test_coefficients_stay_in_the_integer_lane():
     rng = random.Random(5)
     half = Fraction(1, 2)
     for _ in range(150):
-        a, b = _rand_mixed_qtpoly(rng), _rand_mixed_qtpoly(rng)
-        c = QTPoly.zero()
+        a, b = _rand_mixed_qt(rng), _rand_mixed_qt(rng)
+        c = BiRatFunc.zero()
         while c.is_zero():
-            c = _rand_mixed_qtpoly(rng, nterms=2, dmax=2)
-        produced = [a + b, a - b, a * b, (a * 2) * half, a.scale(half),
-                    a.scale(Fraction(4, 2)), a.scale(-1), -a, a + half + half,
-                    qt_divexact(a * c, c), qt_divexact(c * 2, c)]
+            c = _rand_mixed_qt(rng, nterms=2, dmax=2)
+        produced = [a + b, a - b, a * b, (a * 2) * half, a * half,
+                    a * Fraction(4, 2), a * -1, -a, a + half + half,
+                    (a * c) / c, (c * 2) / c]
         if a and b:
-            produced.append(qt_gcd(a * c, b * c)[0])
+            produced.append(BiRatFunc.from_poly(
+                qt_gcd((a * c).num, (b * c).num)[0]))
         if b:
-            x = BiRatFunc(a * c, b * c)
-            y = x * BiRatFunc(b, a + 1) if a + 1 else x
-            for z in (x, y, x + y, x - y, x.inverse() if x else y):
-                produced += [z.num, z.den]
-        for f in produced:
-            assert _stored_exact(f), f.d
-    assert qt_divexact(QTPoly({(1, 0): half, (0, 0): half}),
-                       QTPoly({(1, 0): 1, (0, 0): 1})).d == {(0, 0): half}
-    assert qt_divexact(QTPoly({(1, 0): 2, (0, 0): 2}),
-                       QTPoly({(1, 0): half, (0, 0): half})).d == {(0, 0): 4}
+            x = (a * c) / (b * c)
+            y = x * b / (a + 1) if a + 1 else x
+            produced += [x, y, x + y, x - y, x.inverse() if x else y]
+        for z in produced:
+            assert _all_int(z.num) and _all_int(z.den), z
+        A, C = a.num, c.num
+        for f in (A + C, A - C, A * C, -A, A.scale(-3),
+                  qt_divexact(A * C, C), qt_divexact(C * 2, C)):
+            assert _all_int(f), f
+    assert (BiRatFunc.q() * half + half) / (BiRatFunc.q() + 1) == half
+    assert (BiRatFunc.q() * 2 + 2) / (BiRatFunc.q() * half + half) == 4
 
 
 # -- the heuristic gcd against the PRS -------------------------------------
@@ -987,7 +1020,7 @@ def test_prs_fallback_keeps_every_content(monkeypatch):
     f = common * (one - q * t)
     g = common * (one + q)
     want = qt_gcd(f, g)[0]
-    assert want == (one + t) * q
+    assert want == common
     calls = []
     prs = scalars._prs
 
@@ -1087,11 +1120,13 @@ def test_substitute_matches_per_term_formula():
         (0, Fraction(-1, 6), Fraction(1)),
         (2, -3, 1),
     ]
-    polys = [_rand_mixed_qtpoly(rng, nterms=6, dmax=5) for _ in range(25)]
-    polys += [QTPoly.zero(), QTPoly.term(Fraction(-5, 3)),
-              QTPoly({(4, 0): Fraction(1, 6), (0, 3): Fraction(-3, 4),
-                      (2, 2): 5}),
-              QTPoly({(3, 1): 2, (0, 2): -7})]
+    values = [_rand_mixed_qt(rng, nterms=6, dmax=5) for _ in range(25)]
+    values += [BiRatFunc.zero(), BiRatFunc.const(Fraction(-5, 3)),
+               BiRatFunc.const(Fraction(1, 6)) * BiRatFunc.qt_monomial(4, 0)
+               + BiRatFunc.const(Fraction(-3, 4)) * BiRatFunc.qt_monomial(0, 3)
+               + BiRatFunc.qt_monomial(2, 2) * 5,
+               BiRatFunc.from_poly(QTPoly({(3, 1): 2, (0, 2): -7}))]
+    polys = [f for x in values for f in (x.num, x.den)]
     for f in polys:
         for q_val, t_val, one_ in points:
             got = f.substitute(q_val, t_val, one_)
@@ -1341,26 +1376,26 @@ def test_unipoly_mixed_orders_raise():
 
 def _qt_cofactor_pairs():
     """Seeded QTPoly pairs in every lane: planted common factors (integer
-    contents and monomials among them), Fraction coefficients, monomial
-    operands, negative leading coefficients, gcds that run in q and in t,
-    and zeros."""
+    contents and monomials among them), the numerators of rationals with a
+    common factor, monomial operands, negative leading coefficients, gcds
+    that run in q and in t, and zeros."""
     rng = random.Random(83)
     q, t, one = QTPoly.q(), QTPoly.t(), QTPoly.one()
     pairs = _planted_pairs(83, 120)
     for _ in range(40):
-        common = QTPoly.zero()
+        common = BiRatFunc.zero()
         while common.is_zero():
-            common = _rand_mixed_qtpoly(rng, nterms=2, dmax=2)
-        a, b = _rand_mixed_qtpoly(rng), _rand_mixed_qtpoly(rng)
+            common = _rand_mixed_qt(rng, nterms=2, dmax=2)
+        a, b = _rand_mixed_qt(rng), _rand_mixed_qt(rng)
         if a and b:
-            pairs.append((a * common, b * common))
+            pairs.append(((a * common).num, (b * common).num))
     pairs += [
-        ((one - q * t).scale(Fraction(3, 2)) * q,
-         (one - q * t) * (one + t).scale(Fraction(-5, 7))),
+        ((one - q * t).scale(3) * q,
+         (one - q * t) * (one + t).scale(-5)),
         (q ** 4 * (one + t), q * (one + t) ** 2 * (q + 2)),  # q-degree > t
         (t ** 4 * (one + q), t * (one + q) ** 2 * (t + 2)),  # t-degree > q
         (QTPoly.term(-4, 2, 1), (one + q) * t * q),
-        (QTPoly.term(Fraction(3, 5), 0, 2), QTPoly.term(-6, 1, 1)),
+        (QTPoly.term(3, 0, 2), QTPoly.term(-6, 1, 1)),
         (-(q * q + t) * (one + t), (q * q + t) * (one - t) * 3),
         (QTPoly.zero(), (one - q) * -2), ((one + t) * q, QTPoly.zero()),
         (QTPoly.zero(), QTPoly.zero()),
@@ -1371,7 +1406,9 @@ def _qt_cofactor_pairs():
 def _assert_qt_cofactors(f, g):
     h, fh, gh = qt_gcd(f, g)
     assert h * fh == f and h * gh == g, (f, g)
-    assert all(_stored_exact(x) for x in (h, fh, gh)), (f, g)
+    assert all(_all_int(x) for x in (h, fh, gh)), (f, g)
+    if f and g:  # the integer content is in h
+        assert gcd(*fh.d.values(), *gh.d.values()) == 1, (f, g)
     if f.is_zero() and g.is_zero():
         assert h.is_zero() and fh.is_zero() and gh.is_zero()
     elif f.is_zero() or g.is_zero():
