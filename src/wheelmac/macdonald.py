@@ -14,15 +14,19 @@ degree d once, the first time it applies the operator there, from the
 generic element sum_nu m_nu (x) e_nu: a_delta Op is evaluated only at the
 dominant exponents lam + delta, as integer q^a t^b counts per source
 partition nu, Op is read off by a unitriangular solve with +-1 entries on
-those counts, and each entry is read once by the field's table reader (as
-it reads wheel_collapse's): no Vandermonde product is assembled and
-nothing is divided.  Applying Op to f is then one sum_of_products per
-target against f's coefficients on its support; at a rational point
-(q, t) that is the rational lane, one integer numerator over the lcm of
-the denominators, made one canonical Fraction.  The exactness witness is
-the antisymmetry of a_delta Op: its counts at an exponent with the first
-two entries swapped must be exactly the negatives, or ExactDivisionError
-(a check that also runs under python -O, at every target of every build).
+those counts, and each entry is read once by the field's table reader:
+no Vandermonde product is assembled and nothing is divided.  The field
+keeps the wheel_collapse tables it has read next to these matrices
+(CoeffField.wheel_table), and applies either kind with one kernel,
+CoeffField.apply (scalars.apply_rows), against f's coefficients: at a
+rational point (q, t) each target is the rational lane, one integer
+numerator over the lcm of the denominators, made one canonical Fraction;
+over Laurent polynomials over Q the application is one packed integer per
+target at one slot width, each coefficient of f packed once.  The
+exactness witness is the antisymmetry of a_delta Op: its counts at an
+exponent with the first two entries swapped must be exactly the negatives,
+or ExactDivisionError (a check that also runs under python -O, at every
+target of every build).
 
 P_lam itself is found from the eigenvalue problem for D_n^1 by
 back-substitution against the dominance-triangular matrix of the operator
@@ -45,9 +49,9 @@ from math import gcd
 
 from . import partitions as pt
 from .scalars import (BiRatFunc, ExactDivisionError, LaurentPoly, PoleError,
-                      QTPoly, _lpoly, _qt_fold, qt_divexact, sum_of_products)
+                      QTPoly, _lpoly, _qt_fold, apply_rows, qt_divexact)
 from .symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
-                      monomials_to_m, sympoly_mul)
+                      monomials_to_m, sympoly_mul, wheel_collapse)
 
 __all__ = [
     "CoeffField", "ExactDivisionError", "MacdonaldTable",
@@ -65,14 +69,17 @@ class CoeffField:
     Every q^a t^b value the ring needs is such a table read once.  A ring
     built without a reader (such as Fractions at a rational point) reads
     each table with QTPoly.substitute at (q, t).  Only the operator
-    matrices (matrix) are cached on the instance, and they live and die
-    with it: share an instance only under external serialization, or give
-    each thread its own.  Instances are cheap; callers normally create one
-    per computation.
+    matrices (matrix) and the read wheel tables (wheel_table) are cached on
+    the instance, and they live and die with it: share an instance only
+    under external serialization, or give each thread its own.  Instances
+    are cheap; callers normally create one per computation.  An operator
+    matrix is a table {target: {source: value}}, as are the wheel tables of
+    an f's partitions put together per key, and apply is the one kernel
+    that sums such a table against the coefficients of f.
     """
 
     __slots__ = ("zero", "one", "q", "t", "from_int", "spec", "_read",
-                 "_ops")
+                 "_ops", "_wheels")
 
     def __init__(self, zero, one, q, t, from_int, read=None, spec=None):
         self.zero = zero
@@ -82,6 +89,7 @@ class CoeffField:
         self.from_int = from_int
         self.spec, self._read = spec, read
         self._ops = {}
+        self._wheels = {}
 
     @classmethod
     def generic(cls):
@@ -136,6 +144,23 @@ class CoeffField:
                     rows[lam] = row
             self._ops[n, d, op] = rows
         return rows
+
+    def wheel_table(self, lam, n, sigma):
+        """{key: value}: wheel_collapse(lam, n, sigma) read by
+        table_reader(), zero readings dropped.  Built the first time this
+        instance asks for it; sigma must be a tuple."""
+        table = self._wheels.get((lam, n, sigma))
+        if table is None:
+            read = self.table_reader()
+            table = self._wheels[lam, n, sigma] = {
+                key: v for key, counts in wheel_collapse(lam, n, sigma).items()
+                if (v := read(counts))}
+        return table
+
+    def apply(self, rows, coeffs):
+        """{target: sum of a * coeffs[s] over the (s, a) of rows[target]},
+        nonzero sums only: scalars.apply_rows in this ring."""
+        return apply_rows(rows, coeffs, self.zero)
 
 
 def _acc(out, key, c):
@@ -259,20 +284,15 @@ def _operator_tables(n, d, op):
 
 
 def _apply(f, op, fld):
-    """op f, one sum_of_products per target against f's coefficients on its
-    support, from fld.matrix of each degree of f."""
+    """op f: fld.matrix of each degree of f, applied by fld.apply to f's
+    coefficients of that degree."""
     n = f.n
     parts = {}
     for nu, c in f.coeffs.items():
         parts.setdefault(sum(nu), {})[nu] = c
     out = {}
     for d, part in parts.items():
-        for lam, row in fld.matrix(n, d, op).items():
-            pairs = [(e, part[nu]) for nu, e in row.items() if nu in part]
-            if pairs:
-                v = sum_of_products(pairs, fld.zero)
-                if v:
-                    out[lam] = v
+        out.update(fld.apply(fld.matrix(n, d, op), part))
     return SymPoly(n, out, _clean=True)
 
 

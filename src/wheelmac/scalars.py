@@ -61,6 +61,7 @@ All values are immutable and all operations are pure functions, so
 everything here is safe to share between threads.
 """
 
+import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -70,7 +71,7 @@ __all__ = [
     "CycloNum", "UniPoly", "UniRatFunc", "LaurentPoly", "QTPoly", "BiRatFunc",
     "ParameterSpec", "MixedFieldError", "PoleError", "ExactDivisionError",
     "cyclotomic_polynomial",
-    "qt_gcd", "qt_divexact", "render_scalar", "sum_of_products",
+    "qt_gcd", "qt_divexact", "render_scalar", "sum_of_products", "apply_rows",
 ]
 
 _ZERO = Fraction(0)
@@ -344,6 +345,9 @@ class CycloNum(_Field):
         return self.c == o.c
 
     def __hash__(self):
+        # a rational one hashes like the Fraction (or int) it equals
+        if self.is_rational():
+            return hash(self.c[0])
         return hash((self.N, self.c))
 
     def __repr__(self):
@@ -739,11 +743,9 @@ def _lpoly(N, c, den=1):
 
 def sum_of_products(pairs, zero):
     """The sum of a * b over a list of pairs (a, b), or zero (the ring's 0)
-    if the list is empty.  Over Q the sum runs on ints over the lcm of the
-    denominators and is made canonical once: int and Fraction pairs when
-    zero is a Fraction; LaurentPolys a (a rational b read as a constant)
-    as one packed integer (_pack), decoded once, one pair as a * b.
-    Other rings sum a * b."""
+    if the list is empty.  When zero is a Fraction (int and Fraction pairs)
+    the sum runs on ints over the lcm of the denominators and is made
+    canonical once; other rings sum a * b."""
     if type(zero) is Fraction:
         dens = [a.denominator * b.denominator for a, b in pairs]
         den = lcm(*dens)
@@ -751,36 +753,71 @@ def sum_of_products(pairs, zero):
             return Fraction(sum([a.numerator * b.numerator for a, b in pairs]))
         return Fraction(sum([a.numerator * b.numerator * (den // d)
                              for (a, b), d in zip(pairs, dens)]), den)
-    first = pairs[0][0] if pairs else zero
-    if type(first) is not LaurentPoly or first.N > 2:
-        terms = [a * b for a, b in pairs] or [zero]
-        return sum(terms[1:], terms[0])
-    N = first.N
-    if len(pairs) == 1:
-        a, b = pairs[0]
-        return _lmul(N, a, b if type(b) is LaurentPoly
-                     else LaurentPoly.const(N, b))
-    terms = []
-    for a, b in pairs:
+    terms = [a * b for a, b in pairs] or [zero]
+    return sum(terms[1:], terms[0])
+
+
+def apply_rows(rows, coeffs, zero):
+    """{target: sum of a * coeffs[s] over the (s, a) of rows[target] with s
+    in coeffs}, nonzero sums only: a table {target: {source: a}} applied to
+    the coefficients {source: b} of f, in the ring whose 0 is zero.  Over Q
+    (zero a LaurentPoly with N <= 2, every a a LaurentPoly, a rational b
+    read as a constant) the application is packed at one slot width, each
+    b once (_laurent_apply); every other ring sums each target with
+    sum_of_products."""
+    if type(zero) is LaurentPoly and zero.N <= 2:
+        return _laurent_apply(rows, coeffs, zero.N)
+    out = {}
+    for target, row in rows.items():
+        pairs = [(a, coeffs[s]) for s, a in row.items() if s in coeffs]
+        if pairs and (v := sum_of_products(pairs, zero)):
+            out[target] = v
+    return out
+
+
+def _laurent_apply(rows, coeffs, N):
+    """apply_rows over LaurentPolys of ints: a target with one pair is the
+    product a * b, any other one packed integer (_pack) over the lcm den
+    of its pair denominators d = a.den b.den, decoded once.  One slot width
+    serves the whole application, sized from the largest target bound
+    sum ||a||_1 ||b||_1 den / d, so each b is packed once, from its lowest
+    exponent; a is packed from the target's lowest exponent less b's."""
+    src = {}  # s -> (b, ||b||_1, lowest and highest exponent of b)
+    for s, b in coeffs.items():
         if type(b) is not LaurentPoly:
             b = LaurentPoly.const(N, b)
-        if a.c and b.c:
-            terms.append((a.c, b.c, a.den * b.den))
-    if not terms:
-        return LaurentPoly.zero(N)
-    den = lcm(*[d for _, _, d in terms])
-    # exponents shifted by their minimum: u^e of the sum sits in slot
-    # e - amin - bmin, and |slot| <= sum ||a||_1 ||b||_1 den / d
-    amin = min([min(a) for a, _, _ in terms])
-    bmin = min([min(b) for _, b, _ in terms])
-    count = (max([max(a) for a, _, _ in terms]) - amin
-             + max([max(b) for _, b, _ in terms]) - bmin + 1)
-    nb = _slot_bytes(sum([_norm1(a) * _norm1(b) * (den // d)
-                          for a, b, d in terms]))
-    total = sum([_pack(a, nb, amin) * _pack(b, nb, bmin) * (den // d)
-                 for a, b, d in terms])
-    return _lpoly(N, {e + amin + bmin: v
-                      for e, v in _unpack(total, nb, count).items()}, den)
+        if b.c:
+            src[s] = (b, _norm1(b.c), min(b.c), max(b.c))
+    work, bound = [], 0
+    for target, row in rows.items():
+        pairs = [(a, s, src[s]) for s, a in row.items() if s in src and a.c]
+        den = None
+        if len(pairs) > 1:
+            den = lcm(*[a.den * b.den for a, _, (b, _, _, _) in pairs])
+            bound = max(bound, sum([_norm1(a.c) * w * (den // (a.den * b.den))
+                                    for a, _, (b, w, _, _) in pairs]))
+        if pairs:
+            work.append((target, pairs, den))
+    nb = _slot_bytes(bound)
+    packed, out = {}, {}
+    for target, pairs, den in work:
+        if den is None:
+            (a, _, (b, _, _, _)), = pairs
+            out[target] = _lmul(N, a, b)
+            continue
+        base = min([min(a.c) + lo for a, _, (_, _, lo, _) in pairs])
+        high = max([max(a.c) + hi for a, _, (_, _, _, hi) in pairs])
+        total = 0
+        for a, s, (b, _, lo, _) in pairs:
+            pb = packed.get(s)
+            if pb is None:
+                pb = packed[s] = _pack(b.c, nb, lo)
+            total += _pack(a.c, nb, base - lo) * pb * (den // (a.den * b.den))
+        if total:
+            slots = _unpack(total, nb, high - base + 1)
+            out[target] = _lpoly(N, {e + base: v for e, v in slots.items()},
+                                 den)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -802,9 +839,11 @@ def _norm1(c):
 
 
 def _slot_bytes(bound):
-    """The bytes per slot nb that hold every |v| <= bound with a sign:
-    bound < 2^(8 nb - 1)."""
-    return bound.bit_length() // 8 + 1
+    """The bytes per slot nb that hold every |v| <= bound with a sign,
+    bound < 2^(8 nb - 1): 1, 2, 4 or 8, which _unpack reads with one
+    memoryview cast, else the least nb that holds it."""
+    nb = bound.bit_length() // 8 + 1
+    return 1 << (nb - 1).bit_length() if nb <= 8 else nb
 
 
 def _pack(c, nb, m=0):
@@ -813,15 +852,25 @@ def _pack(c, nb, m=0):
     return sum([x << (B * (e - m)) for e, x in c.items()])
 
 
+# the memoryview formats of the slot widths one cast reads: native order,
+# so on a little-endian host only
+_CASTS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+
 def _unpack(total, nb, count):
     """{s: v_s} of the nonzero values of total = sum_{s < count} v_s X^s,
     X = 2^(8 nb), every |v_s| < X / 2: one int.to_bytes of total plus X / 2
-    in every slot, then one slice per slot.  The to_bytes raises
-    OverflowError when that sum does not fit in count slots."""
+    in every slot, then one memoryview cast (nb = 1, 2, 4 or 8) or one
+    slice per slot.  The to_bytes raises OverflowError when that sum does
+    not fit in count slots."""
     half = bytes(nb - 1) + b"\x80"  # X / 2, the offset of one slot
     raw = (total + int.from_bytes(half * count, "little")).to_bytes(
         nb * count, "little")
     offset = 1 << (8 * nb - 1)
+    fmt = _CASTS.get(nb)
+    if fmt is not None:
+        return {s: v - offset for s, v in enumerate(memoryview(raw).cast(fmt))
+                if v != offset}
     out = {}
     for s in range(count):
         digit = raw[s * nb:(s + 1) * nb]
@@ -934,7 +983,9 @@ class _RatFunc(_Field):
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # hashed as the simplest scalar it equals, when there is one
+        c = self._simplest()
+        return hash((self.num, self.den)) if c is None else hash(c)
 
 
 class UniRatFunc(_RatFunc):
@@ -977,6 +1028,13 @@ class UniRatFunc(_RatFunc):
 
     def is_one(self):
         return self.den.is_one() and self.num.is_one()
+
+    def _simplest(self):
+        """The CycloNum or Fraction self equals when it is a constant (0
+        for zero), else None."""
+        if not self.den.is_one() or self.num.degree() > 0:
+            return None
+        return self.num.leading() if self.num else 0
 
     def _coerce(self, other):
         if isinstance(other, (UniRatFunc, CycloNum)):
@@ -1170,6 +1228,9 @@ class QTPoly:
         return self.d == other.d
 
     def __hash__(self):
+        # a constant hashes like the int it equals
+        if self.d.keys() <= {(0, 0)}:
+            return hash(self.d.get((0, 0), 0))
         return hash(frozenset(self.d.items()))
 
     def __repr__(self):
@@ -1647,6 +1708,16 @@ class BiRatFunc(_RatFunc):
     def is_polynomial(self):
         """True iff self lies in Q[q, t]: its denominator is a constant."""
         return self.den.leading_key() == (0, 0)
+
+    def _simplest(self):
+        """The QTPoly self equals when its denominator is 1 (it hashes a
+        constant as an int), the Fraction when num and den are constants,
+        else None."""
+        if self.den.is_one():
+            return self.num
+        if self.is_polynomial() and self.num.leading_key() == (0, 0):
+            return Fraction(self.num.d[0, 0], self.den.d[0, 0])
+        return None
 
     def _coerce(self, other):
         if isinstance(other, BiRatFunc):

@@ -8,10 +8,12 @@ monomials e_lam in the same class.  Coefficients can be any of the scalar
 types from ``wheelmac.scalars`` (or plain ints/Fractions); the code only
 relies on ring arithmetic and truthiness for zero tests.
 
-Every wheel substitution is one collapse (wheel_substitute) into integer
-orbit counts per q^a t^b, which the caller's reader turns into
-coefficients (ParameterSpec.specialize into K, or a CoeffField's
-table_reader()), so no field type is named here.
+Every wheel substitution (wheel_substitute) runs in the CoeffField its
+caller passes: the field keeps each collapse into integer orbit counts per
+q^a t^b (wheel_collapse) read by its table reader, next to its operator
+matrices, and sums the read tables against f's coefficients with its one
+application kernel, the one macdonald's operators use.  No field type is
+named here.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ from math import factorial
 from operator import mul
 
 from . import partitions as pt
-from .scalars import QTPoly, sum_of_products
+from .scalars import QTPoly
 
 __all__ = [
     "SymPoly", "MonomialExpansion", "m_to_monomials", "monomials_to_m",
@@ -306,32 +308,28 @@ def wheel_collapse(lam, n, sigma):
     return {key: QTPoly(row, _clean=True) for key, row in counts.items()}
 
 
-def wheel_substitute(f, sigma, p, read):
-    """Substitute the wheel x_{i+1} = t^i q^{sigma_i} x_1, i = 1..k.
+def wheel_substitute(f, sigma, fld):
+    """Substitute the wheel x_{i+1} = t^i q^{sigma_i} x_1, i = 1..k, in the
+    CoeffField fld that f's coefficients live in.
 
     sigma is the cumulative exponent sequence (sigma_i = s_1 + ... + s_i),
     weakly increasing inside {0, ..., r-1}; the first k+1 variables
     collapse onto the line through x_1 and the rest stay free.  Returns
     the expansion in the free variables (slot 0 is x_1, then
-    x_{k+2}, ..., x_n).  Each m_lam of f collapses to integer tables
-    (wheel_collapse), one per key; read turns a table into a coefficient
-    (p.specialize, into K, or a CoeffField's table_reader()), and its
-    products with f's coefficients are summed per key by sum_of_products,
-    zero readings skipped.  sigma must pass check_sigma when the
-    ParameterSpec p is not None; f needs n >= k+1.
+    x_{k+2}, ..., x_n).  Each m_lam of f collapses to one read table per
+    key (fld.wheel_table, wheel_collapse read once per field), and
+    fld.apply sums the tables against f's coefficients per key.  sigma
+    must pass check_sigma when fld.spec is not None; f needs n >= k+1.
     """
-    if p is not None:
-        sigma = check_sigma(sigma, p.k, p.r)
+    p = fld.spec
+    sigma = tuple(sigma) if p is None else check_sigma(sigma, p.k, p.r)
     k = len(sigma)
     check_wheel_size(f.n, k)
-    pairs = {}
-    for lam, c in f.coeffs.items():
-        for key, counts in wheel_collapse(lam, f.n, sigma).items():
-            v = read(counts)
-            if v:
-                pairs.setdefault(key, []).append((v, c))
-    return MonomialExpansion(f.n - k, {key: sum_of_products(ps, None)
-                                       for key, ps in pairs.items()})
+    rows = {}
+    for lam in f.coeffs:
+        for key, v in fld.wheel_table(lam, f.n, sigma).items():
+            rows.setdefault(key, {})[lam] = v
+    return MonomialExpansion(f.n - k, fld.apply(rows, f.coeffs))
 
 
 def restrict_derivative(f, j, one=Fraction(1)):

@@ -16,7 +16,10 @@ sigma of each rotation class (_rotation_classes) only: a rotated sigma's
 relation of internal degree dd is c^dd times the representative's, with
 c a monomial t^i q^j (a unit of K), so the row span is the same.
 Membership substitutes f itself (symfunc.wheel_substitute, over a
-CoeffField through _wheel_substitute_fld).
+CoeffField through _wheel_substitute_fld).  The field keeps each read wheel
+table next to its operator matrices and applies both with one kernel
+(CoeffField.apply), so a field shared by satisfies_wheel and
+verify_stability calls reads each (lam, n, sigma) table once.
 
 The wheel fixes x_{k+2}, ..., x_n, so the constraint matrix is built once,
 as current relations in k+1 variables (relation_generic, which
@@ -176,9 +179,9 @@ def constraint_rows(k, r, n, d, p=None, sigmas=None):
 
 
 def _wheel_substitute_fld(f, sigma, fld):
-    """wheel_substitute over a CoeffField, reading each table with fld's
-    reader; sigma is checked against fld.spec when fld has one."""
-    return wheel_substitute(f, sigma, fld.spec, fld.table_reader())
+    """wheel_substitute over the CoeffField fld, which keeps the read
+    tables; sigma is checked against fld.spec when fld has one."""
+    return wheel_substitute(f, sigma, fld)
 
 
 def dim_J(k, r, n, d, p=None):

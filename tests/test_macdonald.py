@@ -394,8 +394,14 @@ def _per_weight_field(fld):
                                           counts.d.items()), fld.zero))
 
 
+def _plain_apply_rows(rows, coeffs, zero):
+    """scalars.apply_rows as plain sums of products, one per target."""
+    return {target: v for target, row in rows.items() if (v := sum(
+        (a * coeffs[s] for s, a in row.items() if s in coeffs), zero))}
+
+
 def test_operators_match_a_per_weight_reference(monkeypatch):
-    # each field's table reader and sum_of_products against reading every
+    # each field's table reader and application kernel against reading every
     # weight on its own and summing the products plainly; the Laurent
     # fields cover N = 1, 2 (omega1 = -1) and 3, with coefficients over
     # unequal denominators
@@ -409,7 +415,7 @@ def test_operators_match_a_per_weight_reference(monkeypatch):
          for e in rng.sample(range(-3, 4), 2)), fld.zero))
         for k, r in [(1, 2), (1, 3), (2, 3), (1, 4)]]
     # the Fraction fields read each table through QTPoly.substitute and sum
-    # through sum_of_products' rational lane: the macd certificate's at an
+    # through the kernel's rational lane: the macd certificate's at an
     # integer point and one at (5/2, -3)
     fields.append((CoeffField(Fraction(0), Fraction(1), Fraction(27),
                               Fraction(25), Fraction), lambda fld: rand_frac()))
@@ -428,8 +434,7 @@ def test_operators_match_a_per_weight_reference(monkeypatch):
                   [(apply_E, m) for m in range(3)]
             got = [op(f, arg, fld) for op, arg in ops]
             with monkeypatch.context() as mp:
-                mp.setattr(md, "sum_of_products", lambda pairs, zero: sum(
-                    (a * b for a, b in pairs), zero))
+                mp.setattr(md, "apply_rows", _plain_apply_rows)
                 want = [op(f, arg, ref) for op, arg in ops]
             assert got == want, (fld.zero, n)
     table = QTPoly({(2, 1): 3, (0, 4): -1})

@@ -133,8 +133,9 @@ def test_admissible_count_monotonicity():
 def test_lemma21_examples():
     assert pt.check_lemma21((2, 0), 1, 2, 2)
     assert pt.check_lemma21((4, 2, 0), 1, 2, 3)
-    # non-admissible input: the loop is still well defined
-    assert pt.check_lemma21((2, 1, 0), 2, 2, 3) in (True, False)
+    # a non-admissible lam fails it: (1, 1) breaks the (1, 2) window
+    assert not pt.is_admissible((1, 1), 1, 2, 2)
+    assert not pt.check_lemma21((1, 1), 1, 2, 2)
 
 
 def test_lemma21_admissible_grid_small():

@@ -361,11 +361,19 @@ def test_laurent_poly_contract(N):
         assert with_den >= 10
 
 
+def _one_target(pairs, zero):
+    """scalars.apply_rows on one target that sums the pairs (a, b)."""
+    return scalars.apply_rows({0: {i: a for i, (a, _) in enumerate(pairs)}},
+                              {i: b for i, (_, b) in enumerate(pairs)},
+                              zero).get(0, zero)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_sum_of_products_matches_the_plain_sum(N, monkeypatch):
-    """The fused int lane (N <= 2) and the ring-generic one (CycloNums,
-    N = 3, 4) against sum(a * b): unequal denominators, rational b, total
-    cancellation and the empty list."""
+    """The application kernel on one target, its packed int lane (N <= 2)
+    and the ring-generic one (CycloNums, N = 3, 4), against sum(a * b):
+    unequal denominators, rational b, total cancellation and the empty
+    list."""
     rng = random.Random(90 + N)
     zero = LaurentPoly.zero(N)
 
@@ -374,6 +382,7 @@ def test_sum_of_products_matches_the_plain_sum(N, monkeypatch):
                                rng.sample(range(-4, 5), rng.randint(1, 4))})
 
     assert sum_of_products([], zero) == zero
+    assert _one_target([], zero) == zero
     products, mul = [], LaurentPoly.__mul__
 
     def counted(a, b):
@@ -389,10 +398,10 @@ def test_sum_of_products_matches_the_plain_sum(N, monkeypatch):
         mixed += len({a.den for a, _ in pairs}) > 1
         want = sum((a * b for a, b in pairs), zero)
         del products[:]
-        got = sum_of_products(pairs, zero)
+        got = _one_target(pairs, zero)
         assert (got.den, got.c) == (want.den, want.c)
         assert not products if N <= 2 else len(products) == len(pairs)
-        gone = sum_of_products(pairs + [(-a, b) for a, b in pairs], zero)
+        gone = _one_target(pairs + [(-a, b) for a, b in pairs], zero)
         assert (gone.den, gone.c) == (1, {})
     if N <= 2:
         assert mixed >= 10
@@ -433,48 +442,200 @@ def test_sum_of_products_rational_lane_matches_the_plain_sum():
     assert seen == {True, False}
 
 
+def _scalar_pool(rng):
+    """Seeded scalars of every exact type, drawn from few small values so
+    that equal ones of different types are common: ints, Fractions,
+    CycloNums, QTPolys, UniRatFuncs and BiRatFuncs, constant or not."""
+    def frac():
+        return Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2]))
+
+    def qt():
+        return QTPoly({(rng.randint(0, 1), rng.randint(0, 1)):
+                       rng.randint(-2, 2) for _ in range(rng.randint(0, 2))})
+
+    pool = []
+    for _ in range(30):
+        N = rng.choice([1, 2, 3, 4])
+        c = CycloNum.from_rational(N, frac())
+        if rng.random() < 0.4:
+            c = c + CycloNum.zeta(N, rng.randint(0, N - 1))
+        pool += [rng.randint(-2, 2), frac(), c, qt(),
+                 BiRatFunc.const(frac()), BiRatFunc.from_poly(qt()),
+                 UniRatFunc.const(N, frac()),
+                 UniRatFunc(UniPoly.const(N, c), _canonical=True),
+                 UniRatFunc.from_laurent(N, {rng.randint(-1, 1): frac() or 1})]
+        den = qt()
+        if den:
+            pool.append(BiRatFunc(qt(), den))
+    return pool
+
+
+def test_equal_scalars_hash_equal():
+    # Python's rule: a == b implies hash(a) == hash(b), across the types,
+    # so a constant QTPoly, BiRatFunc, UniRatFunc or CycloNum and the int or
+    # Fraction it equals are one dict key
+    pool = _scalar_pool(random.Random(78))
+    kinds = set()
+    for a in pool:
+        for b in pool:
+            try:
+                equal = a == b
+            except MixedFieldError:  # Q(zeta_N) against another N
+                continue
+            if equal:
+                assert hash(a) == hash(b), (a, b)
+                kinds.add((type(a).__name__, type(b).__name__))
+    assert {("QTPoly", "int"), ("BiRatFunc", "Fraction"),
+            ("BiRatFunc", "QTPoly"), ("CycloNum", "Fraction"),
+            ("UniRatFunc", "CycloNum"), ("UniRatFunc", "int")} <= kinds
+    assert len({BiRatFunc.one(), 1, QTPoly.one(), Fraction(1)}) == 1
+    assert len({UniRatFunc.one(3), CycloNum.one(3), 1}) == 1
+    assert {2: "x"}[QTPoly.term(2)] == "x"
+
+
 def _rand_int(rng, big):
     """A nonzero int of either sign, above 2^64 in absolute value when big."""
     return rng.choice([-1, 1]) * (rng.randint(2 ** 64 + 1, 2 ** 200) if big
                                   else rng.randint(1, 9))
 
 
+# the coefficient sizes of the kernel test's applications, so that they are
+# packed at slot widths of 1, 2, 4, 8 and more than 8 bytes
+_KERNEL_SIZES = (2, 2 ** 8, 2 ** 20, 2 ** 50, 2 ** 200)
+_KERNEL_SEEN = {"one pair", "den on both sides", "negative exponent",
+                "zero sum", "shared source", "missing source", "rational b",
+                "zero factor", "width 1", "width 2", "width 4", "width 8",
+                "width > 8", "edge +", "edge -"}
+
+
+def _den(b):
+    """The denominator of a LaurentPoly over Q or of a rational."""
+    return b.den if type(b) is LaurentPoly else Fraction(b).denominator
+
+
+def _kernel_failures(N, seed):
+    """(failures, seen) of scalars.apply_rows over LaurentPolys with N <= 2
+    against oracles.laurent_sum_of_products on each target: seeded
+    applications of several targets sharing their sources, and one
+    application per slot width whose one value is +-(X/2 - 1), its bound.
+    seen names what the cases covered (_KERNEL_SEEN).  It runs no assert,
+    so it checks the same under python -O."""
+    rng = random.Random(seed)
+    zero = LaurentPoly.zero(N)
+    failures, seen, widths = [], set(), []
+    inner = scalars._slot_bytes
+
+    def recorded(bound):
+        if bound:  # 0 when no target has two pairs
+            widths.append(inner(bound))
+        return inner(bound)
+
+    def check(rows, coeffs):
+        want = {}
+        for target, row in rows.items():
+            pairs = [(a, coeffs[s]) for s, a in row.items() if s in coeffs]
+            v = laurent_sum_of_products(pairs) if pairs else zero
+            if v.c:
+                want[target] = (v.den, v.c)
+            found = {"missing source": len(pairs) < len(row),
+                     "one pair": len(pairs) == 1,
+                     "zero sum": len(pairs) > 1 and not v.c,
+                     "negative exponent": min(v.c, default=0) < 0,
+                     "rational b": any(type(b) is not LaurentPoly
+                                       for _, b in pairs),
+                     "zero factor": any(not a or not b for a, b in pairs),
+                     "den on both sides": any(
+                         a.den > 1 and _den(b) > 1 for a, b in pairs)}
+            seen.update(name for name, hit in found.items() if hit)
+        del widths[:]
+        got = scalars.apply_rows(rows, coeffs, zero)
+        if {target: (v.den, v.c) for target, v in got.items()} != want:
+            failures.append((rows, coeffs))
+        seen.update("width %d" % w if w <= 8 else "width > 8" for w in widths)
+        if sum(map(len, rows.values())) > len(set().union(*rows.values())):
+            seen.add("shared source")
+
+    def rand(size):
+        return LaurentPoly(N, {e: Fraction(
+            rng.choice([-1, 1]) * rng.randint(1, size),
+            rng.choice([1, 1, 2, 3, 6]))
+            for e in rng.sample(range(-7, 8), rng.randint(1, 3))})
+
+    scalars._slot_bytes = recorded
+    try:
+        for _ in range(150):
+            size = rng.choice(_KERNEL_SIZES)
+            coeffs = {}
+            for s in range(rng.randint(1, 5)):
+                coeffs[s] = rng.choice([
+                    rand(size), rand(size), zero,
+                    Fraction(rng.randint(-size, size), rng.randint(1, 6))])
+            rows = {}
+            for target in range(rng.randint(1, 5)):
+                rows[target] = {s: rng.choice([rand(size)] * 5 + [zero])
+                                for s in rng.sample(range(6),
+                                                    rng.randint(1, 4))}
+            a = rand(size)
+            coeffs[6] = coeffs[0]  # a second source of one value: cancels
+            rows[5] = {0: a, 6: -a}
+            check(rows, coeffs)
+        for nb in (1, 2, 4, 8, 9):
+            top = 2 ** (8 * nb - 1) - 1  # X/2 - 1, the bound of its target
+            for sign in (1, -1):
+                check({"edge": {0: LaurentPoly(N, {-2: sign * (top - 1)}),
+                                1: LaurentPoly(N, {1: sign})}},
+                      {0: LaurentPoly(N, {3: 1}), 1: 1})
+                if widths == [nb]:
+                    seen.add("edge +" if sign > 0 else "edge -")
+    finally:
+        scalars._slot_bytes = inner
+    return failures, seen
+
+
 @pytest.mark.parametrize("N", [1, 2])
 def test_packed_laurent_sum_matches_the_loop(N):
-    """The packed Laurent lane of sum_of_products against the int-dict loop
-    it replaced (oracles.laurent_sum_of_products), equal in den and c:
-    negative coefficients and exponents, denominators other than 1,
-    coefficients above 2^64, one pair, zero polynomials, rational b and
-    sums that cancel to 0."""
-    rng = random.Random(400 + N)
-    zero = LaurentPoly.zero(N)
+    """The application kernel's packed Laurent lane (one slot width per
+    application, each coefficient of f packed once) against the int-dict
+    loop per target (oracles.laurent_sum_of_products), equal in den and c
+    (_kernel_failures)."""
+    failures, seen = _kernel_failures(N, 400 + N)
+    assert not failures
+    assert seen == _KERNEL_SEEN
 
-    def rand(big):
-        if rng.random() < 0.1:
-            return zero
-        return LaurentPoly(N, {e: Fraction(_rand_int(rng, big),
-                                           rng.choice([1, 1, 2, 3, 6]))
-                               for e in rng.sample(range(-7, 8),
-                                                   rng.randint(1, 6))})
 
-    seen = set()
-    for _ in range(300):
-        big = rng.random() < 0.3
-        pairs = [(rand(big), rng.choice([rand(big), Fraction(
-            _rand_int(rng, big), rng.randint(1, 5))]))
-            for _ in range(rng.randint(1, 5))]
-        want = laurent_sum_of_products(pairs)
-        got = sum_of_products(pairs, zero)
-        assert (got.den, got.c) == (want.den, want.c)
-        gone = sum_of_products(pairs + [(-a, b) for a, b in pairs], None)
-        assert (gone.den, gone.c) == (1, {})
-        polys = [x for pair in pairs for x in pair
-                 if type(x) is LaurentPoly]
-        seen |= {("one pair", len(pairs) == 1), ("den", want.den > 1),
-                 ("big", big and bool(want.c)),
-                 ("zero", not all(polys)), ("zero sum", not want.c),
-                 ("negative exponent", min(want.c, default=0) < 0)}
-    assert all((flag, True) in seen for flag, _ in seen)
+_KERNEL_UNDER_O = """
+import sys
+sys.path.insert(0, %r)
+from test_scalars import _KERNEL_SEEN, _kernel_failures
+for N in (1, 2):
+    failures, seen = _kernel_failures(N, 400 + N)
+    if failures or seen != _KERNEL_SEEN or __debug__:
+        raise SystemExit(1)
+"""
+
+
+def test_packed_laurent_sum_matches_the_loop_under_O():
+    # the same cases with asserts compiled out: the kernel's exactness
+    # does not rest on an assert
+    done = _run_under_O(_KERNEL_UNDER_O % os.path.dirname(
+        os.path.abspath(__file__)))
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("nb", [1, 2, 4, 8, 9, 16])
+def test_unpack_reads_every_slot_value_that_fits(nb):
+    # the cast decode (nb = 1, 2, 4, 8) and the slice decode (wider) read
+    # +-(X/2 - 1) in the lowest, a middle and the top slot; a top value of
+    # X/2 or -(X/2) - 1 does not fit and raises OverflowError
+    X = 2 ** (8 * nb)
+    edge = X // 2 - 1
+    for values in ([edge, 0, -edge, 5, edge], [-edge, -1, 0, 0, -edge], [3]):
+        total = sum(v * X ** s for s, v in enumerate(values))
+        assert scalars._unpack(total, nb, len(values)) == {
+            s: v for s, v in enumerate(values) if v}
+    for top in (X // 2, -(X // 2) - 1):
+        with pytest.raises(OverflowError):
+            scalars._unpack(7 + top * X ** 2, nb, 3)
 
 
 def test_packed_qt_fold_matches_the_loop():

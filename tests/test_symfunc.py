@@ -86,30 +86,29 @@ def test_mul_properties():
 
 
 def test_wheel_substitute_examples():
-    p = ParameterSpec(1, 2)
+    K = specialized_field(ParameterSpec(1, 2))
     one = UniRatFunc.one(1)
     u = unirat_u(1)
     f = SymPoly.m((1,), 2, one)
-    out = wheel_substitute(f, (0,), p, p.specialize)
+    out = wheel_substitute(f, (0,), K)
     assert out.terms == {(1,): one + u}
     # constants pass through
     const = SymPoly.m((), 2, one * 7)
-    assert wheel_substitute(const, (1,), p, p.specialize).terms == {
+    assert wheel_substitute(const, (1,), K).terms == {
         (0,): one * 7}
     # the kernel element a*m_(2) + b*m_(11) with a(1+t^2) + b t = 0
     f = SymPoly(2, {(2,): u, (1, 1): -(one + u * u)})
     for sigma in [(0,), (1,)]:
-        assert wheel_substitute(f, sigma, p, p.specialize).is_zero()
-    assert not wheel_substitute(SymPoly.m((2,), 2, one), (0,), p,
-                                p.specialize).is_zero()
+        assert wheel_substitute(f, sigma, K).is_zero()
+    assert not wheel_substitute(SymPoly.m((2,), 2, one), (0,), K).is_zero()
 
 
 def test_wheel_substitute_validation():
     # both entry points share the one collapse and its input checks
     p = ParameterSpec(2, 3)
-    fld = CoeffField.laurent(p)
+    fld, K = CoeffField.laurent(p), specialized_field(p)
     for one, subs in [(UniRatFunc.one(2),
-                       lambda f, s: wheel_substitute(f, s, p, p.specialize)),
+                       lambda f, s: wheel_substitute(f, s, K)),
                       (fld.one, lambda f, s: _wheel_substitute_fld(f, s, fld))]:
         f = SymPoly.m((1,), 3, one)
         with pytest.raises(ValueError):
@@ -129,14 +128,14 @@ def test_wheel_substitute_validation():
 
 def test_wheel_substitute_linear():
     rng = random.Random(4)
-    p = ParameterSpec(1, 3)
+    K = specialized_field(ParameterSpec(1, 3))
     one = UniRatFunc.one(2)
     for sigma in [(0,), (1,), (2,)]:
         f = _random_sympoly(rng, 3, 4).scale(one)
         g = _random_sympoly(rng, 3, 4).scale(one)
-        lhs = wheel_substitute(f + g, sigma, p, p.specialize)
-        rhs = (wheel_substitute(f, sigma, p, p.specialize)
-               + wheel_substitute(g, sigma, p, p.specialize))
+        lhs = wheel_substitute(f + g, sigma, K)
+        rhs = (wheel_substitute(f, sigma, K)
+               + wheel_substitute(g, sigma, K))
         assert lhs.terms == rhs.terms
 
 

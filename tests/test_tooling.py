@@ -347,6 +347,36 @@ def test_relations_stay_on_their_parameter_spec():
     assert [_container_sizes(module) for module in modules] == before
 
 
+def test_wheel_tables_stay_on_their_field(monkeypatch):
+    # likewise for the read wheel tables: a fresh field substituting wheels
+    # at a new degree must leave every container of these modules as it
+    # was (the degree's orbits and the CycloNum field cache warmed); it
+    # collapses each (lam, n, sigma) once, and a second field builds its own
+    k, r, n, d = 1, 3, 3, 23
+    modules = (symfunc, wheel_ideal, md, scalars)
+    p = ParameterSpec(k, r)
+    scalars._CycloField.get(p.N)
+    f = SymPoly(n, {lam: scalars.LaurentPoly.one(p.N)
+                    for lam in pt.enumerate_partitions(n, d) if len(lam) == n})
+    for lam in f.coeffs:
+        symfunc.orbit_of(lam, n)
+    collapses, collapse = [], md.wheel_collapse
+
+    def counted(lam, n, sigma):
+        collapses.append((lam, n, sigma))
+        return collapse(lam, n, sigma)
+
+    monkeypatch.setattr(md, "wheel_collapse", counted)
+    before = [_container_sizes(module) for module in modules]
+    first, second = md.CoeffField.laurent(p), md.CoeffField.laurent(p)
+    for fld in (first, first, second):
+        for sigma in wheel_ideal.wheel_substitutions(k, r):
+            wheel_ideal._wheel_substitute_fld(f, sigma, fld)
+    tables = len(f.coeffs) * len(wheel_ideal.wheel_substitutions(k, r))
+    assert len(collapses) == 2 * tables == 2 * len(set(collapses))
+    assert [_container_sizes(module) for module in modules] == before
+
+
 def test_readme_commands_parse():
     # parse only: no command runs, so this costs milliseconds
     lines = [line for line in README.read_text().splitlines()

@@ -102,8 +102,9 @@ def _per_term(f, sigma, fld):
 
 
 def test_substitution_entry_points_agree():
-    # symfunc.wheel_substitute reads its tables through p, the CoeffField
-    # variant through fld; over K both must give the per-term collapse
+    # symfunc.wheel_substitute on a fresh field each time reads its tables
+    # anew, the CoeffField variant on the shared fld keeps them; over K
+    # both must give the per-term collapse
     rng = random.Random(31)
     for k, r in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         p = ParameterSpec(k, r)
@@ -119,8 +120,8 @@ def test_substitution_entry_points_agree():
                         u ** rng.randint(0, 3) * rng.randint(-5, 5)
                 f = SymPoly(n, coeffs)
                 want = _per_term(f, sigma, fld)
-                assert wheel_substitute(f, sigma, p, p.specialize) == want, \
-                    (k, r, sigma, f)
+                got = wheel_substitute(f, sigma, specialized_field(p))
+                assert got == want, (k, r, sigma, f)
                 assert _wheel_substitute_fld(f, sigma, fld) == want, \
                     (k, r, sigma, f)
 
@@ -146,8 +147,8 @@ def test_substitution_entry_points_agree_on_fractions():
                     coeffs[rng.choice(plist)] = c
                 f = SymPoly(n, coeffs)
                 want = _per_term(f, sigma, fld)
-                assert wheel_substitute(f, sigma, p, p.specialize) == want, \
-                    (k, r, sigma, f)
+                got = wheel_substitute(f, sigma, specialized_field(p))
+                assert got == want, (k, r, sigma, f)
                 assert _wheel_substitute_fld(f, sigma, fld) == want, \
                     (k, r, sigma, f)
 
@@ -163,13 +164,11 @@ def test_wheel_substitute_of_a_monomial_needs_no_gcd(monkeypatch):
 
     monkeypatch.setattr(UniPoly, "gcd", counting_gcd)
     for k, r in [(1, 2), (2, 3), (1, 4)]:
-        p = ParameterSpec(k, r)
-        one = UniRatFunc.one(p.N)
+        K = specialized_field(ParameterSpec(k, r))
         for n in (k + 1, k + 2):
             for lam in pt.enumerate_partitions(n, 5):
                 for sigma in wheel_substitutions(k, r):
-                    wheel_substitute(SymPoly.m(lam, n, one), sigma, p,
-                                     p.specialize)
+                    wheel_substitute(SymPoly.m(lam, n, K.one), sigma, K)
     assert not calls
 
 
@@ -231,12 +230,12 @@ def _reference_rows(k, r, n, d, p):
     one row per free monomial, so each distinct row once per permutation
     of the free exponents."""
     plist = pt.enumerate_partitions(n, d)
-    one = UniRatFunc.one(p.N)
+    K = specialized_field(p)
+    one = K.one
     rows = {}
     for sigma in wheel_substitutions(k, r):
         for i, lam in enumerate(plist):
-            image = wheel_substitute(SymPoly.m(lam, n, one), sigma, p,
-                                     p.specialize)
+            image = wheel_substitute(SymPoly.m(lam, n, one), sigma, K)
             for mono, c in image.terms.items():
                 rows.setdefault((sigma, mono), [one - one] * len(plist))[i] = c
     return rows
@@ -782,6 +781,41 @@ def test_stability_on_one_field_builds_each_matrix_once(monkeypatch):
     assert len(builds) == len(set(builds)) > 0
     with pytest.raises(ValueError):
         verify_stability(SymPoly.m((8,), 4, fld.one), p, fld=fld)
+
+
+def test_a_reused_field_still_rejects_a_non_member():
+    # the wheel tables a field keeps from the members of one (n, d) must
+    # not turn a later non-member of that (n, d) into a member
+    for k, r, n, d in [(1, 2, 3, 6), (2, 2, 4, 6), (2, 3, 3, 6)]:
+        p = ParameterSpec(k, r)
+        fld = CoeffField.laurent(p)
+        basis = [laurent_clear(g, p)
+                 for g in wheel_kernel_basis(k, r, n, d, p)]
+        assert basis and all(satisfies_wheel(g, p, fld) for g in basis)
+        outside = SymPoly.m((d,), n, fld.one)
+        assert not satisfies_wheel(outside, p, CoeffField.laurent(p))
+        assert not satisfies_wheel(outside, p, fld)
+        assert not satisfies_wheel(basis[0] + outside, p, fld)
+        assert satisfies_wheel(basis[-1], p, fld)
+
+
+def test_stability_sees_a_planted_operator_matrix_entry():
+    # verify_stability on a field whose operator matrix was already built:
+    # one entry planted wrong (one more m_lam in the image of m_nu, with
+    # m_lam outside J) makes the image leave J, and the verdict False
+    p = ParameterSpec(2, 2)
+    n, d = 4, 8
+    fld = CoeffField.laurent(p)
+    f = laurent_clear(wheel_kernel_basis(2, 2, n, d, p)[0], p)
+    assert verify_stability(f, p, fld=fld)
+    lam, nu = (d,), next(iter(f.coeffs))
+    assert not satisfies_wheel(SymPoly.m(lam, n, fld.one), p, fld)
+    for op in [("D", 1), ("E", 1)]:  # E_1 keeps the degree too
+        planted = CoeffField.laurent(p)
+        assert verify_stability(f, p, [op], fld=planted)
+        row = planted.matrix(n, d, op).setdefault(lam, {})
+        row[nu] = row.get(nu, planted.zero) + planted.one
+        assert not verify_stability(f, p, [op], fld=planted), op
 
 
 @pytest.mark.parametrize("k, r, n, d", [(1, 5, 2, 8), (2, 4, 3, 6)])
