@@ -10,14 +10,18 @@ Two elimination paths:
     (the wheel matrix holds one row per relation and filler, and its
     callers pass one sigma per rotation class, so the rotation copies,
     unit multiples of their class's rows, never reach it), then a numeric
-    evaluation of u picks out candidate independent rows
-    (independence at a point implies exact independence),
-    the candidates are triangularized exactly with row-content stripping,
-    the kernel is read off by fraction-free back-substitution (UniPoly
-    entries throughout, no rational functions), and every remaining row
-    is certified against the kernel by polynomial dot products.  Any row
-    failing the certificate joins the candidates and the loop repeats, so
-    the output is exact regardless of the evaluation point.
+    evaluation of u picks out candidate independent rows.  Evaluation at
+    u0 is a ring map, so a nonzero minor at u0 is a nonzero minor over
+    Q(zeta_N)[u]: independence at a point implies exact independence.
+    When the candidates reach full column rank, that minor is the whole
+    answer (rank ncols, no kernel) and nothing else runs.  Below full
+    rank the candidates are triangularized exactly with row-content
+    stripping, the kernel is read off by fraction-free back-substitution
+    (UniPoly entries throughout, no rational functions), and every
+    remaining row is certified against the kernel by polynomial dot
+    products.  Any row failing the certificate joins the candidates and
+    the loop repeats, so the output is exact regardless of the
+    evaluation point.
 
 UniRatFunc rows are cleared to UniPoly rows by one of two helpers:
 ``_clear_upower_row`` for the constraint rows, whose denominators are
@@ -219,9 +223,15 @@ def rank_kernel_poly(rows, ncols, N):
         one, zero = UniPoly.one(N), UniPoly.zero(N)
         return 0, [[one if j == fc else zero for j in range(ncols)]
                    for fc in range(ncols)]
-    numeric = [[e.evaluate(_PROBE_POINT) for e in row] for row in rows]
     ech = EchelonBasis(ncols)
-    chosen = [i for i, nrow in enumerate(numeric) if ech.add(nrow)]
+    chosen = []
+    for i, row in enumerate(rows):
+        if ech.add([e.evaluate(_PROBE_POINT) for e in row]):
+            chosen.append(i)
+            if ech.rank == ncols:
+                # the chosen rows have a nonzero ncols-minor at u0, hence
+                # over Q(zeta_N)[u]: full column rank, no kernel
+                return ncols, []
     chosen_set = set(chosen)
     while True:
         tri = _triangularize_poly([rows[i] for i in chosen], ncols)

@@ -1,0 +1,132 @@
+"""Opt-in mutation run: does tier-1 notice a planted fault?
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py rank-1     # the named ones
+
+Each mutant is a text replacement in one file under src/.  For each, the
+tree is copied to a temporary directory, the replacement is applied there
+(it must match exactly once), and tier-1 runs in one child process with
+``-x``; a failing run kills the mutant.  The unchanged tree runs first,
+since a kill means nothing when tier-1 already fails.  One child runs at a
+time.  The exit code is 0 when every mutant was killed, 1 when one
+survived, 2 when the unchanged tree fails or a mutant does not apply.
+
+pytest does not collect this file (its name does not start with test_).
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> (file under src/wheelmac, text, replacement)
+MUTANTS = {
+    # each verifier's failure branch turned into its success value
+    "pieri-never-fails": (
+        "macdonald.py",
+        "    return failures\n\n\ndef verify_pieri",
+        "    return []\n\n\ndef verify_pieri"),
+    "cauchy-always-true": (
+        "macdonald.py",
+        "        if lhs.terms != rhs[l]:\n            return False",
+        "        if lhs.terms != rhs[l]:\n            return True"),
+    "rho-always-true": (
+        "wheel_ideal.py",
+        "        if not satisfies_wheel(g, p, fld):\n            return False",
+        "        if not satisfies_wheel(g, p, fld):\n            return True"),
+    "prop302-always-true": (
+        "current_algebra.py",
+        "!= chi[(d, n)]:\n                return False",
+        "!= chi[(d, n)]:\n                return True"),
+    "stability-always-true": (
+        "wheel_ideal.py",
+        "        if not satisfies_wheel(image, p, fld):\n            return False",
+        "        if not satisfies_wheel(image, p, fld):\n            return True"),
+    "lemma21-always-true": (
+        "partitions.py",
+        "    p = ParameterSpec(k, r)\n    lam = pad(normalize(lam), n)\n",
+        "    return True\n"),
+    # the full-rank exit of rank_kernel_poly one row early
+    "rank-1": (
+        "linalg.py",
+        "            if ech.rank == ncols:",
+        "            if ech.rank == ncols - 1:"),
+    # the full-rank exit taken while the input is drained, so the rows
+    # after it are never cleared
+    "exit-before-drain": (
+        "linalg.py",
+        "    rows = list(dict.fromkeys(tuple(r) for r in rows if any(r)))\n",
+        "    source, rows, ech = rows, [], EchelonBasis(ncols)\n"
+        "    for r in source:\n"
+        "        if any(r) and tuple(r) not in rows:\n"
+        "            rows.append(tuple(r))\n"
+        "            if (ech.add([e.evaluate(_PROBE_POINT) for e in r])\n"
+        "                    and ech.rank == ncols):\n"
+        "                return ncols, []\n"),
+}
+
+
+def _copy_tree(dest):
+    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".bench_trace"))
+
+
+def _source(name):
+    return ROOT / "src" / "wheelmac" / name
+
+
+def _tier1(dest):
+    """(passed, seconds) of tier-1 with -x on the tree at dest."""
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"))
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=dest, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL, timeout=1800)
+    return done.returncode == 0, time.monotonic() - start
+
+
+def _run(mutant):
+    with tempfile.TemporaryDirectory() as tmp:
+        dest = Path(tmp) / "tree"
+        _copy_tree(dest)
+        if mutant is not None:
+            name, old, new = mutant
+            path = dest / _source(name).relative_to(ROOT)
+            path.write_text(path.read_text().replace(old, new))
+        return _tier1(dest)
+
+
+def main(names):
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        raise SystemExit("unknown mutants: %s" % ", ".join(unknown))
+    for name in names or MUTANTS:
+        source, old, _ = MUTANTS[name]
+        found = _source(source).read_text().count(old)
+        if found != 1:
+            print("mutant %s does not apply: its text occurs %d times in %s"
+                  % (name, found, source), file=sys.stderr)
+            return 2
+    passed, seconds = _run(None)
+    print("%-24s %-8s %6.1f s" % ("(unchanged)", "passed" if passed
+                                  else "FAILED", seconds), flush=True)
+    if not passed:
+        return 2
+    survived = 0
+    for name in names or MUTANTS:
+        passed, seconds = _run(MUTANTS[name])
+        survived += passed
+        print("%-24s %-8s %6.1f s" % (name, "SURVIVED" if passed
+                                      else "killed", seconds), flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

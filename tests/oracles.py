@@ -7,7 +7,7 @@ from math import lcm
 from wheelmac import partitions as pt
 from wheelmac.macdonald import CoeffField
 from wheelmac.scalars import LaurentPoly, QTPoly, UniRatFunc, _lpoly
-from wheelmac.symfunc import orbit_of
+from wheelmac.symfunc import SymPoly, orbit_of
 
 
 def euler_phi(n):
@@ -43,6 +43,47 @@ def eval_monomial_symmetric(lam, values, one=Fraction(1)):
                 prod = prod * pw
         total = total + prod
     return total
+
+
+def rational_value(f, x):
+    """The UniPoly f over Q (N <= 2) at the rational x, by Horner over its
+    Fraction coefficients."""
+    acc = Fraction(0)
+    for c in reversed(f.coeffs()):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_det(rows):
+    """Determinant of a square matrix of Fractions, by Gaussian elimination
+    with a row swap wherever a pivot is zero."""
+    rows = [list(map(Fraction, row)) for row in rows]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        pv = rows[col][col]
+        det *= pv
+        for row in rows[col + 1:]:
+            c = row[col] / pv
+            if c:
+                for j in range(col, len(row)):
+                    row[j] -= c * rows[col][j]
+    return det
+
+
+def doubled_coefficient(table, lam, mu):
+    """table, with the coefficient of m_mu in its P_lam doubled: a planted
+    wrong Macdonald polynomial for the verifiers' negative controls."""
+    P = table.compute_P(lam)
+    coeffs = dict(P.coeffs)
+    coeffs[mu] = coeffs[mu] * 2
+    table.entries[pt.normalize(lam)] = SymPoly(P.n, coeffs)
+    return table
 
 
 def laurent_sum_of_products(pairs):

@@ -351,3 +351,54 @@ def test_inexact_division_exits_3_under_O():
     done = _python(["-O", "-c", _WRONG_GCD_UNDER_O], capture_output=True)
     assert done.returncode == 3, done.stderr
     assert "inexact" in done.stderr and "Traceback" not in done.stderr
+
+
+# the CLI over planted wrong inputs: P_21, P_2 and P_42 in three variables
+# each with one coefficient doubled, and chi_C one too large at (d, n) =
+# (3, 2); the command to run follows the script
+_PLANTED_UNDER_O = """
+import sys
+from wheelmac import current_algebra as ca
+from wheelmac import macdonald as md
+from wheelmac import partitions as pt
+from wheelmac.cli import run
+from wheelmac.symfunc import SymPoly
+
+PLANTED = {(3, (2, 1)): (1, 1, 1), (3, (2,)): (1, 1), (3, (4, 2)): (3, 3)}
+compute, chi_C = md.MacdonaldTable.compute_P, ca.chi_C
+
+def compute_planted(table, lam):
+    lam = pt.normalize(lam)
+    fresh = lam not in table.entries
+    P = compute(table, lam)
+    mu = PLANTED.get((table.n, lam))
+    if fresh and mu:
+        coeffs = dict(P.coeffs)
+        coeffs[mu] = coeffs[mu] * 2
+        P = table.entries[lam] = SymPoly(table.n, coeffs)
+    return P
+
+def chi_off_by_one(b, k, r, d_max, n_max):
+    chi = chi_C(b, k, r, d_max, n_max)
+    chi.coeffs[(3, 2)] = chi[(3, 2)] + 1
+    return chi
+
+md.MacdonaldTable.compute_P = compute_planted
+ca.chi_C = chi_off_by_one
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    "macd pieri --n 3 --lambda 2,1",
+    "macd cauchy --n 3 --l-max 3",
+    "verify rho --k 1 --r 2 --n 3 --lambda 4,2 --j-max 0",
+    "verify prop302 --k 1 --r 2 --b 1 --d-max 5 --n-max 3",
+])
+def test_a_planted_wrong_input_exits_1_under_O(argv):
+    """A verifier that sees a wrong Macdonald polynomial or character
+    reports it: "ok" false and exit 1, also under python -O."""
+    done = _python(["-O", "-c", _PLANTED_UNDER_O] + argv.split(),
+                   capture_output=True)
+    assert done.returncode == 1, done.stderr
+    assert json.loads(done.stdout)["ok"] is False

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from wheelmac import current_algebra as ca
 from wheelmac import linalg, wheel_ideal
 from wheelmac import partitions as pt
 from wheelmac.current_algebra import (K_d_nu, W_space_dim, chi_C,
@@ -516,6 +517,19 @@ def test_prop302_examples():
     assert verify_prop302((1,), 1, 2, 5, 3, p)
     assert verify_prop302((0,), 1, 2, 5, 3, p)
     assert verify_prop302((0, 1), 1, 3, 5, 3, ParameterSpec(1, 3))
+
+
+def test_prop302_sees_a_character_off_by_one(monkeypatch):
+    p = ParameterSpec(1, 2)
+    inner = ca.chi_C
+
+    def off_by_one(b, k, r, d_max, n_max):
+        chi = inner(b, k, r, d_max, n_max)
+        chi.coeffs[(3, 2)] = chi[(3, 2)] + 1
+        return chi
+
+    monkeypatch.setattr(ca, "chi_C", off_by_one)
+    assert not verify_prop302((1,), 1, 2, 5, 3, p)
 
 
 def test_current_vector_semantics():

@@ -18,15 +18,16 @@ from wheelmac.macdonald import (CoeffField, ExactDivisionError, MacdonaldTable,
                                 apply_D, apply_E,
                                 cauchy_row_check, check_integrality,
                                 eigenvalue_D, eigenvalue_e1,
-                                integral_form_factor, psi_dblprime,
-                                psi_prime, qpochhammer_ratio,
+                                integral_form_factor, pieri_failures,
+                                psi_dblprime, psi_prime, qpochhammer_ratio,
                                 specialize_P, verify_pieri)
 from wheelmac.scalars import (BiRatFunc, CycloNum, LaurentPoly, ParameterSpec,
                               QTPoly, UniRatFunc)
 from wheelmac.symfunc import SymPoly
 from wheelmac.wheel_ideal import basis_I, wheel_kernel_basis
 
-from oracles import eval_monomial_symmetric, lcm_sum, poly_field, unirat_u
+from oracles import (doubled_coefficient, eval_monomial_symmetric, lcm_sum,
+                     poly_field, unirat_u)
 from test_symfunc import _zeta3_point_field
 
 q = BiRatFunc.q()
@@ -527,6 +528,12 @@ def test_verify_pieri_examples(lam, n, tables):
     assert verify_pieri(lam, n, tables(n))
 
 
+def test_pieri_sees_a_planted_coefficient():
+    # P_21 with its m_111 coefficient doubled breaks all three identities
+    table = doubled_coefficient(MacdonaldTable(3), (2, 1), (1, 1, 1))
+    assert pieri_failures((2, 1), 3, table) == ["e1", "E0", "E2"]
+
+
 def test_integral_form_is_the_product_of_its_cells():
     # the packed product against one BiRatFunc factor per cell
     for d in range(10):
@@ -773,6 +780,12 @@ def test_cauchy_examples(tables):
     assert qpochhammer_ratio(1) == (one - t) / (one - q)
     assert cauchy_row_check(2, 3, tables(2))
     assert cauchy_row_check(3, 4, tables(3))
+
+
+def test_cauchy_sees_a_planted_coefficient():
+    # the y^2 term reads P_(2), here with its m_11 coefficient doubled
+    table = doubled_coefficient(MacdonaldTable(3), (2,), (1, 1))
+    assert not cauchy_row_check(3, 3, table)
 
 
 def test_equal_eigenvalue_guard():

@@ -27,7 +27,8 @@ from wheelmac.wheel_ideal import (_rotation_classes, _wheel_substitute_fld,
                                   verify_stability, verify_theorem1,
                                   wheel_kernel_basis, wheel_substitutions)
 
-from oracles import euler_phi, specialized_field, unirat_u
+from oracles import (doubled_coefficient, euler_phi, fraction_det,
+                     rational_value, specialized_field, unirat_u)
 from test_symfunc import _naive_collapse
 
 
@@ -713,6 +714,145 @@ def test_wheel_kernel_basis_matches_the_rational_back_substitution(
     assert got == [wheel_kernel_basis(*case) for case in cases]
 
 
+# (k, r) of the theorem grid -> its largest n (d <= 8)
+_THEOREM_GRID = {(1, 2): 5, (2, 2): 5, (1, 3): 4, (2, 3): 4}
+
+
+def _zero_J_components():
+    """(k, r, n, d) of the theorem grid with n > k and no admissible
+    partition: J = 0 there, so the wheel rows have full column rank."""
+    return [(k, r, n, d) for (k, r), n_max in _THEOREM_GRID.items()
+            for n in range(k + 1, n_max + 1) for d in range(9)
+            if not pt.count_admissible(k, r, n, d)]
+
+
+def _class_rows(k, r, n, d, p):
+    """The cleared rows dim_J ranks: one sigma per rotation class."""
+    return [_clear_upower_row(row, p.N) for _, row in constraint_rows(
+        k, r, n, d, p, sigmas=_rotation_classes(k, r))]
+
+
+def _count_elimination(monkeypatch):
+    """What rank_kernel_poly's phases see: whether each EchelonBasis.add
+    grew the rank, the rows of each triangularization and each kernel."""
+    seen = {"add": [], "tri": [], "kernel": []}
+    add, tri = linalg.EchelonBasis.add, linalg._triangularize_poly
+    back = linalg._poly_kernel_from_triangular
+
+    def counted_add(self, row):
+        seen["add"].append(add(self, row))
+        return seen["add"][-1]
+
+    def counted_tri(rows, ncols):
+        seen["tri"].append([tuple(row) for row in rows])
+        return tri(rows, ncols)
+
+    def counted_back(rows, ncols, N):
+        seen["kernel"].append(back(rows, ncols, N))
+        return seen["kernel"][-1]
+
+    monkeypatch.setattr(linalg.EchelonBasis, "add", counted_add)
+    monkeypatch.setattr(linalg, "_triangularize_poly", counted_tri)
+    monkeypatch.setattr(linalg, "_poly_kernel_from_triangular", counted_back)
+    return seen
+
+
+def test_full_rank_ends_at_a_nonzero_minor(monkeypatch):
+    # where J = 0 the rows taken at the probe point reach rank ncols, and
+    # they have a nonzero ncols-minor there (a Fraction determinant, no
+    # library arithmetic): that proves the rank, and no exact elimination
+    # runs.  On some component the exit leaves rows unevaluated
+    seen = _count_elimination(monkeypatch)
+    components = _zero_J_components()
+    assert len(components) == 70
+    short = []
+    for k, r, n, d in components:
+        p = ParameterSpec(k, r)
+        ncols = len(pt.enumerate_partitions(n, d))
+        rows = _class_rows(k, r, n, d, p)
+        distinct = list(dict.fromkeys(tuple(row) for row in rows if any(row)))
+        del seen["add"][:]
+        assert rank_kernel_poly(rows, ncols, p.N) == (ncols, []), (k, r, n, d)
+        grew = seen["add"]
+        assert sum(grew) == ncols and grew[-1], (k, r, n, d)
+        chosen = [row for row, g in zip(distinct, grew) if g]
+        minor = [[rational_value(x, linalg._PROBE_POINT) for x in row]
+                 for row in chosen]
+        assert fraction_det(minor) != 0, (k, r, n, d)
+        if len(grew) < len(distinct):
+            short.append((k, r, n, d))
+    assert not seen["tri"] and not seen["kernel"]
+    assert short
+
+
+def test_a_row_that_vanishes_at_the_probe_point_takes_the_exact_path(
+        monkeypatch):
+    # e_c (u - u0) completes a one-dimensional kernel to full rank over
+    # Q[u] but is zero at u0, so the numeric rank stops at ncols - 1 and
+    # the exit must not fire: the certificate finds the row, and the
+    # second round proves the kernel empty
+    k, r, n, d = 1, 2, 3, 6
+    p = ParameterSpec(k, r)
+    ncols = len(pt.enumerate_partitions(n, d))
+    rows = _class_rows(k, r, n, d, p)
+    rank, kernel = rank_kernel_poly(rows, ncols, p.N)
+    assert (rank, len(kernel)) == (ncols - 1, 1)
+    col = next(c for c, x in enumerate(kernel[0]) if x)
+    offender = [UniPoly.zero(p.N)] * ncols
+    offender[col] = UniPoly(p.N, [-linalg._PROBE_POINT, 1])
+    seen = _count_elimination(monkeypatch)
+    assert rank_kernel_poly(rows + [offender], ncols, p.N) == (ncols, [])
+    assert sum(seen["add"]) == ncols - 1
+    assert seen["kernel"] == [kernel, []]
+    first, second = seen["tri"]
+    assert second == first + [tuple(offender)]
+
+
+# J = 0 on the grid without the exact elimination, and a row after the
+# full rank whose denominator is no u-power still raises, under -O
+_FULL_RANK_UNDER_O = """
+from wheelmac import linalg, partitions as pt
+from wheelmac.scalars import ExactDivisionError, ParameterSpec, UniRatFunc
+from wheelmac.wheel_ideal import _rotation_classes, constraint_rows, dim_J
+
+def refuse(rows, ncols):
+    raise SystemExit("the exact elimination ran at full rank")
+
+linalg._triangularize_poly = refuse
+for k, r, n_max in [(1, 2, 5), (2, 2, 5), (1, 3, 4), (2, 3, 4)]:
+    for n in range(k + 1, n_max + 1):
+        for d in range(9):
+            if not pt.count_admissible(k, r, n, d) and dim_J(k, r, n, d):
+                raise SystemExit("dim_J(%d, %d, %d, %d) != 0" % (k, r, n, d))
+one, u = UniRatFunc.one(1), UniRatFunc.from_laurent(1, {1: 1})
+rows = [row for _, row in constraint_rows(
+    1, 2, 3, 3, ParameterSpec(1, 2), sigmas=_rotation_classes(1, 2))]
+try:
+    linalg.corank_upower(rows + [[one / (one + u), one - one, one - one]],
+                         3, 1)
+except ExactDivisionError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_every_row_is_cleared_after_the_rank_is_full():
+    # the rows of (1, 2, 3, 3) fill all three columns; a fourth row with a
+    # 1 + u denominator must still be refused, since the input is cleared
+    # before the numeric rank is taken
+    k, r, n, d = 1, 2, 3, 3
+    p = ParameterSpec(k, r)
+    one, u = UniRatFunc.one(1), unirat_u(1)
+    rows = [row for _, row in constraint_rows(
+        k, r, n, d, p, sigmas=_rotation_classes(k, r))]
+    assert len(pt.enumerate_partitions(n, d)) == 3
+    assert corank_upower(rows, 3, p.N) == 0
+    with pytest.raises(ExactDivisionError, match="not a power of u"):
+        corank_upower(rows + [[one / (one + u), one - one, one - one]], 3,
+                      p.N)
+    _run_under_O(_FULL_RANK_UNDER_O)
+
+
 def test_basis_I_examples(tables):
     p = ParameterSpec(1, 2)
     out = basis_I(1, 2, 2, 2, p, tables(2))
@@ -844,6 +984,14 @@ def test_rho_inclusion_examples(tables):
     assert verify_rho_inclusion((4, 2), 1, 2, 3, 2, p, tables(3))
     with pytest.raises(ValueError):
         verify_rho_inclusion((2,), 1, 2, 2, 1, p, tables(2))
+
+
+def test_rho_inclusion_sees_a_planted_coefficient():
+    # P_42 with its m_33 coefficient doubled leaves J already at j = 0
+    p = ParameterSpec(1, 2)
+    table = doubled_coefficient(MacdonaldTable(3), (4, 2), (3, 3))
+    assert not verify_rho_inclusion((4, 2), 1, 2, 3, 0, p, table)
+    assert not verify_rho_inclusion((4, 2), 1, 2, 3, 2, p, table)
 
 
 def test_laurent_clear_preserves_wheel_membership(tables):
