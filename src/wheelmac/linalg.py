@@ -16,12 +16,13 @@ Two elimination paths:
     When the candidates reach full column rank, that minor is the whole
     answer (rank ncols, no kernel) and nothing else runs.  Below full
     rank the candidates are triangularized exactly with row-content
-    stripping, the kernel is read off by fraction-free back-substitution
-    (UniPoly entries throughout, no rational functions), and every
-    remaining row is certified against the kernel by polynomial dot
-    products.  Any row failing the certificate joins the candidates and
-    the loop repeats, so the output is exact regardless of the
-    evaluation point.
+    stripping (each row divided by the gcd of its entries, one gcd fold
+    that stops at a constant), the kernel is read off by fraction-free
+    back-substitution (UniPoly entries throughout, no rational
+    functions), and every remaining row is certified against the kernel
+    by polynomial dot products.  Any row failing the certificate joins
+    the candidates and the loop repeats, so the output is exact
+    regardless of the evaluation point.
 
 UniRatFunc rows are cleared to UniPoly rows by one of two helpers:
 ``_clear_upower_row`` for the constraint rows, whose denominators are
@@ -117,25 +118,16 @@ def _clear_denominators(row, N):
 
 def _strip_row_gcd(row):
     """The row divided by the gcd of its entries (by the entry itself when
-    there is one).  The gcd is tried first as gcd(x_1, x_2 + 2 x_3 + ...),
-    a multiple of the true gcd that equals it exactly when it divides every
-    entry; only that gcd is kept, not its cofactors, and the division of
-    each entry is the check.  Otherwise it is reduced against each entry
-    in turn."""
+    there is one): one gcd fold over the nonzero entries, which stops once
+    the gcd is a constant."""
     nz = [x for x in row if x]
     if not nz:
         return row
     g = nz[0]
-    if len(nz) > 1:
-        g = g.gcd(sum((x.scale(k) for k, x in enumerate(nz[2:], 2)),
-                      nz[1]))[0]
+    for x in nz[1:]:
         if g.degree() == 0:
-            return row
-        try:
-            return [x.divexact(g) if x else x for x in row]
-        except ExactDivisionError:
-            for x in nz[1:]:
-                g = g.gcd(x)[0]
+            break
+        g = g.gcd(x)[0]
     if g.degree() == 0:
         return row
     return [x.divexact(g) if x else x for x in row]

@@ -17,8 +17,8 @@ partition nu, Op is read off by a unitriangular solve with +-1 entries on
 those counts, and each entry is read once by the field's table reader:
 no Vandermonde product is assembled and nothing is divided.  The field
 keeps the wheel_collapse tables it has read next to these matrices
-(CoeffField.wheel_table), and applies either kind with one kernel,
-CoeffField.apply (scalars.apply_rows), against f's coefficients: at a
+(CoeffField.wheel_table), and either kind is applied with one kernel,
+scalars.apply_rows in the field's ring, against f's coefficients: at a
 rational point (q, t) each target is the rational lane, one integer
 numerator over the lcm of the denominators, made one canonical Fraction;
 over Laurent polynomials over Q the application is one packed integer per
@@ -74,8 +74,9 @@ class CoeffField:
     under external serialization, or give each thread its own.  Instances
     are cheap; callers normally create one per computation.  An operator
     matrix is a table {target: {source: value}}, as are the wheel tables of
-    an f's partitions put together per key, and apply is the one kernel
-    that sums such a table against the coefficients of f.
+    an f's partitions put together per key, and scalars.apply_rows, given
+    zero, is the one kernel that sums such a table against the
+    coefficients of f.
     """
 
     __slots__ = ("zero", "one", "q", "t", "from_int", "spec", "_read",
@@ -156,11 +157,6 @@ class CoeffField:
                 key: v for key, counts in wheel_collapse(lam, n, sigma).items()
                 if (v := read(counts))}
         return table
-
-    def apply(self, rows, coeffs):
-        """{target: sum of a * coeffs[s] over the (s, a) of rows[target]},
-        nonzero sums only: scalars.apply_rows in this ring."""
-        return apply_rows(rows, coeffs, self.zero)
 
 
 def _acc(out, key, c):
@@ -284,15 +280,15 @@ def _operator_tables(n, d, op):
 
 
 def _apply(f, op, fld):
-    """op f: fld.matrix of each degree of f, applied by fld.apply to f's
-    coefficients of that degree."""
+    """op f: fld.matrix of each degree of f, applied by scalars.apply_rows
+    in fld to f's coefficients of that degree."""
     n = f.n
     parts = {}
     for nu, c in f.coeffs.items():
         parts.setdefault(sum(nu), {})[nu] = c
     out = {}
     for d, part in parts.items():
-        out.update(fld.apply(fld.matrix(n, d, op), part))
+        out.update(apply_rows(fld.matrix(n, d, op), part, fld.zero))
     return SymPoly(n, out, _clean=True)
 
 
@@ -451,7 +447,7 @@ def _lcm_sum(pairs, merges):
             den = b
             steps.append((None, (x.num, e)))
         else:
-            got = merges.get((den, b))
+            got = merges.get((den, b))  # theorem pays: +5.6 % without it
             if got is None:
                 _, dg, b2 = den.gcd(b)
                 got = merges[den, b] = (dg, b2, den * b2)

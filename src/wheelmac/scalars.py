@@ -32,12 +32,12 @@ content, and all their arithmetic runs on plain ints; ``LaurentPoly.d``
 still shows Fractions.  A division that leaves a remainder raises
 ExactDivisionError.
 
-A sum of products of integer polynomials -- the Laurent lane of
-``sum_of_products``, and ``_qt_fold`` for the numerators of compute_P and
-the integral form -- is one packed integer (Kronecker substitution): each
-polynomial is evaluated at a power of two wide enough for a proven bound
-on the result, the products and sums run on Python ints, and the result
-is read back once.
+A sum of products of integer polynomials -- each target of
+``apply_rows`` over LaurentPolys of ints, and ``_qt_fold`` for the
+numerators of compute_P and the integral form -- is one packed integer
+(Kronecker substitution): each polynomial is evaluated at a power of two
+wide enough for a proven bound on the result, the products and sums run
+on Python ints, and the result is read back once.
 
 Every gcd is one design and returns its cofactors, the quotients of the
 exact division that certifies it.  Where the coefficients are integers
@@ -71,7 +71,7 @@ __all__ = [
     "CycloNum", "UniPoly", "UniRatFunc", "LaurentPoly", "QTPoly", "BiRatFunc",
     "ParameterSpec", "MixedFieldError", "PoleError", "ExactDivisionError",
     "cyclotomic_polynomial",
-    "qt_gcd", "qt_divexact", "render_scalar", "sum_of_products", "apply_rows",
+    "qt_gcd", "qt_divexact", "render_scalar", "apply_rows",
 ]
 
 _ZERO = Fraction(0)
@@ -685,7 +685,17 @@ class LaurentPoly:
             return NotImplemented
         if other.N != self.N:
             raise MixedFieldError("mixed cyclotomic orders")
-        return _lmul(self.N, self, other)
+        out = {}
+        for ea, ca in self.c.items():
+            for eb, cb in other.c.items():
+                e = ea + eb
+                w = out.get(e)
+                w = ca * cb if w is None else w + ca * cb
+                if w:
+                    out[e] = w
+                else:
+                    del out[e]
+        return _lpoly(self.N, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -706,31 +716,6 @@ class LaurentPoly:
         return "LaurentPoly(%d, %s)" % (self.N, render_scalar(self.to_unirat()))
 
 
-def _lmul(N, x, y):
-    """The LaurentPoly x * y, by one pass over the pairs of terms."""
-    a, b, den = x.c, y.c, x.den * y.den
-    if not a or not b:
-        return LaurentPoly.zero(N)
-    if len(a) == 1 and len(b) > 1:
-        a, b = b, a
-    if len(b) == 1:
-        (eb, cb), = b.items()
-        if cb == 1:  # a unit monomial only shifts the exponents
-            return _lpoly(N, {ea + eb: ca for ea, ca in a.items()}, den)
-        return _lpoly(N, {ea + eb: ca * cb for ea, ca in a.items()}, den)
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            w = out.get(e)
-            w = ca * cb if w is None else w + ca * cb
-            if w:
-                out[e] = w
-            else:
-                del out[e]
-    return _lpoly(N, out, den)
-
-
 def _lpoly(N, c, den=1):
     """The LaurentPoly c/den of nonzero values, canonical as by _zpoly."""
     g = _iz_content(c.values(), den) if den != 1 else 1
@@ -741,45 +726,45 @@ def _lpoly(N, c, den=1):
     return p
 
 
-def sum_of_products(pairs, zero):
-    """The sum of a * b over a list of pairs (a, b), or zero (the ring's 0)
-    if the list is empty.  When zero is a Fraction (int and Fraction pairs)
-    the sum runs on ints over the lcm of the denominators and is made
-    canonical once; other rings sum a * b."""
-    if type(zero) is Fraction:
-        dens = [a.denominator * b.denominator for a, b in pairs]
-        den = lcm(*dens)
-        if den == 1:
-            return Fraction(sum([a.numerator * b.numerator for a, b in pairs]))
-        return Fraction(sum([a.numerator * b.numerator * (den // d)
-                             for (a, b), d in zip(pairs, dens)]), den)
-    terms = [a * b for a, b in pairs] or [zero]
-    return sum(terms[1:], terms[0])
-
-
 def apply_rows(rows, coeffs, zero):
     """{target: sum of a * coeffs[s] over the (s, a) of rows[target] with s
     in coeffs}, nonzero sums only: a table {target: {source: a}} applied to
     the coefficients {source: b} of f, in the ring whose 0 is zero.  Over Q
     (zero a LaurentPoly with N <= 2, every a a LaurentPoly, a rational b
     read as a constant) the application is packed at one slot width, each
-    b once (_laurent_apply); every other ring sums each target with
-    sum_of_products."""
+    b once (_laurent_apply).  When zero is a Fraction (int and Fraction
+    pairs) each target is one int numerator over the lcm of its pair
+    denominators, made canonical once; every other ring sums a * b."""
     if type(zero) is LaurentPoly and zero.N <= 2:
         return _laurent_apply(rows, coeffs, zero.N)
+    rational = type(zero) is Fraction
     out = {}
     for target, row in rows.items():
         pairs = [(a, coeffs[s]) for s, a in row.items() if s in coeffs]
-        if pairs and (v := sum_of_products(pairs, zero)):
+        if not pairs:
+            continue
+        if rational:  # macd pays for this lane: p50 +1.7 % without it
+            dens = [a.denominator * b.denominator for a, b in pairs]
+            den = lcm(*dens)
+            if den == 1:
+                v = Fraction(sum([a.numerator * b.numerator
+                                  for a, b in pairs]))
+            else:
+                v = Fraction(sum([a.numerator * b.numerator * (den // d)
+                                  for (a, b), d in zip(pairs, dens)]), den)
+        else:
+            terms = [a * b for a, b in pairs]
+            v = sum(terms[1:], terms[0])
+        if v:
             out[target] = v
     return out
 
 
 def _laurent_apply(rows, coeffs, N):
-    """apply_rows over LaurentPolys of ints: a target with one pair is the
-    product a * b, any other one packed integer (_pack) over the lcm den
-    of its pair denominators d = a.den b.den, decoded once.  One slot width
-    serves the whole application, sized from the largest target bound
+    """apply_rows over LaurentPolys of ints: each target is one packed
+    integer (_pack) over the lcm den of its pair denominators
+    d = a.den b.den, decoded once.  One slot width serves the whole
+    application, sized from the largest target bound
     sum ||a||_1 ||b||_1 den / d, so each b is packed once, from its lowest
     exponent; a is packed from the target's lowest exponent less b's."""
     src = {}  # s -> (b, ||b||_1, lowest and highest exponent of b)
@@ -791,20 +776,14 @@ def _laurent_apply(rows, coeffs, N):
     work, bound = [], 0
     for target, row in rows.items():
         pairs = [(a, s, src[s]) for s, a in row.items() if s in src and a.c]
-        den = None
-        if len(pairs) > 1:
+        if pairs:
             den = lcm(*[a.den * b.den for a, _, (b, _, _, _) in pairs])
             bound = max(bound, sum([_norm1(a.c) * w * (den // (a.den * b.den))
                                     for a, _, (b, w, _, _) in pairs]))
-        if pairs:
             work.append((target, pairs, den))
     nb = _slot_bytes(bound)
     packed, out = {}, {}
     for target, pairs, den in work:
-        if den is None:
-            (a, _, (b, _, _, _)), = pairs
-            out[target] = _lmul(N, a, b)
-            continue
         base = min([min(a.c) + lo for a, _, (_, _, lo, _) in pairs])
         high = max([max(a.c) + hi for a, _, (_, _, _, hi) in pairs])
         total = 0
@@ -867,7 +846,7 @@ def _unpack(total, nb, count):
     raw = (total + int.from_bytes(half * count, "little")).to_bytes(
         nb * count, "little")
     offset = 1 << (8 * nb - 1)
-    fmt = _CASTS.get(nb)
+    fmt = _CASTS.get(nb)  # stability pays for the cast: about +5 % without it
     if fmt is not None:
         return {s: v - offset for s, v in enumerate(memoryview(raw).cast(fmt))
                 if v != offset}
@@ -934,10 +913,6 @@ class _RatFunc(_Field):
         if o.num.is_zero():
             return self
         a, b = self.den, o.den
-        if a.is_one() and b.is_one():
-            return type(self)(self.num + o.num, a, _canonical=True)
-        if a == b:
-            return type(self)(self.num + o.num, a)
         g, da, db = a.gcd(b)
         # coprime a, b: a prime of a dividing n1 b + n2 a would divide n1 b
         return type(self)(self.num * db + o.num * da, da * b,
@@ -962,6 +937,7 @@ class _RatFunc(_Field):
             return self
         if o.num.is_zero():
             return o
+        # a monomial's wheel substitution takes no gcd (stability: unresolved)
         if self.den.is_one() and o.den.is_one():
             return type(self)(self.num * o.num, self.den, _canonical=True)
         # cross-cancel before multiplying; n1 n2 and d1 d2 are then coprime
@@ -1026,9 +1002,6 @@ class UniRatFunc(_RatFunc):
         return cls(UniPoly(N, coeffs), UniPoly.u_power(N, shift),
                    _canonical=True)
 
-    def is_one(self):
-        return self.den.is_one() and self.num.is_one()
-
     def _simplest(self):
         """The CycloNum or Fraction self equals when it is a constant (0
         for zero), else None."""
@@ -1046,12 +1019,6 @@ class UniRatFunc(_RatFunc):
         if isinstance(other, (int, Fraction)):
             return UniRatFunc.const(self.N, other)
         return None
-
-    def evaluate(self, x):
-        den = self.den.evaluate(x)
-        if den.is_zero():
-            raise ZeroDivisionError("pole at evaluation point")
-        return self.num.evaluate(x) / den
 
     def __repr__(self):
         return "UniRatFunc(%d, %s)" % (self.N, render_scalar(self))
@@ -1200,6 +1167,7 @@ class QTPoly:
         over qd^A td^B, A and B the top exponents; other ring elements sum
         in the ring."""
         d = self.d
+        # macd pays for this rational lane: about +45 % without it
         if (d and type(one) is Fraction and one == 1
                 and isinstance(q_val, (int, Fraction))
                 and isinstance(t_val, (int, Fraction))):
@@ -1248,6 +1216,7 @@ def _qt_fold(steps):
     one packed integer (q^a t^b in slot a T + b, T above the result's
     t-degree), decoded once, unless steps is one product of at most two
     factors: then the QTPolys multiply."""
+    # macd pays for this lane: p50 +2 % without it
     if len(steps) == 1 and len(steps[0][1]) <= 2:
         acc = None
         for s, fs in steps:
@@ -1376,6 +1345,7 @@ def qt_gcd(f, g):
         s = x.unit_inverse() if x else 1
         h, unit = x.scale(s), QTPoly.term(s) if x else x
         return (h, f, unit) if not f.d else (h, unit, g)
+    # macd pays for this monomial lane: p50 +4 % without it
     if len(f.d) == 1 or len(g.d) == 1:
         keys = [*f.d, *g.d]
         qm, tm = min([k[0] for k in keys]), min([k[1] for k in keys])

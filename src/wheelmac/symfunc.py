@@ -11,9 +11,9 @@ relies on ring arithmetic and truthiness for zero tests.
 Every wheel substitution (wheel_substitute) runs in the CoeffField its
 caller passes: the field keeps each collapse into integer orbit counts per
 q^a t^b (wheel_collapse) read by its table reader, next to its operator
-matrices, and sums the read tables against f's coefficients with its one
-application kernel, the one macdonald's operators use.  No field type is
-named here.
+matrices, and the read tables are summed against f's coefficients in the
+field's ring by scalars.apply_rows, the one application kernel, which
+macdonald's operators use too.  No field type is named here.
 """
 
 from fractions import Fraction
@@ -21,7 +21,7 @@ from math import factorial
 from operator import mul
 
 from . import partitions as pt
-from .scalars import QTPoly
+from .scalars import QTPoly, apply_rows
 
 __all__ = [
     "SymPoly", "MonomialExpansion", "m_to_monomials", "monomials_to_m",
@@ -318,8 +318,9 @@ def wheel_substitute(f, sigma, fld):
     the expansion in the free variables (slot 0 is x_1, then
     x_{k+2}, ..., x_n).  Each m_lam of f collapses to one read table per
     key (fld.wheel_table, wheel_collapse read once per field), and
-    fld.apply sums the tables against f's coefficients per key.  sigma
-    must pass check_sigma when fld.spec is not None; f needs n >= k+1.
+    scalars.apply_rows sums the tables against f's coefficients per key
+    in fld's ring.  sigma must pass check_sigma when fld.spec is not
+    None; f needs n >= k+1.
     """
     p = fld.spec
     sigma = tuple(sigma) if p is None else check_sigma(sigma, p.k, p.r)
@@ -329,7 +330,7 @@ def wheel_substitute(f, sigma, fld):
     for lam in f.coeffs:
         for key, v in fld.wheel_table(lam, f.n, sigma).items():
             rows.setdefault(key, {})[lam] = v
-    return MonomialExpansion(f.n - k, fld.apply(rows, f.coeffs))
+    return MonomialExpansion(f.n - k, apply_rows(rows, f.coeffs, fld.zero))
 
 
 def restrict_derivative(f, j, one=Fraction(1)):

@@ -17,8 +17,8 @@ relation of internal degree dd is c^dd times the representative's, with
 c a monomial t^i q^j (a unit of K), so the row span is the same.
 Membership substitutes f itself (symfunc.wheel_substitute, over a
 CoeffField through _wheel_substitute_fld).  The field keeps each read wheel
-table next to its operator matrices and applies both with one kernel
-(CoeffField.apply), so a field shared by satisfies_wheel and
+table next to its operator matrices, both applied with one kernel
+(scalars.apply_rows), so a field shared by satisfies_wheel and
 verify_stability calls reads each (lam, n, sigma) table once.
 
 The wheel fixes x_{k+2}, ..., x_n, so the constraint matrix is built once,

@@ -68,6 +68,25 @@ MUTANTS = {
         "            if (ech.add([e.evaluate(_PROBE_POINT) for e in r])\n"
         "                    and ech.rank == ncols):\n"
         "                return ncols, []\n"),
+    # a Laurent target packed without rescaling each product to the lcm
+    # of its pair denominators
+    "laurent-apply-unscaled": (
+        "scalars.py",
+        "total += _pack(a.c, nb, base - lo) * pb * (den // (a.den * b.den))",
+        "total += _pack(a.c, nb, base - lo) * pb"),
+    # every rational-function sum taken to be in lowest terms
+    "ratfunc-add-coprime": (
+        "scalars.py",
+        "return type(self)(self.num * db + o.num * da, da * b,\n"
+        "                          _coprime=g.is_one())",
+        "return type(self)(self.num * db + o.num * da, da * b,\n"
+        "                          _coprime=True)"),
+    # the row gcd found but not divided out
+    "strip-row-gcd-off": (
+        "linalg.py",
+        "    return [x.divexact(g) if x else x for x in row]\n\n\n"
+        "def _triangularize_poly",
+        "    return row\n\n\ndef _triangularize_poly"),
 }
 
 

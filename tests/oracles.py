@@ -54,6 +54,15 @@ def rational_value(f, x):
     return acc
 
 
+def unirat_evaluate(f, x):
+    """The UniRatFunc f at x, num(x) / den(x) by UniPoly.evaluate; a pole
+    at x raises ZeroDivisionError."""
+    den = f.den.evaluate(x)
+    if den.is_zero():
+        raise ZeroDivisionError("pole at evaluation point")
+    return f.num.evaluate(x) / den
+
+
 def fraction_det(rows):
     """Determinant of a square matrix of Fractions, by Gaussian elimination
     with a row swap wherever a pivot is zero."""

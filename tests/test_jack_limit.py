@@ -25,6 +25,8 @@ from wheelmac.macdonald import MacdonaldTable, specialize_P
 from wheelmac.scalars import ParameterSpec, UniRatFunc
 from wheelmac.symfunc import SymPoly
 
+from oracles import unirat_evaluate
+
 
 def _laplace_beltrami_column(nu, n, alpha):
     """{mu: <m_mu> D(alpha) m_nu}, from the monomials of m_nu in n variables.
@@ -81,7 +83,7 @@ def jack_P(lam, n, alpha):
 def _at_u_equal_1(sp):
     out = {}
     for mu, c in sp.coeffs.items():
-        v = c.evaluate(1).rational_value()
+        v = unirat_evaluate(c, 1).rational_value()
         if v:
             out[mu] = v
     return out
@@ -140,7 +142,7 @@ def _jack_limit(P, k, r):
     for mu, c in P.coeffs.items():
         num, den = [UniRatFunc.from_laurent(1, _at_omega_1(f, k, r))
                     for f in (c.num, c.den)]
-        v = (num / den).evaluate(1).rational_value()
+        v = unirat_evaluate(num / den, 1).rational_value()
         if v:
             out[mu] = v
     return out

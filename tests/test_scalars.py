@@ -13,7 +13,7 @@ from wheelmac.scalars import (BiRatFunc, CycloNum, ExactDivisionError,
                               LaurentPoly, MixedFieldError, ParameterSpec,
                               PoleError, QTPoly, UniPoly, UniRatFunc,
                               cyclotomic_polynomial, qt_divexact,
-                              qt_gcd, render_scalar, sum_of_products)
+                              qt_gcd, render_scalar)
 
 from oracles import euler_phi, laurent_sum_of_products, unirat_u
 
@@ -56,7 +56,9 @@ def test_cyclo_arithmetic():
     # an explicit bound is honoured, 0 included
     for bound, order in ((0, None), (4, None), (5, 5)):
         assert _multiplicative_order(z, bound=bound) == order
-    for divide in (CycloNum.zero(5).inverse, lambda: one / BiRatFunc.zero()):
+    for divide in (CycloNum.zero(5).inverse, lambda: one / BiRatFunc.zero(),
+                   lambda: UniRatFunc(UniPoly.one(3), UniPoly.zero(3)),
+                   lambda: BiRatFunc(QTPoly.one(), QTPoly.zero())):
         with pytest.raises(ZeroDivisionError):
             divide()
 
@@ -116,6 +118,12 @@ def test_parameter_spec_consistency(k, r, m, N):
     assert val == UniRatFunc(UniPoly.const(p.N, 1).scale(omega), _canonical=True)
     # the defining resonance
     assert p.specialize(q ** (r - 1) * t ** (k + 1)) == UniRatFunc.one(N)
+
+
+@pytest.mark.parametrize("k,r,name", [(0, 2, "k"), (1, 1, "r")])
+def test_parameter_spec_refuses_k_below_1_and_r_below_2(k, r, name):
+    with pytest.raises(ValueError, match="%s must be" % name):
+        ParameterSpec(k, r)
 
 
 def test_specialize_examples():
@@ -381,7 +389,6 @@ def test_sum_of_products_matches_the_plain_sum(N, monkeypatch):
         return LaurentPoly(N, {e: _rand_cyclo(rng, N) for e in
                                rng.sample(range(-4, 5), rng.randint(1, 4))})
 
-    assert sum_of_products([], zero) == zero
     assert _one_target([], zero) == zero
     products, mul = [], LaurentPoly.__mul__
 
@@ -408,13 +415,14 @@ def test_sum_of_products_matches_the_plain_sum(N, monkeypatch):
 
 
 def test_sum_of_products_rational_lane_matches_the_plain_sum():
-    """Over Q (zero a Fraction): int and Fraction pairs over unequal
-    denominators, integral and non-integral totals, total cancellation and
-    the empty list, each one Fraction in lowest terms."""
+    """The application kernel on one target over Q (zero a Fraction), its
+    rational lane: int and Fraction pairs over unequal denominators,
+    integral and non-integral totals, total cancellation and the empty
+    list, each one Fraction in lowest terms."""
     zero = Fraction(0)
 
     def check(pairs, want=None):
-        got = sum_of_products(pairs, zero)
+        got = _one_target(pairs, zero)
         assert type(got) is Fraction
         assert got == sum((a * b for a, b in pairs), zero)
         assert gcd(got.numerator, got.denominator) == 1
@@ -526,7 +534,7 @@ def _kernel_failures(N, seed):
     inner = scalars._slot_bytes
 
     def recorded(bound):
-        if bound:  # 0 when no target has two pairs
+        if bound:  # 0 when no target has a nonzero pair
             widths.append(inner(bound))
         return inner(bound)
 
@@ -899,9 +907,12 @@ def test_field_axioms(case):
     renders = {}
     for _ in range(12):
         a, b, c = rand(rng), rand(rng), rand(rng)
-        for x in (a, b, c, a + b, a * b, a - b, -c, b * c + a):
+        for x in (a, b, c, a + b, a * b, a - b, -c, b * c + a, 1 - a):
             _assert_canonical(x)
             renders.setdefault(render_scalar(x), set()).add(x)
+        assert 1 - a == -(a - 1) and (1 - a) + a == one_
+        if kind == "qt":  # the ring Z[q, t] under the fraction field
+            assert 1 - a.num == -(a.num - 1) and (1 - a.num) + a.num == 1
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a + b == b + a and a * b == b * a

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -12,7 +13,8 @@ from wheelmac.symfunc import (MonomialExpansion, SymPoly, m_to_monomials,
                               sympoly_mul, wheel_collapse, wheel_substitute)
 from wheelmac.wheel_ideal import _wheel_substitute_fld
 
-from oracles import eval_monomial_symmetric, specialized_field, unirat_u
+from oracles import (eval_monomial_symmetric, specialized_field,
+                     unirat_evaluate, unirat_u)
 
 
 def test_orbit_of_matches_distinct_permutations():
@@ -44,6 +46,27 @@ def test_monomials_to_m_examples():
     g = MonomialExpansion(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
     with pytest.raises(ValueError, match="swapping x_1 and x_2"):
         monomials_to_m(g)
+
+
+def test_monomials_to_m_names_the_transposition_that_breaks_symmetry():
+    # m_(2,1) in three variables with one orbit coefficient altered, then
+    # with one orbit member missing: the named swap of x_i and x_j really
+    # changes, or kills, the named coefficient
+    terms = m_to_monomials(SymPoly.m((2, 1), 3)).terms
+    altered = dict(terms)
+    altered[1, 0, 2] = Fraction(5)
+    missing = {a: c for a, c in terms.items() if a != (1, 0, 2)}
+    for g, verb in ((altered, "changes"), (missing, "kills")):
+        with pytest.raises(ValueError, match=verb) as err:
+            monomials_to_m(MonomialExpansion(3, g))
+        found = re.fullmatch(r"input not symmetric: swapping x_(\d) and "
+                             r"x_(\d) %s the coefficient of (\(.*\))"
+                             % verb, str(err.value))
+        i, j = int(found[1]) - 1, int(found[2]) - 1
+        alpha = tuple(int(e) for e in found[3][1:-1].split(","))
+        beta = list(alpha)
+        beta[i], beta[j] = beta[j], beta[i]
+        assert g.get(tuple(beta)) != g[alpha]
 
 
 def _random_sympoly(rng, n, dmax):
@@ -168,7 +191,8 @@ def _zeta3_point_field():
     CoeffField's default reader, QTPoly.substitute's ring lane."""
     p, u0 = ParameterSpec(1, 4), Fraction(7, 3)
     return CoeffField(CycloNum.zero(3), CycloNum.one(3),
-                      p.q_value().evaluate(u0), p.t_value().evaluate(u0),
+                      unirat_evaluate(p.q_value(), u0),
+                      unirat_evaluate(p.t_value(), u0),
                       lambda i: CycloNum.from_rational(3, i))
 
 
