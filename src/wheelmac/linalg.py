@@ -47,13 +47,15 @@ def _is_zero(x):
 class EchelonBasis:
     """Incremental row echelon form over a field.
 
-    Feeding rows one by one keeps at most rank-many reduced rows around,
-    which is what makes the tall constraint matrices cheap.
+    Feeding rows one by one keeps at most rank-many echelon rows around,
+    which is what makes the tall constraint matrices cheap.  Each stored
+    row was reduced against every earlier one, so it is 0 in their pivot
+    columns, and clearing the pivots in insertion order reduces fully.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.pivots = {}  # column -> reduced row with 1 in that column
+        self.pivots = {}  # column -> row with 1 there, 0 at earlier pivots
 
     @property
     def rank(self):
@@ -76,14 +78,8 @@ class EchelonBasis:
         for col in range(self.ncols):
             if not _is_zero(row[col]):
                 inv = 1 / row[col]
-                row = [x if _is_zero(x) else x * inv for x in row]
-                for prow in self.pivots.values():
-                    c = prow[col]
-                    if not _is_zero(c):
-                        for j in range(self.ncols):
-                            if not _is_zero(row[j]):
-                                prow[j] = prow[j] - c * row[j]
-                self.pivots[col] = row
+                self.pivots[col] = [x if _is_zero(x) else x * inv
+                                    for x in row]
                 return True
         return False
 

@@ -45,7 +45,7 @@ table reader; a field built without one reads it with QTPoly.substitute.
 """
 
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, prod
 
 from . import partitions as pt
 from .scalars import (BiRatFunc, ExactDivisionError, LaurentPoly, PoleError,
@@ -157,15 +157,6 @@ class CoeffField:
                 key: v for key, counts in wheel_collapse(lam, n, sigma).items()
                 if (v := read(counts))}
         return table
-
-
-def _acc(out, key, c):
-    w = out.get(key)
-    w = c if w is None else w + c
-    if w:
-        out[key] = w
-    else:
-        out.pop(key, None)
 
 
 _DELTA_ORBITS = {}
@@ -629,26 +620,19 @@ def qpochhammer_ratio(m):
 def cauchy_row_check(n, l_max, table=None):
     """Row case of the Cauchy identity, as truncated series in y.
 
-    Compares sum_l P_(l)(x) (t;q)_l/(q;q)_l y^l against
-    prod_i (t x_i y; q)_inf / (x_i y; q)_inf expanded through y^l_max via
-    the q-binomial series (t z; q)_inf/(z; q)_inf = sum_m (t;q)_m/(q;q)_m z^m.
+    Compares the y^l terms, l <= l_max, of sum_l P_(l)(x) c_l y^l and of
+    prod_i (t x_i y; q)_inf / (x_i y; q)_inf, with c_m = (t;q)_m/(q;q)_m.
+    By the q-binomial series (t z; q)_inf/(z; q)_inf = sum_m c_m z^m, the
+    y^l term of the product gives x^alpha the coefficient prod_i c_(alpha_i),
+    which depends only on the sorted alpha: it is the sum, over mu |- l
+    with at most n parts, of prod_j c_(mu_j) m_mu.
     """
     table = MacdonaldTable.matching(table, n)
     ratios = [qpochhammer_ratio(m) for m in range(l_max + 1)]
-    # right-hand side: product over variables of the one-variable series
-    rhs = [dict() for _ in range(l_max + 1)]
-    rhs[0][(0,) * n] = BiRatFunc.one()
-    for i in range(n):
-        new = [dict() for _ in range(l_max + 1)]
-        for deg, terms in enumerate(rhs):
-            for alpha, c in terms.items():
-                for m in range(l_max + 1 - deg):
-                    beta = list(alpha)
-                    beta[i] += m
-                    _acc(new[deg + m], tuple(beta), c * ratios[m])
-        rhs = new
     for l in range(l_max + 1):
-        lhs = m_to_monomials(table.compute_P((l,) if l else ()).scale(ratios[l]))
-        if lhs.terms != rhs[l]:
+        rhs = SymPoly(n, {mu: prod((ratios[m] for m in mu),
+                                   start=BiRatFunc.one())
+                          for mu in pt.enumerate_partitions(n, l)})
+        if table.compute_P((l,) if l else ()).scale(ratios[l]) != rhs:
             return False
     return True

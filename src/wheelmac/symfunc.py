@@ -17,6 +17,7 @@ macdonald's operators use too.  No field type is named here.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from operator import mul
 
@@ -109,7 +110,9 @@ class SymPoly:
         return NotImplemented
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        if isinstance(other, SymPoly):
+            return self + other.scale(-1)
+        return NotImplemented
 
     def scale(self, s):
         return SymPoly(self.n, {lam: w for lam, c in self.coeffs.items()
@@ -187,55 +190,32 @@ def m_to_monomials(f):
 
 
 def monomials_to_m(g, check=True):
-    """Inverse of m_to_monomials; rejects non-symmetric input.
+    """Inverse of m_to_monomials: each orbit's coefficient is read off its
+    first term in g.
 
-    The symmetry check reports a violating transposition, which is the
-    error surface the rest of the package relies on to catch operator bugs.
+    With check, a non-symmetric g raises ValueError naming a swap of two
+    variables and a term of g whose coefficient that swap changes or kills
+    (the swapped term has another coefficient, or is absent).  Single swaps
+    connect every orbit, so every non-symmetric g has such a term; the
+    first one in g's order is named.
     """
     coeffs = {}
     for alpha, c in g.terms.items():
-        lam = tuple(sorted(alpha, reverse=True))
-        if lam in coeffs:
-            continue
-        coeffs[lam] = c
+        coeffs.setdefault(tuple(sorted(alpha, reverse=True)), c)
     if check:
         for alpha, c in g.terms.items():
-            lam = tuple(sorted(alpha, reverse=True))
-            ref = coeffs[lam]
-            if c != ref:
-                i, j = _violating_transposition(g, alpha)
-                raise ValueError(
-                    "input not symmetric: swapping x_%d and x_%d changes "
-                    "the coefficient of %r" % (i + 1, j + 1, alpha))
-        for lam in coeffs:
-            orbit = orbit_of(lam, g.n)
-            if any(a not in g.terms for a in orbit):
-                alpha = next(a for a in orbit if a in g.terms)
-                missing = next(a for a in orbit if a not in g.terms)
-                i, j = _differing_pair(alpha, missing)
-                raise ValueError(
-                    "input not symmetric: swapping x_%d and x_%d kills "
-                    "the coefficient of %r" % (i + 1, j + 1, alpha))
+            for i, j in combinations(range(g.n), 2):
+                if alpha[i] == alpha[j]:
+                    continue
+                beta = list(alpha)
+                beta[i], beta[j] = beta[j], beta[i]
+                other = g.terms.get(tuple(beta))
+                if other is None or other != c:
+                    verb = "kills" if other is None else "changes"
+                    raise ValueError(
+                        "input not symmetric: swapping x_%d and x_%d %s the "
+                        "coefficient of %r" % (i + 1, j + 1, verb, alpha))
     return SymPoly(g.n, coeffs)
-
-
-def _violating_transposition(g, alpha):
-    c = g.terms[alpha]
-    zero = c - c
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if alpha[i] == alpha[j]:
-                continue
-            beta = list(alpha)
-            beta[i], beta[j] = beta[j], beta[i]
-            if g.terms.get(tuple(beta), zero) != c:
-                return i, j
-    return 0, 1
-
-
-def _differing_pair(alpha, beta):
-    idx = [i for i in range(len(alpha)) if alpha[i] != beta[i]]
-    return idx[0], idx[-1]
 
 
 def _expansion_mul(g, h):
@@ -333,24 +313,24 @@ def wheel_substitute(f, sigma, fld):
     return MonomialExpansion(f.n - k, apply_rows(rows, f.coeffs, fld.zero))
 
 
-def restrict_derivative(f, j, one=Fraction(1)):
+def restrict_derivative(f, j):
     """rho(d^j f / dx_n^j): differentiate j times in x_n, set x_n = 0.
 
-    Returns a SymPoly in n-1 variables; the result of applying this to a
-    symmetric polynomial is again symmetric, which is asserted.
+    Returns a SymPoly in n-1 variables.  Only the monomials of m_lam with
+    x_n^j survive, each times j!, and they form m_mu, where mu is lam
+    padded to n with one part equal to j removed; m_lam maps to 0 when no
+    part equals j.  Each coefficient is multiplied by the int j! in its
+    own ring.
     """
     if f.n < 2:
         raise ValueError("need at least two variables")
-    g = m_to_monomials(f)
-    scale = one * factorial(j)
+    if j < 0:
+        raise ValueError("cannot differentiate %d times" % j)
+    scale = factorial(j)
     out = {}
-    for alpha, c in g.terms.items():
-        if alpha[-1] != j:
-            continue
-        out[alpha[:-1]] = c * scale
-    try:
-        return monomials_to_m(MonomialExpansion(f.n - 1, out))
-    except ValueError as exc:  # pragma: no cover - would signal a bug
-        raise AssertionError("restriction of a symmetric polynomial "
-                             "came out asymmetric") from exc
-
+    for lam, c in f.coeffs.items():
+        lam = pt.pad(lam, f.n)
+        if j in lam:
+            i = lam.index(j)
+            out[lam[:i] + lam[i + 1:]] = c * scale
+    return SymPoly(f.n - 1, out)

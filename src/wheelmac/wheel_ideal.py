@@ -292,7 +292,7 @@ def verify_rho_inclusion(lam, k, r, n, j_max, p=None, table=None):
     fld = CoeffField.laurent(p)
     f = laurent_clear(specialize_P(lam, n, p, table), p)
     for j in range(j_max + 1):
-        g = restrict_derivative(f, j, fld.one)
+        g = restrict_derivative(f, j)
         if not satisfies_wheel(g, p, fld):
             return False
     return True

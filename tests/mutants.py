@@ -33,8 +33,8 @@ MUTANTS = {
         "    return []\n\n\ndef verify_pieri"),
     "cauchy-always-true": (
         "macdonald.py",
-        "        if lhs.terms != rhs[l]:\n            return False",
-        "        if lhs.terms != rhs[l]:\n            return True"),
+        ".scale(ratios[l]) != rhs:\n            return False",
+        ".scale(ratios[l]) != rhs:\n            return True"),
     "rho-always-true": (
         "wheel_ideal.py",
         "        if not satisfies_wheel(g, p, fld):\n            return False",
@@ -87,6 +87,28 @@ MUTANTS = {
         "    return [x.divexact(g) if x else x for x in row]\n\n\n"
         "def _triangularize_poly",
         "    return row\n\n\ndef _triangularize_poly"),
+    # the echelon rows cleared newest first, which can bring back an
+    # earlier pivot, since no row is reduced against later ones
+    "echelon-reverse": (
+        "linalg.py",
+        "        for col, prow in self.pivots.items():",
+        "        for col, prow in reversed(self.pivots.items()):"),
+    # every part equal to j taken off, not one
+    "restrict-all-parts": (
+        "symfunc.py",
+        "out[lam[:i] + lam[i + 1:]] = c * scale",
+        "out[tuple(x for x in lam if x != j)] = c * scale"),
+    # the Cauchy right side with each distinct part's ratio taken once
+    "cauchy-distinct-parts": (
+        "macdonald.py",
+        "prod((ratios[m] for m in mu),",
+        "prod((ratios[m] for m in set(mu)),"),
+    # an absent swapped term read as equal, so a missing orbit member
+    # passes the symmetry check
+    "symmetry-ignores-missing": (
+        "symfunc.py",
+        "if other is None or other != c:",
+        "if other is not None and other != c:"),
 }
 
 

@@ -56,7 +56,14 @@ def test_monomials_to_m_names_the_transposition_that_breaks_symmetry():
     altered = dict(terms)
     altered[1, 0, 2] = Fraction(5)
     missing = {a: c for a, c in terms.items() if a != (1, 0, 2)}
-    for g, verb in ((altered, "changes"), (missing, "kills")):
+    # two altered coefficients ahead of the unaltered ones, and (2, 0, 1)
+    # missing while (2, 1, 0) is present: the swap must be read off the
+    # named term itself, not off its orbit's first term or the missing one
+    two_altered = {(1, 0, 2): 5, (0, 2, 1): 5, (2, 1, 0): 1, (2, 0, 1): 1,
+                   (1, 2, 0): 1, (0, 1, 2): 1}
+    no_201 = {a: c for a, c in terms.items() if a != (2, 0, 1)}
+    for g, verb in ((altered, "changes"), (missing, "kills"),
+                    (two_altered, "changes"), (no_201, "kills")):
         with pytest.raises(ValueError, match=verb) as err:
             monomials_to_m(MonomialExpansion(3, g))
         found = re.fullmatch(r"input not symmetric: swapping x_(\d) and "
@@ -94,6 +101,10 @@ def test_mul_examples():
     f = SymPoly(2, {(2,): Fraction(3), (1, 1): Fraction(-1)})
     assert sympoly_mul(f, SymPoly.m((), 2)) == f
     assert sympoly_mul(m1, SymPoly.m((1, 1), 2)) == SymPoly.m((2, 1), 2)
+    assert f - f == SymPoly.zero(2)
+    for bad in (lambda: f + 1, lambda: f - 1):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_mul_properties():
@@ -256,6 +267,21 @@ def test_restrict_derivative_examples():
     # j = 0 is plain restriction x_n = 0
     f = SymPoly(3, {(2, 1): Fraction(1), (1, 1, 1): Fraction(5)})
     assert restrict_derivative(f, 0) == SymPoly.m((2, 1), 2)
+    # one of two equal parts is removed: d^2/dx_2^2 x_1^2 x_2^2 = 2 x_1^2
+    assert restrict_derivative(SymPoly.m((2, 2), 2), 2) == \
+        SymPoly(1, {(2,): Fraction(2)})
+    # a padded zero part is the one removed
+    assert restrict_derivative(SymPoly.m((1,), 3), 0) == SymPoly.m((1,), 2)
+    # no part equal to j, and j above every part
+    assert restrict_derivative(SymPoly.m((3, 1), 2), 2).is_zero()
+    assert restrict_derivative(SymPoly.m((3, 1), 3), 4).is_zero()
+    # the coefficient is multiplied by j! in its own ring
+    c = LaurentPoly(1, {-1: Fraction(1, 2), 2: Fraction(-3)})
+    g = restrict_derivative(SymPoly(3, {(3, 1): c}), 3)
+    assert g == SymPoly(2, {(1,): LaurentPoly(1, {-1: 3, 2: -18})})
+    assert type(g.coeffs[1,]) is LaurentPoly
+    with pytest.raises(ValueError):
+        restrict_derivative(SymPoly.m((1,), 2), -1)
 
 
 def test_restriction_fixes_macdonald(tables):
@@ -263,8 +289,7 @@ def test_restriction_fixes_macdonald(tables):
     table3, table2 = tables(3), tables(2)
     for lam in [(1,), (2,), (1, 1), (2, 1), (3, 1)]:
         f = table3.compute_P(lam)
-        from wheelmac.scalars import BiRatFunc
-        restricted = restrict_derivative(f, 0, BiRatFunc.one())
+        restricted = restrict_derivative(f, 0)
         assert restricted == table2.compute_P(lam), lam
 
 

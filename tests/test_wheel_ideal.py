@@ -334,6 +334,35 @@ def _field_rank(rows, ncols):
     return ech.rank
 
 
+def test_echelon_basis_spans_the_rows_it_was_fed():
+    # EchelonBasis keeps echelon rows, not reduced ones: reducing in
+    # insertion order must still clear every pivot, so each rejected row
+    # and each combination of the fed rows reduces to zero, and the kept
+    # rows are independent on their pivot columns
+    rng = random.Random(39)
+    for _ in range(60):
+        ncols = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(ncols)] for _ in range(rng.randint(1, ncols))]
+        for _ in range(rng.randint(1, 4)):
+            weights = [rng.randint(-2, 2) for _ in rows]
+            rows.insert(rng.randint(0, len(rows)),
+                        [sum(w * row[j] for w, row in zip(weights, rows))
+                         for j in range(ncols)])
+        ech = EchelonBasis(ncols)
+        kept, rejected = [], []
+        for row in rows:
+            (kept if ech.add(row) else rejected).append(row)
+        assert ech.rank == len(kept)
+        weights = [rng.randint(-3, 3) for _ in rows]
+        combo = [sum(w * row[j] for w, row in zip(weights, rows))
+                 for j in range(ncols)]
+        for row in rejected + [combo]:
+            assert not any(ech.reduce(row)), row
+        cols = sorted(ech.pivots)
+        assert fraction_det([[row[c] for c in cols] for row in kept]) != 0
+
+
 def _rotation_class(k, r, sigma):
     """The least rotation of the increment cycle of sigma."""
     inc = (sigma[0],) + tuple(sigma[i] - sigma[i - 1] for i in range(1, k)) \
