@@ -84,10 +84,11 @@ def _checked(flag, check, value, *context):
         raise UsageError("%s %s: %s" % (flag, shown, exc)) from None
 
 
-def _sympoly_json(f):
-    return [{"partition": pt.format_partition(lam),
+def _terms_json(terms, n=None):
+    """{partition: coefficient} as a JSON list, partitions padded to n."""
+    return [{"partition": pt.format_partition(lam, n),
              "coefficient": render_scalar(c)}
-            for lam, c in sorted(f.coeffs.items(), reverse=True)]
+            for lam, c in sorted(terms.items(), reverse=True)]
 
 
 def _emit(args, payload):
@@ -114,8 +115,6 @@ def _emit_table(payload, indent=""):
                 print()
             else:
                 print("%s%s" % (indent, v))
-    else:
-        print("%s%s" % (indent, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,7 @@ def _cmd_macd_compute(args):
     _checked("--lambda", pt.pad, args.lam, args.n)
     f = MacdonaldTable(args.n).compute_P(args.lam)
     return 0, {"n": args.n, "lambda": pt.format_partition(args.lam),
-               "coefficients": _sympoly_json(f)}
+               "coefficients": _terms_json(f.coeffs)}
 
 
 def _cmd_macd_pieri(args):
@@ -186,7 +185,7 @@ def _cmd_wheel_basis(args):
     labels = pt.enumerate_admissible(args.k, args.r, args.n, args.d)
     return 0, {"k": args.k, "r": args.r, "n": args.n, "d": args.d,
                "basis": [{"lambda": pt.format_partition(lam),
-                          "coefficients": _sympoly_json(f)}
+                          "coefficients": _terms_json(f.coeffs)}
                          for lam, f in zip(labels, basis)]}
 
 
@@ -205,11 +204,8 @@ def _cmd_current_relation(args):
         p = ParameterSpec(args.k, args.r)
         rel = ca.relation_generic(args.d, sigma, args.k, args.r, p)
         profile = _join(sigma)
-    terms = [{"partition": pt.format_partition(mu, args.k + 1),
-              "coefficient": render_scalar(c)}
-             for mu, c in sorted(rel.terms.items(), reverse=True)]
     return 0, {"degree": args.d, "profile": profile, "field": args.field,
-               "terms": terms}
+               "terms": _terms_json(rel.terms, args.k + 1)}
 
 
 def _cmd_current_rank(args):
@@ -226,9 +222,7 @@ def _cmd_current_reduce(args):
     _checked("--lambda", pt.normalize, lam)
     out = ca.reduce_to_admissible(lam, args.k, args.r)
     return 0, {"input": _join(lam),
-               "terms": [{"partition": pt.format_partition(mu, len(lam)),
-                          "coefficient": render_scalar(c)}
-                         for mu, c in sorted(out.terms.items(), reverse=True)]}
+               "terms": _terms_json(out.terms, len(lam))}
 
 
 def _cmd_char_chi(args):

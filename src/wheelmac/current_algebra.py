@@ -189,10 +189,6 @@ class CharSeries:
             raise KeyError("outside truncation")
         return self.coeffs.get((d, n), 0)
 
-    def __eq__(self, other):
-        return (isinstance(other, CharSeries) and self.d_max == other.d_max
-                and self.n_max == other.n_max and self.coeffs == other.coeffs)
-
     def __repr__(self):
         return "CharSeries(d<=%d, n<=%d, %d nonzero)" % (
             self.d_max, self.n_max, len(self.coeffs))

@@ -26,8 +26,9 @@ Two elimination paths:
 
 UniRatFunc rows are cleared to UniPoly rows by one of two helpers:
 ``_clear_upower_row`` for the constraint rows, whose denominators are
-powers of u (``corank_upower`` ranks such rows), and
-``_clear_denominators`` (scaling by the lcm of the denominators) for
+powers of u (``wheel_ideal.wheel_kernel_basis`` clears them so, and
+``corank_upower`` ranks such rows for ``current_algebra.W_space_dim``),
+and ``_clear_denominators`` (scaling by the lcm of the denominators) for
 ``wheel_ideal.laurent_clear``.
 
 Rows are plain lists; callers choose the entry type.
@@ -38,10 +39,6 @@ from fractions import Fraction
 from .scalars import ExactDivisionError, UniPoly
 
 __all__ = ["EchelonBasis", "rank_kernel_poly", "corank_upower"]
-
-
-def _is_zero(x):
-    return not x
 
 
 class EchelonBasis:
@@ -65,10 +62,10 @@ class EchelonBasis:
         row = list(row)
         for col, prow in self.pivots.items():
             c = row[col]
-            if not _is_zero(c):
+            if c:
                 for j in range(self.ncols):
                     pj = prow[j]
-                    if not _is_zero(pj):
+                    if pj:
                         row[j] = row[j] - c * pj
         return row
 
@@ -76,10 +73,9 @@ class EchelonBasis:
         """Reduce a row against the basis; returns True if rank grew."""
         row = self.reduce(row)
         for col in range(self.ncols):
-            if not _is_zero(row[col]):
+            if row[col]:
                 inv = 1 / row[col]
-                self.pivots[col] = [x if _is_zero(x) else x * inv
-                                    for x in row]
+                self.pivots[col] = [x * inv if x else x for x in row]
                 return True
         return False
 
@@ -207,10 +203,6 @@ def rank_kernel_poly(rows, ncols, N):
     copies add no constraint and would pass the certificate anyway.
     """
     rows = list(dict.fromkeys(tuple(r) for r in rows if any(r)))
-    if not rows:
-        one, zero = UniPoly.one(N), UniPoly.zero(N)
-        return 0, [[one if j == fc else zero for j in range(ncols)]
-                   for fc in range(ncols)]
     ech = EchelonBasis(ncols)
     chosen = []
     for i, row in enumerate(rows):

@@ -1218,14 +1218,8 @@ def _qt_fold(steps):
     factors: then the QTPolys multiply."""
     # macd pays for this lane: p50 +2 % without it
     if len(steps) == 1 and len(steps[0][1]) <= 2:
-        acc = None
-        for s, fs in steps:
-            term = fs[0]
-            for f in fs[1:]:
-                term = term * f
-            acc = term if acc is None else (
-                acc if s is None else acc * s) + term
-        return acc
+        fs = steps[0][1]
+        return fs[0] * fs[1] if len(fs) == 2 else fs[0]
 
     def size(f):  # 1-norm, q-degree, t-degree
         return (_norm1(f.d), max(f.d, default=(0, 0))[0],
@@ -1595,8 +1589,6 @@ def qt_divexact(f, g):
     """
     if g.is_one():
         return f
-    if f.is_zero():
-        return f
     out = {}
     rem = dict(f.d)
     glk = g.leading_key()
@@ -1782,8 +1774,6 @@ class ParameterSpec:
         """Map a QTPoly or BiRatFunc into K = Q(zeta_{r-1})(u); PoleError
         if den -> 0.  A QTPoly (a table of counts, say) is read straight
         into a canonical UniRatFunc, with no gcd and no division."""
-        if isinstance(x, (int, Fraction)):
-            return UniRatFunc.const(self.N, x)
         if isinstance(x, QTPoly):
             return UniRatFunc.from_laurent(self.N, self.specialize_poly(x))
         den = self.specialize_poly(x.den)

@@ -118,19 +118,12 @@ class SymPoly:
         return SymPoly(self.n, {lam: w for lam, c in self.coeffs.items()
                                 if (w := c * s)}, _clean=True)
 
-    def __mul__(self, other):
-        if isinstance(other, SymPoly):
-            return sympoly_mul(self, other)
-        return self.scale(other)
-
+    # QTPoly * SymPoly in apply_rows, on component_matrix's generic element
     __rmul__ = scale
 
     def __eq__(self, other):
         return (isinstance(other, SymPoly) and self.n == other.n
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         if not self.coeffs:

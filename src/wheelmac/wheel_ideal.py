@@ -25,16 +25,16 @@ The wheel fixes x_{k+2}, ..., x_n, so the constraint matrix is built once,
 as current relations in k+1 variables (relation_generic, which
 current_algebra re-exports) times filler monomials in the free variables
 (_relation_rows, which current_algebra.ideal_rows shares for its
-root-of-unity rows).  dim J on the (n, d) component is its exact corank
-over the monomial-symmetric basis; rows are cleared to polynomial entries
-in u and eliminated fraction-free.
+root-of-unity rows).  J on the (n, d) component is the exact kernel of
+that matrix over the monomial-symmetric basis (wheel_kernel_basis), and
+dim J is the number of its kernel vectors; rows are cleared to polynomial
+entries in u and eliminated fraction-free.
 """
 
 from itertools import combinations_with_replacement
 
 from . import partitions as pt
-from .linalg import (_clear_denominators, _clear_upower_row, corank_upower,
-                     rank_kernel_poly)
+from .linalg import _clear_denominators, _clear_upower_row, rank_kernel_poly
 from .macdonald import CoeffField, MacdonaldTable, apply_D, apply_E, specialize_P
 from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
 from .symfunc import (MonomialExpansion, SymPoly, check_sigma,
@@ -186,14 +186,10 @@ def _wheel_substitute_fld(f, sigma, fld):
 
 def dim_J(k, r, n, d, p=None):
     """dim over K of the wheel-condition subspace of Lambda_{n,d}: the
-    exact corank of the rows of one sigma per rotation class, which span
-    the rows of every sigma (see the module docstring)."""
-    p = ParameterSpec.matching(p, k, r)
-    ncols = len(pt.enumerate_partitions(n, d))
-    if n <= k:
-        return ncols
-    return corank_upower((row for _, row in constraint_rows(
-        k, r, n, d, p, sigmas=_rotation_classes(k, r))), ncols, p.N)
+    number of vectors in wheel_kernel_basis, whose rows (one sigma per
+    rotation class) span the rows of every sigma (see the module
+    docstring)."""
+    return len(wheel_kernel_basis(k, r, n, d, p))
 
 
 def wheel_kernel_basis(k, r, n, d, p=None):

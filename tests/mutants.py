@@ -47,10 +47,23 @@ MUTANTS = {
         "wheel_ideal.py",
         "        if not satisfies_wheel(image, p, fld):\n            return False",
         "        if not satisfies_wheel(image, p, fld):\n            return True"),
+    "theorem1-inclusion-always-ok": (
+        "wheel_ideal.py",
+        "                witness_failures.append(pt.format_partition(lam))",
+        "                pass"),
+    "recursion-always-true": (
+        "current_algebra.py",
+        "            if lhs[(d, n)] != total:\n                return False",
+        "            if lhs[(d, n)] != total:\n                return True"),
     "lemma21-always-true": (
         "partitions.py",
         "    p = ParameterSpec(k, r)\n    lam = pad(normalize(lam), n)\n",
         "    return True\n"),
+    # Lemma 2.1's guarded pairs not checked at a strict corner
+    "lemma21-corner-guard-off": (
+        "partitions.py",
+        "p.is_resonant(g, h - 1):\n                    return False",
+        "p.is_resonant(g, h - 1):\n                    pass"),
     # the full-rank exit of rank_kernel_poly one row early
     "rank-1": (
         "linalg.py",
@@ -156,7 +169,7 @@ def main(names):
                   % (name, found, source), file=sys.stderr)
             return 2
     passed, seconds = _run(None)
-    print("%-24s %-8s %6.1f s" % ("(unchanged)", "passed" if passed
+    print("%-28s %-8s %6.1f s" % ("(unchanged)", "passed" if passed
                                   else "FAILED", seconds), flush=True)
     if not passed:
         return 2
@@ -164,7 +177,7 @@ def main(names):
     for name in names or MUTANTS:
         passed, seconds = _run(MUTANTS[name])
         survived += passed
-        print("%-24s %-8s %6.1f s" % (name, "SURVIVED" if passed
+        print("%-28s %-8s %6.1f s" % (name, "SURVIVED" if passed
                                       else "killed", seconds), flush=True)
     return 1 if survived else 0
 

@@ -394,6 +394,8 @@ sys.exit(run(sys.argv[1:]))
     "macd cauchy --n 3 --l-max 3",
     "verify rho --k 1 --r 2 --n 3 --lambda 4,2 --j-max 0",
     "verify prop302 --k 1 --r 2 --b 1 --d-max 5 --n-max 3",
+    "verify theorem1 --k 1 --r 2 --n-max 3 --d-max 6",
+    "char recursion --k 1 --r 2 --b 1 --d-max 5 --n-max 3",
 ])
 def test_a_planted_wrong_input_exits_1_under_O(argv):
     """A verifier that sees a wrong Macdonald polynomial or character

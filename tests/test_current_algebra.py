@@ -414,7 +414,7 @@ def test_chi_examples():
         chi[(7, 0)]
 
 
-def test_recursion_examples():
+def test_recursion_examples(monkeypatch):
     assert verify_recursion((1,), 1, 2, 6, 6)
     assert verify_recursion((1, 2), 2, 3, 6, 6)
     with pytest.raises(ValueError, match="b_0 >= 1"):
@@ -422,6 +422,16 @@ def test_recursion_examples():
     for b in [(1, 0), (-1, 1), (1, 3), (1,)]:
         with pytest.raises(ValueError, match="weakly increasing"):
             chi_C(b, 2, 3, 2, 2)
+    # chi_C one too large at (d, n) = (3, 2) breaks the recursion
+    inner = ca.chi_C
+
+    def off_by_one(b, k, r, d_max, n_max):
+        chi = inner(b, k, r, d_max, n_max)
+        chi.coeffs[(3, 2)] = chi[(3, 2)] + 1
+        return chi
+
+    monkeypatch.setattr(ca, "chi_C", off_by_one)
+    assert not verify_recursion((1,), 1, 2, 5, 3)
 
 
 def test_recursion_grid():

@@ -136,6 +136,9 @@ def test_lemma21_examples():
     # a non-admissible lam fails it: (1, 1) breaks the (1, 2) window
     assert not pt.is_admissible((1, 1), 1, 2, 2)
     assert not pt.check_lemma21((1, 1), 1, 2, 2)
+    # (2, 1, 0): for i = 1, j = 3 the unguarded pairs hold, but row 3 is
+    # a corner and the guarded (g - 1, h) = (1, 2) is resonant
+    assert not pt.check_lemma21((2, 1), 1, 2, 3)
 
 
 def test_lemma21_admissible_grid_small():

@@ -713,6 +713,13 @@ def test_rank_kernel_poly_vectors_are_primitive_with_a_monic_free_entry():
             tri = linalg._triangularize_poly(rows, ncols)
             assert linalg._poly_kernel_from_triangular(tri, ncols, N) == \
                 _rational_kernel_from_triangular(tri, ncols, N)
+    # no nonzero row: rank 0 and the unit vectors, none when ncols is 0
+    for N in (1, 3):
+        one, zero = UniPoly.one(N), UniPoly.zero(N)
+        units = [[one if j == c else zero for j in range(3)] for c in range(3)]
+        assert rank_kernel_poly([], 3, N) == (0, units)
+        assert rank_kernel_poly([[zero] * 3] * 2, 3, N) == (0, units)
+        assert rank_kernel_poly([], 0, N) == (0, [])
 
 
 def test_wheel_kernel_basis_matches_the_rational_back_substitution(
@@ -887,6 +894,13 @@ def test_verify_theorem1_examples(tables):
     assert rep["inclusion_ok"] and rep["dims_equal"]
     rep = verify_theorem1(1, 3, 3, 4, table=tables(3))
     assert rep["inclusion_ok"] and rep["dims_equal"]
+    # P_42 with its m_33 coefficient doubled is no wheel witness, while
+    # dim_J still counts the admissible labels
+    p = ParameterSpec(1, 2)
+    table = doubled_coefficient(MacdonaldTable(3), (4, 2), (3, 3))
+    rep = verify_theorem1(1, 2, 3, 6, p, table=table)
+    assert not rep["inclusion_ok"] and rep["dims_equal"]
+    assert rep["witness_failures"] == ["4,2"]
 
 
 def test_stability_examples(tables):
