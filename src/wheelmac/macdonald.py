@@ -413,8 +413,6 @@ class MacdonaldTable:
             if not pairs:
                 continue
             num, den = _lcm_sum(pairs, merges)
-            if num.is_zero():
-                continue
             diff = eps_lam - self.eps1(mu)
             if diff.is_zero():
                 raise ExactDivisionError(

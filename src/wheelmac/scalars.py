@@ -25,12 +25,13 @@ Fraction into an int and raises TypeError on a float (or any other type),
 so no binary expansion enters a value.  ``QTPoly`` is Z[q, t]: its
 coefficients are Python ints, and its constructors refuse a rational that
 is not an integer (ValueError, ``_integer``), so every rational in (q, t)
-is a ``BiRatFunc`` num/den.  Over Q
-(phi(N) = 1) ``UniPoly`` (dense) and ``LaurentPoly`` (sparse, exponents
-of either sign) store ints over one positive denominator coprime to their
-content, and all their arithmetic runs on plain ints; ``LaurentPoly.d``
-still shows Fractions.  A division that leaves a remainder raises
-ExactDivisionError.
+is a ``BiRatFunc`` num/den.  Over Q (phi(N) = 1) ``UniPoly`` (dense) and
+``LaurentPoly`` (sparse, exponents of either sign) store ints over one
+positive denominator coprime to their content, and all their arithmetic
+runs on plain ints; ``LaurentPoly.d`` still shows Fractions.  A division
+that leaves a remainder raises ExactDivisionError.  The four sparse dict
+types (QTPoly, LaurentPoly, and symfunc's SymPoly and MonomialExpansion)
+share one sum, ``_sparse_add``, and one product, ``_sparse_mul``.
 
 A sum of products of integer polynomials -- each target of
 ``apply_rows`` over LaurentPolys of ints, and ``_qt_fold`` for the
@@ -658,15 +659,7 @@ class LaurentPoly:
         if self.den != other.den:
             a, b = [{e: x * (den // p.den) for e, x in p.c.items()}
                     for p in (self, other)]
-        out = dict(a)
-        for e, x in b.items():
-            w = out.get(e)
-            w = x if w is None else w + x
-            if w:
-                out[e] = w
-            else:
-                del out[e]
-        return _lpoly(self.N, out, den)
+        return _lpoly(self.N, _sparse_add(a, b), den)
 
     def __neg__(self):
         return _lpoly(self.N, {e: -x for e, x in self.c.items()}, self.den)
@@ -685,17 +678,8 @@ class LaurentPoly:
             return NotImplemented
         if other.N != self.N:
             raise MixedFieldError("mixed cyclotomic orders")
-        out = {}
-        for ea, ca in self.c.items():
-            for eb, cb in other.c.items():
-                e = ea + eb
-                w = out.get(e)
-                w = ca * cb if w is None else w + ca * cb
-                if w:
-                    out[e] = w
-                else:
-                    del out[e]
-        return _lpoly(self.N, out, self.den * other.den)
+        return _lpoly(self.N, _sparse_mul(self.c, other.c, int.__add__),
+                      self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -724,6 +708,41 @@ def _lpoly(N, c, den=1):
     p = object.__new__(LaurentPoly)
     p.N, p.c, p.den = N, c, den
     return p
+
+
+def _sparse_add(a, b):
+    """The {key: value} sum of two dicts of nonzero values, zeros dropped."""
+    out = dict(a)
+    for k, v in b.items():
+        w = out.get(k)
+        if w is None:
+            out[k] = v
+        elif w := w + v:
+            out[k] = w
+        else:
+            del out[k]
+    return out
+
+
+def _sparse_mul(a, b, add):
+    """The {key: value} product of two dicts of nonzero values over an
+    integral domain, add(ka, kb) being the key of a product of two terms;
+    zeros dropped.  The smaller dict runs in the outer loop."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    b = b.items()
+    for ka, va in a.items():
+        for kb, vb in b:
+            k = add(ka, kb)
+            w = out.get(k)
+            if w is None:
+                out[k] = va * vb
+            elif w := w + va * vb:
+                out[k] = w
+            else:
+                del out[k]
+    return out
 
 
 def apply_rows(rows, coeffs, zero):
@@ -1037,9 +1056,7 @@ class QTPoly:
 
     __slots__ = ("d",)
 
-    def __init__(self, d=None, _clean=False):
-        if d is None:
-            d = {}
+    def __init__(self, d, _clean=False):
         if not _clean:
             if any(qe < 0 or te < 0 for qe, te in d):
                 raise ValueError("QTPoly exponents must be >= 0")
@@ -1087,16 +1104,7 @@ class QTPoly:
             return other
         if not other.d:
             return self
-        out = dict(self.d)
-        for k, v in other.d.items():
-            w = out.get(k)
-            if w is None:
-                out[k] = v
-            elif w := w + v:
-                out[k] = w
-            else:
-                del out[k]
-        return QTPoly(out, _clean=True)
+        return QTPoly(_sparse_add(self.d, other.d), _clean=True)
 
     __radd__ = __add__
 
@@ -1116,25 +1124,7 @@ class QTPoly:
             if not isinstance(other, Rational):
                 return NotImplemented
             return self.scale(other) if other else QTPoly.zero()
-        if not self.d or not other.d:
-            return QTPoly.zero()
-        a, b = self.d, other.d
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for (qa, ta), va in a.items():
-            for (qb, tb), vb in b.items():
-                k = (qa + qb, ta + tb)
-                w = out.get(k)
-                if w is None:
-                    out[k] = va * vb
-                else:
-                    w = w + va * vb
-                    if w:
-                        out[k] = w
-                    else:
-                        del out[k]
-        return QTPoly(out, _clean=True)
+        return QTPoly(_sparse_mul(self.d, other.d, _add2), _clean=True)
 
     __rmul__ = __mul__
 
@@ -1203,6 +1193,11 @@ class QTPoly:
 
     def __repr__(self):
         return "QTPoly(%s)" % render_scalar(self)
+
+
+def _add2(a, b):
+    """The exponent pair of a product of two (q, t) monomials."""
+    return a[0] + b[0], a[1] + b[1]
 
 
 def _grlex(k):
@@ -1280,8 +1275,6 @@ def _iz_primitive(a):
 
 
 def _iz_mul(a, b):
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -1480,8 +1473,8 @@ def _heu_gcd(fr, gr):
 
 
 def _heu_gcd_univariate(a, b):
-    """(g, a/g, b/g) in Z[q] for two int coefficient lists by GCDHEU, or
-    None (also when one is zero).
+    """(g, a/g, b/g) in Z[q] for two nonzero int coefficient lists by
+    GCDHEU, or None.
 
     The gcd of the values of the primitive parts at xi is read back as a
     polynomial from its symmetric xi-adic digits; that times the gcd of the
@@ -1489,8 +1482,6 @@ def _heu_gcd_univariate(a, b):
     primitive part divides both primitive parts, the certificate.
     """
     a, b = _iz_trim(a), _iz_trim(b)
-    if not a or not b:
-        return None
     ca, cb = _iz_content(a), _iz_content(b)
     c = gcd(ca, cb)
     pa = [x // ca for x in a] if ca > 1 else a

@@ -19,10 +19,10 @@ macdonald's operators use too.  No field type is named here.
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from operator import mul
+from operator import add, mul
 
 from . import partitions as pt
-from .scalars import QTPoly, apply_rows
+from .scalars import QTPoly, _sparse_add, _sparse_mul, apply_rows
 
 __all__ = [
     "SymPoly", "MonomialExpansion", "m_to_monomials", "monomials_to_m",
@@ -98,15 +98,8 @@ class SymPoly:
         if isinstance(other, SymPoly):
             if other.n != self.n:
                 raise ValueError("variable counts differ")
-            out = dict(self.coeffs)
-            for lam, c in other.coeffs.items():
-                w = out.get(lam)
-                w = c if w is None else w + c
-                if w:
-                    out[lam] = w
-                else:
-                    out.pop(lam, None)
-            return SymPoly(self.n, out, _clean=True)
+            return SymPoly(self.n, _sparse_add(self.coeffs, other.coeffs),
+                           _clean=True)
         return NotImplemented
 
     def __sub__(self, other):
@@ -155,15 +148,7 @@ class MonomialExpansion:
     def __add__(self, other):
         if not isinstance(other, MonomialExpansion) or other.n != self.n:
             return NotImplemented
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            w = out.get(a)
-            w = c if w is None else w + c
-            if w:
-                out[a] = w
-            else:
-                out.pop(a, None)
-        return MonomialExpansion(self.n, out)
+        return MonomialExpansion(self.n, _sparse_add(self.terms, other.terms))
 
     def scale(self, s):
         return MonomialExpansion(self.n, {a: c * s for a, c in self.terms.items()})
@@ -174,12 +159,8 @@ class MonomialExpansion:
 
 def m_to_monomials(f):
     """Expand each m_lam into its orbit sum (coefficient 1 per monomial)."""
-    terms = {}
-    for lam, c in f.coeffs.items():
-        for alpha in orbit_of(lam, f.n):
-            w = terms.get(alpha)
-            terms[alpha] = c if w is None else w + c
-    return MonomialExpansion(f.n, terms)
+    return MonomialExpansion(f.n, {alpha: c for lam, c in f.coeffs.items()
+                                   for alpha in orbit_of(lam, f.n)})
 
 
 def monomials_to_m(g, check=True):
@@ -215,20 +196,12 @@ def _expansion_mul(g, h):
     """Product of two expansions over the same variables."""
     if g.n != h.n:
         raise ValueError("variable counts differ")
-    out = {}
-    a_items = g.terms.items()
-    b_items = list(h.terms.items())
-    for aa, ca in a_items:
-        for bb, cb in b_items:
-            key = tuple(x + y for x, y in zip(aa, bb))
-            c = ca * cb
-            w = out.get(key)
-            w = c if w is None else w + c
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
-    return MonomialExpansion(g.n, out)
+    return MonomialExpansion(g.n, _sparse_mul(g.terms, h.terms, _add_vectors))
+
+
+def _add_vectors(a, b):
+    """The exponent vector of a product of two monomials."""
+    return tuple(map(add, a, b))
 
 
 def sympoly_mul(f, g):

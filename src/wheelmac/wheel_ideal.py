@@ -184,12 +184,20 @@ def _wheel_substitute_fld(f, sigma, fld):
     return wheel_substitute(f, sigma, fld)
 
 
+def _kernel(k, r, n, d, p):
+    """rank_kernel_poly's UniPoly kernel vectors on the (n, d) component,
+    over the rows of one sigma per rotation class; no rows when n <= k."""
+    rows = () if n <= k else (
+        _clear_upower_row(row, p.N) for _, row in constraint_rows(
+            k, r, n, d, p, sigmas=_rotation_classes(k, r)))
+    return rank_kernel_poly(rows, len(pt.enumerate_partitions(n, d)), p.N)[1]
+
+
 def dim_J(k, r, n, d, p=None):
     """dim over K of the wheel-condition subspace of Lambda_{n,d}: the
-    number of vectors in wheel_kernel_basis, whose rows (one sigma per
-    rotation class) span the rows of every sigma (see the module
-    docstring)."""
-    return len(wheel_kernel_basis(k, r, n, d, p))
+    number of kernel vectors of the rows of one sigma per rotation class,
+    which span the rows of every sigma (see the module docstring)."""
+    return len(_kernel(k, r, n, d, ParameterSpec.matching(p, k, r)))
 
 
 def wheel_kernel_basis(k, r, n, d, p=None):
@@ -200,16 +208,9 @@ def wheel_kernel_basis(k, r, n, d, p=None):
     """
     p = ParameterSpec.matching(p, k, r)
     plist = pt.enumerate_partitions(n, d)
-    if n <= k:
-        return [SymPoly.m(lam, n, UniRatFunc.one(p.N)) for lam in plist]
-    rows = (_clear_upower_row(row, p.N) for _, row in constraint_rows(
-        k, r, n, d, p, sigmas=_rotation_classes(k, r)))
-    _, vecs = rank_kernel_poly(rows, len(plist), p.N)
-    out = []
-    for vec in vecs:
-        wrapped = [UniRatFunc(x, _canonical=True) for x in vec]
-        out.append(SymPoly(n, dict(zip(plist, wrapped))))
-    return out
+    return [SymPoly(n, {lam: UniRatFunc(x, _canonical=True)
+                        for lam, x in zip(plist, vec) if x}, _clean=True)
+            for vec in _kernel(k, r, n, d, p)]
 
 
 def basis_I(k, r, n, d, p=None, table=None):

@@ -116,6 +116,15 @@ MUTANTS = {
         "macdonald.py",
         "prod((ratios[m] for m in mu),",
         "prod((ratios[m] for m in set(mu)),"),
+    # a sum or product term that cancels kept as a zero value
+    "sparse-add-keeps-zeros": (
+        "scalars.py",
+        "            del out[k]\n    return out\n\n\ndef _sparse_mul",
+        "            out[k] = w\n    return out\n\n\ndef _sparse_mul"),
+    "sparse-mul-keeps-zeros": (
+        "scalars.py",
+        "                del out[k]\n    return out",
+        "                out[k] = w\n    return out"),
     # an absent swapped term read as equal, so a missing orbit member
     # passes the symmetry check
     "symmetry-ignores-missing": (

@@ -1,11 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import wheelmac
+from wheelmac import cli
 from wheelmac import current_algebra as ca
 from wheelmac import wheel_ideal as wi
 from wheelmac.cli import UsageError, run
@@ -248,6 +250,52 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     assert ("--lambda 0,0,0 is not (k=1, r=2)-admissible in 3 variables"
             in capsys.readouterr().err)
+
+
+def _fuzz_value(rng, kwargs):
+    """A value for one option: counts mostly in 0..3 (other integers in
+    1..4), with a few -1s and junk strings; lists mostly valid, with some
+    empty, negative or junk."""
+    if "choices" in kwargs:
+        return rng.choice(kwargs["choices"])
+    roll = rng.random()
+    if kwargs.get("type") in (cli._int_list, cli._partition):
+        parts = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        if roll < 0.1:
+            return ""
+        if roll < 0.2:
+            parts[rng.randrange(len(parts))] = -1
+        elif roll < 0.25:
+            parts.append("x")
+        elif kwargs["type"] is cli._partition:
+            parts.sort(reverse=True)
+        return ",".join(map(str, parts))
+    return "-1" if roll < 0.05 else "two" if roll < 0.1 else \
+        str(rng.randint(0, 3) + (kwargs.get("type") is not cli._COUNT))
+
+
+def test_random_argvs_keep_the_exit_code_contract(capsys):
+    # seeded argvs over every command, each option passed: the exit is 0, 1
+    # or 2, a JSON answer parses, and enough of them are answers
+    rng = random.Random(41)
+    answered = 0
+    for _ in range(300):
+        group, cmd, _, _, options = rng.choice(cli._COMMANDS)
+        fmt = rng.choice(("json", "table"))
+        argv = ["--format", fmt, group, cmd]
+        for flag, kwargs in options:
+            argv += [flag, _fuzz_value(rng, kwargs)]
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2), argv
+        if code != 2:
+            answered += 1
+            if fmt == "json":
+                json.loads(out)
+    assert answered >= 60
 
 
 _USAGE_ERRORS_UNDER_O = """
