@@ -31,7 +31,8 @@ positive denominator coprime to their content, and all their arithmetic
 runs on plain ints; ``LaurentPoly.d`` still shows Fractions.  A division
 that leaves a remainder raises ExactDivisionError.  The four sparse dict
 types (QTPoly, LaurentPoly, and symfunc's SymPoly and MonomialExpansion)
-share one sum, ``_sparse_add``, and one product, ``_sparse_mul``.
+share one sum, ``_sparse_add``, and one product, ``_sparse_mul``; the
+tuple-keyed ones add exponent keys by ``_add_vectors``.
 
 A sum of products of integer polynomials -- each target of
 ``apply_rows`` over LaurentPolys of ints, and ``_qt_fold`` for the
@@ -67,6 +68,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from numbers import Rational
+from operator import add
 
 __all__ = [
     "CycloNum", "UniPoly", "UniRatFunc", "LaurentPoly", "QTPoly", "BiRatFunc",
@@ -745,6 +747,11 @@ def _sparse_mul(a, b, add):
     return out
 
 
+def _add_vectors(a, b):
+    """The exponent vector of a product of two monomials."""
+    return tuple(map(add, a, b))
+
+
 def apply_rows(rows, coeffs, zero):
     """{target: sum of a * coeffs[s] over the (s, a) of rows[target] with s
     in coeffs}, nonzero sums only: a table {target: {source: a}} applied to
@@ -1124,7 +1131,7 @@ class QTPoly:
             if not isinstance(other, Rational):
                 return NotImplemented
             return self.scale(other) if other else QTPoly.zero()
-        return QTPoly(_sparse_mul(self.d, other.d, _add2), _clean=True)
+        return QTPoly(_sparse_mul(self.d, other.d, _add_vectors), _clean=True)
 
     __rmul__ = __mul__
 
@@ -1193,11 +1200,6 @@ class QTPoly:
 
     def __repr__(self):
         return "QTPoly(%s)" % render_scalar(self)
-
-
-def _add2(a, b):
-    """The exponent pair of a product of two (q, t) monomials."""
-    return a[0] + b[0], a[1] + b[1]
 
 
 def _grlex(k):
@@ -1473,8 +1475,8 @@ def _heu_gcd(fr, gr):
 
 
 def _heu_gcd_univariate(a, b):
-    """(g, a/g, b/g) in Z[q] for two nonzero int coefficient lists by
-    GCDHEU, or None.
+    """(g, a/g, b/g) in Z[q] for two int coefficient lists by GCDHEU, or
+    None (also when one is zero).
 
     The gcd of the values of the primitive parts at xi is read back as a
     polynomial from its symmetric xi-adic digits; that times the gcd of the
@@ -1482,6 +1484,8 @@ def _heu_gcd_univariate(a, b):
     primitive part divides both primitive parts, the certificate.
     """
     a, b = _iz_trim(a), _iz_trim(b)
+    if not a or not b:
+        return None
     ca, cb = _iz_content(a), _iz_content(b)
     c = gcd(ca, cb)
     pa = [x // ca for x in a] if ca > 1 else a

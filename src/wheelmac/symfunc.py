@@ -19,10 +19,11 @@ macdonald's operators use too.  No field type is named here.
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from operator import add, mul
+from operator import mul
 
 from . import partitions as pt
-from .scalars import QTPoly, _sparse_add, _sparse_mul, apply_rows
+from .scalars import (QTPoly, _add_vectors, _sparse_add, _sparse_mul,
+                      apply_rows)
 
 __all__ = [
     "SymPoly", "MonomialExpansion", "m_to_monomials", "monomials_to_m",
@@ -197,11 +198,6 @@ def _expansion_mul(g, h):
     if g.n != h.n:
         raise ValueError("variable counts differ")
     return MonomialExpansion(g.n, _sparse_mul(g.terms, h.terms, _add_vectors))
-
-
-def _add_vectors(a, b):
-    """The exponent vector of a product of two monomials."""
-    return tuple(map(add, a, b))
 
 
 def sympoly_mul(f, g):

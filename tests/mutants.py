@@ -125,6 +125,11 @@ MUTANTS = {
         "scalars.py",
         "                del out[k]\n    return out",
         "                out[k] = w\n    return out"),
+    # the heuristic gcd without its step over a point where an image is 0
+    "heu-gcd-zero-image": (
+        "scalars.py",
+        "    if not a or not b:\n        return None\n    ca, cb",
+        "    ca, cb"),
     # an absent swapped term read as equal, so a missing orbit member
     # passes the symmetry check
     "symmetry-ignores-missing": (

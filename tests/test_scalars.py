@@ -1168,6 +1168,21 @@ def test_heuristic_gcd_agrees_with_prs(monkeypatch):
     assert seen == {"heuristic": several, "fallback": 0}, seen
 
 
+def test_heuristic_gcd_steps_over_a_point_where_one_image_vanishes(
+        monkeypatch):
+    """f = (t - 4)(q + 50) and g = q + t + 1 are primitive, so the first
+    point is 2 min(|f|, |g|) + 2 = 4, where every (Z[t])[q] row of f is
+    zero: the heuristic moves on to the next point, and the gcd is the
+    PRS's."""
+    q, t, one = QTPoly.q(), QTPoly.t(), QTPoly.one()
+    f, g = (t - 4 * one) * (q + 50 * one), q + t + one
+    assert list(scalars._heu_points(200, 1))[0] == 4
+    got = qt_gcd(f, g)
+    monkeypatch.setattr(scalars, "_HEU_TRIES", 0)
+    assert got == qt_gcd(f, g) == (one, f, g)
+    assert qt_gcd(g, f) == (one, g, f)
+
+
 def test_forced_heuristic_failure_reaches_prs(monkeypatch):
     pairs = _planted_pairs(23, 60)
     expected = [qt_gcd(f, g)[0] for f, g in pairs]
