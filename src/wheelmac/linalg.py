@@ -6,32 +6,38 @@ Two elimination paths:
     used where the entries are field elements anyway (rational matrices,
     and the numeric row selection below over Q(zeta_N)).
   * ``rank_kernel_poly`` -- the workhorse for tall matrices over
-    Q(zeta_N)[u]: repeated rows are dropped after their first occurrence
-    (the wheel matrix holds one row per relation and filler, and its
-    callers pass one sigma per rotation class, so the rotation copies,
-    unit multiples of their class's rows, never reach it), then a numeric
-    evaluation of u picks out candidate independent rows.  Evaluation at
-    u0 is a ring map, so a nonzero minor at u0 is a nonzero minor over
-    Q(zeta_N)[u]: independence at a point implies exact independence.
-    When the candidates reach full column rank, that minor is the whole
-    answer (rank ncols, no kernel) and nothing else runs.  Below full
-    rank the candidates are triangularized exactly with row-content
-    stripping (each row divided by the gcd of its entries, one gcd fold
-    that stops at a constant), the kernel is read off by fraction-free
-    back-substitution (UniPoly entries throughout, no rational
-    functions), and every remaining row is certified against the kernel
-    by polynomial dot products.  Any row failing the certificate joins
-    the candidates and the loop repeats, so the output is exact
-    regardless of the evaluation point.
+    Q(zeta_N)(u) whose denominators are powers of u.  It reads its rows
+    one at a time, as they are built: repeated rows are dropped after
+    their first occurrence (the wheel matrix holds one row per relation
+    and filler, and its callers pass one sigma per rotation class, so the
+    rotation copies, unit multiples of their class's rows, never reach
+    it), and each row is taken at a numeric point u0 to pick out
+    candidate independent rows, every distinct entry evaluated once per
+    call.  Evaluation at u0 is a ring map, so a nonzero minor at u0 is a
+    nonzero minor over Q(zeta_N)(u): independence at a point implies
+    exact independence.  When the candidates reach full column rank, that
+    minor is the whole answer (rank ncols, no kernel): the rest of the
+    rows is never drawn, so a generator never builds it, and nothing is
+    cleared.
+    Below full rank every row read is cleared to a polynomial row
+    (``_clear_upower_row``), the candidates are triangularized exactly
+    with row-content stripping (each row divided by the gcd of its
+    entries, one gcd fold that stops at a constant), the kernel is read
+    off by fraction-free back-substitution (UniPoly entries throughout,
+    no rational functions), and every remaining row is certified against
+    the kernel by polynomial dot products.  Any row failing the
+    certificate joins the candidates and the loop repeats, so the output
+    is exact regardless of the evaluation point.
 
-UniRatFunc rows are cleared to UniPoly rows by one of two helpers:
-``_clear_upower_row`` for the constraint rows, whose denominators are
-powers of u (``wheel_ideal.wheel_kernel_basis`` clears them so, and
-``corank_upower`` ranks such rows for ``current_algebra.W_space_dim``),
-and ``_clear_denominators`` (scaling by the lcm of the denominators) for
-``wheel_ideal.laurent_clear``.
+Every denominator of a row that is read is checked to be a power of u
+(``_upower``), since clearing shifts the numerators; ``corank_upower``
+(for ``current_algebra.W_space_dim``) checks every row it is given before
+ranking, also those after the full-rank exit.  ``_clear_denominators``
+(scaling by the lcm of the denominators) clears rows with any
+denominators, for ``wheel_ideal.laurent_clear``.
 
-Rows are plain lists; callers choose the entry type.
+Rows are plain lists: of field elements for ``EchelonBasis``, of
+UniRatFuncs for ``rank_kernel_poly``.
 """
 
 from fractions import Fraction
@@ -85,17 +91,24 @@ class EchelonBasis:
 _PROBE_POINT = Fraction(5, 2)
 
 
+def _upower(x):
+    """The degree of the (monic) denominator of x, which must be a power
+    of u; any other raises ExactDivisionError, since shifting the numerator
+    would drop the rest of the denominator."""
+    deg = x.den.degree()
+    if x.den.trailing_order() != deg:
+        raise ExactDivisionError("denominator %r is not a power of u"
+                                 % (x.den,))
+    return deg
+
+
 def _clear_upower_row(row, N):
-    """UniRatFunc row -> UniPoly row, when every (monic) denominator is a
-    u-power; any other raises ExactDivisionError, since shifting its
-    numerator would drop the rest of the denominator."""
-    for x in row:
-        if x.den.trailing_order() != x.den.degree():
-            raise ExactDivisionError("denominator %r is not a power of u"
-                                     % (x.den,))
-    shift = max((x.den.degree() for x in row), default=0)
-    return [x.num.shift(shift - x.den.degree()) if x else UniPoly.zero(N)
-            for x in row]
+    """UniRatFunc row -> UniPoly row: u^shift times the row, shift the
+    largest degree of a denominator, each checked by ``_upower``."""
+    degs = [_upower(x) for x in row]
+    shift = max(degs, default=0)
+    return [x.num.shift(shift - s) if x else UniPoly.zero(N)
+            for x, s in zip(row, degs)]
 
 
 def _clear_denominators(row, N):
@@ -195,23 +208,52 @@ def _poly_kernel_from_triangular(tri, ncols, N):
 
 
 def rank_kernel_poly(rows, ncols, N):
-    """Exact (rank, kernel basis) of a matrix over Q(zeta_N)[u].
+    """Exact (rank, kernel basis) of a matrix over Q(zeta_N)(u).
 
-    rows: iterable of UniPoly rows.  Each kernel vector comes back as a
-    UniPoly row with no common factor and a monic free coordinate (its
-    last nonzero entry).  Only the first copy of a repeated row is kept: the
-    copies add no constraint and would pass the certificate anyway.
+    rows: iterable of UniRatFunc rows whose denominators are powers of u,
+    read one at a time.  Only the first copy of a repeated row is kept:
+    the copies add no constraint and would pass the certificate anyway.
+    Each entry is taken at u0 once per call, as num(u0) u0^-s once
+    ``_upower`` has checked that its denominator is u^s; a row at u0 is
+    then u0^-shift times its cleared form, so the rows chosen are those of
+    the cleared matrix.  At full rank the rest of rows is never read;
+    below it the kept rows are cleared by ``_clear_upower_row`` for the
+    exact phase.  Each kernel vector comes back as a UniPoly row with no
+    common factor and a monic free coordinate (its last nonzero entry).
     """
-    rows = list(dict.fromkeys(tuple(r) for r in rows if any(r)))
+    # equal entries share a class, so rows are compared by their classes
+    # and an entry object is hashed once; read keeps the entry it is keyed
+    # by alive, so its id is not reused within the call
+    read = {}  # id(entry) -> (entry, its class, its value at u0)
+    classes = {}  # entry -> its class
+
+    def entry(x):
+        got = read.get(id(x))
+        if got is None:
+            s = _upower(x)
+            v = x.num.evaluate(_PROBE_POINT)
+            got = read[id(x)] = (x, classes.setdefault(x, len(classes)),
+                                 v * _PROBE_POINT ** -s if s else v)
+        return got
+
+    kept = {}  # the classes of each distinct nonzero row -> the row
     ech = EchelonBasis(ncols)
     chosen = []
-    for i, row in enumerate(rows):
-        if ech.add([e.evaluate(_PROBE_POINT) for e in row]):
-            chosen.append(i)
+    for row in rows:
+        if not any(row):
+            continue
+        got = [entry(x) for x in row]
+        key = tuple(g[1] for g in got)
+        if key in kept:
+            continue
+        kept[key] = row
+        if ech.add([g[2] for g in got]):
+            chosen.append(len(kept) - 1)
             if ech.rank == ncols:
                 # the chosen rows have a nonzero ncols-minor at u0, hence
                 # over Q(zeta_N)[u]: full column rank, no kernel
                 return ncols, []
+    rows = [_clear_upower_row(row, N) for row in kept.values()]
     chosen_set = set(chosen)
     while True:
         tri = _triangularize_poly([rows[i] for i in chosen], ncols)
@@ -238,9 +280,11 @@ def rank_kernel_poly(rows, ncols, N):
 
 
 def corank_upower(rows, ncols, N):
-    """Corank of UniRatFunc rows whose denominators are powers of u: each
-    row is cleared by ``_clear_upower_row`` and ranked by
-    ``rank_kernel_poly``."""
-    rank, _ = rank_kernel_poly((_clear_upower_row(row, N) for row in rows),
-                               ncols, N)
-    return ncols - rank
+    """Corank of UniRatFunc rows whose denominators are powers of u.  Every
+    row is checked by ``_upower`` before ``rank_kernel_poly`` ranks them, so
+    a bad row is refused even where the rank is full before it."""
+    rows = list(rows)
+    for row in rows:
+        for x in row:
+            _upower(x)
+    return ncols - rank_kernel_poly(rows, ncols, N)[0]

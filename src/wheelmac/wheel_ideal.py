@@ -27,14 +27,17 @@ current_algebra re-exports) times filler monomials in the free variables
 (_relation_rows, which current_algebra.ideal_rows shares for its
 root-of-unity rows).  J on the (n, d) component is the exact kernel of
 that matrix over the monomial-symmetric basis (wheel_kernel_basis), and
-dim J is the number of its kernel vectors; rows are cleared to polynomial
-entries in u and eliminated fraction-free.
+dim J is the number of its kernel vectors.  The rows go to
+linalg.rank_kernel_poly as constraint_rows builds them: where the rank is
+full (J = 0) it stops at a nonzero minor at its probe point, and the rest
+are never built; below full rank they are cleared to polynomial entries in
+u and eliminated fraction-free.
 """
 
 from itertools import combinations_with_replacement
 
 from . import partitions as pt
-from .linalg import _clear_denominators, _clear_upower_row, rank_kernel_poly
+from .linalg import _clear_denominators, rank_kernel_poly
 from .macdonald import CoeffField, MacdonaldTable, apply_D, apply_E, specialize_P
 from .scalars import LaurentPoly, ParameterSpec, UniRatFunc
 from .symfunc import (MonomialExpansion, SymPoly, check_sigma,
@@ -186,10 +189,11 @@ def _wheel_substitute_fld(f, sigma, fld):
 
 def _kernel(k, r, n, d, p):
     """rank_kernel_poly's UniPoly kernel vectors on the (n, d) component,
-    over the rows of one sigma per rotation class; no rows when n <= k."""
-    rows = () if n <= k else (
-        _clear_upower_row(row, p.N) for _, row in constraint_rows(
-            k, r, n, d, p, sigmas=_rotation_classes(k, r)))
+    over the rows of one sigma per rotation class, drawn from
+    constraint_rows uncleared and only until the rank is full; no rows
+    when n <= k."""
+    rows = () if n <= k else (row for _, row in constraint_rows(
+        k, r, n, d, p, sigmas=_rotation_classes(k, r)))
     return rank_kernel_poly(rows, len(pt.enumerate_partitions(n, d)), p.N)[1]
 
 

@@ -69,18 +69,19 @@ MUTANTS = {
         "linalg.py",
         "            if ech.rank == ncols:",
         "            if ech.rank == ncols - 1:"),
-    # the full-rank exit taken while the input is drained, so the rows
-    # after it are never cleared
-    "exit-before-drain": (
+    # corank_upower ranking its rows unchecked, so a bad row after the
+    # full-rank exit is never looked at
+    "corank-unchecked": (
         "linalg.py",
-        "    rows = list(dict.fromkeys(tuple(r) for r in rows if any(r)))\n",
-        "    source, rows, ech = rows, [], EchelonBasis(ncols)\n"
-        "    for r in source:\n"
-        "        if any(r) and tuple(r) not in rows:\n"
-        "            rows.append(tuple(r))\n"
-        "            if (ech.add([e.evaluate(_PROBE_POINT) for e in r])\n"
-        "                    and ech.rank == ncols):\n"
-        "                return ncols, []\n"),
+        "    rows = list(rows)\n    for row in rows:\n        for x in row:\n"
+        "            _upower(x)\n",
+        "    rows = list(rows)\n"),
+    # an entry read at the probe point as if its denominator were a power
+    # of u, unchecked
+    "read-unchecked": (
+        "linalg.py",
+        "            s = _upower(x)\n",
+        "            s = x.den.degree()\n"),
     # a Laurent target packed without rescaling each product to the lcm
     # of its pair denominators
     "laurent-apply-unscaled": (

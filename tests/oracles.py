@@ -4,9 +4,10 @@ against, kept out of the library because no library code needs them."""
 from fractions import Fraction
 from math import lcm
 
+from wheelmac import linalg
 from wheelmac import partitions as pt
 from wheelmac.macdonald import CoeffField
-from wheelmac.scalars import LaurentPoly, QTPoly, UniRatFunc, _lpoly
+from wheelmac.scalars import LaurentPoly, QTPoly, UniPoly, UniRatFunc, _lpoly
 from wheelmac.symfunc import SymPoly, orbit_of
 
 
@@ -83,6 +84,34 @@ def fraction_det(rows):
                 for j in range(col, len(row)):
                     row[j] -= c * rows[col][j]
     return det
+
+
+def eager_rank_kernel(rows, ncols, N):
+    """(rank, kernel) of u-power UniRatFunc rows ranked eagerly: every row
+    cleared by linalg._clear_upower_row and the first copy of each distinct
+    nonzero one kept before any is read; every entry of each kept row taken
+    at the probe point until the rank is full; below it linalg's exact
+    triangularization, back-substitution and certificate, with each row
+    failing the certificate added in turn."""
+    rows = list(dict.fromkeys(tuple(linalg._clear_upower_row(row, N))
+                              for row in rows if any(row)))
+    ech = linalg.EchelonBasis(ncols)
+    chosen = []
+    for i, row in enumerate(rows):
+        if ech.add([e.evaluate(linalg._PROBE_POINT) for e in row]):
+            chosen.append(i)
+            if ech.rank == ncols:
+                return ncols, []
+    while True:
+        tri = linalg._triangularize_poly([rows[i] for i in chosen], ncols)
+        kernel = linalg._poly_kernel_from_triangular(tri, ncols, N)
+        offender = next(
+            (i for i, row in enumerate(rows) if i not in chosen
+             and any(sum((a * b for a, b in zip(row, vec) if a and b),
+                         UniPoly.zero(N)) for vec in kernel)), None)
+        if offender is None:
+            return len(tri), kernel
+        chosen.append(offender)
 
 
 def doubled_coefficient(table, lam, mu):

@@ -20,7 +20,7 @@ from wheelmac.symfunc import MonomialExpansion
 from wheelmac.wheel_ideal import (_rotation_classes, constraint_rows,
                                   wheel_substitutions)
 
-from oracles import eval_monomial_symmetric, unirat_u
+from oracles import eager_rank_kernel, eval_monomial_symmetric, unirat_u
 from test_wheel_ideal import _reference_rows
 
 
@@ -202,7 +202,7 @@ def _dot(row, vec):
 
 
 def test_rank_kernel_poly_certifies_each_distinct_row_once(monkeypatch):
-    # cleared wheel and ideal rows with repeated copies interleaved (and
+    # wheel and ideal rows with repeated copies interleaved (and
     # u-multiples, which are distinct rows): the numeric selection sees
     # each distinct nonzero row once, and rank and kernel are those of the
     # first occurrences.  A row that vanishes at the first probe point but
@@ -219,20 +219,19 @@ def test_rank_kernel_poly_certifies_each_distinct_row_once(monkeypatch):
         p = ParameterSpec(k, r)
         N = p.N
         ncols = len(pt.enumerate_partitions(n, d))
-        rows = [_clear_upower_row(row, N) for _, row
-                in constraint_rows(k, r, n, d, p)]
-        rows += [_clear_upower_row(row, N) for row
-                 in ideal_rows(k, r, n, d, p, field="generic")]
+        u = unirat_u(N)
+        rows = [row for _, row in constraint_rows(k, r, n, d, p)]
+        rows += ideal_rows(k, r, n, d, p, field="generic")
         base_rank, base_kernel = linalg.rank_kernel_poly(rows, ncols, N)
         assert base_kernel, (k, r, n, d)
         # e_c times (u - u0) is zero at u0 and pairs nonzero with the kernel
         col = next(c for c, x in enumerate(base_kernel[0]) if x)
         u0 = linalg._PROBE_POINT
-        offender = [UniPoly.zero(N)] * ncols
-        offender[col] = UniPoly(N, [CycloNum.from_rational(N, -u0),
-                                    CycloNum.one(N)])
+        offender = [UniRatFunc.zero(N)] * ncols
+        offender[col] = UniRatFunc(UniPoly(N, [CycloNum.from_rational(N, -u0),
+                                               CycloNum.one(N)]))
         for extra, want_rank in (([], base_rank), ([offender], base_rank + 1)):
-            pool = rows + extra + [[x.shift(1) for x in row]
+            pool = rows + extra + [[x * u for x in row]
                                    for row in rng.sample(rows, 3)]
             mixed = list(pool)
             for _ in range(2 * len(pool)):
@@ -246,7 +245,7 @@ def test_rank_kernel_poly_certifies_each_distinct_row_once(monkeypatch):
             assert rank == want_rank and rank + len(kernel) == ncols
             for row in first:
                 for vec in kernel:
-                    acc = _dot(row, vec)
+                    acc = _dot(_clear_upower_row(row, N), vec)
                     assert acc is None or acc.is_zero(), (k, r, n, d)
             assert linalg.rank_kernel_poly(first, ncols, N) == (rank, kernel)
 
@@ -491,6 +490,26 @@ def test_generic_ranks_over_rotation_classes_match_every_sigma():
                         else len(keep)
                     assert W_space_dim(b, k, r, n, d, p) == ref, \
                         (k, r, b, n, d)
+
+
+def test_W_space_dim_matches_the_eager_reference():
+    # the dual benchmark's grid: the prefix-bound columns kept, the rows of
+    # one sigma per class cleared and deduplicated before any is read
+    for k, r in [(1, 2), (2, 2), (1, 3)]:
+        p = ParameterSpec(k, r)
+        for n in range(5):
+            for d in range(9):
+                plist = [pt.pad(lam, n) for lam in pt.enumerate_partitions(n, d)]
+                rows = ideal_rows(k, r, n, d, p, "generic",
+                                  _rotation_classes(k, r))
+                for b in combinations_with_replacement(range(k + 1), r - 1):
+                    keep = [i for i, lam in enumerate(plist)
+                            if all(sum(lam.count(v) for v in range(a + 1))
+                                   <= b[a] for a in range(r - 1))]
+                    proj = [[row[i] for i in keep] for row in rows]
+                    rank, _ = eager_rank_kernel(proj, len(keep), p.N)
+                    assert W_space_dim(b, k, r, n, d, p) \
+                        == len(keep) - rank, (k, r, b, n, d)
 
 
 def test_generic_ranks_take_one_relation_per_class(monkeypatch):

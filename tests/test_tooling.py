@@ -23,7 +23,8 @@ from pathlib import Path
 import pytest
 
 import wheelmac
-from wheelmac import cli, current_algebra, scalars, symfunc, wheel_ideal
+from wheelmac import (cli, current_algebra, linalg, scalars, symfunc,
+                      wheel_ideal)
 from wheelmac import macdonald as md
 from wheelmac import partitions as pt
 from wheelmac.scalars import ParameterSpec, QTPoly
@@ -374,6 +375,25 @@ def test_wheel_tables_stay_on_their_field(monkeypatch):
             wheel_ideal._wheel_substitute_fld(f, sigma, fld)
     tables = len(f.coeffs) * len(wheel_ideal.wheel_substitutions(k, r))
     assert len(collapses) == 2 * tables == 2 * len(set(collapses))
+    assert [_container_sizes(module) for module in modules] == before
+
+
+def test_rank_reads_stay_in_their_call():
+    # likewise for the entries rank_kernel_poly reads at its probe point:
+    # kept for one call only, so ranking at a new degree with a fresh
+    # ParameterSpec (dim_J at full rank, wheel_kernel_basis below it) must
+    # leave every container of these modules as it was (the degrees'
+    # orbits and the CycloNum field cache warmed)
+    k, r, n = 1, 2, 4
+    modules = (linalg, wheel_ideal, current_algebra, symfunc, scalars)
+    p = ParameterSpec(k, r)
+    scalars._CycloField.get(p.N)
+    for d in range(13):
+        for mu in pt.enumerate_partitions(k + 1, d):
+            symfunc.orbit_of(mu, k + 1)
+    before = [_container_sizes(module) for module in modules]
+    assert wheel_ideal.dim_J(k, r, n, 11, p) == 0
+    assert wheel_ideal.wheel_kernel_basis(k, r, n, 12, p)
     assert [_container_sizes(module) for module in modules] == before
 
 

@@ -12,8 +12,7 @@ from wheelmac import linalg
 from wheelmac import macdonald as md
 from wheelmac import partitions as pt
 from wheelmac import wheel_ideal
-from wheelmac.linalg import (EchelonBasis, _clear_upower_row, corank_upower,
-                             rank_kernel_poly)
+from wheelmac.linalg import EchelonBasis, corank_upower, rank_kernel_poly
 from wheelmac.macdonald import (CoeffField, MacdonaldTable, cauchy_row_check,
                                 check_integrality, compute_P, pieri_failures,
                                 specialize_P)
@@ -27,8 +26,9 @@ from wheelmac.wheel_ideal import (_rotation_classes, _wheel_substitute_fld,
                                   verify_stability, verify_theorem1,
                                   wheel_kernel_basis, wheel_substitutions)
 
-from oracles import (doubled_coefficient, euler_phi, fraction_det,
-                     rational_value, specialized_field, unirat_u)
+from oracles import (doubled_coefficient, eager_rank_kernel, euler_phi,
+                     fraction_det, rational_value, specialized_field,
+                     unirat_u)
 from test_symfunc import _naive_collapse
 
 
@@ -403,8 +403,7 @@ def _planted(k, r, n, d, p, rep):
     that does not vanish on the wheel rep."""
     plist = pt.enumerate_partitions(n, d)
     cls = _rotation_class(k, r, rep)
-    rows = [_clear_upower_row(row, p.N)
-            for key, row in constraint_rows(k, r, n, d, p)
+    rows = [row for key, row in constraint_rows(k, r, n, d, p)
             if _rotation_class(k, r, key[0]) != cls]
     fld = CoeffField.laurent(p)
     _, vecs = rank_kernel_poly(rows, len(plist), p.N)
@@ -484,8 +483,7 @@ def _every_sigma_ranks(k, r, n, d, p):
     """Exact dim and kernel basis from the rows of every sigma
     (constraint_rows with sigmas=None), ranked here."""
     plist = pt.enumerate_partitions(n, d)
-    rows = [_clear_upower_row(row, p.N)
-            for _, row in constraint_rows(k, r, n, d, p)]
+    rows = [row for _, row in constraint_rows(k, r, n, d, p)]
     rank, vecs = rank_kernel_poly(rows, len(plist), p.N)
     basis = [SymPoly(n, {lam: UniRatFunc(x, _canonical=True)
                          for lam, x in zip(plist, vec)}) for vec in vecs]
@@ -595,6 +593,29 @@ def test_a_denominator_that_is_no_u_power_is_refused():
     _run_under_O(_UPOWER_ROWS)
 
 
+# the rows reach full rank at the second, so none is cleared; the 1 + u
+# denominator of the first is refused as it is read, not shifted away
+_READ_ROW_UNDER_O = """
+from wheelmac.linalg import rank_kernel_poly
+from wheelmac.scalars import ExactDivisionError, UniRatFunc
+one, u = UniRatFunc.one(1), UniRatFunc.from_laurent(1, {1: 1})
+try:
+    rank_kernel_poly([[one, one / (one + u)], [one - one, one]], 2, 1)
+except ExactDivisionError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_a_row_read_before_the_exit_has_its_denominators_checked():
+    one, u = UniRatFunc.one(1), unirat_u(1)
+    assert rank_kernel_poly([[one, one / (u * u)], [one - one, one]], 2,
+                            1) == (2, [])
+    with pytest.raises(ExactDivisionError, match="not a power of u"):
+        rank_kernel_poly([[one, one / (one + u)], [one - one, one]], 2, 1)
+    _run_under_O(_READ_ROW_UNDER_O)
+
+
 def test_r2_wheel_reduces_to_single_locus():
     # for r = 2 every substitution cuts out the same locus as sigma = 0
     for k, n, d in [(1, 2, 3), (1, 3, 4), (2, 3, 4)]:
@@ -684,6 +705,11 @@ def _rational_kernel_from_triangular(tri, ncols, N):
     return basis
 
 
+def _ratfunc_rows(rows):
+    """UniPoly rows as the UniRatFunc rows rank_kernel_poly reads."""
+    return [[UniRatFunc(x, _canonical=True) for x in row] for row in rows]
+
+
 def test_rank_kernel_poly_vectors_are_primitive_with_a_monic_free_entry():
     rng = random.Random(53)
     for N in (1, 2, 3, 4):
@@ -694,7 +720,7 @@ def test_rank_kernel_poly_vectors_are_primitive_with_a_monic_free_entry():
             ech = EchelonBasis(ncols)
             for row in rows:
                 ech.add([UniRatFunc(x, _canonical=True) for x in row])
-            rank, kernel = rank_kernel_poly(rows, ncols, N)
+            rank, kernel = rank_kernel_poly(_ratfunc_rows(rows), ncols, N)
             assert rank == ech.rank and len(kernel) == ncols - rank
             free = set()
             for vec in kernel:
@@ -718,7 +744,8 @@ def test_rank_kernel_poly_vectors_are_primitive_with_a_monic_free_entry():
         one, zero = UniPoly.one(N), UniPoly.zero(N)
         units = [[one if j == c else zero for j in range(3)] for c in range(3)]
         assert rank_kernel_poly([], 3, N) == (0, units)
-        assert rank_kernel_poly([[zero] * 3] * 2, 3, N) == (0, units)
+        assert rank_kernel_poly(_ratfunc_rows([[zero] * 3] * 2), 3, N) \
+            == (0, units)
         assert rank_kernel_poly([], 0, N) == (0, [])
 
 
@@ -748,9 +775,14 @@ def _zero_J_components():
 
 
 def _class_rows(k, r, n, d, p):
-    """The cleared rows dim_J ranks: one sigma per rotation class."""
-    return [_clear_upower_row(row, p.N) for _, row in constraint_rows(
+    """The rows dim_J ranks: one sigma per rotation class."""
+    return [row for _, row in constraint_rows(
         k, r, n, d, p, sigmas=_rotation_classes(k, r))]
+
+
+def _value(x, u0):
+    """The UniRatFunc x over Q at the rational u0, as a Fraction."""
+    return rational_value(x.num, u0) / rational_value(x.den, u0)
 
 
 def _count_elimination(monkeypatch):
@@ -797,12 +829,67 @@ def test_full_rank_ends_at_a_nonzero_minor(monkeypatch):
         grew = seen["add"]
         assert sum(grew) == ncols and grew[-1], (k, r, n, d)
         chosen = [row for row, g in zip(distinct, grew) if g]
-        minor = [[rational_value(x, linalg._PROBE_POINT) for x in row]
+        minor = [[_value(x, linalg._PROBE_POINT) for x in row]
                  for row in chosen]
         assert fraction_det(minor) != 0, (k, r, n, d)
         if len(grew) < len(distinct):
             short.append((k, r, n, d))
     assert not seen["tri"] and not seen["kernel"]
+    assert short
+
+
+# (k, r, n, d_max) of the stability benchmark's kernel bases
+_STABILITY_TUPLES = [(2, 2, 3, 8), (2, 3, 3, 6), (2, 2, 4, 6)]
+
+
+def test_lazy_ranks_match_the_eager_reference():
+    # rows read as they are built, entries read once at u0, against every
+    # row cleared and deduplicated before any is read: the same rank and
+    # kernel, so the same dim_J and wheel_kernel_basis
+    comps = {(k, r, n, d) for (k, r), n_max in _THEOREM_GRID.items()
+             for n in range(k + 1, n_max + 1) for d in range(9)}
+    stability = {(k, r, n, d) for k, r, n, d_max in _STABILITY_TUPLES
+                 for d in range(d_max + 1)}
+    for k, r, n, d in sorted(comps | stability):
+        p = ParameterSpec(k, r)
+        plist = pt.enumerate_partitions(n, d)
+        rows = _class_rows(k, r, n, d, p)
+        rank, kernel = eager_rank_kernel(rows, len(plist), p.N)
+        assert rank_kernel_poly(iter(rows), len(plist), p.N) \
+            == (rank, kernel), (k, r, n, d)
+        assert dim_J(k, r, n, d, p) == len(kernel), (k, r, n, d)
+        if (k, r, n, d) in stability:
+            assert wheel_kernel_basis(k, r, n, d, p) == [
+                SymPoly(n, {lam: UniRatFunc(x, _canonical=True)
+                            for lam, x in zip(plist, vec) if x})
+                for vec in kernel], (k, r, n, d)
+
+
+def test_full_rank_leaves_the_rest_of_the_rows_unbuilt(monkeypatch):
+    # where J = 0 no row is cleared, and dim_J stops drawing rows from
+    # constraint_rows at the exit: on some component before the last
+    def refuse(row, N):
+        raise AssertionError("a row was cleared at full rank")
+
+    drawn, inner = [], wheel_ideal.constraint_rows
+
+    def counting(*args, **kwargs):
+        for item in inner(*args, **kwargs):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(linalg, "_clear_upower_row", refuse)
+    monkeypatch.setattr(wheel_ideal, "constraint_rows", counting)
+    short = []
+    for k, r, n, d in _zero_J_components():
+        p = ParameterSpec(k, r)
+        del drawn[:]
+        assert dim_J(k, r, n, d, p) == 0, (k, r, n, d)
+        held = len(list(inner(k, r, n, d, p,
+                              sigmas=_rotation_classes(k, r))))
+        assert len(drawn) <= held
+        if len(drawn) < held:
+            short.append((k, r, n, d))
     assert short
 
 
@@ -822,7 +909,8 @@ def test_a_row_that_vanishes_at_the_probe_point_takes_the_exact_path(
     offender = [UniPoly.zero(p.N)] * ncols
     offender[col] = UniPoly(p.N, [-linalg._PROBE_POINT, 1])
     seen = _count_elimination(monkeypatch)
-    assert rank_kernel_poly(rows + [offender], ncols, p.N) == (ncols, [])
+    assert rank_kernel_poly(rows + _ratfunc_rows([offender]), ncols, p.N) \
+        == (ncols, [])
     assert sum(seen["add"]) == ncols - 1
     assert seen["kernel"] == [kernel, []]
     first, second = seen["tri"]
