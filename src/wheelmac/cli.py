@@ -209,8 +209,10 @@ def _cmd_current_relation(args):
 
 
 def _cmd_current_rank(args):
-    p = ParameterSpec(args.k, args.r)
-    dim = ca.quotient_dim(args.k, args.r, args.n, args.d, p, field=args.field)
+    if args.field == "generic":
+        dim = wi.dim_J(args.k, args.r, args.n, args.d)
+    else:
+        dim = ca.quotient_dim(args.k, args.r, args.n, args.d)
     return 0, {"k": args.k, "r": args.r, "n": args.n, "d": args.d,
                "field": args.field, "quotient_dim": dim,
                "admissible_count": pt.count_admissible(

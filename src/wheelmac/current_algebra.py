@@ -7,8 +7,10 @@ generated by Fourier coefficients of products of shifted currents
 
 whose z^d coefficient is  sum_{mu in pi_{k+1,d}} m_mu(1, c_1, ..., c_k) e_mu.
 At the resonance each c_i is a monomial zeta^a u^b, so the coefficients
-are Laurent polynomials: ideal rows have u-power denominators, cleared by
-one u-shift (after any column projection) for the certified rank.  At the
+are Laurent polynomials: ideal rows have u-power denominators.
+W_space_dim projects them onto its kept columns and hands them to
+linalg.rank_kernel_poly one at a time, which stops reading at full rank
+and below it clears the rows read by one u-shift.  At the
 root of unity t = 1, q = tau the same generators regroup by residue
 profiles nu (counts of the exponents mod r-1) into integer combinations
 sum_{mu in K_d(nu)} C_mu e_mu with multinomial C_mu, and the quotient has
@@ -27,11 +29,11 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 
 from . import partitions as pt
-from .linalg import EchelonBasis, corank_upower
+from .linalg import EchelonBasis, rank_kernel_poly
 from .scalars import ParameterSpec
 from .symfunc import MonomialExpansion
 from .wheel_ideal import (_check_choice, _merge, _relation_rows,
-                          _rotation_classes, constraint_rows, dim_J,
+                          _rotation_classes, constraint_rows,
                           relation_generic)
 
 __all__ = [
@@ -124,15 +126,13 @@ def ideal_rows(k, r, n, d, p=None, field="rootofunity", sigmas=None):
     return [row for _, row in _relation_rows(gens, n, d, Fraction(0))]
 
 
-def quotient_dim(k, r, n, d, p=None, field="rootofunity"):
-    """dim of the (n, d) component of R modulo the current relations; the
-    generic ones times fillers are the wheel rows, so that one is dim_J."""
-    _check_choice("field", field, _FIELDS)
-    if field == "generic":
-        return dim_J(k, r, n, d, p)
+def quotient_dim(k, r, n, d):
+    """dim of the (n, d) component of R modulo the root-of-unity current
+    relations.  The generic relations times fillers are the wheel rows, so
+    that quotient is wheel_ideal.dim_J."""
     ncols = len(pt.enumerate_partitions(n, d))
     ech = EchelonBasis(ncols)
-    for row in ideal_rows(k, r, n, d, p, field):
+    for row in ideal_rows(k, r, n, d):
         ech.add(row)
     return ncols - ech.rank
 
@@ -292,16 +292,13 @@ def W_space_dim(b, k, r, n, d, p=None):
     b = check_profile(b, k, r)
     keep = [i for i, lam in enumerate(pt.enumerate_partitions(n, d))
             if _prefix_ok(pt.pad(lam, n), b, r)]
-    if not keep:
-        return 0
-    rows = []
-    for row in ideal_rows(k, r, n, d, p, "generic", _rotation_classes(k, r)):
-        proj = [row[ci] for ci in keep]
-        if any(proj):
-            rows.append(proj)
-    if not rows:
+    # no relation reaches n <= k; ranking no rows would still build the
+    # unit-vector kernel
+    if n <= k or not keep:
         return len(keep)
-    return corank_upower(rows, len(keep), p.N)
+    rows = ideal_rows(k, r, n, d, p, "generic", _rotation_classes(k, r))
+    return len(keep) - rank_kernel_poly(
+        ([row[ci] for ci in keep] for row in rows), len(keep), p.N)[0]
 
 
 def verify_prop302(b, k, r, d_max=8, n_max=4, p=None):

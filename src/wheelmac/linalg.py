@@ -29,10 +29,9 @@ Two elimination paths:
     certificate joins the candidates and the loop repeats, so the output
     is exact regardless of the evaluation point.
 
-Every denominator of a row that is read is checked to be a power of u
-(``_upower``), since clearing shifts the numerators; ``corank_upower``
-(for ``current_algebra.W_space_dim``) checks every row it is given before
-ranking, also those after the full-rank exit.  ``_clear_denominators``
+Every row that is read has each denominator checked to be a power of u
+(``_upower``), since clearing shifts the numerators; the rows after the
+full-rank exit are never read, so never checked.  ``_clear_denominators``
 (scaling by the lcm of the denominators) clears rows with any
 denominators, for ``wheel_ideal.laurent_clear``.
 
@@ -44,7 +43,7 @@ from fractions import Fraction
 
 from .scalars import ExactDivisionError, UniPoly
 
-__all__ = ["EchelonBasis", "rank_kernel_poly", "corank_upower"]
+__all__ = ["EchelonBasis", "rank_kernel_poly"]
 
 
 class EchelonBasis:
@@ -277,14 +276,3 @@ def rank_kernel_poly(rows, ncols, N):
             return rank, kernel
         chosen.append(offender)
         chosen_set.add(offender)
-
-
-def corank_upower(rows, ncols, N):
-    """Corank of UniRatFunc rows whose denominators are powers of u.  Every
-    row is checked by ``_upower`` before ``rank_kernel_poly`` ranks them, so
-    a bad row is refused even where the rank is full before it."""
-    rows = list(rows)
-    for row in rows:
-        for x in row:
-            _upower(x)
-    return ncols - rank_kernel_poly(rows, ncols, N)[0]

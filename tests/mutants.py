@@ -3,13 +3,15 @@
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py rank-1     # the named ones
 
-Each mutant is a text replacement in one file under src/.  For each, the
-tree is copied to a temporary directory, the replacement is applied there
-(it must match exactly once), and tier-1 runs in one child process with
-``-x``; a failing run kills the mutant.  The unchanged tree runs first,
-since a kill means nothing when tier-1 already fails.  One child runs at a
-time.  The exit code is 0 when every mutant was killed, 1 when one
-survived, 2 when the unchanged tree fails or a mutant does not apply.
+Each mutant is a text replacement in one file under src/, or several
+when text and replacement are tuples of the same length.  For each, the
+tree is copied to a temporary directory, the replacements are applied
+there (each text must match exactly once), and tier-1 runs in one child
+process with ``-x``; a failing run kills the mutant.  The unchanged tree
+runs first, since a kill means nothing when tier-1 already fails.  One
+child runs at a time.  The exit code is 0 when every mutant was killed, 1
+when one survived, 2 when the unchanged tree fails or a mutant does not
+apply.
 
 pytest does not collect this file (its name does not start with test_).
 """
@@ -24,7 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# name -> (file under src/wheelmac, text, replacement)
+# name -> (file under src/wheelmac, text, replacement), text and
+# replacement both strings or both tuples of strings, paired in order
 MUTANTS = {
     # each verifier's failure branch turned into its success value
     "pieri-never-fails": (
@@ -69,13 +72,21 @@ MUTANTS = {
         "linalg.py",
         "            if ech.rank == ncols:",
         "            if ech.rank == ncols - 1:"),
-    # corank_upower ranking its rows unchecked, so a bad row after the
-    # full-rank exit is never looked at
-    "corank-unchecked": (
-        "linalg.py",
-        "    rows = list(rows)\n    for row in rows:\n        for x in row:\n"
-        "            _upower(x)\n",
-        "    rows = list(rows)\n"),
+    # W_space_dim read as 0, not as every kept column, where n <= k and no
+    # relation reaches the component
+    "wspace-guard-zero": (
+        "current_algebra.py",
+        "    if n <= k or not keep:\n        return len(keep)\n",
+        "    if n <= k or not keep:\n        return 0\n"),
+    # A_I(x; t) and its eigenvalues both taken at 1/t, times t^(|I|(n-1)):
+    # a t-weight convention that the D_n^1 eigen-checks share, so P_lam
+    # becomes P_lam(q, 1/t) with every eigen-equation still exact
+    "t-weight-inverted": (
+        "macdonald.py",
+        ("yield (beta, sum([wd[i] for i in I]),",
+         "return [(lam[i], n - 1 - i) for i in range(n)]"),
+        ("yield (beta, sum([n - 1 - wd[i] for i in I]),",
+         "return [(lam[i], i) for i in range(n)]")),
     # an entry read at the probe point as if its denominator were a power
     # of u, unchecked
     "read-unchecked": (
@@ -161,14 +172,22 @@ def _tier1(dest):
     return done.returncode == 0, time.monotonic() - start
 
 
+def _edits(mutant):
+    """The (text, replacement) pairs of a mutant."""
+    _, old, new = mutant
+    return zip(old, new) if isinstance(old, tuple) else [(old, new)]
+
+
 def _run(mutant):
     with tempfile.TemporaryDirectory() as tmp:
         dest = Path(tmp) / "tree"
         _copy_tree(dest)
         if mutant is not None:
-            name, old, new = mutant
-            path = dest / _source(name).relative_to(ROOT)
-            path.write_text(path.read_text().replace(old, new))
+            path = dest / _source(mutant[0]).relative_to(ROOT)
+            text = path.read_text()
+            for old, new in _edits(mutant):
+                text = text.replace(old, new)
+            path.write_text(text)
         return _tier1(dest)
 
 
@@ -177,12 +196,13 @@ def main(names):
     if unknown:
         raise SystemExit("unknown mutants: %s" % ", ".join(unknown))
     for name in names or MUTANTS:
-        source, old, _ = MUTANTS[name]
-        found = _source(source).read_text().count(old)
-        if found != 1:
-            print("mutant %s does not apply: its text occurs %d times in %s"
-                  % (name, found, source), file=sys.stderr)
-            return 2
+        source = MUTANTS[name][0]
+        for old, _ in _edits(MUTANTS[name]):
+            found = _source(source).read_text().count(old)
+            if found != 1:
+                print("mutant %s does not apply: its text occurs %d times "
+                      "in %s" % (name, found, source), file=sys.stderr)
+                return 2
     passed, seconds = _run(None)
     print("%-28s %-8s %6.1f s" % ("(unchanged)", "passed" if passed
                                   else "FAILED", seconds), flush=True)

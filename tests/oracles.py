@@ -2,12 +2,13 @@
 against, kept out of the library because no library code needs them."""
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 
 from wheelmac import linalg
 from wheelmac import partitions as pt
 from wheelmac.macdonald import CoeffField
-from wheelmac.scalars import LaurentPoly, QTPoly, UniPoly, UniRatFunc, _lpoly
+from wheelmac.scalars import (BiRatFunc, LaurentPoly, QTPoly, UniPoly,
+                              UniRatFunc, _lpoly)
 from wheelmac.symfunc import SymPoly, orbit_of
 
 
@@ -182,3 +183,77 @@ def poly_field():
 def unirat_u(N):
     """u in K = Q(zeta_N)(u)."""
     return UniRatFunc.from_laurent(N, {1: 1})
+
+
+def _p_in_m(rho, mu):
+    """The coefficient of m_mu in the power sum p_rho: the ways to send each
+    part of rho to an entry of mu so that the parts sent to each entry sum
+    to it."""
+    if not rho:
+        return int(not any(mu))
+    first, rest = rho[0], rho[1:]
+    return sum(_p_in_m(rest, mu[:j] + (x - first,) + mu[j + 1:])
+               for j, x in enumerate(mu) if x >= first)
+
+
+def _fraction_inverse(rows):
+    """The inverse of an invertible square matrix of ints or Fractions, by
+    Gauss-Jordan elimination with a row swap wherever a pivot is zero."""
+    size = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                         for j in range(size)]
+           for i, row in enumerate(rows)]
+    for col in range(size):
+        piv = next(i for i in range(col, size) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(size):
+            c = aug[i][col]
+            if i != col and c:
+                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
+    return [row[size:] for row in aug]
+
+
+def _power_sum_norm(rho):
+    """<p_rho, p_rho> = z_rho prod_i (1 - q^rho_i) / (1 - t^rho_i), with
+    z_rho = prod_i i^(m_i) m_i! (Macdonald, SFHP VI (1.5), (4.7))."""
+    one = BiRatFunc.one()
+    out = BiRatFunc.const(prod(i ** rho.count(i) * factorial(rho.count(i))
+                               for i in set(rho)))
+    for part in rho:
+        out = out * (one - BiRatFunc.qt_monomial(part, 0)) \
+            * (one - BiRatFunc.qt_monomial(0, part)).inverse()
+    return out
+
+
+def scalar_product_P(d):
+    """{lam: (P_lam, <P_lam, P_lam>)} for every partition lam of d, P_lam a
+    {mu: nonzero BiRatFunc} map of its m_mu coefficients in d (so in any
+    number of) variables, with no operator: Gram-Schmidt for the scalar
+    product <p_rho, p_sigma> = delta_(rho, sigma) <p_rho, p_rho>.  Walking
+    the partitions up from 1^d, the reverse of decreasing lex order (a
+    linear extension of dominance), P_lam is m_lam minus its projection on
+    each P_mu already built.  m_mu is read in the p basis by inverting the
+    integer matrix of p in m.  Dropping the m_mu with more than n parts
+    gives P_lam in n variables."""
+    plist = pt.enumerate_partitions(d, d)[::-1]
+    size = len(plist)
+    m_in_p = _fraction_inverse([[_p_in_m(rho, mu) for mu in plist]
+                                for rho in plist])
+    weights = [_power_sum_norm(rho) for rho in plist]
+    zero = BiRatFunc.zero()
+    built = []  # (m coordinates, p coordinates times weights, norm)
+    for i in range(size):
+        coords = [BiRatFunc.const(int(i == j)) for j in range(size)]
+        for other, weighted, norm in built:
+            c = sum((a * w for a, w in zip(m_in_p[i], weighted) if a),
+                    zero) * norm.inverse()
+            coords = [x - c * y if y else x for x, y in zip(coords, other)]
+        in_p = [sum((x * row[s] for x, row in zip(coords, m_in_p)
+                     if x and row[s]), zero) for s in range(size)]
+        weighted = [x * w for x, w in zip(in_p, weights)]
+        built.append((coords, weighted,
+                      sum((x * w for x, w in zip(in_p, weighted)), zero)))
+    return {lam: ({mu: x for mu, x in zip(plist, coords) if x}, norm)
+            for lam, (coords, _, norm) in zip(plist, built)}

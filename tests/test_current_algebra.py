@@ -14,10 +14,10 @@ from wheelmac.current_algebra import (K_d_nu, W_space_dim, chi_C,
                                       relation_generic, relation_rootofunity,
                                       residue_profiles, verify_prop302,
                                       verify_recursion)
-from wheelmac.linalg import EchelonBasis, _clear_upower_row, corank_upower
+from wheelmac.linalg import EchelonBasis, _clear_upower_row
 from wheelmac.scalars import CycloNum, ParameterSpec, UniPoly, UniRatFunc
 from wheelmac.symfunc import MonomialExpansion
-from wheelmac.wheel_ideal import (_rotation_classes, constraint_rows,
+from wheelmac.wheel_ideal import (_rotation_classes, constraint_rows, dim_J,
                                   wheel_substitutions)
 
 from oracles import eager_rank_kernel, eval_monomial_symmetric, unirat_u
@@ -252,9 +252,7 @@ def test_rank_kernel_poly_certifies_each_distinct_row_once(monkeypatch):
 
 def test_unknown_field_is_rejected():
     for call in (lambda: ideal_rows(1, 2, 3, 2, field="generik"),
-                 lambda: ideal_rows(1, 2, 1, 2, field="generik"),
-                 lambda: quotient_dim(1, 2, 3, 2, field="Generic"),
-                 lambda: quotient_dim(1, 2, 1, 2, field="generik")):
+                 lambda: ideal_rows(1, 2, 1, 2, field="generik")):
         with pytest.raises(ValueError, match="'rootofunity', 'generic'"):
             call()
 
@@ -287,7 +285,7 @@ def test_quotient_dim_generic_with_cyclotomic_coefficients():
     p = ParameterSpec(1, 4)
     for n in range(5):
         for d in range(9):
-            assert quotient_dim(1, 4, n, d, p, field="generic") == \
+            assert dim_J(1, 4, n, d, p) == \
                 pt.count_admissible(1, 4, n, d), (n, d)
 
 
@@ -296,7 +294,7 @@ def test_quotient_dim_examples():
     assert quotient_dim(1, 2, 2, 1) == 0
     assert quotient_dim(1, 2, 1, 4) == 1  # n <= k: free
     p = ParameterSpec(1, 2)
-    assert quotient_dim(1, 2, 2, 2, p, field="generic") == 1
+    assert dim_J(1, 2, 2, 2, p) == 1
 
 
 def test_quotient_dim_spanning_bound():
@@ -394,7 +392,7 @@ def test_a_parameter_spec_for_another_k_r_is_refused():
     wrong = ParameterSpec(1, 3)
     calls = [lambda: relation_generic(2, (1,), 1, 2, wrong),
              lambda: ideal_rows(1, 2, 3, 4, wrong, field="generic"),
-             lambda: quotient_dim(1, 2, 3, 4, wrong, field="generic"),
+             lambda: dim_J(1, 2, 3, 4, wrong),
              lambda: W_space_dim((1,), 1, 2, 3, 4, wrong),
              lambda: verify_prop302((1,), 1, 2, p=wrong)]
     for call in calls:
@@ -476,18 +474,16 @@ def test_generic_ranks_over_rotation_classes_match_every_sigma():
             for d in range(8):
                 plist = [pt.pad(lam, n) for lam in pt.enumerate_partitions(n, d)]
                 rows = ideal_rows(k, r, n, d, p, field="generic")
-                full = corank_upower(rows, len(plist), p.N) if rows \
-                    else len(plist)
-                assert quotient_dim(k, r, n, d, p, "generic") == full, \
-                    (k, r, n, d)
+                full = len(plist) - linalg.rank_kernel_poly(
+                    rows, len(plist), p.N)[0]
+                assert dim_J(k, r, n, d, p) == full, (k, r, n, d)
                 for b in combinations_with_replacement(range(k + 1), r - 1):
                     keep = [i for i, lam in enumerate(plist)
                             if all(sum(lam.count(v) for v in range(a + 1))
                                    <= b[a] for a in range(r - 1))]
                     proj = [[row[i] for i in keep] for row in rows]
-                    proj = [row for row in proj if any(row)]
-                    ref = corank_upower(proj, len(keep), p.N) if proj \
-                        else len(keep)
+                    ref = len(keep) - linalg.rank_kernel_poly(
+                        proj, len(keep), p.N)[0]
                     assert W_space_dim(b, k, r, n, d, p) == ref, \
                         (k, r, b, n, d)
 
@@ -512,8 +508,32 @@ def test_W_space_dim_matches_the_eager_reference():
                         == len(keep) - rank, (k, r, b, n, d)
 
 
+class _Unread:
+    """A row that fails the test when any of its entries is read."""
+
+    def __getitem__(self, i):
+        raise AssertionError("a row after the full rank was read")
+
+
+def test_W_space_dim_reads_no_row_after_the_full_rank(monkeypatch):
+    # on this dual component the projected rows reach full rank at the
+    # 19th of 25; the six after it are poisoned and must not be indexed
+    k, r, b, n, d = 1, 2, (1,), 4, 8
+    p = ParameterSpec(k, r)
+    rows = ideal_rows(k, r, n, d, p, "generic", _rotation_classes(k, r))
+    keep = [i for i, lam in enumerate(pt.enumerate_partitions(n, d))
+            if pt.pad(lam, n).count(0) <= b[0]]
+    proj = [[row[i] for i in keep] for row in rows]
+    assert (len(keep), len(rows)) == (10, 25)
+    assert linalg.rank_kernel_poly(proj[:18], 10, p.N)[0] == 9
+    assert linalg.rank_kernel_poly(proj[:19], 10, p.N) == (10, [])
+    poisoned = rows[:19] + [_Unread()] * 6
+    monkeypatch.setattr(ca, "ideal_rows", lambda *args: poisoned)
+    assert W_space_dim(b, k, r, n, d, p) == 0
+
+
 def test_generic_ranks_take_one_relation_per_class(monkeypatch):
-    # W_space_dim and quotient_dim (which is dim_J) both read their rows
+    # W_space_dim and dim_J both read their rows
     # through constraint_rows and the one relation reader
     calls = []
     inner = wheel_ideal.relation_generic
@@ -525,7 +545,7 @@ def test_generic_ranks_take_one_relation_per_class(monkeypatch):
     monkeypatch.setattr(wheel_ideal, "relation_generic", counting)
     for k, r in [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)]:
         p = ParameterSpec(k, r)
-        for rank in (lambda: quotient_dim(k, r, k + 2, 6, p, "generic"),
+        for rank in (lambda: dim_J(k, r, k + 2, 6, p),
                      lambda: W_space_dim((k,) * (r - 1), k, r, k + 2, 6, p)):
             del calls[:]
             rank()

@@ -27,7 +27,7 @@ from wheelmac.symfunc import SymPoly
 from wheelmac.wheel_ideal import basis_I, wheel_kernel_basis
 
 from oracles import (doubled_coefficient, eval_monomial_symmetric, lcm_sum,
-                     poly_field, unirat_u)
+                     poly_field, scalar_product_P, unirat_u)
 from test_symfunc import _zeta3_point_field
 
 q = BiRatFunc.q()
@@ -313,6 +313,30 @@ def test_compute_P_eigen_equation(tables):
         evs = eigenvalue_D(lam, 2)
         for rho in range(3):
             assert apply_D(P, rho, fld) == P.scale(BiRatFunc.from_poly(evs[rho]))
+
+
+def _norm_closed_form(lam):
+    """<P_lam, P_lam> = prod over the cells s of lam of
+    (1 - q^(a(s)+1) t^l(s)) / (1 - q^a(s) t^(l(s)+1)), SFHP VI (6.19)."""
+    conj = pt.conjugate(lam)
+    out = one
+    for i, row in enumerate(lam):
+        for j in range(row):
+            a, l = row - j - 1, conj[j] - i - 1
+            out = out * (one - BiRatFunc.qt_monomial(a + 1, l)) \
+                / (one - BiRatFunc.qt_monomial(a, l + 1))
+    return out
+
+
+def test_compute_P_matches_the_scalar_product_oracle(tables):
+    # P_lam by Gram-Schmidt, with no operator: a t-weight convention shared
+    # by D_n^1 and its eigenvalues changes compute_P but not this
+    for d in range(1, 7):
+        for lam, (P, norm) in scalar_product_P(d).items():
+            assert norm == _norm_closed_form(lam), lam
+            for n in range(len(lam), d + 1):
+                want = {mu: c for mu, c in P.items() if len(mu) <= n}
+                assert tables(n).compute_P(lam).coeffs == want, (lam, n)
 
 
 def test_operator_commutativity():

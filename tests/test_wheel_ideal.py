@@ -12,7 +12,7 @@ from wheelmac import linalg
 from wheelmac import macdonald as md
 from wheelmac import partitions as pt
 from wheelmac import wheel_ideal
-from wheelmac.linalg import EchelonBasis, corank_upower, rank_kernel_poly
+from wheelmac.linalg import EchelonBasis, rank_kernel_poly
 from wheelmac.macdonald import (CoeffField, MacdonaldTable, cauchy_row_check,
                                 check_integrality, compute_P, pieri_failures,
                                 specialize_P)
@@ -572,11 +572,11 @@ def test_resonance_guard_survives_python_O():
 # row 1 times 1 + u is row 2, so the rank is 1; shifting the numerator of
 # 1/(1 + u) as if 1 + u were a power of u would give [u, 1] and rank 2
 _UPOWER_ROWS = """
-from wheelmac.linalg import corank_upower
+from wheelmac.linalg import rank_kernel_poly
 from wheelmac.scalars import ExactDivisionError, UniRatFunc
 one, u = UniRatFunc.one(1), UniRatFunc.from_laurent(1, {1: 1})
 try:
-    corank_upower([[one, one / (one + u)], [one + u, one]], 2, 1)
+    rank_kernel_poly([[one, one / (one + u)], [one + u, one]], 2, 1)
 except ExactDivisionError:
     raise SystemExit(0)
 raise SystemExit(1)
@@ -584,12 +584,14 @@ raise SystemExit(1)
 
 
 def test_a_denominator_that_is_no_u_power_is_refused():
-    # corank_upower clears each row by one u-shift; a planted 1 + u
-    # denominator raises instead of giving a wrong rank, also under -O
+    # rank_kernel_poly clears each row by one u-shift; a planted 1 + u
+    # denominator, read before full rank, raises instead of giving a wrong
+    # rank, also under -O
     one, u = UniRatFunc.one(1), unirat_u(1)
-    assert corank_upower([[one, one / (u * u)], [u, one / u]], 2, 1) == 1
+    assert rank_kernel_poly([[one, one / (u * u)], [u, one / u]], 2,
+                            1)[0] == 1
     with pytest.raises(ExactDivisionError, match="not a power of u"):
-        corank_upower([[one, one / (one + u)], [one + u, one]], 2, 1)
+        rank_kernel_poly([[one, one / (one + u)], [one + u, one]], 2, 1)
     _run_under_O(_UPOWER_ROWS)
 
 
@@ -917,12 +919,10 @@ def test_a_row_that_vanishes_at_the_probe_point_takes_the_exact_path(
     assert second == first + [tuple(offender)]
 
 
-# J = 0 on the grid without the exact elimination, and a row after the
-# full rank whose denominator is no u-power still raises, under -O
+# J = 0 on the grid without the exact elimination, under -O
 _FULL_RANK_UNDER_O = """
 from wheelmac import linalg, partitions as pt
-from wheelmac.scalars import ExactDivisionError, ParameterSpec, UniRatFunc
-from wheelmac.wheel_ideal import _rotation_classes, constraint_rows, dim_J
+from wheelmac.wheel_ideal import dim_J
 
 def refuse(rows, ncols):
     raise SystemExit("the exact elimination ran at full rank")
@@ -933,32 +933,21 @@ for k, r, n_max in [(1, 2, 5), (2, 2, 5), (1, 3, 4), (2, 3, 4)]:
         for d in range(9):
             if not pt.count_admissible(k, r, n, d) and dim_J(k, r, n, d):
                 raise SystemExit("dim_J(%d, %d, %d, %d) != 0" % (k, r, n, d))
-one, u = UniRatFunc.one(1), UniRatFunc.from_laurent(1, {1: 1})
-rows = [row for _, row in constraint_rows(
-    1, 2, 3, 3, ParameterSpec(1, 2), sigmas=_rotation_classes(1, 2))]
-try:
-    linalg.corank_upower(rows + [[one / (one + u), one - one, one - one]],
-                         3, 1)
-except ExactDivisionError:
-    raise SystemExit(0)
-raise SystemExit(1)
 """
 
 
-def test_every_row_is_cleared_after_the_rank_is_full():
+def test_a_row_after_the_full_rank_exit_is_never_read():
     # the rows of (1, 2, 3, 3) fill all three columns; a fourth row with a
-    # 1 + u denominator must still be refused, since the input is cleared
-    # before the numeric rank is taken
+    # 1 + u denominator cannot change the rank, and it is not read
     k, r, n, d = 1, 2, 3, 3
     p = ParameterSpec(k, r)
     one, u = UniRatFunc.one(1), unirat_u(1)
     rows = [row for _, row in constraint_rows(
         k, r, n, d, p, sigmas=_rotation_classes(k, r))]
     assert len(pt.enumerate_partitions(n, d)) == 3
-    assert corank_upower(rows, 3, p.N) == 0
-    with pytest.raises(ExactDivisionError, match="not a power of u"):
-        corank_upower(rows + [[one / (one + u), one - one, one - one]], 3,
-                      p.N)
+    assert rank_kernel_poly(rows, 3, p.N) == (3, [])
+    assert rank_kernel_poly(
+        rows + [[one / (one + u), one - one, one - one]], 3, p.N) == (3, [])
     _run_under_O(_FULL_RANK_UNDER_O)
 
 
