@@ -33,7 +33,12 @@ back-substitution against the dominance-triangular matrix of the operator
 in the monomial-symmetric basis, always over the generic field Q(q, t);
 specializing the coefficients is a separate, final step.  The matrix of
 one (n, d) component is D_n^1 applied to the generic element over
-Z[q, t], whose coefficients are the unit columns.
+Z[q, t], whose coefficients are the unit columns.  A lam with n parts
+skips the solve: P_lam = (x_1...x_n)^(lam_n) P_(lam - lam_n 1^n) (SFHP
+VI.4), because multiplying by x_1...x_n scales D_n^1 by q, adding 1^n to
+every partition keeps the leading term m_lam, and the eigenvalue of lam
+differs from that of every partition below it (the proof is in
+MacdonaldTable.compute_P).
 Each coefficient is summed as one numerator over a running lcm of
 denominators, a packed integer decoded once (scalars._qt_fold), and made
 canonical once, so integrality is a division test on its denominator, run
@@ -394,14 +399,34 @@ class MacdonaldTable:
     def compute_P(self, lam):
         """P_lam = sum_mu u_mu m_mu with u_lam = 1 and u_mu = sum_nu u_nu
         <m_mu> D m_nu / (eps1(lam) - eps1(mu)); the sum is num/den over the
-        lcm of the u_nu denominators, made canonical once."""
+        lcm of the u_nu denominators, made canonical once.
+
+        A lam with n parts is read off the smaller P instead, in one step:
+        with c = lam_n and e_n = x_1...x_n, P_lam = e_n^c P_(lam - c 1^n)
+        (SFHP VI.4), so each m_mu of P_(lam - c 1^n) becomes m_(mu + c 1^n)
+        with the same coefficient.  T_{q,x_i}(e_n f) = q e_n T_{q,x_i} f,
+        so D_n^1(e_n^c P_mu) = q^c eps1(mu) e_n^c P_mu, and q^c eps1(mu)
+        is eps1(lam).  In n variables e_n m_nu = m_(nu + 1^n), and adding
+        1^n keeps dominance, so e_n^c P_mu is m_lam plus lower terms.  Over
+        Q(q, t) eps1(lam) differs from eps1(nu) for every nu < lam, so
+        P_lam is the only such eigenvector.  The smaller P has fewer than n
+        parts, so no recursion on lam - 1^n runs |lam| frames deep at n = 1.
+        """
         lam = pt.normalize(lam)
-        if pt.length(lam) > self.n:
+        n = self.n
+        if pt.length(lam) > n:
             raise ValueError("partition %r does not fit in %d variables"
-                             % (lam, self.n))
+                             % (lam, n))
         got = self.entries.get(lam)
         if got is not None:
             return got
+        if n and len(lam) == n:
+            c = lam[-1]
+            low = self.compute_P(tuple([x - c for x in lam]))
+            result = self.entries[lam] = SymPoly(n, {
+                tuple([x + c for x in pt.pad(mu, n)]): coeff
+                for mu, coeff in low.coeffs.items()}, _clean=True)
+            return result
         plist, cols = self.component_matrix(pt.size(lam))
         eps_lam = self.eps1(lam)
         u = {lam: BiRatFunc.one()}
@@ -419,7 +444,7 @@ class MacdonaldTable:
                     "equal D_n^1 eigenvalues for %r and %r over Q(q,t)"
                     % (lam, mu))
             u[mu] = BiRatFunc(num, den * diff)
-        result = SymPoly(self.n, u)
+        result = SymPoly(n, u)
         self.entries[lam] = result
         return result
 

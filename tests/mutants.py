@@ -123,6 +123,12 @@ MUTANTS = {
         "symfunc.py",
         "out[lam[:i] + lam[i + 1:]] = c * scale",
         "out[tuple(x for x in lam if x != j)] = c * scale"),
+    # P_lam with n parts read off P_(lam - 1^n), not P_(lam - lam_n 1^n),
+    # then shifted by lam_n: wrong exactly when lam_n >= 2
+    "P-shift-one-column": (
+        "macdonald.py",
+        "low = self.compute_P(tuple([x - c for x in lam]))",
+        "low = self.compute_P(tuple([x - 1 for x in lam]))"),
     # the Cauchy right side with each distinct part's ratio taken once
     "cauchy-distinct-parts": (
         "macdonald.py",

@@ -164,6 +164,25 @@ def lcm_sum(pairs, merges):
     return num, den
 
 
+def recursion_P(table, lam):
+    """P_lam by the D_n^1 triangular solve alone, whatever the length of
+    lam: u_lam = 1 and u_mu = sum_nu u_nu <m_mu> D m_nu / (eps1(lam) -
+    eps1(mu)) down the decreasing-lex partitions of |lam| after lam, each
+    sum one lcm_sum made canonical once.  Reads table's component matrix
+    and eigenvalues, and stores no P_lam in it."""
+    lam = pt.normalize(lam)
+    plist, cols = table.component_matrix(pt.size(lam))
+    eps_lam = table.eps1(lam)
+    u, merges = {lam: BiRatFunc.one()}, {}
+    for mu in plist[plist.index(lam) + 1:]:
+        pairs = [(unu, e) for nu, unu in u.items()
+                 if (e := cols[nu].get(mu)) is not None]
+        if pairs:
+            num, den = lcm_sum(pairs, merges)
+            u[mu] = BiRatFunc(num, den * (eps_lam - table.eps1(mu)))
+    return SymPoly(table.n, u)
+
+
 def specialized_field(p):
     """The CoeffField K = Q(zeta_{r-1})(u), each table read through
     p.specialize: p alone knows how q and t become u."""

@@ -27,7 +27,7 @@ from wheelmac.symfunc import SymPoly
 from wheelmac.wheel_ideal import basis_I, wheel_kernel_basis
 
 from oracles import (doubled_coefficient, eval_monomial_symmetric, lcm_sum,
-                     poly_field, scalar_product_P, unirat_u)
+                     poly_field, recursion_P, scalar_product_P, unirat_u)
 from test_symfunc import _zeta3_point_field
 
 q = BiRatFunc.q()
@@ -339,6 +339,35 @@ def test_compute_P_matches_the_scalar_product_oracle(tables):
                 assert tables(n).compute_P(lam).coeffs == want, (lam, n)
 
 
+def test_compute_P_with_n_parts_matches_the_recursion():
+    # P_lam with l(lam) = n is read off P_(lam - lam_n 1^n); the triangular
+    # solve it skips (oracles.recursion_P) must give the same coefficients,
+    # canonical num and den alike, in the same order
+    cases = [(n, lam) for n, dmax in ((1, 9), (2, 9), (3, 9), (4, 8))
+             for d in range(n, dmax + 1)
+             for lam in pt.enumerate_partitions(n, d) if len(lam) == n]
+    cases += [(5, (3, 2, 2, 1, 1)), (5, (3, 3, 2, 2, 2))]
+    assert {lam[-1] for n, lam in cases if n > 1} >= {1, 2, 3}
+    tables = {n: MacdonaldTable(n) for n in range(1, 6)}
+    for n, lam in cases:
+        got = tables[n].compute_P(lam)
+        want = recursion_P(MacdonaldTable(n), lam)
+        assert [(mu, c.num, c.den) for mu, c in got.coeffs.items()] == \
+            [(mu, c.num, c.den) for mu, c in want.coeffs.items()], (n, lam)
+
+
+def test_compute_P_reads_n_parts_off_the_smaller_P_in_one_step():
+    # one step, not one frame per column: n = 1 at |lam| = 1500
+    assert MacdonaldTable(1).compute_P((1500,)) == \
+        SymPoly.m((1500,), 1, one)
+    # (4, 4, 2) is x_1 x_2 x_3 squared times P_(2, 2): only the degree-4
+    # component is built, and no degree-10 matrix
+    table = MacdonaldTable(3)
+    P = table.compute_P((4, 4, 2))
+    assert list(table._matrices) == [4]
+    assert P.coeffs.keys() == {(4, 4, 2), (4, 3, 3)}
+
+
 def test_operator_commutativity():
     rng = random.Random(9)
     fldp = poly_field()
@@ -478,12 +507,12 @@ def test_component_matrix_applies_D_once_per_component(monkeypatch):
     monkeypatch.setattr(md, "apply_D", counted)
     for n in (2, 3, 4):
         table = MacdonaldTable(n)
-        for d in range(1, 7):
+        for d in range(7):
             table.component_matrix(d)
             for lam in pt.enumerate_partitions(n, d):
                 table.compute_P(lam)
             table.component_matrix(d)
-        assert calls == [(n, 1)] * 6, n
+        assert calls == [(n, 1)] * 7, n
         del calls[:]
 
 
