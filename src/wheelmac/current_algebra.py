@@ -33,8 +33,7 @@ from .linalg import EchelonBasis, rank_kernel_poly
 from .scalars import ParameterSpec
 from .symfunc import MonomialExpansion
 from .wheel_ideal import (_check_choice, _merge, _relation_rows,
-                          _rotation_classes, constraint_rows,
-                          relation_generic)
+                          constraint_rows, relation_generic)
 
 __all__ = [
     "CharSeries", "relation_rootofunity", "relation_generic",
@@ -102,25 +101,22 @@ def relation_rootofunity(d, nu, k, r):
 _FIELDS = ("rootofunity", "generic")
 
 
-def ideal_rows(k, r, n, d, p=None, field="rootofunity", sigmas=None):
+def ideal_rows(k, r, n, d, p=None, field="rootofunity"):
     """Vectors spanning the (n, d) ideal component, over pi_{n,d}.
 
     Rows are e_nu * relation(d', .) for every internal degree d' <= d and
     every filler nu in pi_{n-k-1, d-d'} (wheel_ideal._relation_rows).  For
     field="generic" they are the wheel constraint rows,
-    wheel_ideal.constraint_rows(k, r, n, d, p, sigmas), with u-power
-    denominators: relation_generic over the sigmas (None: every one,
-    rotation copies included), the degree-0 relation, 1 for every sigma,
-    from the first sigma only.  A rotated sigma's relation is c^d times its
-    class representative's for a unit c, so the ranks pass
-    _rotation_classes(k, r).  At the root of unity the relations run over
-    the residue profiles (sigmas is not read).
+    wheel_ideal.constraint_rows(k, r, n, d, p), with u-power denominators:
+    relation_generic over one sigma per rotation class, as that docstring
+    says.  At the root of unity the relations run over the residue
+    profiles.
     """
     _check_choice("field", field, _FIELDS)
     if n < k + 1:
         return []
     if field == "generic":
-        return [row for _, row in constraint_rows(k, r, n, d, p, sigmas)]
+        return [row for _, row in constraint_rows(k, r, n, d, p)]
     gens = [(nu, dd, relation_rootofunity(dd, nu, k, r))
             for dd in range(d + 1) for nu in residue_profiles(k, r)]
     return [row for _, row in _relation_rows(gens, n, d, Fraction(0))]
@@ -283,10 +279,9 @@ def W_space_dim(b, k, r, n, d, p=None):
     e_lam is such a multiple exactly when lam (padded to n) fails
     _prefix_ok, the bound the C-sequences obey; those multiples are unit
     vectors, so their columns are deleted before the relation rows are
-    ranked.  The relations are those of one sigma per rotation class: a
-    rotated sigma's rows are unit multiples of its representative's, so
-    the span is that of every sigma (and so is the undercount against
-    chi_C at (k, r) = (2, 3), which the generic rows themselves cause).
+    ranked.  The relations are those of wheel_ideal.constraint_rows, one
+    sigma per rotation class, whose span is that of every sigma; so the
+    undercount against chi_C at (k, r) = (2, 3) is the generic rows' own.
     """
     p = ParameterSpec.matching(p, k, r)
     b = check_profile(b, k, r)
@@ -296,7 +291,7 @@ def W_space_dim(b, k, r, n, d, p=None):
     # unit-vector kernel
     if n <= k or not keep:
         return len(keep)
-    rows = ideal_rows(k, r, n, d, p, "generic", _rotation_classes(k, r))
+    rows = ideal_rows(k, r, n, d, p, "generic")
     return len(keep) - rank_kernel_poly(
         ([row[ci] for ci in keep] for row in rows), len(keep), p.N)[0]
 

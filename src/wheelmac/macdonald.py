@@ -461,7 +461,8 @@ def _lcm_sum(pairs, merges):
             den = b
             steps.append((None, (x.num, e)))
         else:
-            got = merges.get((den, b))  # theorem pays: +5.6 % without it
+            # macd pays: wall_s +11 %, p90 +15 % without it; theorem +5 %
+            got = merges.get((den, b))
             if got is None:
                 _, dg, b2 = den.gcd(b)
                 got = merges[den, b] = (dg, b2, den * b2)

@@ -769,7 +769,7 @@ def apply_rows(rows, coeffs, zero):
         pairs = [(a, coeffs[s]) for s, a in row.items() if s in coeffs]
         if not pairs:
             continue
-        if rational:  # macd pays for this lane: p50 +1.7 % without it
+        if rational:  # macd pays for this lane: wall_s +1.5 % without it
             dens = [a.denominator * b.denominator for a, b in pairs]
             den = lcm(*dens)
             if den == 1:
@@ -872,7 +872,7 @@ def _unpack(total, nb, count):
     raw = (total + int.from_bytes(half * count, "little")).to_bytes(
         nb * count, "little")
     offset = 1 << (8 * nb - 1)
-    fmt = _CASTS.get(nb)  # stability pays for the cast: about +5 % without it
+    fmt = _CASTS.get(nb)  # stability pays: p50 +6 %, wall_s +4 % without it
     if fmt is not None:
         return {s: v - offset for s, v in enumerate(memoryview(raw).cast(fmt))
                 if v != offset}
@@ -963,9 +963,6 @@ class _RatFunc(_Field):
             return self
         if o.num.is_zero():
             return o
-        # a monomial's wheel substitution takes no gcd (stability: unresolved)
-        if self.den.is_one() and o.den.is_one():
-            return type(self)(self.num * o.num, self.den, _canonical=True)
         # cross-cancel before multiplying; n1 n2 and d1 d2 are then coprime
         n1, d2 = _cofactors(self.num, o.den)
         n2, d1 = _cofactors(o.num, self.den)
@@ -1164,7 +1161,7 @@ class QTPoly:
         over qd^A td^B, A and B the top exponents; other ring elements sum
         in the ring."""
         d = self.d
-        # macd pays for this rational lane: about +45 % without it
+        # macd pays for this rational lane: wall_s +45 % without it
         if (d and type(one) is Fraction and one == 1
                 and isinstance(q_val, (int, Fraction))
                 and isinstance(t_val, (int, Fraction))):
@@ -1213,7 +1210,7 @@ def _qt_fold(steps):
     one packed integer (q^a t^b in slot a T + b, T above the result's
     t-degree), decoded once, unless steps is one product of at most two
     factors: then the QTPolys multiply."""
-    # macd pays for this lane: p50 +2 % without it
+    # macd pays for this lane: p50 +4 % without it
     if len(steps) == 1 and len(steps[0][1]) <= 2:
         fs = steps[0][1]
         return fs[0] * fs[1] if len(fs) == 2 else fs[0]
@@ -1334,7 +1331,7 @@ def qt_gcd(f, g):
         s = x.unit_inverse() if x else 1
         h, unit = x.scale(s), QTPoly.term(s) if x else x
         return (h, f, unit) if not f.d else (h, unit, g)
-    # macd pays for this monomial lane: p50 +4 % without it
+    # macd pays for this monomial lane: p50 +3.7 % without it
     if len(f.d) == 1 or len(g.d) == 1:
         keys = [*f.d, *g.d]
         qm, tm = min([k[0] for k in keys]), min([k[1] for k in keys])

@@ -193,18 +193,12 @@ def monomials_to_m(g, check=True):
     return SymPoly(g.n, coeffs)
 
 
-def _expansion_mul(g, h):
-    """Product of two expansions over the same variables."""
-    if g.n != h.n:
-        raise ValueError("variable counts differ")
-    return MonomialExpansion(g.n, _sparse_mul(g.terms, h.terms, _add_vectors))
-
-
 def sympoly_mul(f, g):
     """Product in Lambda_n via the monomial-expansion round trip."""
     if f.n != g.n:
         raise ValueError("variable counts differ: %d vs %d" % (f.n, g.n))
-    prod = _expansion_mul(m_to_monomials(f), m_to_monomials(g))
+    prod = MonomialExpansion(f.n, _sparse_mul(
+        m_to_monomials(f).terms, m_to_monomials(g).terms, _add_vectors))
     # product of symmetric polynomials is symmetric; skip the scan
     return monomials_to_m(prod, check=False)
 

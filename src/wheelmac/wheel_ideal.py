@@ -10,14 +10,12 @@ sigma running over the weakly increasing sequences in {0, ..., r-1}^k
 s_1 + ... + s_{k+1} = r - 1).  Only wheels of length k+1 are generated:
 longer resonant wheels contain one of these.  At the resonance
 t^(k+1) q^(r-1) = 1 the wheel closes into a cycle, so rotating
-(s_1, ..., s_{k+1}) gives the same condition.  Every membership test and
-every rank (satisfies_wheel, dim_J, wheel_kernel_basis) uses the first
-sigma of each rotation class (_rotation_classes) only: a rotated sigma's
-relation of internal degree dd is c^dd times the representative's, with
-c a monomial t^i q^j (a unit of K), so the row span is the same.
-Membership substitutes f itself (symfunc.wheel_substitute, over a
-CoeffField through _wheel_substitute_fld).  The field keeps each read wheel
-table next to its operator matrices, both applied with one kernel
+(s_1, ..., s_{k+1}) gives the same condition, and membership and the
+constraint rows read the first sigma of each rotation class only
+(_rotation_classes, which says why).  Membership substitutes f itself
+(symfunc.wheel_substitute, over a CoeffField through
+_wheel_substitute_fld).  The field keeps each read wheel table next to
+its operator matrices, both applied with one kernel
 (scalars.apply_rows), so a field shared by satisfies_wheel and
 verify_stability calls reads each (lam, n, sigma) table once.
 
@@ -75,12 +73,8 @@ def satisfies_wheel(f, p, fld=None):
     unchanged); pass the CoeffField the coefficients already live in
     (CoeffField.laurent, say) to substitute in that ring directly.
 
-    One sigma per rotation class of its increment cycle is substituted.
-    With ratios c_i = t^i q^(sigma_i), rotating s by one step and starting
-    at y = c_1 x_1 gives the points c_1 x_1, ..., c_k x_1,
-    t^(k+1) q^(r-1) x_1 = x_1: the same multiset.  As f is symmetric and
-    c_1 is a unit, f vanishes on one wheel exactly when it vanishes on the
-    other.  This needs t^(k+1) q^(r-1) = 1 in fld; ValueError otherwise.
+    The sigmas substituted are _rotation_classes(k, r), which needs
+    t^(k+1) q^(r-1) = 1 in fld; ValueError otherwise.
     """
     k, r = p.k, p.r
     if fld is None:
@@ -95,7 +89,18 @@ def satisfies_wheel(f, p, fld=None):
 def _rotation_classes(k, r):
     """The first sigma of each rotation class of the increment cycle
     (sigma_1, sigma_2 - sigma_1, ..., r-1 - sigma_k), in
-    wheel_substitutions order."""
+    wheel_substitutions order: the sigmas that membership and every rank
+    read.
+
+    One sigma per class suffices.  With ratios c_i = t^i q^(sigma_i),
+    rotating the increments by one step and starting at y = c_1 x_1 gives
+    the points c_1 x_1, ..., c_k x_1, t^(k+1) q^(r-1) x_1 = x_1: at the
+    resonance, the same multiset as sigma's wheel.  As c_1 is a unit of K
+    (a monomial t^i q^j), a symmetric f vanishes on one wheel exactly when
+    it vanishes on the other, and the rotated sigma's relation of internal
+    degree dd is c_1^(-dd) times sigma's, so both sigmas' constraint rows
+    span the same space.
+    """
     seen, reps = set(), []
     for sigma in wheel_substitutions(k, r):
         inc = tuple(b - a for a, b in zip((0,) + sigma, sigma + (r - 1,)))
@@ -157,25 +162,21 @@ def _relation_rows(gens, n, d, zero):
             yield (label, (dd,) + filler), row
 
 
-def constraint_rows(k, r, n, d, p=None, sigmas=None):
+def constraint_rows(k, r, n, d, p=None):
     """Rows of the wheel constraint matrix on the (n, d) component.
 
     Yields ((sigma, (dd,) + nu), row), row a list indexed like
     enumerate_partitions(n, d) with UniRatFunc entries: relation_generic
-    of sigma in internal degree dd times the filler nu, each row once.
-    Degrees ascend, and within one the sigmas (None: every wheel
-    substitution, rotation copies included) keep their order, so the
-    ranks' row selection meets the low-degree rows first.
-    The degree-0 relation is 1 for every sigma, so only the first sigma
-    yields its rows.
-    The ranks pass _rotation_classes(k, r), which spans the same rows.
-    Drained, it raises ValueError when n <= k (no wheel) or on a bad sigma.
+    of sigma in internal degree dd times the filler nu, each row once,
+    sigma running over _rotation_classes(k, r).  Degrees ascend, and
+    within one the sigmas keep their order, so the ranks' row selection
+    meets the low-degree rows first.  The degree-0 relation is 1 for
+    every sigma, so only the first sigma yields its rows.
+    Drained, it raises ValueError when n <= k (no wheel).
     """
     p = ParameterSpec.matching(p, k, r)
     check_wheel_size(n, k)
-    if sigmas is None:
-        sigmas = wheel_substitutions(k, r)
-    sigmas = [check_sigma(sigma, k, r) for sigma in sigmas]
+    sigmas = _rotation_classes(k, r)
     gens = ((sigma, dd, relation_generic(dd, sigma, k, r, p))
             for dd in range(d + 1) for sigma in (sigmas if dd else sigmas[:1]))
     yield from _relation_rows(gens, n, d, UniRatFunc.zero(p.N))
@@ -189,27 +190,24 @@ def _wheel_substitute_fld(f, sigma, fld):
 
 def _kernel(k, r, n, d, p):
     """rank_kernel_poly's UniPoly kernel vectors on the (n, d) component,
-    over the rows of one sigma per rotation class, drawn from
-    constraint_rows uncleared and only until the rank is full; no rows
-    when n <= k."""
-    rows = () if n <= k else (row for _, row in constraint_rows(
-        k, r, n, d, p, sigmas=_rotation_classes(k, r)))
+    over the rows of constraint_rows, drawn uncleared and only until the
+    rank is full; no rows when n <= k."""
+    rows = () if n <= k else (
+        row for _, row in constraint_rows(k, r, n, d, p))
     return rank_kernel_poly(rows, len(pt.enumerate_partitions(n, d)), p.N)[1]
 
 
 def dim_J(k, r, n, d, p=None):
     """dim over K of the wheel-condition subspace of Lambda_{n,d}: the
-    number of kernel vectors of the rows of one sigma per rotation class,
-    which span the rows of every sigma (see the module docstring)."""
+    number of kernel vectors of constraint_rows (one sigma per rotation
+    class, see _rotation_classes)."""
     return len(_kernel(k, r, n, d, ParameterSpec.matching(p, k, r)))
 
 
 def wheel_kernel_basis(k, r, n, d, p=None):
-    """Exact basis of J_{n,d} as SymPolys over K (monomial-basis kernel).
-
-    The rows are those of one sigma per rotation class; rank_kernel_poly's
-    kernel depends only on their span, which is that of every sigma.
-    """
+    """Exact basis of J_{n,d} as SymPolys over K (monomial-basis kernel)
+    of constraint_rows (one sigma per rotation class, see
+    _rotation_classes)."""
     p = ParameterSpec.matching(p, k, r)
     plist = pt.enumerate_partitions(n, d)
     return [SymPoly(n, {lam: UniRatFunc(x, _canonical=True)

@@ -10,6 +10,8 @@ from wheelmac.macdonald import CoeffField
 from wheelmac.scalars import (BiRatFunc, LaurentPoly, QTPoly, UniPoly,
                               UniRatFunc, _lpoly)
 from wheelmac.symfunc import SymPoly, orbit_of
+from wheelmac.wheel_ideal import (_relation_rows, relation_generic,
+                                  wheel_substitutions)
 
 
 def euler_phi(n):
@@ -181,6 +183,22 @@ def recursion_P(table, lam):
             num, den = lcm_sum(pairs, merges)
             u[mu] = BiRatFunc(num, den * (eps_lam - table.eps1(mu)))
     return SymPoly(table.n, u)
+
+
+def every_sigma_rows(k, r, n, d, p):
+    """[((sigma, (dd,) + nu), row)] of the wheel constraint matrix on the
+    (n, d) component over every sigma of wheel_substitutions(k, r),
+    rotation copies included: relation_generic of sigma in internal degree
+    dd times each filler nu (wheel_ideal._relation_rows), the degree-0
+    rows (the relation 1) from the first sigma only, as in
+    wheel_ideal.constraint_rows, which yields the items of one sigma per
+    rotation class.  No rows when n <= k."""
+    if n <= k:
+        return []
+    sigmas = wheel_substitutions(k, r)
+    gens = [(sigma, dd, relation_generic(dd, sigma, k, r, p))
+            for dd in range(d + 1) for sigma in (sigmas if dd else sigmas[:1])]
+    return list(_relation_rows(gens, n, d, UniRatFunc.zero(p.N)))
 
 
 def specialized_field(p):

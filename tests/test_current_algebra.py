@@ -20,7 +20,8 @@ from wheelmac.symfunc import MonomialExpansion
 from wheelmac.wheel_ideal import (_rotation_classes, constraint_rows, dim_J,
                                   wheel_substitutions)
 
-from oracles import eager_rank_kernel, eval_monomial_symmetric, unirat_u
+from oracles import (eager_rank_kernel, eval_monomial_symmetric,
+                     every_sigma_rows, unirat_u)
 from test_wheel_ideal import _reference_rows
 
 
@@ -154,14 +155,17 @@ def test_duality_with_wheel_rows():
     # the sigma-relation coefficients are exactly the wheel constraint row
     # on the n = k+1 component (single free monomial x_1^d), computed by
     # the per-m_lam substitution of the reference; the degree-0 relation,
-    # 1 for every sigma, is yielded once, under the first sigma
+    # 1 for every sigma, is yielded once, under the first sigma.
+    # constraint_rows yields the rows of the rotation-class representatives
     for k, r in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (1, 4), (2, 4)]:
         p = ParameterSpec(k, r)
         zero = UniRatFunc.zero(p.N)
         sigmas = wheel_substitutions(k, r)
+        reps = _rotation_classes(k, r)
         for d in range(7):
             plist = pt.enumerate_partitions(k + 1, d)
             ref = _reference_rows(k, r, k + 1, d, p)
+            every = dict(every_sigma_rows(k, r, k + 1, d, p))
             got = dict(constraint_rows(k, r, k + 1, d, p))
             for sigma in sigmas:
                 rel = relation_generic(d, sigma, k, r, p)
@@ -169,26 +173,31 @@ def test_duality_with_wheel_rows():
                        for lam in plist]
                 row = ref.get((sigma, (d,)), [zero] * len(plist))
                 assert row == vec, (k, r, d, sigma)
-                if d or sigma == sigmas[0]:
-                    assert got.get((sigma, (d,)), [zero] * len(plist)) == vec
-                else:
-                    assert (sigma, (d,)) not in got, (k, r, sigma)
+                for rows, kept in ((every, sigmas), (got, reps)):
+                    if sigma in kept and (d or sigma == sigmas[0]):
+                        assert rows.get((sigma, (d,)),
+                                        [zero] * len(plist)) == vec
+                    else:
+                        assert (sigma, (d,)) not in rows, (k, r, sigma)
 
 
 def test_duality_with_wheel_rows_every_n():
-    # beyond n = k+1 the ideal rows (relation times filler) are the wheel
-    # rows (sigma, free monomial) of the per-m_lam substitution, without
-    # the copies for permuted free monomials; cleared, they are what
-    # rank_kernel_poly sees
+    # beyond n = k+1 the rows of every sigma (relation times filler) are
+    # the wheel rows (sigma, free monomial) of the per-m_lam substitution,
+    # without the copies for permuted free monomials; cleared, they are
+    # what rank_kernel_poly sees.  The generic ideal rows are those of the
+    # rotation-class representatives
     for k, r in [(1, 2), (1, 3), (2, 2), (2, 3), (1, 4)]:
         p = ParameterSpec(k, r)
         for n in range(k + 1, (5 if r == 2 else 4) + 1):
             for d in range(7):
                 wheel = {tuple(row) for row
                          in _reference_rows(k, r, n, d, p).values()}
-                ideal = {tuple(row) for row in
-                         ideal_rows(k, r, n, d, p, field="generic")}
+                ideal = {tuple(row) for _, row in
+                         every_sigma_rows(k, r, n, d, p)}
                 assert wheel == ideal, (k, r, n, d)
+                assert ideal_rows(k, r, n, d, p, field="generic") == [
+                    row for _, row in constraint_rows(k, r, n, d, p)]
                 assert {tuple(_clear_upower_row(row, p.N)) for row in wheel} \
                     == {tuple(_clear_upower_row(row, p.N)) for row in ideal}
 
@@ -466,14 +475,14 @@ def test_W_space_monotone_in_b():
 
 
 def test_generic_ranks_over_rotation_classes_match_every_sigma():
-    # the reference ranks the relations of every sigma (ideal_rows with
-    # sigmas=None), deleting the prefix-violating columns itself
+    # the reference ranks the relations of every sigma (every_sigma_rows),
+    # deleting the prefix-violating columns itself
     for k, r in [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)]:
         p = ParameterSpec(k, r)
         for n in range(5):
             for d in range(8):
                 plist = [pt.pad(lam, n) for lam in pt.enumerate_partitions(n, d)]
-                rows = ideal_rows(k, r, n, d, p, field="generic")
+                rows = [row for _, row in every_sigma_rows(k, r, n, d, p)]
                 full = len(plist) - linalg.rank_kernel_poly(
                     rows, len(plist), p.N)[0]
                 assert dim_J(k, r, n, d, p) == full, (k, r, n, d)
@@ -496,8 +505,7 @@ def test_W_space_dim_matches_the_eager_reference():
         for n in range(5):
             for d in range(9):
                 plist = [pt.pad(lam, n) for lam in pt.enumerate_partitions(n, d)]
-                rows = ideal_rows(k, r, n, d, p, "generic",
-                                  _rotation_classes(k, r))
+                rows = ideal_rows(k, r, n, d, p, "generic")
                 for b in combinations_with_replacement(range(k + 1), r - 1):
                     keep = [i for i, lam in enumerate(plist)
                             if all(sum(lam.count(v) for v in range(a + 1))
@@ -520,7 +528,7 @@ def test_W_space_dim_reads_no_row_after_the_full_rank(monkeypatch):
     # 19th of 25; the six after it are poisoned and must not be indexed
     k, r, b, n, d = 1, 2, (1,), 4, 8
     p = ParameterSpec(k, r)
-    rows = ideal_rows(k, r, n, d, p, "generic", _rotation_classes(k, r))
+    rows = ideal_rows(k, r, n, d, p, "generic")
     keep = [i for i, lam in enumerate(pt.enumerate_partitions(n, d))
             if pt.pad(lam, n).count(0) <= b[0]]
     proj = [[row[i] for i in keep] for row in rows]

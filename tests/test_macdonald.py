@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ from operator import mul
 import pytest
 
 import wheelmac
+from wheelmac import cli
 from wheelmac import macdonald as md
 from wheelmac import partitions as pt
 from wheelmac import scalars
@@ -23,7 +25,7 @@ from wheelmac.macdonald import (CoeffField, ExactDivisionError, MacdonaldTable,
                                 specialize_P, verify_pieri)
 from wheelmac.scalars import (BiRatFunc, CycloNum, LaurentPoly, ParameterSpec,
                               QTPoly, UniRatFunc)
-from wheelmac.symfunc import SymPoly
+from wheelmac.symfunc import SymPoly, restrict_derivative, sympoly_mul
 from wheelmac.wheel_ideal import basis_I, wheel_kernel_basis
 
 from oracles import (doubled_coefficient, eval_monomial_symmetric, lcm_sum,
@@ -815,6 +817,63 @@ def test_compute_P_refuses_equal_eigenvalues():
     table._eps[(1, 1)] = table.eps1((2,))
     with pytest.raises(ExactDivisionError, match="equal D_n"):
         table.compute_P((2,))
+
+
+# (call, expected): a regex for the ValueError the call raises (for the
+# command line, for its usage error, exit code 2), or the value it returns
+_INPUT_CHECKS = {
+    "apply_D-rho": (lambda: apply_D(SymPoly.m((1,), 2, one), 3,
+                                    CoeffField.generic()),
+                    r"need 0 <= rho <= n"),
+    "apply_E-m": (lambda: apply_E(SymPoly.m((1,), 2, one), -1,
+                                  CoeffField.generic()),
+                  r"need m >= 0"),
+    "compute_P-parts": (lambda: md.compute_P((1, 1, 1), 2),
+                        r"\(1, 1, 1\) does not fit in 2 variables"),
+    "psi_prime-row": (lambda: psi_prime((2, 1), 4),
+                      r"need 1 <= j <= l\(lam\)\+1"),
+    "psi_dblprime-row": (lambda: psi_dblprime((2, 1), 3, 3),
+                         r"need 1 <= j <= l\(lam\)$"),
+    "psi_dblprime-parts": (lambda: psi_dblprime((1, 1, 1), 1, 2),
+                           r"does not fit in 2 variables"),
+    "pieri_failures-parts": (lambda: pieri_failures((1, 1, 1), 2),
+                             r"partition does not fit"),
+    "SymPoly-parts": (lambda: SymPoly(2, {(1, 1, 1): one}),
+                      r"\(1, 1, 1\) needs more than 2 variables"),
+    "SymPoly-add": (lambda: SymPoly.m((1,), 2) + SymPoly.m((1,), 3),
+                    r"variable counts differ"),
+    "sympoly_mul-n": (lambda: sympoly_mul(SymPoly.m((1,), 2),
+                                          SymPoly.m((1,), 3)),
+                      r"variable counts differ: 2 vs 3"),
+    "restrict_derivative-n": (
+        lambda: restrict_derivative(SymPoly.m((1,), 1), 0),
+        r"need at least two variables"),
+    "CycloNum-coefficients": (lambda: CycloNum(3, [1]),
+                              r"need exactly phi\(N\)=2 coefficients"),
+    "pad-zeros": (lambda: pt.pad((2, 0, 0), 1), (2,)),
+    "pad-parts": (lambda: pt.pad((2, 0, 1), 2),
+                  r"\(2, 0, 1\) has more than 2 parts"),
+    "cli-generic-sigma": (
+        lambda: cli.run(["current", "relation", "--k", "1", "--r", "2",
+                         "--d", "2", "--field", "generic"]),
+        r"--field generic needs --sigma"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_CHECKS))
+def test_public_input_checks(case, capsys):
+    call, expected = _INPUT_CHECKS[case]
+    if not isinstance(expected, str):
+        assert call() == expected
+        return
+    with pytest.raises((ValueError, SystemExit)) as exc:
+        call()
+    if exc.type is SystemExit:
+        assert exc.value.code == 2
+        message = capsys.readouterr().err
+    else:
+        message = str(exc.value)
+    assert re.search(expected, message, re.M), message
 
 
 def test_specialize_P_examples(tables):

@@ -301,6 +301,40 @@ def test_only_parameter_spec_knows_the_specialization():
     assert not _specialization_reads(SRC)
 
 
+def _rotation_rule_reads(folder):
+    """(file, line) of each name, attribute or import of _rotation_classes
+    in folder/*.py other than wheel_ideal.py."""
+    found = []
+    for path in sorted(folder.glob("*.py")):
+        if path.name == "wheel_ideal.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            name = getattr(n, "id", None) or getattr(n, "attr", None) \
+                or (n.name if isinstance(n, ast.alias) else None)
+            if name == "_rotation_classes":
+                found.append((path.name, n.lineno))
+    return found
+
+
+def test_only_wheel_ideal_knows_the_rotation_rule():
+    # constraint_rows and satisfies_wheel read one sigma per rotation class
+    # themselves, so no other module passes the classes or repeats the rule
+    assert not _rotation_rule_reads(SRC)
+
+
+def test_the_rotation_rule_guard_sees_a_planted_read(tmp_path):
+    for name in ("wheel_ideal.py", "current_algebra.py"):
+        (tmp_path / name).write_text((SRC / name).read_text())
+    assert not _rotation_rule_reads(tmp_path)
+    planted = tmp_path / "current_algebra.py"
+    text = planted.read_text()
+    lines = text.count("\n")
+    planted.write_text(text + "from .wheel_ideal import _rotation_classes\n"
+                       "classes = wheel_ideal._rotation_classes(1, 3)\n")
+    assert _rotation_rule_reads(tmp_path) == [
+        ("current_algebra.py", lines + 1), ("current_algebra.py", lines + 2)]
+
+
 def _container_sizes(module):
     """len of each dict, list and set held by module or by a class it
     defines, keyed by where it is held."""

@@ -27,8 +27,8 @@ from wheelmac.wheel_ideal import (_rotation_classes, _wheel_substitute_fld,
                                   wheel_kernel_basis, wheel_substitutions)
 
 from oracles import (doubled_coefficient, eager_rank_kernel, euler_phi,
-                     fraction_det, rational_value, specialized_field,
-                     unirat_u)
+                     every_sigma_rows, fraction_det, rational_value,
+                     specialized_field, unirat_u)
 from test_symfunc import _naive_collapse
 
 
@@ -248,17 +248,22 @@ _REFERENCE_GRID = {(1, 2): 5, (2, 2): 5, (3, 2): 5, (1, 3): 5, (2, 3): 5,
 
 
 def test_constraint_rows_match_the_per_monomial_substitution():
-    # the row of (sigma, (dd,) + nu) is the reference row of every
-    # permutation of the free exponents nu, and nothing else is yielded;
-    # the degree-0 relation is 1 for every sigma, so each sigma's degree-0
-    # reference row is the first sigma's row
+    # over every sigma, the row of (sigma, (dd,) + nu) is the reference row
+    # of every permutation of the free exponents nu, and nothing else is
+    # yielded; the degree-0 relation is 1 for every sigma, so each sigma's
+    # degree-0 reference row is the first sigma's row.  constraint_rows
+    # yields those items of the rotation-class representatives, in order
     for (k, r), n_max in _REFERENCE_GRID.items():
         p = ParameterSpec(k, r)
         first = wheel_substitutions(k, r)[0]
+        reps = _rotation_classes(k, r)
         for n in range(k + 1, n_max + 1):
             for d in range(7):
                 ref = _reference_rows(k, r, n, d, p)
-                got = dict(constraint_rows(k, r, n, d, p))
+                every = every_sigma_rows(k, r, n, d, p)
+                assert list(constraint_rows(k, r, n, d, p)) == [
+                    item for item in every if item[0][0] in reps]
+                got = dict(every)
                 for (sigma, mono), row in ref.items():
                     free = tuple(sorted(mono[1:], reverse=True))
                     label = sigma if mono[0] else first
@@ -271,8 +276,8 @@ def test_constraint_rows_match_the_per_monomial_substitution():
 
 def test_constraint_rows_yield_each_row_once():
     # one row per filler, not one per permuted free monomial: no sigma
-    # repeats a row or a provenance.  Nor do the class representatives
-    # that the ranks use repeat a row between them, so the degree-0 rows
+    # repeats a row or a provenance.  Nor do the class representatives of
+    # constraint_rows repeat a row between them, so the degree-0 rows
     # (the relation 1 times a filler) come once, not once per sigma; the
     # rotation copies of a sigma may (a relation c^dd times its
     # representative's, with c^dd = 1)
@@ -282,7 +287,7 @@ def test_constraint_rows_yield_each_row_once():
         for n in range(k + 1, n_max + 1):
             for d in range(7):
                 seen = {}
-                for (sigma, key), row in constraint_rows(k, r, n, d, p):
+                for (sigma, key), row in every_sigma_rows(k, r, n, d, p):
                     seen.setdefault(sigma, []).append((key, tuple(row)))
                 for sigma, items in seen.items():
                     keys = [key for key, _ in items]
@@ -291,7 +296,7 @@ def test_constraint_rows_yield_each_row_once():
                     assert len(set(rows)) == len(rows), (k, r, n, d, sigma)
                     checked += len(rows)
                 reps = [tuple(row) for _, row in constraint_rows(
-                    k, r, n, d, p, sigmas=_rotation_classes(k, r))]
+                    k, r, n, d, p)]
                 assert len(set(reps)) == len(reps), (k, r, n, d)
     assert checked
 
@@ -315,14 +320,14 @@ def test_dim_J_row_order_and_rotation_dedup_invariance():
     k, r, n, d = 2, 3, 3, 4
     p = ParameterSpec(k, r)
     plist = pt.enumerate_partitions(n, d)
-    rows = [row for _, row in constraint_rows(k, r, n, d, p)]
+    rows = [row for _, row in every_sigma_rows(k, r, n, d, p)]
     one = UniRatFunc.one(p.N)
     dim_all = len(plist) - _field_rank(rows, len(plist))
     dim_rev = len(plist) - _field_rank(list(reversed(rows)), len(plist))
     assert dim_all == dim_rev == dim_J(k, r, n, d, p)
     reps = _rotation_representatives(k, r)
     assert len(reps) < len(wheel_substitutions(k, r))
-    rows_dedup = [row for key, row in constraint_rows(k, r, n, d, p)
+    rows_dedup = [row for key, row in every_sigma_rows(k, r, n, d, p)
                   if key[0] in reps]
     assert len(plist) - _field_rank(rows_dedup, len(plist)) == dim_all
 
@@ -403,7 +408,7 @@ def _planted(k, r, n, d, p, rep):
     that does not vanish on the wheel rep."""
     plist = pt.enumerate_partitions(n, d)
     cls = _rotation_class(k, r, rep)
-    rows = [row for key, row in constraint_rows(k, r, n, d, p)
+    rows = [row for key, row in every_sigma_rows(k, r, n, d, p)
             if _rotation_class(k, r, key[0]) != cls]
     fld = CoeffField.laurent(p)
     _, vecs = rank_kernel_poly(rows, len(plist), p.N)
@@ -481,9 +486,9 @@ def _rank_components(k):
 
 def _every_sigma_ranks(k, r, n, d, p):
     """Exact dim and kernel basis from the rows of every sigma
-    (constraint_rows with sigmas=None), ranked here."""
+    (every_sigma_rows), ranked here."""
     plist = pt.enumerate_partitions(n, d)
-    rows = [row for _, row in constraint_rows(k, r, n, d, p)]
+    rows = [row for _, row in every_sigma_rows(k, r, n, d, p)]
     rank, vecs = rank_kernel_poly(rows, len(plist), p.N)
     basis = [SymPoly(n, {lam: UniRatFunc(x, _canonical=True)
                          for lam, x in zip(plist, vec)}) for vec in vecs]
@@ -619,14 +624,18 @@ def test_a_row_read_before_the_exit_has_its_denominators_checked():
 
 
 def test_r2_wheel_reduces_to_single_locus():
-    # for r = 2 every substitution cuts out the same locus as sigma = 0
+    # for r = 2 every substitution cuts out the same locus as sigma = 0,
+    # the one rotation class
     for k, n, d in [(1, 2, 3), (1, 3, 4), (2, 3, 4)]:
         p = ParameterSpec(k, 2)
         plist = pt.enumerate_partitions(n, d)
-        rows0 = [row for key, row in constraint_rows(k, 2, n, d, p)
+        assert _rotation_classes(k, 2) == [(0,) * k]
+        rows = [row for _, row in every_sigma_rows(k, 2, n, d, p)]
+        rows0 = [row for key, row in every_sigma_rows(k, 2, n, d, p)
                  if key[0] == (0,) * k]
         dim0 = len(plist) - _field_rank(rows0, len(plist))
-        assert dim0 == dim_J(k, 2, n, d, p)
+        dim_all = len(plist) - _field_rank(rows, len(plist))
+        assert dim0 == dim_all == dim_J(k, 2, n, d, p)
 
 
 def test_kernel_basis_is_homogeneous_and_in_J():
@@ -778,8 +787,7 @@ def _zero_J_components():
 
 def _class_rows(k, r, n, d, p):
     """The rows dim_J ranks: one sigma per rotation class."""
-    return [row for _, row in constraint_rows(
-        k, r, n, d, p, sigmas=_rotation_classes(k, r))]
+    return [row for _, row in constraint_rows(k, r, n, d, p)]
 
 
 def _value(x, u0):
@@ -887,8 +895,7 @@ def test_full_rank_leaves_the_rest_of_the_rows_unbuilt(monkeypatch):
         p = ParameterSpec(k, r)
         del drawn[:]
         assert dim_J(k, r, n, d, p) == 0, (k, r, n, d)
-        held = len(list(inner(k, r, n, d, p,
-                              sigmas=_rotation_classes(k, r))))
+        held = len(list(inner(k, r, n, d, p)))
         assert len(drawn) <= held
         if len(drawn) < held:
             short.append((k, r, n, d))
@@ -942,8 +949,7 @@ def test_a_row_after_the_full_rank_exit_is_never_read():
     k, r, n, d = 1, 2, 3, 3
     p = ParameterSpec(k, r)
     one, u = UniRatFunc.one(1), unirat_u(1)
-    rows = [row for _, row in constraint_rows(
-        k, r, n, d, p, sigmas=_rotation_classes(k, r))]
+    rows = _class_rows(k, r, n, d, p)
     assert len(pt.enumerate_partitions(n, d)) == 3
     assert rank_kernel_poly(rows, 3, p.N) == (3, [])
     assert rank_kernel_poly(
